@@ -9,6 +9,7 @@ embed the configuration hash and print floats at full precision.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,13 +60,15 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="radialwave")
     ap.add_argument("--config", help="key=value file providing option defaults")
     ap.add_argument("--out", help=f"output directory (default ${ENV_OUTDIR} or '.')")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker cap hint (evaluation is single-process)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # subcommand errors surface as ArgumentError, which the top-level parser
+    # reports as a usage error and _parse as a config-file error
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, exit_on_error=False))
 
     def add_grid(p, t_max=16.0, dr=1 / 32):
         p.add_argument("--dr", type=float, default=dr)
@@ -112,28 +115,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--N", type=int, default=2)
-    return ap
+    return ap, sub.choices
 
 
 def _parse(argv):
-    ap = _build_parser()
-    # first pass picks up --config so its values can become defaults
+    ap, commands = _build_parser()
+    # the first pass finds --config and the subcommand; the file's values then
+    # become argparse defaults, so any explicit flag wins and each flag's type
+    # converts the file's strings
     pre, _ = ap.parse_known_args(argv)
     if pre.config:
-        overrides = _read_config_file(pre.config)
-        ns = ap.parse_args(argv)
-        for key, raw in overrides.items():
-            if not hasattr(ns, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if f"--{key.replace('_', '-')}" in argv or f"--{key}" in argv:
-                continue  # explicit flag wins
-            cur = getattr(ns, key)
-            typ = type(cur) if cur is not None else str
-            if typ is bool:
-                setattr(ns, key, raw.lower() in ("1", "true", "yes"))
-            else:
-                setattr(ns, key, typ(raw) if cur is not None else raw)
-        return ns
+        config = _read_config_file(pre.config)
+        unknown = sorted(set(config) - set(vars(pre)))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
+        sub = commands[pre.command]
+        own = vars(sub.parse_args([]))
+        ap.set_defaults(**{k: v for k, v in config.items() if k not in own})
+        sub.set_defaults(**{
+            k: v.lower() in ("1", "true", "yes") if isinstance(own[k], bool) else v
+            for k, v in config.items() if k in own})
+        try:
+            sub.parse_args([])
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config file: {exc}") from None
     return ap.parse_args(argv)
 
 

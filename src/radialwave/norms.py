@@ -3,19 +3,21 @@
 All spatial integrals use the radial measure dx = 4*pi*r^2 dr.  Global-in-time
 norms are truncated to the grid horizon [0, t_max]; every breakdown records the
 truncation so boundedness can be judged against plateau-vs-horizon curves.
+The region sups of the M and A functionals run on a per-grid interval index
+of the sharp R/U/core regions; dense masks remain the test oracle and the
+``smooth=True`` path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (
-    DT, DR, GOOD, SpaceTimeField, derivative, quotient_by_r, z_words,
-)
+from .grid import DT, DR, SpaceTimeField, derivative, quotient_by_r, z_words
 from .regions import (
-    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, RegionMask, bracket,
+    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _row_intervals, bracket,
     dyadic_scales, realize_mask,
 )
 
@@ -185,57 +187,147 @@ def _check_params(p, delta, N):
 class _Aggregates:
     """Pointwise sums over Z words |mu| <= N of derivative magnitudes.
 
-    Words are consumed one at a time (layer by layer) so at most one layer of
-    word fields is alive at once.
+    Words are absorbed in ``z_words`` order, so each sum adds the terms of a
+    word-by-word ``apply_z_multi`` pass in the same order.  A child word is
+    built from its parent's dt and dr derivatives, which absorbing the parent
+    computes: dt.w = dt(w), dr.w = dr(w), S.w = t dt(w) + r dr(w) (as in
+    ``derivative(., S)``).  Only the last layer's (dt, dr) pairs stay alive.
     """
 
     def __init__(self, f: SpaceTimeField, N: int):
         shape = f.grid.shape()
         self.grid = f.grid
-        half = N // 2
         self.good = np.zeros(shape)     # sum |(dt+dr) Z^mu f|
-        self.plain = np.zeros(shape)    # sum |Z^mu f|
         self.d_t = np.zeros(shape)      # sum |dt Z^mu f|
         self.d_r = np.zeros(shape)      # sum |dr Z^mu f|
         self.d_half = np.zeros(shape)   # sum over |mu| <= N//2 of |dt| + |dr|
         self.quot = np.zeros(shape)     # sum |Z^mu f| / r
-        prev: dict[tuple, SpaceTimeField] = {(): f}
-        self._absorb((), f, half)
+        self._abs_t, self._abs_r, self._tmp, self._s = (np.empty(shape) for _ in range(4))
+        t, r = f.grid.meshes()
+        parents = {(): self._absorb(f, True, N > 0)}
         for length in range(1, N + 1):
-            cur: dict[tuple, SpaceTimeField] = {}
+            children = {}
             for word in (w for w in z_words(N) if len(w) == length):
-                g = derivative(prev[word[1:]], word[0])
-                cur[word] = g
-                self._absorb(word, g, half)
-            prev = cur
+                parity, gt, gr = parents[word[1:]]
+                if word[0] == DT:
+                    g = gt
+                elif word[0] == DR:
+                    g = gr
+                else:  # S keeps the parity; only its (dt, dr) pair outlives it
+                    vals = np.multiply(t, gt.values, out=self._s)
+                    vals += np.multiply(r, gr.values, out=self._tmp)
+                    g = SpaceTimeField(self.grid, vals, parity)
+                children[word] = self._absorb(g, length <= N // 2, length < N)
+            parents = children
 
-    def _absorb(self, word, g: SpaceTimeField, half: int):
-        gt = derivative(g, DT).values
-        gr = derivative(g, DR).values
-        self.good += np.abs(gt + gr)
-        self.plain += np.abs(g.values)
-        self.d_t += np.abs(gt)
-        self.d_r += np.abs(gr)
-        self.quot += np.abs(quotient_by_r(g).values)
-        if len(word) <= half:
-            self.d_half += np.abs(gt) + np.abs(gr)
+    def _absorb(self, g: SpaceTimeField, in_half: bool, keep: bool):
+        gt = derivative(g, DT)
+        gr = derivative(g, DR)
+        at, ar, tmp = self._abs_t, self._abs_r, self._tmp
+        self.good += np.abs(np.add(gt.values, gr.values, out=tmp), out=tmp)
+        self.d_t += np.abs(gt.values, out=at)
+        self.d_r += np.abs(gr.values, out=ar)
+        q = quotient_by_r(g).values
+        self.quot += np.abs(q, out=q)
+        if in_half:
+            self.d_half += np.add(at, ar, out=tmp)
+        return (g.parity, gt, gr) if keep else None
 
     def field(self, values) -> SpaceTimeField:
         return SpaceTimeField(self.grid, values)
 
 
-def _region_rows(grid, tau_values):
-    """(tau, R_eff, mask) and (tau, U_eff, mask) lists with the core attributed
-    to both rows at effective scale tau/2."""
-    r_rows, u_rows = [], []
-    for tau in tau_values:
-        for s in dyadic_scales(tau // 4):
-            r_rows.append((tau, s, realize_mask(DyadicRegion(tau, R_KIND, s), grid).weights))
-            u_rows.append((tau, s, realize_mask(DyadicRegion(tau, U_KIND, s), grid).weights))
-        core = realize_mask(DyadicRegion(tau, CORE), grid).weights
-        r_rows.append((tau, tau // 2, core))
-        u_rows.append((tau, tau // 2, core))
-    return r_rows, u_rows
+class _RegionIndex:
+    """The sharp R/U/core regions of the functionals on one grid.
+
+    ``rows`` lists (kind, tau, s): every R row, then every U row, the core of
+    each slab in both at s = tau/2.  Row i owns the flat positions
+    ``flat[offsets[i]:offsets[i + 1]]``, the row intervals [j_lo, j_hi) of its
+    dense ``realize_mask`` output, so a region sup reads only its own points.
+    """
+
+    def __init__(self, grid):
+        taus = dyadic_scales(grid.t_max / 2, start=4)
+        self.rows = [(kind, tau, s) for kind in (R_KIND, U_KIND) for tau in taus
+                     for s in dyadic_scales(tau // 2)]
+        flat = {}  # region -> flat positions; each core serves two rows
+        parts = []
+        for kind, tau, s in self.rows:
+            region = DyadicRegion(tau, CORE) if 2 * s == tau else DyadicRegion(tau, kind, s)
+            if region not in flat:
+                rows, lo, hi = _row_intervals(realize_mask(region, grid).weights)
+                n = hi - lo
+                flat[region] = (np.repeat(rows * grid.nr + lo - (np.cumsum(n) - n), n)
+                                + np.arange(n.sum()))
+            parts.append(flat[region])
+        self.flat = np.concatenate([np.zeros(0, dtype=int), *parts])
+        self.offsets = np.cumsum([0] + [len(p) for p in parts])
+        self.nonempty = np.diff(self.offsets) > 0
+
+    def sups(self, values: np.ndarray) -> list[float]:
+        """max of ``values`` (>= 0) over each region; 0.0 on an empty one."""
+        out = np.zeros(len(self.rows))
+        out[self.nonempty] = np.maximum.reduceat(values.ravel().take(self.flat),
+                                                 self.offsets[:-1][self.nonempty])
+        return out.tolist()
+
+
+_region_index = functools.lru_cache(maxsize=4)(_RegionIndex)
+
+
+# functional -> (keeps the sup-in-t v slot, weight of the v R row, aggregation)
+_FUNCTIONALS = {"M": (True, "tau", "sum (alt slots excluded)"), "A": (False, "alt", "sum")}
+
+
+def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
+                delta: float, N: int) -> NormBreakdown:
+    _check_params(p, delta, N)
+    if u.grid != v.grid:
+        raise ValueError("u and v must share a grid")
+    sup_slot, v_r_weight, aggregation = _FUNCTIONALS[kind]
+    au, av = _Aggregates(u, N), _Aggregates(v, N)
+    w_half = MixedNormSpec("L2", "L2", WeightSpec(power_r=(p - 1) / 2))
+    dv = av.field(av.d_t + av.d_r)
+
+    slots: dict[str, float] = {
+        "u_good_l2l2": mixed_norm(au.field(au.good), w_half),
+        "u_invr_l2l2": mixed_norm(au.field(au.quot), w_half),
+        "v_good_l2l2": mixed_norm(av.field(av.good), w_half),
+        "v_invr_l2l2": mixed_norm(av.field(av.quot), w_half),
+        "u_le1": le_norm(au.field(le1_pointwise(au.d_t, au.d_r, au.quot))),
+        "u_d_linfl2": mixed_norm(au.field(au.d_t + au.d_r), MixedNormSpec("Linf", "L2")),
+        "v_d_weighted_l2l2": mixed_norm(
+            dv, MixedNormSpec("L2", "L2", WeightSpec(power_r=-(1 + delta) / 2))),
+    }
+    if sup_slot:
+        slots["v_d_weighted_linfl2"] = mixed_norm(
+            dv, MixedNormSpec("Linf", "L2", WeightSpec(power_r=-delta / 2)))
+
+    index = _region_index(u.grid)
+    per_region: dict[str, float] = {}
+    sup_u = {R_KIND: 0.0, U_KIND: 0.0}
+    sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
+    for (row, tau, s), lu, lv in zip(index.rows, index.sups(au.d_half),
+                                     index.sups(av.d_half)):
+        per_region[f"{row} tau={tau} s={s} u"] = lu
+        per_region[f"{row} tau={tau} s={s} v"] = lv
+        if row == R_KIND:
+            sup_u[row] = max(sup_u[row], tau ** 0.5 * s * lu)
+            sq_v["tau"] += (tau ** 0.5 * s ** (1 - delta / 2) * lv) ** 2
+            sq_v["alt"] += (s ** ((3 - delta) / 2) * lv) ** 2
+        else:
+            sup_u[row] = max(sup_u[row], tau * s ** 0.5 * lu)
+            sq_v[row] += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
+
+    slots["u_R_sup"] = sup_u[R_KIND]
+    slots["v_R_l2"] = float(np.sqrt(sq_v[v_r_weight]))
+    slots["u_U_sup"] = sup_u[U_KIND]
+    slots["v_U_l2"] = float(np.sqrt(sq_v[U_KIND]))
+    total = float(sum(slots.values()))
+    if v_r_weight != "alt":
+        slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
+    return NormBreakdown(total=total, slots=slots, per_region=per_region,
+                         truncation_T=u.grid.t_max, aggregation=aggregation)
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
@@ -246,60 +338,7 @@ def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
     ("v_R_l2" with tau^{1/2} R^{1-delta/2} enters the total; the
     R^{(3-delta)/2} alternative is recorded as "v_R_l2_alt").
     """
-    _check_params(p, delta, N)
-    if u.grid != v.grid:
-        raise ValueError("u and v must share a grid")
-    grid = u.grid
-    au, av = _Aggregates(u, N), _Aggregates(v, N)
-    w_half = WeightSpec(power_r=(p - 1) / 2)
-
-    slots: dict[str, float] = {}
-    slots["u_good_l2l2"] = mixed_norm(au.field(au.good), MixedNormSpec("L2", "L2", w_half))
-    slots["u_invr_l2l2"] = mixed_norm(au.field(au.quot), MixedNormSpec("L2", "L2", w_half))
-    slots["v_good_l2l2"] = mixed_norm(av.field(av.good), MixedNormSpec("L2", "L2", w_half))
-    slots["v_invr_l2l2"] = mixed_norm(av.field(av.quot), MixedNormSpec("L2", "L2", w_half))
-    slots["u_le1"] = le_norm(au.field(le1_pointwise(au.d_t, au.d_r, au.quot)))
-    slots["u_d_linfl2"] = mixed_norm(au.field(au.d_t + au.d_r), MixedNormSpec("Linf", "L2"))
-    slots["v_d_weighted_l2l2"] = mixed_norm(
-        av.field(av.d_t + av.d_r), MixedNormSpec("L2", "L2", WeightSpec(power_r=-(1 + delta) / 2)))
-    slots["v_d_weighted_linfl2"] = mixed_norm(
-        av.field(av.d_t + av.d_r), MixedNormSpec("Linf", "L2", WeightSpec(power_r=-delta / 2)))
-
-    per_region: dict[str, float] = {}
-    tau_values = dyadic_scales(grid.t_max / 2, start=4)
-    r_rows, u_rows = _region_rows(grid, tau_values)
-
-    sup_u_r = 0.0
-    sq_v_r = 0.0
-    sq_v_r_alt = 0.0
-    for tau, s, mask in r_rows:
-        lu = region_supsup(au.d_half, mask)
-        lv = region_supsup(av.d_half, mask)
-        per_region[f"R tau={tau} s={s} u"] = lu
-        per_region[f"R tau={tau} s={s} v"] = lv
-        sup_u_r = max(sup_u_r, tau ** 0.5 * s * lu)
-        sq_v_r += (tau ** 0.5 * s ** (1 - delta / 2) * lv) ** 2
-        sq_v_r_alt += (s ** ((3 - delta) / 2) * lv) ** 2
-    sup_u_u = 0.0
-    sq_v_u = 0.0
-    for tau, s, mask in u_rows:
-        lu = region_supsup(au.d_half, mask)
-        lv = region_supsup(av.d_half, mask)
-        per_region[f"U tau={tau} s={s} u"] = lu
-        per_region[f"U tau={tau} s={s} v"] = lv
-        sup_u_u = max(sup_u_u, tau * s ** 0.5 * lu)
-        sq_v_u += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
-
-    slots["u_R_sup"] = sup_u_r
-    slots["v_R_l2"] = float(np.sqrt(sq_v_r))
-    slots["u_U_sup"] = sup_u_u
-    slots["v_U_l2"] = float(np.sqrt(sq_v_u))
-    extras = {"v_R_l2_alt": float(np.sqrt(sq_v_r_alt))}
-
-    total = float(sum(slots.values()))
-    slots.update(extras)
-    return NormBreakdown(total=total, slots=slots, per_region=per_region,
-                         truncation_T=grid.t_max, aggregation="sum (alt slots excluded)")
+    return _functional("M", u, v, p, delta, N)
 
 
 def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
@@ -307,48 +346,4 @@ def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
     """Contraction functional: the boundedness slots applied to iterate
     differences, minus the sup-in-t slot for the v derivative, with the
     R^{(3-delta)/2} weight on the v region row."""
-    _check_params(p, delta, N)
-    if u_diff.grid != v_diff.grid:
-        raise ValueError("difference fields must share a grid")
-    grid = u_diff.grid
-    au, av = _Aggregates(u_diff, N), _Aggregates(v_diff, N)
-    w_half = WeightSpec(power_r=(p - 1) / 2)
-
-    slots: dict[str, float] = {}
-    slots["u_good_l2l2"] = mixed_norm(au.field(au.good), MixedNormSpec("L2", "L2", w_half))
-    slots["u_invr_l2l2"] = mixed_norm(au.field(au.quot), MixedNormSpec("L2", "L2", w_half))
-    slots["v_good_l2l2"] = mixed_norm(av.field(av.good), MixedNormSpec("L2", "L2", w_half))
-    slots["v_invr_l2l2"] = mixed_norm(av.field(av.quot), MixedNormSpec("L2", "L2", w_half))
-    slots["u_le1"] = le_norm(au.field(le1_pointwise(au.d_t, au.d_r, au.quot)))
-    slots["u_d_linfl2"] = mixed_norm(au.field(au.d_t + au.d_r), MixedNormSpec("Linf", "L2"))
-    slots["v_d_weighted_l2l2"] = mixed_norm(
-        av.field(av.d_t + av.d_r), MixedNormSpec("L2", "L2", WeightSpec(power_r=-(1 + delta) / 2)))
-
-    per_region: dict[str, float] = {}
-    tau_values = dyadic_scales(grid.t_max / 2, start=4)
-    r_rows, u_rows = _region_rows(grid, tau_values)
-
-    sup_u_r, sq_v_r = 0.0, 0.0
-    for tau, s, mask in r_rows:
-        lu = region_supsup(au.d_half, mask)
-        lv = region_supsup(av.d_half, mask)
-        per_region[f"R tau={tau} s={s} u"] = lu
-        per_region[f"R tau={tau} s={s} v"] = lv
-        sup_u_r = max(sup_u_r, tau ** 0.5 * s * lu)
-        sq_v_r += (s ** ((3 - delta) / 2) * lv) ** 2
-    sup_u_u, sq_v_u = 0.0, 0.0
-    for tau, s, mask in u_rows:
-        lu = region_supsup(au.d_half, mask)
-        lv = region_supsup(av.d_half, mask)
-        per_region[f"U tau={tau} s={s} u"] = lu
-        per_region[f"U tau={tau} s={s} v"] = lv
-        sup_u_u = max(sup_u_u, tau * s ** 0.5 * lu)
-        sq_v_u += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
-
-    slots["u_R_sup"] = sup_u_r
-    slots["v_R_l2"] = float(np.sqrt(sq_v_r))
-    slots["u_U_sup"] = sup_u_u
-    slots["v_U_l2"] = float(np.sqrt(sq_v_u))
-    total = float(sum(slots.values()))
-    return NormBreakdown(total=total, slots=slots, per_region=per_region,
-                         truncation_T=grid.t_max, aggregation="sum")
+    return _functional("A", u_diff, v_diff, p, delta, N)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -133,7 +132,6 @@ class RegionMask:
     region: DyadicRegion
     grid: GridSpec
     weights: np.ndarray
-    empty: bool = False
 
     def __post_init__(self):
         if self.weights.shape != self.grid.shape():
@@ -149,11 +147,7 @@ def enumerate_regions(tau: int, grid: GridSpec) -> list[DyadicRegion]:
         raise ValueError(f"tau = {tau} below the dyadic regime (tau >= 4)")
     if tau > grid.t_max / 2 + 1e-12:
         raise ValueError(f"slab [{tau}, {2 * tau}] extends beyond t_max = {grid.t_max}")
-    scales = []
-    s = 1
-    while s <= tau // 4:
-        scales.append(s)
-        s *= 2
+    scales = dyadic_scales(tau // 4)
     out = [DyadicRegion(tau, R_KIND, s) for s in scales]
     out += [DyadicRegion(tau, U_KIND, s) for s in scales]
     out.append(DyadicRegion(tau, CORE))
@@ -182,12 +176,11 @@ def realize_mask(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> 
     if kind == ANNULUS:
         lo, hi = _scaled(scale, 2 * scale, lev)
         w = _band(bracket(r), lo, hi, smooth, scale, lev, two_sided=True)
-        w = np.broadcast_to(w, grid.shape()).copy()
-        return _finish(region, grid, w)
+        return RegionMask(region, grid, np.broadcast_to(w, grid.shape()).copy())
     if kind == STRIP:
         lo, hi = _scaled(scale, 2 * scale, lev)
         w = _band(bracket(t - r), lo, hi, smooth, scale, lev, two_sided=True)
-        return _finish(region, grid, w)
+        return RegionMask(region, grid, w)
 
     # slab pieces: time localization tau <= t <= 2tau (scaled if enlarged),
     # always intersected with the propagation cone C = {r <= t + 2}
@@ -215,7 +208,7 @@ def realize_mask(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> 
         wr = _lower(r, lo, smooth) * _lower(t - r, lo, smooth)
 
     w = np.broadcast_to(wt * wr, grid.shape()) * in_cone
-    return _finish(region, grid, np.asarray(w, dtype=float).copy())
+    return RegionMask(region, grid, np.asarray(w, dtype=float).copy())
 
 
 def _band(x, lo, hi, smooth, scale, lev, two_sided=True):
@@ -240,9 +233,15 @@ def _lower(x, lo, smooth):
     return _smoothstep((np.asarray(x, dtype=float) - (lo - 1 / 8)) / (1 / 8))
 
 
-def _finish(region, grid, w) -> RegionMask:
-    empty = not np.any(w > 0)
-    return RegionMask(region, grid, w, empty=empty)
+def _row_intervals(weights: np.ndarray):
+    """(rows, j_lo, j_hi): every maximal run [j_lo, j_hi) of weights > 0 along
+    a time row, in row-major order."""
+    inside = np.zeros((weights.shape[0], weights.shape[1] + 2), dtype=np.int8)
+    inside[:, 1:-1] = weights > 0
+    step = np.diff(inside, axis=1)
+    rows, j_lo = np.nonzero(step == 1)
+    _, j_hi = np.nonzero(step == -1)
+    return rows, j_lo, j_hi
 
 
 def slab_mask(tau: float, grid: GridSpec) -> np.ndarray:

@@ -71,6 +71,38 @@ class TestConfigFile:
         report = json.loads((tmp_path / report_dir / "report.json").read_text())
         assert report["eps"] == 0.01
 
+    @staticmethod
+    def _solve_dr(tmp_path, *flags):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dr = 0.125\nt-max = 4\neps = 0.02\n")
+        out = tmp_path / "out"
+        rc = run(["--config", str(cfgfile), "--out", str(out), "solve",
+                  "--no-history", *flags])
+        assert rc == 0
+        report_dir = [d for d in os.listdir(out) if d.startswith("solve_")][0]
+        return json.loads((out / report_dir / "report.json").read_text())["grid"]["dr"]
+
+    def test_equals_spelling_beats_config_file(self, tmp_path):
+        assert self._solve_dr(tmp_path, "--dr=0.0625") == 0.0625
+
+    def test_flag_at_its_default_beats_config_file(self, tmp_path):
+        assert self._solve_dr(tmp_path, "--dr", "0.03125") == 0.03125  # the solve default
+
+    def test_config_value_is_converted_by_the_flag_type(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dr = 0.125\nt-max = 4\nr-max = 10\nno-history = false\n")
+        rc = run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"])
+        assert rc == 0
+        run_dir = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("solve_")][0]
+        assert json.loads((run_dir / "report.json").read_text())["grid"]["r_max"] == 10.0
+        assert (run_dir / "manifest.json").exists()  # history kept: "false" is False
+
+    def test_bad_config_value_is_an_error(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dr = fast\n")
+        rc = run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"])
+        assert rc == 1
+
     def test_unknown_key_is_an_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("frobnicate = 1\n")

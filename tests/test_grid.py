@@ -39,6 +39,26 @@ class TestField:
         with pytest.raises(rw.ParityError):
             rw.SpaceTimeField(g, vals, "odd")
 
+    @pytest.mark.parametrize("axis_value, fill, raises", [
+        (1e-3, -1e6, True),     # nonzero axis against a negative-dominated scale
+        (1e-5, -1e6, False),    # below 1e-10 max|values|, which comes from the min
+        (1e-5, 1e6, False),
+        (1e-9, 0.5, True),      # scale floors at 1
+        (1e-3, np.nan, True),   # a NaN scale floors at 1, as max(1, nan) does
+    ])
+    def test_odd_parity_scale_is_max_abs(self, axis_value, fill, raises):
+        g = small_grid()
+        vals = np.full(g.shape(), fill)
+        vals[:, 0] = 0.0
+        vals[3, 0] = axis_value
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        assert (abs(axis_value) > 1e-10 * scale) == raises  # the reference verdict
+        if raises:
+            with pytest.raises(rw.ParityError):
+                rw.SpaceTimeField(g, vals, "odd")
+        else:
+            rw.SpaceTimeField(g, vals, "odd")
+
     def test_binary_roundtrip_bitexact(self, tmp_path):
         g = small_grid()
         f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t) * np.cos(r), "even")

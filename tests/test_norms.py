@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import radialwave as rw
+from radialwave import norms
+from radialwave.grid import DR, DT, apply_z_multi, derivative, quotient_by_r
 from radialwave.norms import (
-    MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2,
-    spatial_sup,
+    MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, region_supsup,
+    spatial_l2, spatial_sup,
 )
+from radialwave.regions import dyadic_scales, enumerate_regions, realize_mask
 
 
 def grid(dr=1 / 64, t_max=2.0, r_max=8.0, cfl=1.0):
@@ -160,6 +164,90 @@ class TestFunctionals:
         u, v = self.fields()
         b = m_functional(u, v, 0.75, 0.2, 1)
         assert b.truncation_T == 16.0
+
+
+def _word_by_word_sums(f, N):
+    """The Z-word sums accumulated from ``apply_z_multi``, one stencil per word."""
+    sums = {k: np.zeros(f.grid.shape()) for k in ("good", "d_t", "d_r", "d_half", "quot")}
+    for word, g in apply_z_multi(f, N):
+        gt, gr = derivative(g, DT).values, derivative(g, DR).values
+        sums["good"] += np.abs(gt + gr)
+        sums["d_t"] += np.abs(gt)
+        sums["d_r"] += np.abs(gr)
+        sums["quot"] += np.abs(quotient_by_r(g).values)
+        if len(word) <= N // 2:
+            sums["d_half"] += np.abs(gt) + np.abs(gr)
+    return sums
+
+
+class TestFunctionalFastPaths:
+    """The shared-derivative sums and the region index against the dense paths."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    @pytest.mark.parametrize("parity", ["even", "odd", None])
+    def test_aggregates_match_word_by_word_sums(self, N, parity):
+        g = rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=12, t_max=8)
+        f = rw.SpaceTimeField.from_function(
+            g, lambda t, r: (r if parity == "odd" else 1.0 + 0.3 * r)
+            * np.exp(-np.square(r - t) / 3) * np.cos(t), parity)
+        agg = norms._Aggregates(f, N)
+        for name, ref in _word_by_word_sums(f, N).items():
+            assert np.array_equal(getattr(agg, name), ref), name
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from([0.25, 0.125]), st.sampled_from([0.5, 1.0]),
+           st.sampled_from([16.0, 32.0]))
+    def test_index_positions_are_the_sharp_masks(self, dr, cfl, t_max):
+        g = rw.GridSpec(dr=dr, cfl=cfl, r_max=t_max + 4, t_max=t_max)
+        index = norms._region_index(g)
+        # every plain region once, the core twice (an R row and a U row)
+        assert len(index.rows) == sum(len(enumerate_regions(tau, g)) + 1 for tau in
+                                      dyadic_scales(t_max / 2, start=4))
+        for i, (kind, tau, s) in enumerate(index.rows):
+            pos = index.flat[index.offsets[i]:index.offsets[i + 1]]
+            region = (rw.DyadicRegion(tau, "core") if 2 * s == tau
+                      else rw.DyadicRegion(tau, kind, s))
+            rebuilt = np.zeros(g.nt * g.nr)
+            rebuilt[pos] = 1.0
+            np.testing.assert_array_equal(rebuilt.reshape(g.shape()),
+                                          realize_mask(region, g).weights)
+
+    @pytest.mark.parametrize("functional", [m_functional, rw.a_functional])
+    def test_slots_equal_dense_mask_recomputation(self, functional):
+        u, v = TestFunctionals.fields(dr=1 / 8)
+        p, delta, N = 0.75, 0.2, 2
+        b = functional(u, v, p, delta, N)
+        au, av = norms._Aggregates(u, N), norms._Aggregates(v, N)
+        sup_u = {"R": 0.0, "U": 0.0}
+        sq_tau = sq_alt = sq_u = 0.0
+        for kind in ("R", "U"):
+            for tau in dyadic_scales(u.grid.t_max / 2, start=4):
+                for reg in enumerate_regions(tau, u.grid):
+                    if reg.kind not in (kind, "core"):
+                        continue
+                    s = tau // 2 if reg.kind == "core" else reg.scale
+                    mask = realize_mask(reg, u.grid).weights
+                    lu, lv = region_supsup(au.d_half, mask), region_supsup(av.d_half, mask)
+                    assert b.per_region[f"{kind} tau={tau} s={s} u"] == lu
+                    assert b.per_region[f"{kind} tau={tau} s={s} v"] == lv
+                    if kind == "R":
+                        sup_u[kind] = max(sup_u[kind], tau ** 0.5 * s * lu)
+                        sq_tau += (tau ** 0.5 * s ** (1 - delta / 2) * lv) ** 2
+                        sq_alt += (s ** ((3 - delta) / 2) * lv) ** 2
+                    else:
+                        sup_u[kind] = max(sup_u[kind], tau * s ** 0.5 * lu)
+                        sq_u += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
+        assert len(b.per_region) == 2 * len(norms._region_index(u.grid).rows)
+        assert b.slots["u_R_sup"] == sup_u["R"]
+        assert b.slots["u_U_sup"] == sup_u["U"]
+        assert b.slots["v_U_l2"] == float(np.sqrt(sq_u))
+        if functional is m_functional:
+            assert b.slots["v_R_l2"] == float(np.sqrt(sq_tau))
+            assert b.slots["v_R_l2_alt"] == float(np.sqrt(sq_alt))
+            assert b.total == float(sum(x for k, x in b.slots.items() if k != "v_R_l2_alt"))
+        else:
+            assert b.slots["v_R_l2"] == float(np.sqrt(sq_alt))
+            assert b.total == float(sum(b.slots.values()))
 
 
 def test_spatial_sup_matches_direct_max():

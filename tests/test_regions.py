@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
 from radialwave import regions
@@ -144,6 +144,35 @@ class TestMasks:
         assert np.all(w[(br < 2) | (br > 4)] == 0)
         sel = (br >= 2) & (br <= 4)
         assert np.all(w[sel] == 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0.25, 0.125]), st.sampled_from([0.5, 1.0]),
+       st.sampled_from([16.0, 32.0]))
+def test_row_intervals_reproduce_sharp_masks(dr, cfl, t_max):
+    g = rw.GridSpec(dr=dr, cfl=cfl, r_max=t_max + 4, t_max=t_max)
+    seen = set()
+    for tau in dyadic_scales(t_max / 2, start=4):
+        for reg in enumerate_regions(tau, g):
+            seen.add((reg.kind, reg.scale))
+            w = realize_mask(reg, g).weights
+            rows, lo, hi = regions._row_intervals(w)
+            assert np.all(lo < hi)
+            rebuilt = np.zeros(g.shape())
+            for n, a, b in zip(rows, lo, hi):
+                rebuilt[n, a:b] = 1.0
+            np.testing.assert_array_equal(rebuilt, w)
+            # plain regions meet each time row in one interval
+            assert len(np.unique(rows)) == len(rows)
+    assert {("R", 1), ("U", 1), ("core", None)} <= seen
+
+
+def test_row_intervals_split_runs():
+    w = np.array([[0, 1, 1, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=float)
+    rows, lo, hi = regions._row_intervals(w)
+    assert rows.tolist() == [0, 0, 1]
+    assert lo.tolist() == [1, 4, 0]
+    assert hi.tolist() == [3, 5, 1]
 
 
 def test_dyadic_scales():
