@@ -300,6 +300,8 @@ def _cmd_sweep(args) -> int:
     grid = _grid(args)
     outdir = _outdir(args)
     eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
+    if not eps_list:
+        raise ValueError(f"--eps-list holds no values: {args.eps_list!r}")
     rows = []
     for eps in eps_list:
         cfg = picard.PicardConfig(grid=grid, eps=eps, p=args.p, delta=args.delta,

@@ -500,8 +500,7 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     m_good2 = region_l2l2(SpaceTimeField(grid, _z_aggregate(w, 2, "good2")),
                           WeightSpec(), tilde)
     if region_kind == R_KIND:
-        bad2_rhs = m_d / scale + m_dtdr2
-        good2_rhs = m_d / scale + m_dtdr2
+        bad2_rhs = good2_rhs = m_d / scale + m_dtdr2
     else:
         bad2_rhs = m_d / scale + (tau / scale) * m_dtdr2
         good2_rhs = m_d / tau + m_dtdr2

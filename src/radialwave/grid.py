@@ -8,6 +8,7 @@ and parity-extended across r = 0.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -57,6 +58,9 @@ class GridSpec:
     t_max: float
 
     def __post_init__(self):
+        for name in ("dr", "cfl", "r_max", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dr <= 0:
             raise ValueError("dr must be positive")
         if not (0 < self.cfl <= 1 + 1e-12):
@@ -174,7 +178,12 @@ class SpaceTimeField:
             if len(raw) < size or raw[:8] != cls._MAGIC:
                 raise ValueError(f"{path}: not a field file")
             _, dr, dt, J, nt, par = struct.unpack("<8sddqqb", raw)
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(nt, J + 1)
+            payload = fh.read()
+        want = 8 * nt * (J + 1)
+        if len(payload) != want:
+            raise ValueError(f"{path}: payload holds {len(payload)} bytes, the header's "
+                             f"{nt} x {J + 1} grid needs {want}")
+        data = np.frombuffer(payload, dtype="<f8").reshape(nt, J + 1)
         grid = GridSpec(dr=dr, cfl=dt / dr, r_max=J * dr, t_max=(nt - 1) * dt)
         parity = {1: "odd", 2: "even", 0: None}[par]
         return cls(grid, data.copy(), parity)

@@ -174,8 +174,7 @@ def realize_mask(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> 
     tau, kind, scale, lev = region.tau, region.kind, region.scale, region.enlargement
 
     if kind == ANNULUS:
-        lo, hi = _scaled(scale, 2 * scale, lev)
-        w = _band(bracket(r), lo, hi, smooth, scale, lev, two_sided=True)
+        w = _annulus_row(region, grid, smooth)
         return RegionMask(region, grid, np.broadcast_to(w, grid.shape()).copy())
     if kind == STRIP:
         lo, hi = _scaled(scale, 2 * scale, lev)
@@ -209,6 +208,13 @@ def realize_mask(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> 
 
     w = np.broadcast_to(wt * wr, grid.shape()) * in_cone
     return RegionMask(region, grid, np.asarray(w, dtype=float).copy())
+
+
+def _annulus_row(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> np.ndarray:
+    """The (1, nr) row of an annulus mask; the mask repeats it at every t."""
+    scale, lev = region.scale, region.enlargement
+    lo, hi = _scaled(scale, 2 * scale, lev)
+    return _band(bracket(grid.r[None, :]), lo, hi, smooth, scale, lev, two_sided=True)
 
 
 def _band(x, lo, hi, smooth, scale, lev, two_sided=True):

@@ -11,6 +11,20 @@ handled by odd reflection; the outer boundary is never reached by the support
 cone.  The same integrator with frozen interpolated sources provides the
 linear solves for the fixed-point driver, and a d'Alembert closed form serves
 as the homogeneous oracle.
+
+Each step updates only the window of leading columns j < J, where
+J = min(nr, last + 1 + GUARD) and ``last`` is the last column of the state
+that is not exactly zero (in linear_forced mode also the last nonzero forcing
+column on the rows the step interpolates).  Ahead of the front the state
+underflows to exact zeros, and the window is exact, not a tolerance: the
+interior stencils reach one column, so stage s of RK4 reads columns up to
+last + s - 1 and the new state is nonzero up to last + 4 at most.  At the
+window's last column the one-sided edge stencils read 4 (second derivative)
+and 3 (first derivative) columns back, which with GUARD = 8 are still zero,
+so they give the same exact zero the centered stencil gives there; every
+column the window cuts off stays exactly zero.  Diagnostics are taken on the
+window too; the energy integrand is summed over a full-width zeroed buffer,
+because np.sum's pairwise blocking depends on the length.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from .grid import GridSpec, SpaceTimeField, null_form
 
 FOUR_PI = 4.0 * np.pi
 _BLOW_CAP = 1e8
+GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -35,7 +50,6 @@ class BlowUpSuspected(RuntimeError):
     def __init__(self, t: float, message: str = ""):
         super().__init__(message or f"solution no longer finite at t = {t:.6g}")
         self.t = t
-        self.k = None  # set by the iteration driver when applicable
 
 
 class CflError(ValueError):
@@ -83,15 +97,29 @@ class InitialData:
     def __post_init__(self):
         if self.support_radius > 2.0 + 1e-12:
             raise ValueError("data must be supported in r <= 2")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
 
 
-def _radial_deriv(vals: np.ndarray, dr: float, parity: str) -> np.ndarray:
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dr)
-    out[0] = vals[1] / dr if parity == "odd" else 0.0
-    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dr)
+# The stencils below act along the last axis of 1-D arrays or of 2-D stacks
+# of rows, into ``out`` (a new array if ``_radial_deriv`` is given none).  They set the edge columns one row at a
+# time: scalar arithmetic on a few values is much cheaper than numpy calls on
+# a column, and rounds the same.
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a[None] if a.ndim == 1 else a
+
+
+def _radial_deriv(vals: np.ndarray, dr: float, parity: str,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(vals) if out is None else out
+    inner = np.subtract(vals[..., 2:], vals[..., :-2], out=out[..., 1:-1])
+    inner /= 2 * dr
+    for o, v in zip(_rows(out), _rows(vals)):
+        o[0] = v[1] / dr if parity == "odd" else 0.0
+        o[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dr)
     return out
 
 
@@ -119,6 +147,8 @@ def smallness_sum(data: InitialData, grid: GridSpec, N: int) -> float:
 
 def calibrate(data: InitialData, grid: GridSpec, N: int, eps: float) -> InitialData:
     """Rescale the amplitude so the discrete data-size sum equals eps exactly."""
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if eps == 0:
         return InitialData(data.u0, data.u1, data.v0, data.v1, 0.0, data.support_radius)
     unit = InitialData(data.u0, data.u1, data.v0, data.v1, 1.0, data.support_radius)
@@ -203,52 +233,119 @@ class SolutionHistory:
         return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"], cfg, diags)
 
 
-def _quotient(vals: np.ndarray, r: np.ndarray) -> np.ndarray:
-    q = np.empty_like(vals)
-    q[1:] = vals[1:] / r[1:]
-    q[0] = 3 * q[1] - 3 * q[2] + q[3]
-    return q
-
-
-def _d2r_odd(vals: np.ndarray, dr: float) -> np.ndarray:
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (dr * dr)
-    out[0] = -2 * vals[0] / (dr * dr)  # odd ghost; vanishes with W(0) = 0
-    out[-1] = (2 * vals[-1] - 5 * vals[-2] + 4 * vals[-3] - vals[-4]) / (dr * dr)
+def _quotient(vals: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.divide(vals[..., 1:], r[1:], out=out[..., 1:])
+    for row in _rows(out):
+        row[0] = 3 * row[1] - 3 * row[2] + row[3]
     return out
 
 
-def nonlinearity(dtu, dru, dtv, drv, which: str, form: str = "null"):
+def _d2r_odd(vals: np.ndarray, dr: float, out: np.ndarray) -> np.ndarray:
+    inner = out[..., 1:-1]  # vals[2:] - 2 * vals[1:-1] + vals[:-2], then / dr^2
+    np.multiply(vals[..., 1:-1], 2, out=inner)
+    np.subtract(vals[..., 2:], inner, out=inner)
+    inner += vals[..., :-2]
+    inner /= dr * dr
+    for o, v in zip(_rows(out), _rows(vals)):
+        o[0] = -2 * v[0] / (dr * dr)  # odd ghost; vanishes with W(0) = 0
+        o[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (dr * dr)
+    return out
+
+
+def nonlinearity(dtu, dru, dtv, drv, which: str):
     """Quadratic source for one equation from first-derivative frames.
 
     which = 'u-eq': dtu*dtv - dru*drv, evaluated in the cone-adapted grouping
-    by default (identical pointwise, better cancellation near t = r);
+    (identical pointwise, better cancellation near t = r);
     which = 'v-eq': dtu*dtv.
     """
     if which == "v-eq":
         return dtu * dtv
     if which != "u-eq":
         raise ValueError(f"unknown equation tag {which!r}")
-    if form == "null":
-        return null_form(dtu, dru, dtv, drv)
-    if form == "raw":
-        return dtu * dtv - dru * drv
-    raise ValueError(f"unknown form {form!r}")
+    return null_form(dtu, dru, dtv, drv)
 
 
-class _ForcingInterp:
-    """Linear-in-t interpolation of a stored forcing field at RK stage times."""
+class _Forcing:
+    """The two stored forcing fields, linear in t between their rows, read on
+    the leading columns of a step's window."""
 
-    def __init__(self, f: SpaceTimeField):
-        self.values = f.values
-        self.dt = f.grid.dt
-        self.t_max = f.grid.t_max
+    def __init__(self, fu: SpaceTimeField, fv: SpaceTimeField):
+        if fu.grid != fv.grid:
+            raise ValueError("the two forcing fields must share a grid")
+        self.fields = (fu.values, fv.values)
+        self.dt = fu.grid.dt
+        nz = (fu.values != 0) | (fv.values != 0)
+        # per row, the last column where either field is not exactly zero
+        self.last = np.where(nz.any(axis=1),
+                             nz.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+        self._buf = np.empty((2, 2, nz.shape[1]))
 
-    def at(self, t: float) -> np.ndarray:
-        x = min(max(t / self.dt, 0.0), self.values.shape[0] - 1.0)
-        n = min(int(x), self.values.shape[0] - 2)
-        w = x - n
-        return (1.0 - w) * self.values[n] + w * self.values[n + 1]
+    def _row(self, t: float) -> tuple[int, float]:
+        rows = self.fields[0].shape[0]
+        x = min(max(t / self.dt, 0.0), rows - 1.0)
+        n = min(int(x), rows - 2)
+        return n, x - n
+
+    def last_col(self, t0: float, t1: float) -> int:
+        """Last nonzero column that interpolation reads at any t in [t0, t1]."""
+        return int(self.last[self._row(t0)[0]:self._row(t1)[0] + 2].max())
+
+    def add(self, t: float, r: np.ndarray, out: np.ndarray) -> None:
+        """out[1] += r * fu(t) and out[3] += r * fv(t) on the columns of r."""
+        n, w = self._row(t)
+        J = r.size
+        f, g = self._buf[:, :, :J]
+        for i, vals in enumerate(self.fields):
+            np.multiply(vals[n, :J], 1.0 - w, out=f[i])
+            np.multiply(vals[n + 1, :J], w, out=g[i])
+        f += g
+        f *= r
+        out[1::2] += f
+
+
+class _Rhs:
+    """F(t, y) of the first-order system (W_u, dt W_u, W_v, dt W_v) on the
+    leading columns of y, written into ``out`` through scratch allocated once.
+
+    W_u and W_v go through each stencil together as the rows y[0::2]; every
+    element sees the same operations, in the same order, as alone.
+    """
+
+    def __init__(self, r: np.ndarray, dr: float, semilinear: bool,
+                 forcing: _Forcing | None):
+        self.r, self.dr = r, dr
+        self.semilinear = semilinear
+        self.forcing = forcing
+        # y / r, dr of (W_u, W_v), (dr u, dr v), the two sources
+        self._buf = np.empty((10, r.size)) if semilinear else None
+
+    def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        J = y.shape[1]
+        r = self.r[:J]
+        W, P = y[0::2], y[1::2]
+        out[0::2] = P
+        _d2r_odd(W, self.dr, out[1::2])
+        if self.semilinear:
+            buf = self._buf[:, :J]
+            q, dW, drq, src = buf[:4], buf[4:6], buf[6:8], buf[8:]
+            _quotient(y, r, q)  # u, dt u, v, dt v
+            _radial_deriv(W, self.dr, "odd", dW)
+            dW -= q[0::2]
+            _quotient(dW, r, drq)
+            dtu, dtv = q[1::2]
+            dru, drv = drq
+            # null_form(dtu, dru, dtv, drv) and the v source dtu * dtv
+            np.add(dtu, dru, out=src[0])
+            src[0] *= dtv
+            np.add(dtv, drv, out=src[1])
+            src[1] *= dru
+            src[0] -= src[1]
+            np.multiply(dtu, dtv, out=src[1])
+            src *= r
+            out[1::2] += src
+        elif self.forcing is not None:
+            self.forcing.add(t, r, out)
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
@@ -256,13 +353,10 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     grid = config.grid
     if grid.cfl > 0.9 + 1e-12:
         raise CflError(f"evolution requires cfl <= 0.9, got {grid.cfl}")
-    r, dr, dt = grid.r, grid.dr, grid.dt
+    r, dr, dt, nr = grid.r, grid.dr, grid.dt, grid.nr
     nsteps = grid.nt - 1
-    semilinear = config.mode == "semilinear"
-    forced = config.mode == "linear_forced"
-    if forced:
-        fu = _ForcingInterp(config.forcing[0])
-        fv = _ForcingInterp(config.forcing[1])
+    forcing = _Forcing(*config.forcing) if config.mode == "linear_forced" else None
+    rhs = _Rhs(r, dr, config.mode == "semilinear", forcing)
 
     amp = data.amplitude
     Wu = r * amp * np.asarray(data.u0(r), dtype=float)
@@ -271,66 +365,81 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     Pv = r * amp * np.asarray(data.v1(r), dtype=float)
     state = np.stack([Wu, Pu, Wv, Pv])
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        Wu, Pu, Wv, Pv = y
-        out = np.empty_like(y)
-        out[0] = Pu
-        out[2] = Pv
-        out[1] = _d2r_odd(Wu, dr)
-        out[3] = _d2r_odd(Wv, dr)
-        if semilinear:
-            u = _quotient(Wu, r)
-            v = _quotient(Wv, r)
-            dtu = _quotient(Pu, r)
-            dtv = _quotient(Pv, r)
-            dru = _quotient(_radial_deriv(Wu, dr, "odd") - u, r)
-            drv = _quotient(_radial_deriv(Wv, dr, "odd") - v, r)
-            out[1] += r * nonlinearity(dtu, dru, dtv, drv, "u-eq")
-            out[3] += r * nonlinearity(dtu, dru, dtv, drv, "v-eq")
-        elif forced:
-            out[1] += r * fu.at(t)
-            out[3] += r * fv.at(t)
-        return out
-
     stride = config.record_stride
     hist_grid = config.history_grid
     if config.store_history:
-        frames = np.zeros((4, hist_grid.nt, grid.nr))
+        frames = np.zeros((4, hist_grid.nt, nr))
         frames[:, 0] = state
     diag_t = np.zeros(nsteps + 1)
-    diag_energy_u = np.zeros(nsteps + 1)
-    diag_energy_v = np.zeros(nsteps + 1)
-    diag_sup_u = np.zeros(nsteps + 1)
-    diag_sup_v = np.zeros(nsteps + 1)
+    diag_energy = np.zeros((2, nsteps + 1))
+    diag_sup = np.zeros((2, nsteps + 1))
     diag_support = np.zeros(nsteps + 1)
 
     scale = max(np.max(np.abs(state)), 1e-300)
+    wr = np.full(nr, dr)
+    wr[0] = wr[-1] = dr / 2
+    k1, k2, k3, k4, stage, acc, absy = np.empty((7, 4, nr))
+    colmax = np.empty(nr)
+    energy = np.zeros((2, nr))  # zero past the window
+    dbuf = np.empty((2, nr))
 
-    def record_diag(n, t, y):
-        Wu, Pu, Wv, Pv = y
+    def record_diag(n, t, J, cols):
+        y = state[:, :J]
+        W, P = y[0::2], y[1::2]
         diag_t[n] = t
-        diag_energy_u[n] = _energy(Pu, Wu, dr)
-        diag_energy_v[n] = _energy(Pv, Wv, dr)
-        diag_sup_u[n] = np.max(np.abs(_quotient(Wu, r)))
-        diag_sup_v[n] = np.max(np.abs(_quotient(Wv, r)))
+        dW = _radial_deriv(W, dr, "odd", dbuf[:, :J])
+        np.square(dW, out=dW)
+        e = np.square(P, out=energy[:, :J])
+        e += dW
+        e *= wr[:J]
+        energy[:, J:] = 0.0
+        # summed at full width: np.sum's pairwise blocking depends on the length
+        diag_energy[0, n] = np.sum(energy[0])
+        diag_energy[1, n] = np.sum(energy[1])
+        q = np.abs(_quotient(W, r[:J], dbuf[:, :J]), out=dbuf[:, :J])
+        diag_sup[:, n] = np.max(q, axis=1)
         # support measured against the initial scale, so a decaying solution
         # does not see an ever-tightening effective threshold
-        diag_support[n] = _support_radius(y, r, 1e-6 * scale)
+        diag_support[n] = _support_radius(cols, r, 1e-6 * scale)
 
-    record_diag(0, 0.0, state)
+    def column_max(J):
+        return np.maximum.reduce(np.abs(state[:, :J], out=absy[:, :J]), out=colmax[:J])
+
+    cols = column_max(nr)
+    last = _last_true(cols != 0)
+    record_diag(0, 0.0, nr, cols)
 
     for n in range(nsteps):
         t = n * dt
-        k1 = rhs(t, state)
-        k2 = rhs(t + dt / 2, state + (dt / 2) * k1)
-        k3 = rhs(t + dt / 2, state + (dt / 2) * k2)
-        k4 = rhs(t + dt, state + dt * k3)
-        state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        reach = last if forcing is None else max(last, forcing.last_col(t, t + dt))
+        J = min(nr, reach + 1 + GUARD)
+        y, s = stage[:, :J], state[:, :J]
+        a, b, c, d = k1[:, :J], k2[:, :J], k3[:, :J], k4[:, :J]
+        rhs(t, s, a)
+        np.multiply(a, dt / 2, out=y)
+        y += s
+        rhs(t + dt / 2, y, b)
+        np.multiply(b, dt / 2, out=y)
+        y += s
+        rhs(t + dt / 2, y, c)
+        np.multiply(c, dt, out=y)
+        y += s
+        rhs(t + dt, y, d)
+        # state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), in that order
+        inc = np.multiply(b, 2, out=acc[:, :J])
+        inc += a
+        c *= 2
+        inc += c
+        inc += d
+        inc *= dt / 6
+        s += inc
         tn = (n + 1) * dt
-        m = np.max(np.abs(state))
+        cols = column_max(J)
+        m = cols.max()
         if not np.isfinite(m) or m > _BLOW_CAP * scale:
             raise BlowUpSuspected(tn)
-        record_diag(n + 1, tn, state)
+        last = _last_true(cols != 0)
+        record_diag(n + 1, tn, J, cols)
         if config.store_history and (n + 1) % stride == 0:
             frames[:, (n + 1) // stride] = state
         if config.check_support and config.mode != "linear_forced":
@@ -345,8 +454,8 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
                     f"at t = {tn:.4g}")
 
     diagnostics = {
-        "t": diag_t, "energy_u": diag_energy_u, "energy_v": diag_energy_v,
-        "sup_u": diag_sup_u, "sup_v": diag_sup_v, "support_radius": diag_support,
+        "t": diag_t, "energy_u": diag_energy[0], "energy_v": diag_energy[1],
+        "sup_u": diag_sup[0], "sup_v": diag_sup[1], "support_radius": diag_support,
     }
     if not config.store_history:
         z = SpaceTimeField.zeros(hist_grid, "odd")
@@ -360,19 +469,16 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     )
 
 
-def _energy(P: np.ndarray, W: np.ndarray, dr: float) -> float:
-    drW = _radial_deriv(W, dr, "odd")
-    w = np.full(W.size, dr)
-    w[0] = w[-1] = dr / 2
-    return float(np.sum((np.square(P) + np.square(drW)) * w))
+def _last_true(flags: np.ndarray) -> int:
+    """Index of the last True in a 1-D boolean array, -1 if there is none."""
+    j = flags.size - 1 - int(np.argmax(flags[::-1]))
+    return j if flags[j] else -1
 
 
-def _support_radius(y: np.ndarray, r: np.ndarray, tol: float | None = None) -> float:
-    if tol is None:
-        tol = 1e-6 * max(float(np.max(np.abs(y))), 1e-300)
-    cols = np.max(np.abs(y), axis=0)
-    idx = np.nonzero(cols > tol)[0]
-    return float(r[idx[-1]]) if idx.size else 0.0
+def _support_radius(cols: np.ndarray, r: np.ndarray, tol: float) -> float:
+    """r of the last column whose max |state| exceeds tol (0.0 if none)."""
+    j = _last_true(cols > tol)
+    return float(r[j]) if j >= 0 else 0.0
 
 
 def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,

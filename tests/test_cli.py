@@ -150,6 +150,32 @@ class TestSweepCommand:
         assert payload["m1_linear"] and payload["correction_quadratic"]
 
 
+class TestBadInput:
+    """Bad input exits 1 with a message before any work is done."""
+
+    @pytest.mark.parametrize("eps_list", [",", "", " , "])
+    def test_empty_eps_list(self, tmp_path, capsys, eps_list):
+        rc = run(["--out", str(tmp_path), "sweep", "--dr", "0.125", "--t-max", "8",
+                  "--eps-list", eps_list])
+        assert rc == 1
+        assert "--eps-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "decay", "picard"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps(self, tmp_path, capsys, command, eps):
+        rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "8",
+                  "--eps", eps])
+        assert rc == 1
+        assert "eps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
+    def test_non_finite_grid_value(self, tmp_path, capsys, flag):
+        rc = run(["--out", str(tmp_path), "solve", "--dr", "0.125", "--t-max", "4",
+                  flag, "nan"])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])

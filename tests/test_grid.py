@@ -31,6 +31,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             rw.GridSpec(dr=0.3, cfl=0.5, r_max=8.0, t_max=4.0)
 
+    @pytest.mark.parametrize("name", ["dr", "cfl", "r_max", "t_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_fields(self, name, value):
+        kw = dict(dr=0.25, cfl=0.5, r_max=8.0, t_max=4.0)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rw.GridSpec(**kw)
+
 
 class TestField:
     def test_odd_field_must_vanish_on_axis(self):
@@ -68,6 +76,19 @@ class TestField:
         assert back.parity == "even"
         assert back.grid == g
         assert back.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("change", [-8, -1, 8])
+    def test_binary_payload_must_match_header(self, tmp_path, change):
+        g = small_grid()
+        path = tmp_path / "f.bin"
+        rw.SpaceTimeField.zeros(g).to_binary(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        want = 8 * g.nt * g.nr
+        got = want + change
+        with pytest.raises(ValueError, match=f"{got} .*{want}") as exc:
+            rw.SpaceTimeField.from_binary(path)
+        assert str(path) in str(exc.value)
 
     def test_binary_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -212,6 +212,14 @@ class TestFunctionalFastPaths:
             np.testing.assert_array_equal(rebuilt.reshape(g.shape()),
                                           realize_mask(region, g).weights)
 
+    def test_le_norm_equals_dense_annulus_masks(self):
+        u, _ = TestFunctionals.fields(dr=1 / 8)
+        best = 0.0
+        for R in dyadic_scales(np.sqrt(1 + u.grid.r_max ** 2)):
+            mask = realize_mask(rw.DyadicRegion(None, "annulus", R), u.grid).weights
+            best = max(best, R ** -0.5 * rw.region_l2l2(u, WeightSpec(), mask))
+        assert le_norm(u) == best
+
     @pytest.mark.parametrize("functional", [m_functional, rw.a_functional])
     def test_slots_equal_dense_mask_recomputation(self, functional):
         u, v = TestFunctionals.fields(dr=1 / 8)

@@ -27,6 +27,16 @@ class TestInitialData:
         data = rw.calibrate(standard_data(), g, N=2, eps=0.01)
         np.testing.assert_allclose(smallness_sum(data, g, 2), 0.01, rtol=1e-12)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.01])
+    def test_calibration_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            rw.calibrate(standard_data(), grid(), N=2, eps=eps)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+    def test_amplitude_must_be_finite(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            standard_data(amplitude=amplitude)
+
     def test_calibration_is_linear_in_eps(self):
         g = grid()
         a = rw.calibrate(standard_data(), g, N=2, eps=0.01).amplitude
@@ -151,3 +161,151 @@ def test_nonlinearity_tags():
     np.testing.assert_allclose(rw.nonlinearity(a, 0 * a, a, 0 * a, "u-eq"), a)
     with pytest.raises(ValueError):
         rw.nonlinearity(a, a, a, a, "w-eq")
+
+
+# ----------------------------------------------------------------------
+# the active window against the full-width loop it replaced
+# ----------------------------------------------------------------------
+
+def _ref_radial_deriv(vals, dr):
+    out = np.empty_like(vals)
+    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dr)
+    out[0] = vals[1] / dr
+    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dr)
+    return out
+
+
+def _ref_quotient(vals, r):
+    q = np.empty_like(vals)
+    q[1:] = vals[1:] / r[1:]
+    q[0] = 3 * q[1] - 3 * q[2] + q[3]
+    return q
+
+
+def _ref_d2r_odd(vals, dr):
+    out = np.empty_like(vals)
+    out[1:-1] = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (dr * dr)
+    out[0] = -2 * vals[0] / (dr * dr)
+    out[-1] = (2 * vals[-1] - 5 * vals[-2] + 4 * vals[-3] - vals[-4]) / (dr * dr)
+    return out
+
+
+def _ref_at(values, dt_f, t):
+    x = min(max(t / dt_f, 0.0), values.shape[0] - 1.0)
+    n = min(int(x), values.shape[0] - 2)
+    w = x - n
+    return (1.0 - w) * values[n] + w * values[n + 1]
+
+
+def _reference_solve(data, config):
+    """The full-width RK4 loop: every stage, step and diagnostic over all nr
+    columns, with fresh arrays throughout (test oracle only)."""
+    grid = config.grid
+    r, dr, dt = grid.r, grid.dr, grid.dt
+    nsteps = grid.nt - 1
+    semilinear = config.mode == "semilinear"
+    forced = config.mode == "linear_forced"
+    if forced:
+        fu, fv = config.forcing
+        dt_f = fu.grid.dt
+    amp = data.amplitude
+    state = np.stack([r * amp * np.asarray(fn(r), dtype=float)
+                      for fn in (data.u0, data.u1, data.v0, data.v1)])
+
+    def rhs(t, y):
+        Wu, Pu, Wv, Pv = y
+        out = np.empty_like(y)
+        out[0] = Pu
+        out[2] = Pv
+        out[1] = _ref_d2r_odd(Wu, dr)
+        out[3] = _ref_d2r_odd(Wv, dr)
+        if semilinear:
+            u = _ref_quotient(Wu, r)
+            v = _ref_quotient(Wv, r)
+            dtu = _ref_quotient(Pu, r)
+            dtv = _ref_quotient(Pv, r)
+            dru = _ref_quotient(_ref_radial_deriv(Wu, dr) - u, r)
+            drv = _ref_quotient(_ref_radial_deriv(Wv, dr) - v, r)
+            out[1] += r * ((dtu + dru) * dtv - dru * (dtv + drv))
+            out[3] += r * (dtu * dtv)
+        elif forced:
+            out[1] += r * _ref_at(fu.values, dt_f, t)
+            out[3] += r * _ref_at(fv.values, dt_f, t)
+        return out
+
+    def energy(P, W):
+        w = np.full(W.size, dr)
+        w[0] = w[-1] = dr / 2
+        return float(np.sum((np.square(P) + np.square(_ref_radial_deriv(W, dr))) * w))
+
+    stride = config.record_stride
+    frames = np.zeros((4, config.history_grid.nt, grid.nr))
+    frames[:, 0] = state
+    diags = {k: np.zeros(nsteps + 1) for k in
+             ("t", "energy_u", "energy_v", "sup_u", "sup_v", "support_radius")}
+    scale = max(np.max(np.abs(state)), 1e-300)
+
+    def record(n, t, y):
+        diags["t"][n] = t
+        diags["energy_u"][n] = energy(y[1], y[0])
+        diags["energy_v"][n] = energy(y[3], y[2])
+        diags["sup_u"][n] = np.max(np.abs(_ref_quotient(y[0], r)))
+        diags["sup_v"][n] = np.max(np.abs(_ref_quotient(y[2], r)))
+        idx = np.nonzero(np.max(np.abs(y), axis=0) > 1e-6 * scale)[0]
+        diags["support_radius"][n] = float(r[idx[-1]]) if idx.size else 0.0
+
+    record(0, 0.0, state)
+    for n in range(nsteps):
+        t = n * dt
+        k1 = rhs(t, state)
+        k2 = rhs(t + dt / 2, state + (dt / 2) * k1)
+        k3 = rhs(t + dt / 2, state + (dt / 2) * k2)
+        k4 = rhs(t + dt, state + dt * k3)
+        state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        record(n + 1, (n + 1) * dt, state)
+        if (n + 1) % stride == 0:
+            frames[:, (n + 1) // stride] = state
+    return frames, diags
+
+
+def _window_case(case):
+    """(data, grid, forcing) for one window equality case; the forcing is used
+    in linear_forced mode only."""
+    g = grid(dr=1 / 16, t_max=6.0)  # the window spans every column from step ~60 of 192
+    data = rw.calibrate(standard_data(), g, N=2, eps=0.0 if case == "zero data" else 0.02)
+    if case == "forcing ahead of the data":
+        # a source pulse running out ahead of the solution's nonzero columns
+        hg = SolveConfig(grid=g).history_grid
+        f = rw.SpaceTimeField.from_function(hg, lambda t, r: 1e-3 * rw.bump(r - 4 - t))
+        return data, g, (f, f)
+    hist = rw.solve(data, SolveConfig(grid=g, mode="homogeneous"))
+    if case == "picard 2 iterates":
+        hist = rw.solve_linear_forced(data, *rw.picard._forcing_from(hist),
+                                      SolveConfig(grid=g))
+    return data, g, rw.picard._forcing_from(hist)
+
+
+WINDOW_CASES = ["reaches r_max", "zero data", "picard 2 iterates", "forcing ahead of the data"]
+
+
+@pytest.mark.parametrize("mode", ["semilinear", "homogeneous", "linear_forced"])
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_window_equals_full_width_loop(mode, case):
+    data, g, forcing = _window_case(case)
+    cfg = SolveConfig(grid=g, mode=mode, forcing=forcing if mode == "linear_forced" else None,
+                      check_support=mode != "linear_forced")
+    hist = rw.solve(data, cfg)
+    frames, diags = _reference_solve(data, cfg)
+    for i, name in enumerate(("W_u", "dtW_u", "W_v", "dtW_v")):
+        assert np.array_equal(getattr(hist, name).values, frames[i]), name
+    assert set(hist.diagnostics) == set(diags)
+    for name, ref in diags.items():
+        assert hist.diagnostics[name].tobytes() == ref.tobytes(), name
+    if case == "reaches r_max" and mode != "linear_forced":
+        # the window starts narrow and the last column is reached before t_max
+        last = [np.flatnonzero(np.any(frames[:, n] != 0, axis=0))[-1]
+                for n in range(frames.shape[1])]
+        assert last[0] + 1 + rw.solver.GUARD < g.nr
+        assert last[frames.shape[1] // 2] == g.nr - 1
+    if case == "zero data":
+        assert not np.any(frames)
