@@ -4,6 +4,20 @@ Exact identities are checked to discretization order (residuals shrinking at
 second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
+
+The two Klainerman-Sobolev checks read their Z-word sums only on the
+enlarged region ``tilde``.  One pass per check (``_ks_word_sums``) builds all
+of them on a window: the bounding box of ``tilde``'s nonzero entries, widened
+by ``_HALO`` cells and clipped to the grid.  The window is exact, not an
+approximation.  Every stencil reads one cell on each side, so where a window
+edge is not a grid edge only the edge cell comes out wrong, and each further
+stencil moves the error one cell inward.  The deepest chains apply four
+stencils (Z^3 then d; Z^2 then BAD^2 or GOOD^2), so four halo cells already
+keep every value inside ``tilde`` equal to the full-grid one; ``_HALO`` = 8
+leaves room.  At a grid edge the window uses the grid's own one-sided and
+parity stencils.  Each sum is written into a zeroed full-grid array, so
+``region_l2l2`` reduces the same full-width rows as before and every mass is
+bit-identical to the word-by-word full-grid loop this replaced.
 """
 
 from __future__ import annotations
@@ -13,8 +27,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, apply_word,
-    box_conjugate, derivative, quotient_by_r, z_words,
+    BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _diff2, _diff_r, _diff_t,
+    _require_size, box_conjugate, derivative, quotient_by_r, z_words,
 )
 from .norms import (
     FOUR_PI, MixedNormSpec, WeightSpec, le1_norm, mixed_norm, region_l2l2,
@@ -26,6 +40,7 @@ from .regions import (
 )
 
 _TINY = 1e-300
+_FLIP = {"even": "odd", "odd": "even", None: None}  # parity of r * f
 
 
 @dataclass
@@ -153,14 +168,27 @@ def good_of_conjugate_over_r(w: SpaceTimeField) -> SpaceTimeField:
     return quotient_by_r(derivative(_conjugate(w), GOOD))
 
 
+def _wave2(values: np.ndarray, parity: str | None, ht: float, hr: float) -> np.ndarray:
+    """(dt^2 - dr^2) of raw samples, parity-extended at a first column r = 0."""
+    return _diff2(values, ht, axis=0) - _diff2(values, hr, axis=1, parity=parity)
+
+
+def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float,
+                hr: float) -> np.ndarray:
+    """r^{-1}(dt^2 - dr^2)(r f) on raw samples at the (1, n) radii ``r``; the
+    first column takes the 3-point extrapolation of ``quotient_by_r`` (off the
+    axis that column is a KS window's halo cell, which no sum reads)."""
+    out = _wave2(r * values, _FLIP[parity], ht, hr)
+    out[:, 1:] /= r[:, 1:]
+    out[:, 0] = 3 * out[:, 1] - 3 * out[:, 2] + out[:, 3]
+    return out
+
+
 def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
     """Radial d'Alembertian via the conjugate identity, any parity."""
-    from .grid import _diff2  # second-order stencils shared with box_conjugate
     grid = w.grid
-    par = {"even": "odd", "odd": "even", None: None}[w.parity]
-    W = grid.r[None, :] * w.values
-    vals = _diff2(W, grid.dt, axis=0) - _diff2(W, grid.dr, axis=1, parity=par)
-    return quotient_by_r(SpaceTimeField(grid, vals, par))
+    vals = _box_values(w.values, w.parity, grid.r[None, :], grid.dt, grid.dr)
+    return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
 
 
 def check_hardy(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
@@ -367,37 +395,87 @@ def check_weighted_sobolev(h: np.ndarray, r: np.ndarray, R: int,
                           {"sup": lhs}, {"mass": mass, "scale": float(R)})
 
 
-def _z_aggregate(w: SpaceTimeField, N: int, with_prefix: str | None = None):
-    """sum over |mu| <= N of |P Z^mu w| with P = identity, 'dr', or 'd'
-    (|dt| + |dr|), computed layer by layer."""
-    agg = np.zeros(w.grid.shape())
-    prev = {(): w}
-    for length in range(0, N + 1):
-        if length > 0:
-            cur = {}
-            for word in (x for x in z_words(N) if len(x) == length):
-                cur[word] = derivative(prev[word[1:]], word[0])
-            prev = cur
-        for g in prev.values():
-            if with_prefix is None:
-                agg += np.abs(g.values)
-            elif with_prefix == "dr":
-                agg += np.abs(derivative(g, DR).values)
-            elif with_prefix == "d":
-                agg += np.abs(derivative(g, DT).values) + np.abs(derivative(g, DR).values)
-            elif with_prefix == "box":
-                agg += np.abs(box_scalar(g).values)
-            elif with_prefix == "dtdr2":
-                from .grid import _diff2
-                agg += np.abs(_diff2(g.values, w.grid.dt, axis=0)
-                              - _diff2(g.values, w.grid.dr, axis=1, parity=g.parity))
-            elif with_prefix == "bad2":
-                agg += np.abs(apply_word(g, (BAD, BAD)).values)
-            elif with_prefix == "good2":
-                agg += np.abs(apply_word(g, (GOOD, GOOD)).values)
+_HALO = 8  # cells around a KS window; 4 is already exact (module docstring)
+
+
+def _check_ks_kind(region_kind: str) -> None:
+    if region_kind not in (R_KIND, U_KIND):
+        raise ValueError("region_kind must be R or U")
+
+
+def _ks_window(tilde: np.ndarray) -> tuple[slice, slice] | None:
+    """Rows and columns of the bounding box of ``tilde``'s nonzero entries,
+    widened by ``_HALO`` and clipped to the grid; None if ``tilde`` is empty."""
+    rows = np.flatnonzero(tilde.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(tilde.any(axis=0))
+    nt, nr = tilde.shape
+    return (slice(max(int(rows[0]) - _HALO, 0), min(int(rows[-1]) + 1 + _HALO, nt)),
+            slice(max(int(cols[0]) - _HALO, 0), min(int(cols[-1]) + 1 + _HALO, nr)))
+
+
+def _ks_word_sums(w: SpaceTimeField, tilde: np.ndarray, keys) -> dict:
+    """For each (N, P) in ``keys``, the sum over |mu| <= N of |P Z^mu w|.
+
+    P is None (identity), "dr", "d" (|dt| + |dr|), "box", "dtdr2"
+    (dt^2 - dr^2), "bad2" or "good2".  Each sum equals the full-grid one
+    wherever ``tilde`` is nonzero and is zero outside its window.  One walk
+    over ``z_words`` serves every key: a word's (dt, dr) pair gives its
+    children (dt, dr and S = t dt + r dr, as ``derivative`` forms them), its
+    dr and d terms and its first BAD/GOOD (dt - dr, dt + dr).  Terms are
+    added in ``z_words`` order and only the last layer's pairs stay alive.
+    """
+    grid = w.grid
+    _require_size(grid)
+    sums = {key: np.zeros(grid.shape()) for key in keys}
+    window = _ks_window(tilde)
+    if window is None:
+        return sums
+    rows, cols = window
+    t, r = grid.t[rows, None], grid.r[None, cols]
+    ht, hr = grid.dt, grid.dr
+    n_max = max(n for n, _ in keys)
+    words = z_words(n_max)
+    parents = {}
+    for length in range(n_max + 1):
+        children = {}
+        for word in (x for x in words if len(x) == length):
+            if not word:
+                g, par = w.values[rows, cols], w.parity
             else:
-                raise ValueError(with_prefix)
-    return agg
+                par, pt, pr = parents[word[1:]]
+                if word[0] == DT:
+                    g = pt
+                elif word[0] == DR:
+                    g, par = pr, _FLIP[par]
+                else:
+                    g = t * pt + r * pr
+            gt, gr = _diff_t(g, ht), _diff_r(g, hr, par)
+            if length < n_max:
+                children[word] = (par, gt, gr)
+            for (n, prefix), agg in sums.items():
+                if length > n:
+                    continue
+                if prefix is None:
+                    term = np.abs(g)
+                elif prefix == "dr":
+                    term = np.abs(gr)
+                elif prefix == "d":
+                    term = np.abs(gt) + np.abs(gr)
+                elif prefix == "box":
+                    term = np.abs(_box_values(g, par, r, ht, hr))
+                elif prefix == "dtdr2":
+                    term = np.abs(_wave2(g, par, ht, hr))
+                elif prefix in ("bad2", "good2"):
+                    op = np.subtract if prefix == "bad2" else np.add
+                    h = op(gt, gr)
+                    term = np.abs(op(_diff_t(h, ht), _diff_r(h, hr, None)))
+                else:
+                    raise ValueError(prefix)
+                agg[rows, cols] += term
+        parents = children
+    return sums
 
 
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,
@@ -407,23 +485,21 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     Also evaluates the intermediate product form (geometric mean of the two
     derivative masses) as a separate slot.
     """
+    _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
     plain = realize_mask(region, grid).weights
     tilde = realize_mask(region.enlarged(1), grid).weights
     lhs = region_supsup(w.values, plain)
-    agg = SpaceTimeField(grid, _z_aggregate(w, 2))
-    agg_dr = SpaceTimeField(grid, _z_aggregate(w, 2, "dr"))
-    m0 = region_l2l2(agg, WeightSpec(), tilde)
-    m1 = region_l2l2(agg_dr, WeightSpec(), tilde)
+    sums = _ks_word_sums(w, tilde, ((2, None), (2, "dr")))
+    m0 = region_l2l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
+    m1 = region_l2l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 * scale ** -0.5 * m1
         product_form = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 / scale * np.sqrt(m0 * m1)
-    elif region_kind == U_KIND:
+    else:
         rhs = tau ** -1.5 * scale ** -0.5 * m0 + scale ** 0.5 * tau ** -1.5 * m1
         product_form = None
-    else:
-        raise ValueError("region_kind must be R or U")
     rep = EstimateReport("spacetime_ks", lhs, rhs, family_id,
                          {"supsup": lhs},
                          {"mass": m0, "mass_dr": m1, "tau": float(tau),
@@ -450,10 +526,9 @@ def box_decomposition_residual(w: SpaceTimeField, r_min: float = 1.0) -> float:
     D^2(r w) = r D^2 w + 2 D w is exact there, while the one-sided boundary
     stencils satisfy it only to truncation order.
     """
-    from .grid import _diff2
     grid = w.grid
     t, r = grid.meshes()
-    d2 = _diff2(w.values, grid.dt, axis=0) - _diff2(w.values, grid.dr, axis=1, parity=w.parity)
+    d2 = _wave2(w.values, w.parity, grid.dt, grid.dr)
     box = box_scalar(w).values
     dr_w = derivative(w, DR).values
     keep = (r >= r_min) & (r <= grid.r_max - grid.dr) & \
@@ -473,32 +548,27 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     Needs three vector-field orders plus one derivative; a noise-floor guard
     flags the report when both sides sit at the differencing floor.
     """
+    _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
     plain = realize_mask(region, grid).weights
     tilde = realize_mask(region.enlarged(1), grid).weights
-    du = np.abs(derivative(w, DT).values) + np.abs(derivative(w, DR).values)
-    lhs = region_supsup(du, plain)
+    sums = _ks_word_sums(w, tilde, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"),
+                                    (2, "bad2"), (2, "good2")))
+    lhs = region_supsup(sums[0, "d"], plain)  # |dt w| + |dr w|; plain lies in tilde
 
-    d_agg3 = SpaceTimeField(grid, _z_aggregate(w, 3, "d"))
-    box_agg2 = SpaceTimeField(grid, _z_aggregate(w, 2, "box"))
-    m_d = region_l2l2(d_agg3, WeightSpec(), tilde)
-    m_box = region_l2l2(box_agg2, WeightSpec(), tilde)
+    def mass(key):
+        return region_l2l2(SpaceTimeField(grid, sums[key]), WeightSpec(), tilde)
+
+    m_d, m_box = mass((3, "d")), mass((2, "box"))
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m_d + tau ** -0.5 * scale ** -0.5 * m_box
-    elif region_kind == U_KIND:
-        rhs = scale ** -0.5 * tau ** -1.5 * m_d + scale ** -0.5 * tau ** -0.5 * m_box
     else:
-        raise ValueError("region_kind must be R or U")
+        rhs = scale ** -0.5 * tau ** -1.5 * m_d + scale ** -0.5 * tau ** -0.5 * m_box
 
     # split-direction diagnostics: second bad/good derivatives against the
     # derivative mass and the plain second-order wave combination
-    m_dtdr2 = region_l2l2(SpaceTimeField(grid, _z_aggregate(w, 2, "dtdr2")),
-                          WeightSpec(), tilde)
-    m_bad2 = region_l2l2(SpaceTimeField(grid, _z_aggregate(w, 2, "bad2")),
-                         WeightSpec(), tilde)
-    m_good2 = region_l2l2(SpaceTimeField(grid, _z_aggregate(w, 2, "good2")),
-                          WeightSpec(), tilde)
+    m_dtdr2, m_bad2, m_good2 = mass((2, "dtdr2")), mass((2, "bad2")), mass((2, "good2"))
     if region_kind == R_KIND:
         bad2_rhs = good2_rhs = m_d / scale + m_dtdr2
     else:

@@ -226,9 +226,10 @@ class SolutionHistory:
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
         grid = fields["W_u"].grid
-        cfg = SolveConfig(grid=grid, mode="homogeneous" if manifest["mode"] == "homogeneous"
-                          else manifest["mode"] if manifest["mode"] != "linear_forced"
-                          else "semilinear", record_stride=1)
+        mode = manifest["mode"]
+        cfg = SolveConfig(grid=grid, mode="homogeneous" if mode == "linear_forced" else mode,
+                          record_stride=1)
+        cfg.mode = mode  # no forcing is saved: the config names the run, it cannot rerun it
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
         return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"], cfg, diags)
 
@@ -355,6 +356,8 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         raise CflError(f"evolution requires cfl <= 0.9, got {grid.cfl}")
     r, dr, dt, nr = grid.r, grid.dr, grid.dt, grid.nr
     nsteps = grid.nt - 1
+    if config.mode == "linear_forced" and config.forcing is None:
+        raise ValueError("linear_forced needs forcing (a loaded history's config has none)")
     forcing = _Forcing(*config.forcing) if config.mode == "linear_forced" else None
     rhs = _Rhs(r, dr, config.mode == "semilinear", forcing)
 

@@ -3,6 +3,9 @@ import pytest
 
 import radialwave as rw
 from radialwave import estimates, registry
+from radialwave.grid import _diff2
+from radialwave.norms import WeightSpec, region_l2l2, region_supsup
+from radialwave.regions import DyadicRegion, realize_mask
 
 
 def grid(dr=1 / 32, t_max=8.0, r_max=12.0):
@@ -153,6 +156,175 @@ class TestPointwiseChecks:
         u, _ = self.field_and_grid("standing_bump")
         with pytest.raises(ValueError):
             estimates.check_spacetime_ks(u, 8, "core", 1)
+
+    @pytest.mark.parametrize("check", [estimates.check_spacetime_ks,
+                                       estimates.check_second_derivative_ks])
+    @pytest.mark.parametrize("kind", ["core", "annulus", "strip", "r"])
+    def test_bad_kind_rejected_before_any_work(self, monkeypatch, check, kind):
+        u, _ = self.field_and_grid("standing_bump")
+
+        def no_masks(*args, **kwargs):
+            raise AssertionError("a mask was built for a rejected region kind")
+
+        monkeypatch.setattr(estimates, "realize_mask", no_masks)
+        with pytest.raises(ValueError, match="region_kind must be R or U"):
+            check(u, 8, kind, 1)
+
+
+# ----------------------------------------------------------------------
+# the windowed Z-word pass against the word-by-word loop it replaced
+# ----------------------------------------------------------------------
+
+def _z_aggregate_ref(w, N, with_prefix=None):
+    """sum over |mu| <= N of |P Z^mu w|, every word from scratch on the full grid."""
+    agg = np.zeros(w.grid.shape())
+    prev = {(): w}
+    for length in range(0, N + 1):
+        if length > 0:
+            cur = {}
+            for word in (x for x in rw.z_words(N) if len(x) == length):
+                cur[word] = rw.derivative(prev[word[1:]], word[0])
+            prev = cur
+        for g in prev.values():
+            if with_prefix is None:
+                agg += np.abs(g.values)
+            elif with_prefix == "dr":
+                agg += np.abs(rw.derivative(g, "dr").values)
+            elif with_prefix == "d":
+                agg += (np.abs(rw.derivative(g, "dt").values)
+                        + np.abs(rw.derivative(g, "dr").values))
+            elif with_prefix == "box":
+                par = {"even": "odd", "odd": "even", None: None}[g.parity]
+                W = g.grid.r[None, :] * g.values
+                vals = _diff2(W, g.grid.dt, axis=0) - _diff2(W, g.grid.dr, axis=1, parity=par)
+                agg += np.abs(rw.quotient_by_r(rw.SpaceTimeField(g.grid, vals, par)).values)
+            elif with_prefix == "dtdr2":
+                agg += np.abs(_diff2(g.values, w.grid.dt, axis=0)
+                              - _diff2(g.values, w.grid.dr, axis=1, parity=g.parity))
+            elif with_prefix == "bad2":
+                agg += np.abs(rw.apply_word(g, ("bad", "bad")).values)
+            elif with_prefix == "good2":
+                agg += np.abs(rw.apply_word(g, ("good", "good")).values)
+            else:
+                raise ValueError(with_prefix)
+    return agg
+
+
+_KS_KEYS = ((2, None), (2, "dr"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
+            (2, "good2"))
+
+
+def _reference_reports(w, tau, kind, scale, ref):
+    """Both KS reports as the full-grid loop made them, from the sums ``ref``."""
+    grid = w.grid
+    region = DyadicRegion(tau, kind, scale)
+    plain = realize_mask(region, grid).weights
+    tilde = realize_mask(region.enlarged(1), grid).weights
+
+    def mass(key):
+        return region_l2l2(rw.SpaceTimeField(grid, ref[key]), WeightSpec(), tilde)
+
+    lhs = region_supsup(w.values, plain)
+    m0, m1 = mass((2, None)), mass((2, "dr"))
+    if kind == "R":
+        rhs = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 * scale ** -0.5 * m1
+        product_form = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 / scale * np.sqrt(m0 * m1)
+    else:
+        rhs = tau ** -1.5 * scale ** -0.5 * m0 + scale ** 0.5 * tau ** -1.5 * m1
+        product_form = None
+    ks = estimates.EstimateReport("spacetime_ks", lhs, rhs, "", {"supsup": lhs},
+                                  {"mass": m0, "mass_dr": m1, "tau": float(tau),
+                                   "scale": float(scale), "kind": kind})
+    if product_form is not None:
+        ks.rhs_slots["product_form"] = float(product_form)
+
+    du = np.abs(rw.derivative(w, "dt").values) + np.abs(rw.derivative(w, "dr").values)
+    lhs = region_supsup(du, plain)
+    m_d, m_box = mass((3, "d")), mass((2, "box"))
+    m_dtdr2, m_bad2, m_good2 = mass((2, "dtdr2")), mass((2, "bad2")), mass((2, "good2"))
+    if kind == "R":
+        rhs = tau ** -0.5 * scale ** -1.5 * m_d + tau ** -0.5 * scale ** -0.5 * m_box
+        bad2_rhs = good2_rhs = m_d / scale + m_dtdr2
+    else:
+        rhs = scale ** -0.5 * tau ** -1.5 * m_d + scale ** -0.5 * tau ** -0.5 * m_box
+        bad2_rhs = m_d / scale + (tau / scale) * m_dtdr2
+        good2_rhs = m_d / tau + m_dtdr2
+    noise = np.finfo(float).eps * float(np.max(np.abs(w.values))) / grid.dr ** 4
+    d2 = estimates.EstimateReport("second_derivative_ks", lhs, rhs, "", {"supsup_du": lhs},
+                                  {"mass_d3": m_d, "mass_box2": m_box, "tau": float(tau),
+                                   "scale": float(scale), "kind": kind},
+                                  flagged=m_d < 1e3 * noise)
+    d2.rhs_slots["bad2_ratio"] = float(m_bad2 / bad2_rhs) if bad2_rhs > 0 else 0.0
+    d2.rhs_slots["good2_ratio"] = float(m_good2 / good2_rhs) if good2_rhs > 0 else 0.0
+    return ks, d2
+
+
+def _ks_cases():
+    crit4 = {"r_max": 22.0, "t_max": 18.0}
+    for dr in (1 / 16, 1 / 32):
+        for family, kind, scale in registry.KS_COMBOS:
+            yield pytest.param(dr, crit4, family, kind, scale, 8,
+                               id=f"{family}-{kind}{scale}-dr{round(1 / dr)}")
+    # the enlarged slab [14, 34] runs past t_max = 18: clipped at the last row
+    yield pytest.param(1 / 16, crit4, "cone_hugger", "U", 2, 16, id="clipped-last-row")
+    yield pytest.param(1 / 16, crit4, "expanding_bump", "R", 4, 16, id="clipped-R4")
+    yield pytest.param(1 / 16, crit4, "standing_bump", "R", 1, 4, id="tau4-R1")
+    # the enlarged slab [7, 17] misses a grid that ends at t = 6: an empty window
+    yield pytest.param(1 / 16, {"r_max": 10.0, "t_max": 6.0}, "standing_bump", "U", 1, 8,
+                       id="empty-window")
+
+
+class TestKSWordPass:
+    @pytest.mark.parametrize("dr, extent, family, kind, scale, tau", list(_ks_cases()))
+    def test_pass_equals_word_by_word_loop(self, dr, extent, family, kind, scale, tau):
+        g = rw.GridSpec(dr=dr, cfl=1.0, **extent)
+        u = registry.build(family, g)
+        region = DyadicRegion(tau, kind, scale)
+        plain = realize_mask(region, g).weights > 0
+        tilde = realize_mask(region.enlarged(1), g).weights
+        inside = tilde > 0
+        assert not np.any(plain & ~inside)  # the d2 lhs reads du on plain only
+
+        window = estimates._ks_window(tilde)
+        if window is None:
+            assert not inside.any()
+        else:
+            rows, cols = window
+            if (family, kind, scale, tau) == ("standing_bump", "R", 1, 8):
+                assert cols.start == 0 and rows.start > 0
+            if tau == 16:
+                assert rows.stop == g.nt
+            if kind == "U" and tau == 8:  # every edge of the window is inside the grid
+                assert 0 < rows.start and rows.stop < g.nt
+                assert 0 < cols.start and cols.stop < g.nr
+
+        ref = {key: _z_aggregate_ref(u, *key) for key in _KS_KEYS}
+        sums = estimates._ks_word_sums(u, tilde, _KS_KEYS + ((0, "d"),))
+        for key in _KS_KEYS:
+            assert np.array_equal(sums[key][inside], ref[key][inside]), key
+        du = np.abs(rw.derivative(u, "dt").values) + np.abs(rw.derivative(u, "dr").values)
+        assert np.array_equal(sums[0, "d"][plain], du[plain])
+
+        ref_ks, ref_d2 = _reference_reports(u, tau, kind, scale, ref)
+        for rep, want in ((estimates.check_spacetime_ks(u, tau, kind, scale), ref_ks),
+                          (estimates.check_second_derivative_ks(u, tau, kind, scale), ref_d2)):
+            assert rep.lhs == want.lhs and rep.rhs == want.rhs
+            assert rep.lhs_slots == want.lhs_slots
+            assert rep.rhs_slots == want.rhs_slots
+            assert rep.flagged == want.flagged
+
+    def test_box_scalar_equals_conjugate_form(self):
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=12.0, t_max=8.0)
+        for parity in ("even", "odd", None):
+            vals = registry.standing_bump(g).values * (g.r[None, :] if parity == "odd" else 1.0)
+            u = rw.SpaceTimeField(g, vals, parity)
+            par = {"even": "odd", "odd": "even", None: None}[parity]
+            W = g.r[None, :] * u.values
+            raw = _diff2(W, g.dt, axis=0) - _diff2(W, g.dr, axis=1, parity=par)
+            want = rw.quotient_by_r(rw.SpaceTimeField(g, raw, par))
+            got = estimates.box_scalar(u)
+            assert np.array_equal(got.values, want.values)
+            assert got.parity == want.parity
 
 
 class TestWeightedSobolev:

@@ -67,6 +67,34 @@ class TestField:
         else:
             rw.SpaceTimeField(g, vals, "odd")
 
+    @pytest.mark.parametrize("fill", [1e6, -1e6, np.nan])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_axis_odd_field_accepted(self, fill, zero):
+        g = small_grid()
+        vals = np.full(g.shape(), fill)
+        vals[:, 0] = zero
+        assert rw.SpaceTimeField(g, vals, "odd").parity == "odd"
+
+    @pytest.mark.parametrize("factor, raises", [(2.0, True), (0.5, False)])
+    def test_axis_against_scale_bound(self, factor, raises):
+        g = small_grid()
+        vals = np.full(g.shape(), -1e3)
+        vals[:, 0] = 0.0
+        vals[-1, 0] = factor * 1e-10 * 1e3
+        if raises:
+            with pytest.raises(rw.ParityError):
+                rw.SpaceTimeField(g, vals, "odd")
+        else:
+            rw.SpaceTimeField(g, vals, "odd")
+
+    def test_nan_axis_keeps_its_verdict(self):
+        # NaN compares false against the bound, before and after the zero-axis shortcut
+        g = small_grid()
+        vals = np.ones(g.shape())
+        vals[:, 0] = 0.0
+        vals[2, 0] = np.nan
+        rw.SpaceTimeField(g, vals, "odd")
+
     def test_binary_roundtrip_bitexact(self, tmp_path):
         g = small_grid()
         f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t) * np.cos(r), "even")

@@ -131,6 +131,35 @@ class TestConfig:
         np.testing.assert_allclose(back.diagnostics["energy_u"],
                                    hist.diagnostics["energy_u"])
 
+    @pytest.mark.parametrize("mode", ["homogeneous", "semilinear", "linear_forced"])
+    def test_history_roundtrip_keeps_mode(self, tmp_path, mode):
+        g = grid(t_max=2.0)
+        if mode == "linear_forced":
+            f = rw.SpaceTimeField.from_function(
+                SolveConfig(grid=g).history_grid, lambda t, r: 1e-3 * np.exp(-r * r) + 0 * t)
+            hist = rw.solve_linear_forced(standard_data(), f, f, SolveConfig(grid=g))
+        else:
+            hist = rw.solve(standard_data(), SolveConfig(grid=g, mode=mode))
+        hist.save(tmp_path / "run")
+        back = rw.SolutionHistory.load(tmp_path / "run")
+        assert back.config.mode == mode
+        assert back.config.grid == hist.grid
+        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+            np.testing.assert_array_equal(getattr(back, name).values,
+                                          getattr(hist, name).values)
+        assert back.diagnostics.keys() == hist.diagnostics.keys()
+        for key, vals in hist.diagnostics.items():
+            np.testing.assert_array_equal(back.diagnostics[key], vals)
+
+    def test_loaded_linear_forced_config_cannot_rerun(self, tmp_path):
+        g = grid(t_max=2.0)  # stride 1 keeps cfl 0.5, so only the forcing is missing
+        f = rw.SpaceTimeField.from_function(g, lambda t, r: 0 * t * r)
+        rw.solve_linear_forced(standard_data(), f, f,
+                               SolveConfig(grid=g, record_stride=1)).save(tmp_path / "r")
+        back = rw.SolutionHistory.load(tmp_path / "r")
+        with pytest.raises(ValueError, match="needs forcing"):
+            rw.solve(standard_data(), back.config)
+
     def test_diagnostics_only_mode(self):
         g = grid(t_max=2.0)
         hist = rw.solve(standard_data(), SolveConfig(grid=g, mode="homogeneous",
