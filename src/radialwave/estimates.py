@@ -6,18 +6,15 @@ that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
 The two Klainerman-Sobolev checks read their Z-word sums only on the
-enlarged region ``tilde``.  One pass per check (``_ks_word_sums``) builds all
-of them on a window: the bounding box of ``tilde``'s nonzero entries, widened
-by ``_HALO`` cells and clipped to the grid.  The window is exact, not an
+enlarged region ``tilde``, so one ``_z_walk`` per check builds all of them on
+a window around it (``_ks_window``).  The window is exact, not an
 approximation.  Every stencil reads one cell on each side, so where a window
 edge is not a grid edge only the edge cell comes out wrong, and each further
 stencil moves the error one cell inward.  The deepest chains apply four
 stencils (Z^3 then d; Z^2 then BAD^2 or GOOD^2), so four halo cells already
 keep every value inside ``tilde`` equal to the full-grid one; ``_HALO`` = 8
-leaves room.  At a grid edge the window uses the grid's own one-sided and
-parity stencils.  Each sum is written into a zeroed full-grid array, so
-``region_l2l2`` reduces the same full-width rows as before and every mass is
-bit-identical to the word-by-word full-grid loop this replaced.
+leaves room.  Each sum is written into a zeroed full-grid array, so
+``region_l2l2`` reduces the same full-width rows as a full-grid loop would.
 """
 
 from __future__ import annotations
@@ -27,12 +24,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _diff2, _diff_r, _diff_t,
-    _require_size, box_conjugate, derivative, quotient_by_r, z_words,
+    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
+    _require_size, _trapz_weights, _wave2, _z_walk, box_conjugate, derivative,
+    quotient_by_r,
 )
 from .norms import (
     FOUR_PI, MixedNormSpec, WeightSpec, le1_norm, mixed_norm, region_l2l2,
-    region_supsup, spatial_l2, _trapz_weights,
+    region_supsup, spatial_l2,
 )
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, bracket, dyadic_scales,
@@ -40,7 +38,6 @@ from .regions import (
 )
 
 _TINY = 1e-300
-_FLIP = {"even": "odd", "odd": "even", None: None}  # parity of r * f
 
 
 @dataclass
@@ -168,26 +165,10 @@ def good_of_conjugate_over_r(w: SpaceTimeField) -> SpaceTimeField:
     return quotient_by_r(derivative(_conjugate(w), GOOD))
 
 
-def _wave2(values: np.ndarray, parity: str | None, ht: float, hr: float) -> np.ndarray:
-    """(dt^2 - dr^2) of raw samples, parity-extended at a first column r = 0."""
-    return _diff2(values, ht, axis=0) - _diff2(values, hr, axis=1, parity=parity)
-
-
-def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float,
-                hr: float) -> np.ndarray:
-    """r^{-1}(dt^2 - dr^2)(r f) on raw samples at the (1, n) radii ``r``; the
-    first column takes the 3-point extrapolation of ``quotient_by_r`` (off the
-    axis that column is a KS window's halo cell, which no sum reads)."""
-    out = _wave2(r * values, _FLIP[parity], ht, hr)
-    out[:, 1:] /= r[:, 1:]
-    out[:, 0] = 3 * out[:, 1] - 3 * out[:, 2] + out[:, 3]
-    return out
-
-
 def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
     """Radial d'Alembertian via the conjugate identity, any parity."""
     grid = w.grid
-    vals = _box_values(w.values, w.parity, grid.r[None, :], grid.dt, grid.dr)
+    vals = _box_values(w.values, w.parity, grid.r, grid.dt, grid.dr)
     return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
 
 
@@ -355,20 +336,12 @@ def check_newle(u: SpaceTimeField, p: float, delta: float,
 def _radial_words(values: np.ndarray, r: np.ndarray, dr: float, order: int) -> list[np.ndarray]:
     """All compositions of {dr, r*dr} up to the given length on a radial frame
     (even parity assumed for the base frame)."""
-    def d(vals, parity):
-        out = np.empty_like(vals)
-        out[1:-1] = (vals[2:] - vals[:-2]) / (2 * dr)
-        out[0] = vals[1] / dr if parity == "odd" else 0.0
-        out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dr)
-        return out
-
     layers = [[(values, "even")]]
     for _ in range(order):
         nxt = []
         for vals, par in layers[-1]:
-            dv = d(vals, par)
-            flip = "odd" if par == "even" else "even"
-            nxt.append((dv, flip))          # dr
+            dv = _d1(vals, dr, par)
+            nxt.append((dv, _FLIP[par]))    # dr
             nxt.append((r * dv, par))       # scaling r*dr
         layers.append(nxt)
     return [vals for layer in layers for vals, _ in layer]
@@ -388,8 +361,7 @@ def check_weighted_sobolev(h: np.ndarray, r: np.ndarray, R: int,
     agg = np.zeros_like(h)
     for vals in _radial_words(h, r, dr, 2):
         agg += np.abs(vals)
-    w = np.full(r.size, dr)
-    w[0] = w[-1] = dr / 2
+    w = _trapz_weights(r.size, dr)
     mass = float(np.sqrt(FOUR_PI * np.sum(np.square(agg) * np.square(r) * w * tilde)))
     return EstimateReport("weighted_sobolev", lhs, mass / R, family_id,
                           {"sup": lhs}, {"mass": mass, "scale": float(R)})
@@ -420,11 +392,9 @@ def _ks_word_sums(w: SpaceTimeField, tilde: np.ndarray, keys) -> dict:
 
     P is None (identity), "dr", "d" (|dt| + |dr|), "box", "dtdr2"
     (dt^2 - dr^2), "bad2" or "good2".  Each sum equals the full-grid one
-    wherever ``tilde`` is nonzero and is zero outside its window.  One walk
-    over ``z_words`` serves every key: a word's (dt, dr) pair gives its
-    children (dt, dr and S = t dt + r dr, as ``derivative`` forms them), its
-    dr and d terms and its first BAD/GOOD (dt - dr, dt + dr).  Terms are
-    added in ``z_words`` order and only the last layer's pairs stay alive.
+    wherever ``tilde`` is nonzero and is zero outside its window.  A word's
+    (dt, dr) pair gives its dr and d terms and its first BAD/GOOD (dt - dr,
+    dt + dr).
     """
     grid = w.grid
     _require_size(grid)
@@ -433,48 +403,31 @@ def _ks_word_sums(w: SpaceTimeField, tilde: np.ndarray, keys) -> dict:
     if window is None:
         return sums
     rows, cols = window
-    t, r = grid.t[rows, None], grid.r[None, cols]
+    r = grid.r[cols]
     ht, hr = grid.dt, grid.dr
     n_max = max(n for n, _ in keys)
-    words = z_words(n_max)
-    parents = {}
-    for length in range(n_max + 1):
-        children = {}
-        for word in (x for x in words if len(x) == length):
-            if not word:
-                g, par = w.values[rows, cols], w.parity
+    for length, g, par, gt, gr in _z_walk(w.values[rows, cols], w.parity, grid.t[rows, None],
+                                          r, ht, hr, n_max):
+        for (n, prefix), agg in sums.items():
+            if length > n:
+                continue
+            if prefix is None:
+                term = np.abs(g)
+            elif prefix == "dr":
+                term = np.abs(gr)
+            elif prefix == "d":
+                term = np.abs(gt) + np.abs(gr)
+            elif prefix == "box":  # off the axis, column 0 is a halo cell no sum reads
+                term = np.abs(_box_values(g, par, r, ht, hr))
+            elif prefix == "dtdr2":
+                term = np.abs(_wave2(g, par, ht, hr))
+            elif prefix in ("bad2", "good2"):
+                op = np.subtract if prefix == "bad2" else np.add
+                h = op(gt, gr)
+                term = np.abs(op(_d1(h.T, ht).T, _d1(h, hr)))
             else:
-                par, pt, pr = parents[word[1:]]
-                if word[0] == DT:
-                    g = pt
-                elif word[0] == DR:
-                    g, par = pr, _FLIP[par]
-                else:
-                    g = t * pt + r * pr
-            gt, gr = _diff_t(g, ht), _diff_r(g, hr, par)
-            if length < n_max:
-                children[word] = (par, gt, gr)
-            for (n, prefix), agg in sums.items():
-                if length > n:
-                    continue
-                if prefix is None:
-                    term = np.abs(g)
-                elif prefix == "dr":
-                    term = np.abs(gr)
-                elif prefix == "d":
-                    term = np.abs(gt) + np.abs(gr)
-                elif prefix == "box":
-                    term = np.abs(_box_values(g, par, r, ht, hr))
-                elif prefix == "dtdr2":
-                    term = np.abs(_wave2(g, par, ht, hr))
-                elif prefix in ("bad2", "good2"):
-                    op = np.subtract if prefix == "bad2" else np.add
-                    h = op(gt, gr)
-                    term = np.abs(op(_diff_t(h, ht), _diff_r(h, hr, None)))
-                else:
-                    raise ValueError(prefix)
-                agg[rows, cols] += term
-        parents = children
+                raise ValueError(prefix)
+            agg[rows, cols] += term
     return sums
 
 

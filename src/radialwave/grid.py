@@ -1,9 +1,18 @@
 """Discrete space-time fields on a uniform (t, r) grid and the vector-field calculus.
 
 Everything downstream (regions, norms, the solver, the estimate harness) shares
-the grid geometry defined here.  All derivative operators are second-order:
-centered in the interior, one-sided at the temporal and outer-radial boundaries,
-and parity-extended across r = 0.
+the grid geometry defined here, and this module holds the package's only
+stencils: ``_d1`` and ``_d2`` (first and second derivative), ``_over_r`` (the
+quotient by r), the wave operators ``_wave2`` and ``_box_values`` built on
+them, ``_z_walk`` (every Z word of a field) and ``_trapz_weights``.  Each
+stencil acts on the last axis of a 1-D array, of a stack of rows or of a full
+(nt, nr) array, and a time derivative is the same call on ``values.T``.  All
+are second-order: centered in the interior and one-sided at the last column.
+At the first column a radial stencil takes the ghost value f(-h) = -f(h) of an
+odd field or f(-h) = f(h) of an even one, and the one-sided stencil when no
+parity is given (always in t).  ``_over_r`` recovers its first column by
+3-point extrapolation from the next three.  Edge columns are set with
+whole-column numpy operations, which round exactly as scalar arithmetic does.
 """
 
 from __future__ import annotations
@@ -103,10 +112,12 @@ class GridSpec:
         return self.t[:, None], self.r[None, :]
 
 
+_FLIP = {"odd": "even", "even": "odd", None: None}  # parity of dr f and of r * f
+
 # parity of the result of one derivative, given the input parity
 _PARITY_MAP = {
     DT: {"odd": "odd", "even": "even", None: None},
-    DR: {"odd": "even", "even": "odd", None: None},
+    DR: _FLIP,
     SCALING: {"odd": "odd", "even": "even", None: None},
     GOOD: {"odd": None, "even": None, None: None},
     BAD: {"odd": None, "even": None, None: None},
@@ -207,41 +218,102 @@ def _require_size(grid: GridSpec):
         )
 
 
-def _diff_t(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[1:-1] /= 2 * dt
-    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dt)
-    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dt)
-    return out
+def _trapz_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    return w
 
 
-def _diff_r(values: np.ndarray, dr: float, parity: str | None) -> np.ndarray:
-    out = np.empty_like(values)
-    np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
-    out[:, 1:-1] /= 2 * dr
+def _d1(values: np.ndarray, h: float, parity: str | None = None,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative along the last axis, into ``out`` (new if None)."""
+    out = np.empty_like(values) if out is None else out
+    inner = np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    inner /= 2 * h
     if parity == "odd":
-        out[:, 0] = values[:, 1] / dr  # ghost: f(-dr) = -f(dr)
+        out[..., 0] = values[..., 1] / h  # ghost: f(-h) = -f(h)
     elif parity == "even":
-        out[:, 0] = 0.0
+        out[..., 0] = 0.0
     else:
-        out[:, 0] = (-3 * values[:, 0] + 4 * values[:, 1] - values[:, 2]) / (2 * dr)
-    out[:, -1] = (3 * values[:, -1] - 4 * values[:, -2] + values[:, -3]) / (2 * dr)
+        out[..., 0] = (-3 * values[..., 0] + 4 * values[..., 1] - values[..., 2]) / (2 * h)
+    out[..., -1] = (3 * values[..., -1] - 4 * values[..., -2] + values[..., -3]) / (2 * h)
     return out
 
 
-def _diff2(values: np.ndarray, h: float, axis: int, parity: str | None = None) -> np.ndarray:
-    v = values if axis == 0 else values.T
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
-    if axis == 1 and parity == "odd":
-        out[0] = -2 * v[0] / (h * h)  # ghost f(-h) = -f(h); vanishes with f(0)=0
-    elif axis == 1 and parity == "even":
-        out[0] = 2 * (v[1] - v[0]) / (h * h)
+def _d2(values: np.ndarray, h: float, parity: str | None = None,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Second derivative along the last axis, into ``out`` (new if None)."""
+    out = np.empty_like(values) if out is None else out
+    inner = out[..., 1:-1]  # values[2:] - 2 * values[1:-1] + values[:-2], then / h^2
+    np.multiply(values[..., 1:-1], 2, out=inner)
+    np.subtract(values[..., 2:], inner, out=inner)
+    inner += values[..., :-2]
+    inner /= h * h
+    if parity == "odd":
+        out[..., 0] = -2 * values[..., 0] / (h * h)  # ghost f(-h) = -f(h); vanishes with f(0) = 0
+    elif parity == "even":
+        out[..., 0] = 2 * (values[..., 1] - values[..., 0]) / (h * h)
     else:
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
-    out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
-    return out if axis == 0 else out.T
+        out[..., 0] = (2 * values[..., 0] - 5 * values[..., 1] + 4 * values[..., 2]
+                       - values[..., 3]) / (h * h)
+    out[..., -1] = (2 * values[..., -1] - 5 * values[..., -2] + 4 * values[..., -3]
+                    - values[..., -4]) / (h * h)
+    return out
+
+
+def _over_r(values: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """values / r along the last axis at the 1-D radii ``r``; the first column
+    takes the 3-point extrapolation from the next three, so it is finite on
+    the axis."""
+    out = np.empty_like(values) if out is None else out
+    np.divide(values[..., 1:], r[1:], out=out[..., 1:])
+    out[..., 0] = 3 * out[..., 1] - 3 * out[..., 2] + out[..., 3]
+    return out
+
+
+def _wave2(values: np.ndarray, parity: str | None, ht: float, hr: float) -> np.ndarray:
+    """(dt^2 - dr^2) of (t, r) samples, parity-extended at a first column r = 0."""
+    return _d2(values.T, ht).T - _d2(values, hr, parity)
+
+
+def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float,
+                hr: float) -> np.ndarray:
+    """r^{-1}(dt^2 - dr^2)(r f) of (t, r) samples at the 1-D radii ``r``."""
+    out = _wave2(r * values, _FLIP[parity], ht, hr)
+    return _over_r(out, r, out)
+
+
+def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray,
+            ht: float, hr: float, n_max: int):
+    """Yield (length, g, parity of g, dt g, dr g) for every Z word of length
+    <= n_max applied to (t, r) samples, in ``z_words`` order.
+
+    ``t`` holds the times of the rows as an (n, 1) column and ``r`` the radii
+    of the columns.  A child word is built from its parent's pair: dt.w =
+    dt(w), dr.w = dr(w), S.w = t dt(w) + r dr(w), the operations of
+    ``derivative``.  Only the last layer's pairs stay alive.  The words are
+    raw arrays, so no odd word's axis is checked here.
+    """
+    words = z_words(n_max)
+    parents: dict = {}
+    for length in range(n_max + 1):
+        children = {}
+        for word in (x for x in words if len(x) == length):
+            if not word:
+                g, par = values, parity
+            else:
+                par, pt, pr = parents[word[1:]]
+                if word[0] == DT:
+                    g = pt
+                elif word[0] == DR:
+                    g, par = pr, _FLIP[par]
+                else:
+                    g = t * pt + r * pr
+            gt, gr = _d1(g.T, ht).T, _d1(g, hr, par)
+            if length < n_max:
+                children[word] = (par, gt, gr)
+            yield length, g, par, gt, gr
+        parents = children
 
 
 def derivative(f: SpaceTimeField, d: str) -> SpaceTimeField:
@@ -254,18 +326,21 @@ def derivative(f: SpaceTimeField, d: str) -> SpaceTimeField:
         raise ValueError(f"unknown derivative tag {d!r}")
     _require_size(f.grid)
     par = _PARITY_MAP[d][f.parity]
+    grid = f.grid
     if d == DT:
-        vals = _diff_t(f.values, f.grid.dt)
+        vals = _d1(f.values.T, grid.dt).T
     elif d == DR:
-        vals = _diff_r(f.values, f.grid.dr, f.parity)
-    elif d == GOOD:
-        vals = _diff_t(f.values, f.grid.dt) + _diff_r(f.values, f.grid.dr, f.parity)
-    elif d == BAD:
-        vals = _diff_t(f.values, f.grid.dt) - _diff_r(f.values, f.grid.dr, f.parity)
-    else:  # S
-        t, r = f.grid.meshes()
-        vals = t * _diff_t(f.values, f.grid.dt) + r * _diff_r(f.values, f.grid.dr, f.parity)
-    return SpaceTimeField(f.grid, vals, par)
+        vals = _d1(f.values, grid.dr, f.parity)
+    else:
+        gt, gr = _d1(f.values.T, grid.dt).T, _d1(f.values, grid.dr, f.parity)
+        if d == GOOD:
+            vals = gt + gr
+        elif d == BAD:
+            vals = gt - gr
+        else:  # S
+            t, r = grid.meshes()
+            vals = t * gt + r * gr
+    return SpaceTimeField(grid, vals, par)
 
 
 def z_words(max_len: int) -> list[tuple[str, ...]]:
@@ -323,16 +398,12 @@ def box_conjugate(W: SpaceTimeField) -> SpaceTimeField:
     if W.parity != "odd":
         raise ParityError("box_conjugate expects the odd conjugate field W = r*u")
     _require_size(W.grid)
-    vals = _diff2(W.values, W.grid.dt, axis=0) - _diff2(W.values, W.grid.dr, axis=1, parity="odd")
-    return SpaceTimeField(W.grid, vals, "odd")
+    return SpaceTimeField(W.grid, _wave2(W.values, "odd", W.grid.dt, W.grid.dr), "odd")
 
 
 def quotient_by_r(f: SpaceTimeField) -> SpaceTimeField:
     """f / r with the axis value recovered by 3-point extrapolation from j = 1, 2, 3."""
-    r = f.grid.r
-    vals = np.empty_like(f.values)
-    np.divide(f.values[:, 1:], r[1:], out=vals[:, 1:])
-    vals[:, 0] = 3 * vals[:, 1] - 3 * vals[:, 2] + vals[:, 3]
+    vals = _over_r(f.values, f.grid.r)
     # an even numerator generally leaves a 1/r singularity at the axis, so the
     # extrapolated surrogate there cannot honestly be tagged odd
     par = "even" if f.parity == "odd" else None
@@ -350,9 +421,9 @@ def dalembertian(u: SpaceTimeField) -> SpaceTimeField:
     """Radial scalar d'Alembertian Box u = r^{-1}(dt^2 - dr^2)(r u)."""
     if u.parity != "even":
         raise ParityError("dalembertian expects an even scalar field")
-    r = u.grid.r[None, :]
-    W = SpaceTimeField(u.grid, r * u.values, "odd")
-    return quotient_by_r(box_conjugate(W))
+    g = u.grid
+    _require_size(g)
+    return SpaceTimeField(g, _box_values(u.values, "even", g.r, g.dt, g.dr), "even")
 
 
 def null_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray) -> np.ndarray:

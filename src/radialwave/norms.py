@@ -15,7 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DT, DR, SpaceTimeField, derivative, quotient_by_r, z_words
+from .grid import (
+    DT, DR, SpaceTimeField, _over_r, _require_size, _trapz_weights, _z_walk, derivative,
+    quotient_by_r,
+)
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _annulus_row, _row_intervals,
     bracket, dyadic_scales, realize_mask,
@@ -65,12 +68,6 @@ class NormBreakdown:
     per_region: dict = dc_field(default_factory=dict)
     truncation_T: float = 0.0
     aggregation: str = "sum"
-
-
-def _trapz_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2
-    return w
 
 
 def _ghost_factor(grid, U):
@@ -189,53 +186,29 @@ def _check_params(p, delta, N):
 
 
 class _Aggregates:
-    """Pointwise sums over Z words |mu| <= N of derivative magnitudes.
-
-    Words are absorbed in ``z_words`` order, so each sum adds the terms of a
-    word-by-word ``apply_z_multi`` pass in the same order.  A child word is
-    built from its parent's dt and dr derivatives, which absorbing the parent
-    computes: dt.w = dt(w), dr.w = dr(w), S.w = t dt(w) + r dr(w) (as in
-    ``derivative(., S)``).  Only the last layer's (dt, dr) pairs stay alive.
-    """
+    """Pointwise sums over Z words |mu| <= N of derivative magnitudes, each
+    adding the terms of one ``_z_walk`` in ``z_words`` order."""
 
     def __init__(self, f: SpaceTimeField, N: int):
-        shape = f.grid.shape()
-        self.grid = f.grid
+        grid = f.grid
+        _require_size(grid)
+        shape = grid.shape()
+        self.grid = grid
         self.good = np.zeros(shape)     # sum |(dt+dr) Z^mu f|
         self.d_t = np.zeros(shape)      # sum |dt Z^mu f|
         self.d_r = np.zeros(shape)      # sum |dr Z^mu f|
         self.d_half = np.zeros(shape)   # sum over |mu| <= N//2 of |dt| + |dr|
         self.quot = np.zeros(shape)     # sum |Z^mu f| / r
-        self._abs_t, self._abs_r, self._tmp, self._s = (np.empty(shape) for _ in range(4))
-        t, r = f.grid.meshes()
-        parents = {(): self._absorb(f, True, N > 0)}
-        for length in range(1, N + 1):
-            children = {}
-            for word in (w for w in z_words(N) if len(w) == length):
-                parity, gt, gr = parents[word[1:]]
-                if word[0] == DT:
-                    g = gt
-                elif word[0] == DR:
-                    g = gr
-                else:  # S keeps the parity; only its (dt, dr) pair outlives it
-                    vals = np.multiply(t, gt.values, out=self._s)
-                    vals += np.multiply(r, gr.values, out=self._tmp)
-                    g = SpaceTimeField(self.grid, vals, parity)
-                children[word] = self._absorb(g, length <= N // 2, length < N)
-            parents = children
-
-    def _absorb(self, g: SpaceTimeField, in_half: bool, keep: bool):
-        gt = derivative(g, DT)
-        gr = derivative(g, DR)
-        at, ar, tmp = self._abs_t, self._abs_r, self._tmp
-        self.good += np.abs(np.add(gt.values, gr.values, out=tmp), out=tmp)
-        self.d_t += np.abs(gt.values, out=at)
-        self.d_r += np.abs(gr.values, out=ar)
-        q = quotient_by_r(g).values
-        self.quot += np.abs(q, out=q)
-        if in_half:
-            self.d_half += np.add(at, ar, out=tmp)
-        return (g.parity, gt, gr) if keep else None
+        at, ar, tmp = (np.empty(shape) for _ in range(3))
+        for length, g, _, gt, gr in _z_walk(f.values, f.parity, grid.t[:, None], grid.r,
+                                            grid.dt, grid.dr, N):
+            self.good += np.abs(np.add(gt, gr, out=tmp), out=tmp)
+            self.d_t += np.abs(gt, out=at)
+            self.d_r += np.abs(gr, out=ar)
+            q = _over_r(g, grid.r, tmp)
+            self.quot += np.abs(q, out=q)
+            if length <= N // 2:
+                self.d_half += np.add(at, ar, out=tmp)
 
     def field(self, values) -> SpaceTimeField:
         return SpaceTimeField(self.grid, values)

@@ -7,6 +7,7 @@ contraction functional of consecutive differences are recorded per step.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -45,10 +46,16 @@ class PicardConfig:
     outdir: str | None = None
 
     def descriptor(self) -> dict:
-        g = self.grid
+        """The run's resume key; the data enter as a digest of the four
+        profiles sampled on the grid (``calibrate`` sets the amplitude)."""
+        g, d = self.grid, self.data
+        profiles = hashlib.sha256()
+        for fn in (d.u0, d.u1, d.v0, d.v1):
+            profiles.update(np.broadcast_to(np.asarray(fn(g.r), dtype="<f8"), g.r.shape).tobytes())
         return {"dr": g.dr, "cfl": g.cfl, "r_max": g.r_max, "t_max": g.t_max,
                 "eps": self.eps, "p": self.p, "delta": self.delta,
-                "N": self.N, "kmax": self.kmax}
+                "N": self.N, "kmax": self.kmax, "data": profiles.hexdigest()[:16],
+                "support_radius": d.support_radius}
 
 
 @dataclass

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, null_form
+from .grid import _FLIP, GridSpec, SpaceTimeField, _d1, _d2, _over_r, _trapz_weights, null_form
 
 FOUR_PI = 4.0 * np.pi
 _BLOW_CAP = 1e8
@@ -103,29 +103,8 @@ class InitialData:
             raise ValueError("amplitude must be nonnegative")
 
 
-# The stencils below act along the last axis of 1-D arrays or of 2-D stacks
-# of rows, into ``out`` (a new array if ``_radial_deriv`` is given none).  They set the edge columns one row at a
-# time: scalar arithmetic on a few values is much cheaper than numpy calls on
-# a column, and rounds the same.
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    return a[None] if a.ndim == 1 else a
-
-
-def _radial_deriv(vals: np.ndarray, dr: float, parity: str,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(vals) if out is None else out
-    inner = np.subtract(vals[..., 2:], vals[..., :-2], out=out[..., 1:-1])
-    inner /= 2 * dr
-    for o, v in zip(_rows(out), _rows(vals)):
-        o[0] = v[1] / dr if parity == "odd" else 0.0
-        o[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dr)
-    return out
-
-
 def _radial_l2(vals: np.ndarray, r: np.ndarray, dr: float) -> float:
-    w = np.full(r.size, dr)
-    w[0] = w[-1] = dr / 2
+    w = _trapz_weights(r.size, dr)
     return float(np.sqrt(FOUR_PI * np.sum(np.square(vals) * np.square(r) * w)))
 
 
@@ -139,8 +118,8 @@ def smallness_sum(data: InitialData, grid: GridSpec, N: int) -> float:
         parity = "even"
         for order in range(max_order + 1):
             if order > 0:
-                vals = _radial_deriv(vals, grid.dr, parity)
-                parity = "odd" if parity == "even" else "even"
+                vals = _d1(vals, grid.dr, parity)
+                parity = _FLIP[parity]
             total += _radial_l2(vals, r, grid.dr)
     return total
 
@@ -234,25 +213,6 @@ class SolutionHistory:
         return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"], cfg, diags)
 
 
-def _quotient(vals: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.divide(vals[..., 1:], r[1:], out=out[..., 1:])
-    for row in _rows(out):
-        row[0] = 3 * row[1] - 3 * row[2] + row[3]
-    return out
-
-
-def _d2r_odd(vals: np.ndarray, dr: float, out: np.ndarray) -> np.ndarray:
-    inner = out[..., 1:-1]  # vals[2:] - 2 * vals[1:-1] + vals[:-2], then / dr^2
-    np.multiply(vals[..., 1:-1], 2, out=inner)
-    np.subtract(vals[..., 2:], inner, out=inner)
-    inner += vals[..., :-2]
-    inner /= dr * dr
-    for o, v in zip(_rows(out), _rows(vals)):
-        o[0] = -2 * v[0] / (dr * dr)  # odd ghost; vanishes with W(0) = 0
-        o[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (dr * dr)
-    return out
-
-
 def nonlinearity(dtu, dru, dtv, drv, which: str):
     """Quadratic source for one equation from first-derivative frames.
 
@@ -326,14 +286,14 @@ class _Rhs:
         r = self.r[:J]
         W, P = y[0::2], y[1::2]
         out[0::2] = P
-        _d2r_odd(W, self.dr, out[1::2])
+        _d2(W, self.dr, "odd", out[1::2])
         if self.semilinear:
             buf = self._buf[:, :J]
             q, dW, drq, src = buf[:4], buf[4:6], buf[6:8], buf[8:]
-            _quotient(y, r, q)  # u, dt u, v, dt v
-            _radial_deriv(W, self.dr, "odd", dW)
+            _over_r(y, r, q)  # u, dt u, v, dt v
+            _d1(W, self.dr, "odd", dW)
             dW -= q[0::2]
-            _quotient(dW, r, drq)
+            _over_r(dW, r, drq)
             dtu, dtv = q[1::2]
             dru, drv = drq
             # null_form(dtu, dru, dtv, drv) and the v source dtu * dtv
@@ -379,8 +339,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     diag_support = np.zeros(nsteps + 1)
 
     scale = max(np.max(np.abs(state)), 1e-300)
-    wr = np.full(nr, dr)
-    wr[0] = wr[-1] = dr / 2
+    wr = _trapz_weights(nr, dr)
     k1, k2, k3, k4, stage, acc, absy = np.empty((7, 4, nr))
     colmax = np.empty(nr)
     energy = np.zeros((2, nr))  # zero past the window
@@ -390,7 +349,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         y = state[:, :J]
         W, P = y[0::2], y[1::2]
         diag_t[n] = t
-        dW = _radial_deriv(W, dr, "odd", dbuf[:, :J])
+        dW = _d1(W, dr, "odd", dbuf[:, :J])
         np.square(dW, out=dW)
         e = np.square(P, out=energy[:, :J])
         e += dW
@@ -399,7 +358,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         # summed at full width: np.sum's pairwise blocking depends on the length
         diag_energy[0, n] = np.sum(energy[0])
         diag_energy[1, n] = np.sum(energy[1])
-        q = np.abs(_quotient(W, r[:J], dbuf[:, :J]), out=dbuf[:, :J])
+        q = np.abs(_over_r(W, r[:J], dbuf[:, :J]), out=dbuf[:, :J])
         diag_sup[:, n] = np.max(q, axis=1)
         # support measured against the initial scale, so a decaying solution
         # does not see an ever-tightening effective threshold

@@ -3,9 +3,9 @@ import pytest
 
 import radialwave as rw
 from radialwave import estimates, registry
-from radialwave.grid import _diff2
 from radialwave.norms import WeightSpec, region_l2l2, region_supsup
 from radialwave.regions import DyadicRegion, realize_mask
+from stencil_oracles import _diff2
 
 
 def grid(dr=1 / 32, t_max=8.0, r_max=12.0):

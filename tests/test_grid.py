@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
-from radialwave.grid import MAX_WORD_LEN, apply_word, z_words
+from radialwave.grid import (
+    DR, DT, MAX_WORD_LEN, _d1, _d2, _over_r, _z_walk, apply_word, apply_z_multi, derivative,
+    z_words,
+)
+from stencil_oracles import _diff2, _diff_r, _diff_t, layouts
+from test_solver import _ref_d2r_odd, _ref_quotient, _ref_radial_deriv
 
 
 def small_grid(dr=0.25, cfl=0.5, r_max=8.0, t_max=4.0):
@@ -219,6 +225,74 @@ class TestWords:
         for word, field in rw.apply_z_multi(f, 2):
             ref = apply_word(f, word)
             np.testing.assert_array_equal(field.values, ref.values)
+
+
+class TestStencilLayer:
+    """The last-axis stencils against copies of the stencils they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(layouts(), st.sampled_from(["odd", "even", None]), st.sampled_from([1 / 8, 0.3]))
+    def test_equal_to_the_per_axis_stencils(self, layout, parity, h):
+        values, out = layout
+        rows = np.atleast_2d(values)
+        for stencil, want in ((_d1, _diff_r(rows, h, parity)),
+                              (_d2, _diff2(rows, h, axis=1, parity=parity))):
+            assert np.array_equal(np.atleast_2d(stencil(values, h, parity)), want)
+            assert stencil(values, h, parity, out) is out
+            assert np.array_equal(np.atleast_2d(out), want)
+        if rows.shape[0] >= 4:  # in t: the same call on the transpose
+            assert np.array_equal(_d1(values.T, h).T, _diff_t(values, h))
+            assert np.array_equal(_d2(values.T, h).T, _diff2(values, h, axis=0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(layouts(), st.sampled_from([1 / 8, 0.3]), st.integers(0, 40))
+    def test_equal_to_the_solver_reference_rows(self, layout, h, j0):
+        values, out = layout
+        r = (j0 + np.arange(values.shape[-1])) * h  # a window that starts at j0
+        for got, ref in ((_d1(values, h, "odd"), lambda v: _ref_radial_deriv(v, h)),
+                         (_d2(values, h, "odd", out), lambda v: _ref_d2r_odd(v, h)),
+                         (_over_r(values, r), lambda v: _ref_quotient(v, r))):
+            want = np.stack([ref(v) for v in np.atleast_2d(values)])
+            assert np.array_equal(np.atleast_2d(got), want)
+
+
+def _walk(f, N):
+    g = f.grid
+    return list(_z_walk(f.values, f.parity, g.t[:, None], g.r, g.dt, g.dr, N))
+
+
+class TestZWalk:
+    @staticmethod
+    def field(parity):
+        g = small_grid(dr=1 / 8, t_max=4.0)
+        return rw.SpaceTimeField.from_function(
+            g, lambda t, r: (r if parity == "odd" else 1.0 + 0.3 * r)
+            * np.exp(-np.square(r - t) / 3) * np.cos(t), parity)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    @pytest.mark.parametrize("parity", ["even", "odd", None])
+    def test_yields_apply_z_multi_in_order(self, N, parity):
+        f = self.field(parity)
+        walked = _walk(f, N)
+        assert len(walked) == len(z_words(N))
+        for (word, field), (length, g, par, gt, gr) in zip(apply_z_multi(f, N), walked):
+            assert length == len(word) and par == field.parity, word
+            assert np.array_equal(g, field.values), word
+            assert np.array_equal(gt, derivative(field, DT).values), word
+            assert np.array_equal(gr, derivative(field, DR).values), word
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["even", "odd"]), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_odd_words_vanish_on_the_axis(self, parity, N, seed):
+        g = small_grid(dr=1 / 4, t_max=2.0)
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, g.shape())
+        if parity == "odd":
+            values[:, 0] = 0.0
+        f = rw.SpaceTimeField(g, values, parity)
+        odd = [g for _, g, par, _, _ in _walk(f, N) if par == "odd"]
+        assert odd
+        for g in odd:
+            assert np.all(g[:, 0] == 0.0)
 
 
 class TestConjugate:

@@ -43,6 +43,21 @@ class TestIteration:
         fresh = picard.run_iteration(small_config(kmax=3))
         np.testing.assert_allclose(resumed[2].m_total, fresh[2].m_total, rtol=1e-9)
 
+    def test_resume_key_covers_the_initial_data(self, tmp_path):
+        out = str(tmp_path)
+        g = rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=12, t_max=8)
+        poly = rw.InitialData(rw.poly_bump, rw.zero_profile, rw.poly_bump, rw.zero_profile)
+        first = picard.run_iteration(small_config(grid=g, kmax=2, outdir=out))
+        second = picard.run_iteration(small_config(grid=g, kmax=2, data=poly, outdir=out))
+        fresh = picard.run_iteration(small_config(grid=g, kmax=2, data=poly))
+        # the bump run's records must not be handed back for the poly_bump data
+        assert [r.m_total for r in second] == [r.m_total for r in fresh]
+        assert second[0].m_total != first[0].m_total
+        narrow = rw.InitialData(rw.poly_bump, rw.zero_profile, rw.poly_bump,
+                                rw.zero_profile, support_radius=1.5)
+        assert (small_config(grid=g, data=narrow).descriptor()
+                != small_config(grid=g, data=poly).descriptor())
+
     def test_record_json_roundtrip(self):
         rec = IterationRecord(2, 1.5, 0.25, 0.1, {"a": 1.0}, {"b": 2.0}, 0.5)
         back = IterationRecord.from_json(rec.to_json())
