@@ -1,7 +1,7 @@
 """Numerical laboratory for a coupled radial semilinear wave system.
 
-Layers: ``grid`` (fields and vector-field calculus), ``regions`` (dyadic
-space-time geometry and cutoffs), ``norms`` (weighted mixed norms and the
+Layers: ``grid`` (fields and vector-field calculus), ``regions`` (sharp
+dyadic regions as per-row intervals), ``norms`` (weighted mixed norms and the
 iteration functionals), ``solver`` (RK4 evolution plus the closed-form
 oracle), ``estimates`` (identity and estimate checks), ``picard`` (fixed-point
 driver, boundedness, decay fits), ``cli`` (command-line front end).
@@ -14,8 +14,8 @@ from .grid import (
     raw_form, z_words,
 )
 from .regions import (
-    DyadicRegion, RegionMask, beta, bracket, chi, dyadic_scales,
-    enumerate_regions, realize_mask, sigma_U, sigma_U_prime, slab_mask,
+    DyadicRegion, RegionMask, bracket, dyadic_scales, enumerate_regions,
+    realize_mask, sigma_U, sigma_U_prime, slab_mask,
 )
 from .norms import (
     MixedNormSpec, NormBreakdown, NormSpecError, WeightSpec, a_functional,

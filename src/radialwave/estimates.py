@@ -5,16 +5,18 @@ second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
-The two Klainerman-Sobolev checks read their Z-word sums only on the
-enlarged region ``tilde``, so one ``_z_walk`` per check builds all of them on
-a window around it (``_ks_window``).  The window is exact, not an
-approximation.  Every stencil reads one cell on each side, so where a window
-edge is not a grid edge only the edge cell comes out wrong, and each further
-stencil moves the error one cell inward.  The deepest chains apply four
-stencils (Z^3 then d; Z^2 then BAD^2 or GOOD^2), so four halo cells already
-keep every value inside ``tilde`` equal to the full-grid one; ``_HALO`` = 8
-leaves room.  Each sum is written into a zeroed full-grid array, so
-``region_l2l2`` reduces the same full-width rows as a full-grid loop would.
+Regions are read as per-row intervals; only ``region_l2l2`` takes a dense
+mask, rendered from them.  A Klainerman-Sobolev check takes its sup over the
+plain region's points and reads its Z-word sums only on the enlarged region
+``tilde``, so one ``_z_walk`` builds all of them on a window around it
+(``_ks_window``, the bounding box of tilde's intervals).  The window is
+exact.  Every stencil reads one cell on each side, so where a window edge is
+not a grid edge only the edge cell comes out wrong, and each further stencil
+moves the error one cell inward.  The deepest chains apply four stencils (Z^3
+then d; Z^2 then BAD^2 or GOOD^2), so four halo cells already keep every value
+inside ``tilde`` equal to the full-grid one; ``_HALO`` = 8 leaves room.  Each
+sum is written into a zeroed full-grid array, so ``region_l2l2`` reduces the
+same full-width rows as a full-grid loop would.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from .grid import (
     quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, MixedNormSpec, WeightSpec, le1_norm, mixed_norm, region_l2l2,
-    region_supsup, spatial_l2,
+    FOUR_PI, MixedNormSpec, WeightSpec, le1_norm, mixed_norm, region_l2l2, spatial_l2,
 )
 from .regions import (
-    CORE, R_KIND, STRIP, U_KIND, DyadicRegion, bracket, dyadic_scales,
-    realize_mask, sigma_U, sigma_U_prime,
+    CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _flat, _intervals, bracket,
+    dyadic_scales, realize_mask, sigma_U, sigma_U_prime,
 )
 
 _TINY = 1e-300
@@ -168,6 +169,7 @@ def good_of_conjugate_over_r(w: SpaceTimeField) -> SpaceTimeField:
 def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
     """Radial d'Alembertian via the conjugate identity, any parity."""
     grid = w.grid
+    _require_size(grid)
     vals = _box_values(w.values, w.parity, grid.r, grid.dt, grid.dr)
     return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
 
@@ -375,31 +377,35 @@ def _check_ks_kind(region_kind: str) -> None:
         raise ValueError("region_kind must be R or U")
 
 
-def _ks_window(tilde: np.ndarray) -> tuple[slice, slice] | None:
-    """Rows and columns of the bounding box of ``tilde``'s nonzero entries,
-    widened by ``_HALO`` and clipped to the grid; None if ``tilde`` is empty."""
-    rows = np.flatnonzero(tilde.any(axis=1))
+def _region_sup(values: np.ndarray, region: DyadicRegion, grid: GridSpec) -> float:
+    """max |values| over a sharp region's points; 0.0 on an empty region."""
+    pos = _flat(*_intervals(region, grid), grid.nr)
+    return float(np.max(np.abs(values.take(pos)), initial=0.0))
+
+
+def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice] | None:
+    """Rows and columns of the bounding box of the intervals ``tilde``, widened
+    by ``_HALO`` and clipped to the grid; None if ``tilde`` is empty."""
+    rows, j_lo, j_hi = tilde
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(tilde.any(axis=0))
-    nt, nr = tilde.shape
-    return (slice(max(int(rows[0]) - _HALO, 0), min(int(rows[-1]) + 1 + _HALO, nt)),
-            slice(max(int(cols[0]) - _HALO, 0), min(int(cols[-1]) + 1 + _HALO, nr)))
+    return (slice(max(int(rows[0]) - _HALO, 0), min(int(rows[-1]) + 1 + _HALO, grid.nt)),
+            slice(max(int(j_lo.min()) - _HALO, 0), min(int(j_hi.max()) + _HALO, grid.nr)))
 
 
-def _ks_word_sums(w: SpaceTimeField, tilde: np.ndarray, keys) -> dict:
+def _ks_word_sums(w: SpaceTimeField, tilde, keys) -> dict:
     """For each (N, P) in ``keys``, the sum over |mu| <= N of |P Z^mu w|.
 
     P is None (identity), "dr", "d" (|dt| + |dr|), "box", "dtdr2"
-    (dt^2 - dr^2), "bad2" or "good2".  Each sum equals the full-grid one
-    wherever ``tilde`` is nonzero and is zero outside its window.  A word's
+    (dt^2 - dr^2), "bad2" or "good2".  Each sum equals the full-grid one on
+    the per-row intervals ``tilde`` and is zero outside their window.  A word's
     (dt, dr) pair gives its dr and d terms and its first BAD/GOOD (dt - dr,
     dt + dr).
     """
     grid = w.grid
     _require_size(grid)
     sums = {key: np.zeros(grid.shape()) for key in keys}
-    window = _ks_window(tilde)
+    window = _ks_window(tilde, grid)
     if window is None:
         return sums
     rows, cols = window
@@ -441,10 +447,9 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    plain = realize_mask(region, grid).weights
+    lhs = _region_sup(w.values, region, grid)
+    sums = _ks_word_sums(w, _intervals(region.enlarged(1), grid), ((2, None), (2, "dr")))
     tilde = realize_mask(region.enlarged(1), grid).weights
-    lhs = region_supsup(w.values, plain)
-    sums = _ks_word_sums(w, tilde, ((2, None), (2, "dr")))
     m0 = region_l2l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
     m1 = region_l2l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
     if region_kind == R_KIND:
@@ -504,11 +509,11 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    plain = realize_mask(region, grid).weights
+    sums = _ks_word_sums(w, _intervals(region.enlarged(1), grid),
+                         ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
+                          (2, "good2")))
+    lhs = _region_sup(sums[0, "d"], region, grid)  # |dt w| + |dr w|; plain lies in tilde
     tilde = realize_mask(region.enlarged(1), grid).weights
-    sums = _ks_word_sums(w, tilde, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"),
-                                    (2, "bad2"), (2, "good2")))
-    lhs = region_supsup(sums[0, "d"], plain)  # |dt w| + |dr w|; plain lies in tilde
 
     def mass(key):
         return region_l2l2(SpaceTimeField(grid, sums[key]), WeightSpec(), tilde)

@@ -3,9 +3,9 @@
 All spatial integrals use the radial measure dx = 4*pi*r^2 dr.  Global-in-time
 norms are truncated to the grid horizon [0, t_max]; every breakdown records the
 truncation so boundedness can be judged against plateau-vs-horizon curves.
-The region sups of the M and A functionals run on a per-grid interval index
-of the sharp R/U/core regions; dense masks remain the test oracle and the
-``smooth=True`` path.
+The M and A functionals render no dense mask: their region sups read the
+points of the R/U/core regions' per-row intervals, indexed once per grid, and
+``le_norm`` reads one (1, nr) row per annulus.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .grid import (
     quotient_by_r,
 )
 from .regions import (
-    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _annulus_row, _row_intervals,
-    bracket, dyadic_scales, realize_mask,
+    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _annulus_row, _flat, _intervals,
+    bracket, dyadic_scales,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -50,7 +50,6 @@ class MixedNormSpec:
     outer: str = "L2"  # over t: "L2" | "Linf"
     inner: str = "L2"  # over x: "L2" | "Linf"
     weight: WeightSpec = WeightSpec()
-    region: DyadicRegion | None = None
 
     def __post_init__(self):
         if self.outer not in ("L2", "Linf") or self.inner not in ("L2", "Linf"):
@@ -97,27 +96,20 @@ def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
     return np.sqrt(FOUR_PI * (integrand * rad[None, :]) @ wr)
 
 
-def spatial_sup(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
-                mask: np.ndarray | None = None) -> np.ndarray:
+def spatial_sup(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
     grid = f.grid
     w = np.power(bracket(grid.r), weight.power_r)[None, :]
     g = _ghost_factor(grid, weight.ghost_U)
     vals = np.abs(f.values) * w * (g if weight.ghost_U is not None else 1.0)
-    if mask is not None:
-        vals = np.where(mask > 0, vals, 0.0)
     return np.max(vals, axis=1)
 
 
-def mixed_norm(f: SpaceTimeField, spec: MixedNormSpec, smooth_mask: bool = False) -> float:
-    """Evaluate a weighted mixed norm, optionally localized to a dyadic region."""
-    mask = None
-    if spec.region is not None:
-        rm = realize_mask(spec.region, f.grid, smooth=smooth_mask)
-        mask = rm.weights
+def mixed_norm(f: SpaceTimeField, spec: MixedNormSpec) -> float:
+    """Evaluate a weighted mixed norm over the whole grid."""
     if spec.inner == "L2":
-        per_t = spatial_l2(f, spec.weight, mask)
+        per_t = spatial_l2(f, spec.weight)
     else:
-        per_t = spatial_sup(f, spec.weight, mask)
+        per_t = spatial_sup(f, spec.weight)
     if spec.outer == "Linf":
         return float(np.max(per_t))
     wt = _trapz_weights(f.grid.nt, f.grid.dt)
@@ -128,10 +120,6 @@ def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> floa
     per_t = spatial_l2(f, weight, mask)
     wt = _trapz_weights(f.grid.nt, f.grid.dt)
     return float(np.sqrt(np.square(per_t) @ wt))
-
-
-def region_supsup(values: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.max(np.where(mask > 0, np.abs(values), 0.0)))
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +207,8 @@ class _RegionIndex:
 
     ``rows`` lists (kind, tau, s): every R row, then every U row, the core of
     each slab in both at s = tau/2.  Row i owns the flat positions
-    ``flat[offsets[i]:offsets[i + 1]]``, the row intervals [j_lo, j_hi) of its
-    dense ``realize_mask`` output, so a region sup reads only its own points.
+    ``flat[offsets[i]:offsets[i + 1]]`` of its region's per-row intervals, so
+    a region sup reads only its own points.
     """
 
     def __init__(self, grid):
@@ -232,10 +220,7 @@ class _RegionIndex:
         for kind, tau, s in self.rows:
             region = DyadicRegion(tau, CORE) if 2 * s == tau else DyadicRegion(tau, kind, s)
             if region not in flat:
-                rows, lo, hi = _row_intervals(realize_mask(region, grid).weights)
-                n = hi - lo
-                flat[region] = (np.repeat(rows * grid.nr + lo - (np.cumsum(n) - n), n)
-                                + np.arange(n.sum()))
+                flat[region] = _flat(*_intervals(region, grid), grid.nr)
             parts.append(flat[region])
         self.flat = np.concatenate([np.zeros(0, dtype=int), *parts])
         self.offsets = np.cumsum([0] + [len(p) for p in parts])

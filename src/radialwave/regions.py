@@ -1,16 +1,17 @@
-"""Dyadic space-time regions, smooth cutoffs, and the ghost weight.
+"""Sharp dyadic space-time regions as per-row intervals, and the ghost weight.
 
 The geometry layer: dyadic time slabs C_tau split into annulus-indexed pieces
 (away from the cone), cone-distance-indexed pieces (near it), and the core
-overlap, together with their 7/8..17/8 enlargements, the chi/beta cutoffs, and
-the ghost-weight profile sigma_U(z) = z / (U + |z|).
+overlap, with their 7/8..17/8 enlargements, and the ghost-weight profile
+sigma_U(z) = z / (U + |z|).  A sharp region is defined once, by the runs
+[j_lo, j_hi) of each time row on which its inequalities hold (``_intervals``);
+``realize_mask`` renders them as a dense mask for the reductions that need one.
 
 The Japanese bracket convention is <q> = sqrt(1 + q^2) throughout.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ _ENLARGE_HI = 17 / 8
 
 def bracket(q):
     """Japanese bracket <q> = sqrt(1 + q^2)."""
+    return _bracket(q)
+
+
+def _bracket(q):  # private: the benchmark tracer records no span per bisection probe
     return np.sqrt(1.0 + np.square(q))
 
 
@@ -39,23 +44,6 @@ def is_dyadic(x) -> bool:
         return False
     l = math.log2(x)
     return abs(l - round(l)) < 1e-9
-
-
-def _smoothstep(s):
-    """Quintic smoothstep 6s^5 - 15s^4 + 10s^3 clamped to [0, 1]; C^2 globally."""
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def chi(z):
-    """C^2 cutoff: 0 for z <= 7/8, 1 for z >= 1, monotone quintic in between."""
-    return _smoothstep((np.asarray(z, dtype=float) - 7 / 8) / (1 / 8))
-
-
-def beta(z):
-    """beta(z) = chi(z) - chi(z - 9/8): 1 on [1, 2], 0 outside [7/8, 17/8]."""
-    z = np.asarray(z, dtype=float)
-    return chi(z) - chi(z - 9 / 8)
 
 
 def sigma_U(z, U: float):
@@ -116,18 +104,11 @@ class DyadicRegion:
             "enlargement": self.enlargement,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
 
 @dataclass
 class RegionMask:
-    """Realized per-gridpoint weights in [0, 1] for a region on a grid.
-
-    Sharp masks ({0,1}-valued) are used for norm bookkeeping so that region
-    accounting stays exactly additive; smooth beta-product masks are only for
-    replaying localization arguments.
-    """
+    """The sharp {0, 1} indicator of a region on a grid; sharp masks keep
+    region accounting exactly additive."""
 
     region: DyadicRegion
     grid: GridSpec
@@ -162,92 +143,112 @@ def _scaled(lo: float, hi: float, level: int) -> tuple[float, float]:
     return lo, hi
 
 
-def realize_mask(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> RegionMask:
-    """Per-gridpoint mask for a region.
-
-    Plain regions are sharp indicators of the defining inequalities.  Enlarged
-    regions scale each two-sided constraint by 7/8 (lower) and 17/8-style
-    factors (upper), once per enlargement level; with ``smooth`` they are
-    realized as beta-profile products supported in the enlargement instead.
-    """
-    t, r = grid.meshes()
-    tau, kind, scale, lev = region.tau, region.kind, region.scale, region.enlargement
-
-    if kind == ANNULUS:
-        w = _annulus_row(region, grid, smooth)
-        return RegionMask(region, grid, np.broadcast_to(w, grid.shape()).copy())
-    if kind == STRIP:
-        lo, hi = _scaled(scale, 2 * scale, lev)
-        w = _band(bracket(t - r), lo, hi, smooth, scale, lev, two_sided=True)
-        return RegionMask(region, grid, w)
-
-    # slab pieces: time localization tau <= t <= 2tau (scaled if enlarged),
-    # always intersected with the propagation cone C = {r <= t + 2}
-    t_lo, t_hi = _scaled(tau, 2 * tau, lev)
-    in_cone = r <= t + 2 + 1e-12
-    wt = _band(t, t_lo, t_hi, smooth, tau, lev, two_sided=True)
-
-    if kind == R_KIND:
-        if scale == 1:
-            # C^{R=1}_tau = C_tau \cap {r <= 2}; enlargement relaxes only the top
-            _, r_hi = _scaled(1.0, 2.0, lev)
-            wr = _upper(r, r_hi, smooth)
-        else:
-            r_lo, r_hi = _scaled(scale, 2 * scale, lev)
-            wr = _band(r, r_lo, r_hi, smooth, scale, lev, two_sided=True)
-    elif kind == U_KIND:
-        if scale == 1:
-            _, u_hi = _scaled(1.0, 2.0, lev)
-            wr = _upper(np.abs(t - r), u_hi, smooth)
-        else:
-            u_lo, u_hi = _scaled(scale, 2 * scale, lev)
-            wr = _band(t - r, u_lo, u_hi, smooth, scale, lev, two_sided=True)
-    else:  # core: r >= tau/2 and t - r >= tau/2, lower bounds scaled down if enlarged
-        lo = (tau / 2) * (_ENLARGE_LO ** lev)
-        wr = _lower(r, lo, smooth) * _lower(t - r, lo, smooth)
-
-    w = np.broadcast_to(wt * wr, grid.shape()) * in_cone
-    return RegionMask(region, grid, np.asarray(w, dtype=float).copy())
+def realize_mask(region: DyadicRegion, grid: GridSpec) -> RegionMask:
+    """The sharp indicator of a region, rendered from its per-row intervals."""
+    w = np.zeros(grid.shape())
+    np.put(w, _flat(*_intervals(region, grid), grid.nr), 1.0)
+    return RegionMask(region, grid, w)
 
 
-def _annulus_row(region: DyadicRegion, grid: GridSpec, smooth: bool = False) -> np.ndarray:
+def _annulus_row(region: DyadicRegion, grid: GridSpec) -> np.ndarray:
     """The (1, nr) row of an annulus mask; the mask repeats it at every t."""
-    scale, lev = region.scale, region.enlargement
+    row = np.zeros((1, grid.nr))
+    np.put(row, _flat(*_runs(_conditions(region, grid)[1], grid.t[:1], grid.r), grid.nr), 1.0)
+    return row
+
+
+def _intervals(region: DyadicRegion, grid: GridSpec):
+    """(rows, j_lo, j_hi): every maximal run [j_lo, j_hi) of a sharp region
+    along a time row, in row-major order."""
+    rows, tests = _conditions(region, grid)
+    n = np.flatnonzero(rows)
+    i, j_lo, j_hi = _runs(tests, grid.t[n], grid.r)
+    return n[i], j_lo, j_hi
+
+
+def _flat(rows, j_lo, j_hi, nr: int) -> np.ndarray:
+    """Row-major flat positions of the points of per-row intervals."""
+    n = j_hi - j_lo
+    return np.repeat(rows * nr + j_lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _band(x, lo=None, hi=None):
+    """The tests x(t, r) >= lo and x(t, r) <= hi, each with the 1e-12 slack."""
+    return ([] if lo is None else [lambda t, r: x(t, r) >= lo - 1e-12]) + (
+        [] if hi is None else [lambda t, r: x(t, r) <= hi + 1e-12])
+
+
+def _conditions(region: DyadicRegion, grid: GridSpec):
+    """The time rows a region meets and its pointwise tests (t, r) -> bool.
+
+    Slab pieces keep the rows with tau <= t <= 2tau and always lie in the
+    propagation cone C = {r <= t + 2}.  Enlargement scales each two-sided
+    constraint by 7/8 (lower) and 17/8-style factors (upper), once per level.
+    """
+    tau, kind, scale, lev = region.tau, region.kind, region.scale, region.enlargement
+    if kind in (ANNULUS, STRIP):
+        x = (lambda t, r: _bracket(r)) if kind == ANNULUS else (lambda t, r: _bracket(t - r))
+        return np.ones(grid.nt, dtype=bool), _band(x, *_scaled(scale, 2 * scale, lev))
+    t_lo, t_hi = _scaled(tau, 2 * tau, lev)
+    rows = (grid.t >= t_lo - 1e-12) & (grid.t <= t_hi + 1e-12)
+    tests = [lambda t, r: r <= t + 2 + 1e-12]
+    radius, cone_distance = (lambda t, r: r), (lambda t, r: t - r)
+    if kind == CORE:  # r >= tau/2 and t - r >= tau/2, scaled down if enlarged
+        lo = (tau / 2) * (_ENLARGE_LO ** lev)
+        return rows, tests + _band(radius, lo) + _band(cone_distance, lo)
     lo, hi = _scaled(scale, 2 * scale, lev)
-    return _band(bracket(grid.r[None, :]), lo, hi, smooth, scale, lev, two_sided=True)
+    if scale > 1:
+        return rows, tests + _band(radius if kind == R_KIND else cone_distance, lo, hi)
+    # C^{R=1}_tau = C_tau with r <= 2, C^{U=1}_tau = C_tau with |t - r| <= 2;
+    # enlargement relaxes only the top
+    return rows, tests + _band(radius if kind == R_KIND else lambda t, r: np.abs(t - r), hi=hi)
 
 
-def _band(x, lo, hi, smooth, scale, lev, two_sided=True):
-    if not smooth:
-        return ((x >= lo - 1e-12) & (x <= hi + 1e-12)).astype(float)
-    # beta gives exactly this support for the tilde of [scale, 2*scale]
-    if lev >= 1:
-        return beta(np.asarray(x, dtype=float) / (scale * (_ENLARGE_LO ** (lev - 1))))
-    return beta(np.asarray(x, dtype=float) / scale)
+def _runs(tests, t: np.ndarray, r: np.ndarray):
+    """(rows, j_lo, j_hi): the maximal runs [j_lo, j_hi) along each row t[i]
+    where every test holds, in row-major order.
+
+    Along a row, r and the float t - r are monotone in j, and |t - r| and
+    bracket(t - r) are monotone on each side of the sign change of t - r.  So
+    on each side every test holds on a prefix or a suffix, found by bisection
+    on the test itself, and all of them on one interval: a row has at most
+    two runs, joined where they meet at the sign change.
+    """
+    n = t.size
+    start, stop = np.zeros(n, dtype=int), np.full(n, r.size)
+    cut = _edge(lambda t, r: t - r >= 0, t, r, start, stop)[1]
+    # both sides of every row at once: entries i and n + i are row i's sides
+    a, b = np.concatenate([start, cut]), np.concatenate([cut, stop])
+    t2, lo, hi = np.concatenate([t, t]), a, b
+    for test in tests:
+        holds, edge = _edge(test, t2, r, a, b)
+        lo = np.where(holds, lo, np.maximum(lo, edge))
+        hi = np.where(holds, np.minimum(hi, edge), hi)
+    keep = lo < hi
+    # join the two runs of a row where they meet at the sign change
+    join = keep[:n] & keep[n:] & (hi[:n] == lo[n:])
+    hi[:n] = np.where(join, hi[n:], hi[:n])
+    keep[n:] &= ~join
+    rows = np.flatnonzero(keep) % n
+    order = np.argsort(rows, kind="stable")
+    return rows[order], lo[keep][order], hi[keep][order]
 
 
-def _upper(x, hi, smooth):
-    if not smooth:
-        return (x <= hi + 1e-12).astype(float)
-    # 1 below hi - 1/8, 0 above hi, C^2 transition
-    return 1.0 - _smoothstep((np.asarray(x, dtype=float) - (hi - 1 / 8)) / (1 / 8))
-
-
-def _lower(x, lo, smooth):
-    if not smooth:
-        return (x >= lo - 1e-12).astype(float)
-    return _smoothstep((np.asarray(x, dtype=float) - (lo - 1 / 8)) / (1 / 8))
-
-
-def _row_intervals(weights: np.ndarray):
-    """(rows, j_lo, j_hi): every maximal run [j_lo, j_hi) of weights > 0 along
-    a time row, in row-major order."""
-    inside = np.zeros((weights.shape[0], weights.shape[1] + 2), dtype=np.int8)
-    inside[:, 1:-1] = weights > 0
-    step = np.diff(inside, axis=1)
-    rows, j_lo = np.nonzero(step == 1)
-    _, j_hi = np.nonzero(step == -1)
-    return rows, j_lo, j_hi
+def _edge(test, t, r, a, b):
+    """Per row, whether ``test`` holds at column a, and the first column in
+    [a, b) where it differs from that (b if none): a bisection, exact when the
+    test is monotone along [a, b)."""
+    last = r.size - 1
+    holds = test(t, r[np.minimum(a, last)])
+    lo, hi = a + 1, b
+    while True:
+        live = lo < hi
+        if not live.any():
+            return holds, np.minimum(lo, b)
+        mid = (lo + hi) // 2
+        same = test(t, r[np.minimum(mid, last)]) == holds
+        lo = np.where(live & same, mid + 1, lo)
+        hi = np.where(live & ~same, mid, hi)
 
 
 def slab_mask(tau: float, grid: GridSpec) -> np.ndarray:

@@ -339,6 +339,11 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     diag_support = np.zeros(nsteps + 1)
 
     scale = max(np.max(np.abs(state)), 1e-300)
+    # the blow-up cap also counts what the forcing builds from zero data:
+    # |W| <= t^2 max|r F| / 2 and |dt W| <= t max|r F| (Duhamel)
+    forced = 0.0 if forcing is None else grid.t_max ** 2 * max(
+        float(np.max(r * np.maximum(f.max(axis=0), -f.min(axis=0)))) for f in forcing.fields)
+    cap = _BLOW_CAP * max(scale, forced)
     wr = _trapz_weights(nr, dr)
     k1, k2, k3, k4, stage, acc, absy = np.empty((7, 4, nr))
     colmax = np.empty(nr)
@@ -398,7 +403,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         tn = (n + 1) * dt
         cols = column_max(J)
         m = cols.max()
-        if not np.isfinite(m) or m > _BLOW_CAP * scale:
+        if not np.isfinite(m) or m > cap:
             raise BlowUpSuspected(tn)
         last = _last_true(cols != 0)
         record_diag(n + 1, tn, J, cols)

@@ -3,8 +3,9 @@ import pytest
 
 import radialwave as rw
 from radialwave import estimates, registry
-from radialwave.norms import WeightSpec, region_l2l2, region_supsup
-from radialwave.regions import DyadicRegion, realize_mask
+from radialwave.norms import WeightSpec, region_l2l2
+from radialwave.regions import DyadicRegion, _intervals
+from region_oracles import realize_mask, region_supsup
 from stencil_oracles import _diff2
 
 
@@ -164,9 +165,10 @@ class TestPointwiseChecks:
         u, _ = self.field_and_grid("standing_bump")
 
         def no_masks(*args, **kwargs):
-            raise AssertionError("a mask was built for a rejected region kind")
+            raise AssertionError("a region was built for a rejected region kind")
 
         monkeypatch.setattr(estimates, "realize_mask", no_masks)
+        monkeypatch.setattr(estimates, "_intervals", no_masks)
         with pytest.raises(ValueError, match="region_kind must be R or U"):
             check(u, 8, kind, 1)
 
@@ -285,7 +287,8 @@ class TestKSWordPass:
         inside = tilde > 0
         assert not np.any(plain & ~inside)  # the d2 lhs reads du on plain only
 
-        window = estimates._ks_window(tilde)
+        tilde_iv = _intervals(region.enlarged(1), g)
+        window = estimates._ks_window(tilde_iv, g)
         if window is None:
             assert not inside.any()
         else:
@@ -299,7 +302,7 @@ class TestKSWordPass:
                 assert 0 < cols.start and cols.stop < g.nr
 
         ref = {key: _z_aggregate_ref(u, *key) for key in _KS_KEYS}
-        sums = estimates._ks_word_sums(u, tilde, _KS_KEYS + ((0, "d"),))
+        sums = estimates._ks_word_sums(u, tilde_iv, _KS_KEYS + ((0, "d"),))
         for key in _KS_KEYS:
             assert np.array_equal(sums[key][inside], ref[key][inside]), key
         du = np.abs(rw.derivative(u, "dt").values) + np.abs(rw.derivative(u, "dr").values)
@@ -325,6 +328,14 @@ class TestKSWordPass:
             got = estimates.box_scalar(u)
             assert np.array_equal(got.values, want.values)
             assert got.parity == want.parity
+
+
+def test_box_scalar_checks_grid_size():
+    g = rw.GridSpec(dr=0.25, cfl=1.0, r_max=4.5, t_max=0.5)
+    assert g.shape() == (3, 19)
+    u = rw.SpaceTimeField(g, np.ones(g.shape()), "even")
+    with pytest.raises(rw.GridTooSmallError):
+        estimates.box_scalar(u)
 
 
 class TestWeightedSobolev:

@@ -7,10 +7,10 @@ import radialwave as rw
 from radialwave import norms
 from radialwave.grid import DR, DT, apply_z_multi, derivative, quotient_by_r
 from radialwave.norms import (
-    MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, region_supsup,
-    spatial_l2, spatial_sup,
+    MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2, spatial_sup,
 )
-from radialwave.regions import dyadic_scales, enumerate_regions, realize_mask
+from radialwave.regions import dyadic_scales, enumerate_regions
+from region_oracles import realize_mask, region_supsup
 
 
 def grid(dr=1 / 64, t_max=2.0, r_max=8.0, cfl=1.0):

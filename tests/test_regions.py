@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
+import region_oracles as oracle
 from radialwave import regions
 from radialwave.regions import (
-    DyadicRegion, beta, bracket, chi, dyadic_scales, enumerate_regions,
-    realize_mask, sigma_U, sigma_U_prime, slab_mask,
+    DyadicRegion, bracket, dyadic_scales, enumerate_regions, realize_mask, sigma_U,
+    sigma_U_prime, slab_mask,
 )
 
 
@@ -15,27 +18,6 @@ def grid(dr=0.125, t_max=16.0):
 
 
 class TestCutoffs:
-    def test_chi_endpoints(self):
-        assert chi(7 / 8) == 0.0
-        assert chi(1.0) == 1.0
-        assert chi(0.0) == 0.0
-        assert chi(5.0) == 1.0
-
-    def test_beta_plateau_and_support(self):
-        z = np.linspace(1.0, 2.0, 33)
-        np.testing.assert_array_equal(beta(z), np.ones_like(z))
-        assert beta(7 / 8 - 1e-9) == 0.0
-        assert beta(17 / 8 + 1e-9) == 0.0
-
-    def test_beta_c2_seam(self):
-        # second difference stays bounded through the transition [TRIVIAL]
-        h = 1e-4
-        z = np.arange(0.85, 1.05, h)
-        second = np.diff(beta(z), 2) / h ** 2
-        # successive second differences move by ~|beta'''| * h; a C^1-only seam
-        # would produce a jump comparable to max|second| itself
-        assert np.max(np.abs(np.diff(second))) < 1e5 * h
-
     @given(st.floats(-50, 50), st.sampled_from([1.0, 2.0, 8.0]))
     def test_sigma_bounded_and_odd(self, z, U):
         s = float(sigma_U(z, U))
@@ -121,15 +103,6 @@ class TestMasks:
         b = rw.region_l2l2(f, rw.WeightSpec(), 1.0 - m)
         assert abs(full ** 2 - a ** 2 - b ** 2) <= 1e-10 * full ** 2
 
-    def test_smooth_mask_profile(self):
-        g = grid(dr=0.125, t_max=32.0)
-        reg = DyadicRegion(16, "R", 2, enlargement=1)
-        sharp = realize_mask(reg, g).weights
-        smooth = realize_mask(reg, g, smooth=True).weights
-        assert np.all((smooth >= 0) & (smooth <= 1))
-        # smooth profile is supported inside the sharp tilde region
-        assert np.all(smooth[sharp == 0] < 1e-12)
-
     def test_cone_intersection(self):
         g = grid(dr=0.25)
         w = realize_mask(DyadicRegion(4, "R", 1), g).weights
@@ -146,6 +119,61 @@ class TestMasks:
         assert np.all(w[sel] == 1)
 
 
+def _valid_grids(drs, cfls, t_maxes):
+    out = []
+    for dr, cfl, t_max in itertools.product(drs, cfls, t_maxes):
+        try:
+            out.append(rw.GridSpec(dr=dr, cfl=cfl, r_max=t_max + 4, t_max=t_max))
+        except ValueError:  # t_max is not a whole number of time steps
+            pass
+    return out
+
+
+ORACLE_GRIDS = _valid_grids((0.25, 0.125, 0.1), (0.3, 0.5, 1.0), (16.0, 18.0, 32.0))
+
+
+def _every_region(g):
+    """Every kind at every scale, 1 included: the slab pieces of each slab
+    that fits the grid and annuli and strips up past the grid's extent."""
+    out = []
+    for tau in dyadic_scales(g.t_max / 2, start=4):
+        out += enumerate_regions(tau, g)
+    for s in dyadic_scales(2 * g.r_max):
+        out += [DyadicRegion(None, "annulus", s), DyadicRegion(None, "strip", s)]
+    return out
+
+
+def _assert_maximal_runs(g, rows, lo, hi):
+    assert np.all((0 <= lo) & (lo < hi) & (hi <= g.nr))
+    assert np.all(np.diff(rows) >= 0)
+    same = np.diff(rows) == 0
+    assert np.all(lo[1:][same] > hi[:-1][same])  # disjoint and not adjacent
+
+
+def test_valid_oracle_grids():
+    assert len(ORACLE_GRIDS) == 21
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_GRIDS))
+def test_intervals_render_the_dense_masks(g):
+    seen = set()
+    for region in _every_region(g):
+        for lev in (0, 1, 2):
+            reg = region.enlarged(lev)
+            seen.add((reg.kind, reg.scale, lev))
+            rows, lo, hi = regions._intervals(reg, g)
+            _assert_maximal_runs(g, rows, lo, hi)
+            want = oracle.realize_mask(reg, g).weights
+            assert np.array_equal(realize_mask(reg, g).weights, want), reg
+            if reg.kind == "annulus":
+                assert np.array_equal(regions._annulus_row(reg, g),
+                                      oracle._annulus_row(reg, g)), reg
+    for kind in ("R", "U", "annulus", "strip"):
+        assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
+    assert {("core", None, lev) for lev in (0, 1, 2)} <= seen
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from([0.25, 0.125]), st.sampled_from([0.5, 1.0]),
        st.sampled_from([16.0, 32.0]))
@@ -155,8 +183,8 @@ def test_row_intervals_reproduce_sharp_masks(dr, cfl, t_max):
     for tau in dyadic_scales(t_max / 2, start=4):
         for reg in enumerate_regions(tau, g):
             seen.add((reg.kind, reg.scale))
-            w = realize_mask(reg, g).weights
-            rows, lo, hi = regions._row_intervals(w)
+            w = oracle.realize_mask(reg, g).weights
+            rows, lo, hi = regions._intervals(reg, g)
             assert np.all(lo < hi)
             rebuilt = np.zeros(g.shape())
             for n, a, b in zip(rows, lo, hi):
@@ -167,12 +195,16 @@ def test_row_intervals_reproduce_sharp_masks(dr, cfl, t_max):
     assert {("R", 1), ("U", 1), ("core", None)} <= seen
 
 
-def test_row_intervals_split_runs():
-    w = np.array([[0, 1, 1, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=float)
-    rows, lo, hi = regions._row_intervals(w)
-    assert rows.tolist() == [0, 0, 1]
-    assert lo.tolist() == [1, 4, 0]
-    assert hi.tolist() == [3, 5, 1]
+def test_strip_rows_split_at_the_cone():
+    # <t - r> >= 2 leaves out the cone's neighbourhood, so a late row has two runs
+    g = grid(dr=0.25)
+    rows, lo, hi = regions._intervals(DyadicRegion(None, "strip", 2), g)
+    n = g.nt - 1
+    assert rows.tolist().count(n) == 2
+    t, r = g.t[n], g.r
+    first, second = np.flatnonzero(rows == n)
+    assert np.all(t - r[lo[first]:hi[first]] > 0)
+    assert np.all(t - r[lo[second]:hi[second]] < 0)
 
 
 def test_dyadic_scales():

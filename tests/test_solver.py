@@ -88,14 +88,30 @@ class TestSemilinear:
         assert diff <= 10 * 0.01 * scale
 
     def test_blow_up_detected(self):
-        # zero data plus a large constant source: the blow-up cap is relative
-        # to the (tiny) initial scale, so the guard must fire
+        # large data: the semilinear solution stops being finite near t = 0.97
+        g = grid(t_max=2.0)
+        with pytest.raises(rw.BlowUpSuspected) as err:
+            rw.solve(standard_data(amplitude=10.0), SolveConfig(grid=g, mode="semilinear"))
+        assert 0.5 < err.value.t < 1.5
+
+    def test_nan_forcing_is_blow_up(self):
         g = grid(t_max=2.0)
         hg = SolveConfig(grid=g).history_grid
-        f = rw.SpaceTimeField.from_function(hg, lambda t, r: 1.0 + 0 * t * r)
-        data = standard_data(amplitude=0.0)
+        f = rw.SpaceTimeField.from_function(hg, lambda t, r: np.where(t > 1, np.nan, 0 * r))
         with pytest.raises(rw.BlowUpSuspected):
-            rw.solve_linear_forced(data, f, f, SolveConfig(grid=g))
+            rw.solve_linear_forced(standard_data(amplitude=0.0), f, f, SolveConfig(grid=g))
+
+    @pytest.mark.parametrize("size", [1e-3, 1.0])
+    def test_forced_solve_from_zero_data_completes(self, size):
+        # the blow-up cap counts the forcing, not only the (zero) initial state
+        g = grid(dr=1 / 16, t_max=8.0)
+        hg = SolveConfig(grid=g).history_grid
+        f = rw.SpaceTimeField.from_function(
+            hg, lambda t, r: size * np.exp(-np.square(r - 1) - np.square(t - 1)))
+        hist = rw.solve_linear_forced(standard_data(amplitude=0.0), f, f, SolveConfig(grid=g))
+        for field in (hist.W_u, hist.W_v):
+            assert np.all(np.isfinite(field.values))
+            assert 0 < np.max(np.abs(field.values)) < 1e3 * size
 
     def test_cfl_refused(self):
         g = grid(cfl=1.0)
