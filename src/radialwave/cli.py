@@ -2,8 +2,10 @@
 
 Subcommands: solve, identities, estimates, picard, decay, sweep.  Options can
 be preloaded from a key=value config file and overridden by flags; all reports
-embed the configuration hash and print floats at full precision.  Exit codes:
-0 = all checks passed, 2 = a check failed, 1 = usage or runtime error.
+embed the configuration hash and print floats at full precision.  A config key
+of another subcommand (``kmax`` for ``solve``) is an unknown key, like a typo.
+Exit codes: 0 = all checks passed, 2 = a check failed, 1 = usage or runtime
+error.
 """
 
 from __future__ import annotations

@@ -8,15 +8,13 @@ family of test fields.  No claim about optimal constants is ever made.
 Regions are read as per-row intervals; only ``region_l2l2`` takes a dense
 mask, rendered from them.  A Klainerman-Sobolev check takes its sup over the
 plain region's points and reads its Z-word sums only on the enlarged region
-``tilde``, so one ``_z_walk`` builds all of them on a window around it
-(``_ks_window``, the bounding box of tilde's intervals).  The window is
-exact.  Every stencil reads one cell on each side, so where a window edge is
-not a grid edge only the edge cell comes out wrong, and each further stencil
-moves the error one cell inward.  The deepest chains apply four stencils (Z^3
-then d; Z^2 then BAD^2 or GOOD^2), so four halo cells already keep every value
-inside ``tilde`` equal to the full-grid one; ``_HALO`` = 8 leaves room.  Each
-sum is written into a zeroed full-grid array, so ``region_l2l2`` reduces the
-same full-width rows as a full-grid loop would.
+``tilde``, so one ``grid._word_sums`` pass builds all of them on a window
+around it (``_ks_window``, the bounding box of tilde's intervals, widened by
+``_HALO`` cells).  The deepest sums the checks read chain four stencils (Z^3
+then d; Z^2 then bad2 or good2), so by the halo argument of ``_word_sums``
+four cells already keep every value inside ``tilde`` equal to the full-grid
+one; ``_HALO`` = 8 leaves room.  Each sum lands in a zeroed full-grid array,
+so ``region_l2l2`` reduces the same full-width rows as a full-grid pass would.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .grid import (
     _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
-    _require_size, _trapz_weights, _wave2, _z_walk, box_conjugate, derivative,
+    _require_size, _trapz_weights, _wave2, _word_sums, box_conjugate, derivative,
     quotient_by_r,
 )
 from .norms import (
@@ -48,7 +46,6 @@ class IdentityReport:
     rhs: float
     grid: GridSpec
     rhs_terms: dict = dc_field(default_factory=dict)
-    observed_order: float | None = None
 
     @property
     def residual(self) -> float:
@@ -68,7 +65,6 @@ class EstimateReport:
     family_id: str = ""
     lhs_slots: dict = dc_field(default_factory=dict)
     rhs_slots: dict = dc_field(default_factory=dict)
-    refinement_drift: float | None = None
     flagged: bool = False
 
     @property
@@ -383,58 +379,14 @@ def _region_sup(values: np.ndarray, region: DyadicRegion, grid: GridSpec) -> flo
     return float(np.max(np.abs(values.take(pos)), initial=0.0))
 
 
-def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice] | None:
+def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice]:
     """Rows and columns of the bounding box of the intervals ``tilde``, widened
-    by ``_HALO`` and clipped to the grid; None if ``tilde`` is empty."""
+    by ``_HALO`` and clipped to the grid; empty slices if ``tilde`` is empty."""
     rows, j_lo, j_hi = tilde
     if rows.size == 0:
-        return None
+        return slice(0, 0), slice(0, 0)
     return (slice(max(int(rows[0]) - _HALO, 0), min(int(rows[-1]) + 1 + _HALO, grid.nt)),
             slice(max(int(j_lo.min()) - _HALO, 0), min(int(j_hi.max()) + _HALO, grid.nr)))
-
-
-def _ks_word_sums(w: SpaceTimeField, tilde, keys) -> dict:
-    """For each (N, P) in ``keys``, the sum over |mu| <= N of |P Z^mu w|.
-
-    P is None (identity), "dr", "d" (|dt| + |dr|), "box", "dtdr2"
-    (dt^2 - dr^2), "bad2" or "good2".  Each sum equals the full-grid one on
-    the per-row intervals ``tilde`` and is zero outside their window.  A word's
-    (dt, dr) pair gives its dr and d terms and its first BAD/GOOD (dt - dr,
-    dt + dr).
-    """
-    grid = w.grid
-    _require_size(grid)
-    sums = {key: np.zeros(grid.shape()) for key in keys}
-    window = _ks_window(tilde, grid)
-    if window is None:
-        return sums
-    rows, cols = window
-    r = grid.r[cols]
-    ht, hr = grid.dt, grid.dr
-    n_max = max(n for n, _ in keys)
-    for length, g, par, gt, gr in _z_walk(w.values[rows, cols], w.parity, grid.t[rows, None],
-                                          r, ht, hr, n_max):
-        for (n, prefix), agg in sums.items():
-            if length > n:
-                continue
-            if prefix is None:
-                term = np.abs(g)
-            elif prefix == "dr":
-                term = np.abs(gr)
-            elif prefix == "d":
-                term = np.abs(gt) + np.abs(gr)
-            elif prefix == "box":  # off the axis, column 0 is a halo cell no sum reads
-                term = np.abs(_box_values(g, par, r, ht, hr))
-            elif prefix == "dtdr2":
-                term = np.abs(_wave2(g, par, ht, hr))
-            elif prefix in ("bad2", "good2"):
-                op = np.subtract if prefix == "bad2" else np.add
-                h = op(gt, gr)
-                term = np.abs(op(_d1(h.T, ht).T, _d1(h, hr)))
-            else:
-                raise ValueError(prefix)
-            agg[rows, cols] += term
-    return sums
 
 
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,
@@ -448,7 +400,8 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
     lhs = _region_sup(w.values, region, grid)
-    sums = _ks_word_sums(w, _intervals(region.enlarged(1), grid), ((2, None), (2, "dr")))
+    window = _ks_window(_intervals(region.enlarged(1), grid), grid)
+    sums = _word_sums(w, ((2, None), (2, "dr")), window)
     tilde = realize_mask(region.enlarged(1), grid).weights
     m0 = region_l2l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
     m1 = region_l2l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
@@ -509,9 +462,9 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    sums = _ks_word_sums(w, _intervals(region.enlarged(1), grid),
-                         ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
-                          (2, "good2")))
+    window = _ks_window(_intervals(region.enlarged(1), grid), grid)
+    sums = _word_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
+                          (2, "good2")), window)
     lhs = _region_sup(sums[0, "d"], region, grid)  # |dt w| + |dr w|; plain lies in tilde
     tilde = realize_mask(region.enlarged(1), grid).weights
 

@@ -13,14 +13,17 @@ odd field or f(-h) = f(h) of an even one, and the one-sided stencil when no
 parity is given (always in t).  ``_over_r`` recovers its first column by
 3-point extrapolation from the next three.  Edge columns are set with
 whole-column numpy operations, which round exactly as scalar arithmetic does.
+``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums of the M/A
+functionals (whole grid) and the Klainerman-Sobolev checks (a window).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -162,12 +165,6 @@ class SpaceTimeField:
     @classmethod
     def zeros(cls, grid: GridSpec, parity: str | None = None) -> "SpaceTimeField":
         return cls(grid, np.zeros(grid.shape()), parity)
-
-    def like(self, values: np.ndarray, parity: str | None = None) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, values, parity)
-
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.values.copy(), self.parity)
 
     # ------------------------------------------------------------------
     # serialization: flat binary (header + row-major doubles) and CSV
@@ -316,6 +313,66 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
         parents = children
 
 
+def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
+    """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f|.
+
+    P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
+    (|dt + dr|), "quot" (|.| / r), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2"
+    (dt^2 - dr^2), "bad2" ((dt - dr)^2) or "good2" ((dt + dr)^2).  One
+    ``_z_walk`` runs on the samples ``f.values[window]`` only (a pair of
+    slices, ``np.s_[:, :]`` for the whole grid) and adds each term, in
+    ``z_words`` order, into a view of a zeroed full-grid array: every sum is
+    zero outside the window, and an empty window walks nothing.
+
+    Every stencil reads one cell on each side, so at a window edge that is not
+    a grid edge it spoils the edge cell (a one-sided stencil, a parity ghost
+    or the 1/r extrapolation), and each further stencil moves the error one
+    cell inward.  A word of length n chains n stencils and P one more (two
+    for bad2 and good2, none for None): the sum of (n, P) equals the
+    full-grid one from that many cells inside every such edge on.
+    """
+    grid = f.grid
+    _require_size(grid)
+    sums = {key: np.zeros(grid.shape()) for key in keys}
+    rows, cols = window
+    values = f.values[rows, cols]
+    if values.size == 0:
+        return sums
+    views = {key: total[rows, cols] for key, total in sums.items()}
+    r, ht, hr = grid.r[cols], grid.dt, grid.dr
+    tmp = np.empty_like(values)  # the pointwise terms' scratch
+    for length, g, par, gt, gr in _z_walk(values, f.parity, grid.t[rows, None], r, ht, hr,
+                                          max(n for n, _ in keys)):
+        for (n, prefix), view in views.items():
+            if length <= n:
+                view += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
+    return sums
+
+
+def _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp) -> np.ndarray:
+    """|P g| for one word g with its pair (dt g, dr g); the pointwise P write
+    into ``tmp``."""
+    if prefix is None:
+        return np.abs(g, out=tmp)
+    if prefix in (DT, DR):
+        return np.abs(gt if prefix == DT else gr, out=tmp)
+    if prefix == "d":
+        return np.add(np.abs(gt, out=tmp), np.abs(gr), out=tmp)
+    if prefix == GOOD:
+        return np.abs(np.add(gt, gr, out=tmp), out=tmp)
+    if prefix == "quot":
+        return np.abs(_over_r(g, r, tmp), out=tmp)
+    if prefix == "box":  # column 0 off the axis is an edge cell (see _word_sums)
+        return np.abs(_box_values(g, par, r, ht, hr))
+    if prefix == "dtdr2":
+        return np.abs(_wave2(g, par, ht, hr))
+    if prefix in ("bad2", "good2"):
+        op = np.subtract if prefix == "bad2" else np.add
+        h = op(gt, gr)
+        return np.abs(op(_d1(h.T, ht).T, _d1(h, hr)))
+    raise ValueError(f"unknown word-sum prefix {prefix!r}")
+
+
 def derivative(f: SpaceTimeField, d: str) -> SpaceTimeField:
     """Apply one derivative direction: dt, dr, good (dt+dr), bad (dt-dr), or S.
 
@@ -352,17 +409,8 @@ def z_words(max_len: int) -> list[tuple[str, ...]]:
         )
     words: list[tuple[str, ...]] = [()]
     for length in range(1, max_len + 1):
-        words.extend(tuple(w) for w in _product_sorted(Z_TAGS, length))
+        words.extend(itertools.product(Z_TAGS, repeat=length))
     return words
-
-
-def _product_sorted(tags: Sequence[str], length: int) -> Iterable[list[str]]:
-    if length == 0:
-        yield []
-        return
-    for tag in tags:
-        for rest in _product_sorted(tags, length - 1):
-            yield [tag] + rest
 
 
 def apply_word(f: SpaceTimeField, word: Sequence[str]) -> SpaceTimeField:

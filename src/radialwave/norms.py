@@ -3,9 +3,10 @@
 All spatial integrals use the radial measure dx = 4*pi*r^2 dr.  Global-in-time
 norms are truncated to the grid horizon [0, t_max]; every breakdown records the
 truncation so boundedness can be judged against plateau-vs-horizon curves.
-The M and A functionals render no dense mask: their region sups read the
-points of the R/U/core regions' per-row intervals, indexed once per grid, and
-``le_norm`` reads one (1, nr) row per annulus.
+The M and A functionals take their Z-word sums from one full-grid
+``grid._word_sums`` pass per field and render no dense mask: their region sups
+read the points of the R/U/core regions' per-row intervals, indexed once per
+grid, and ``le_norm`` reads one (1, nr) row per annulus, built once per grid.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (
-    DT, DR, SpaceTimeField, _over_r, _require_size, _trapz_weights, _z_walk, derivative,
-    quotient_by_r,
-)
+from .grid import DT, DR, SpaceTimeField, _trapz_weights, _word_sums, derivative, quotient_by_r
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _annulus_row, _flat, _intervals,
     bracket, dyadic_scales,
@@ -33,12 +31,10 @@ class NormSpecError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Pointwise weight <r>^power_r * r^(-power_inv_r), optionally with the
-    ghost factor exp(-sigma_U(t - r))."""
+    """Pointwise weight <r>^power_r * r^(-power_inv_r)."""
 
     power_r: float = 0.0
     power_inv_r: float = 0.0
-    ghost_U: float | None = None
 
     def __post_init__(self):
         if self.power_inv_r not in (0.0, 0.5, 1.0):
@@ -60,21 +56,12 @@ class MixedNormSpec:
 
 @dataclass
 class NormBreakdown:
-    """Total plus per-summand values; ``aggregation`` names the reduction rule."""
+    """Total plus per-summand values."""
 
     total: float
     slots: dict = dc_field(default_factory=dict)
     per_region: dict = dc_field(default_factory=dict)
     truncation_T: float = 0.0
-    aggregation: str = "sum"
-
-
-def _ghost_factor(grid, U):
-    if U is None:
-        return 1.0
-    t, r = grid.meshes()
-    z = t - r
-    return np.exp(-z / (U + np.abs(z)))
 
 
 def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
@@ -89,8 +76,7 @@ def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
     wr = _trapz_weights(grid.nr, grid.dr)
     # exponent 2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1 by np.power)
     rad = np.power(bracket(r), 2 * weight.power_r) * np.power(r, 2.0 - 2.0 * weight.power_inv_r)
-    integrand = np.square(f.values) * (np.square(_ghost_factor(grid, weight.ghost_U))
-                                       if weight.ghost_U is not None else 1.0)
+    integrand = np.square(f.values)
     if mask is not None:
         integrand = integrand * mask
     return np.sqrt(FOUR_PI * (integrand * rad[None, :]) @ wr)
@@ -99,9 +85,7 @@ def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
 def spatial_sup(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
     grid = f.grid
     w = np.power(bracket(grid.r), weight.power_r)[None, :]
-    g = _ghost_factor(grid, weight.ghost_U)
-    vals = np.abs(f.values) * w * (g if weight.ghost_U is not None else 1.0)
-    return np.max(vals, axis=1)
+    return np.max(np.abs(f.values) * w, axis=1)
 
 
 def mixed_norm(f: SpaceTimeField, spec: MixedNormSpec) -> float:
@@ -126,8 +110,14 @@ def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> floa
 # local energy norms
 # ----------------------------------------------------------------------
 
-def _annulus_scales(grid) -> list[int]:
-    return dyadic_scales(bracket(grid.r_max))
+@functools.lru_cache(maxsize=4)
+def _annulus_rows(grid) -> tuple:
+    """(R, (1, nr) mask row) for every dyadic annulus A_R; shared, so read-only."""
+    rows = tuple((R, _annulus_row(DyadicRegion(None, ANNULUS, R), grid))
+                 for R in dyadic_scales(bracket(grid.r_max)))
+    for _, row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 def le_norm(f: SpaceTimeField) -> float:
@@ -137,8 +127,7 @@ def le_norm(f: SpaceTimeField) -> float:
     dense mask; the products in ``spatial_l2`` are the same elementwise.
     """
     best = 0.0
-    for R in _annulus_scales(f.grid):
-        row = _annulus_row(DyadicRegion(None, ANNULUS, R), f.grid)
+    for R, row in _annulus_rows(f.grid):
         best = max(best, R ** -0.5 * region_l2l2(f, WeightSpec(), row))
     return best
 
@@ -148,16 +137,11 @@ def le1_pointwise(dt_f: np.ndarray, dr_f: np.ndarray, f_over_r: np.ndarray) -> n
     return np.sqrt(np.square(dt_f) + np.square(dr_f) + np.square(f_over_r))
 
 
-def le1_norm(f: SpaceTimeField,
-             dt_f: SpaceTimeField | None = None,
-             dr_f: SpaceTimeField | None = None,
-             f_over_r: SpaceTimeField | None = None) -> float:
-    """||(du, u/r)||_LE; derivative fields may be supplied to bypass the stencils."""
-    dt_v = (dt_f or derivative(f, DT)).values
-    dr_v = (dr_f or derivative(f, DR)).values
-    q_v = (f_over_r or quotient_by_r(f)).values
-    e = SpaceTimeField(f.grid, le1_pointwise(dt_v, dr_v, q_v))
-    return le_norm(e)
+def le1_norm(f: SpaceTimeField) -> float:
+    """||(du, u/r)||_LE."""
+    e = le1_pointwise(derivative(f, DT).values, derivative(f, DR).values,
+                      quotient_by_r(f).values)
+    return le_norm(SpaceTimeField(f.grid, e))
 
 
 # ----------------------------------------------------------------------
@@ -171,35 +155,6 @@ def _check_params(p, delta, N):
         raise ValueError(f"delta must lie in (0, min(p, 1-p)), got {delta}")
     if N > 3:
         raise ValueError(f"N = {N} exceeds the supported maximum 3")
-
-
-class _Aggregates:
-    """Pointwise sums over Z words |mu| <= N of derivative magnitudes, each
-    adding the terms of one ``_z_walk`` in ``z_words`` order."""
-
-    def __init__(self, f: SpaceTimeField, N: int):
-        grid = f.grid
-        _require_size(grid)
-        shape = grid.shape()
-        self.grid = grid
-        self.good = np.zeros(shape)     # sum |(dt+dr) Z^mu f|
-        self.d_t = np.zeros(shape)      # sum |dt Z^mu f|
-        self.d_r = np.zeros(shape)      # sum |dr Z^mu f|
-        self.d_half = np.zeros(shape)   # sum over |mu| <= N//2 of |dt| + |dr|
-        self.quot = np.zeros(shape)     # sum |Z^mu f| / r
-        at, ar, tmp = (np.empty(shape) for _ in range(3))
-        for length, g, _, gt, gr in _z_walk(f.values, f.parity, grid.t[:, None], grid.r,
-                                            grid.dt, grid.dr, N):
-            self.good += np.abs(np.add(gt, gr, out=tmp), out=tmp)
-            self.d_t += np.abs(gt, out=at)
-            self.d_r += np.abs(gr, out=ar)
-            q = _over_r(g, grid.r, tmp)
-            self.quot += np.abs(q, out=q)
-            if length <= N // 2:
-                self.d_half += np.add(at, ar, out=tmp)
-
-    def field(self, values) -> SpaceTimeField:
-        return SpaceTimeField(self.grid, values)
 
 
 class _RegionIndex:
@@ -237,8 +192,8 @@ class _RegionIndex:
 _region_index = functools.lru_cache(maxsize=4)(_RegionIndex)
 
 
-# functional -> (keeps the sup-in-t v slot, weight of the v R row, aggregation)
-_FUNCTIONALS = {"M": (True, "tau", "sum (alt slots excluded)"), "A": (False, "alt", "sum")}
+# functional -> (keeps the sup-in-t v slot, weight of the v R row)
+_FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
 
 
 def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
@@ -246,18 +201,20 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
     _check_params(p, delta, N)
     if u.grid != v.grid:
         raise ValueError("u and v must share a grid")
-    sup_slot, v_r_weight, aggregation = _FUNCTIONALS[kind]
-    au, av = _Aggregates(u, N), _Aggregates(v, N)
+    sup_slot, v_r_weight = _FUNCTIONALS[kind]
+    keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
+    su, sv = (_word_sums(f, keys, np.s_[:, :]) for f in (u, v))
+    field = functools.partial(SpaceTimeField, u.grid)
     w_half = MixedNormSpec("L2", "L2", WeightSpec(power_r=(p - 1) / 2))
-    dv = av.field(av.d_t + av.d_r)
+    dv = field(sv[N, DT] + sv[N, DR])
 
     slots: dict[str, float] = {
-        "u_good_l2l2": mixed_norm(au.field(au.good), w_half),
-        "u_invr_l2l2": mixed_norm(au.field(au.quot), w_half),
-        "v_good_l2l2": mixed_norm(av.field(av.good), w_half),
-        "v_invr_l2l2": mixed_norm(av.field(av.quot), w_half),
-        "u_le1": le_norm(au.field(le1_pointwise(au.d_t, au.d_r, au.quot))),
-        "u_d_linfl2": mixed_norm(au.field(au.d_t + au.d_r), MixedNormSpec("Linf", "L2")),
+        "u_good_l2l2": mixed_norm(field(su[N, "good"]), w_half),
+        "u_invr_l2l2": mixed_norm(field(su[N, "quot"]), w_half),
+        "v_good_l2l2": mixed_norm(field(sv[N, "good"]), w_half),
+        "v_invr_l2l2": mixed_norm(field(sv[N, "quot"]), w_half),
+        "u_le1": le_norm(field(le1_pointwise(su[N, DT], su[N, DR], su[N, "quot"]))),
+        "u_d_linfl2": mixed_norm(field(su[N, DT] + su[N, DR]), MixedNormSpec("Linf", "L2")),
         "v_d_weighted_l2l2": mixed_norm(
             dv, MixedNormSpec("L2", "L2", WeightSpec(power_r=-(1 + delta) / 2))),
     }
@@ -269,8 +226,8 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
     sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
-    for (row, tau, s), lu, lv in zip(index.rows, index.sups(au.d_half),
-                                     index.sups(av.d_half)):
+    for (row, tau, s), lu, lv in zip(index.rows, index.sups(su[N // 2, "d"]),
+                                     index.sups(sv[N // 2, "d"])):
         per_region[f"{row} tau={tau} s={s} u"] = lu
         per_region[f"{row} tau={tau} s={s} v"] = lv
         if row == R_KIND:
@@ -289,7 +246,7 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
     if v_r_weight != "alt":
         slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
     return NormBreakdown(total=total, slots=slots, per_region=per_region,
-                         truncation_T=u.grid.t_max, aggregation=aggregation)
+                         truncation_T=u.grid.t_max)
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,

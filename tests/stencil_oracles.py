@@ -4,12 +4,15 @@
 the last-axis layer replaced: ``_diff_t`` differentiates along axis 0,
 ``_diff_r`` along axis 1 with the parity ghost at r = 0, and ``_diff2`` is the
 second derivative along either axis.  The layer must reproduce them bit for
-bit on every array layout it serves (``layouts``).
+bit on every array layout it serves (``layouts``).  ``word_sums_ref`` is the
+word-by-word oracle of ``grid._word_sums``.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from radialwave.grid import SpaceTimeField, apply_word, apply_z_multi, derivative, quotient_by_r
 
 
 def _diff_t(values: np.ndarray, dt: float) -> np.ndarray:
@@ -65,3 +68,42 @@ def layouts(draw):
     if kind == "full":
         return np.ascontiguousarray(base[:rows]), np.full((rows, n), np.nan)
     return base[0::2], out[1::2]
+
+
+WORD_PREFIXES = (None, "dt", "dr", "d", "good", "quot", "box", "dtdr2", "bad2", "good2")
+
+
+def _prefix_term(g: SpaceTimeField, prefix) -> np.ndarray:
+    """|P g| of one word field g, from the public derivatives and the copies above."""
+    grid = g.grid
+    if prefix is None:
+        return np.abs(g.values)
+    if prefix in ("dt", "dr", "good"):
+        return np.abs(derivative(g, prefix).values)
+    if prefix == "d":
+        return np.abs(derivative(g, "dt").values) + np.abs(derivative(g, "dr").values)
+    if prefix == "quot":
+        return np.abs(quotient_by_r(g).values)
+    if prefix == "box":
+        par = {"even": "odd", "odd": "even", None: None}[g.parity]
+        W = grid.r[None, :] * g.values
+        vals = _diff2(W, grid.dt, axis=0) - _diff2(W, grid.dr, axis=1, parity=par)
+        return np.abs(quotient_by_r(SpaceTimeField(grid, vals, par)).values)
+    if prefix == "dtdr2":
+        return np.abs(_diff2(g.values, grid.dt, axis=0)
+                      - _diff2(g.values, grid.dr, axis=1, parity=g.parity))
+    if prefix in ("bad2", "good2"):
+        tag = prefix[:-1]
+        return np.abs(apply_word(g, (tag, tag)).values)
+    raise ValueError(prefix)
+
+
+def word_sums_ref(f: SpaceTimeField, keys) -> dict:
+    """For each key (n, P), the sum over |mu| <= n of |P Z^mu f|: every word
+    from ``apply_z_multi`` on the full grid, its terms added in word order."""
+    sums = {key: np.zeros(f.grid.shape()) for key in keys}
+    for word, g in apply_z_multi(f, max(n for n, _ in keys)):
+        for (n, prefix), total in sums.items():
+            if len(word) <= n:
+                total += _prefix_term(g, prefix)
+    return sums

@@ -109,6 +109,15 @@ class TestConfigFile:
         rc = run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"])
         assert rc == 1
 
+    def test_key_of_another_subcommand_is_an_error(self, tmp_path, capsys):
+        # a shared file would hide typos, so kmax (picard's) is unknown to solve
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dr = 0.125\nkmax = 2\n")
+        rc = run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"])
+        assert rc == 1
+        assert "unknown config key 'kmax'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]  # no run started
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
         rc = run(["solve", "--dr", "0.125", "--t-max", "4", "--eps", "0.02",

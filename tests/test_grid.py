@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
 from radialwave.grid import (
-    DR, DT, MAX_WORD_LEN, _d1, _d2, _over_r, _z_walk, apply_word, apply_z_multi, derivative,
-    z_words,
+    DR, DT, MAX_WORD_LEN, _d1, _d2, _over_r, _word_sums, _z_walk, apply_word, apply_z_multi,
+    derivative, z_words,
 )
-from stencil_oracles import _diff2, _diff_r, _diff_t, layouts
+from stencil_oracles import WORD_PREFIXES, _diff2, _diff_r, _diff_t, layouts, word_sums_ref
 from test_solver import _ref_d2r_odd, _ref_quotient, _ref_radial_deriv
 
 
@@ -293,6 +293,80 @@ class TestZWalk:
         assert odd
         for g in odd:
             assert np.all(g[:, 0] == 0.0)
+
+
+_ALL_KEYS = tuple((n, p) for n in range(MAX_WORD_LEN + 1) for p in WORD_PREFIXES)
+
+
+def _depth(n, prefix):
+    """Stencils chained by the sum of (n, P): n for the word, then P's."""
+    return n + {None: 0, "bad2": 2, "good2": 2}.get(prefix, 1)
+
+
+def _random_field(seed, parity):
+    g = small_grid(dr=0.25, cfl=0.5, r_max=10.0, t_max=6.0)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, g.shape())
+    if parity == "odd":
+        values[:, 0] = 0.0
+    return rw.SpaceTimeField(g, values, parity)
+
+
+class TestWordSums:
+    """``_word_sums`` against the word-by-word oracle, on windows of every kind."""
+
+    # which window edges lie on the grid edges: (first row, last row, axis, outer column)
+    EDGES = {"full": (True, True, True, True), "interior": (False, False, False, False),
+             "first row": (True, False, False, False), "last row": (False, True, False, False),
+             "axis": (False, False, True, False), "outer column": (False, False, False, True)}
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("parity", ["even", "odd", None])
+    @pytest.mark.parametrize("edges", list(EDGES))
+    def test_equal_to_the_oracle_inside_the_halo(self, edges, parity, data):
+        f = _random_field(data.draw(st.integers(0, 2 ** 32 - 1)), parity)
+        at = self.EDGES[edges]
+        bounds = []
+        for size, at_lo, at_hi in ((f.grid.nt, *at[:2]), (f.grid.nr, *at[2:])):
+            lo = 0 if at_lo else data.draw(st.integers(1, size // 3))
+            hi = size if at_hi else data.draw(st.integers(2 * size // 3, size - 1))
+            bounds.append((lo, hi, at_lo, at_hi))
+        window = tuple(slice(lo, hi) for lo, hi, _, _ in bounds)
+        sums = _word_sums(f, _ALL_KEYS, window)
+        ref = word_sums_ref(f, _ALL_KEYS)
+        outside = np.ones(f.grid.shape(), dtype=bool)
+        outside[window] = False
+        for key in _ALL_KEYS:
+            d = _depth(*key)
+            exact = tuple(slice(lo if at_lo else lo + d, hi if at_hi else hi - d)
+                          for lo, hi, at_lo, at_hi in bounds)
+            assert np.array_equal(sums[key][exact], ref[key][exact]), key
+            assert not sums[key][outside].any(), key
+
+    def test_halo_depth_is_needed(self):
+        # one cell short of the depth, an interior window differs somewhere;
+        # quot's 1/r extrapolation adds a cell only to an empty word, since it
+        # touches just the first column, which a stencil has already spoiled
+        f = _random_field(7, "even")
+        window = (slice(8, 40), slice(8, 30))
+        sums = _word_sums(f, _ALL_KEYS, window)
+        ref = word_sums_ref(f, _ALL_KEYS)
+        for n, prefix in _ALL_KEYS:
+            d = _depth(n, prefix) - 1
+            if d >= 0 and not (prefix == "quot" and n > 0):
+                short = (slice(8 + d, 40 - d), slice(8 + d, 30 - d))
+                assert not np.array_equal(sums[n, prefix][short], ref[n, prefix][short])
+
+    @pytest.mark.parametrize("window", [(slice(0, 0), slice(0, 0)),
+                                        (slice(5, 5), slice(None)),
+                                        (slice(None), slice(9, 9))])
+    def test_empty_window_is_zeros(self, window):
+        sums = _word_sums(_random_field(3, "odd"), _ALL_KEYS, window)
+        assert all(not total.any() for total in sums.values())
+
+    def test_unknown_prefix_rejected(self):
+        with pytest.raises(ValueError, match="unknown word-sum prefix"):
+            _word_sums(_random_field(3, None), ((1, "dtt"),), np.s_[:, :])
 
 
 class TestConjugate:

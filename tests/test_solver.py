@@ -337,8 +337,7 @@ WINDOW_CASES = ["reaches r_max", "zero data", "picard 2 iterates", "forcing ahea
 @pytest.mark.parametrize("case", WINDOW_CASES)
 def test_window_equals_full_width_loop(mode, case):
     data, g, forcing = _window_case(case)
-    cfg = SolveConfig(grid=g, mode=mode, forcing=forcing if mode == "linear_forced" else None,
-                      check_support=mode != "linear_forced")
+    cfg = SolveConfig(grid=g, mode=mode, forcing=forcing if mode == "linear_forced" else None)
     hist = rw.solve(data, cfg)
     frames, diags = _reference_solve(data, cfg)
     for i, name in enumerate(("W_u", "dtW_u", "W_v", "dtW_v")):
