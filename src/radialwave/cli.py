@@ -120,6 +120,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return ap, sub.choices
 
 
+def _config_bool(key: str, value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"config file: {key} = {value!r} is not 1/0, true/false or yes/no")
+    return value.lower() in ("1", "true", "yes")
+
+
 def _parse(argv):
     ap, commands = _build_parser()
     # the first pass finds --config and the subcommand; the file's values then
@@ -134,9 +140,8 @@ def _parse(argv):
         sub = commands[pre.command]
         own = vars(sub.parse_args([]))
         ap.set_defaults(**{k: v for k, v in config.items() if k not in own})
-        sub.set_defaults(**{
-            k: v.lower() in ("1", "true", "yes") if isinstance(own[k], bool) else v
-            for k, v in config.items() if k in own})
+        sub.set_defaults(**{k: _config_bool(k, v) if isinstance(own[k], bool) else v
+                            for k, v in config.items() if k in own})
         try:
             sub.parse_args([])
         except argparse.ArgumentError as exc:

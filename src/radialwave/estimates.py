@@ -5,16 +5,17 @@ second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
-Regions are read as per-row intervals; only ``region_l2l2`` takes a dense
-mask, rendered from them.  A Klainerman-Sobolev check takes its sup over the
-plain region's points and reads its Z-word sums only on the enlarged region
-``tilde``, so one ``grid._word_sums`` pass builds all of them on a window
-around it (``_ks_window``, the bounding box of tilde's intervals, widened by
-``_HALO`` cells).  The deepest sums the checks read chain four stencils (Z^3
-then d; Z^2 then bad2 or good2), so by the halo argument of ``_word_sums``
-four cells already keep every value inside ``tilde`` equal to the full-grid
-one; ``_HALO`` = 8 leaves room.  Each sum lands in a zeroed full-grid array,
-so ``region_l2l2`` reduces the same full-width rows as a full-grid pass would.
+Regions are read as per-row intervals, and no check builds a dense mask:
+every region sup and region L2 norm (the dyadic forcing stacks, the strips of
+the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
+(``norms._region_sup``, ``norms._interval_l2``).  A Klainerman-Sobolev check
+takes its sup over the plain region's points and reads its Z-word sums only
+on the enlarged region ``tilde``, so one ``grid._word_sums`` pass builds all
+of them on a window around it (``_ks_window``, the bounding box of tilde's
+intervals, widened by ``_HALO`` cells).  The deepest sums the checks read
+chain four stencils (Z^3 then d; Z^2 then bad2 or good2), so by the halo
+argument of ``_word_sums`` four cells already keep every value inside
+``tilde`` equal to the full-grid one; ``_HALO`` = 8 leaves room.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .grid import (
     quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, MixedNormSpec, WeightSpec, le1_norm, mixed_norm, region_l2l2, spatial_l2,
+    FOUR_PI, MixedNormSpec, WeightSpec, _interval_l2, _region_sup, le1_norm, mixed_norm,
+    spatial_l2,
 )
 from .regions import (
-    CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _flat, _intervals, bracket,
-    dyadic_scales, realize_mask, sigma_U, sigma_U_prime,
+    CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
+    sigma_U, sigma_U_prime,
 )
 
 _TINY = 1e-300
@@ -224,12 +226,10 @@ def _dyadic_forcing_sums(box: SpaceTimeField, p: float) -> tuple[float, float, d
     tau_values = dyadic_scales(grid.t_max / 2, start=4)
     for tau in tau_values:
         for s in dyadic_scales(tau // 4):
-            m = realize_mask(DyadicRegion(tau, R_KIND, s), grid).weights
-            val = region_l2l2(box, WeightSpec((p + 1) / 2), m)
+            val = _interval_l2(box, WeightSpec((p + 1) / 2), DyadicRegion(tau, R_KIND, s))
             detail[f"R tau={tau} R={s}"] = val
             sq_r += val * val
-        m = realize_mask(DyadicRegion(tau, CORE), grid).weights
-        val = region_l2l2(box, WeightSpec((p + 1) / 2), m)
+        val = _interval_l2(box, WeightSpec((p + 1) / 2), DyadicRegion(tau, CORE))
         detail[f"R tau={tau} core"] = val
         sq_r += val * val
     f_r = float(np.sqrt(sq_r))
@@ -240,8 +240,7 @@ def _dyadic_forcing_sums(box: SpaceTimeField, p: float) -> tuple[float, float, d
         sq = 0.0
         for tau in tau_values:
             if tau >= 4 * U:
-                m = realize_mask(DyadicRegion(tau, U_KIND, U), grid).weights
-                val = region_l2l2(box, WeightSpec(p / 2), m)
+                val = _interval_l2(box, WeightSpec(p / 2), DyadicRegion(tau, U_KIND, U))
                 detail[f"U tau={tau} U={U}"] = val
                 sq += U * val * val
         f_u += float(np.sqrt(sq))
@@ -253,8 +252,8 @@ def _sup_U_slot(u: SpaceTimeField, p: float) -> float:
     good = good_of_conjugate_over_r(u)
     best = 0.0
     for U in dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max))):
-        m = realize_mask(DyadicRegion(None, STRIP, U), u.grid).weights
-        best = max(best, U ** -0.5 * region_l2l2(good, WeightSpec(p / 2), m))
+        strip = DyadicRegion(None, STRIP, U)
+        best = max(best, U ** -0.5 * _interval_l2(good, WeightSpec(p / 2), strip))
     return best
 
 
@@ -373,12 +372,6 @@ def _check_ks_kind(region_kind: str) -> None:
         raise ValueError("region_kind must be R or U")
 
 
-def _region_sup(values: np.ndarray, region: DyadicRegion, grid: GridSpec) -> float:
-    """max |values| over a sharp region's points; 0.0 on an empty region."""
-    pos = _flat(*_intervals(region, grid), grid.nr)
-    return float(np.max(np.abs(values.take(pos)), initial=0.0))
-
-
 def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice]:
     """Rows and columns of the bounding box of the intervals ``tilde``, widened
     by ``_HALO`` and clipped to the grid; empty slices if ``tilde`` is empty."""
@@ -399,12 +392,11 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
+    tilde = region.enlarged(1)
     lhs = _region_sup(w.values, region, grid)
-    window = _ks_window(_intervals(region.enlarged(1), grid), grid)
-    sums = _word_sums(w, ((2, None), (2, "dr")), window)
-    tilde = realize_mask(region.enlarged(1), grid).weights
-    m0 = region_l2l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
-    m1 = region_l2l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
+    sums = _word_sums(w, ((2, None), (2, "dr")), _ks_window(_intervals(tilde, grid), grid))
+    m0 = _interval_l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
+    m1 = _interval_l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 * scale ** -0.5 * m1
         product_form = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 / scale * np.sqrt(m0 * m1)
@@ -462,14 +454,14 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    window = _ks_window(_intervals(region.enlarged(1), grid), grid)
+    tilde = region.enlarged(1)
+    window = _ks_window(_intervals(tilde, grid), grid)
     sums = _word_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
                           (2, "good2")), window)
     lhs = _region_sup(sums[0, "d"], region, grid)  # |dt w| + |dr w|; plain lies in tilde
-    tilde = realize_mask(region.enlarged(1), grid).weights
 
     def mass(key):
-        return region_l2l2(SpaceTimeField(grid, sums[key]), WeightSpec(), tilde)
+        return _interval_l2(SpaceTimeField(grid, sums[key]), WeightSpec(), tilde)
 
     m_d, m_box = mass((3, "d")), mass((2, "box"))
     if region_kind == R_KIND:

@@ -3,10 +3,13 @@
 All spatial integrals use the radial measure dx = 4*pi*r^2 dr.  Global-in-time
 norms are truncated to the grid horizon [0, t_max]; every breakdown records the
 truncation so boundedness can be judged against plateau-vs-horizon curves.
-The M and A functionals take their Z-word sums from one full-grid
-``grid._word_sums`` pass per field and render no dense mask: their region sups
-read the points of the R/U/core regions' per-row intervals, indexed once per
-grid, and ``le_norm`` reads one (1, nr) row per annulus, built once per grid.
+Each time row is reduced along r on its own (``np.add.reduce``), so its value
+does not depend on the other rows.  A region L2 norm sums only its region's
+points (``_region_l2``): ``le_norm`` and the estimate checks pass the points
+of a region's per-row intervals, ``region_l2l2`` the nonzero points of a sharp
+mask, so both give bit-equal norms on one region.  The M and A functionals
+take their Z-word sums from one ``grid._word_sums`` pass per field; their
+region sups read the R/U/core intervals' points (``_region_sup``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .grid import DT, DR, SpaceTimeField, _trapz_weights, _word_sums, derivative, quotient_by_r
 from .regions import (
-    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _annulus_row, _flat, _intervals,
-    bracket, dyadic_scales,
+    ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _flat, _intervals, bracket,
+    dyadic_scales,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -64,22 +67,18 @@ class NormBreakdown:
     truncation_T: float = 0.0
 
 
-def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec(),
-               mask: np.ndarray | None = None) -> np.ndarray:
-    """||w f(t, .)||_{L^2(dx)} for every time level.
+def _column_weights(grid, weight: WeightSpec) -> np.ndarray:
+    """4 pi <r>^{2a} r^{2-2b} w_r per column: the inverse-r power is folded into
+    the measure, and 2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1)."""
+    return (FOUR_PI * np.power(bracket(grid.r), 2 * weight.power_r)
+            * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r) * _trapz_weights(grid.nr, grid.dr))
 
-    The inverse-r power is folded into the measure (integrand r^{2-2b} |f|^2)
-    so the axis point never divides by zero.
-    """
-    grid = f.grid
-    r = grid.r
-    wr = _trapz_weights(grid.nr, grid.dr)
-    # exponent 2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1 by np.power)
-    rad = np.power(bracket(r), 2 * weight.power_r) * np.power(r, 2.0 - 2.0 * weight.power_inv_r)
-    integrand = np.square(f.values)
-    if mask is not None:
-        integrand = integrand * mask
-    return np.sqrt(FOUR_PI * (integrand * rad[None, :]) @ wr)
+
+def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
+    """||w f(t, .)||_{L^2(dx)} for every time level, each row reduced on its own."""
+    sq = np.square(f.values)
+    sq *= _column_weights(f.grid, weight)
+    return np.sqrt(np.add.reduce(sq, axis=-1))
 
 
 def spatial_sup(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
@@ -101,34 +100,38 @@ def mixed_norm(f: SpaceTimeField, spec: MixedNormSpec) -> float:
 
 
 def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> float:
-    per_t = spatial_l2(f, weight, mask)
-    wt = _trapz_weights(f.grid.nt, f.grid.dt)
-    return float(np.sqrt(np.square(per_t) @ wt))
+    """L2L2 norm of ``f`` on a sharp 0/1 mask that broadcasts to the grid."""
+    mask = np.broadcast_to(mask, f.grid.shape())
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("region_l2l2 takes a sharp mask: every value 0 or 1")
+    return _region_l2(f, weight, np.flatnonzero(mask))
+
+
+def _region_l2(f: SpaceTimeField, weight: WeightSpec, pos: np.ndarray) -> float:
+    """L2L2 norm of ``f`` on the ascending row-major flat positions ``pos``: each
+    row's points summed with ``np.add.reduceat``, then the trapezoid in t."""
+    rows, cols = np.divmod(pos, f.grid.nr)
+    sq = np.square(f.values.take(pos))
+    sq *= _column_weights(f.grid, weight).take(cols)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    wt = _trapz_weights(f.grid.nt, f.grid.dt).take(rows.take(starts))
+    return float(np.sqrt(np.add.reduceat(sq, starts) @ wt))
+
+
+def _interval_l2(f: SpaceTimeField, weight: WeightSpec, region: DyadicRegion) -> float:
+    return _region_l2(f, weight, _flat(*_intervals(region, f.grid), f.grid.nr))
 
 
 # ----------------------------------------------------------------------
 # local energy norms
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _annulus_rows(grid) -> tuple:
-    """(R, (1, nr) mask row) for every dyadic annulus A_R; shared, so read-only."""
-    rows = tuple((R, _annulus_row(DyadicRegion(None, ANNULUS, R), grid))
-                 for R in dyadic_scales(bracket(grid.r_max)))
-    for _, row in rows:
-        row.flags.writeable = False
-    return rows
-
-
 def le_norm(f: SpaceTimeField) -> float:
-    """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}.
-
-    Each annulus is constant in t, so its (1, nr) mask row stands in for the
-    dense mask; the products in ``spatial_l2`` are the same elementwise.
-    """
+    """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
     best = 0.0
-    for R, row in _annulus_rows(f.grid):
-        best = max(best, R ** -0.5 * region_l2l2(f, WeightSpec(), row))
+    for R in dyadic_scales(bracket(f.grid.r_max)):
+        annulus = DyadicRegion(None, ANNULUS, R)
+        best = max(best, R ** -0.5 * _interval_l2(f, WeightSpec(), annulus))
     return best
 
 
@@ -153,43 +156,22 @@ def _check_params(p, delta, N):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if not (0 < delta < min(p, 1 - p)):
         raise ValueError(f"delta must lie in (0, min(p, 1-p)), got {delta}")
-    if N > 3:
-        raise ValueError(f"N = {N} exceeds the supported maximum 3")
+    if not 0 <= N <= 3:
+        raise ValueError(f"N = {N} lies outside the supported range 0..3")
 
 
-class _RegionIndex:
-    """The sharp R/U/core regions of the functionals on one grid.
-
-    ``rows`` lists (kind, tau, s): every R row, then every U row, the core of
-    each slab in both at s = tau/2.  Row i owns the flat positions
-    ``flat[offsets[i]:offsets[i + 1]]`` of its region's per-row intervals, so
-    a region sup reads only its own points.
-    """
-
-    def __init__(self, grid):
-        taus = dyadic_scales(grid.t_max / 2, start=4)
-        self.rows = [(kind, tau, s) for kind in (R_KIND, U_KIND) for tau in taus
-                     for s in dyadic_scales(tau // 2)]
-        flat = {}  # region -> flat positions; each core serves two rows
-        parts = []
-        for kind, tau, s in self.rows:
-            region = DyadicRegion(tau, CORE) if 2 * s == tau else DyadicRegion(tau, kind, s)
-            if region not in flat:
-                flat[region] = _flat(*_intervals(region, grid), grid.nr)
-            parts.append(flat[region])
-        self.flat = np.concatenate([np.zeros(0, dtype=int), *parts])
-        self.offsets = np.cumsum([0] + [len(p) for p in parts])
-        self.nonempty = np.diff(self.offsets) > 0
-
-    def sups(self, values: np.ndarray) -> list[float]:
-        """max of ``values`` (>= 0) over each region; 0.0 on an empty one."""
-        out = np.zeros(len(self.rows))
-        out[self.nonempty] = np.maximum.reduceat(values.ravel().take(self.flat),
-                                                 self.offsets[:-1][self.nonempty])
-        return out.tolist()
+def _region_rows(grid) -> list:
+    """(kind, tau, s, region): every R row, then every U row, the core of each
+    slab in both at s = tau/2."""
+    return [(kind, tau, s, DyadicRegion(tau, CORE) if 2 * s == tau else DyadicRegion(tau, kind, s))
+            for kind in (R_KIND, U_KIND) for tau in dyadic_scales(grid.t_max / 2, start=4)
+            for s in dyadic_scales(tau // 2)]
 
 
-_region_index = functools.lru_cache(maxsize=4)(_RegionIndex)
+def _region_sup(values: np.ndarray, region: DyadicRegion, grid) -> float:
+    """max |values| over a sharp region's points; 0.0 on an empty region."""
+    pos = _flat(*_intervals(region, grid), grid.nr)
+    return float(np.max(np.abs(values.take(pos)), initial=0.0))
 
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
@@ -222,12 +204,11 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
         slots["v_d_weighted_linfl2"] = mixed_norm(
             dv, MixedNormSpec("Linf", "L2", WeightSpec(power_r=-delta / 2)))
 
-    index = _region_index(u.grid)
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
     sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
-    for (row, tau, s), lu, lv in zip(index.rows, index.sups(su[N // 2, "d"]),
-                                     index.sups(sv[N // 2, "d"])):
+    for row, tau, s, region in _region_rows(u.grid):
+        lu, lv = (_region_sup(x[N // 2, "d"], region, u.grid) for x in (su, sv))
         per_region[f"{row} tau={tau} s={s} u"] = lu
         per_region[f"{row} tau={tau} s={s} v"] = lv
         if row == R_KIND:

@@ -3,6 +3,11 @@
 Each iterate solves the linear wave system with the quadratic source frozen
 from the previous iterate; the boundedness functional of each iterate and the
 contraction functional of consecutive differences are recorded per step.
+
+With an output directory, iterate k's history goes to ``picard_<tag>_k<k>``,
+then the records (naming k) replace the old ones in one rename, and only then
+are older histories removed: an interrupt leaves the old (records, history)
+pair or the new one.  A records file that names another k is refused.
 """
 
 from __future__ import annotations
@@ -10,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import DR, GridSpec, SpaceTimeField, derivative, quotient_by_r
-from .norms import NormBreakdown, a_functional, m_functional
+from .norms import _check_params, a_functional, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
     nonlinearity, solve, solve_linear_forced, zero_profile,
@@ -45,6 +51,11 @@ class PicardConfig:
         bump, zero_profile, bump, zero_profile))
     outdir: str | None = None
 
+    def __post_init__(self):
+        _check_params(self.p, self.delta, self.N)
+        if self.kmax < 1:
+            raise ValueError(f"kmax must be at least 1, got {self.kmax}")
+
     def descriptor(self) -> dict:
         """The run's resume key; the data enter as a digest of the four
         profiles sampled on the grid (``calibrate`` sets the amplitude)."""
@@ -69,15 +80,11 @@ class IterationRecord:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {"k": self.k, "m_total": self.m_total, "a_total": self.a_total,
-                "contraction_ratio": self.contraction_ratio,
-                "m_slots": self.m_slots, "a_slots": self.a_slots,
-                "wall_time": self.wall_time}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "IterationRecord":
-        return cls(d["k"], d["m_total"], d["a_total"], d["contraction_ratio"],
-                   d["m_slots"], d["a_slots"], d["wall_time"])
+        return cls(**d)
 
 
 def _derivative_frames(hist: SolutionHistory):
@@ -157,25 +164,38 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
 
 
 def _state_paths(config: PicardConfig, tag: str):
+    """(records file, prefix of the per-iterate history directories)."""
     base = os.path.join(config.outdir, f"picard_{tag}")
-    return base + "_records.json", base + "_last"
+    return base + "_records.json", base + "_k"
 
 
 def _save_state(config, tag, records, hist):
-    rec_path, hist_dir = _state_paths(config, tag)
+    rec_path, prefix = _state_paths(config, tag)
+    hist_dir = f"{prefix}{records[-1].k}"
+    shutil.rmtree(hist_dir, ignore_errors=True)  # left half-written by an interrupt
     hist.save(hist_dir)
-    with open(rec_path, "w") as fh:
-        json.dump({"config": config.descriptor(),
+    with open(rec_path + ".tmp", "w") as fh:
+        json.dump({"config": config.descriptor(), "k": records[-1].k,
                    "records": [r.to_json() for r in records]}, fh, sort_keys=True)
+    os.replace(rec_path + ".tmp", rec_path)
+    for name in os.listdir(config.outdir):  # older histories, once superseded
+        path = os.path.join(config.outdir, name)
+        if path.startswith(prefix) and path != hist_dir:
+            shutil.rmtree(path)
 
 
 def _load_state(config, tag):
-    rec_path, hist_dir = _state_paths(config, tag)
+    rec_path, prefix = _state_paths(config, tag)
     if not os.path.exists(rec_path):
         return [], None
     with open(rec_path) as fh:
         blob = json.load(fh)
     records = [IterationRecord.from_json(d) for d in blob["records"]]
+    k = blob.get("k")
+    hist_dir = f"{prefix}{k}"
+    if records[-1].k != k or not os.path.isdir(hist_dir):
+        raise ValueError(f"{rec_path}: records up to k = {records[-1].k} do not match a "
+                         f"saved history of iterate k = {k}; remove it to start afresh")
     return records, SolutionHistory.load(hist_dir)
 
 

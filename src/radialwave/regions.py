@@ -5,13 +5,15 @@ The geometry layer: dyadic time slabs C_tau split into annulus-indexed pieces
 overlap, with their 7/8..17/8 enlargements, and the ghost-weight profile
 sigma_U(z) = z / (U + |z|).  A sharp region is defined once, by the runs
 [j_lo, j_hi) of each time row on which its inequalities hold (``_intervals``);
-``realize_mask`` renders them as a dense mask for the reductions that need one.
+every region sup and region L2 norm reads their points.  ``realize_mask``
+renders them as a dense mask; nothing in the package calls it.
 
 The Japanese bracket convention is <q> = sqrt(1 + q^2) throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,20 +152,19 @@ def realize_mask(region: DyadicRegion, grid: GridSpec) -> RegionMask:
     return RegionMask(region, grid, w)
 
 
-def _annulus_row(region: DyadicRegion, grid: GridSpec) -> np.ndarray:
-    """The (1, nr) row of an annulus mask; the mask repeats it at every t."""
-    row = np.zeros((1, grid.nr))
-    np.put(row, _flat(*_runs(_conditions(region, grid)[1], grid.t[:1], grid.r), grid.nr), 1.0)
-    return row
-
-
+@functools.lru_cache(maxsize=64)
 def _intervals(region: DyadicRegion, grid: GridSpec):
     """(rows, j_lo, j_hi): every maximal run [j_lo, j_hi) of a sharp region
-    along a time row, in row-major order."""
+    along a time row, in row-major order; memoised, so shared and read-only.
+    64 entries hold the 44 (region, grid) pairs of an estimate-ratio sweep over
+    two grids and the 31 of a Picard run."""
     rows, tests = _conditions(region, grid)
     n = np.flatnonzero(rows)
     i, j_lo, j_hi = _runs(tests, grid.t[n], grid.r)
-    return n[i], j_lo, j_hi
+    out = (n[i], j_lo, j_hi)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _flat(rows, j_lo, j_hi, nr: int) -> np.ndarray:

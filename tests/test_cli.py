@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from radialwave import cli
+from radialwave import cli, picard
 
 
 def run(args):
@@ -97,6 +97,24 @@ class TestConfigFile:
         assert json.loads((run_dir / "report.json").read_text())["grid"]["r_max"] == 10.0
         assert (run_dir / "manifest.json").exists()  # history kept: "false" is False
 
+    @pytest.mark.parametrize("value", ["maybe", "2", "", "on"])
+    def test_bad_boolean_config_value_is_an_error(self, tmp_path, capsys, value):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"dr = 0.125\nt-max = 4\nno-history = {value}\n")
+        rc = run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"])
+        assert rc == 1
+        assert "no_history" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]  # no run started
+
+    @pytest.mark.parametrize("value, kept", [("YES", False), ("True", False), ("1", False),
+                                             ("No", True), ("FALSE", True), ("0", True)])
+    def test_boolean_config_values(self, tmp_path, value, kept):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"dr = 0.125\nt-max = 4\nno-history = {value}\n")
+        assert run(["--config", str(cfgfile), "--out", str(tmp_path), "solve"]) == 0
+        run_dir = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("solve_")][0]
+        assert (run_dir / "manifest.json").exists() == kept
+
     def test_bad_config_value_is_an_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("dr = fast\n")
@@ -176,6 +194,21 @@ class TestBadInput:
                   "--eps", eps])
         assert rc == 1
         assert "eps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        (command, flags) for command in ("picard", "sweep")
+        for flags in (["--N", "4"], ["--N", "-1"], ["--p", "1.5"], ["--delta", "0.5"],
+                      ["--delta", "-0.1"], ["--kmax", "0"])
+        if command == "picard" or flags[0] != "--kmax"])  # sweep runs kmax 2
+    def test_picard_parameters_fail_before_the_first_solve(self, tmp_path, monkeypatch,
+                                                           command, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started with invalid parameters")
+
+        monkeypatch.setattr(picard, "solve", no_solve)
+        monkeypatch.setattr(picard, "solve_linear_forced", no_solve)
+        rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "8", *flags])
+        assert rc == 1
 
     @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
     def test_non_finite_grid_value(self, tmp_path, capsys, flag):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -168,10 +170,25 @@ class TestPointwiseChecks:
         def no_masks(*args, **kwargs):
             raise AssertionError("a region was built for a rejected region kind")
 
-        monkeypatch.setattr(estimates, "realize_mask", no_masks)
         monkeypatch.setattr(estimates, "_intervals", no_masks)
         with pytest.raises(ValueError, match="region_kind must be R or U"):
             check(u, 8, kind, 1)
+
+
+def test_checks_build_no_dense_mask(monkeypatch):
+    def no_masks(*args, **kwargs):
+        raise AssertionError("a dense region mask was built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "radialwave" and hasattr(mod, "realize_mask"):
+            monkeypatch.setattr(mod, "realize_mask", no_masks)
+    g = grid(dr=1 / 16, t_max=18.0, r_max=22.0)
+    u = registry.build("standing_bump", g)
+    assert np.isfinite(estimates.check_mr(u, 0.75).ratio)
+    assert np.isfinite(estimates.check_newle(u, 0.75, 0.2).ratio)
+    for kind, scale in (("R", 1), ("U", 2)):
+        assert np.isfinite(estimates.check_spacetime_ks(u, 8, kind, scale).ratio)
+        assert np.isfinite(estimates.check_second_derivative_ks(u, 8, kind, scale).ratio)
 
 
 # ----------------------------------------------------------------------

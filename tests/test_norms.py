@@ -9,7 +9,7 @@ from radialwave.grid import _word_sums
 from radialwave.norms import (
     MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2, spatial_sup,
 )
-from radialwave.regions import dyadic_scales, enumerate_regions
+from radialwave.regions import _flat, _intervals, dyadic_scales, enumerate_regions
 from region_oracles import realize_mask, region_supsup
 from stencil_oracles import word_sums_ref
 
@@ -44,6 +44,20 @@ class TestSpatialL2:
         ref = np.sqrt(4 * np.pi * quad(
             lambda r: (1 + r * r) ** a * np.exp(-2 * r * r) * r * r, 0, 8)[0])
         np.testing.assert_allclose(got, ref, rtol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 64), st.integers(1, 65),
+           st.sampled_from([0.0, 0.35, -0.6]), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_rows_do_not_depend_on_the_other_rows(self, seed, start, length, a, b):
+        # each row is reduced on its own: a row slice gives those rows of the
+        # full-grid call bit for bit, whatever the slice
+        g = grid(dr=1 / 8, t_max=8.0, r_max=12.0)
+        full = rw.SpaceTimeField(g, np.random.default_rng(seed).normal(size=g.shape()))
+        stop = min(start + length, g.nt)
+        part = rw.GridSpec(dr=g.dr, cfl=g.cfl, r_max=g.r_max, t_max=(stop - start - 1) * g.dt)
+        rows = rw.SpaceTimeField(part, full.values[start:stop])
+        want = spatial_l2(full, WeightSpec(a, b))[start:stop]
+        assert np.array_equal(spatial_l2(rows, WeightSpec(a, b)), want)
 
     def test_invalid_inverse_power(self):
         with pytest.raises(rw.NormSpecError):
@@ -86,6 +100,16 @@ class TestLocalEnergy:
             mask = np.broadcast_to((br >= R) & (br <= 2 * R), g.shape()).astype(float)
             best = max(best, R ** -0.5 * rw.region_l2l2(f, WeightSpec(), mask))
         np.testing.assert_allclose(got, best, rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_region_mask_must_be_sharp(self, value):
+        g = grid(t_max=2.0)
+        f = rw.SpaceTimeField.from_function(g, lambda t, r: np.exp(-r * r) + 0 * t)
+        mask = np.zeros(g.shape())
+        mask[1:4, 2:9] = 1.0
+        mask[2, 5] = value
+        with pytest.raises(ValueError, match="sharp"):
+            rw.region_l2l2(f, WeightSpec(), mask)
 
     def test_annulus_rows_are_built_once_per_grid(self, monkeypatch):
         g = grid(t_max=2.5)
@@ -184,12 +208,12 @@ class TestFunctionalFastPaths:
            st.sampled_from([16.0, 32.0]))
     def test_index_positions_are_the_sharp_masks(self, dr, cfl, t_max):
         g = rw.GridSpec(dr=dr, cfl=cfl, r_max=t_max + 4, t_max=t_max)
-        index = norms._region_index(g)
+        rows = norms._region_rows(g)
         # every plain region once, the core twice (an R row and a U row)
-        assert len(index.rows) == sum(len(enumerate_regions(tau, g)) + 1 for tau in
-                                      dyadic_scales(t_max / 2, start=4))
-        for i, (kind, tau, s) in enumerate(index.rows):
-            pos = index.flat[index.offsets[i]:index.offsets[i + 1]]
+        assert len(rows) == sum(len(enumerate_regions(tau, g)) + 1 for tau in
+                                dyadic_scales(t_max / 2, start=4))
+        for kind, tau, s, row_region in rows:
+            pos = _flat(*_intervals(row_region, g), g.nr)
             region = (rw.DyadicRegion(tau, "core") if 2 * s == tau
                       else rw.DyadicRegion(tau, kind, s))
             rebuilt = np.zeros(g.nt * g.nr)
@@ -230,7 +254,7 @@ class TestFunctionalFastPaths:
                     else:
                         sup_u[kind] = max(sup_u[kind], tau * s ** 0.5 * lu)
                         sq_u += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
-        assert len(b.per_region) == 2 * len(norms._region_index(u.grid).rows)
+        assert len(b.per_region) == 2 * len(norms._region_rows(u.grid))
         assert b.slots["u_R_sup"] == sup_u["R"]
         assert b.slots["u_U_sup"] == sup_u["U"]
         assert b.slots["v_U_l2"] == float(np.sqrt(sq_u))

@@ -1,9 +1,23 @@
+import json
+import os
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import radialwave as rw
 from radialwave import picard
 from radialwave.picard import IterationRecord, PicardConfig
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def _values(rec):
+    """A record without its wall time."""
+    return (rec.k, rec.m_total, rec.a_total, rec.contraction_ratio, rec.m_slots, rec.a_slots)
 
 
 def small_config(**kw):
@@ -31,17 +45,64 @@ class TestIteration:
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         np.testing.assert_allclose(records[0].m_total, m.total, rtol=1e-12)
 
-    def test_persistence_and_resume(self, tmp_path):
+    def test_persistence_and_resume(self, tmp_path, monkeypatch):
+        # interrupt a kmax-3 run at each step of saving iterate 2, rerun the
+        # same configuration, and get exactly the fresh run's records
+        fresh = [_values(r) for r in picard.run_iteration(small_config())]
+        save, replace, rmtree = rw.SolutionHistory.save, os.replace, shutil.rmtree
+        saved = []
+
+        def after_second_history(hist, path):
+            save(hist, path)
+            saved.append(path)
+            if len(saved) == 2:
+                raise _Interrupt
+
+        def at_records_commit(src, dst):
+            if dst.endswith("_records.json") and json.loads(Path(src).read_text())["k"] == 2:
+                raise _Interrupt
+            replace(src, dst)
+
+        def at_history_removal(path, *args, **kwargs):
+            if path.endswith("_k1"):
+                raise _Interrupt
+            rmtree(path, *args, **kwargs)
+
+        stages = ((rw.SolutionHistory, "save", after_second_history),
+                  (os, "replace", at_records_commit), (shutil, "rmtree", at_history_removal))
+        for i, (owner, name, interrupt) in enumerate(stages):
+            out = str(tmp_path / str(i))
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, interrupt)
+                with pytest.raises(_Interrupt):
+                    picard.run_iteration(small_config(outdir=out))
+            resumed = picard.run_iteration(small_config(outdir=out))
+            assert [_values(r) for r in resumed] == fresh, name
+            tag = rw.config_hash(small_config().descriptor())
+            assert sorted(os.listdir(out)) == [f"picard_{tag}_k3", f"picard_{tag}_records.json"]
+            # a completed run reruns from its records alone
+            assert [_values(r) for r in picard.run_iteration(small_config(outdir=out))] == fresh
+
+    def test_mismatched_state_is_refused(self, tmp_path):
         out = str(tmp_path)
-        first = picard.run_iteration(small_config(kmax=2, outdir=out))
-        resumed = picard.run_iteration(small_config(kmax=3, outdir=out))
-        # the first two records come back verbatim from disk
-        assert [r.k for r in resumed] == [1, 2, 3]
-        np.testing.assert_allclose(resumed[0].m_total, first[0].m_total, rtol=0)
-        np.testing.assert_allclose(resumed[1].a_total, first[1].a_total, rtol=0)
-        # continuation agrees with a fresh full run
-        fresh = picard.run_iteration(small_config(kmax=3))
-        np.testing.assert_allclose(resumed[2].m_total, fresh[2].m_total, rtol=1e-9)
+        cfg = small_config(kmax=2, outdir=out)
+        picard.run_iteration(cfg)
+        rec_path = Path(picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[0])
+        blob = json.loads(rec_path.read_text())
+        blob["records"] = blob["records"][:1]  # records of k = 1 beside the history of k = 2
+        rec_path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="do not match"):
+            picard.run_iteration(cfg)
+        del blob["k"]  # the state layout without k, whose history may be any iterate's
+        rec_path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="do not match"):
+            picard.run_iteration(cfg)
+
+    @pytest.mark.parametrize("bad", [dict(p=1.5), dict(p=0.0), dict(delta=0.3),
+                                     dict(delta=0.0), dict(N=4), dict(N=-1), dict(kmax=0)])
+    def test_bad_parameters_rejected_when_built(self, bad):
+        with pytest.raises(ValueError):
+            small_config(**bad)
 
     def test_resume_key_covers_the_initial_data(self, tmp_path):
         out = str(tmp_path)

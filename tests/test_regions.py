@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
 import region_oracles as oracle
-from radialwave import regions
+from radialwave import norms, regions
 from radialwave.regions import (
     DyadicRegion, bracket, dyadic_scales, enumerate_regions, realize_mask, sigma_U,
     sigma_U_prime, slab_mask,
@@ -157,6 +157,8 @@ def test_valid_oracle_grids():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ORACLE_GRIDS))
 def test_intervals_render_the_dense_masks(g):
+    f = rw.SpaceTimeField.from_function(g, lambda t, r: np.cos(t - r) * np.exp(-r / 8))
+    weight = rw.WeightSpec(0.3, 0.5)
     seen = set()
     for region in _every_region(g):
         for lev in (0, 1, 2):
@@ -166,9 +168,8 @@ def test_intervals_render_the_dense_masks(g):
             _assert_maximal_runs(g, rows, lo, hi)
             want = oracle.realize_mask(reg, g).weights
             assert np.array_equal(realize_mask(reg, g).weights, want), reg
-            if reg.kind == "annulus":
-                assert np.array_equal(regions._annulus_row(reg, g),
-                                      oracle._annulus_row(reg, g)), reg
+            # the dense mask and the intervals reduce the same points
+            assert rw.region_l2l2(f, weight, want) == norms._interval_l2(f, weight, reg), reg
     for kind in ("R", "U", "annulus", "strip"):
         assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
     assert {("core", None, lev) for lev in (0, 1, 2)} <= seen
