@@ -10,17 +10,16 @@ driver, boundedness, decay fits), ``cli`` (command-line front end).
 from .grid import (
     BAD, DR, DT, GOOD, SCALING, GridSpec, GridTooSmallError, ParityError,
     SpaceTimeField, apply_word, apply_z_multi, box_conjugate,
-    conjugate_to_scalar, dalembertian, derivative, null_form, quotient_by_r,
-    raw_form, z_words,
+    conjugate_to_scalar, derivative, null_form, quotient_by_r, raw_form,
+    z_words,
 )
 from .regions import (
     DyadicRegion, RegionMask, bracket, dyadic_scales, enumerate_regions,
     realize_mask, sigma_U, sigma_U_prime, slab_mask,
 )
 from .norms import (
-    MixedNormSpec, NormBreakdown, NormSpecError, WeightSpec, a_functional,
-    le1_norm, le_norm, m_functional, mixed_norm, region_l2l2, spatial_l2,
-    spatial_sup,
+    NormBreakdown, NormSpecError, WeightSpec, a_functional, le1_norm,
+    le_norm, m_functional, mixed_norm, region_l2l2, spatial_l2,
 )
 from .solver import (
     BlowUpSuspected, CflError, InitialData, SolveConfig, SolutionHistory,

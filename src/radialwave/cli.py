@@ -278,7 +278,7 @@ def _cmd_picard(args) -> int:
     _write_csv(os.path.join(outdir, f"picard_{tag}.csv"),
                ["k", "m_total", "a_total", "contraction_ratio", "wall_time"], rows)
     _write_report(outdir, f"picard_{tag}_report", {
-        "config_hash": tag, "config": cfg.descriptor(),
+        "config_hash": tag, "config": {**cfg.descriptor(), "kmax": cfg.kmax},
         "records": [r.to_json() for r in records], "verdict": verdict,
     })
     for r in records:

@@ -5,6 +5,10 @@ second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
+Every L2 slot is one of the ``norms`` reductions: a whole-grid mixed norm
+(``mixed_norm``), a region L2L2 norm (``norms._interval_l2``), or a data norm
+at t = 0 (``norms._data_l2``), which reduces only row 0.
+
 Regions are read as per-row intervals, and no check builds a dense mask:
 every region sup and region L2 norm (the dyadic forcing stacks, the strips of
 the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
@@ -30,8 +34,7 @@ from .grid import (
     quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, MixedNormSpec, WeightSpec, _interval_l2, _region_sup, le1_norm, mixed_norm,
-    spatial_l2,
+    FOUR_PI, WeightSpec, _data_l2, _interval_l2, _region_sup, le1_norm, mixed_norm,
 )
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
@@ -179,13 +182,13 @@ def check_hardy(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateRep
         raise ValueError(f"p must lie in (0, 2), got {p}")
     a = (p - 1) / 2
     lhs_slots = {
-        "invr_l2l2": mixed_norm(u, MixedNormSpec("L2", "L2", WeightSpec(a, 1.0))),
-        "invhalf_linfl2": mixed_norm(u, MixedNormSpec("Linf", "L2", WeightSpec(a, 0.5))),
+        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
+        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
     }
     good = good_of_conjugate_over_r(u)
     rhs_slots = {
-        "data": float(spatial_l2(u, WeightSpec(a, 0.5))[0]),
-        "good_l2l2": mixed_norm(good, MixedNormSpec("L2", "L2", WeightSpec(a, 0.0))),
+        "data": _data_l2(u, WeightSpec(a, 0.5)),
+        "good_l2l2": mixed_norm(good, "L2", WeightSpec(a, 0.0)),
     }
     return EstimateReport("hardy", sum(lhs_slots.values()), sum(rhs_slots.values()),
                           family_id, lhs_slots, rhs_slots)
@@ -203,14 +206,14 @@ def check_le(u: SpaceTimeField, family_id: str = "") -> EstimateReport:
     du = _du_magnitude(u)
     lhs_slots = {
         "le1_sq": le1_norm(u) ** 2,
-        "du_linfl2_sq": mixed_norm(du, MixedNormSpec("Linf", "L2")) ** 2,
+        "du_linfl2_sq": mixed_norm(du, "Linf") ** 2,
     }
     box = box_scalar(u).values
     uq = quotient_by_r(u).values
     _, r = grid.meshes()
     forcing = FOUR_PI * _quad2d(grid, np.abs(box) * (du.values + np.abs(uq)) * np.square(r))
     rhs_slots = {
-        "data_sq": float(spatial_l2(du, WeightSpec())[0]) ** 2,
+        "data_sq": _data_l2(du, WeightSpec()) ** 2,
         "forcing": forcing,
     }
     return EstimateReport("le", sum(lhs_slots.values()), sum(rhs_slots.values()),
@@ -265,19 +268,19 @@ def check_mr(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport
     good_u = derivative(u, GOOD)
     a = (p - 1) / 2
     lhs_slots = {
-        "good_linfl2": mixed_norm(good_u, MixedNormSpec("Linf", "L2", WeightSpec(p))),
+        "good_linfl2": mixed_norm(good_u, "Linf", WeightSpec(p)),
         "ang_linfl2": 0.0,
-        "invhalf_linfl2": mixed_norm(u, MixedNormSpec("Linf", "L2", WeightSpec(a, 0.5))),
-        "good_l2l2": mixed_norm(good_u, MixedNormSpec("L2", "L2", WeightSpec(a))),
+        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
+        "good_l2l2": mixed_norm(good_u, "L2", WeightSpec(a)),
         "ang_l2l2": 0.0,
-        "invr_l2l2": mixed_norm(u, MixedNormSpec("L2", "L2", WeightSpec(a, 1.0))),
+        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
         "ghost_supU": _sup_U_slot(u, p),
     }
     box = box_scalar(u)
     f_r, f_u, detail = _dyadic_forcing_sums(box, p)
     rhs_slots = {
-        "data_invhalf": float(spatial_l2(u, WeightSpec(a, 0.5))[0]),
-        "data_good": float(spatial_l2(good_u, WeightSpec(p / 2))[0]),
+        "data_invhalf": _data_l2(u, WeightSpec(a, 0.5)),
+        "data_good": _data_l2(good_u, WeightSpec(p / 2)),
         "data_ang": 0.0,
         "forcing_R": f_r,
         "forcing_U": f_u,
@@ -300,25 +303,24 @@ def check_newle(u: SpaceTimeField, p: float, delta: float,
     bad_u = derivative(u, BAD)
     a = (p - 1) / 2
     lhs_slots = {
-        "bad_linfl2": mixed_norm(bad_u, MixedNormSpec("Linf", "L2", WeightSpec(-delta / 2))),
-        "good_linfl2": mixed_norm(good_u, MixedNormSpec("Linf", "L2", WeightSpec(p / 2))),
+        "bad_linfl2": mixed_norm(bad_u, "Linf", WeightSpec(-delta / 2)),
+        "good_linfl2": mixed_norm(good_u, "Linf", WeightSpec(p / 2)),
         "ang_linfl2": 0.0,
-        "invhalf_linfl2": mixed_norm(u, MixedNormSpec("Linf", "L2", WeightSpec(a, 0.5))),
-        "bad_l2l2": mixed_norm(bad_u, MixedNormSpec("L2", "L2", WeightSpec(-(1 + delta) / 2))),
-        "good_l2l2": mixed_norm(good_u, MixedNormSpec("L2", "L2", WeightSpec(a))),
+        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
+        "bad_l2l2": mixed_norm(bad_u, "L2", WeightSpec(-(1 + delta) / 2)),
+        "good_l2l2": mixed_norm(good_u, "L2", WeightSpec(a)),
         "ang_l2l2": 0.0,
-        "invr_l2l2": mixed_norm(u, MixedNormSpec("L2", "L2", WeightSpec(a, 1.0))),
+        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
         "ghost_supU": _sup_U_slot(u, p),
     }
     box = box_scalar(u)
     f_r, f_u, _ = _dyadic_forcing_sums(box, p)
     rhs_slots = {
-        "data_bad": float(spatial_l2(bad_u, WeightSpec(-delta / 2))[0]),
-        "data_good": float(spatial_l2(good_u, WeightSpec(p / 2))[0]),
+        "data_bad": _data_l2(bad_u, WeightSpec(-delta / 2)),
+        "data_good": _data_l2(good_u, WeightSpec(p / 2)),
         "data_ang": 0.0,
-        "data_invr": float(spatial_l2(u, WeightSpec(p / 2, 1.0))[0]),
-        "forcing_weighted": mixed_norm(box, MixedNormSpec("L2", "L2",
-                                                          WeightSpec((1 - delta) / 2))),
+        "data_invr": _data_l2(u, WeightSpec(p / 2, 1.0)),
+        "forcing_weighted": mixed_norm(box, "L2", WeightSpec((1 - delta) / 2)),
         "forcing_R": f_r,
         "forcing_U": f_u,
     }

@@ -465,15 +465,6 @@ def conjugate_to_scalar(W: SpaceTimeField) -> SpaceTimeField:
     return quotient_by_r(W)
 
 
-def dalembertian(u: SpaceTimeField) -> SpaceTimeField:
-    """Radial scalar d'Alembertian Box u = r^{-1}(dt^2 - dr^2)(r u)."""
-    if u.parity != "even":
-        raise ParityError("dalembertian expects an even scalar field")
-    g = u.grid
-    _require_size(g)
-    return SpaceTimeField(g, _box_values(u.values, "even", g.r, g.dt, g.dr), "even")
-
-
 def null_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray) -> np.ndarray:
     """Cone-adapted grouping (dt+dr)u * dt v - dr u * (dt+dr)v of dtu*dtv - dru*drv.
 

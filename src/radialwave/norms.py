@@ -1,11 +1,13 @@
 """Weighted mixed space-time norms by trapezoidal quadrature.
 
-All spatial integrals use the radial measure dx = 4*pi*r^2 dr.  Global-in-time
-norms are truncated to the grid horizon [0, t_max]; every breakdown records the
-truncation so boundedness can be judged against plateau-vs-horizon curves.
-Each time row is reduced along r on its own (``np.add.reduce``), so its value
-does not depend on the other rows.  A region L2 norm sums only its region's
-points (``_region_l2``): ``le_norm`` and the estimate checks pass the points
+All spatial integrals use the radial measure dx = 4*pi*r^2 dr, and
+global-in-time norms are truncated to the grid horizon [0, t_max].  Every
+norm is one reduction: ``_row_sums`` sums 4 pi <r>^{2a} r^{2-2b} w_r f^2 over
+each time row's points with ``np.add.reduceat`` (a row's value does not depend
+on the other rows), then ``_norm`` takes the root of their trapezoid (L2) or
+of their max (Linf) in t.  The whole grid is the region of full rows, summed
+at the row starts of the flat array with no gather.  A region L2 norm sums
+only its region's points: ``le_norm`` and the estimate checks pass the points
 of a region's per-row intervals, ``region_l2l2`` the nonzero points of a sharp
 mask, so both give bit-equal norms on one region.  The M and A functionals
 take their Z-word sums from one ``grid._word_sums`` pass per field; their
@@ -14,7 +16,6 @@ region sups read the R/U/core intervals' points (``_region_sup``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -44,19 +45,6 @@ class WeightSpec:
             raise NormSpecError(f"power_inv_r must be 0, 1/2, or 1; got {self.power_inv_r}")
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    outer: str = "L2"  # over t: "L2" | "Linf"
-    inner: str = "L2"  # over x: "L2" | "Linf"
-    weight: WeightSpec = WeightSpec()
-
-    def __post_init__(self):
-        if self.outer not in ("L2", "Linf") or self.inner not in ("L2", "Linf"):
-            raise NormSpecError("outer/inner must be 'L2' or 'Linf'")
-        if self.inner == "Linf" and self.weight.power_inv_r != 0:
-            raise NormSpecError("sup-in-x norms carry no inverse-r weight here")
-
-
 @dataclass
 class NormBreakdown:
     """Total plus per-summand values."""
@@ -64,39 +52,53 @@ class NormBreakdown:
     total: float
     slots: dict = dc_field(default_factory=dict)
     per_region: dict = dc_field(default_factory=dict)
-    truncation_T: float = 0.0
 
 
-def _column_weights(grid, weight: WeightSpec) -> np.ndarray:
-    """4 pi <r>^{2a} r^{2-2b} w_r per column: the inverse-r power is folded into
-    the measure, and 2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1)."""
-    return (FOUR_PI * np.power(bracket(grid.r), 2 * weight.power_r)
-            * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r) * _trapz_weights(grid.nr, grid.dr))
+def _row_sums(values: np.ndarray, grid, weight: WeightSpec,
+              pos: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sums): sum_j 4 pi <r_j>^{2a} r_j^{2-2b} w_j values_j^2 over each
+    row's points, for every row that holds points.  The points are the
+    ascending row-major flat positions ``pos``, or all of ``values`` (full rows)
+    when ``pos`` is None.  The inverse-r power is folded into the measure, and
+    2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1)."""
+    w = (FOUR_PI * np.power(bracket(grid.r), 2 * weight.power_r)
+         * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r) * _trapz_weights(grid.nr, grid.dr))
+    if pos is None:
+        sq = np.square(values)
+        sq *= w
+        return np.arange(len(sq)), np.add.reduceat(sq.ravel(), np.arange(0, sq.size, grid.nr))
+    rows, cols = np.divmod(pos, grid.nr)
+    sq = np.square(values.take(pos))
+    sq *= w.take(cols)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows.take(starts), np.add.reduceat(sq, starts)
+
+
+def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
+          pos: np.ndarray | None = None) -> float:
+    """The one reduction in t of ``_row_sums``: the root of their max (Linf) or
+    of their trapezoid over the rows that hold points (L2)."""
+    rows, sums = _row_sums(values, grid, weight, pos)
+    if outer == "Linf":
+        return float(np.sqrt(np.max(sums)))
+    return float(np.sqrt(sums @ _trapz_weights(grid.nt, grid.dt).take(rows)))
 
 
 def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
     """||w f(t, .)||_{L^2(dx)} for every time level, each row reduced on its own."""
-    sq = np.square(f.values)
-    sq *= _column_weights(f.grid, weight)
-    return np.sqrt(np.add.reduce(sq, axis=-1))
+    return np.sqrt(_row_sums(f.values, f.grid, weight)[1])
 
 
-def spatial_sup(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
-    grid = f.grid
-    w = np.power(bracket(grid.r), weight.power_r)[None, :]
-    return np.max(np.abs(f.values) * w, axis=1)
+def _data_l2(f: SpaceTimeField, weight: WeightSpec) -> float:
+    """Row 0 of ``spatial_l2`` (the data norm), reducing only that row."""
+    return float(np.sqrt(_row_sums(f.values[:1], f.grid, weight)[1][0]))
 
 
-def mixed_norm(f: SpaceTimeField, spec: MixedNormSpec) -> float:
-    """Evaluate a weighted mixed norm over the whole grid."""
-    if spec.inner == "L2":
-        per_t = spatial_l2(f, spec.weight)
-    else:
-        per_t = spatial_sup(f, spec.weight)
-    if spec.outer == "Linf":
-        return float(np.max(per_t))
-    wt = _trapz_weights(f.grid.nt, f.grid.dt)
-    return float(np.sqrt(np.square(per_t) @ wt))
+def mixed_norm(f: SpaceTimeField, outer: str, weight: WeightSpec = WeightSpec()) -> float:
+    """||w f||_{L^outer_t L^2_x} over the whole grid, ``outer`` "L2" or "Linf"."""
+    if outer not in ("L2", "Linf"):
+        raise NormSpecError(f"outer must be 'L2' or 'Linf'; got {outer!r}")
+    return _norm(f.values, f.grid, outer, weight)
 
 
 def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> float:
@@ -104,22 +106,11 @@ def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> floa
     mask = np.broadcast_to(mask, f.grid.shape())
     if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("region_l2l2 takes a sharp mask: every value 0 or 1")
-    return _region_l2(f, weight, np.flatnonzero(mask))
-
-
-def _region_l2(f: SpaceTimeField, weight: WeightSpec, pos: np.ndarray) -> float:
-    """L2L2 norm of ``f`` on the ascending row-major flat positions ``pos``: each
-    row's points summed with ``np.add.reduceat``, then the trapezoid in t."""
-    rows, cols = np.divmod(pos, f.grid.nr)
-    sq = np.square(f.values.take(pos))
-    sq *= _column_weights(f.grid, weight).take(cols)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    wt = _trapz_weights(f.grid.nt, f.grid.dt).take(rows.take(starts))
-    return float(np.sqrt(np.add.reduceat(sq, starts) @ wt))
+    return _norm(f.values, f.grid, "L2", weight, np.flatnonzero(mask))
 
 
 def _interval_l2(f: SpaceTimeField, weight: WeightSpec, region: DyadicRegion) -> float:
-    return _region_l2(f, weight, _flat(*_intervals(region, f.grid), f.grid.nr))
+    return _norm(f.values, f.grid, "L2", weight, _flat(*_intervals(region, f.grid), f.grid.nr))
 
 
 # ----------------------------------------------------------------------
@@ -181,34 +172,33 @@ _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
 def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
                 delta: float, N: int) -> NormBreakdown:
     _check_params(p, delta, N)
-    if u.grid != v.grid:
+    grid = u.grid
+    if grid != v.grid:
         raise ValueError("u and v must share a grid")
     sup_slot, v_r_weight = _FUNCTIONALS[kind]
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
     su, sv = (_word_sums(f, keys, np.s_[:, :]) for f in (u, v))
-    field = functools.partial(SpaceTimeField, u.grid)
-    w_half = MixedNormSpec("L2", "L2", WeightSpec(power_r=(p - 1) / 2))
-    dv = field(sv[N, DT] + sv[N, DR])
+    w_half = WeightSpec(power_r=(p - 1) / 2)
+    dv = sv[N, DT] + sv[N, DR]
 
     slots: dict[str, float] = {
-        "u_good_l2l2": mixed_norm(field(su[N, "good"]), w_half),
-        "u_invr_l2l2": mixed_norm(field(su[N, "quot"]), w_half),
-        "v_good_l2l2": mixed_norm(field(sv[N, "good"]), w_half),
-        "v_invr_l2l2": mixed_norm(field(sv[N, "quot"]), w_half),
-        "u_le1": le_norm(field(le1_pointwise(su[N, DT], su[N, DR], su[N, "quot"]))),
-        "u_d_linfl2": mixed_norm(field(su[N, DT] + su[N, DR]), MixedNormSpec("Linf", "L2")),
-        "v_d_weighted_l2l2": mixed_norm(
-            dv, MixedNormSpec("L2", "L2", WeightSpec(power_r=-(1 + delta) / 2))),
+        "u_good_l2l2": _norm(su[N, "good"], grid, "L2", w_half),
+        "u_invr_l2l2": _norm(su[N, "quot"], grid, "L2", w_half),
+        "v_good_l2l2": _norm(sv[N, "good"], grid, "L2", w_half),
+        "v_invr_l2l2": _norm(sv[N, "quot"], grid, "L2", w_half),
+        "u_le1": le_norm(SpaceTimeField(
+            grid, le1_pointwise(su[N, DT], su[N, DR], su[N, "quot"]))),
+        "u_d_linfl2": _norm(su[N, DT] + su[N, DR], grid, "Linf", WeightSpec()),
+        "v_d_weighted_l2l2": _norm(dv, grid, "L2", WeightSpec(power_r=-(1 + delta) / 2)),
     }
     if sup_slot:
-        slots["v_d_weighted_linfl2"] = mixed_norm(
-            dv, MixedNormSpec("Linf", "L2", WeightSpec(power_r=-delta / 2)))
+        slots["v_d_weighted_linfl2"] = _norm(dv, grid, "Linf", WeightSpec(power_r=-delta / 2))
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
     sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
-    for row, tau, s, region in _region_rows(u.grid):
-        lu, lv = (_region_sup(x[N // 2, "d"], region, u.grid) for x in (su, sv))
+    for row, tau, s, region in _region_rows(grid):
+        lu, lv = (_region_sup(x[N // 2, "d"], region, grid) for x in (su, sv))
         per_region[f"{row} tau={tau} s={s} u"] = lu
         per_region[f"{row} tau={tau} s={s} v"] = lv
         if row == R_KIND:
@@ -226,8 +216,7 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
     total = float(sum(slots.values()))
     if v_r_weight != "alt":
         slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
-    return NormBreakdown(total=total, slots=slots, per_region=per_region,
-                         truncation_T=u.grid.t_max)
+    return NormBreakdown(total=total, slots=slots, per_region=per_region)
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,

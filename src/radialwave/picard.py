@@ -7,7 +7,9 @@ contraction functional of consecutive differences are recorded per step.
 With an output directory, iterate k's history goes to ``picard_<tag>_k<k>``,
 then the records (naming k) replace the old ones in one rename, and only then
 are older histories removed: an interrupt leaves the old (records, history)
-pair or the new one.  A records file that names another k is refused.
+pair or the new one.  A records file that names another k is refused.  The
+tag keys everything but ``kmax``, so a rerun with a larger kmax solves only
+the new iterates and one with a smaller kmax returns the first kmax records.
 """
 
 from __future__ import annotations
@@ -57,15 +59,15 @@ class PicardConfig:
             raise ValueError(f"kmax must be at least 1, got {self.kmax}")
 
     def descriptor(self) -> dict:
-        """The run's resume key; the data enter as a digest of the four
-        profiles sampled on the grid (``calibrate`` sets the amplitude)."""
+        """The run's resume key, all but ``kmax``; the data enter as a digest of
+        the four profiles sampled on the grid (``calibrate`` sets the amplitude)."""
         g, d = self.grid, self.data
         profiles = hashlib.sha256()
         for fn in (d.u0, d.u1, d.v0, d.v1):
             profiles.update(np.broadcast_to(np.asarray(fn(g.r), dtype="<f8"), g.r.shape).tobytes())
         return {"dr": g.dr, "cfl": g.cfl, "r_max": g.r_max, "t_max": g.t_max,
                 "eps": self.eps, "p": self.p, "delta": self.delta,
-                "N": self.N, "kmax": self.kmax, "data": profiles.hexdigest()[:16],
+                "N": self.N, "data": profiles.hexdigest()[:16],
                 "support_radius": d.support_radius}
 
 
@@ -115,7 +117,7 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
 
     The zeroth iterate is identically zero, so k = 1 is the homogeneous solve.
     Records (and iterate histories, when ``outdir`` is set) are persisted per
-    step and picked up again on rerun with an identical configuration.
+    step and picked up again on rerun with the same configuration, any kmax.
     """
     grid = config.grid
     data = calibrate(config.data, grid, config.N, config.eps)
@@ -124,16 +126,16 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
 
     prev_hist: SolutionHistory | None = None
     prev_u = prev_v = None
-    start_k = 1
     if config.outdir:
         os.makedirs(config.outdir, exist_ok=True)
         records, prev_hist = _load_state(config, tag)
+        records = records[:config.kmax]
         if records:
-            start_k = records[-1].k + 1
             prev_u, prev_v = prev_hist.u(), prev_hist.v()
+    if _rising(records) >= 3:  # the saved run stopped here
+        raise NonContraction(records)
 
-    rising = 0
-    for k in range(start_k, config.kmax + 1):
+    for k in range(len(records) + 1, config.kmax + 1):
         t0 = time.perf_counter()
         if k == 1:
             hist = solve(data, SolveConfig(grid=grid, mode="homogeneous"))
@@ -153,14 +155,16 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
         records.append(rec)
         if config.outdir:
             _save_state(config, tag, records, hist)
-        if ratio is not None and ratio >= 1.0:
-            rising += 1
-            if rising >= 3:
-                raise NonContraction(records)
-        else:
-            rising = 0
+        if _rising(records) >= 3:
+            raise NonContraction(records)
         prev_hist, prev_u, prev_v = hist, u, v
     return records
+
+
+def _rising(records: list[IterationRecord]) -> int:
+    """How many records at the end have a contraction ratio of at least 1."""
+    return next((n for n, r in enumerate(reversed(records))
+                 if not (r.contraction_ratio or 0.0) >= 1.0), len(records))
 
 
 def _state_paths(config: PicardConfig, tag: str):

@@ -5,7 +5,7 @@ import pytest
 
 import radialwave as rw
 from radialwave import estimates, registry
-from radialwave.norms import WeightSpec, region_l2l2
+from radialwave.norms import WeightSpec, region_l2l2, spatial_l2
 from radialwave.regions import DyadicRegion, _intervals
 from region_oracles import realize_mask, region_supsup
 from radialwave.grid import _word_sums
@@ -116,6 +116,27 @@ class TestRatioChecks:
         rep = estimates.check_mr(registry.standing_bump(g), 0.75)
         assert rep.lhs_slots["ang_linfl2"] == 0.0
         assert rep.rhs_slots["data_ang"] == 0.0
+
+    def test_data_slots_are_row_0_of_spatial_l2(self):
+        # a data slot reduces only row 0, and gets row 0 of the whole-grid call
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=20, t_max=16)
+        u = registry.expanding_bump(g)
+        p, delta, a = 0.75, 0.2, -0.125
+        good_u, bad_u = rw.derivative(u, rw.GOOD), rw.derivative(u, rw.BAD)
+
+        def row0(f, weight):
+            return float(spatial_l2(f, weight)[0])
+
+        assert estimates.check_hardy(u, p).rhs_slots["data"] == row0(u, WeightSpec(a, 0.5))
+        du = estimates._du_magnitude(u)
+        assert estimates.check_le(u).rhs_slots["data_sq"] == row0(du, WeightSpec()) ** 2
+        mr = estimates.check_mr(u, p).rhs_slots
+        assert mr["data_invhalf"] == row0(u, WeightSpec(a, 0.5))
+        assert mr["data_good"] == row0(good_u, WeightSpec(p / 2))
+        newle = estimates.check_newle(u, p, delta).rhs_slots
+        assert newle["data_bad"] == row0(bad_u, WeightSpec(-delta / 2))
+        assert newle["data_good"] == row0(good_u, WeightSpec(p / 2))
+        assert newle["data_invr"] == row0(u, WeightSpec(p / 2, 1.0))
 
 
 class TestPointwiseChecks:

@@ -401,7 +401,7 @@ class TestConjugate:
         # u = r^2: Box u = -u'' - (2/r) u' = -2 - 4 = -6 [DERIVED]
         g = small_grid()
         u = rw.SpaceTimeField.from_function(g, lambda t, r: r * r + 0 * t, "even")
-        box = rw.dalembertian(u)
+        box = rw.box_scalar(u)
         np.testing.assert_allclose(box.values, -6.0, atol=1e-8)
 
 

@@ -6,9 +6,7 @@ from scipy.integrate import quad
 import radialwave as rw
 from radialwave import norms, regions
 from radialwave.grid import _word_sums
-from radialwave.norms import (
-    MixedNormSpec, WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2, spatial_sup,
-)
+from radialwave.norms import WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2
 from radialwave.regions import _flat, _intervals, dyadic_scales, enumerate_regions
 from region_oracles import realize_mask, region_supsup
 from stencil_oracles import word_sums_ref
@@ -70,21 +68,30 @@ class TestMixedNorms:
         f = rw.SpaceTimeField.from_function(
             g, lambda t, r: (1 + t) * np.exp(-r * r))
         per_t = spatial_l2(f, WeightSpec())
-        got = mixed_norm(f, MixedNormSpec("Linf", "L2"))
+        got = mixed_norm(f, "Linf")
         assert got == per_t[-1]
 
-    def test_l2_linf(self):
-        g = grid(t_max=4.0)
-        f = rw.SpaceTimeField.from_function(g, lambda t, r: np.cos(t) * np.exp(-r))
-        got = mixed_norm(f, MixedNormSpec("L2", "Linf"))
-        sup_t = np.max(np.abs(f.values), axis=1)
-        wt = np.full(g.nt, g.dt)
-        wt[0] = wt[-1] = g.dt / 2
-        np.testing.assert_allclose(got, np.sqrt(np.sum(sup_t ** 2 * wt)), rtol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1 / 4, 1 / 8]),
+           st.sampled_from([0.5, 1.0]), st.sampled_from([2.0, 5.0, 8.0]),
+           st.sampled_from([4.0, 5.5]), st.sampled_from([0.0, 0.35, -0.6]),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    def test_whole_grid_is_the_region_of_full_rows(self, seed, dr, cfl, t_max, margin, a, b):
+        # one reduction: the whole-grid norm sums each row at the row starts of
+        # the flat array, the region norm gathers every point; both agree bit for bit
+        g = grid(dr=dr, cfl=cfl, t_max=t_max, r_max=t_max + margin)
+        f = rw.SpaceTimeField(g, np.random.default_rng(seed).normal(size=g.shape()))
+        w = WeightSpec(a, b)
+        assert mixed_norm(f, "L2", w) == rw.region_l2l2(f, w, np.ones(g.shape()))
+        # sqrt is monotone and correctly rounded, so the sup of the row norms
+        # is the root of the largest row sum
+        assert mixed_norm(f, "Linf", w) == np.max(spatial_l2(f, w))
 
-    def test_sup_norm_rejects_inverse_weight(self):
+    @pytest.mark.parametrize("outer", ["Linf2", "l2", None])
+    def test_outer_must_be_l2_or_linf(self, outer):
+        f = rw.SpaceTimeField.from_function(grid(t_max=1.0), lambda t, r: np.exp(-r) + 0 * t)
         with pytest.raises(rw.NormSpecError):
-            MixedNormSpec("Linf", "Linf", WeightSpec(power_inv_r=1.0))
+            mixed_norm(f, outer)
 
 
 class TestLocalEnergy:
@@ -178,11 +185,6 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             m_functional(u, v, 0.75, 0.2, 1)
 
-    def test_truncation_recorded(self):
-        u, v = self.fields()
-        b = m_functional(u, v, 0.75, 0.2, 1)
-        assert b.truncation_T == 16.0
-
 
 # the M and A functionals' Z-word sums
 _MA_KEYS = {N: ((N, "good"), (N, "dt"), (N, "dr"), (N // 2, "d"), (N, "quot"))
@@ -266,10 +268,3 @@ class TestFunctionalFastPaths:
             assert b.slots["v_R_l2"] == float(np.sqrt(sq_alt))
             assert b.total == float(sum(b.slots.values()))
 
-
-def test_spatial_sup_matches_direct_max():
-    g = grid(t_max=2.0)
-    f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(r + t))
-    got = spatial_sup(f, WeightSpec(power_r=0.5))
-    w = (1 + g.r ** 2) ** 0.25
-    np.testing.assert_allclose(got, np.max(np.abs(f.values) * w[None, :], axis=1))

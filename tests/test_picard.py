@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -98,6 +99,24 @@ class TestIteration:
         with pytest.raises(ValueError, match="do not match"):
             picard.run_iteration(cfg)
 
+    def test_kmax_is_not_part_of_the_resume_key(self, tmp_path, monkeypatch):
+        # kmax 2, then kmax 3 and kmax 2 again in one directory: the second run
+        # solves only iterate 3, the third none, and both match a fresh run
+        fresh = [_values(r) for r in picard.run_iteration(small_config())]
+        out = str(tmp_path)
+        picard.run_iteration(small_config(kmax=2, outdir=out))
+        solves = []
+        for name in ("solve", "solve_linear_forced"):
+            fn = getattr(picard, name)
+            monkeypatch.setattr(picard, name,
+                                lambda *a, fn=fn, name=name, **k: solves.append(name) or fn(*a, **k))
+        resumed = picard.run_iteration(small_config(kmax=3, outdir=out))
+        assert solves == ["solve_linear_forced"]
+        assert [_values(r) for r in resumed] == fresh
+        shorter = picard.run_iteration(small_config(kmax=2, outdir=out))
+        assert solves == ["solve_linear_forced"]
+        assert [_values(r) for r in shorter] == fresh[:2]
+
     @pytest.mark.parametrize("bad", [dict(p=1.5), dict(p=0.0), dict(delta=0.3),
                                      dict(delta=0.0), dict(N=4), dict(N=-1), dict(kmax=0)])
     def test_bad_parameters_rejected_when_built(self, bad):
@@ -161,6 +180,50 @@ class TestNonContraction:
         with pytest.raises(picard.NonContraction) as exc:
             picard.run_iteration(cfg)
         assert len(exc.value.records) == 4  # k = 1 plus three rising ratios
+
+    def test_resumed_run_stops_where_a_fresh_run_stops(self, tmp_path, monkeypatch):
+        # the difference functional grows every step; a run interrupted after
+        # saving k = 3 and rerun must raise after k = 4, as a fresh run does
+        totals = itertools.count(1.0)
+
+        class FakeBreakdown:
+            def __init__(self, total):
+                self.total = total
+                self.slots = {}
+
+        monkeypatch.setattr(picard, "a_functional",
+                            lambda *a, **k: FakeBreakdown(next(totals)))
+        with pytest.raises(picard.NonContraction) as exc:
+            picard.run_iteration(small_config(kmax=6))
+        fresh = [_values(r) for r in exc.value.records]
+        assert len(fresh) == 4
+
+        totals = itertools.count(1.0)
+        save_state = picard._save_state
+
+        def interrupt_after_k3(config, tag, records, hist):
+            save_state(config, tag, records, hist)
+            if records[-1].k == 3:
+                raise _Interrupt
+
+        out = str(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(picard, "_save_state", interrupt_after_k3)
+            with pytest.raises(_Interrupt):
+                picard.run_iteration(small_config(kmax=6, outdir=out))
+        with pytest.raises(picard.NonContraction) as exc:
+            picard.run_iteration(small_config(kmax=6, outdir=out))
+        assert [_values(r) for r in exc.value.records] == fresh
+
+        # the saved records end in three rises: a rerun raises with no solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a stopped run was solved again")
+
+        monkeypatch.setattr(picard, "solve", no_solve)
+        monkeypatch.setattr(picard, "solve_linear_forced", no_solve)
+        with pytest.raises(picard.NonContraction) as exc:
+            picard.run_iteration(small_config(kmax=6, outdir=out))
+        assert [_values(r) for r in exc.value.records] == fresh
 
 
 class TestDecayFit:
