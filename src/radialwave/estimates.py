@@ -16,7 +16,8 @@ the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
 takes its sup over the plain region's points and reads its Z-word sums only
 on the enlarged region ``tilde``, so one ``grid._word_sums`` pass builds all
 of them on a window around it (``_ks_window``, the bounding box of tilde's
-intervals, widened by ``_HALO`` cells).  The deepest sums the checks read
+intervals, widened by ``_HALO`` cells); ``_ks_sums`` places them in full-grid
+arrays for the region reductions.  The deepest sums the checks read
 chain four stencils (Z^3 then d; Z^2 then bad2 or good2), so by the halo
 argument of ``_word_sums`` four cells already keep every value inside
 ``tilde`` equal to the full-grid one; ``_HALO`` = 8 leaves room.
@@ -384,6 +385,18 @@ def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice]:
             slice(max(int(j_lo.min()) - _HALO, 0), min(int(j_hi.max()) + _HALO, grid.nr)))
 
 
+def _ks_sums(w: SpaceTimeField, keys, tilde: DyadicRegion) -> dict:
+    """The ``_word_sums`` of ``keys`` on ``_ks_window`` of ``tilde``, each placed
+    in a zeroed full-grid array, where the region reductions read them."""
+    grid = w.grid
+    window = _ks_window(_intervals(tilde, grid), grid)
+    placed = {}
+    for key, sums in _word_sums(w, keys, window).items():
+        placed[key] = np.zeros(grid.shape())
+        placed[key][window] = sums
+    return placed
+
+
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,
                        family_id: str = "") -> EstimateReport:
     """Space-time pointwise decay estimate on one dyadic slab piece.
@@ -396,7 +409,7 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     region = DyadicRegion(tau, region_kind, scale)
     tilde = region.enlarged(1)
     lhs = _region_sup(w.values, region, grid)
-    sums = _word_sums(w, ((2, None), (2, "dr")), _ks_window(_intervals(tilde, grid), grid))
+    sums = _ks_sums(w, ((2, None), (2, "dr")), tilde)
     m0 = _interval_l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
     m1 = _interval_l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
     if region_kind == R_KIND:
@@ -457,9 +470,8 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
     tilde = region.enlarged(1)
-    window = _ks_window(_intervals(tilde, grid), grid)
-    sums = _word_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
-                          (2, "good2")), window)
+    sums = _ks_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
+                        (2, "good2")), tilde)
     lhs = _region_sup(sums[0, "d"], region, grid)  # |dt w| + |dr w|; plain lies in tilde
 
     def mass(key):

@@ -13,8 +13,9 @@ odd field or f(-h) = f(h) of an even one, and the one-sided stencil when no
 parity is given (always in t).  ``_over_r`` recovers its first column by
 3-point extrapolation from the next three.  Edge columns are set with
 whole-column numpy operations, which round exactly as scalar arithmetic does.
-``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums of the M/A
-functionals (whole grid) and the Klainerman-Sobolev checks (a window).
+``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
+of the grid, returned in the window's shape, for the M/A functionals (one
+block of time rows at a time) and the Klainerman-Sobolev checks.
 """
 
 from __future__ import annotations
@@ -314,38 +315,42 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
 
 
 def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
-    """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f|.
+    """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f| on the
+    samples ``f.values[window]``, as an array of the window's shape.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
     (|dt + dr|), "quot" (|.| / r), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2"
     (dt^2 - dr^2), "bad2" ((dt - dr)^2) or "good2" ((dt + dr)^2).  One
-    ``_z_walk`` runs on the samples ``f.values[window]`` only (a pair of
-    slices, ``np.s_[:, :]`` for the whole grid) and adds each term, in
-    ``z_words`` order, into a view of a zeroed full-grid array: every sum is
-    zero outside the window, and an empty window walks nothing.
+    ``_z_walk`` runs on the window only (a pair of slices, ``np.s_[:, :]`` for
+    the whole grid) and adds each term, in ``z_words`` order, into the sums;
+    an empty window walks nothing.
 
     Every stencil reads one cell on each side, so at a window edge that is not
     a grid edge it spoils the edge cell (a one-sided stencil, a parity ghost
     or the 1/r extrapolation), and each further stencil moves the error one
     cell inward.  A word of length n chains n stencils and P one more (two
-    for bad2 and good2, none for None): the sum of (n, P) equals the
-    full-grid one from that many cells inside every such edge on.
+    for bad2 and good2, none for None): at most that many, the depth of
+    (n, P), along either axis.  So the sum of (n, P) equals the full-grid one
+    from depth cells inside every such edge on, if the window is long enough
+    where it ends on a grid edge: the one-sided stencil there reads two cells
+    inward (three for ``_d2`` and the 1/r extrapolation), so the window needs
+    depth + 2 cells (depth + 3) along that axis.  The last 4 rows of a grid
+    spoil their last row at depth 3.
     """
     grid = f.grid
     _require_size(grid)
-    sums = {key: np.zeros(grid.shape()) for key in keys}
     rows, cols = window
     values = f.values[rows, cols]
+    sums = {key: np.zeros(values.shape) for key in keys}
     if values.size == 0:
         return sums
-    views = {key: total[rows, cols] for key, total in sums.items()}
     r, ht, hr = grid.r[cols], grid.dt, grid.dr
     tmp = np.empty_like(values)  # the pointwise terms' scratch
     for length, g, par, gt, gr in _z_walk(values, f.parity, grid.t[rows, None], r, ht, hr,
                                           max(n for n, _ in keys)):
-        for (n, prefix), view in views.items():
+        for (n, prefix), total in sums.items():
             if length <= n:
-                view += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
+                total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
     return sums
 
 

@@ -4,14 +4,23 @@ All spatial integrals use the radial measure dx = 4*pi*r^2 dr, and
 global-in-time norms are truncated to the grid horizon [0, t_max].  Every
 norm is one reduction: ``_row_sums`` sums 4 pi <r>^{2a} r^{2-2b} w_r f^2 over
 each time row's points with ``np.add.reduceat`` (a row's value does not depend
-on the other rows), then ``_norm`` takes the root of their trapezoid (L2) or
-of their max (Linf) in t.  The whole grid is the region of full rows, summed
+on the other rows), then ``_t_norm`` takes the root of their trapezoid (L2)
+or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the region of full rows, summed
 at the row starts of the flat array with no gather.  A region L2 norm sums
 only its region's points: ``le_norm`` and the estimate checks pass the points
 of a region's per-row intervals, ``region_l2l2`` the nonzero points of a sharp
-mask, so both give bit-equal norms on one region.  The M and A functionals
-take their Z-word sums from one ``grid._word_sums`` pass per field; their
-region sups read the R/U/core intervals' points (``_region_sup``).
+mask, so both give bit-equal norms on one region.
+
+The M and A functionals stream each field in blocks of time rows
+(``_blocks``).  A block's Z-word sums come from one ``grid._word_sums`` pass
+on its rows widened by a halo, and reduce straight into the per-row sums of
+every slot, the per-annulus row sums of ``le_norm`` (``_le_rows``) and the
+R/U/core region sups (``_region_sup`` on the block's part of each region's
+intervals, then a max over the blocks).  The row sums of all blocks are
+concatenated and reduced once in t, so every value equals the whole-grid one
+bit for bit, and no array of the grid's size is built.  ``le_norm`` runs the
+same code on one block.  ``m_and_a_functionals`` reads both functionals of
+one pair off a single pass.
 """
 
 from __future__ import annotations
@@ -74,14 +83,18 @@ def _row_sums(values: np.ndarray, grid, weight: WeightSpec,
     return rows.take(starts), np.add.reduceat(sq, starts)
 
 
-def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
-          pos: np.ndarray | None = None) -> float:
-    """The one reduction in t of ``_row_sums``: the root of their max (Linf) or
-    of their trapezoid over the rows that hold points (L2)."""
-    rows, sums = _row_sums(values, grid, weight, pos)
+def _t_norm(rows: np.ndarray, sums: np.ndarray, grid, outer: str) -> float:
+    """The one reduction in t of row sums: the root of their max (Linf) or of
+    their trapezoid over the rows that hold points (L2)."""
     if outer == "Linf":
         return float(np.sqrt(np.max(sums)))
     return float(np.sqrt(sums @ _trapz_weights(grid.nt, grid.dt).take(rows)))
+
+
+def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
+          pos: np.ndarray | None = None) -> float:
+    """``_t_norm`` of ``_row_sums``."""
+    return _t_norm(*_row_sums(values, grid, weight, pos), grid, outer)
 
 
 def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
@@ -119,10 +132,26 @@ def _interval_l2(f: SpaceTimeField, weight: WeightSpec, region: DyadicRegion) ->
 
 def le_norm(f: SpaceTimeField) -> float:
     """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
+    return _le_reduce([_le_rows(f.values, f.grid, 0)], f.grid)
+
+
+def _le_rows(values: np.ndarray, grid, lo: int) -> list:
+    """Per dyadic annulus A_R, R >= 1 in turn: the (rows, sums) of ``_row_sums``
+    on the annulus's points, of ``values`` holding the grid rows from ``lo``."""
+    out = []
+    for R in dyadic_scales(bracket(grid.r_max)):
+        pos = _block_pos(_intervals(DyadicRegion(None, ANNULUS, R), grid), grid, lo, len(values))
+        rows, sums = _row_sums(values, grid, WeightSpec(), pos)
+        out.append((rows + lo, sums))
+    return out
+
+
+def _le_reduce(blocks: list, grid) -> float:
+    """``le_norm`` from the ``_le_rows`` of consecutive blocks of rows."""
     best = 0.0
-    for R in dyadic_scales(bracket(f.grid.r_max)):
-        annulus = DyadicRegion(None, ANNULUS, R)
-        best = max(best, R ** -0.5 * _interval_l2(f, WeightSpec(), annulus))
+    for R, parts in zip(dyadic_scales(bracket(grid.r_max)), zip(*blocks)):
+        rows, sums = (np.concatenate(x) for x in zip(*parts))
+        best = max(best, R ** -0.5 * _t_norm(rows, sums, grid, "L2"))
     return best
 
 
@@ -159,46 +188,92 @@ def _region_rows(grid) -> list:
             for s in dyadic_scales(tau // 2)]
 
 
-def _region_sup(values: np.ndarray, region: DyadicRegion, grid) -> float:
-    """max |values| over a sharp region's points; 0.0 on an empty region."""
-    pos = _flat(*_intervals(region, grid), grid.nr)
+def _block_pos(intervals, grid, lo: int, n: int) -> np.ndarray:
+    """Flat positions, counted from row ``lo``, of the points of per-row
+    intervals on the grid rows [lo, lo + n)."""
+    rows, j_lo, j_hi = intervals
+    a, b = np.searchsorted(rows, (lo, lo + n))
+    return _flat(rows[a:b] - lo, j_lo[a:b], j_hi[a:b], grid.nr)
+
+
+def _region_sup(values: np.ndarray, region: DyadicRegion, grid, lo: int = 0) -> float:
+    """max |values| over a sharp region's points in the grid rows that
+    ``values`` hold, full width from row ``lo``; 0.0 where there are none."""
+    pos = _block_pos(_intervals(region, grid), grid, lo, len(values))
     return float(np.max(np.abs(values.take(pos)), initial=0.0))
 
+
+# The M/A functionals walk the grid in blocks of _BLOCK_ROWS or more time rows
+# (``_blocks``), whose Z-word sums come from a ``_word_sums`` pass on their rows
+# widened by _HALO_ROWS on either side.  The deepest sums, (3, P) at N = 3,
+# chain four stencils in t, so by the ``_word_sums`` argument a block's own
+# rows are exact: no block is short, so a window ending on a grid edge holds
+# more than the depth + 2 rows it needs.  At N <= 2 three rows would do.
+_BLOCK_ROWS = 64
+_HALO_ROWS = 4
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
 _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
 
 
-def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
-                delta: float, N: int) -> NormBreakdown:
+def _blocks(nt: int) -> list:
+    """(lo, hi) of max(1, nt // _BLOCK_ROWS) consecutive blocks of rows that
+    cover [0, nt), their sizes within one of each other: none is short."""
+    n = max(1, nt // _BLOCK_ROWS)
+    return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
+
+
+def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict,
+                regions: list) -> tuple[dict, list]:
+    """One field's part of the grid rows [lo, hi), from a ``_word_sums`` pass on
+    them widened by ``_HALO_ROWS``: per slot of ``specs`` (name -> (term, outer,
+    weight)) the ``_row_sums`` of its term, or for outer "LE" the ``_le_rows``
+    of the (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each
+    region of ``regions``."""
+    grid = f.grid
+    start = max(lo - _HALO_ROWS, 0)
+    window = (slice(start, min(hi + _HALO_ROWS, grid.nt)), slice(None))
+    keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
+    sums = {key: x[lo - start:hi - start] for key, x in _word_sums(f, keys, window).items()}
+    terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
+    rows = {name: _le_rows(le1_pointwise(sums[N, DT], sums[N, DR], sums[N, "quot"]), grid, lo)
+            if outer == "LE" else _row_sums(terms[term], grid, weight)[1]
+            for name, (term, outer, weight) in specs.items()}
+    return rows, [_region_sup(sums[N // 2, "d"], region, grid, lo) for *_, region in regions]
+
+
+def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
+                 N: int) -> list[NormBreakdown]:
+    """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
+    from one pass over the blocks of rows of each field: a block reduces
+    straight into per-row sums and region sups, then each norm reduces once in
+    t.  No array of the grid's size is built."""
     _check_params(p, delta, N)
     grid = u.grid
     if grid != v.grid:
         raise ValueError("u and v must share a grid")
-    sup_slot, v_r_weight = _FUNCTIONALS[kind]
-    keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    su, sv = (_word_sums(f, keys, np.s_[:, :]) for f in (u, v))
     w_half = WeightSpec(power_r=(p - 1) / 2)
-    dv = sv[N, DT] + sv[N, DR]
-
-    slots: dict[str, float] = {
-        "u_good_l2l2": _norm(su[N, "good"], grid, "L2", w_half),
-        "u_invr_l2l2": _norm(su[N, "quot"], grid, "L2", w_half),
-        "v_good_l2l2": _norm(sv[N, "good"], grid, "L2", w_half),
-        "v_invr_l2l2": _norm(sv[N, "quot"], grid, "L2", w_half),
-        "u_le1": le_norm(SpaceTimeField(
-            grid, le1_pointwise(su[N, DT], su[N, DR], su[N, "quot"]))),
-        "u_d_linfl2": _norm(su[N, DT] + su[N, DR], grid, "Linf", WeightSpec()),
-        "v_d_weighted_l2l2": _norm(dv, grid, "L2", WeightSpec(power_r=-(1 + delta) / 2)),
-    }
-    if sup_slot:
-        slots["v_d_weighted_linfl2"] = _norm(dv, grid, "Linf", WeightSpec(power_r=-delta / 2))
+    u_specs = {"u_good_l2l2": ("good", "L2", w_half), "u_invr_l2l2": ("quot", "L2", w_half),
+               "u_le1": (None, "LE", None), "u_d_linfl2": ("d", "Linf", WeightSpec())}
+    v_specs = {"v_good_l2l2": ("good", "L2", w_half), "v_invr_l2l2": ("quot", "L2", w_half),
+               "v_d_weighted_l2l2": ("d", "L2", WeightSpec(power_r=-(1 + delta) / 2))}
+    if any(_FUNCTIONALS[kind][0] for kind in kinds):
+        v_specs["v_d_weighted_linfl2"] = ("d", "Linf", WeightSpec(power_r=-delta / 2))
+    regions = _region_rows(grid)
+    norms, sups = {}, []
+    for f, specs in ((u, u_specs), (v, v_specs)):
+        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, regions)
+                                 for lo, hi in _blocks(grid.nt)))
+        for name, (_, outer, _) in specs.items():
+            parts = [block[name] for block in rows]
+            norms[name] = (_le_reduce(parts, grid) if outer == "LE" else
+                           _t_norm(np.arange(grid.nt), np.concatenate(parts), grid, outer))
+        sups.append(np.max(block_sups, axis=0).tolist())
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
     sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
-    for row, tau, s, region in _region_rows(grid):
-        lu, lv = (_region_sup(x[N // 2, "d"], region, grid) for x in (su, sv))
+    for (row, tau, s, _), lu, lv in zip(regions, *sups):
         per_region[f"{row} tau={tau} s={s} u"] = lu
         per_region[f"{row} tau={tau} s={s} v"] = lv
         if row == R_KIND:
@@ -209,14 +284,21 @@ def _functional(kind: str, u: SpaceTimeField, v: SpaceTimeField, p: float,
             sup_u[row] = max(sup_u[row], tau * s ** 0.5 * lu)
             sq_v[row] += (tau ** (1 - delta / 2) * s ** 0.5 * lv) ** 2
 
-    slots["u_R_sup"] = sup_u[R_KIND]
-    slots["v_R_l2"] = float(np.sqrt(sq_v[v_r_weight]))
-    slots["u_U_sup"] = sup_u[U_KIND]
-    slots["v_U_l2"] = float(np.sqrt(sq_v[U_KIND]))
-    total = float(sum(slots.values()))
-    if v_r_weight != "alt":
-        slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
-    return NormBreakdown(total=total, slots=slots, per_region=per_region)
+    out = []
+    for kind in kinds:
+        sup_slot, v_r_weight = _FUNCTIONALS[kind]
+        names = ["u_good_l2l2", "u_invr_l2l2", "v_good_l2l2", "v_invr_l2l2", "u_le1",
+                 "u_d_linfl2", "v_d_weighted_l2l2"] + ["v_d_weighted_linfl2"] * sup_slot
+        slots = {name: norms[name] for name in names}
+        slots["u_R_sup"] = sup_u[R_KIND]
+        slots["v_R_l2"] = float(np.sqrt(sq_v[v_r_weight]))
+        slots["u_U_sup"] = sup_u[U_KIND]
+        slots["v_U_l2"] = float(np.sqrt(sq_v[U_KIND]))
+        total = float(sum(slots.values()))
+        if v_r_weight != "alt":
+            slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
+        out.append(NormBreakdown(total=total, slots=slots, per_region=dict(per_region)))
+    return out
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
@@ -227,7 +309,7 @@ def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
     ("v_R_l2" with tau^{1/2} R^{1-delta/2} enters the total; the
     R^{(3-delta)/2} alternative is recorded as "v_R_l2_alt").
     """
-    return _functional("M", u, v, p, delta, N)
+    return _functionals(("M",), u, v, p, delta, N)[0]
 
 
 def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
@@ -235,4 +317,12 @@ def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
     """Contraction functional: the boundedness slots applied to iterate
     differences, minus the sup-in-t slot for the v derivative, with the
     R^{(3-delta)/2} weight on the v region row."""
-    return _functional("A", u_diff, v_diff, p, delta, N)
+    return _functionals(("A",), u_diff, v_diff, p, delta, N)[0]
+
+
+def m_and_a_functionals(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
+                        N: int) -> tuple[NormBreakdown, NormBreakdown]:
+    """``m_functional(u, v, ...)`` and ``a_functional(u, v, ...)`` from one pass:
+    A's slots are M's without the sup-in-t v slot, its v R row is M's
+    "v_R_l2_alt".  The Picard driver's first iterate is its own difference."""
+    return tuple(_functionals(("M", "A"), u, v, p, delta, N))

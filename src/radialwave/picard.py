@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .grid import DR, GridSpec, SpaceTimeField, derivative, quotient_by_r
-from .norms import _check_params, a_functional, m_functional
+from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
     nonlinearity, solve, solve_linear_forced, zero_profile,
@@ -106,9 +106,7 @@ def _forcing_from(hist: SolutionHistory) -> tuple[SpaceTimeField, SpaceTimeField
     return fu, fv
 
 
-def _difference(a: SpaceTimeField, b: SpaceTimeField | None) -> SpaceTimeField:
-    if b is None:
-        return a
+def _difference(a: SpaceTimeField, b: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(a.grid, a.values - b.values, a.parity)
 
 
@@ -143,9 +141,12 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
             fu, fv = _forcing_from(prev_hist)
             hist = solve_linear_forced(data, fu, fv, SolveConfig(grid=grid))
         u, v = hist.u(), hist.v()
-        m = m_functional(u, v, config.p, config.delta, config.N)
-        a = a_functional(_difference(u, prev_u), _difference(v, prev_v),
-                         config.p, config.delta, config.N)
+        if prev_u is None:  # the zeroth iterate is zero: A's input is (u, v) itself
+            m, a = m_and_a_functionals(u, v, config.p, config.delta, config.N)
+        else:
+            m = m_functional(u, v, config.p, config.delta, config.N)
+            a = a_functional(_difference(u, prev_u), _difference(v, prev_v),
+                             config.p, config.delta, config.N)
         ratio = None
         if records:
             prev_a = records[-1].a_total

@@ -304,7 +304,10 @@ class TestKSWordPass:
                 assert 0 < cols.start and cols.stop < g.nr
 
         ref = word_sums_ref(u, _KS_KEYS)
-        sums = _word_sums(u, _KS_KEYS + ((0, "d"),), window)
+        sums = {}
+        for key, in_window in _word_sums(u, _KS_KEYS + ((0, "d"),), window).items():
+            sums[key] = np.zeros(g.shape())
+            sums[key][window] = in_window
         for key in _KS_KEYS:
             assert np.array_equal(sums[key][inside], ref[key][inside]), key
         du = np.abs(rw.derivative(u, "dt").values) + np.abs(rw.derivative(u, "dr").values)

@@ -334,14 +334,13 @@ class TestWordSums:
         window = tuple(slice(lo, hi) for lo, hi, _, _ in bounds)
         sums = _word_sums(f, _ALL_KEYS, window)
         ref = word_sums_ref(f, _ALL_KEYS)
-        outside = np.ones(f.grid.shape(), dtype=bool)
-        outside[window] = False
         for key in _ALL_KEYS:
             d = _depth(*key)
-            exact = tuple(slice(lo if at_lo else lo + d, hi if at_hi else hi - d)
+            # in window coordinates
+            exact = tuple(slice(0 if at_lo else d, hi - lo if at_hi else hi - lo - d)
                           for lo, hi, at_lo, at_hi in bounds)
-            assert np.array_equal(sums[key][exact], ref[key][exact]), key
-            assert not sums[key][outside].any(), key
+            assert sums[key].shape == f.values[window].shape, key
+            assert np.array_equal(sums[key][exact], ref[key][window][exact]), key
 
     def test_halo_depth_is_needed(self):
         # one cell short of the depth, an interior window differs somewhere;
@@ -354,15 +353,31 @@ class TestWordSums:
         for n, prefix in _ALL_KEYS:
             d = _depth(n, prefix) - 1
             if d >= 0 and not (prefix == "quot" and n > 0):
-                short = (slice(8 + d, 40 - d), slice(8 + d, 30 - d))
-                assert not np.array_equal(sums[n, prefix][short], ref[n, prefix][short])
+                short = (slice(d, 32 - d), slice(d, 22 - d))  # in window coordinates
+                assert not np.array_equal(sums[n, prefix][short], ref[n, prefix][window][short])
+
+    def test_short_window_at_a_grid_edge(self):
+        # the one-sided stencil at the last row reads two rows inward, so a
+        # window of the last depth + 1 rows spoils its last row at depth 3, and
+        # one of depth + 2 rows keeps it; on the columns the window is the grid
+        f = _random_field(11, "odd")
+        nt = f.grid.nt
+        keys = ((2, "dt"), (2, "good"), (2, "dr"), (1, "dt"))
+        ref = word_sums_ref(f, keys)
+        for rows, spoiled in ((4, {(2, "dt"), (2, "good")}), (5, set())):
+            sums = _word_sums(f, keys, np.s_[nt - rows:, :])
+            for key in keys:
+                same = np.array_equal(sums[key][-1], ref[key][-1])
+                assert same == (key not in spoiled), (rows, key)
 
     @pytest.mark.parametrize("window", [(slice(0, 0), slice(0, 0)),
                                         (slice(5, 5), slice(None)),
                                         (slice(None), slice(9, 9))])
     def test_empty_window_is_zeros(self, window):
-        sums = _word_sums(_random_field(3, "odd"), _ALL_KEYS, window)
-        assert all(not total.any() for total in sums.values())
+        f = _random_field(3, "odd")
+        sums = _word_sums(f, _ALL_KEYS, window)
+        assert all(total.shape == f.values[window].shape and not total.any()
+                   for total in sums.values())
 
     def test_unknown_prefix_rejected(self):
         with pytest.raises(ValueError, match="unknown word-sum prefix"):

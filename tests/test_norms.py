@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,3 +270,71 @@ class TestFunctionalFastPaths:
             assert b.slots["v_R_l2"] == float(np.sqrt(sq_alt))
             assert b.total == float(sum(b.slots.values()))
 
+
+
+class TestTimeBlocks:
+    """The M/A functionals' blocks of rows against one block of the whole grid."""
+
+    @staticmethod
+    def fields(nt):
+        t_max = (nt - 1) / 4
+        g = rw.GridSpec(dr=0.25, cfl=1.0, r_max=t_max + 4, t_max=t_max)
+        rng = np.random.default_rng(nt)
+        u, v = rng.uniform(-1.0, 1.0, (2, *g.shape()))
+        u[:, 0] = 0.0
+        return rw.SpaceTimeField(g, u, "odd"), rw.SpaceTimeField(g, v)
+
+    @pytest.mark.parametrize("nt", [1, 5, 63, 64, 127, 128, 129, 513, 1000])
+    def test_blocks_cover_the_rows_with_none_short(self, nt):
+        blocks = norms._blocks(nt)
+        assert blocks[0][0] == 0 and blocks[-1][1] == nt
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert len(blocks) == 1 or min(sizes) >= norms._BLOCK_ROWS
+
+    # nt mod _BLOCK_ROWS = 0, 1 and neither, two blocks each
+    @pytest.mark.parametrize("extra", [0, 1, 35])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_blocks_equal_one_block(self, monkeypatch, extra, N):
+        u, v = self.fields(2 * norms._BLOCK_ROWS + extra)
+        assert len(norms._blocks(u.grid.nt)) == 2
+        functionals = (m_functional, rw.a_functional)
+        blocked = [f(u, v, 0.75, 0.2, N) for f in functionals]
+        monkeypatch.setattr(norms, "_blocks", lambda nt: [(0, nt)])
+        for b, whole in zip(blocked, (f(u, v, 0.75, 0.2, N) for f in functionals)):
+            assert b.total == whole.total
+            assert b.slots == whole.slots
+            assert b.per_region == whole.per_region
+
+    def test_halo_of_three_rows_is_not_exact(self, monkeypatch):
+        # at N = 3 a sum chains four stencils in t (Z^3, then good, dt or dr)
+        u, v = self.fields(2 * norms._BLOCK_ROWS + 1)
+        exact = m_functional(u, v, 0.75, 0.2, 3)
+        monkeypatch.setattr(norms, "_HALO_ROWS", 3)
+        assert m_functional(u, v, 0.75, 0.2, 3).slots != exact.slots
+
+    def test_shared_pass_equals_fresh_functionals(self):
+        u, v = TestFunctionals.fields(dr=1 / 8)
+        shared = norms.m_and_a_functionals(u, v, 0.75, 0.2, 2)
+        for b, fresh in zip(shared, (m_functional(u, v, 0.75, 0.2, 2),
+                                     rw.a_functional(u, v, 0.75, 0.2, 2))):
+            assert b.total == fresh.total
+            assert list(b.slots.items()) == list(fresh.slots.items())
+            assert b.per_region == fresh.per_region
+
+    def test_peak_allocation_is_a_few_grid_arrays(self):
+        # 513 rows, 8 blocks; the whole-grid pass peaked at about 23 arrays of
+        # the grid's size, a block's pass holds about 20 of its own rows'
+        g = rw.GridSpec(dr=1.0, cfl=1.0, r_max=516.0, t_max=512.0)
+        rng = np.random.default_rng(0)
+        u = rw.SpaceTimeField(g, rng.uniform(-1.0, 1.0, g.shape()), "even")
+        v = rw.SpaceTimeField(g, rng.uniform(-1.0, 1.0, g.shape()))
+        tracemalloc.start()
+        try:
+            m_functional(u, v, 0.75, 0.2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms._blocks(g.nt)) == 8
+        assert peak < 4 * u.values.nbytes

@@ -46,6 +46,19 @@ class TestIteration:
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         np.testing.assert_allclose(records[0].m_total, m.total, rtol=1e-12)
 
+    def test_first_iterate_shares_one_pass_for_m_and_a(self, monkeypatch):
+        # A_1 is A of (u_1, v_1) itself, read off M_1's pass: equal to fresh calls
+        cfg = small_config(kmax=1)
+        monkeypatch.setattr(picard, "m_functional", None)
+        monkeypatch.setattr(picard, "a_functional", None)
+        rec, = picard.run_iteration(cfg)
+        data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
+        lin = rw.solve(data, rw.SolveConfig(grid=cfg.grid, mode="homogeneous"))
+        m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
+        a = rw.a_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
+        assert (rec.m_total, rec.m_slots) == (m.total, m.slots)
+        assert (rec.a_total, rec.a_slots) == (a.total, a.slots)
+
     def test_persistence_and_resume(self, tmp_path, monkeypatch):
         # interrupt a kmax-3 run at each step of saving iterate 2, rerun the
         # same configuration, and get exactly the fresh run's records
@@ -164,6 +177,14 @@ class TestBoundedness:
             picard.check_boundedness([], 0.01)
 
 
+def _fake_a(monkeypatch, fake):
+    """Replace every A breakdown of ``run_iteration`` by ``fake()``: at k = 1
+    A comes from the pass shared with M, from k = 2 on from ``a_functional``."""
+    shared = picard.m_and_a_functionals
+    monkeypatch.setattr(picard, "m_and_a_functionals", lambda *a: (shared(*a)[0], fake()))
+    monkeypatch.setattr(picard, "a_functional", lambda *a: fake())
+
+
 class TestNonContraction:
     def test_raised_after_three_rises(self, monkeypatch):
         cfg = small_config(kmax=6)
@@ -175,8 +196,7 @@ class TestNonContraction:
                 self.total = total
                 self.slots = {}
 
-        monkeypatch.setattr(picard, "a_functional",
-                            lambda *a, **k: FakeBreakdown(next(seq)))
+        _fake_a(monkeypatch, lambda: FakeBreakdown(next(seq)))
         with pytest.raises(picard.NonContraction) as exc:
             picard.run_iteration(cfg)
         assert len(exc.value.records) == 4  # k = 1 plus three rising ratios
@@ -191,8 +211,7 @@ class TestNonContraction:
                 self.total = total
                 self.slots = {}
 
-        monkeypatch.setattr(picard, "a_functional",
-                            lambda *a, **k: FakeBreakdown(next(totals)))
+        _fake_a(monkeypatch, lambda: FakeBreakdown(next(totals)))
         with pytest.raises(picard.NonContraction) as exc:
             picard.run_iteration(small_config(kmax=6))
         fresh = [_values(r) for r in exc.value.records]
