@@ -2,9 +2,10 @@
 
 Layers: ``grid`` (fields and vector-field calculus), ``regions`` (sharp
 dyadic regions as per-row intervals), ``norms`` (weighted mixed norms and the
-iteration functionals), ``solver`` (RK4 evolution plus the closed-form
-oracle), ``estimates`` (identity and estimate checks), ``picard`` (fixed-point
-driver, boundedness, decay fits), ``cli`` (command-line front end).
+iteration functionals), ``solver`` (RK4 evolution, the characteristic linear
+solve and the closed-form oracle), ``estimates`` (identity and estimate
+checks), ``picard`` (fixed-point driver on the iterate differences,
+boundedness, decay fits), ``cli`` (command-line front end).
 """
 
 from .grid import (

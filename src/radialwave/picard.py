@@ -1,15 +1,21 @@
 """Fixed-point iteration driver, boundedness bookkeeping, and decay fits.
 
-Each iterate solves the linear wave system with the quadratic source frozen
-from the previous iterate; the boundedness functional of each iterate and the
-contraction functional of consecutive differences are recorded per step.
+The driver evolves the differences delta_k = u_k - u_{k-1} of the iterates:
+delta_1 = u_1 is the free wave, and for k >= 2 delta_k solves the linear
+system from zero data with the source G_k = F(u_{k-1}) - F(u_{k-2}), written
+with the bilinear form B of each equation (``null_form`` for u, dt u dt v
+for v) as B(delta_{k-1}, a) + B(a, delta_{k-1}) - B(delta_{k-1}, delta_{k-1}),
+a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
+A of delta_k, so A_k is no difference of two separately rounded solves.
 
-With an output directory, iterate k's history goes to ``picard_<tag>_k<k>``,
-then the records (naming k) replace the old ones in one rename, and only then
-are older histories removed: an interrupt leaves the old (records, history)
-pair or the new one.  A records file that names another k is refused.  The
-tag keys everything but ``kmax``, so a rerun with a larger kmax solves only
-the new iterates and one with a smaller kmax returns the first kmax records.
+With an output directory, the histories of u_k and delta_k go to
+``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
+(naming k) replace the old ones in one rename, and only then are older
+histories removed: an interrupt leaves the old (records, histories) pair or
+the new one.  Records that name another k, or a k with no saved delta, are
+refused.  The tag keys everything but ``kmax``, so a rerun with a larger
+kmax solves only the new iterates and one with a smaller kmax returns the
+first kmax records.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DR, GridSpec, SpaceTimeField, derivative, quotient_by_r
+from .grid import GridSpec, SpaceTimeField, _d1, _over_r
 from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
-    InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
-    nonlinearity, solve, solve_linear_forced, zero_profile,
+    InitialData, SolveConfig, SolutionHistory, _unit_courant, bump, calibrate,
+    config_hash, nonlinearity, solve, solve_linear_forced, zero_profile,
 )
 
 
@@ -57,6 +63,7 @@ class PicardConfig:
         _check_params(self.p, self.delta, self.N)
         if self.kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {self.kmax}")
+        _unit_courant(SolveConfig(grid=self.grid).history_grid)
 
     def descriptor(self) -> dict:
         """The run's resume key, all but ``kmax``; the data enter as a digest of
@@ -89,64 +96,67 @@ class IterationRecord:
         return cls(**d)
 
 
-def _derivative_frames(hist: SolutionHistory):
-    """(dtu, dru, dtv, drv) scalar frames on the history grid; time derivatives
-    come from the stored conjugate momenta, radial ones from the stencils."""
-    u = hist.u()
-    v = hist.v()
-    return (quotient_by_r(hist.dtW_u).values, derivative(u, DR).values,
-            quotient_by_r(hist.dtW_v).values, derivative(v, DR).values)
+def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
+    """(dtu, dru, dtv, drv) scalar frames on ``rows`` of the history: dt from the
+    stored conjugate momenta, dr by the stencil, each row from its own row."""
+    r, dr = hist.grid.r, hist.grid.dr
+    dtu, dtv = (_over_r(f.values[rows], r) for f in (hist.dtW_u, hist.dtW_v))
+    dru, drv = (_d1(_over_r(f.values[rows], r), dr, "even") for f in (hist.W_u, hist.W_v))
+    return dtu, dru, dtv, drv
 
 
-def _forcing_from(hist: SolutionHistory) -> tuple[SpaceTimeField, SpaceTimeField]:
-    dtu, dru, dtv, drv = _derivative_frames(hist)
-    g = hist.grid
-    fu = SpaceTimeField(g, nonlinearity(dtu, dru, dtv, drv, "u-eq"))
-    fv = SpaceTimeField(g, nonlinearity(dtu, dru, dtv, drv, "v-eq"))
-    return fu, fv
+def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
+    """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
+    ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
+    64 time rows at a time."""
+    def bilinear(x, y, which):
+        return nonlinearity(x[0], x[1], y[2], y[3], which)
+
+    out = np.empty((2, *hist.grid.shape()))
+    for rows in (slice(n, n + 64) for n in range(0, hist.grid.nt, 64)):
+        a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
+        for g, w in zip(out[:, rows], ("u-eq", "v-eq")):
+            g[:] = bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w)
+    return [SpaceTimeField(hist.grid, g) for g in out]
 
 
-def _difference(a: SpaceTimeField, b: SpaceTimeField) -> SpaceTimeField:
-    return SpaceTimeField(a.grid, a.values - b.values, a.parity)
+def _plus(hist: SolutionHistory, diff: SolutionHistory) -> SolutionHistory:
+    """The history of u_{k-1} + delta_k, field by field."""
+    pairs = [(getattr(hist, n), getattr(diff, n)) for n in ("W_u", "dtW_u", "W_v", "dtW_v")]
+    return SolutionHistory(*(SpaceTimeField(f.grid, f.values + g.values, "odd")
+                             for f, g in pairs), diff.mode)
 
 
 def run_iteration(config: PicardConfig) -> list[IterationRecord]:
-    """Run the iteration u_k = linear solve with source from (u_{k-1}, v_{k-1}).
-
-    The zeroth iterate is identically zero, so k = 1 is the homogeneous solve.
-    Records (and iterate histories, when ``outdir`` is set) are persisted per
-    step and picked up again on rerun with the same configuration, any kmax.
-    """
-    grid = config.grid
-    data = calibrate(config.data, grid, config.N, config.eps)
+    """Run the iteration on the differences (module docstring); A_1 is A of u_1.
+    Records (and histories, with ``outdir``) are persisted per step and picked
+    up again on rerun with the same configuration, any kmax."""
+    data = calibrate(config.data, config.grid, config.N, config.eps)
+    solve_config = SolveConfig(grid=config.grid)
+    params = config.p, config.delta, config.N
     records: list[IterationRecord] = []
     tag = config_hash(config.descriptor())
 
-    prev_hist: SolutionHistory | None = None
-    prev_u = prev_v = None
+    hist = diff = None  # u_k and delta_k
     if config.outdir:
         os.makedirs(config.outdir, exist_ok=True)
-        records, prev_hist = _load_state(config, tag)
+        records, hist, diff = _load_state(config, tag)
         records = records[:config.kmax]
-        if records:
-            prev_u, prev_v = prev_hist.u(), prev_hist.v()
     if _rising(records) >= 3:  # the saved run stopped here
         raise NonContraction(records)
 
     for k in range(len(records) + 1, config.kmax + 1):
         t0 = time.perf_counter()
         if k == 1:
-            hist = solve(data, SolveConfig(grid=grid, mode="homogeneous"))
+            zero = SpaceTimeField.zeros(solve_config.history_grid)
+            hist = diff = solve_linear_forced(data, zero, zero, solve_config)
+            m, a = m_and_a_functionals(hist.u(), hist.v(), *params)
         else:
-            fu, fv = _forcing_from(prev_hist)
-            hist = solve_linear_forced(data, fu, fv, SolveConfig(grid=grid))
-        u, v = hist.u(), hist.v()
-        if prev_u is None:  # the zeroth iterate is zero: A's input is (u, v) itself
-            m, a = m_and_a_functionals(u, v, config.p, config.delta, config.N)
-        else:
-            m = m_functional(u, v, config.p, config.delta, config.N)
-            a = a_functional(_difference(u, prev_u), _difference(v, prev_v),
-                             config.p, config.delta, config.N)
+            diff = solve_linear_forced(InitialData(amplitude=0.0),
+                                       *_source_difference(hist, diff), solve_config)
+            hist = _plus(hist, diff)
+            m = m_functional(hist.u(), hist.v(), *params)
+            a = a_functional(diff.u(), diff.v(), *params)
         ratio = None
         if records:
             prev_a = records[-1].a_total
@@ -155,10 +165,9 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
                               dict(a.slots), time.perf_counter() - t0)
         records.append(rec)
         if config.outdir:
-            _save_state(config, tag, records, hist)
+            _save_state(config, tag, records, hist, diff)
         if _rising(records) >= 3:
             raise NonContraction(records)
-        prev_hist, prev_u, prev_v = hist, u, v
     return records
 
 
@@ -174,11 +183,12 @@ def _state_paths(config: PicardConfig, tag: str):
     return base + "_records.json", base + "_k"
 
 
-def _save_state(config, tag, records, hist):
+def _save_state(config, tag, records, hist, diff):
     rec_path, prefix = _state_paths(config, tag)
     hist_dir = f"{prefix}{records[-1].k}"
     shutil.rmtree(hist_dir, ignore_errors=True)  # left half-written by an interrupt
     hist.save(hist_dir)
+    diff.save(os.path.join(hist_dir, "delta"))
     with open(rec_path + ".tmp", "w") as fh:
         json.dump({"config": config.descriptor(), "k": records[-1].k,
                    "records": [r.to_json() for r in records]}, fh, sort_keys=True)
@@ -192,7 +202,7 @@ def _save_state(config, tag, records, hist):
 def _load_state(config, tag):
     rec_path, prefix = _state_paths(config, tag)
     if not os.path.exists(rec_path):
-        return [], None
+        return [], None, None
     with open(rec_path) as fh:
         blob = json.load(fh)
     records = [IterationRecord.from_json(d) for d in blob["records"]]
@@ -201,7 +211,11 @@ def _load_state(config, tag):
     if records[-1].k != k or not os.path.isdir(hist_dir):
         raise ValueError(f"{rec_path}: records up to k = {records[-1].k} do not match a "
                          f"saved history of iterate k = {k}; remove it to start afresh")
-    return records, SolutionHistory.load(hist_dir)
+    delta_dir = os.path.join(hist_dir, "delta")
+    if not os.path.isdir(delta_dir):
+        raise ValueError(f"{hist_dir} holds no difference delta_{k} (a state of the "
+                         "separately solved iterates); remove it to start afresh")
+    return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
 
 
 def check_boundedness(records: list[IterationRecord], eps: float) -> dict:

@@ -1,4 +1,4 @@
-"""Method-of-lines evolution of the radially reduced coupled wave system.
+"""Evolution of the radially reduced coupled wave system.
 
 The system is evolved in conjugate variables W = r*u, where the radial
 d'Alembertian becomes the 1-D wave operator:
@@ -6,25 +6,30 @@ d'Alembertian becomes the 1-D wave operator:
     dt^2 W_u - dr^2 W_u = r * [ (dt+dr)u dt v - dr u (dt+dr)v ],
     dt^2 W_v - dr^2 W_v = r * [ dt u dt v ],            u = W_u / r.
 
-Time stepping is classical RK4 on the first-order system (W, dt W); r = 0 is
-handled by odd reflection; the outer boundary is never reached by the support
-cone.  The same integrator with frozen interpolated sources provides the
-linear solves for the fixed-point driver, and a d'Alembert closed form serves
-as the homogeneous oracle.
+``solve`` steps the semilinear or the homogeneous system with classical RK4
+on the first-order system (W, dt W); r = 0 is handled by odd reflection; the
+outer boundary is never reached by the support cone.  ``solve_linear_forced``,
+the fixed-point driver's linear solve with a source F sampled on a history
+grid with dt = dr, takes the characteristic (leapfrog, Courant number 1) step
 
-Each step updates only the window of leading columns j < J, where
+    W^{n+1}_j = W^n_{j+1} + W^n_{j-1} - W^{n-1}_j + dt^2 r_j F^n_j
+
+with the odd ghost W_{-1} = -W_1 and W = 0 past r_max: exact for the free
+wave, second order in the source, and with no precursor ahead of the front.
+A d'Alembert closed form serves as the homogeneous oracle.
+
+Each RK4 step updates only the window of leading columns j < J, where
 J = min(nr, last + 1 + GUARD) and ``last`` is the last column of the state
-that is not exactly zero (in linear_forced mode also the last nonzero forcing
-column on the rows the step interpolates).  Ahead of the front the state
-underflows to exact zeros, and the window is exact, not a tolerance: the
-interior stencils reach one column, so stage s of RK4 reads columns up to
-last + s - 1 and the new state is nonzero up to last + 4 at most.  At the
-window's last column the one-sided edge stencils read 4 (second derivative)
-and 3 (first derivative) columns back, which with GUARD = 8 are still zero,
-so they give the same exact zero the centered stencil gives there; every
-column the window cuts off stays exactly zero.  Diagnostics are taken on the
-window too; the energy integrand is summed over a full-width zeroed buffer,
-because np.sum's pairwise blocking depends on the length.
+that is not exactly zero.  Ahead of the front the state underflows to exact
+zeros, and the window is exact, not a tolerance: the interior stencils reach
+one column, so stage s of RK4 reads columns up to last + s - 1 and the new
+state is nonzero up to last + 4 at most.  At the window's last column the
+one-sided edge stencils read 4 (second derivative) and 3 (first derivative)
+columns back, which with GUARD = 8 are still zero, so they give the same
+exact zero the centered stencil gives there; every column the window cuts
+off stays exactly zero.  Diagnostics are taken on the window too; the energy
+integrand is summed over a full-width zeroed buffer, because np.sum's
+pairwise blocking depends on the length.
 """
 
 from __future__ import annotations
@@ -138,16 +143,13 @@ def calibrate(data: InitialData, grid: GridSpec, N: int, eps: float) -> InitialD
 @dataclass
 class SolveConfig:
     grid: GridSpec
-    mode: str = "semilinear"  # semilinear | linear_forced | homogeneous
-    forcing: tuple[SpaceTimeField, SpaceTimeField] | None = None
+    mode: str = "semilinear"  # semilinear | homogeneous
     record_stride: int | None = None  # default: largest stride with stride*cfl <= 1
     store_history: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("semilinear", "linear_forced", "homogeneous"):
+        if self.mode not in ("semilinear", "homogeneous"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.forcing is not None) != (self.mode == "linear_forced"):
-            raise ValueError("forcing must be supplied iff mode is linear_forced")
         if self.record_stride is None:
             self.record_stride = max(1, int(np.floor(1.0 / self.grid.cfl + 1e-9)))
         nsteps = self.grid.nt - 1
@@ -169,7 +171,7 @@ class SolutionHistory:
     dtW_u: SpaceTimeField
     W_v: SpaceTimeField
     dtW_v: SpaceTimeField
-    config: SolveConfig
+    mode: str  # the solve that made it: a solve mode or "linear_forced"
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -191,7 +193,7 @@ class SolutionHistory:
         manifest = {
             "grid": {"dr": self.grid.dr, "cfl": self.grid.cfl,
                      "r_max": self.grid.r_max, "t_max": self.grid.t_max},
-            "mode": self.config.mode,
+            "mode": self.mode,
             "diagnostics": {k: list(map(float, v)) for k, v in self.diagnostics.items()},
         }
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:
@@ -203,13 +205,9 @@ class SolutionHistory:
                   for name in ("W_u", "dtW_u", "W_v", "dtW_v")}
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        grid = fields["W_u"].grid
-        mode = manifest["mode"]
-        cfg = SolveConfig(grid=grid, mode="homogeneous" if mode == "linear_forced" else mode,
-                          record_stride=1)
-        cfg.mode = mode  # no forcing is saved: the config names the run, it cannot rerun it
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
-        return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"], cfg, diags)
+        return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"],
+                   manifest["mode"], diags)
 
 
 def nonlinearity(dtu, dru, dtv, drv, which: str):
@@ -226,61 +224,21 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
     return null_form(dtu, dru, dtv, drv)
 
 
-class _Forcing:
-    """The two stored forcing fields, linear in t between their rows, read on
-    the leading columns of a step's window."""
-
-    def __init__(self, fu: SpaceTimeField, fv: SpaceTimeField):
-        if fu.grid != fv.grid:
-            raise ValueError("the two forcing fields must share a grid")
-        self.fields = (fu.values, fv.values)
-        self.dt = fu.grid.dt
-        nz = (fu.values != 0) | (fv.values != 0)
-        # per row, the last column where either field is not exactly zero
-        self.last = np.where(nz.any(axis=1),
-                             nz.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-        self._buf = np.empty((2, 2, nz.shape[1]))
-
-    def _row(self, t: float) -> tuple[int, float]:
-        rows = self.fields[0].shape[0]
-        x = min(max(t / self.dt, 0.0), rows - 1.0)
-        n = min(int(x), rows - 2)
-        return n, x - n
-
-    def last_col(self, t0: float, t1: float) -> int:
-        """Last nonzero column that interpolation reads at any t in [t0, t1]."""
-        return int(self.last[self._row(t0)[0]:self._row(t1)[0] + 2].max())
-
-    def add(self, t: float, r: np.ndarray, out: np.ndarray) -> None:
-        """out[1] += r * fu(t) and out[3] += r * fv(t) on the columns of r."""
-        n, w = self._row(t)
-        J = r.size
-        f, g = self._buf[:, :, :J]
-        for i, vals in enumerate(self.fields):
-            np.multiply(vals[n, :J], 1.0 - w, out=f[i])
-            np.multiply(vals[n + 1, :J], w, out=g[i])
-        f += g
-        f *= r
-        out[1::2] += f
-
-
 class _Rhs:
-    """F(t, y) of the first-order system (W_u, dt W_u, W_v, dt W_v) on the
+    """F(y) of the autonomous first-order system (W_u, dt W_u, W_v, dt W_v) on the
     leading columns of y, written into ``out`` through scratch allocated once.
 
     W_u and W_v go through each stencil together as the rows y[0::2]; every
     element sees the same operations, in the same order, as alone.
     """
 
-    def __init__(self, r: np.ndarray, dr: float, semilinear: bool,
-                 forcing: _Forcing | None):
+    def __init__(self, r: np.ndarray, dr: float, semilinear: bool):
         self.r, self.dr = r, dr
         self.semilinear = semilinear
-        self.forcing = forcing
         # y / r, dr of (W_u, W_v), (dr u, dr v), the two sources
         self._buf = np.empty((10, r.size)) if semilinear else None
 
-    def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+    def __call__(self, y: np.ndarray, out: np.ndarray) -> None:
         J = y.shape[1]
         r = self.r[:J]
         W, P = y[0::2], y[1::2]
@@ -304,8 +262,6 @@ class _Rhs:
             np.multiply(dtu, dtv, out=src[1])
             src *= r
             out[1::2] += src
-        elif self.forcing is not None:
-            self.forcing.add(t, r, out)
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
@@ -315,10 +271,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         raise CflError(f"evolution requires cfl <= 0.9, got {grid.cfl}")
     r, dr, dt, nr = grid.r, grid.dr, grid.dt, grid.nr
     nsteps = grid.nt - 1
-    if config.mode == "linear_forced" and config.forcing is None:
-        raise ValueError("linear_forced needs forcing (a loaded history's config has none)")
-    forcing = _Forcing(*config.forcing) if config.mode == "linear_forced" else None
-    rhs = _Rhs(r, dr, config.mode == "semilinear", forcing)
+    rhs = _Rhs(r, dr, config.mode == "semilinear")
 
     amp = data.amplitude
     Wu = r * amp * np.asarray(data.u0(r), dtype=float)
@@ -338,11 +291,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     diag_support = np.zeros(nsteps + 1)
 
     scale = max(np.max(np.abs(state)), 1e-300)
-    # the blow-up cap also counts what the forcing builds from zero data:
-    # |W| <= t^2 max|r F| / 2 and |dt W| <= t max|r F| (Duhamel)
-    forced = 0.0 if forcing is None else grid.t_max ** 2 * max(
-        float(np.max(r * np.maximum(f.max(axis=0), -f.min(axis=0)))) for f in forcing.fields)
-    cap = _BLOW_CAP * max(scale, forced)
+    cap = _BLOW_CAP * scale
     wr = _trapz_weights(nr, dr)
     k1, k2, k3, k4, stage, acc, absy = np.empty((7, 4, nr))
     colmax = np.empty(nr)
@@ -376,21 +325,19 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     record_diag(0, 0.0, nr, cols)
 
     for n in range(nsteps):
-        t = n * dt
-        reach = last if forcing is None else max(last, forcing.last_col(t, t + dt))
-        J = min(nr, reach + 1 + GUARD)
+        J = min(nr, last + 1 + GUARD)
         y, s = stage[:, :J], state[:, :J]
         a, b, c, d = k1[:, :J], k2[:, :J], k3[:, :J], k4[:, :J]
-        rhs(t, s, a)
+        rhs(s, a)
         np.multiply(a, dt / 2, out=y)
         y += s
-        rhs(t + dt / 2, y, b)
+        rhs(y, b)
         np.multiply(b, dt / 2, out=y)
         y += s
-        rhs(t + dt / 2, y, c)
+        rhs(y, c)
         np.multiply(c, dt, out=y)
         y += s
-        rhs(t + dt, y, d)
+        rhs(y, d)
         # state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), in that order
         inc = np.multiply(b, 2, out=acc[:, :J])
         inc += a
@@ -408,16 +355,15 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         record_diag(n + 1, tn, J, cols)
         if config.store_history and (n + 1) % stride == 0:
             frames[:, (n + 1) // stride] = state
-        if config.mode != "linear_forced":
-            # the centered stencil sheds a dispersive precursor ahead of the
-            # true front; at the 1e-6 level its width grows like ~0.3 units
-            # per doubling of t (measured), so the finite-speed check allows
-            # a logarithmic-in-t margin on top of a 32-cell base
-            margin = 0.5 * np.log2(2.0 + tn) + 32 * dr
-            if diag_support[n + 1] > tn + data.support_radius + margin:
-                raise RuntimeError(
-                    f"finite-speed violation: support radius {diag_support[n + 1]:.4g} "
-                    f"at t = {tn:.4g}")
+        # the centered stencil sheds a dispersive precursor ahead of the
+        # true front; at the 1e-6 level its width grows like ~0.3 units per
+        # doubling of t (measured), so the finite-speed check allows a
+        # logarithmic-in-t margin on top of a 32-cell base
+        margin = 0.5 * np.log2(2.0 + tn) + 32 * dr
+        if diag_support[n + 1] > tn + data.support_radius + margin:
+            raise RuntimeError(
+                f"finite-speed violation: support radius {diag_support[n + 1]:.4g} "
+                f"at t = {tn:.4g}")
 
     diagnostics = {
         "t": diag_t, "energy_u": diag_energy[0], "energy_v": diag_energy[1],
@@ -425,14 +371,9 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     }
     if not config.store_history:
         z = SpaceTimeField.zeros(hist_grid, "odd")
-        return SolutionHistory(z, z, z, z, config, diagnostics)
-    return SolutionHistory(
-        SpaceTimeField(hist_grid, frames[0], "odd"),
-        SpaceTimeField(hist_grid, frames[1], "odd"),
-        SpaceTimeField(hist_grid, frames[2], "odd"),
-        SpaceTimeField(hist_grid, frames[3], "odd"),
-        config, diagnostics,
-    )
+        return SolutionHistory(z, z, z, z, config.mode, diagnostics)
+    return SolutionHistory(*(SpaceTimeField(hist_grid, f, "odd") for f in frames),
+                           config.mode, diagnostics)
 
 
 def _last_true(flags: np.ndarray) -> int:
@@ -449,12 +390,56 @@ def _support_radius(cols: np.ndarray, r: np.ndarray, tol: float) -> float:
 
 def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
                         forcing_v: SpaceTimeField, config: SolveConfig) -> SolutionHistory:
-    """Linear wave solves with prescribed sources (the fixed-point step)."""
-    cfg = SolveConfig(grid=config.grid, mode="linear_forced",
-                      forcing=(forcing_u, forcing_v),
-                      record_stride=config.record_stride,
-                      store_history=config.store_history)
-    return solve(data, cfg)
+    """Linear wave solves with prescribed sources (the fixed-point step).
+
+    The characteristic step of the module docstring, on ``config.history_grid``
+    (dt = dr), where the sources are sampled.  The first step is d'Alembert on
+    the data (Simpson's rule for the velocity integral) plus dt^2/2 of the
+    source.  The solve steps one row past t_max, so dt W is the centred
+    difference at every stored row; row 0 holds the data velocity.
+    """
+    grid = _unit_courant(config.history_grid)
+    if not forcing_u.values.shape == forcing_v.values.shape == grid.shape():
+        raise ValueError(f"the forcing must be sampled on the history grid {grid.shape()}")
+    r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
+    frames = np.empty((4, nt, nr))
+    W, P = frames[0::2], frames[1::2]  # (W_u, W_v) and (dt W_u, dt W_v)
+    for row, fn in zip(frames[:, 0], (data.u0, data.u1, data.v0, data.v1)):
+        row[:] = r * data.amplitude * np.asarray(fn(r), dtype=float)
+    h2r = h * h * r
+    src, past = np.empty((2, 2, nr))  # the source term; W one row past t_max
+    for n in range(nt):
+        new = W[:, n + 1] if n + 1 < nt else past
+        _neighbour_sum(W[:, n], new)
+        np.multiply(forcing_u.values[n], h2r, out=src[0])
+        np.multiply(forcing_v.values[n], h2r, out=src[1])
+        new += src
+        if n == 0:  # half of each, plus Simpson's rule for the velocity integral
+            new *= 0.5
+            new += (_neighbour_sum(P[:, 0], src) + 4 * P[:, 0]) * (h / 6)
+        else:
+            new -= W[:, n - 1]
+            np.subtract(new, W[:, n - 1], out=P[:, n])
+            P[:, n] /= 2 * h
+        if not np.isfinite(new).all():
+            raise BlowUpSuspected((n + 1) * h)
+    return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames), "linear_forced")
+
+
+def _unit_courant(grid: GridSpec) -> GridSpec:
+    """``grid``, if its dt is its dr, as the characteristic step needs."""
+    if abs(grid.cfl - 1.0) > 1e-12:
+        raise CflError(f"the linear solve needs a history grid with dt = dr, "
+                       f"got dt = {grid.cfl:.6g} dr")
+    return grid
+
+
+def _neighbour_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w_{j+1} + w_{j-1} on the last axis: odd ghost w_{-1} = -w_1, zero past the end."""
+    np.add(w[..., 2:], w[..., :-2], out=out[..., 1:-1])
+    out[..., 0] = 0.0
+    out[..., -1] = w[..., -2]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -490,10 +475,9 @@ def dalembert_history(data: InitialData, grid: GridSpec) -> SolutionHistory:
     Wv = np.stack([exact_dalembert(data.v0, t, grid.r, data.amplitude) for t in tvals])
     Pu = np.stack([exact_dalembert_dt(data.u0, t, grid.r, data.amplitude) for t in tvals])
     Pv = np.stack([exact_dalembert_dt(data.v0, t, grid.r, data.amplitude) for t in tvals])
-    cfg = SolveConfig(grid=grid, mode="homogeneous")
     return SolutionHistory(
         SpaceTimeField(grid, Wu, "odd"), SpaceTimeField(grid, Pu, "odd"),
-        SpaceTimeField(grid, Wv, "odd"), SpaceTimeField(grid, Pv, "odd"), cfg,
+        SpaceTimeField(grid, Wv, "odd"), SpaceTimeField(grid, Pv, "odd"), "homogeneous",
     )
 
 

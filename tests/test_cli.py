@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ class TestPicardCommand:
         assert payload["verdict"]["bounded"]
         assert len(payload["records"]) == 2
 
+    def test_state_without_delta_is_refused(self, tmp_path, capsys):
+        # a state of separately solved iterates has no delta_k to resume from
+        args = ["--out", str(tmp_path), "picard", "--dr", "0.125", "--t-max", "8", "--kmax"]
+        assert run(args + ["1"]) == 0
+        shutil.rmtree(next(tmp_path.glob("picard_*_k1")) / "delta")
+        assert run(args + ["2"]) == 1
+        assert "no difference" in capsys.readouterr().err
+
 
 class TestDecayCommand:
     def test_fit_reported(self, tmp_path):
@@ -199,7 +208,9 @@ class TestBadInput:
         (command, flags) for command in ("picard", "sweep")
         for flags in (["--N", "4"], ["--N", "-1"], ["--p", "1.5"], ["--delta", "0.5"],
                       ["--delta", "-0.1"], ["--kmax", "0"])
-        if command == "picard" or flags[0] != "--kmax"])  # sweep runs kmax 2
+        if command == "picard" or flags[0] != "--kmax"]  # sweep runs kmax 2
+        # the linear solves need dt = dr on the history grid: cfl 0.4 records at 0.8
+        + [(command, ["--cfl", "0.4"]) for command in ("picard", "sweep")])
     def test_picard_parameters_fail_before_the_first_solve(self, tmp_path, monkeypatch,
                                                            command, flags):
         def no_solve(*args, **kwargs):

@@ -38,11 +38,11 @@ class TestIteration:
         assert records[2].a_total < records[1].a_total
 
     def test_first_iterate_is_linear(self):
+        # u_1 is the free wave: M_1 is M of the closed-form history
         cfg = small_config(kmax=1)
         records = picard.run_iteration(cfg)
-        g = cfg.grid
-        data = rw.calibrate(cfg.data, g, cfg.N, cfg.eps)
-        lin = rw.solve(data, rw.SolveConfig(grid=g, mode="homogeneous"))
+        data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
+        lin = rw.dalembert_history(data, rw.SolveConfig(grid=cfg.grid).history_grid)
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         np.testing.assert_allclose(records[0].m_total, m.total, rtol=1e-12)
 
@@ -53,7 +53,9 @@ class TestIteration:
         monkeypatch.setattr(picard, "a_functional", None)
         rec, = picard.run_iteration(cfg)
         data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
-        lin = rw.solve(data, rw.SolveConfig(grid=cfg.grid, mode="homogeneous"))
+        solve_cfg = rw.SolveConfig(grid=cfg.grid)
+        zero = rw.SpaceTimeField.zeros(solve_cfg.history_grid)
+        lin = rw.solve_linear_forced(data, zero, zero, solve_cfg)
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         a = rw.a_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         assert (rec.m_total, rec.m_slots) == (m.total, m.slots)
@@ -64,13 +66,18 @@ class TestIteration:
         # same configuration, and get exactly the fresh run's records
         fresh = [_values(r) for r in picard.run_iteration(small_config())]
         save, replace, rmtree = rw.SolutionHistory.save, os.replace, shutil.rmtree
-        saved = []
 
-        def after_second_history(hist, path):
-            save(hist, path)
-            saved.append(path)
-            if len(saved) == 2:
-                raise _Interrupt
+        def after_save(last):
+            # each iterate saves u_k, then delta_k: saves 3 and 4 are iterate 2's
+            saved = []
+
+            def interrupt(hist, path):
+                save(hist, path)
+                saved.append(str(path))
+                if len(saved) == last:
+                    assert saved[-1].endswith("_k2" if last == 3 else "delta")
+                    raise _Interrupt
+            return interrupt
 
         def at_records_commit(src, dst):
             if dst.endswith("_records.json") and json.loads(Path(src).read_text())["k"] == 2:
@@ -82,7 +89,8 @@ class TestIteration:
                 raise _Interrupt
             rmtree(path, *args, **kwargs)
 
-        stages = ((rw.SolutionHistory, "save", after_second_history),
+        stages = ((rw.SolutionHistory, "save", after_save(3)),
+                  (rw.SolutionHistory, "save", after_save(4)),
                   (os, "replace", at_records_commit), (shutil, "rmtree", at_history_removal))
         for i, (owner, name, interrupt) in enumerate(stages):
             out = str(tmp_path / str(i))
@@ -111,6 +119,31 @@ class TestIteration:
         rec_path.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="do not match"):
             picard.run_iteration(cfg)
+
+    def test_source_is_the_difference_of_the_nonlinearities(self, monkeypatch):
+        # G_k = F(u_(k-1)) - F(u_(k-2)), F the sources of the frames of an
+        # iterate, up to rounding: within 1e-13 of max|F(u_(k-1))|
+        calls = []
+        solve = picard.solve_linear_forced
+
+        def recording(data, fu, fv, config):
+            calls.append((fu.values, fv.values, solve(data, fu, fv, config)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(picard, "solve_linear_forced", recording)
+        picard.run_iteration(small_config())
+
+        def sources(hist):
+            frames = picard._derivative_frames(hist)
+            return [rw.nonlinearity(*frames, which) for which in ("u-eq", "v-eq")]
+
+        u1 = calls[0][2]
+        u2 = picard._plus(u1, calls[1][2])
+        for (gu, gv, _), new, old in ((calls[1], sources(u1), [0, 0]),
+                                      (calls[2], sources(u2), sources(u1))):
+            for g, f_new, f_old in zip((gu, gv), new, old):
+                err = np.max(np.abs(g - (f_new - f_old)))
+                assert err <= 1e-13 * np.max(np.abs(f_new))
 
     def test_kmax_is_not_part_of_the_resume_key(self, tmp_path, monkeypatch):
         # kmax 2, then kmax 3 and kmax 2 again in one directory: the second run
@@ -220,8 +253,8 @@ class TestNonContraction:
         totals = itertools.count(1.0)
         save_state = picard._save_state
 
-        def interrupt_after_k3(config, tag, records, hist):
-            save_state(config, tag, records, hist)
+        def interrupt_after_k3(config, tag, records, *hists):
+            save_state(config, tag, records, *hists)
             if records[-1].k == 3:
                 raise _Interrupt
 
