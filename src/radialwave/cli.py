@@ -309,10 +309,10 @@ def _cmd_sweep(args) -> int:
     eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
     if not eps_list:
         raise ValueError(f"--eps-list holds no values: {args.eps_list!r}")
+    configs = [picard.PicardConfig(grid=grid, eps=eps, p=args.p, delta=args.delta,
+                                   N=args.N, kmax=2) for eps in eps_list]
     rows = []
-    for eps in eps_list:
-        cfg = picard.PicardConfig(grid=grid, eps=eps, p=args.p, delta=args.delta,
-                                  N=args.N, kmax=2)
+    for eps, cfg in zip(eps_list, configs):
         records = picard.run_iteration(cfg)
         m1 = records[0].m_total
         m2 = records[1].m_total if len(records) > 1 else float("nan")

@@ -15,12 +15,8 @@ the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
 (``norms._region_sup``, ``norms._interval_l2``).  A Klainerman-Sobolev check
 takes its sup over the plain region's points and reads its Z-word sums only
 on the enlarged region ``tilde``, so one ``grid._word_sums`` pass builds all
-of them on a window around it (``_ks_window``, the bounding box of tilde's
-intervals, widened by ``_HALO`` cells); ``_ks_sums`` places them in full-grid
-arrays for the region reductions.  The deepest sums the checks read
-chain four stencils (Z^3 then d; Z^2 then bad2 or good2), so by the halo
-argument of ``_word_sums`` four cells already keep every value inside
-``tilde`` equal to the full-grid one; ``_HALO`` = 8 leaves room.
+of them on tilde's bounding box (``_ks_window``), where the region reductions
+read them in place.
 """
 
 from __future__ import annotations
@@ -225,15 +221,16 @@ def _dyadic_forcing_sums(box: SpaceTimeField, p: float) -> tuple[float, float, d
     """The two dyadic forcing stacks: the ell^2-in-(tau, R) sum with the core
     attached to the R row, and the U-row sum over tau >= 4U."""
     grid = box.grid
+    w_r, w_u = WeightSpec((p + 1) / 2), WeightSpec(p / 2)
     detail = {}
     sq_r = 0.0
     tau_values = dyadic_scales(grid.t_max / 2, start=4)
     for tau in tau_values:
         for s in dyadic_scales(tau // 4):
-            val = _interval_l2(box, WeightSpec((p + 1) / 2), DyadicRegion(tau, R_KIND, s))
+            val = _interval_l2(box.values, grid, w_r, DyadicRegion(tau, R_KIND, s))
             detail[f"R tau={tau} R={s}"] = val
             sq_r += val * val
-        val = _interval_l2(box, WeightSpec((p + 1) / 2), DyadicRegion(tau, CORE))
+        val = _interval_l2(box.values, grid, w_r, DyadicRegion(tau, CORE))
         detail[f"R tau={tau} core"] = val
         sq_r += val * val
     f_r = float(np.sqrt(sq_r))
@@ -244,7 +241,7 @@ def _dyadic_forcing_sums(box: SpaceTimeField, p: float) -> tuple[float, float, d
         sq = 0.0
         for tau in tau_values:
             if tau >= 4 * U:
-                val = _interval_l2(box, WeightSpec(p / 2), DyadicRegion(tau, U_KIND, U))
+                val = _interval_l2(box.values, grid, w_u, DyadicRegion(tau, U_KIND, U))
                 detail[f"U tau={tau} U={U}"] = val
                 sq += U * val * val
         f_u += float(np.sqrt(sq))
@@ -257,7 +254,7 @@ def _sup_U_slot(u: SpaceTimeField, p: float) -> float:
     best = 0.0
     for U in dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max))):
         strip = DyadicRegion(None, STRIP, U)
-        best = max(best, U ** -0.5 * _interval_l2(good, WeightSpec(p / 2), strip))
+        best = max(best, U ** -0.5 * _interval_l2(good.values, u.grid, WeightSpec(p / 2), strip))
     return best
 
 
@@ -367,34 +364,18 @@ def check_weighted_sobolev(h: np.ndarray, r: np.ndarray, R: int,
                           {"sup": lhs}, {"mass": mass, "scale": float(R)})
 
 
-_HALO = 8  # cells around a KS window; 4 is already exact (module docstring)
-
-
 def _check_ks_kind(region_kind: str) -> None:
     if region_kind not in (R_KIND, U_KIND):
         raise ValueError("region_kind must be R or U")
 
 
-def _ks_window(tilde, grid: GridSpec) -> tuple[slice, slice]:
-    """Rows and columns of the bounding box of the intervals ``tilde``, widened
-    by ``_HALO`` and clipped to the grid; empty slices if ``tilde`` is empty."""
+def _ks_window(tilde) -> tuple[slice, slice]:
+    """Rows and columns of the bounding box of the intervals ``tilde``; empty
+    slices if ``tilde`` is empty."""
     rows, j_lo, j_hi = tilde
     if rows.size == 0:
         return slice(0, 0), slice(0, 0)
-    return (slice(max(int(rows[0]) - _HALO, 0), min(int(rows[-1]) + 1 + _HALO, grid.nt)),
-            slice(max(int(j_lo.min()) - _HALO, 0), min(int(j_hi.max()) + _HALO, grid.nr)))
-
-
-def _ks_sums(w: SpaceTimeField, keys, tilde: DyadicRegion) -> dict:
-    """The ``_word_sums`` of ``keys`` on ``_ks_window`` of ``tilde``, each placed
-    in a zeroed full-grid array, where the region reductions read them."""
-    grid = w.grid
-    window = _ks_window(_intervals(tilde, grid), grid)
-    placed = {}
-    for key, sums in _word_sums(w, keys, window).items():
-        placed[key] = np.zeros(grid.shape())
-        placed[key][window] = sums
-    return placed
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(j_lo.min()), int(j_hi.max()))
 
 
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,
@@ -409,9 +390,10 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     region = DyadicRegion(tau, region_kind, scale)
     tilde = region.enlarged(1)
     lhs = _region_sup(w.values, region, grid)
-    sums = _ks_sums(w, ((2, None), (2, "dr")), tilde)
-    m0 = _interval_l2(SpaceTimeField(grid, sums[2, None]), WeightSpec(), tilde)
-    m1 = _interval_l2(SpaceTimeField(grid, sums[2, "dr"]), WeightSpec(), tilde)
+    window = _ks_window(_intervals(tilde, grid))
+    sums = _word_sums(w, ((2, None), (2, "dr")), window)
+    m0 = _interval_l2(sums[2, None], grid, WeightSpec(), tilde, window)
+    m1 = _interval_l2(sums[2, "dr"], grid, WeightSpec(), tilde, window)
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 * scale ** -0.5 * m1
         product_form = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 / scale * np.sqrt(m0 * m1)
@@ -470,12 +452,13 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
     tilde = region.enlarged(1)
-    sums = _ks_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
-                        (2, "good2")), tilde)
-    lhs = _region_sup(sums[0, "d"], region, grid)  # |dt w| + |dr w|; plain lies in tilde
+    window = _ks_window(_intervals(tilde, grid))
+    sums = _word_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
+                          (2, "good2")), window)
+    lhs = _region_sup(sums[0, "d"], region, grid, window)  # |dt w| + |dr w|; plain lies in tilde
 
     def mass(key):
-        return _interval_l2(SpaceTimeField(grid, sums[key]), WeightSpec(), tilde)
+        return _interval_l2(sums[key], grid, WeightSpec(), tilde, window)
 
     m_d, m_box = mass((3, "d")), mass((2, "box"))
     if region_kind == R_KIND:
@@ -492,7 +475,8 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
         bad2_rhs = m_d / scale + (tau / scale) * m_dtdr2
         good2_rhs = m_d / tau + m_dtdr2
 
-    noise = np.finfo(float).eps * float(np.max(np.abs(w.values))) / grid.dr ** 4
+    w_max = max(float(w.values.max()), -float(w.values.min()))  # max |w|, with no copy
+    noise = np.finfo(float).eps * w_max / grid.dr ** 4
     flagged = m_d < 1e3 * noise
     rep = EstimateReport("second_derivative_ks", lhs, rhs, family_id,
                          {"supsup_du": lhs},

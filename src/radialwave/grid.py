@@ -14,8 +14,10 @@ parity is given (always in t).  ``_over_r`` recovers its first column by
 3-point extrapolation from the next three.  Edge columns are set with
 whole-column numpy operations, which round exactly as scalar arithmetic does.
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
-of the grid, returned in the window's shape, for the M/A functionals (one
-block of time rows at a time) and the Klainerman-Sobolev checks.
+of the grid, returned in the window's shape and equal to the whole-grid sums
+on every cell, for the M/A functionals (one block of time rows at a time) and
+the Klainerman-Sobolev checks.  It widens its walk by the halo its keys need
+(``_depth``), so a caller asks only for the cells it reads.
 """
 
 from __future__ import annotations
@@ -314,44 +316,64 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
         parents = children
 
 
+def _depth(keys) -> int:
+    """Stencils chained by the deepest sum of ``keys``: n for the word of (n,
+    P), then one for P (two for bad2 and good2, none for None)."""
+    return max(n + {None: 0, "bad2": 2, "good2": 2}.get(prefix, 1) for n, prefix in keys)
+
+
 def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f| on the
-    samples ``f.values[window]``, as an array of the window's shape.
+    cells ``window`` (a pair of slices, ``np.s_[:, :]`` for the whole grid), as
+    an array of the window's shape, equal to the whole-grid sums on every cell.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
     (|dt + dr|), "quot" (|.| / r), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2"
     (dt^2 - dr^2), "bad2" ((dt - dr)^2) or "good2" ((dt + dr)^2).  One
-    ``_z_walk`` runs on the window only (a pair of slices, ``np.s_[:, :]`` for
-    the whole grid) and adds each term, in ``z_words`` order, into the sums;
-    an empty window walks nothing.
+    ``_z_walk`` runs on the window widened by a halo and adds each term, in
+    ``z_words`` order, into the sums; an empty window walks nothing.
 
-    Every stencil reads one cell on each side, so at a window edge that is not
-    a grid edge it spoils the edge cell (a one-sided stencil, a parity ghost
-    or the 1/r extrapolation), and each further stencil moves the error one
-    cell inward.  A word of length n chains n stencils and P one more (two
-    for bad2 and good2, none for None): at most that many, the depth of
-    (n, P), along either axis.  So the sum of (n, P) equals the full-grid one
-    from depth cells inside every such edge on, if the window is long enough
-    where it ends on a grid edge: the one-sided stencil there reads two cells
-    inward (three for ``_d2`` and the 1/r extrapolation), so the window needs
-    depth + 2 cells (depth + 3) along that axis.  The last 4 rows of a grid
-    spoil their last row at depth 3.
+    Every stencil reads one cell on each side, so at an edge of the walk that
+    is not a grid edge it spoils the edge cell (a one-sided stencil, a parity
+    ghost or the 1/r extrapolation), and each further stencil moves the error
+    one cell inward: at most ``_depth`` cells along either axis, the halo.
+    Where the walk meets a grid edge, the one-sided stencil there reads two
+    cells inward (three for ``_d2`` and the 1/r extrapolation), so the walk
+    reaches depth + 3 cells beyond the window's opposite edge.  A walk is at
+    least the four cells those stencils read.
     """
     grid = f.grid
     _require_size(grid)
-    rows, cols = window
-    values = f.values[rows, cols]
+    d = _depth(keys)
+    spans = []  # per axis: the window [lo, hi) and the walk [a, b)
+    for s, size in zip(window, grid.shape()):
+        lo, hi = _span(s, size)
+        a = lo - d
+        b = max(hi + d, a + 4)  # _d2 and _over_r read four cells
+        if a <= 0:
+            b += 3
+        if b >= size:
+            a -= 3
+        spans.append((lo, hi, max(a, 0), min(b, size)))
+    (lo, hi, a, b), (clo, chi, ca, cb) = spans
+    if hi == lo or chi == clo:
+        return {key: np.zeros((hi - lo, chi - clo)) for key in keys}
+    values = f.values[a:b, ca:cb]
     sums = {key: np.zeros(values.shape) for key in keys}
-    if values.size == 0:
-        return sums
-    r, ht, hr = grid.r[cols], grid.dt, grid.dr
+    r, ht, hr = grid.r[ca:cb], grid.dt, grid.dr
     tmp = np.empty_like(values)  # the pointwise terms' scratch
-    for length, g, par, gt, gr in _z_walk(values, f.parity, grid.t[rows, None], r, ht, hr,
+    for length, g, par, gt, gr in _z_walk(values, f.parity, grid.t[a:b, None], r, ht, hr,
                                           max(n for n, _ in keys)):
         for (n, prefix), total in sums.items():
             if length <= n:
                 total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
-    return sums
+    return {key: total[lo - a:hi - a, clo - ca:chi - ca] for key, total in sums.items()}
+
+
+def _span(s: slice, size: int) -> tuple[int, int]:
+    """(start, stop) of a unit-step slice on an axis of ``size`` cells."""
+    lo, hi, _ = s.indices(size)
+    return lo, max(lo, hi)
 
 
 def _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp) -> np.ndarray:

@@ -5,22 +5,24 @@ global-in-time norms are truncated to the grid horizon [0, t_max].  Every
 norm is one reduction: ``_row_sums`` sums 4 pi <r>^{2a} r^{2-2b} w_r f^2 over
 each time row's points with ``np.add.reduceat`` (a row's value does not depend
 on the other rows), then ``_t_norm`` takes the root of their trapezoid (L2)
-or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the region of full rows, summed
-at the row starts of the flat array with no gather.  A region L2 norm sums
-only its region's points: ``le_norm`` and the estimate checks pass the points
-of a region's per-row intervals, ``region_l2l2`` the nonzero points of a sharp
-mask, so both give bit-equal norms on one region.
+or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the
+region of full rows, summed at the row starts of the flat array with no
+gather.  A region L2 norm sums only its region's points: ``le_norm`` and the
+estimate checks pass the points of a region's per-row intervals,
+``region_l2l2`` the nonzero points of a sharp mask, so both give bit-equal
+norms on one region.  A region reduction reads an array holding a window of
+the grid (a pair of slices, the whole grid by default), in which
+``_window_pos`` finds a region's points.
 
 The M and A functionals stream each field in blocks of time rows
 (``_blocks``).  A block's Z-word sums come from one ``grid._word_sums`` pass
-on its rows widened by a halo, and reduce straight into the per-row sums of
-every slot, the per-annulus row sums of ``le_norm`` (``_le_rows``) and the
-R/U/core region sups (``_region_sup`` on the block's part of each region's
-intervals, then a max over the blocks).  The row sums of all blocks are
-concatenated and reduced once in t, so every value equals the whole-grid one
-bit for bit, and no array of the grid's size is built.  ``le_norm`` runs the
-same code on one block.  ``m_and_a_functionals`` reads both functionals of
-one pair off a single pass.
+on its rows and reduce straight into the per-row sums of every slot, the
+per-annulus row sums of ``le_norm`` (``_le_rows``) and the R/U/core region
+sups (``_region_sup`` on the block's part of each region, then a max over
+the blocks).  The row sums of all blocks are concatenated and reduced once in
+t, so every value equals the whole-grid one bit for bit, and no array of the
+grid's size is built.  ``le_norm`` runs the same code on one block.
+``m_and_a_functionals`` reads both functionals of one pair off a single pass.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DT, DR, SpaceTimeField, _trapz_weights, _word_sums, derivative, quotient_by_r
+from .grid import DT, DR, SpaceTimeField, _span, _trapz_weights, _word_sums
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _flat, _intervals, bracket,
     dyadic_scales,
 )
 
 FOUR_PI = 4.0 * np.pi
+_GRID = np.s_[:, :]  # the window of the whole grid
 
 
 class NormSpecError(ValueError):
@@ -63,24 +66,27 @@ class NormBreakdown:
     per_region: dict = dc_field(default_factory=dict)
 
 
-def _row_sums(values: np.ndarray, grid, weight: WeightSpec,
-              pos: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(values: np.ndarray, grid, weight: WeightSpec, pos: np.ndarray | None = None,
+              window=_GRID) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sums): sum_j 4 pi <r_j>^{2a} r_j^{2-2b} w_j values_j^2 over each
-    row's points, for every row that holds points.  The points are the
-    ascending row-major flat positions ``pos``, or all of ``values`` (full rows)
-    when ``pos`` is None.  The inverse-r power is folded into the measure, and
+    row's points, for every grid row that holds points, of ``values`` holding
+    the cells ``window``.  The points are the ascending row-major flat
+    positions ``pos`` in ``values``, or all of ``values`` (full rows) when
+    ``pos`` is None.  The inverse-r power is folded into the measure, and
     2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1)."""
     w = (FOUR_PI * np.power(bracket(grid.r), 2 * weight.power_r)
-         * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r) * _trapz_weights(grid.nr, grid.dr))
+         * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r)
+         * _trapz_weights(grid.nr, grid.dr))[window[1]]
+    lo = _span(window[0], grid.nt)[0]
     if pos is None:
         sq = np.square(values)
         sq *= w
-        return np.arange(len(sq)), np.add.reduceat(sq.ravel(), np.arange(0, sq.size, grid.nr))
-    rows, cols = np.divmod(pos, grid.nr)
+        return np.arange(len(sq)) + lo, np.add.reduceat(sq.ravel(), np.arange(0, sq.size, w.size))
+    rows, cols = np.divmod(pos, w.size)
     sq = np.square(values.take(pos))
     sq *= w.take(cols)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return rows.take(starts), np.add.reduceat(sq, starts)
+    return rows.take(starts) + lo, np.add.reduceat(sq, starts)
 
 
 def _t_norm(rows: np.ndarray, sums: np.ndarray, grid, outer: str) -> float:
@@ -92,9 +98,9 @@ def _t_norm(rows: np.ndarray, sums: np.ndarray, grid, outer: str) -> float:
 
 
 def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
-          pos: np.ndarray | None = None) -> float:
+          pos: np.ndarray | None = None, window=_GRID) -> float:
     """``_t_norm`` of ``_row_sums``."""
-    return _t_norm(*_row_sums(values, grid, weight, pos), grid, outer)
+    return _t_norm(*_row_sums(values, grid, weight, pos, window), grid, outer)
 
 
 def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
@@ -122,8 +128,21 @@ def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> floa
     return _norm(f.values, f.grid, "L2", weight, np.flatnonzero(mask))
 
 
-def _interval_l2(f: SpaceTimeField, weight: WeightSpec, region: DyadicRegion) -> float:
-    return _norm(f.values, f.grid, "L2", weight, _flat(*_intervals(region, f.grid), f.grid.nr))
+def _interval_l2(values: np.ndarray, grid, weight: WeightSpec, region: DyadicRegion,
+                 window=_GRID) -> float:
+    """L2L2 norm on a sharp region of ``values`` holding the cells ``window``."""
+    return _norm(values, grid, "L2", weight, _window_pos(_intervals(region, grid), grid, window),
+                 window)
+
+
+def _window_pos(intervals, grid, window) -> np.ndarray:
+    """Flat positions, in an array holding the cells ``window``, of the points
+    of per-row intervals on the window's rows; the intervals must lie in its
+    columns."""
+    (lo, hi), (c_lo, c_hi) = _span(window[0], grid.nt), _span(window[1], grid.nr)
+    rows, j_lo, j_hi = intervals
+    a, b = np.searchsorted(rows, (lo, hi))
+    return _flat(rows[a:b] - lo, j_lo[a:b] - c_lo, j_hi[a:b] - c_lo, c_hi - c_lo)
 
 
 # ----------------------------------------------------------------------
@@ -132,18 +151,16 @@ def _interval_l2(f: SpaceTimeField, weight: WeightSpec, region: DyadicRegion) ->
 
 def le_norm(f: SpaceTimeField) -> float:
     """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
-    return _le_reduce([_le_rows(f.values, f.grid, 0)], f.grid)
+    return _le_reduce([_le_rows(f.values, f.grid)], f.grid)
 
 
-def _le_rows(values: np.ndarray, grid, lo: int) -> list:
+def _le_rows(values: np.ndarray, grid, window=_GRID) -> list:
     """Per dyadic annulus A_R, R >= 1 in turn: the (rows, sums) of ``_row_sums``
-    on the annulus's points, of ``values`` holding the grid rows from ``lo``."""
-    out = []
-    for R in dyadic_scales(bracket(grid.r_max)):
-        pos = _block_pos(_intervals(DyadicRegion(None, ANNULUS, R), grid), grid, lo, len(values))
-        rows, sums = _row_sums(values, grid, WeightSpec(), pos)
-        out.append((rows + lo, sums))
-    return out
+    on the annulus's points, of ``values`` holding the cells ``window``."""
+    return [_row_sums(values, grid, WeightSpec(),
+                      _window_pos(_intervals(DyadicRegion(None, ANNULUS, R), grid), grid, window),
+                      window)
+            for R in dyadic_scales(bracket(grid.r_max))]
 
 
 def _le_reduce(blocks: list, grid) -> float:
@@ -161,10 +178,10 @@ def le1_pointwise(dt_f: np.ndarray, dr_f: np.ndarray, f_over_r: np.ndarray) -> n
 
 
 def le1_norm(f: SpaceTimeField) -> float:
-    """||(du, u/r)||_LE."""
-    e = le1_pointwise(derivative(f, DT).values, derivative(f, DR).values,
-                      quotient_by_r(f).values)
-    return le_norm(SpaceTimeField(f.grid, e))
+    """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums."""
+    keys = ((0, DT), (0, DR), (0, "quot"))
+    sums = _word_sums(f, keys, _GRID)
+    return le_norm(SpaceTimeField(f.grid, le1_pointwise(*(sums[key] for key in keys))))
 
 
 # ----------------------------------------------------------------------
@@ -188,29 +205,14 @@ def _region_rows(grid) -> list:
             for s in dyadic_scales(tau // 2)]
 
 
-def _block_pos(intervals, grid, lo: int, n: int) -> np.ndarray:
-    """Flat positions, counted from row ``lo``, of the points of per-row
-    intervals on the grid rows [lo, lo + n)."""
-    rows, j_lo, j_hi = intervals
-    a, b = np.searchsorted(rows, (lo, lo + n))
-    return _flat(rows[a:b] - lo, j_lo[a:b], j_hi[a:b], grid.nr)
-
-
-def _region_sup(values: np.ndarray, region: DyadicRegion, grid, lo: int = 0) -> float:
-    """max |values| over a sharp region's points in the grid rows that
-    ``values`` hold, full width from row ``lo``; 0.0 where there are none."""
-    pos = _block_pos(_intervals(region, grid), grid, lo, len(values))
+def _region_sup(values: np.ndarray, region: DyadicRegion, grid, window=_GRID) -> float:
+    """max |values| over a sharp region's points in the cells ``window`` that
+    ``values`` hold; 0.0 where there are none."""
+    pos = _window_pos(_intervals(region, grid), grid, window)
     return float(np.max(np.abs(values.take(pos)), initial=0.0))
 
 
-# The M/A functionals walk the grid in blocks of _BLOCK_ROWS or more time rows
-# (``_blocks``), whose Z-word sums come from a ``_word_sums`` pass on their rows
-# widened by _HALO_ROWS on either side.  The deepest sums, (3, P) at N = 3,
-# chain four stencils in t, so by the ``_word_sums`` argument a block's own
-# rows are exact: no block is short, so a window ending on a grid edge holds
-# more than the depth + 2 rows it needs.  At N <= 2 three rows would do.
-_BLOCK_ROWS = 64
-_HALO_ROWS = 4
+_BLOCK_ROWS = 64  # the M/A functionals walk the grid in blocks of this many rows or more
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
 _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
@@ -226,20 +228,19 @@ def _blocks(nt: int) -> list:
 def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict,
                 regions: list) -> tuple[dict, list]:
     """One field's part of the grid rows [lo, hi), from a ``_word_sums`` pass on
-    them widened by ``_HALO_ROWS``: per slot of ``specs`` (name -> (term, outer,
-    weight)) the ``_row_sums`` of its term, or for outer "LE" the ``_le_rows``
-    of the (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each
-    region of ``regions``."""
+    them: per slot of ``specs`` (name -> (term, outer, weight)) the
+    ``_row_sums`` of its term, or for outer "LE" the ``_le_rows`` of the
+    (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each region of
+    ``regions``."""
     grid = f.grid
-    start = max(lo - _HALO_ROWS, 0)
-    window = (slice(start, min(hi + _HALO_ROWS, grid.nt)), slice(None))
+    window = (slice(lo, hi), slice(None))
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    sums = {key: x[lo - start:hi - start] for key, x in _word_sums(f, keys, window).items()}
+    sums = _word_sums(f, keys, window)
     terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
-    rows = {name: _le_rows(le1_pointwise(sums[N, DT], sums[N, DR], sums[N, "quot"]), grid, lo)
+    rows = {name: _le_rows(le1_pointwise(sums[N, DT], sums[N, DR], sums[N, "quot"]), grid, window)
             if outer == "LE" else _row_sums(terms[term], grid, weight)[1]
             for name, (term, outer, weight) in specs.items()}
-    return rows, [_region_sup(sums[N // 2, "d"], region, grid, lo) for *_, region in regions]
+    return rows, [_region_sup(sums[N // 2, "d"], region, grid, window) for *_, region in regions]
 
 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,

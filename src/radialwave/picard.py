@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
@@ -61,6 +62,9 @@ class PicardConfig:
 
     def __post_init__(self):
         _check_params(self.p, self.delta, self.N)
+        # M_1 / eps fits the boundedness constant, so eps = 0 has no verdict
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {self.kmax}")
         _unit_courant(SolveConfig(grid=self.grid).history_grid)

@@ -47,21 +47,6 @@ def cone_hugger(grid: GridSpec, width: float = 1.0) -> SpaceTimeField:
     return SpaceTimeField.from_function(grid, f, parity="even")
 
 
-def free_wave(grid: GridSpec, eps: float = 0.5) -> SpaceTimeField:
-    """Numerical homogeneous-wave solution from the standard calibrated data,
-    sampled on the requested unit-ratio grid (the evolution itself runs at half
-    the time step and records every second level)."""
-    from .solver import InitialData, SolveConfig, bump, calibrate, solve, zero_profile
-
-    if abs(grid.cfl - 1.0) > 1e-12:
-        raise ValueError("free_wave requires a grid with dt = dr")
-    solver_grid = GridSpec(dr=grid.dr, cfl=0.5, r_max=grid.r_max, t_max=grid.t_max)
-    data = InitialData(bump, zero_profile, bump, zero_profile)
-    data = calibrate(data, solver_grid, N=2, eps=eps)
-    hist = solve(data, SolveConfig(grid=solver_grid, mode="homogeneous"))
-    return hist.u()
-
-
 ANALYTIC_FAMILIES = {
     "traveling_sym": traveling_sym,
     "standing_bump": standing_bump,
@@ -79,13 +64,11 @@ KS_COMBOS = [
     ("cone_hugger", "U", 2),
 ]
 
-ALL_FAMILIES = dict(ANALYTIC_FAMILIES, free_wave=free_wave)
-
 
 def build(family_id: str, grid: GridSpec, **kwargs) -> SpaceTimeField:
     try:
-        maker = ALL_FAMILIES[family_id]
+        maker = ANALYTIC_FAMILIES[family_id]
     except KeyError:
         raise KeyError(
-            f"unknown family {family_id!r}; known: {sorted(ALL_FAMILIES)}") from None
+            f"unknown family {family_id!r}; known: {sorted(ANALYTIC_FAMILIES)}") from None
     return maker(grid, **kwargs)

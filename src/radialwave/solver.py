@@ -399,8 +399,8 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     difference at every stored row; row 0 holds the data velocity.
     """
     grid = _unit_courant(config.history_grid)
-    if not forcing_u.values.shape == forcing_v.values.shape == grid.shape():
-        raise ValueError(f"the forcing must be sampled on the history grid {grid.shape()}")
+    if not forcing_u.grid == forcing_v.grid == grid:
+        raise ValueError(f"the forcing must be sampled on the history grid {grid}")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
     frames = np.empty((4, nt, nr))
     W, P = frames[0::2], frames[1::2]  # (W_u, W_v) and (dt W_u, dt W_v)

@@ -210,7 +210,10 @@ class TestBadInput:
                       ["--delta", "-0.1"], ["--kmax", "0"])
         if command == "picard" or flags[0] != "--kmax"]  # sweep runs kmax 2
         # the linear solves need dt = dr on the history grid: cfl 0.4 records at 0.8
-        + [(command, ["--cfl", "0.4"]) for command in ("picard", "sweep")])
+        + [(command, ["--cfl", "0.4"]) for command in ("picard", "sweep")]
+        # eps = 0 leaves the boundedness and linearity checks nothing to divide by
+        + [("picard", ["--eps", "0"]), ("sweep", ["--eps-list", "0,0.01"]),
+           ("sweep", ["--eps-list", "0.01,0"])])
     def test_picard_parameters_fail_before_the_first_solve(self, tmp_path, monkeypatch,
                                                            command, flags):
         def no_solve(*args, **kwargs):

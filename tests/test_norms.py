@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import radialwave as rw
 from radialwave import norms, regions
-from radialwave.grid import _word_sums
+from radialwave.grid import _depth, _word_sums
 from radialwave.norms import WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2
 from radialwave.regions import _flat, _intervals, dyadic_scales, enumerate_regions
 from region_oracles import realize_mask, region_supsup
@@ -233,6 +233,13 @@ class TestFunctionalFastPaths:
             best = max(best, R ** -0.5 * rw.region_l2l2(u, WeightSpec(), mask))
         assert le_norm(u) == best
 
+    def test_le1_norm_is_the_u_le1_slot(self):
+        # both read the (0, dt), (0, dr) and (0, quot) sums; the functional in
+        # two blocks of rows
+        u, v = TestFunctionals.fields(dr=1 / 8)
+        assert len(norms._blocks(u.grid.nt)) == 2
+        assert norms.le1_norm(u) == m_functional(u, v, 0.75, 0.2, 0).slots["u_le1"]
+
     @pytest.mark.parametrize("functional", [m_functional, rw.a_functional])
     def test_slots_equal_dense_mask_recomputation(self, functional):
         u, v = TestFunctionals.fields(dr=1 / 8)
@@ -308,10 +315,12 @@ class TestTimeBlocks:
             assert b.per_region == whole.per_region
 
     def test_halo_of_three_rows_is_not_exact(self, monkeypatch):
-        # at N = 3 a sum chains four stencils in t (Z^3, then good, dt or dr)
-        u, v = self.fields(2 * norms._BLOCK_ROWS + 1)
+        # at N = 3 a sum chains four stencils in t (Z^3, then good, dt or dr);
+        # a depth helper one cell short walks three halo rows around the middle
+        # block, the only one whose walk meets no grid edge
+        u, v = self.fields(3 * norms._BLOCK_ROWS + 1)
         exact = m_functional(u, v, 0.75, 0.2, 3)
-        monkeypatch.setattr(norms, "_HALO_ROWS", 3)
+        monkeypatch.setattr("radialwave.grid._depth", lambda keys: _depth(keys) - 1)
         assert m_functional(u, v, 0.75, 0.2, 3).slots != exact.slots
 
     def test_shared_pass_equals_fresh_functionals(self):

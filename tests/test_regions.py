@@ -169,7 +169,8 @@ def test_intervals_render_the_dense_masks(g):
             want = oracle.realize_mask(reg, g).weights
             assert np.array_equal(realize_mask(reg, g).weights, want), reg
             # the dense mask and the intervals reduce the same points
-            assert rw.region_l2l2(f, weight, want) == norms._interval_l2(f, weight, reg), reg
+            l2 = norms._interval_l2(f.values, g, weight, reg)
+            assert rw.region_l2l2(f, weight, want) == l2, reg
     for kind in ("R", "U", "annulus", "strip"):
         assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
     assert {("core", None, lev) for lev in (0, 1, 2)} <= seen

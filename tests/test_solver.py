@@ -155,6 +155,17 @@ class TestLinearForced:
                                       np.max(np.abs(b - c[::2, ::2])))
             assert order >= 1.9, (name, order)
 
+    def test_sources_on_another_grid_refused(self):
+        # (65, 97) samples, the history grid's shape, but at dt = 0.25, not 0.125
+        g = rw.GridSpec(dr=0.125, cfl=0.5, r_max=12.0, t_max=8.0)
+        hg = SolveConfig(grid=g).history_grid
+        other = rw.SpaceTimeField.zeros(rw.GridSpec(dr=0.25, cfl=1.0, r_max=24.0, t_max=16.0))
+        assert other.values.shape == hg.shape()
+        z = rw.SpaceTimeField.zeros(hg)
+        for forcing in ((other, other), (z, other), (other, z)):
+            with pytest.raises(ValueError, match="history grid"):
+                rw.solve_linear_forced(standard_data(), *forcing, SolveConfig(grid=g))
+
     def test_needs_dt_equal_to_dr(self):
         g = rw.GridSpec(dr=1 / 8, cfl=0.4, r_max=12.0, t_max=8.0)
         z = rw.SpaceTimeField.zeros(SolveConfig(grid=g).history_grid)
