@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -72,9 +73,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
         argparse.ArgumentParser, exit_on_error=False))
 
-    def add_grid(p, t_max=16.0, dr=1 / 32):
+    def add_grid(p, t_max=16.0, dr=1 / 32, cfl=True):
         p.add_argument("--dr", type=float, default=dr)
-        p.add_argument("--cfl", type=float, default=0.5)
+        if cfl:
+            p.add_argument("--cfl", type=float, default=0.5)
         p.add_argument("--t-max", type=float, default=t_max)
         p.add_argument("--r-max", type=float, default=None,
                        help="default: t_max + 4")
@@ -100,7 +102,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--delta", type=float, default=0.2)
 
     p = sub.add_parser("picard", help="fixed-point iteration with functional bookkeeping")
-    add_grid(p, t_max=64.0)
+    add_grid(p, t_max=64.0, cfl=False)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)
@@ -112,7 +114,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--eps", type=float, default=0.01)
 
     p = sub.add_parser("sweep", help="amplitude sweep of the first two functionals")
-    add_grid(p, t_max=32.0)
+    add_grid(p, t_max=32.0, cfl=False)
     p.add_argument("--eps-list", default="0.02,0.01,0.005,0.0025")
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)
@@ -151,7 +153,7 @@ def _parse(argv):
 
 def _grid(args) -> GridSpec:
     r_max = args.r_max if args.r_max is not None else args.t_max + 4
-    return GridSpec(dr=args.dr, cfl=args.cfl, r_max=r_max, t_max=args.t_max)
+    return GridSpec(dr=args.dr, cfl=getattr(args, "cfl", 1.0), r_max=r_max, t_max=args.t_max)
 
 
 def _outdir(args) -> str:
@@ -183,7 +185,7 @@ def _cmd_solve(args) -> int:
     cfg = SolveConfig(grid=grid, mode=args.mode, store_history=not args.no_history)
     hist = solve(data, cfg)
     tag = config_hash({"cmd": "solve", "eps": args.eps, "mode": args.mode,
-                       **_grid_desc(grid)})
+                       **asdict(grid)})
     run_dir = os.path.join(outdir, f"solve_{tag}")
     if not args.no_history:
         hist.save(run_dir)
@@ -193,16 +195,12 @@ def _cmd_solve(args) -> int:
     _write_csv(os.path.join(run_dir, "diagnostics.csv"),
                list(d), [list(map(float, row)) for row in zip(*d.values())])
     _write_report(run_dir, "report", {
-        "config_hash": tag, "grid": _grid_desc(grid), "eps": args.eps,
+        "config_hash": tag, "grid": asdict(grid), "eps": args.eps,
         "mode": args.mode, "final_sup_u": float(d["sup_u"][-1]),
         "final_sup_v": float(d["sup_v"][-1]),
     })
     print(f"solve: history written to {run_dir}")
     return 0
-
-
-def _grid_desc(grid: GridSpec) -> dict:
-    return {"dr": grid.dr, "cfl": grid.cfl, "r_max": grid.r_max, "t_max": grid.t_max}
 
 
 def _cmd_identities(args) -> int:
@@ -218,11 +216,11 @@ def _cmd_identities(args) -> int:
             rows.append([fam, rep.name, rep.lhs, rep.rhs,
                          rep.relative_residual, "pass" if passed else "FAIL"])
     tag = config_hash({"cmd": "identities", "p": args.p, "delta": args.delta,
-                       "tol": args.tol, **_grid_desc(grid)})
+                       "tol": args.tol, **asdict(grid)})
     _write_csv(os.path.join(outdir, f"identities_{tag}.csv"),
                ["family", "identity", "lhs", "rhs", "relative_residual", "status"], rows)
     _write_report(outdir, f"identities_{tag}", {
-        "config_hash": tag, "grid": _grid_desc(grid), "tol": args.tol,
+        "config_hash": tag, "grid": asdict(grid), "tol": args.tol,
         "rows": rows, "all_passed": ok,
     })
     for row in rows:
@@ -246,11 +244,11 @@ def _cmd_estimates(args) -> int:
             rows.append([fam, rep.name, rep.lhs, rep.rhs, rep.ratio,
                          "pass" if finite else "FAIL"])
     tag = config_hash({"cmd": "estimates", "p": args.p, "delta": args.delta,
-                       **_grid_desc(grid)})
+                       **asdict(grid)})
     _write_csv(os.path.join(outdir, f"estimates_{tag}.csv"),
                ["family", "estimate", "lhs", "rhs", "ratio", "status"], rows)
     _write_report(outdir, f"estimates_{tag}", {
-        "config_hash": tag, "grid": _grid_desc(grid), "rows": rows,
+        "config_hash": tag, "grid": asdict(grid), "rows": rows,
         "all_passed": ok,
     })
     for row in rows:
@@ -292,11 +290,11 @@ def _cmd_decay(args) -> int:
     outdir = _outdir(args)
     diags = picard.decay_run(grid, args.eps)
     fit = picard.fit_decay(diags)
-    tag = config_hash({"cmd": "decay", "eps": args.eps, **_grid_desc(grid)})
+    tag = config_hash({"cmd": "decay", "eps": args.eps, **asdict(grid)})
     _write_csv(os.path.join(outdir, f"decay_{tag}.csv"),
                list(diags), [list(map(float, row)) for row in zip(*diags.values())])
     _write_report(outdir, f"decay_{tag}", {
-        "config_hash": tag, "grid": _grid_desc(grid), "eps": args.eps, "fit": fit,
+        "config_hash": tag, "grid": asdict(grid), "eps": args.eps, "fit": fit,
     })
     print(f"decay: exponent_u={_fmt(fit['exponent_u'])} "
           f"exponent_v={_fmt(fit['exponent_v'])}")
@@ -317,7 +315,7 @@ def _cmd_sweep(args) -> int:
         m1 = records[0].m_total
         m2 = records[1].m_total if len(records) > 1 else float("nan")
         rows.append([eps, m1, m2, m2 - m1])
-    tag = config_hash({"cmd": "sweep", "eps_list": eps_list, **_grid_desc(grid)})
+    tag = config_hash({"cmd": "sweep", "eps_list": eps_list, **asdict(grid)})
     _write_csv(os.path.join(outdir, f"sweep_{tag}.csv"),
                ["eps", "m1", "m2", "m2_minus_m1"], rows)
     # linearity of M1 and quadratic behavior of the first correction
@@ -328,7 +326,7 @@ def _cmd_sweep(args) -> int:
         abs((d / base_d) / (eps / base_eps) ** 2 - 1) <= 0.20
         for eps, _, _, d in rows[1:]) if base_d != 0 else False
     _write_report(outdir, f"sweep_{tag}", {
-        "config_hash": tag, "grid": _grid_desc(grid), "rows": rows,
+        "config_hash": tag, "grid": asdict(grid), "rows": rows,
         "m1_linear": lin_ok, "correction_quadratic": quad_ok,
     })
     for row in rows:
@@ -351,6 +349,10 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # from argparse, which printed the usage and the error
+        if exc.code:  # its 2 would read as a failed check
+            return 1
+        raise  # --help
     except BlowUpSuspected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,6 @@ class IdentityReport:
     name: str
     lhs: float
     rhs: float
-    grid: GridSpec
     rhs_terms: dict = dc_field(default_factory=dict)
 
     @property
@@ -130,7 +129,7 @@ def check_identity_plus(w: SpaceTimeField, p: float, U: float) -> IdentityReport
         "boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
         "p_flux": p_flux, "ghost": ghost, "angular_flux": 0.0, "angular_bulk": 0.0,
     }
-    return IdentityReport("identity_plus", lhs, sum(terms.values()), grid, terms)
+    return IdentityReport("identity_plus", lhs, sum(terms.values()), terms)
 
 
 def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
@@ -156,7 +155,7 @@ def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
     d_flux = (delta / 2) * FOUR_PI * _quad2d(grid, np.power(1.0 + r, -1 - delta) * h2)
     terms = {"boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
              "delta_flux": d_flux, "angular_bulk": 0.0}
-    return IdentityReport("identity_minus", lhs, sum(terms.values()), grid, terms)
+    return IdentityReport("identity_minus", lhs, sum(terms.values()), terms)
 
 
 def good_of_conjugate_over_r(w: SpaceTimeField) -> SpaceTimeField:

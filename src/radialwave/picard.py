@@ -6,7 +6,8 @@ system from zero data with the source G_k = F(u_{k-1}) - F(u_{k-2}), written
 with the bilinear form B of each equation (``null_form`` for u, dt u dt v
 for v) as B(delta_{k-1}, a) + B(a, delta_{k-1}) - B(delta_{k-1}, delta_{k-1}),
 a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
-A of delta_k, so A_k is no difference of two separately rounded solves.
+A of delta_k, so A_k is no difference of two separately rounded solves.  The
+iterates live on the given grid at dt = dr (``PicardConfig.grid``).
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
@@ -26,15 +27,15 @@ import math
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .grid import GridSpec, SpaceTimeField, _d1, _over_r
 from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
-    InitialData, SolveConfig, SolutionHistory, _unit_courant, bump, calibrate,
-    config_hash, nonlinearity, solve, solve_linear_forced, zero_profile,
+    InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
+    nonlinearity, solve, solve_linear_forced, zero_profile,
 )
 
 
@@ -67,7 +68,7 @@ class PicardConfig:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.kmax < 1:
             raise ValueError(f"kmax must be at least 1, got {self.kmax}")
-        _unit_courant(SolveConfig(grid=self.grid).history_grid)
+        self.grid = replace(self.grid, cfl=1.0)  # dt = dr, whatever cfl was given
 
     def descriptor(self) -> dict:
         """The run's resume key, all but ``kmax``; the data enter as a digest of
@@ -76,8 +77,7 @@ class PicardConfig:
         profiles = hashlib.sha256()
         for fn in (d.u0, d.u1, d.v0, d.v1):
             profiles.update(np.broadcast_to(np.asarray(fn(g.r), dtype="<f8"), g.r.shape).tobytes())
-        return {"dr": g.dr, "cfl": g.cfl, "r_max": g.r_max, "t_max": g.t_max,
-                "eps": self.eps, "p": self.p, "delta": self.delta,
+        return {**asdict(g), "eps": self.eps, "p": self.p, "delta": self.delta,
                 "N": self.N, "data": profiles.hexdigest()[:16],
                 "support_radius": d.support_radius}
 
@@ -136,7 +136,6 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
     Records (and histories, with ``outdir``) are persisted per step and picked
     up again on rerun with the same configuration, any kmax."""
     data = calibrate(config.data, config.grid, config.N, config.eps)
-    solve_config = SolveConfig(grid=config.grid)
     params = config.p, config.delta, config.N
     records: list[IterationRecord] = []
     tag = config_hash(config.descriptor())
@@ -152,12 +151,12 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
     for k in range(len(records) + 1, config.kmax + 1):
         t0 = time.perf_counter()
         if k == 1:
-            zero = SpaceTimeField.zeros(solve_config.history_grid)
-            hist = diff = solve_linear_forced(data, zero, zero, solve_config)
+            zero = SpaceTimeField.zeros(config.grid)
+            hist = diff = solve_linear_forced(data, zero, zero)
             m, a = m_and_a_functionals(hist.u(), hist.v(), *params)
         else:
             diff = solve_linear_forced(InitialData(amplitude=0.0),
-                                       *_source_difference(hist, diff), solve_config)
+                                       *_source_difference(hist, diff))
             hist = _plus(hist, diff)
             m = m_functional(hist.u(), hist.v(), *params)
             a = a_functional(diff.u(), diff.v(), *params)

@@ -9,8 +9,8 @@ d'Alembertian becomes the 1-D wave operator:
 ``solve`` steps the semilinear or the homogeneous system with classical RK4
 on the first-order system (W, dt W); r = 0 is handled by odd reflection; the
 outer boundary is never reached by the support cone.  ``solve_linear_forced``,
-the fixed-point driver's linear solve with a source F sampled on a history
-grid with dt = dr, takes the characteristic (leapfrog, Courant number 1) step
+the fixed-point driver's linear solve with a source F sampled on a grid with
+dt = dr, takes the characteristic (leapfrog, Courant number 1) step
 
     W^{n+1}_j = W^n_{j+1} + W^n_{j-1} - W^{n-1}_j + dt^2 r_j F^n_j
 
@@ -37,14 +37,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
 
 from .grid import _FLIP, GridSpec, SpaceTimeField, _d1, _d2, _over_r, _trapz_weights, null_form
+from .norms import FOUR_PI
 
-FOUR_PI = 4.0 * np.pi
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
 
@@ -144,23 +144,24 @@ def calibrate(data: InitialData, grid: GridSpec, N: int, eps: float) -> InitialD
 class SolveConfig:
     grid: GridSpec
     mode: str = "semilinear"  # semilinear | homogeneous
-    record_stride: int | None = None  # default: largest stride with stride*cfl <= 1
     store_history: bool = True
 
     def __post_init__(self):
         if self.mode not in ("semilinear", "homogeneous"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.record_stride is None:
-            self.record_stride = max(1, int(np.floor(1.0 / self.grid.cfl + 1e-9)))
         nsteps = self.grid.nt - 1
         if nsteps % self.record_stride != 0:
             raise ValueError(
                 f"record stride {self.record_stride} does not divide {nsteps} steps")
 
     @property
+    def record_stride(self) -> int:
+        """The largest stride with stride * cfl <= 1."""
+        return max(1, int(np.floor(1.0 / self.grid.cfl + 1e-9)))
+
+    @property
     def history_grid(self) -> GridSpec:
-        g = self.grid
-        return GridSpec(dr=g.dr, cfl=g.cfl * self.record_stride, r_max=g.r_max, t_max=g.t_max)
+        return replace(self.grid, cfl=self.grid.cfl * self.record_stride)
 
 
 @dataclass
@@ -191,8 +192,7 @@ class SolutionHistory:
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             getattr(self, name).to_binary(os.path.join(outdir, f"{name}.bin"))
         manifest = {
-            "grid": {"dr": self.grid.dr, "cfl": self.grid.cfl,
-                     "r_max": self.grid.r_max, "t_max": self.grid.t_max},
+            "grid": asdict(self.grid),
             "mode": self.mode,
             "diagnostics": {k: list(map(float, v)) for k, v in self.diagnostics.items()},
         }
@@ -201,13 +201,18 @@ class SolutionHistory:
 
     @classmethod
     def load(cls, outdir: str) -> "SolutionHistory":
-        fields = {name: SpaceTimeField.from_binary(os.path.join(outdir, f"{name}.bin"))
-                  for name in ("W_u", "dtW_u", "W_v", "dtW_v")}
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
+        grid = GridSpec(**manifest["grid"])  # a header's J dr, (nt - 1) dt may not round back
+        fields = []
+        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+            path = os.path.join(outdir, f"{name}.bin")
+            f = SpaceTimeField.from_binary(path)
+            if (f.grid.dr, f.grid.dt, f.values.shape) != (grid.dr, grid.dt, grid.shape()):
+                raise ValueError(f"{path}: the header's grid {f.grid} is not the manifest's")
+            fields.append(SpaceTimeField(grid, f.values, f.parity))
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
-        return cls(fields["W_u"], fields["dtW_u"], fields["W_v"], fields["dtW_v"],
-                   manifest["mode"], diags)
+        return cls(*fields, manifest["mode"], diags)
 
 
 def nonlinearity(dtu, dru, dtv, drv, which: str):
@@ -389,18 +394,20 @@ def _support_radius(cols: np.ndarray, r: np.ndarray, tol: float) -> float:
 
 
 def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
-                        forcing_v: SpaceTimeField, config: SolveConfig) -> SolutionHistory:
+                        forcing_v: SpaceTimeField) -> SolutionHistory:
     """Linear wave solves with prescribed sources (the fixed-point step).
 
-    The characteristic step of the module docstring, on ``config.history_grid``
-    (dt = dr), where the sources are sampled.  The first step is d'Alembert on
-    the data (Simpson's rule for the velocity integral) plus dt^2/2 of the
-    source.  The solve steps one row past t_max, so dt W is the centred
-    difference at every stored row; row 0 holds the data velocity.
+    The characteristic step of the module docstring, on the grid of the
+    sources, which must have dt = dr.  The first step is d'Alembert on the data
+    (Simpson's rule for the velocity integral) plus dt^2/2 of the source.  The
+    solve steps one row past t_max, so dt W is the centred difference at every
+    stored row; row 0 holds the data velocity.
     """
-    grid = _unit_courant(config.history_grid)
-    if not forcing_u.grid == forcing_v.grid == grid:
-        raise ValueError(f"the forcing must be sampled on the history grid {grid}")
+    grid = forcing_u.grid
+    if forcing_v.grid != grid:
+        raise ValueError(f"the sources are sampled on two grids, {grid} and {forcing_v.grid}")
+    if abs(grid.cfl - 1.0) > 1e-12:
+        raise CflError(f"the linear solve needs dt = dr, got dt = {grid.cfl:.6g} dr")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
     frames = np.empty((4, nt, nr))
     W, P = frames[0::2], frames[1::2]  # (W_u, W_v) and (dt W_u, dt W_v)
@@ -424,14 +431,6 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
         if not np.isfinite(new).all():
             raise BlowUpSuspected((n + 1) * h)
     return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames), "linear_forced")
-
-
-def _unit_courant(grid: GridSpec) -> GridSpec:
-    """``grid``, if its dt is its dr, as the characteristic step needs."""
-    if abs(grid.cfl - 1.0) > 1e-12:
-        raise CflError(f"the linear solve needs a history grid with dt = dr, "
-                       f"got dt = {grid.cfl:.6g} dr")
-    return grid
 
 
 def _neighbour_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -137,6 +137,15 @@ class TestConfigFile:
         assert "unknown config key 'kmax'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]  # no run started
 
+    @pytest.mark.parametrize("command", ["picard", "sweep"])
+    def test_cfl_is_unknown_to_the_picard_grid(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dr = 0.125\nt-max = 8\ncfl = 0.5\n")
+        rc = run(["--config", str(cfgfile), "--out", str(tmp_path), command])
+        assert rc == 1
+        assert "unknown config key 'cfl'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]  # no run started
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
         rc = run(["solve", "--dr", "0.125", "--t-max", "4", "--eps", "0.02",
@@ -209,7 +218,7 @@ class TestBadInput:
         for flags in (["--N", "4"], ["--N", "-1"], ["--p", "1.5"], ["--delta", "0.5"],
                       ["--delta", "-0.1"], ["--kmax", "0"])
         if command == "picard" or flags[0] != "--kmax"]  # sweep runs kmax 2
-        # the linear solves need dt = dr on the history grid: cfl 0.4 records at 0.8
+        # the iterates run on the dt = dr grid, so --cfl is an unknown flag
         + [(command, ["--cfl", "0.4"]) for command in ("picard", "sweep")]
         # eps = 0 leaves the boundedness and linearity checks nothing to divide by
         + [("picard", ["--eps", "0"]), ("sweep", ["--eps-list", "0,0.01"]),
@@ -232,6 +241,20 @@ class TestBadInput:
         assert "must be finite" in capsys.readouterr().err
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit):
-        cli.main(["not-a-command"])
+def test_usage_error_exit_code(capsys):
+    # exit 2 would read as a failed check
+    for argv in (["not-a-command"], [], ["picard", "--bogus", "1"], ["picard", "--dr", "abc"],
+                 ["picard", "--kmax", "1.5"], ["picard", "--cfl", "0.5"],
+                 ["sweep", "--cfl", "0.5"]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: radialwave") and "error: " in err, argv
+
+
+@pytest.mark.parametrize("command", ["picard", "sweep"])
+def test_help_lists_no_cfl_for_the_picard_grid(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--dr" in out and "--cfl" not in out

@@ -42,7 +42,7 @@ class TestIteration:
         cfg = small_config(kmax=1)
         records = picard.run_iteration(cfg)
         data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
-        lin = rw.dalembert_history(data, rw.SolveConfig(grid=cfg.grid).history_grid)
+        lin = rw.dalembert_history(data, cfg.grid)
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         np.testing.assert_allclose(records[0].m_total, m.total, rtol=1e-12)
 
@@ -53,9 +53,8 @@ class TestIteration:
         monkeypatch.setattr(picard, "a_functional", None)
         rec, = picard.run_iteration(cfg)
         data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
-        solve_cfg = rw.SolveConfig(grid=cfg.grid)
-        zero = rw.SpaceTimeField.zeros(solve_cfg.history_grid)
-        lin = rw.solve_linear_forced(data, zero, zero, solve_cfg)
+        zero = rw.SpaceTimeField.zeros(cfg.grid)
+        lin = rw.solve_linear_forced(data, zero, zero)
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         a = rw.a_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         assert (rec.m_total, rec.m_slots) == (m.total, m.slots)
@@ -126,8 +125,8 @@ class TestIteration:
         calls = []
         solve = picard.solve_linear_forced
 
-        def recording(data, fu, fv, config):
-            calls.append((fu.values, fv.values, solve(data, fu, fv, config)))
+        def recording(data, fu, fv):
+            calls.append((fu.values, fv.values, solve(data, fu, fv)))
             return calls[-1][2]
 
         monkeypatch.setattr(picard, "solve_linear_forced", recording)
@@ -164,10 +163,38 @@ class TestIteration:
         assert [_values(r) for r in shorter] == fresh[:2]
 
     @pytest.mark.parametrize("bad", [dict(p=1.5), dict(p=0.0), dict(delta=0.3),
-                                     dict(delta=0.0), dict(N=4), dict(N=-1), dict(kmax=0)])
+                                     dict(delta=0.0), dict(N=4), dict(N=-1), dict(kmax=0),
+                                     # t_max is 65 steps of cfl 0.5, but 32.5 of dt = dr
+                                     dict(grid=rw.GridSpec(dr=0.25, cfl=0.5, r_max=12.25,
+                                                           t_max=8.125))])
     def test_bad_parameters_rejected_when_built(self, bad):
         with pytest.raises(ValueError):
             small_config(**bad)
+
+    def test_grid_is_dt_equal_to_dr_whatever_the_cfl(self):
+        # the iterates run on the dt = dr grid: the cfl of the given grid picks
+        # no number, so it is neither in the records nor in the resume key
+        runs = [small_config(grid=rw.GridSpec(dr=1 / 8, cfl=cfl, r_max=12, t_max=8), kmax=2)
+                for cfl in (0.25, 0.5, 1.0)]
+        assert {cfg.grid for cfg in runs} == {rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=12, t_max=8)}
+        assert all(cfg.descriptor() == runs[-1].descriptor() for cfg in runs)
+        records = [[_values(r) for r in picard.run_iteration(cfg)] for cfg in runs]
+        assert records[0] == records[1] == records[2]
+
+    def test_resume_on_an_inexact_grid(self, tmp_path, monkeypatch):
+        # at dr = 1/49 a field header's extents do not round back to r_max 8 and
+        # t_max 4; the resumed iterates still live on the run's grid
+        cfg = dict(grid=rw.GridSpec(1 / 49, 0.5, 8, 4), eps=0.01)
+        fresh = [_values(r) for r in picard.run_iteration(PicardConfig(**cfg, kmax=2))]
+        out = str(tmp_path)
+        picard.run_iteration(PicardConfig(**cfg, kmax=1, outdir=out))
+        grids = []
+        plus = picard._plus
+        monkeypatch.setattr(picard, "_plus",
+                            lambda h, d: grids.append((h.grid, d.grid)) or plus(h, d))
+        resumed = picard.run_iteration(PicardConfig(**cfg, kmax=2, outdir=out))
+        assert [_values(r) for r in resumed] == fresh
+        assert grids == [(PicardConfig(**cfg).grid,) * 2]
 
     def test_resume_key_covers_the_initial_data(self, tmp_path):
         out = str(tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,20 +97,18 @@ class TestSemilinear:
         assert 0.5 < err.value.t < 1.5
 
     def test_nan_forcing_is_blow_up(self):
-        g = grid(t_max=2.0)
-        hg = SolveConfig(grid=g).history_grid
-        f = rw.SpaceTimeField.from_function(hg, lambda t, r: np.where(t > 1, np.nan, 0 * r))
+        g = grid(t_max=2.0, cfl=1.0)
+        f = rw.SpaceTimeField.from_function(g, lambda t, r: np.where(t > 1, np.nan, 0 * r))
         with pytest.raises(rw.BlowUpSuspected):
-            rw.solve_linear_forced(standard_data(amplitude=0.0), f, f, SolveConfig(grid=g))
+            rw.solve_linear_forced(standard_data(amplitude=0.0), f, f)
 
     @pytest.mark.parametrize("size", [1e-3, 1.0])
     def test_forced_solve_from_zero_data_completes(self, size):
         # the forcing alone builds a finite, nonzero solution from zero data
-        g = grid(dr=1 / 16, t_max=8.0)
-        hg = SolveConfig(grid=g).history_grid
+        g = grid(dr=1 / 16, t_max=8.0, cfl=1.0)
         f = rw.SpaceTimeField.from_function(
-            hg, lambda t, r: size * np.exp(-np.square(r - 1) - np.square(t - 1)))
-        hist = rw.solve_linear_forced(standard_data(amplitude=0.0), f, f, SolveConfig(grid=g))
+            g, lambda t, r: size * np.exp(-np.square(r - 1) - np.square(t - 1)))
+        hist = rw.solve_linear_forced(standard_data(amplitude=0.0), f, f)
         for field in (hist.W_u, hist.W_v):
             assert np.all(np.isfinite(field.values))
             assert 0 < np.max(np.abs(field.values)) < 1e3 * size
@@ -123,12 +123,11 @@ class TestLinearForced:
     @pytest.mark.parametrize("dr", [1 / 8, 1 / 16])
     def test_free_wave_equals_dalembert(self, dr):
         # the characteristic step is exact for the free wave: rounding only
-        g = grid(dr=dr, t_max=16.0)
-        hg = SolveConfig(grid=g).history_grid
+        g = grid(dr=dr, t_max=16.0, cfl=1.0)
         data = InitialData(poly_bump, rw.zero_profile, rw.bump, rw.zero_profile)
-        z = rw.SpaceTimeField.zeros(hg)
-        hist = rw.solve_linear_forced(data, z, z, SolveConfig(grid=g))
-        oracle = dalembert_history(data, hg)
+        z = rw.SpaceTimeField.zeros(g)
+        hist = rw.solve_linear_forced(data, z, z)
+        oracle = dalembert_history(data, g)
         for name in ("W_u", "W_v"):
             exact = getattr(oracle, name).values
             err = np.max(np.abs(getattr(hist, name).values - exact))
@@ -140,15 +139,15 @@ class TestLinearForced:
         # against 1/32 and 1/32 against 1/64, give an observed order >= 1.9
         hists = []
         for dr in (1 / 16, 1 / 32, 1 / 64):
-            cfg = SolveConfig(grid=grid(dr=dr))
+            g = grid(dr=dr, cfl=1.0)
             if case == "forced zero data":
                 data = InitialData(amplitude=0.0)
                 f = rw.SpaceTimeField.from_function(
-                    cfg.history_grid, lambda t, r: np.exp(-np.square(r) - np.square(t - 1)))
+                    g, lambda t, r: np.exp(-np.square(r) - np.square(t - 1)))
             else:
                 data = InitialData(rw.zero_profile, poly_bump, rw.zero_profile, poly_bump)
-                f = rw.SpaceTimeField.zeros(cfg.history_grid)
-            hists.append(rw.solve_linear_forced(data, f, f, cfg))
+                f = rw.SpaceTimeField.zeros(g)
+            hists.append(rw.solve_linear_forced(data, f, f))
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             a, b, c = (getattr(h, name).values for h in hists)
             order = rw.observed_order(np.max(np.abs(a - b[::2, ::2])),
@@ -156,21 +155,20 @@ class TestLinearForced:
             assert order >= 1.9, (name, order)
 
     def test_sources_on_another_grid_refused(self):
-        # (65, 97) samples, the history grid's shape, but at dt = 0.25, not 0.125
-        g = rw.GridSpec(dr=0.125, cfl=0.5, r_max=12.0, t_max=8.0)
-        hg = SolveConfig(grid=g).history_grid
+        # the u and v sources on two grids of one shape, (65, 97), at dt = dr
+        g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=8.0)
         other = rw.SpaceTimeField.zeros(rw.GridSpec(dr=0.25, cfl=1.0, r_max=24.0, t_max=16.0))
-        assert other.values.shape == hg.shape()
-        z = rw.SpaceTimeField.zeros(hg)
-        for forcing in ((other, other), (z, other), (other, z)):
-            with pytest.raises(ValueError, match="history grid"):
-                rw.solve_linear_forced(standard_data(), *forcing, SolveConfig(grid=g))
+        assert other.values.shape == g.shape()
+        z = rw.SpaceTimeField.zeros(g)
+        for forcing in ((z, other), (other, z)):
+            with pytest.raises(ValueError, match="two grids"):
+                rw.solve_linear_forced(standard_data(), *forcing)
 
     def test_needs_dt_equal_to_dr(self):
-        g = rw.GridSpec(dr=1 / 8, cfl=0.4, r_max=12.0, t_max=8.0)
-        z = rw.SpaceTimeField.zeros(SolveConfig(grid=g).history_grid)
+        g = rw.GridSpec(dr=1 / 8, cfl=0.8, r_max=12.0, t_max=8.0)
+        z = rw.SpaceTimeField.zeros(g)
         with pytest.raises(rw.CflError, match="dt = dr"):
-            rw.solve_linear_forced(standard_data(), z, z, SolveConfig(grid=g))
+            rw.solve_linear_forced(standard_data(), z, z)
 
 
 class TestConfig:
@@ -188,9 +186,11 @@ class TestConfig:
         np.testing.assert_allclose(hg.dt, hg.dr)
 
     def test_bad_stride_rejected(self):
-        g = grid(cfl=0.5, t_max=4.0)
-        with pytest.raises(ValueError):
-            SolveConfig(grid=g, record_stride=7)
+        # stride 2 at cfl 0.5 does not divide 33 steps
+        g = rw.GridSpec(dr=0.25, cfl=0.5, r_max=8.25, t_max=4.125)
+        assert g.nt - 1 == 33
+        with pytest.raises(ValueError, match="does not divide"):
+            SolveConfig(grid=g)
 
     def test_history_roundtrip(self, tmp_path):
         g = grid(t_max=2.0)
@@ -204,13 +204,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("mode", ["homogeneous", "semilinear", "linear_forced"])
     def test_history_roundtrip_keeps_mode(self, tmp_path, mode):
-        g = grid(t_max=2.0)
         if mode == "linear_forced":
             f = rw.SpaceTimeField.from_function(
-                SolveConfig(grid=g).history_grid, lambda t, r: 1e-3 * np.exp(-r * r) + 0 * t)
-            hist = rw.solve_linear_forced(standard_data(), f, f, SolveConfig(grid=g))
+                grid(t_max=2.0, cfl=1.0), lambda t, r: 1e-3 * np.exp(-r * r) + 0 * t)
+            hist = rw.solve_linear_forced(standard_data(), f, f)
         else:
-            hist = rw.solve(standard_data(), SolveConfig(grid=g, mode=mode))
+            hist = rw.solve(standard_data(), SolveConfig(grid=grid(t_max=2.0), mode=mode))
         hist.save(tmp_path / "run")
         back = rw.SolutionHistory.load(tmp_path / "run")
         assert back.mode == mode
@@ -222,11 +221,38 @@ class TestConfig:
         for key, vals in hist.diagnostics.items():
             np.testing.assert_array_equal(back.diagnostics[key], vals)
 
+    def test_history_roundtrip_keeps_an_inexact_grid(self, tmp_path):
+        # the field headers give r_max = J dr and t_max = (nt - 1) dt, which at
+        # dr = 1/49 read 7.999999999999999 and 3.9999999999999996
+        g = rw.GridSpec(dr=1 / 49, cfl=1.0, r_max=8.0, t_max=4.0)
+        z = rw.SpaceTimeField.zeros(g)
+        hist = rw.solve_linear_forced(standard_data(), z, z)
+        hist.save(tmp_path / "run")
+        assert rw.SpaceTimeField.from_binary(tmp_path / "run" / "W_u.bin").grid != g
+        back = rw.SolutionHistory.load(tmp_path / "run")
+        assert back.grid == hist.grid == g
+        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+            assert getattr(back, name).grid == g
+            np.testing.assert_array_equal(getattr(back, name).values,
+                                          getattr(hist, name).values)
+
+    @pytest.mark.parametrize("other", [dict(dr=0.25, cfl=0.5, r_max=24.0),
+                                       dict(cfl=0.5, t_max=2.0), dict(t_max=2.0)],
+                             ids=["dr", "dt", "shape"])
+    def test_load_refuses_a_field_off_the_manifest_grid(self, tmp_path, other):
+        # each other grid differs from the manifest's in dr, dt or shape alone
+        g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=4.0)
+        z = rw.SpaceTimeField.zeros(g)
+        rw.solve_linear_forced(standard_data(), z, z).save(tmp_path / "run")
+        off = rw.SpaceTimeField.zeros(dataclasses.replace(g, **other), "odd")
+        off.to_binary(tmp_path / "run" / "dtW_v.bin")
+        with pytest.raises(ValueError, match="dtW_v.bin: the header's grid"):
+            rw.SolutionHistory.load(tmp_path / "run")
+
     def test_loaded_linear_forced_config_cannot_rerun(self, tmp_path):
         # a history names its solve; no forcing is saved, and solve refuses the name
-        g = grid(t_max=2.0)
-        f = rw.SpaceTimeField.zeros(SolveConfig(grid=g).history_grid)
-        rw.solve_linear_forced(standard_data(), f, f, SolveConfig(grid=g)).save(tmp_path / "r")
+        f = rw.SpaceTimeField.zeros(grid(t_max=2.0, cfl=1.0))
+        rw.solve_linear_forced(standard_data(), f, f).save(tmp_path / "r")
         back = rw.SolutionHistory.load(tmp_path / "r")
         assert back.mode == "linear_forced"
         with pytest.raises(ValueError, match="unknown mode"):
