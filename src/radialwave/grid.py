@@ -11,8 +11,18 @@ are second-order: centered in the interior and one-sided at the last column.
 At the first column a radial stencil takes the ghost value f(-h) = -f(h) of an
 odd field or f(-h) = f(h) of an even one, and the one-sided stencil when no
 parity is given (always in t).  ``_over_r`` recovers its first column by
-3-point extrapolation from the next three.  Edge columns are set with
-whole-column numpy operations, which round exactly as scalar arithmetic does.
+3-point extrapolation from the next three.
+
+Each stencil is a centred core and its edge columns, written once here:
+``_centred_d1``, ``_centred_d2`` and ``_divide_r`` fill the interior, and
+``_d1_first``, ``_d1_last``, ``_d2_first`` and ``_d2_last`` set one edge
+column each, with whole-column numpy operations that round exactly as scalar
+arithmetic does.  They take a shift s, the number of consecutive entries of
+one column: 1 on the last axis, 2 on the solver's runs, where two fields
+interleave.  ``_d1`` and ``_d2`` run the core on the flat buffer when the
+operands are C-contiguous, one call over every row; the cells it spoils where
+rows meet are the edge columns, which are set afterwards.
+
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
 of the grid, returned in the window's shape and equal to the whole-grid sums
 on every cell, for the M/A functionals (one block of time rows at a time) and
@@ -74,6 +84,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("dr", "cfl", "r_max", "t_max"):
+            # stored as floats, so 12 and 12.0 give one grid, one asdict and one tag
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dr <= 0:
@@ -172,14 +184,13 @@ class SpaceTimeField:
     # ------------------------------------------------------------------
     # serialization: flat binary (header + row-major doubles) and CSV
     # ------------------------------------------------------------------
-    _MAGIC = b"RWFLD001"
+    _MAGIC = b"RWFLD002"  # the header holds the grid's four values
+    _HEADER = "<8sddddb"
 
     def to_binary(self, path) -> None:
-        nt, nr = self.values.shape
-        header = struct.pack(
-            "<8sddqqb", self._MAGIC, self.grid.dr, self.grid.dt, nr - 1, nt,
-            {"odd": 1, "even": 2, None: 0}[self.parity],
-        )
+        g = self.grid
+        header = struct.pack(self._HEADER, self._MAGIC, g.dr, g.cfl, g.r_max, g.t_max,
+                             {"odd": 1, "even": 2, None: 0}[self.parity])
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(self.values.astype("<f8").tobytes(order="C"))
@@ -187,18 +198,25 @@ class SpaceTimeField:
     @classmethod
     def from_binary(cls, path) -> "SpaceTimeField":
         with open(path, "rb") as fh:
-            size = struct.calcsize("<8sddqqb")
+            size = struct.calcsize(cls._HEADER)
             raw = fh.read(size)
+            if raw[:8] == b"RWFLD001":
+                raise ValueError(f"{path}: a field file of the old format RWFLD001, whose "
+                                 "header does not hold its grid; remove it to start afresh")
             if len(raw) < size or raw[:8] != cls._MAGIC:
                 raise ValueError(f"{path}: not a field file")
-            _, dr, dt, J, nt, par = struct.unpack("<8sddqqb", raw)
+            _, dr, cfl, r_max, t_max, par = struct.unpack(cls._HEADER, raw)
             payload = fh.read()
-        want = 8 * nt * (J + 1)
+        try:
+            grid = GridSpec(dr, cfl, r_max, t_max)
+        except ValueError as exc:
+            raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
+        nt, nr = grid.shape()
+        want = 8 * nt * nr
         if len(payload) != want:
             raise ValueError(f"{path}: payload holds {len(payload)} bytes, the header's "
-                             f"{nt} x {J + 1} grid needs {want}")
-        data = np.frombuffer(payload, dtype="<f8").reshape(nt, J + 1)
-        grid = GridSpec(dr=dr, cfl=dt / dr, r_max=J * dr, t_max=(nt - 1) * dt)
+                             f"{nt} x {nr} grid needs {want}")
+        data = np.frombuffer(payload, dtype="<f8").reshape(nt, nr)
         parity = {1: "odd", 2: "even", 0: None}[par]
         return cls(grid, data.copy(), parity)
 
@@ -224,19 +242,80 @@ def _trapz_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _col(k: int, s: int) -> tuple:
+    """Index of column k (negative: from the end) on the last axis, where one
+    column is s consecutive entries."""
+    return (..., slice(k * s, (k + 1) * s or None))
+
+
+def _centred_d1(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
+    """(f[i + s] - f[i - s]) / (2h) into out[..., s:-s]; the first and last s
+    entries of ``out`` are left alone."""
+    inner = np.subtract(values[..., 2 * s:], values[..., :-2 * s], out=out[..., s:-s])
+    inner /= 2 * h
+
+
+def _centred_d2(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
+    """(f[i + s] - 2 f[i] + f[i - s]) / h^2 into out[..., s:-s], in that order."""
+    inner = out[..., s:-s]
+    np.multiply(values[..., s:-s], 2, out=inner)
+    np.subtract(values[..., 2 * s:], inner, out=inner)
+    inner += values[..., :-2 * s]
+    inner /= h * h
+
+
+def _d1_first(values: np.ndarray, h: float, parity: str | None, out: np.ndarray,
+              s: int = 1) -> None:
+    c0, c1 = _col(0, s), _col(1, s)
+    if parity == "odd":
+        np.divide(values[c1], h, out=out[c0])  # ghost: f(-h) = -f(h)
+    elif parity == "even":
+        out[c0] = 0.0
+    else:
+        out[c0] = (-3 * values[c0] + 4 * values[c1] - values[_col(2, s)]) / (2 * h)
+
+
+def _d1_last(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
+    c1, c2, c3 = (_col(-k, s) for k in range(1, 4))
+    out[c1] = (3 * values[c1] - 4 * values[c2] + values[c3]) / (2 * h)
+
+
+def _d2_first(values: np.ndarray, h: float, parity: str | None, out: np.ndarray,
+              s: int = 1) -> None:
+    c0 = _col(0, s)
+    if parity == "odd":  # ghost f(-h) = -f(h); vanishes with f(0) = 0
+        o = np.multiply(values[c0], -2, out=out[c0])
+        o /= h * h
+    elif parity == "even":
+        out[c0] = 2 * (values[_col(1, s)] - values[c0]) / (h * h)
+    else:
+        c1, c2, c3 = (_col(k, s) for k in range(1, 4))
+        out[c0] = (2 * values[c0] - 5 * values[c1] + 4 * values[c2] - values[c3]) / (h * h)
+
+
+def _d2_last(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
+    c1, c2, c3, c4 = (_col(-k, s) for k in range(1, 5))
+    out[c1] = (2 * values[c1] - 5 * values[c2] + 4 * values[c3] - values[c4]) / (h * h)
+
+
+def _runs(values: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and ``out`` as flat runs when both are C-contiguous, so a
+    centred stencil is one call over every row.  The cells it spoils where
+    one row meets the next are the first and last columns, which the edge
+    stencils set afterwards."""
+    if values.ndim > 1 and values.flags.c_contiguous and out.flags.c_contiguous:
+        return values.reshape(-1), out.reshape(-1)
+    return values, out
+
+
 def _d1(values: np.ndarray, h: float, parity: str | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
     """First derivative along the last axis, into ``out`` (new if None)."""
     out = np.empty_like(values) if out is None else out
-    inner = np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
-    inner /= 2 * h
-    if parity == "odd":
-        out[..., 0] = values[..., 1] / h  # ghost: f(-h) = -f(h)
-    elif parity == "even":
-        out[..., 0] = 0.0
-    else:
-        out[..., 0] = (-3 * values[..., 0] + 4 * values[..., 1] - values[..., 2]) / (2 * h)
-    out[..., -1] = (3 * values[..., -1] - 4 * values[..., -2] + values[..., -3]) / (2 * h)
+    v, o = _runs(values, out)
+    _centred_d1(v, h, o)
+    _d1_first(values, h, parity, out)
+    _d1_last(values, h, out)
     return out
 
 
@@ -244,30 +323,27 @@ def _d2(values: np.ndarray, h: float, parity: str | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
     """Second derivative along the last axis, into ``out`` (new if None)."""
     out = np.empty_like(values) if out is None else out
-    inner = out[..., 1:-1]  # values[2:] - 2 * values[1:-1] + values[:-2], then / h^2
-    np.multiply(values[..., 1:-1], 2, out=inner)
-    np.subtract(values[..., 2:], inner, out=inner)
-    inner += values[..., :-2]
-    inner /= h * h
-    if parity == "odd":
-        out[..., 0] = -2 * values[..., 0] / (h * h)  # ghost f(-h) = -f(h); vanishes with f(0) = 0
-    elif parity == "even":
-        out[..., 0] = 2 * (values[..., 1] - values[..., 0]) / (h * h)
-    else:
-        out[..., 0] = (2 * values[..., 0] - 5 * values[..., 1] + 4 * values[..., 2]
-                       - values[..., 3]) / (h * h)
-    out[..., -1] = (2 * values[..., -1] - 5 * values[..., -2] + 4 * values[..., -3]
-                    - values[..., -4]) / (h * h)
+    v, o = _runs(values, out)
+    _centred_d2(v, h, o)
+    _d2_first(values, h, parity, out)
+    _d2_last(values, h, out)
     return out
 
 
-def _over_r(values: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """values / r along the last axis at the 1-D radii ``r``; the first column
-    takes the 3-point extrapolation from the next three, so it is finite on
-    the axis."""
+def _divide_r(values: np.ndarray, r: np.ndarray, out: np.ndarray, s: int = 1) -> None:
+    """values / r from column 1 on; ``r`` holds the radius of each entry."""
+    np.divide(values[..., s:], r[s:], out=out[..., s:])
+
+
+def _over_r(values: np.ndarray, r: np.ndarray, out: np.ndarray | None = None,
+            s: int = 1) -> np.ndarray:
+    """values / r along the last axis, ``r`` holding the radius of each entry;
+    the first column takes the 3-point extrapolation from the next three, so
+    it is finite on the axis."""
     out = np.empty_like(values) if out is None else out
-    np.divide(values[..., 1:], r[1:], out=out[..., 1:])
-    out[..., 0] = 3 * out[..., 1] - 3 * out[..., 2] + out[..., 3]
+    _divide_r(values, r, out, s)
+    c0, c1, c2, c3 = (_col(k, s) for k in range(4))
+    out[c0] = 3 * out[c1] - 3 * out[c2] + out[c3]
     return out
 
 

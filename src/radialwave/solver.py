@@ -18,18 +18,29 @@ with the odd ghost W_{-1} = -W_1 and W = 0 past r_max: exact for the free
 wave, second order in the source, and with no precursor ahead of the front.
 A d'Alembert closed form serves as the homogeneous oracle.
 
+The RK4 state is one array laid out as (W | dt W, column, field): W_u and
+W_v interleave along r, so the window of W, and that of dt W, are each one
+contiguous run of 2J numbers, a radial stencil is the centred core of
+``grid`` at shift 2 (two entries per column), and each stage is a handful of
+calls on whole runs.  The array has nr + 1 columns; the last one is always
+zero.
+
 Each RK4 step updates only the window of leading columns j < J, where
 J = min(nr, last + 1 + GUARD) and ``last`` is the last column of the state
 that is not exactly zero.  Ahead of the front the state underflows to exact
 zeros, and the window is exact, not a tolerance: the interior stencils reach
 one column, so stage s of RK4 reads columns up to last + s - 1 and the new
-state is nonzero up to last + 4 at most.  At the window's last column the
-one-sided edge stencils read 4 (second derivative) and 3 (first derivative)
-columns back, which with GUARD = 8 are still zero, so they give the same
-exact zero the centered stencil gives there; every column the window cuts
-off stays exactly zero.  Diagnostics are taken on the window too; the energy
-integrand is summed over a full-width zeroed buffer, because np.sum's
-pairwise blocking depends on the length.
+state is nonzero up to last + 4 at most.  The stencils at the window's last
+column read the zero column J past it; there the one-sided edge stencils,
+which read 4 (second derivative) and 3 (first derivative) columns back, give
+the same exact zero with GUARD = 8, so they run only once J = nr.  The
+stage array is cleared past a window that shrinks, so column J reads zero in
+every stage.  The right-hand side sets one edge: the odd ghost of the second
+derivative at r = 0.  It computes the source on columns 1..J-1 only, since
+the source at r = 0 is multiplied by r = 0 (and W = r u stays zero there).
+Diagnostics are taken on the window too; the energy integrand is summed over
+a full-width zeroed buffer, because np.sum's pairwise blocking depends on the
+length.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import _FLIP, GridSpec, SpaceTimeField, _d1, _d2, _over_r, _trapz_weights, null_form
+from .grid import (_FLIP, GridSpec, SpaceTimeField, _centred_d1, _centred_d2, _d1, _d1_first,
+                   _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _trapz_weights,
+                   null_form)
 from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
@@ -203,14 +216,14 @@ class SolutionHistory:
     def load(cls, outdir: str) -> "SolutionHistory":
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        grid = GridSpec(**manifest["grid"])  # a header's J dr, (nt - 1) dt may not round back
+        grid = GridSpec(**manifest["grid"])
         fields = []
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             path = os.path.join(outdir, f"{name}.bin")
             f = SpaceTimeField.from_binary(path)
-            if (f.grid.dr, f.grid.dt, f.values.shape) != (grid.dr, grid.dt, grid.shape()):
+            if f.grid != grid:
                 raise ValueError(f"{path}: the header's grid {f.grid} is not the manifest's")
-            fields.append(SpaceTimeField(grid, f.values, f.parity))
+            fields.append(f)
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
         return cls(*fields, manifest["mode"], diags)
 
@@ -229,46 +242,6 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
     return null_form(dtu, dru, dtv, drv)
 
 
-class _Rhs:
-    """F(y) of the autonomous first-order system (W_u, dt W_u, W_v, dt W_v) on the
-    leading columns of y, written into ``out`` through scratch allocated once.
-
-    W_u and W_v go through each stencil together as the rows y[0::2]; every
-    element sees the same operations, in the same order, as alone.
-    """
-
-    def __init__(self, r: np.ndarray, dr: float, semilinear: bool):
-        self.r, self.dr = r, dr
-        self.semilinear = semilinear
-        # y / r, dr of (W_u, W_v), (dr u, dr v), the two sources
-        self._buf = np.empty((10, r.size)) if semilinear else None
-
-    def __call__(self, y: np.ndarray, out: np.ndarray) -> None:
-        J = y.shape[1]
-        r = self.r[:J]
-        W, P = y[0::2], y[1::2]
-        out[0::2] = P
-        _d2(W, self.dr, "odd", out[1::2])
-        if self.semilinear:
-            buf = self._buf[:, :J]
-            q, dW, drq, src = buf[:4], buf[4:6], buf[6:8], buf[8:]
-            _over_r(y, r, q)  # u, dt u, v, dt v
-            _d1(W, self.dr, "odd", dW)
-            dW -= q[0::2]
-            _over_r(dW, r, drq)
-            dtu, dtv = q[1::2]
-            dru, drv = drq
-            # null_form(dtu, dru, dtv, drv) and the v source dtu * dtv
-            np.add(dtu, dru, out=src[0])
-            src[0] *= dtv
-            np.add(dtv, drv, out=src[1])
-            src[1] *= dru
-            src[0] -= src[1]
-            np.multiply(dtu, dtv, out=src[1])
-            src *= r
-            out[1::2] += src
-
-
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     """Evolve the system and record the conjugate state every record_stride steps."""
     grid = config.grid
@@ -276,20 +249,21 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         raise CflError(f"evolution requires cfl <= 0.9, got {grid.cfl}")
     r, dr, dt, nr = grid.r, grid.dr, grid.dt, grid.nr
     nsteps = grid.nt - 1
-    rhs = _Rhs(r, dr, config.mode == "semilinear")
+    semilinear = config.mode == "semilinear"
+    rr = np.repeat(r, 2)  # the radius of each entry of an interleaved run
 
+    # (W | dt W, column, field), column nr always zero (module docstring)
+    state = np.zeros((2, nr + 1, 2))
     amp = data.amplitude
-    Wu = r * amp * np.asarray(data.u0(r), dtype=float)
-    Pu = r * amp * np.asarray(data.u1(r), dtype=float)
-    Wv = r * amp * np.asarray(data.v0(r), dtype=float)
-    Pv = r * amp * np.asarray(data.v1(r), dtype=float)
-    state = np.stack([Wu, Pu, Wv, Pv])
+    for (i, f), fn in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (data.u0, data.u1, data.v0, data.v1)):
+        state[i, :nr, f] = r * amp * np.asarray(fn(r), dtype=float)
 
     stride = config.record_stride
     hist_grid = config.history_grid
     if config.store_history:
         frames = np.zeros((4, hist_grid.nt, nr))
-        frames[:, 0] = state
+        by_field = frames.reshape(2, 2, hist_grid.nt, nr)  # (field, W | dt W, row, column)
+        by_field[:, :, 0] = state[:, :nr].transpose(2, 0, 1)
     diag_t = np.zeros(nsteps + 1)
     diag_energy = np.zeros((2, nsteps + 1))
     diag_sup = np.zeros((2, nsteps + 1))
@@ -297,52 +271,97 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
 
     scale = max(np.max(np.abs(state)), 1e-300)
     cap = _BLOW_CAP * scale
-    wr = _trapz_weights(nr, dr)
-    k1, k2, k3, k4, stage, acc, absy = np.empty((7, 4, nr))
+    wr = np.repeat(_trapz_weights(nr, dr), 2)
+    k1, k2, k3, k4, stage, acc, absy = np.zeros((7, 2, nr + 1, 2))
+    quot = np.empty((2, 2 * nr))  # (u, v) and (dt u, dt v), interleaved
+    dW, src = np.empty((2, 2 * nr + 2))
+    pair_max = np.empty((nr, 2))
     colmax = np.empty(nr)
-    energy = np.zeros((2, nr))  # zero past the window
-    dbuf = np.empty((2, nr))
+    energy = np.zeros(2 * nr)  # zero past the window
+
+    def rhs(y, out, J):
+        """F(y) of the first-order system on the window of J columns: dt W = P
+        and dt P = W_rr + r * source, reading y's zero column J."""
+        n = 2 * J
+        np.copyto(out[0, :J], y[1, :J])
+        w, a = y[0, :J + 1].reshape(-1), out[1, :J + 1].reshape(-1)
+        _centred_d2(w, dr, a, 2)
+        _d2_first(w, dr, "odd", a, 2)
+        if J == nr:
+            _d2_last(w[:-2], dr, a[:-2], 2)
+        if not semilinear:
+            return
+        # the source on columns 1..J-1; column 0's is multiplied by r = 0
+        q = quot[:, :n]
+        _divide_r(y[:, :J].reshape(2, n), rr[:n], q, 2)
+        d = dW[:n + 2]
+        _centred_d1(w, dr, d, 2)
+        if J == nr:
+            _d1_last(w[:-2], dr, d[:-2], 2)
+        d = d[2:n]
+        d -= q[0, 2:]
+        d /= rr[2:n]
+        dtu, dtv, dru = q[1, 2::2], q[1, 3::2], d[0::2]
+        # null_form(dtu, dru, dtv, drv) and the v source dtu * dtv
+        s = np.add(q[1, 2:], d, out=src[2:n])  # (dt + dr) u, (dt + dr) v
+        su, sv = s[0::2], s[1::2]
+        su *= dtv
+        sv *= dru
+        su -= sv
+        np.multiply(dtu, dtv, out=sv)
+        s *= rr[2:n]
+        a[2:n] += s
 
     def record_diag(n, t, J, cols):
-        y = state[:, :J]
-        W, P = y[0::2], y[1::2]
+        w = state[0, :J + 1].reshape(-1)
         diag_t[n] = t
-        dW = _d1(W, dr, "odd", dbuf[:, :J])
-        np.square(dW, out=dW)
-        e = np.square(P, out=energy[:, :J])
-        e += dW
-        e *= wr[:J]
-        energy[:, J:] = 0.0
+        d = dW[:2 * J + 2]
+        _centred_d1(w, dr, d, 2)
+        _d1_first(w, dr, "odd", d, 2)
+        if J == nr:
+            _d1_last(w[:-2], dr, d[:-2], 2)
+        d = np.square(d[:2 * J], out=d[:2 * J])
+        e = np.square(state[1, :J].reshape(-1), out=energy[:2 * J])
+        e += d
+        e *= wr[:2 * J]
+        energy[2 * J:] = 0.0
         # summed at full width: np.sum's pairwise blocking depends on the length
-        diag_energy[0, n] = np.sum(energy[0])
-        diag_energy[1, n] = np.sum(energy[1])
-        q = np.abs(_over_r(W, r[:J], dbuf[:, :J]), out=dbuf[:, :J])
-        diag_sup[:, n] = np.max(q, axis=1)
+        diag_energy[0, n] = np.sum(energy[0::2])
+        diag_energy[1, n] = np.sum(energy[1::2])
+        q = np.abs(_over_r(w[:2 * J], rr[:2 * J], src[:2 * J], 2), out=src[:2 * J])
+        diag_sup[0, n] = np.max(q[0::2])
+        diag_sup[1, n] = np.max(q[1::2])
         # support measured against the initial scale, so a decaying solution
         # does not see an ever-tightening effective threshold
         diag_support[n] = _support_radius(cols, r, 1e-6 * scale)
 
     def column_max(J):
-        return np.maximum.reduce(np.abs(state[:, :J], out=absy[:, :J]), out=colmax[:J])
+        m = np.abs(state[:, :J], out=absy[:, :J])
+        m = np.maximum(m[0], m[1], out=pair_max[:J])
+        return np.maximum(m[:, 0], m[:, 1], out=colmax[:J])
 
     cols = column_max(nr)
     last = _last_true(cols != 0)
     record_diag(0, 0.0, nr, cols)
 
+    top = nr  # the stage's columns from top on are zero
     for n in range(nsteps):
         J = min(nr, last + 1 + GUARD)
+        if J < top:
+            stage[:, J:top] = 0.0
+        top = J
         y, s = stage[:, :J], state[:, :J]
         a, b, c, d = k1[:, :J], k2[:, :J], k3[:, :J], k4[:, :J]
-        rhs(s, a)
+        rhs(state, k1, J)
         np.multiply(a, dt / 2, out=y)
         y += s
-        rhs(y, b)
+        rhs(stage, k2, J)
         np.multiply(b, dt / 2, out=y)
         y += s
-        rhs(y, c)
+        rhs(stage, k3, J)
         np.multiply(c, dt, out=y)
         y += s
-        rhs(y, d)
+        rhs(stage, k4, J)
         # state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), in that order
         inc = np.multiply(b, 2, out=acc[:, :J])
         inc += a
@@ -359,7 +378,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         last = _last_true(cols != 0)
         record_diag(n + 1, tn, J, cols)
         if config.store_history and (n + 1) % stride == 0:
-            frames[:, (n + 1) // stride] = state
+            by_field[:, :, (n + 1) // stride] = state[:, :nr].transpose(2, 0, 1)
         # the centered stencil sheds a dispersive precursor ahead of the
         # true front; at the 1e-6 level its width grows like ~0.3 units per
         # doubling of t (measured), so the finite-speed check allows a

@@ -2,9 +2,10 @@
 
 ``_diff_t``, ``_diff_r`` and ``_diff2`` are copies of the per-axis stencils
 the last-axis layer replaced: ``_diff_t`` differentiates along axis 0,
-``_diff_r`` along axis 1 with the parity ghost at r = 0, and ``_diff2`` is the
-second derivative along either axis.  The layer must reproduce them bit for
-bit on every array layout it serves (``layouts``).  ``word_sums_ref`` is the
+``_diff_r`` along axis 1 with the parity ghost at r = 0, ``_diff2`` is the
+second derivative along either axis, and ``_quot`` the quotient by r.  The
+layer must reproduce them bit for bit on every array layout it serves
+(``layouts``).  ``word_sums_ref`` is the
 word-by-word oracle of ``grid._word_sums``.
 """
 
@@ -52,11 +53,19 @@ def _diff2(values: np.ndarray, h: float, axis: int, parity: str | None = None) -
     return out if axis == 0 else out.T
 
 
+def _quot(values: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """values / r along axis 1, the first column extrapolated from the next three."""
+    out = np.empty_like(values)
+    out[:, 1:] = values[:, 1:] / r[1:]
+    out[:, 0] = 3 * out[:, 1] - 3 * out[:, 2] + out[:, 3]
+    return out
+
+
 @st.composite
 def layouts(draw):
     """(values, out) in one layout the stencils serve: a 1-D row, a strided
-    stack of 2 or 4 rows with a strided ``out`` (the solver's row stacks), or
-    a full (nt, nr) array with a fresh ``out``."""
+    stack of 2 or 4 rows with a strided ``out``, or a full (nt, nr) array
+    with a fresh ``out``."""
     kind = draw(st.sampled_from(["1-D", "2-row", "4-row", "full"]))
     n = draw(st.integers(5, 24))
     rows = {"1-D": 1, "2-row": 2, "4-row": 4}.get(kind) or draw(st.integers(5, 12))

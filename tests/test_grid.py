@@ -1,8 +1,10 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import radialwave as rw
 from radialwave import grid
@@ -10,7 +12,8 @@ from radialwave.grid import (
     DR, DT, MAX_WORD_LEN, _d1, _d2, _over_r, _word_sums, _z_walk, apply_word, apply_z_multi,
     derivative, z_words,
 )
-from stencil_oracles import WORD_PREFIXES, _diff2, _diff_r, _diff_t, layouts, word_sums_ref
+from stencil_oracles import (WORD_PREFIXES, _diff2, _diff_r, _diff_t, _quot, layouts,
+                             word_sums_ref)
 from test_solver import _ref_d2r_odd, _ref_quotient, _ref_radial_deriv
 
 
@@ -124,6 +127,16 @@ class TestField:
         want = 8 * g.nt * g.nr
         got = want + change
         with pytest.raises(ValueError, match=f"{got} .*{want}") as exc:
+            rw.SpaceTimeField.from_binary(path)
+        assert str(path) in str(exc.value)
+
+    def test_binary_refuses_the_old_format(self, tmp_path):
+        # RWFLD001 headers held J and nt, not the grid; such a file is refused by name
+        path = tmp_path / "old.bin"
+        g = small_grid()
+        header = struct.pack("<8sddqqb", b"RWFLD001", g.dr, g.dt, g.nr - 1, g.nt, 0)
+        path.write_bytes(header + np.zeros(g.shape()).tobytes())
+        with pytest.raises(ValueError, match="RWFLD001.*remove it to start afresh") as exc:
             rw.SpaceTimeField.from_binary(path)
         assert str(path) in str(exc.value)
 
@@ -257,6 +270,70 @@ class TestStencilLayer:
                          (_over_r(values, r), lambda v: _ref_quotient(v, r))):
             want = np.stack([ref(v) for v in np.atleast_2d(values)])
             assert np.array_equal(np.atleast_2d(got), want)
+
+
+def _as_layout(base: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(values, out) holding ``base``'s (rows, n) numbers in one memory layout."""
+    rows, n = base.shape
+    if kind == "C block":  # the word-walk blocks and the estimate fields
+        return np.ascontiguousarray(base), np.full((rows, n), np.nan)
+    if kind in ("F view", "interleaved"):  # values.T of a C array: the time stencils,
+        # and for two rows the fields of an (n, 2) run, as the solver keeps them
+        return np.ascontiguousarray(base.T).T, np.full((n, rows), np.nan).T
+    wide = np.full((2 * rows, n + 3), np.nan)  # strided slices: every other row, a window
+    wide[0::2, 1:n + 1] = base
+    return wide[0::2, 1:n + 1], np.full((2 * rows, n + 3), np.nan)[1::2, 2:n + 2]
+
+
+class TestStencilLayouts:
+    """``_d1``, ``_d2`` and ``_over_r`` equal the oracles byte for byte on every
+    layout they serve, whichever path (flat run or strided) they take."""
+
+    @pytest.mark.parametrize("kind", ["C block", "F view", "interleaved", "strided"])
+    @pytest.mark.parametrize("parity", ["odd", "even", None])
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 5), st.integers(5, 30), st.sampled_from([1 / 8, 0.3]), st.data())
+    def test_equal_to_the_oracles(self, kind, parity, rows, n, h, data):
+        rows = 2 if kind == "interleaved" else rows
+        base = data.draw(arrays(np.float64, (rows, n),
+                                elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        r = np.arange(n) * h
+        for stencil, want in ((_d1, _diff_r(base, h, parity)),
+                              (_d2, _diff2(base, h, axis=1, parity=parity))):
+            values, out = _as_layout(base, kind)
+            assert stencil(values, h, parity).tobytes() == want.tobytes()
+            assert stencil(values, h, parity, out) is out
+            assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+            window = np.full((rows, n + 2), np.nan)[:, 1:-1]  # into a strided out
+            assert stencil(values, h, parity, window).tobytes() == want.tobytes()
+        values, out = _as_layout(base, kind)
+        assert _over_r(values, r, out) is out
+        assert np.ascontiguousarray(out).tobytes() == _quot(base, r).tobytes()
+        if rows >= 4:  # along the other axis, as the time stencils run
+            values = _as_layout(base.T, kind)[0]
+            assert _d1(values, h).tobytes() == _diff_t(base, h).T.tobytes()
+            assert _d2(values, h).tobytes() == _diff2(base, h, axis=0).T.tobytes()
+
+    @pytest.mark.parametrize("parity", ["odd", "even", None])
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(5, 30), st.sampled_from([1 / 8, 0.3]), st.data())
+    def test_shift_two_on_an_interleaved_run(self, parity, n, h, data):
+        # the solver's path: the core and the edges at shift 2 on one (n, 2) run
+        base = data.draw(arrays(np.float64, (n, 2),
+                                elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        run, r = base.reshape(-1), np.repeat(np.arange(n) * h, 2)
+        for core, first, last, want in (
+                (grid._centred_d1, grid._d1_first, grid._d1_last, _diff_r(base.T, h, parity)),
+                (grid._centred_d2, grid._d2_first, grid._d2_last,
+                 _diff2(base.T, h, axis=1, parity=parity))):
+            out = np.full(2 * n, np.nan)
+            core(run, h, out, 2)
+            first(run, h, parity, out, 2)
+            last(run, h, out, 2)
+            assert out.reshape(n, 2).T.tobytes() == want.tobytes()
+        out = np.full(2 * n, np.nan)
+        assert grid._over_r(run, r, out, 2) is out
+        assert out.reshape(n, 2).T.tobytes() == _quot(base.T, r[0::2]).tobytes()
 
 
 def _walk(f, N):

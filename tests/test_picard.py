@@ -171,6 +171,12 @@ class TestIteration:
         with pytest.raises(ValueError):
             small_config(**bad)
 
+    def test_resume_tag_ignores_int_versus_float_extents(self):
+        # the grid stores floats, so both spellings name one state on disk
+        tags = {rw.config_hash(PicardConfig(rw.GridSpec(*g), eps=0.01).descriptor())
+                for g in ((0.125, 1, 12, 8), (0.125, 1.0, 12.0, 8.0))}
+        assert len(tags) == 1
+
     def test_grid_is_dt_equal_to_dr_whatever_the_cfl(self):
         # the iterates run on the dt = dr grid: the cfl of the given grid picks
         # no number, so it is neither in the records nor in the resume key

@@ -222,13 +222,13 @@ class TestConfig:
             np.testing.assert_array_equal(back.diagnostics[key], vals)
 
     def test_history_roundtrip_keeps_an_inexact_grid(self, tmp_path):
-        # the field headers give r_max = J dr and t_max = (nt - 1) dt, which at
-        # dr = 1/49 read 7.999999999999999 and 3.9999999999999996
+        # at dr = 1/49, J dr and (nt - 1) dt read 7.999999999999999 and
+        # 3.9999999999999996; the field header holds the grid's own values
         g = rw.GridSpec(dr=1 / 49, cfl=1.0, r_max=8.0, t_max=4.0)
         z = rw.SpaceTimeField.zeros(g)
         hist = rw.solve_linear_forced(standard_data(), z, z)
         hist.save(tmp_path / "run")
-        assert rw.SpaceTimeField.from_binary(tmp_path / "run" / "W_u.bin").grid != g
+        assert rw.SpaceTimeField.from_binary(tmp_path / "run" / "W_u.bin").grid == g
         back = rw.SolutionHistory.load(tmp_path / "run")
         assert back.grid == hist.grid == g
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
@@ -380,13 +380,18 @@ def _reference_solve(data, config):
     return frames, diags
 
 
-WINDOW_CASES = ["reaches r_max", "zero data"]
+WINDOW_GRIDS = {
+    "reaches r_max": grid(dr=1 / 16, t_max=6.0),  # every column from step ~60 of 192
+    "zero data": grid(dr=1 / 16, t_max=6.0),
+    "cfl 0.25": grid(dr=1 / 16, t_max=3.0, cfl=0.25),  # record stride 4
+    "never reaches r_max": rw.GridSpec(dr=1 / 16, cfl=0.5, r_max=16.0, t_max=3.0),
+}
 
 
 @pytest.mark.parametrize("mode", ["semilinear", "homogeneous"])
-@pytest.mark.parametrize("case", WINDOW_CASES)
+@pytest.mark.parametrize("case", list(WINDOW_GRIDS))
 def test_window_equals_full_width_loop(mode, case):
-    g = grid(dr=1 / 16, t_max=6.0)  # the window spans every column from step ~60 of 192
+    g = WINDOW_GRIDS[case]
     data = rw.calibrate(standard_data(), g, N=2, eps=0.0 if case == "zero data" else 0.02)
     cfg = SolveConfig(grid=g, mode=mode)
     hist = rw.solve(data, cfg)
@@ -396,11 +401,15 @@ def test_window_equals_full_width_loop(mode, case):
     assert set(hist.diagnostics) == set(diags)
     for name, ref in diags.items():
         assert hist.diagnostics[name].tobytes() == ref.tobytes(), name
+    last = [np.flatnonzero(np.any(frames[:, n] != 0, axis=0))[-1]
+            for n in range(frames.shape[1])] if np.any(frames) else []
     if case == "reaches r_max":
         # the window starts narrow and the last column is reached before t_max
-        last = [np.flatnonzero(np.any(frames[:, n] != 0, axis=0))[-1]
-                for n in range(frames.shape[1])]
         assert last[0] + 1 + rw.solver.GUARD < g.nr
         assert last[frames.shape[1] // 2] == g.nr - 1
     if case == "zero data":
         assert not np.any(frames)
+    if case == "cfl 0.25":
+        assert cfg.record_stride == 4 and frames.shape[1] == (g.nt - 1) // 4 + 1
+    if case == "never reaches r_max":
+        assert max(last) + 1 + rw.solver.GUARD < g.nr
