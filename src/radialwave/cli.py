@@ -82,7 +82,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="default: t_max + 4")
 
     p = sub.add_parser("solve", help="evolve the coupled system and store the history")
-    add_grid(p)
+    add_grid(p, cfl=False)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--mode", default="semilinear",
                    choices=["semilinear", "homogeneous"])
@@ -110,7 +110,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--kmax", type=int, default=6)
 
     p = sub.add_parser("decay", help="long evolution and pointwise decay fit")
-    add_grid(p, t_max=256.0)
+    add_grid(p, t_max=256.0, cfl=False)
     p.add_argument("--eps", type=float, default=0.01)
 
     p = sub.add_parser("sweep", help="amplitude sweep of the first two functionals")

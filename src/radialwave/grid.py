@@ -216,9 +216,10 @@ class SpaceTimeField:
         if len(payload) != want:
             raise ValueError(f"{path}: payload holds {len(payload)} bytes, the header's "
                              f"{nt} x {nr} grid needs {want}")
+        if par not in (0, 1, 2):
+            raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
         data = np.frombuffer(payload, dtype="<f8").reshape(nt, nr)
-        parity = {1: "odd", 2: "even", 0: None}[par]
-        return cls(grid, data.copy(), parity)
+        return cls(grid, data.copy(), (None, "odd", "even")[par])
 
     def to_csv(self, path) -> None:
         t, r = self.grid.t, self.grid.r

@@ -13,10 +13,10 @@ With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
 (naming k) replace the old ones in one rename, and only then are older
 histories removed: an interrupt leaves the old (records, histories) pair or
-the new one.  Records that name another k, or a k with no saved delta, are
-refused.  The tag keys everything but ``kmax``, so a rerun with a larger
-kmax solves only the new iterates and one with a smaller kmax returns the
-first kmax records.
+the new one.  Records that name another k, a k with no saved delta, or
+histories that do not load are refused.  The tag keys everything but
+``kmax``, so a rerun with a larger kmax solves only the new iterates and one
+with a smaller kmax returns the first kmax records.
 """
 
 from __future__ import annotations
@@ -218,7 +218,11 @@ def _load_state(config, tag):
     if not os.path.isdir(delta_dir):
         raise ValueError(f"{hist_dir} holds no difference delta_{k} (a state of the "
                          "separately solved iterates); remove it to start afresh")
-    return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
+    try:
+        return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"the saved state cannot be loaded ({exc}); remove {rec_path} "
+                         f"and {hist_dir} to start afresh") from None
 
 
 def check_boundedness(records: list[IterationRecord], eps: float) -> dict:

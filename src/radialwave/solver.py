@@ -8,9 +8,13 @@ d'Alembertian becomes the 1-D wave operator:
 
 ``solve`` steps the semilinear or the homogeneous system with classical RK4
 on the first-order system (W, dt W); r = 0 is handled by odd reflection; the
-outer boundary is never reached by the support cone.  ``solve_linear_forced``,
-the fixed-point driver's linear solve with a source F sampled on a grid with
-dt = dr, takes the characteristic (leapfrog, Courant number 1) step
+outer boundary is never reached by the support cone.  Its Courant number is a
+constant of the method, 1/2: STEPS_PER_ROW = 2 steps of dt = dr/2 per history
+row.  The history lies on the given grid at dt = dr, whatever cfl the grid was
+given with (``SolveConfig``); the diagnostics are taken at every step.
+``solve_linear_forced``, the fixed-point driver's linear solve with a source F
+sampled on a grid with dt = dr, takes the characteristic (leapfrog, Courant
+number 1) step
 
     W^{n+1}_j = W^n_{j+1} + W^n_{j-1} - W^{n-1}_j + dt^2 r_j F^n_j
 
@@ -60,6 +64,7 @@ from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
+STEPS_PER_ROW = 2  # RK4 steps of dt = dr / 2 per history row (module docstring)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -162,19 +167,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in ("semilinear", "homogeneous"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        nsteps = self.grid.nt - 1
-        if nsteps % self.record_stride != 0:
-            raise ValueError(
-                f"record stride {self.record_stride} does not divide {nsteps} steps")
-
-    @property
-    def record_stride(self) -> int:
-        """The largest stride with stride * cfl <= 1."""
-        return max(1, int(np.floor(1.0 / self.grid.cfl + 1e-9)))
-
-    @property
-    def history_grid(self) -> GridSpec:
-        return replace(self.grid, cfl=self.grid.cfl * self.record_stride)
+        self.grid = replace(self.grid, cfl=1.0)  # the history's dt = dr, whatever cfl was given
 
 
 @dataclass
@@ -243,12 +236,11 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
-    """Evolve the system and record the conjugate state every record_stride steps."""
+    """Evolve the system and record the conjugate state every STEPS_PER_ROW steps."""
     grid = config.grid
-    if grid.cfl > 0.9 + 1e-12:
-        raise CflError(f"evolution requires cfl <= 0.9, got {grid.cfl}")
-    r, dr, dt, nr = grid.r, grid.dr, grid.dt, grid.nr
-    nsteps = grid.nt - 1
+    r, dr, nr = grid.r, grid.dr, grid.nr
+    dt = dr / STEPS_PER_ROW
+    nsteps = STEPS_PER_ROW * (grid.nt - 1)
     semilinear = config.mode == "semilinear"
     rr = np.repeat(r, 2)  # the radius of each entry of an interleaved run
 
@@ -258,11 +250,9 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     for (i, f), fn in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (data.u0, data.u1, data.v0, data.v1)):
         state[i, :nr, f] = r * amp * np.asarray(fn(r), dtype=float)
 
-    stride = config.record_stride
-    hist_grid = config.history_grid
     if config.store_history:
-        frames = np.zeros((4, hist_grid.nt, nr))
-        by_field = frames.reshape(2, 2, hist_grid.nt, nr)  # (field, W | dt W, row, column)
+        frames = np.zeros((4, grid.nt, nr))
+        by_field = frames.reshape(2, 2, grid.nt, nr)  # (field, W | dt W, row, column)
         by_field[:, :, 0] = state[:, :nr].transpose(2, 0, 1)
     diag_t = np.zeros(nsteps + 1)
     diag_energy = np.zeros((2, nsteps + 1))
@@ -377,8 +367,8 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
             raise BlowUpSuspected(tn)
         last = _last_true(cols != 0)
         record_diag(n + 1, tn, J, cols)
-        if config.store_history and (n + 1) % stride == 0:
-            by_field[:, :, (n + 1) // stride] = state[:, :nr].transpose(2, 0, 1)
+        if config.store_history and (n + 1) % STEPS_PER_ROW == 0:
+            by_field[:, :, (n + 1) // STEPS_PER_ROW] = state[:, :nr].transpose(2, 0, 1)
         # the centered stencil sheds a dispersive precursor ahead of the
         # true front; at the 1e-6 level its width grows like ~0.3 units per
         # doubling of t (measured), so the finite-speed check allows a
@@ -394,9 +384,9 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         "sup_u": diag_sup[0], "sup_v": diag_sup[1], "support_radius": diag_support,
     }
     if not config.store_history:
-        z = SpaceTimeField.zeros(hist_grid, "odd")
+        z = SpaceTimeField.zeros(grid, "odd")
         return SolutionHistory(z, z, z, z, config.mode, diagnostics)
-    return SolutionHistory(*(SpaceTimeField(hist_grid, f, "odd") for f in frames),
+    return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames),
                            config.mode, diagnostics)
 
 

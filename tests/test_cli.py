@@ -137,7 +137,7 @@ class TestConfigFile:
         assert "unknown config key 'kmax'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]  # no run started
 
-    @pytest.mark.parametrize("command", ["picard", "sweep"])
+    @pytest.mark.parametrize("command", ["picard", "sweep", "solve", "decay"])
     def test_cfl_is_unknown_to_the_picard_grid(self, tmp_path, capsys, command):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("dr = 0.125\nt-max = 8\ncfl = 0.5\n")
@@ -171,6 +171,28 @@ class TestPicardCommand:
         shutil.rmtree(next(tmp_path.glob("picard_*_k1")) / "delta")
         assert run(args + ["2"]) == 1
         assert "no difference" in capsys.readouterr().err
+
+    def test_unloadable_state_names_what_to_remove(self, tmp_path, capsys):
+        # removing the refused field file alone leaves a state that cannot load
+        # either, so the refusal names the records file and the history directory
+        args = ["--out", str(tmp_path), "picard", "--dr", "0.125", "--t-max", "8",
+                "--kmax", "2"]
+        assert run(args) == 0
+        records = next(tmp_path.glob("picard_*_records.json"))
+        hist_dir = next(tmp_path.glob("picard_*_k2"))
+        field = hist_dir / "W_u.bin"
+        field.write_bytes(b"RWFLD001" + field.read_bytes()[8:])
+        remove = f"remove {records} and {hist_dir} to start afresh"
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert remove in err and "RWFLD001" in err
+        field.unlink()
+        assert run(args) == 1
+        assert remove in capsys.readouterr().err
+        records.unlink()
+        shutil.rmtree(hist_dir)
+        assert run(args) == 0
+        assert (hist_dir / "W_u.bin").exists()
 
 
 class TestDecayCommand:
@@ -235,7 +257,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
     def test_non_finite_grid_value(self, tmp_path, capsys, flag):
-        rc = run(["--out", str(tmp_path), "solve", "--dr", "0.125", "--t-max", "4",
+        command = "identities" if flag == "--cfl" else "solve"  # solve takes no --cfl
+        rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "4",
                   flag, "nan"])
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
@@ -245,16 +268,26 @@ def test_usage_error_exit_code(capsys):
     # exit 2 would read as a failed check
     for argv in (["not-a-command"], [], ["picard", "--bogus", "1"], ["picard", "--dr", "abc"],
                  ["picard", "--kmax", "1.5"], ["picard", "--cfl", "0.5"],
-                 ["sweep", "--cfl", "0.5"]):
+                 ["sweep", "--cfl", "0.5"], ["solve", "--cfl", "0.5"],
+                 ["decay", "--cfl", "0.5"]):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("usage: radialwave") and "error: " in err, argv
 
 
-@pytest.mark.parametrize("command", ["picard", "sweep"])
+@pytest.mark.parametrize("command", ["picard", "sweep", "solve", "decay"])
 def test_help_lists_no_cfl_for_the_picard_grid(capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--dr" in out and "--cfl" not in out
+
+
+@pytest.mark.parametrize("command", ["identities", "estimates"])
+def test_help_lists_cfl_for_the_sampled_fields(capsys, command):
+    # the dt/dr ratio at which the analytic fields are sampled
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--cfl" in capsys.readouterr().out

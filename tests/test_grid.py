@@ -140,6 +140,16 @@ class TestField:
             rw.SpaceTimeField.from_binary(path)
         assert str(path) in str(exc.value)
 
+    def test_binary_refuses_an_unknown_parity_byte(self, tmp_path):
+        path = tmp_path / "f.bin"
+        rw.SpaceTimeField.zeros(small_grid(), "odd").to_binary(path)
+        blob = bytearray(path.read_bytes())
+        blob[struct.calcsize("<8sdddd")] = 7  # the parity byte ends the header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="parity byte 7") as exc:
+            rw.SpaceTimeField.from_binary(path)
+        assert str(path) in str(exc.value)
+
     def test_binary_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a field file at all")

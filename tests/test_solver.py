@@ -114,9 +114,16 @@ class TestSemilinear:
             assert 0 < np.max(np.abs(field.values)) < 1e3 * size
 
     def test_cfl_refused(self):
-        g = grid(cfl=1.0)
-        with pytest.raises(rw.CflError):
-            rw.solve(standard_data(), SolveConfig(grid=g))
+        # RK4 refuses no cfl (it steps at dr / 2 whatever the grid's); the cfl
+        # still refused is a source off dt = dr, and a semilinear history's
+        # fields, on the grid at cfl 1, never are that
+        g = grid(t_max=2.0, cfl=0.5)
+        hist = rw.solve(standard_data(amplitude=0.01), SolveConfig(grid=g))
+        assert hist.grid.cfl == 1.0
+        rw.solve_linear_forced(standard_data(), hist.W_u, hist.W_v)
+        off = rw.SpaceTimeField.zeros(g)
+        with pytest.raises(rw.CflError, match="dt = dr"):
+            rw.solve_linear_forced(standard_data(), off, off)
 
 
 class TestLinearForced:
@@ -179,18 +186,38 @@ class TestConfig:
             SolveConfig(grid=g, mode="linear_forced")
 
     def test_default_stride_gives_unit_history_ratio(self):
+        # STEPS_PER_ROW RK4 steps of dt = dr / 2 per history row of dt = dr
         g = grid(cfl=0.5)
-        cfg = SolveConfig(grid=g)
-        assert cfg.record_stride == 2
-        hg = cfg.history_grid
-        np.testing.assert_allclose(hg.dt, hg.dr)
+        hg = SolveConfig(grid=g).grid
+        assert rw.solver.STEPS_PER_ROW == 2
+        assert hg.dt == hg.dr
+        assert g.nt - 1 == rw.solver.STEPS_PER_ROW * (hg.nt - 1)
 
     def test_bad_stride_rejected(self):
-        # stride 2 at cfl 0.5 does not divide 33 steps
+        # 33 steps at cfl 0.5 are 16.5 history rows: t_max is not a whole
+        # number of dr, which the grid at cfl 1 refuses
         g = rw.GridSpec(dr=0.25, cfl=0.5, r_max=8.25, t_max=4.125)
         assert g.nt - 1 == 33
-        with pytest.raises(ValueError, match="does not divide"):
+        with pytest.raises(ValueError, match="t_max must be an integer multiple of dt"):
             SolveConfig(grid=g)
+
+    def test_history_on_the_given_grid_whatever_the_cfl(self):
+        # RK4 steps at dt = dr / 2 whatever cfl the grid is given with: the
+        # history lies on the grid at dt = dr, the diagnostics on the steps
+        g = grid(t_max=2.0, cfl=1.0)
+        data = rw.calibrate(standard_data(), g, N=2, eps=0.02)
+        runs = [rw.solve(data, SolveConfig(grid=dataclasses.replace(g, cfl=cfl)))
+                for cfl in (0.25, 0.5, 1.0)]
+        for hist in runs:
+            assert hist.grid == g
+            for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+                assert (getattr(hist, name).values.tobytes()
+                        == getattr(runs[0], name).values.tobytes()), name
+            assert hist.diagnostics.keys() == runs[0].diagnostics.keys()
+            for key, vals in hist.diagnostics.items():
+                assert vals.tobytes() == runs[0].diagnostics[key].tobytes(), key
+        assert runs[0].diagnostics["t"][1] == g.dr / 2
+        assert len(runs[0].diagnostics["t"]) == 2 * (g.nt - 1) + 1
 
     def test_history_roundtrip(self, tmp_path):
         g = grid(t_max=2.0)
@@ -321,8 +348,9 @@ def _reference_solve(data, config):
     """The full-width RK4 loop: every stage, step and diagnostic over all nr
     columns, with fresh arrays throughout (test oracle only)."""
     grid = config.grid
-    r, dr, dt = grid.r, grid.dr, grid.dt
-    nsteps = grid.nt - 1
+    r, dr = grid.r, grid.dr
+    dt = dr / 2  # two steps per history row
+    nsteps = 2 * (grid.nt - 1)
     semilinear = config.mode == "semilinear"
     amp = data.amplitude
     state = np.stack([r * amp * np.asarray(fn(r), dtype=float)
@@ -351,8 +379,7 @@ def _reference_solve(data, config):
         w[0] = w[-1] = dr / 2
         return float(np.sum((np.square(P) + np.square(_ref_radial_deriv(W, dr))) * w))
 
-    stride = config.record_stride
-    frames = np.zeros((4, config.history_grid.nt, grid.nr))
+    frames = np.zeros((4, grid.nt, grid.nr))
     frames[:, 0] = state
     diags = {k: np.zeros(nsteps + 1) for k in
              ("t", "energy_u", "energy_v", "sup_u", "sup_v", "support_radius")}
@@ -375,15 +402,15 @@ def _reference_solve(data, config):
         k4 = rhs(state + dt * k3)
         state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         record(n + 1, (n + 1) * dt, state)
-        if (n + 1) % stride == 0:
-            frames[:, (n + 1) // stride] = state
+        if (n + 1) % 2 == 0:
+            frames[:, (n + 1) // 2] = state
     return frames, diags
 
 
 WINDOW_GRIDS = {
     "reaches r_max": grid(dr=1 / 16, t_max=6.0),  # every column from step ~60 of 192
     "zero data": grid(dr=1 / 16, t_max=6.0),
-    "cfl 0.25": grid(dr=1 / 16, t_max=3.0, cfl=0.25),  # record stride 4
+    "t_max odd in dr": grid(dr=1 / 16, t_max=49 / 16),  # 49 history rows past row 0
     "never reaches r_max": rw.GridSpec(dr=1 / 16, cfl=0.5, r_max=16.0, t_max=3.0),
 }
 
@@ -409,7 +436,8 @@ def test_window_equals_full_width_loop(mode, case):
         assert last[frames.shape[1] // 2] == g.nr - 1
     if case == "zero data":
         assert not np.any(frames)
-    if case == "cfl 0.25":
-        assert cfg.record_stride == 4 and frames.shape[1] == (g.nt - 1) // 4 + 1
+    if case == "t_max odd in dr":
+        assert hist.grid.nt == frames.shape[1] == 50
+        assert len(diags["t"]) == 99
     if case == "never reaches r_max":
         assert max(last) + 1 + rw.solver.GUARD < g.nr
