@@ -305,8 +305,8 @@ def _cmd_sweep(args) -> int:
     grid = _grid(args)
     outdir = _outdir(args)
     eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
-    if not eps_list:
-        raise ValueError(f"--eps-list holds no values: {args.eps_list!r}")
+    if len(set(eps_list)) < 2:  # the linearity checks compare each value with the first
+        raise ValueError(f"--eps-list needs at least two distinct values: {args.eps_list!r}")
     configs = [picard.PicardConfig(grid=grid, eps=eps, p=args.p, delta=args.delta,
                                    N=args.N, kmax=2) for eps in eps_list]
     rows = []

@@ -18,11 +18,22 @@ The M and A functionals stream each field in blocks of time rows
 (``_blocks``).  A block's Z-word sums come from one ``grid._word_sums`` pass
 on its rows and reduce straight into the per-row sums of every slot, the
 per-annulus row sums of ``le_norm`` (``_le_rows``) and the R/U/core region
-sups (``_region_sup`` on the block's part of each region, then a max over
-the blocks).  The row sums of all blocks are concatenated and reduced once in
-t, so every value equals the whole-grid one bit for bit, and no array of the
-grid's size is built.  ``le_norm`` runs the same code on one block.
+sups (``_region_sups``: one gather of every region's points in the block,
+their maxima per interval, then per region; a max over the blocks).  The
+row sums of all blocks are concatenated and reduced once in t, so every
+value equals the whole-grid one bit for bit, and no array of the grid's size
+is built.  ``le_norm`` runs the same code on one block.
 ``m_and_a_functionals`` reads both functionals of one pair off a single pass.
+
+The pass walks only the light cone.  Compactly supported data stay in
+r <= t + 2 under the characteristic scheme, with exact zeros past the front,
+so a block's sums are asked only for the columns up to the field's last
+nonzero column (over the rows they read) plus the stencils' depth
+(``_cone_cols``); past that every sum is an exact +0.0.  The sums are padded
+with zeros back to the full width, because ``np.add.reduceat`` blocks its
+pairwise sum by the row's length: a row sum without its trailing zeros
+could differ in the last bit.  The bound reads the field, not the scheme,
+so it is exact on RK4 histories too.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DT, DR, SpaceTimeField, _span, _trapz_weights, _word_sums
+from .grid import DT, DR, SpaceTimeField, _depth, _span, _trapz_weights, _word_sums
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _flat, _intervals, bracket,
     dyadic_scales,
@@ -225,22 +236,66 @@ def _blocks(nt: int) -> list:
     return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
 
 
+def _cone_cols(f: SpaceTimeField, lo: int, hi: int, d: int) -> int:
+    """n such that every word sum of depth ``d`` on the rows [lo, hi) is exactly
+    zero from column n on: the last nonzero column of the rows the sums read
+    (the block widened by d + 3 rows, see ``_word_sums``), plus 1 + d.  The
+    one-sided stencils at r_max read up to three columns inward, so a bound
+    within two columns of the edge is the whole width."""
+    nonzero = np.flatnonzero(f.values[max(lo - d - 3, 0):hi + d + 3].any(axis=0))
+    n = (nonzero[-1] + 1 if len(nonzero) else 0) + d
+    return f.grid.nr if n + 2 >= f.grid.nr else n
+
+
+def _region_intervals(regions: list, grid) -> tuple:
+    """(rows, j_lo, j_hi, index): the per-row intervals of every region of
+    ``regions`` (rows of ``_region_rows``) in ascending row order, ``index``
+    naming each interval's region."""
+    parts = [_intervals(region, grid) for *_, region in regions] or [(np.zeros(0, int),) * 3]
+    index = np.repeat(np.arange(len(parts)), [len(rows) for rows, *_ in parts])
+    order = np.argsort(np.concatenate([rows for rows, *_ in parts]), kind="stable")
+    return tuple(np.concatenate(x)[order] for x in zip(*parts)) + (index[order],)
+
+
+def _region_sups(values: np.ndarray, intervals: tuple, n: int, lo: int) -> np.ndarray:
+    """max |values| over the points of each of ``n`` regions in the full rows
+    that ``values`` hold from grid row ``lo`` on, 0.0 where there are none, as
+    ``_region_sup`` of each; ``intervals`` are the regions' ``_region_intervals``.
+    One gather reads every region's points; their maxima are taken per
+    interval, then per region."""
+    rows, j_lo, j_hi, index = intervals
+    a, b = np.searchsorted(rows, (lo, lo + len(values)))
+    out = np.zeros(n)
+    if b > a:
+        pos = _flat(rows[a:b] - lo, j_lo[a:b], j_hi[a:b], values.shape[1])
+        size = j_hi[a:b] - j_lo[a:b]  # no interval is empty
+        np.maximum.at(out, index[a:b],
+                      np.maximum.reduceat(np.abs(values.take(pos)), np.cumsum(size) - size))
+    return out
+
+
 def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict,
-                regions: list) -> tuple[dict, list]:
+                intervals: tuple, n_regions: int) -> tuple[dict, np.ndarray]:
     """One field's part of the grid rows [lo, hi), from a ``_word_sums`` pass on
     them: per slot of ``specs`` (name -> (term, outer, weight)) the
     ``_row_sums`` of its term, or for outer "LE" the ``_le_rows`` of the
-    (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each region of
-    ``regions``."""
+    (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each of
+    ``n_regions`` regions (their ``_region_intervals``).  The sums stop at
+    ``_cone_cols`` and are padded with zeros back to the full width, so the
+    row sums keep their trailing zeros (module docstring)."""
     grid = f.grid
     window = (slice(lo, hi), slice(None))
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    sums = _word_sums(f, keys, window)
+    n = _cone_cols(f, lo, hi, _depth(keys))
+    sums = {}
+    for key, narrow in _word_sums(f, keys, (slice(lo, hi), slice(0, n))).items():
+        sums[key] = np.zeros((hi - lo, grid.nr))
+        sums[key][:, :n] = narrow
     terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
     rows = {name: _le_rows(le1_pointwise(sums[N, DT], sums[N, DR], sums[N, "quot"]), grid, window)
             if outer == "LE" else _row_sums(terms[term], grid, weight)[1]
             for name, (term, outer, weight) in specs.items()}
-    return rows, [_region_sup(sums[N // 2, "d"], region, grid, window) for *_, region in regions]
+    return rows, _region_sups(sums[N // 2, "d"], intervals, n_regions, lo)
 
 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
@@ -261,9 +316,10 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     if any(_FUNCTIONALS[kind][0] for kind in kinds):
         v_specs["v_d_weighted_linfl2"] = ("d", "Linf", WeightSpec(power_r=-delta / 2))
     regions = _region_rows(grid)
+    intervals = _region_intervals(regions, grid)
     norms, sups = {}, []
     for f, specs in ((u, u_specs), (v, v_specs)):
-        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, regions)
+        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, intervals, len(regions))
                                  for lo, hi in _blocks(grid.nt)))
         for name, (_, outer, _) in specs.items():
             parts = [block[name] for block in rows]

@@ -220,7 +220,8 @@ class TestSweepCommand:
 class TestBadInput:
     """Bad input exits 1 with a message before any work is done."""
 
-    @pytest.mark.parametrize("eps_list", [",", "", " , "])
+    # one distinct value leaves the linearity checks nothing to compare
+    @pytest.mark.parametrize("eps_list", [",", "", " , ", "0.01", "0.01,0.01,0.010"])
     def test_empty_eps_list(self, tmp_path, capsys, eps_list):
         rc = run(["--out", str(tmp_path), "sweep", "--dr", "0.125", "--t-max", "8",
                   "--eps-list", eps_list])
@@ -244,7 +245,9 @@ class TestBadInput:
         + [(command, ["--cfl", "0.4"]) for command in ("picard", "sweep")]
         # eps = 0 leaves the boundedness and linearity checks nothing to divide by
         + [("picard", ["--eps", "0"]), ("sweep", ["--eps-list", "0,0.01"]),
-           ("sweep", ["--eps-list", "0.01,0"])])
+           ("sweep", ["--eps-list", "0.01,0"])]
+        # one distinct value leaves the linearity checks nothing to compare
+        + [("sweep", ["--eps-list", "0.01"]), ("sweep", ["--eps-list", "0.01,0.01"])])
     def test_picard_parameters_fail_before_the_first_solve(self, tmp_path, monkeypatch,
                                                            command, flags):
         def no_solve(*args, **kwargs):

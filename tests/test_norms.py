@@ -347,3 +347,108 @@ class TestTimeBlocks:
             tracemalloc.stop()
         assert len(norms._blocks(g.nt)) == 8
         assert peak < 4 * u.values.nbytes
+
+    def test_peak_allocation_with_a_light_cone_field(self):
+        # support r <= t + 2: the padded sums add no array of the grid's size
+        g = rw.GridSpec(dr=1.0, cfl=1.0, r_max=516.0, t_max=512.0)
+        t, r = g.meshes()
+        rng = np.random.default_rng(0)
+        u, v = rng.uniform(-1.0, 1.0, (2, *g.shape())) * (r <= t + 2)
+        u[:, 0] = 0.0
+        u, v = rw.SpaceTimeField(g, u, "odd"), rw.SpaceTimeField(g, v)
+        tracemalloc.start()
+        try:
+            m_functional(u, v, 0.75, 0.2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms._blocks(g.nt)) == 8
+        assert peak < 4 * u.values.nbytes
+
+
+class TestLightCone:
+    """The M/A pass on the columns below ``_cone_cols`` against the full-width
+    walk, byte for byte."""
+
+    GRID = rw.GridSpec(dr=0.25, cfl=1.0, r_max=44.5, t_max=40.5)  # 163 rows, 2 blocks
+
+    @staticmethod
+    def pair(g, support):
+        """A random odd u and v, zero where ``support(t, r)`` is false."""
+        t, r = g.meshes()
+        rng = np.random.default_rng(7)
+        u, v = rng.uniform(-1.0, 1.0, (2, *g.shape())) * support(t, r)
+        u[:, 0] = 0.0
+        return rw.SpaceTimeField(g, u, "odd"), rw.SpaceTimeField(g, v)
+
+    @staticmethod
+    def both(u, v, N=3):
+        return [f(u, v, 0.75, 0.2, N) for f in (m_functional, rw.a_functional)]
+
+    @staticmethod
+    def equal(a, b):
+        return all(x.total == y.total and x.slots == y.slots and x.per_region == y.per_region
+                   for x, y in zip(a, b))
+
+    def full_width(self, monkeypatch, u, v, N=3):
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_cone_cols", lambda f, lo, hi, d: f.grid.nr)
+            return self.both(u, v, N)
+
+    @pytest.mark.parametrize("support", [
+        lambda t, r: r <= t + 2,  # the light cone: ends mid-grid in every row
+        lambda t, r: r <= 2 + 0 * t,  # the data's support, far from r_max
+        lambda t, r: r <= 4 * t + 2,  # reaches r_max after a quarter of the rows
+        lambda t, r: r >= 0,  # every column
+        lambda t, r: r < 0,  # all zero
+        lambda t, r: (r <= t + 2) & (t >= 20),  # nothing in the first rows
+    ], ids=["cone", "data", "reaches-r-max", "full", "zero", "late"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_equals_the_full_width_walk(self, monkeypatch, support, N):
+        u, v = self.pair(self.GRID, support)
+        assert len(norms._blocks(self.GRID.nt)) == 2
+        assert self.equal(self.both(u, v, N), self.full_width(monkeypatch, u, v, N))
+
+    @pytest.mark.parametrize("gap", range(9))
+    def test_last_column_near_r_max(self, monkeypatch, gap):
+        # the one-sided stencils at r_max read three columns inward, so a
+        # field that ends within d + 3 columns of the edge is walked whole
+        g = self.GRID
+        u, v = self.pair(g, lambda t, r: r <= g.r_max - gap * g.dr)
+        assert self.equal(self.both(u, v), self.full_width(monkeypatch, u, v))
+
+    @pytest.mark.parametrize("row", [60, 76, 80, 84, 87, 88, 100])
+    def test_one_cell_near_a_block_edge(self, monkeypatch, row):
+        # the blocks are rows [0, 81) and [81, 163); a cell up to d = 4 rows
+        # outside a block enters its sums
+        assert norms._blocks(self.GRID.nt) == [(0, 81), (81, 163)]
+        u, v = self.pair(self.GRID, lambda t, r: (t == row * 0.25) & (r == 20.0))
+        assert self.equal(self.both(u, v), self.full_width(monkeypatch, u, v))
+
+    def test_rk4_history(self, monkeypatch):
+        # the RK4 precursor is nonzero past the front, so the cut reads the field
+        g = rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=12.0, t_max=8.0)
+        h = rw.solve(rw.calibrate(rw.InitialData(), g, 2, 0.02), rw.SolveConfig(grid=g))
+        for N in (1, 2):
+            assert self.equal(self.both(h.u(), h.v(), N),
+                              self.full_width(monkeypatch, h.u(), h.v(), N))
+
+    def test_one_column_short_changes_a_slot(self, monkeypatch):
+        u, v = self.pair(self.GRID, lambda t, r: r <= t + 2)
+        exact = self.both(u, v)
+        cone = norms._cone_cols
+        monkeypatch.setattr(norms, "_cone_cols", lambda f, lo, hi, d: cone(f, lo, hi, d) - 1)
+        assert [b.slots for b in self.both(u, v)] != [b.slots for b in exact]
+
+    def test_region_sups_equal_region_sup(self):
+        g = self.GRID
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape())
+        rows = norms._region_rows(g)
+        intervals = norms._region_intervals(rows, g)
+        read = []
+        for lo, hi in [(0, 81), (81, 163), (0, 1), (40, 41), (162, 163), (0, 163), (40, 40)]:
+            window = np.s_[lo:hi, :]
+            ref = [norms._region_sup(values[window], region, g, window) for *_, region in rows]
+            assert norms._region_sups(values[window], intervals, len(rows), lo).tolist() == ref
+            read += ref
+        assert 0.0 in read and max(read) > 0.9  # a region with no point in a block reads 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import picard
+from radialwave import norms, picard
 from radialwave.picard import IterationRecord, PicardConfig
 
 
@@ -216,6 +216,22 @@ class TestIteration:
                                 rw.zero_profile, support_radius=1.5)
         assert (small_config(grid=g, data=narrow).descriptor()
                 != small_config(grid=g, data=poly).descriptor())
+
+    def test_light_cone_walk_keeps_every_record(self, monkeypatch):
+        # the benchmark's grid: the M/A pass cut at the field's light cone
+        # against the same pass forced to the full width, in float.hex
+        def hexed(records):
+            return [(r.k, *(x if x is None else x.hex()
+                            for x in (r.m_total, r.a_total, r.contraction_ratio)),
+                     {k: x.hex() for k, x in r.m_slots.items()},
+                     {k: x.hex() for k, x in r.a_slots.items()}) for r in records]
+
+        g = rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=68.0, t_max=64.0)
+        config = dict(grid=g, eps=0.0075, kmax=3)
+        cut = hexed(picard.run_iteration(PicardConfig(**config)))
+        monkeypatch.setattr(norms, "_cone_cols", lambda f, lo, hi, d: f.grid.nr)
+        assert cut == hexed(picard.run_iteration(PicardConfig(**config)))
+        assert len(cut) == 3
 
     def test_record_json_roundtrip(self):
         rec = IterationRecord(2, 1.5, 0.25, 0.1, {"a": 1.0}, {"b": 2.0}, 0.5)
