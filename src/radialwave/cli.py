@@ -231,18 +231,25 @@ def _cmd_identities(args) -> int:
 def _cmd_estimates(args) -> int:
     grid = _grid(args)
     outdir = _outdir(args)
-    rows, ok = [], True
-    for fam, maker in registry.ANALYTIC_FAMILIES.items():
-        u = maker(grid)
-        checks = [estimates.check_hardy(u, args.p, fam),
-                  estimates.check_le(u, fam),
-                  estimates.check_mr(u, args.p, fam),
-                  estimates.check_newle(u, args.p, args.delta, fam)]
-        for rep in checks:
-            finite = np.isfinite(rep.ratio)
-            ok = ok and finite
-            rows.append([fam, rep.name, rep.lhs, rep.rhs, rep.ratio,
-                         "pass" if finite else "FAIL"])
+
+    def entry(fam, name, rep):
+        return [fam, name, rep.lhs, rep.rhs, rep.ratio,
+                "pass" if np.isfinite(rep.ratio) else "FAIL"]
+
+    fields = {fam: maker(grid) for fam, maker in registry.ANALYTIC_FAMILIES.items()}
+    rows = [entry(fam, rep.name, rep) for fam, u in fields.items()
+            for rep in (estimates.check_hardy(u, args.p, fam),
+                        estimates.check_le(u, fam),
+                        estimates.check_mr(u, args.p, fam),
+                        estimates.check_newle(u, args.p, args.delta, fam))]
+    # the Klainerman-Sobolev checks on the slab tau = 8; one that misses the
+    # grid reads 0 over 0, ratio 0.0
+    for fam, kind, s in registry.KS_COMBOS:
+        u = fields[fam]
+        rows += [entry(fam, f"ks_{kind}{s}", estimates.check_spacetime_ks(u, 8, kind, s, fam)),
+                 entry(fam, f"d2ks_{kind}{s}",
+                       estimates.check_second_derivative_ks(u, 8, kind, s, fam))]
+    ok = all(status == "pass" for *_, status in rows)
     tag = config_hash({"cmd": "estimates", "p": args.p, "delta": args.delta,
                        **asdict(grid)})
     _write_csv(os.path.join(outdir, f"estimates_{tag}.csv"),

@@ -14,9 +14,14 @@ every region sup and region L2 norm (the dyadic forcing stacks, the strips of
 the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
 (``norms._region_sup``, ``norms._interval_l2``).  A Klainerman-Sobolev check
 takes its sup over the plain region's points and reads its Z-word sums only
-on the enlarged region ``tilde``, so one ``grid._word_sums`` pass builds all
-of them on tilde's bounding box (``_ks_window``), where the region reductions
-read them in place.
+on the enlarged region ``tilde``.  It walks tilde in the blocks of time rows
+of the M/A functionals (``norms._blocks``), one ``grid._word_sums`` pass on
+the bounding box of each block's intervals, where the region reductions read
+the sums in place (``_ks_pass``).  A U strip runs along the light cone, so
+its blocks' boxes hold a fraction of the cells of its one bounding box; an R
+piece is a rectangle and keeps that one box (``_ks_windows``).  The row sums
+of all blocks are reduced once in t, so every mass and sup equals that of a
+single pass bit for bit.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
+    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1, _depth,
     _require_size, _trapz_weights, _wave2, _word_sums, box_conjugate, derivative,
     quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, WeightSpec, _data_l2, _interval_l2, _region_sup, le1_norm, mixed_norm,
+    FOUR_PI, WeightSpec, _blocks, _data_l2, _interval_l2, _region_sup, _row_sums, _t_norm,
+    _window_pos, le1_norm, mixed_norm,
 )
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
@@ -368,13 +374,52 @@ def _check_ks_kind(region_kind: str) -> None:
         raise ValueError("region_kind must be R or U")
 
 
-def _ks_window(tilde) -> tuple[slice, slice]:
-    """Rows and columns of the bounding box of the intervals ``tilde``; empty
-    slices if ``tilde`` is empty."""
+def _ks_windows(tilde, d: int) -> list[tuple[slice, slice]]:
+    """The windows a Klainerman-Sobolev check walks to read the per-row
+    intervals ``tilde``: the bounding box of each block of their rows
+    (``norms._blocks``), or their one bounding box when that, widened by the
+    halo ``d`` on every side, holds no more cells than the blocks' boxes
+    widened the same way.  So a rectangle keeps one box and a band along the
+    light cone gets blocks.  One empty window if ``tilde`` is empty."""
     rows, j_lo, j_hi = tilde
     if rows.size == 0:
-        return slice(0, 0), slice(0, 0)
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(j_lo.min()), int(j_hi.max()))
+        return [(slice(0, 0), slice(0, 0))]
+
+    def box(a, b):  # the bounding box of the intervals a:b
+        return (slice(int(rows[a]), int(rows[b - 1]) + 1),
+                slice(int(j_lo[a:b].min()), int(j_hi[a:b].max())))
+
+    def cells(windows):
+        return sum((s.stop - s.start + 2 * d) * (c.stop - c.start + 2 * d) for s, c in windows)
+
+    first = int(rows[0])
+    cuts = (np.searchsorted(rows, (first + lo, first + hi))
+            for lo, hi in _blocks(int(rows[-1]) + 1 - first))
+    blocks, whole = [box(a, b) for a, b in cuts if b > a], [box(0, rows.size)]
+    return blocks if cells(blocks) < cells(whole) else whole
+
+
+def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
+    """(sup, masses) of a Klainerman-Sobolev check, from one ``_word_sums`` pass
+    per window of ``_ks_windows``: the max of the word sum ``sup_key`` over
+    the plain region, and the L2L2 mass on the enlarged region of each word
+    sum of ``keys``.  Each window's row sums on tilde's points are
+    concatenated and reduced once in t, so every value equals that of a
+    single whole-grid pass bit for bit."""
+    grid = w.grid
+    tilde = _intervals(region.enlarged(1), grid)
+    sup, parts = 0.0, {key: [] for key in keys}
+    walk = (sup_key,) + keys
+    for window in _ks_windows(tilde, _depth(walk)):
+        sums = _word_sums(w, walk, window)
+        # plain lies in tilde, so its points in the window are in the sums
+        sup = max(sup, _region_sup(sums[sup_key], region, grid, window))
+        pos = _window_pos(tilde, grid, window)
+        for key in keys:
+            parts[key].append(_row_sums(sums[key], grid, WeightSpec(), pos, window))
+    masses = {key: _t_norm(*(np.concatenate(x) for x in zip(*parts[key])), grid, "L2")
+              for key in keys}
+    return sup, masses
 
 
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,
@@ -385,14 +430,9 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     derivative masses) as a separate slot.
     """
     _check_ks_kind(region_kind)
-    grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    tilde = region.enlarged(1)
-    lhs = _region_sup(w.values, region, grid)
-    window = _ks_window(_intervals(tilde, grid))
-    sums = _word_sums(w, ((2, None), (2, "dr")), window)
-    m0 = _interval_l2(sums[2, None], grid, WeightSpec(), tilde, window)
-    m1 = _interval_l2(sums[2, "dr"], grid, WeightSpec(), tilde, window)
+    lhs, masses = _ks_pass(w, region, (0, None), ((2, None), (2, "dr")))  # the sup of |w|
+    m0, m1 = masses[2, None], masses[2, "dr"]
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 * scale ** -0.5 * m1
         product_form = tau ** -0.5 * scale ** -1.5 * m0 + tau ** -0.5 / scale * np.sqrt(m0 * m1)
@@ -450,16 +490,9 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     _check_ks_kind(region_kind)
     grid = w.grid
     region = DyadicRegion(tau, region_kind, scale)
-    tilde = region.enlarged(1)
-    window = _ks_window(_intervals(tilde, grid))
-    sums = _word_sums(w, ((0, "d"), (3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"),
-                          (2, "good2")), window)
-    lhs = _region_sup(sums[0, "d"], region, grid, window)  # |dt w| + |dr w|; plain lies in tilde
-
-    def mass(key):
-        return _interval_l2(sums[key], grid, WeightSpec(), tilde, window)
-
-    m_d, m_box = mass((3, "d")), mass((2, "box"))
+    lhs, masses = _ks_pass(w, region, (0, "d"),  # the sup of |dt w| + |dr w|
+                           ((3, "d"), (2, "box"), (2, "dtdr2"), (2, "bad2"), (2, "good2")))
+    m_d, m_box = masses[3, "d"], masses[2, "box"]
     if region_kind == R_KIND:
         rhs = tau ** -0.5 * scale ** -1.5 * m_d + tau ** -0.5 * scale ** -0.5 * m_box
     else:
@@ -467,7 +500,7 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
 
     # split-direction diagnostics: second bad/good derivatives against the
     # derivative mass and the plain second-order wave combination
-    m_dtdr2, m_bad2, m_good2 = mass((2, "dtdr2")), mass((2, "bad2")), mass((2, "good2"))
+    m_dtdr2, m_bad2, m_good2 = masses[2, "dtdr2"], masses[2, "bad2"], masses[2, "good2"]
     if region_kind == R_KIND:
         bad2_rhs = good2_rhs = m_d / scale + m_dtdr2
     else:

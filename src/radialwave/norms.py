@@ -223,7 +223,9 @@ def _region_sup(values: np.ndarray, region: DyadicRegion, grid, window=_GRID) ->
     return float(np.max(np.abs(values.take(pos)), initial=0.0))
 
 
-_BLOCK_ROWS = 64  # the M/A functionals walk the grid in blocks of this many rows or more
+# the M/A functionals walk the grid, and the Klainerman-Sobolev checks of
+# ``estimates`` walk a U strip, in blocks of this many rows or more
+_BLOCK_ROWS = 64
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
 _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from radialwave import cli, picard
+from radialwave import cli, picard, registry
 
 
 def run(args):
@@ -193,6 +193,31 @@ class TestPicardCommand:
         shutil.rmtree(hist_dir)
         assert run(args) == 0
         assert (hist_dir / "W_u.bin").exists()
+
+
+class TestEstimatesCommand:
+    def test_klainerman_sobolev_rows(self, tmp_path):
+        rc = run(["--out", str(tmp_path), "estimates", "--dr", "0.0625", "--t-max", "8"])
+        assert rc == 0
+        js = [f for f in os.listdir(tmp_path)
+              if f.startswith("estimates") and f.endswith(".json")][0]
+        payload = json.loads((tmp_path / js).read_text())
+        rows = {(fam, name): (ratio, status) for fam, name, _, _, ratio, status in payload["rows"]}
+        for fam, kind, s in registry.KS_COMBOS:
+            for name in (f"ks_{kind}{s}", f"d2ks_{kind}{s}"):
+                ratio, status = rows[fam, name]
+                assert status == "pass" and 0.0 < ratio < float("inf")
+        assert payload["all_passed"]
+
+    def test_slab_off_the_grid_reads_ratio_zero(self, tmp_path):
+        # the enlarged slab of tau = 8 starts at t = 7
+        rc = run(["--out", str(tmp_path), "estimates", "--dr", "0.125", "--t-max", "6"])
+        assert rc == 0
+        csv = [f for f in os.listdir(tmp_path) if f.endswith(".csv")][0]
+        ks = [line.split(",") for line in (tmp_path / csv).read_text().splitlines()
+              if ",ks_" in line or ",d2ks_" in line]
+        assert len(ks) == 2 * len(registry.KS_COMBOS)
+        assert all(ratio == "0" and status == "pass" for *_, ratio, status in ks)
 
 
 class TestDecayCommand:

@@ -1,14 +1,16 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import radialwave as rw
 from radialwave import estimates, registry
+from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec, region_l2l2, spatial_l2
 from radialwave.regions import DyadicRegion, _intervals
 from region_oracles import realize_mask, region_supsup
-from radialwave.grid import _word_sums
+from radialwave.grid import _depth, _word_sums
 from stencil_oracles import _diff2, word_sums_ref
 
 
@@ -291,28 +293,40 @@ class TestKSWordPass:
         inside = tilde > 0
         assert not np.any(plain & ~inside)  # the d2 lhs reads du on plain only
 
-        # the window is tilde's bounding box
-        rows, cols = window = estimates._ks_window(_intervals(region.enlarged(1), g))
-        if rows.start == rows.stop:
-            assert not inside.any() and cols.start == cols.stop
+        # the windows are blocks of tilde's rows, each the bounding box of its
+        # rows' intervals
+        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), _depth(_KS_KEYS))
+        if not inside.any():
+            assert windows == [(slice(0, 0), slice(0, 0))]
         else:
-            sub = inside[window]
-            assert sub.sum() == inside.sum()  # tilde lies in the window
-            assert sub[0].any() and sub[-1].any() and sub[:, 0].any() and sub[:, -1].any()
+            # the blocks cover tilde's rows in order, and no row twice
+            walked = np.concatenate([np.arange(rows.start, rows.stop) for rows, _ in windows])
+            assert np.array_equal(walked, np.flatnonzero(inside.any(axis=1)))
+            # so every tilde point lies in exactly one block's window
+            assert sum(inside[window].sum() for window in windows) == inside.sum()
+            for window in windows:
+                sub = inside[window]
+                assert sub[0].any() and sub[-1].any() and sub[:, 0].any() and sub[:, -1].any()
+            if kind == "R":  # a rectangle keeps its one box
+                assert len(windows) == 1
             if (family, kind, scale, tau) == ("standing_bump", "R", 1, 8):
+                (rows, cols), = windows
                 assert cols.start == 0 and rows.start > 0
             if tau == 16:
-                assert rows.stop == g.nt
-            if kind == "U" and tau == 8:  # every edge of the window is inside the grid
-                assert 0 < rows.start and rows.stop < g.nt
-                assert 0 < cols.start and cols.stop < g.nr
+                assert windows[-1][0].stop == g.nt
+            if kind == "U" and tau == 8:  # every edge of every window is inside the grid
+                assert len(windows) > 1
+                for rows, cols in windows:
+                    assert 0 < rows.start and rows.stop < g.nt
+                    assert 0 < cols.start and cols.stop < g.nr
 
         ref = word_sums_ref(u, _KS_KEYS)
-        sums = _word_sums(u, _KS_KEYS + ((0, "d"),), window)
-        for key in _KS_KEYS:  # every cell of the window
-            assert np.array_equal(sums[key], ref[key][window]), key
         du = np.abs(rw.derivative(u, "dt").values) + np.abs(rw.derivative(u, "dr").values)
-        assert np.array_equal(sums[0, "d"], du[window])
+        for window in windows:
+            sums = _word_sums(u, _KS_KEYS + ((0, "d"),), window)
+            for key in _KS_KEYS:  # every cell of the window
+                assert np.array_equal(sums[key], ref[key][window]), key
+            assert np.array_equal(sums[0, "d"], du[window])
 
         ref_ks, ref_d2 = _reference_reports(u, tau, kind, scale, ref)
         for rep, want in ((estimates.check_spacetime_ks(u, tau, kind, scale), ref_ks),
@@ -321,6 +335,77 @@ class TestKSWordPass:
             assert rep.lhs_slots == want.lhs_slots
             assert rep.rhs_slots == want.rhs_slots
             assert rep.flagged == want.flagged
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_sup_reads_every_block(self, scale):
+        # the field grows with t, so the plain strip's sup lies in the last block
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
+        u = rw.SpaceTimeField(g, g.t[:, None] * registry.cone_hugger(g).values, "even")
+        assert len(estimates._ks_windows(_intervals(DyadicRegion(8, "U", scale).enlarged(1), g),
+                                         _depth(_KS_KEYS))) > 1
+        ref_ks, ref_d2 = _reference_reports(u, 8, "U", scale, word_sums_ref(u, _KS_KEYS))
+        assert estimates.check_spacetime_ks(u, 8, "U", scale).lhs == ref_ks.lhs
+        assert estimates.check_second_derivative_ks(u, 8, "U", scale).lhs == ref_d2.lhs
+
+    @staticmethod
+    def walked(monkeypatch, fn) -> int:
+        """Cells of every ``_z_walk`` that ``fn()`` runs."""
+        cells, real = [], grid_module._z_walk
+
+        def counting(values, *args):
+            cells.append(values.size)
+            return real(values, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "_z_walk", counting)
+            fn()
+        return sum(cells)
+
+    def box_walk(self, monkeypatch, u, keys, tilde) -> int:
+        """Cells walked by one ``_word_sums`` pass on the bounding box of ``tilde``."""
+        rows, j_lo, j_hi = tilde
+        box = (slice(rows[0], rows[-1] + 1), slice(j_lo.min(), j_hi.max())) if rows.size \
+            else (slice(0, 0), slice(0, 0))
+        return self.walked(monkeypatch, lambda: _word_sums(u, keys, box))
+
+    @pytest.mark.parametrize("dr, extent, family, kind, scale, tau", list(_ks_cases()))
+    def test_blocks_never_walk_more_than_the_box(self, monkeypatch, dr, extent, family,
+                                                 kind, scale, tau):
+        g = rw.GridSpec(dr=dr, cfl=1.0, **extent)
+        u = registry.build(family, g)
+        tilde = _intervals(DyadicRegion(tau, kind, scale).enlarged(1), g)
+        for check, keys in ((estimates.check_spacetime_ks, _KS_KEYS[:2]),
+                            (estimates.check_second_derivative_ks, _KS_KEYS[2:] + ((0, "d"),))):
+            walk = self.walked(monkeypatch, lambda: check(u, tau, kind, scale))
+            assert walk <= self.box_walk(monkeypatch, u, keys, tilde)
+
+    def test_r_pieces_keep_one_box_and_u_strips_walk_half_of_it(self, monkeypatch):
+        g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
+        for family, kind, scale in registry.KS_COMBOS:
+            u = registry.build(family, g)
+            tilde = _intervals(DyadicRegion(8, kind, scale).enlarged(1), g)
+            for check, keys in ((estimates.check_spacetime_ks, _KS_KEYS[:2]),
+                                (estimates.check_second_derivative_ks, _KS_KEYS[2:])):
+                windows = estimates._ks_windows(tilde, _depth(keys))
+                walk = self.walked(monkeypatch, lambda: check(u, 8, kind, scale))
+                box = self.box_walk(monkeypatch, u, keys, tilde)
+                if kind == "R":
+                    assert len(windows) == 1 and walk == box
+                else:
+                    assert len(windows) > 1 and 2 * walk <= box
+
+    def test_u_strip_peak_allocation(self):
+        # the bounding box of the U1 strip at dr 1/32 peaked at about 13
+        # arrays of the grid's size, its row blocks at under 2
+        g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
+        u = registry.build("cone_hugger", g)
+        tracemalloc.start()
+        try:
+            estimates.check_second_derivative_ks(u, 8, "U", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * u.values.nbytes
 
     def test_box_scalar_equals_conjugate_form(self):
         g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=12.0, t_max=8.0)
