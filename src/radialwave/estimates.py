@@ -12,32 +12,35 @@ at t = 0 (``norms._data_l2``), which reduces only row 0.
 Regions are read as per-row intervals, and no check builds a dense mask:
 every region sup and region L2 norm (the dyadic forcing stacks, the strips of
 the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
-(``norms._region_sup``, ``norms._interval_l2``).  A Klainerman-Sobolev check
+(``norms._region_sups``, ``norms._interval_l2``).  A Klainerman-Sobolev check
 takes its sup over the plain region's points and reads its Z-word sums only
 on the enlarged region ``tilde``.  It walks tilde in the blocks of time rows
 of the M/A functionals (``norms._blocks``), one ``grid._word_sums`` pass on
 the bounding box of each block's intervals, where the region reductions read
 the sums in place (``_ks_pass``).  A U strip runs along the light cone, so
 its blocks' boxes hold a fraction of the cells of its one bounding box; an R
-piece is a rectangle and keeps that one box (``_ks_windows``).  The row sums
-of all blocks are reduced once in t, so every mass and sup equals that of a
-single pass bit for bit.
+piece is a rectangle and keeps that one box.  ``_ks_windows`` counts the
+cells each choice walks with the span rule of ``_word_sums`` itself
+(``grid._walk``), which also owns the light-cone cut.  The row sums of all
+blocks are reduced once in t, so every mass and sup equals that of a single
+pass bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import (
-    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1, _depth,
-    _require_size, _trapz_weights, _wave2, _word_sums, box_conjugate, derivative,
+    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
+    _require_size, _trapz_weights, _walk, _wave2, _word_sums, box_conjugate, derivative,
     quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, WeightSpec, _blocks, _data_l2, _interval_l2, _region_sup, _row_sums, _t_norm,
-    _window_pos, le1_norm, mixed_norm,
+    FOUR_PI, WeightSpec, _blocks, _data_l2, _interval_l2, _region_intervals, _region_sups,
+    _row_sums, _t_norm, _window_pos, le1_norm, mixed_norm,
 )
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
@@ -374,13 +377,14 @@ def _check_ks_kind(region_kind: str) -> None:
         raise ValueError("region_kind must be R or U")
 
 
-def _ks_windows(tilde, d: int) -> list[tuple[slice, slice]]:
+def _ks_windows(tilde, keys, shape) -> list[tuple[slice, slice]]:
     """The windows a Klainerman-Sobolev check walks to read the per-row
-    intervals ``tilde``: the bounding box of each block of their rows
-    (``norms._blocks``), or their one bounding box when that, widened by the
-    halo ``d`` on every side, holds no more cells than the blocks' boxes
-    widened the same way.  So a rectangle keeps one box and a band along the
-    light cone gets blocks.  One empty window if ``tilde`` is empty."""
+    intervals ``tilde`` on a grid of ``shape``: the bounding box of each block
+    of their rows (``norms._blocks``), or their one bounding box when the walk
+    of the sums of ``keys`` on it (``grid._walk``) holds no more cells than
+    the walks on the blocks' boxes.  So a rectangle keeps one box and a band
+    along the light cone gets blocks.  One empty window if ``tilde`` is
+    empty."""
     rows, j_lo, j_hi = tilde
     if rows.size == 0:
         return [(slice(0, 0), slice(0, 0))]
@@ -390,7 +394,7 @@ def _ks_windows(tilde, d: int) -> list[tuple[slice, slice]]:
                 slice(int(j_lo[a:b].min()), int(j_hi[a:b].max())))
 
     def cells(windows):
-        return sum((s.stop - s.start + 2 * d) * (c.stop - c.start + 2 * d) for s, c in windows)
+        return sum(math.prod(b - a for *_, a, b in _walk(keys, w, shape)) for w in windows)
 
     first = int(rows[0])
     cuts = (np.searchsorted(rows, (first + lo, first + hi))
@@ -407,13 +411,13 @@ def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
     concatenated and reduced once in t, so every value equals that of a
     single whole-grid pass bit for bit."""
     grid = w.grid
-    tilde = _intervals(region.enlarged(1), grid)
+    tilde, plain = _intervals(region.enlarged(1), grid), _region_intervals([region], grid)
     sup, parts = 0.0, {key: [] for key in keys}
     walk = (sup_key,) + keys
-    for window in _ks_windows(tilde, _depth(walk)):
+    for window in _ks_windows(tilde, walk, grid.shape()):
         sums = _word_sums(w, walk, window)
         # plain lies in tilde, so its points in the window are in the sums
-        sup = max(sup, _region_sup(sums[sup_key], region, grid, window))
+        sup = max(sup, float(_region_sups(sums[sup_key], plain, 1, grid, window)[0]))
         pos = _window_pos(tilde, grid, window)
         for key in keys:
             parts[key].append(_row_sums(sums[key], grid, WeightSpec(), pos, window))

@@ -24,10 +24,10 @@ operands are C-contiguous, one call over every row; the cells it spoils where
 rows meet are the edge columns, which are set afterwards.
 
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
-of the grid, returned in the window's shape and equal to the whole-grid sums
-on every cell, for the M/A functionals (one block of time rows at a time) and
-the Klainerman-Sobolev checks.  It widens its walk by the halo its keys need
-(``_depth``), so a caller asks only for the cells it reads.
+of the grid, in the window's shape and equal to the whole-grid sums on every
+cell, for every caller (the M/A functionals, ``le1_norm``, the
+Klainerman-Sobolev checks).  It widens its walk by the halo its keys need
+(``_walk``) and stops it at the field's light cone (``_cut``).
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class SpaceTimeField:
         return cls(grid, np.zeros(grid.shape()), parity)
 
     # ------------------------------------------------------------------
-    # serialization: flat binary (header + row-major doubles) and CSV
+    # serialization: flat binary (header + row-major doubles)
     # ------------------------------------------------------------------
     _MAGIC = b"RWFLD002"  # the header holds the grid's four values
     _HEADER = "<8sddddb"
@@ -220,14 +220,6 @@ class SpaceTimeField:
             raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
         data = np.frombuffer(payload, dtype="<f8").reshape(nt, nr)
         return cls(grid, data.copy(), (None, "odd", "even")[par])
-
-    def to_csv(self, path) -> None:
-        t, r = self.grid.t, self.grid.r
-        with open(path, "w") as fh:
-            fh.write("t,r,value\n")
-            for n, tn in enumerate(t):
-                for j, rj in enumerate(r):
-                    fh.write(f"{tn:.17g},{rj:.17g},{self.values[n, j]:.17g}\n")
 
 
 def _require_size(grid: GridSpec):
@@ -399,10 +391,28 @@ def _depth(keys) -> int:
     return max(n + {None: 0, "bad2": 2, "good2": 2}.get(prefix, 1) for n, prefix in keys)
 
 
+def _walk(keys, window: tuple[slice, slice], shape) -> list[tuple[int, int, int, int]]:
+    """Per axis of a grid of ``shape``, (lo, hi, a, b): the cells [lo, hi) of
+    ``window`` and the walk [a, b) on which the sums of ``keys`` are exact on
+    them, the span rule of ``_word_sums``."""
+    d = _depth(keys)
+    spans = []
+    for s, size in zip(window, shape):
+        lo, hi = _span(s, size)
+        a = lo - d
+        b = max(hi + d, a + 4)  # _d2 and _over_r read four cells
+        if a <= 0:
+            b += 3
+        if b >= size:
+            a -= 3
+        spans.append((lo, hi, max(a, 0), min(b, size)))
+    return spans
+
+
 def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f| on the
-    cells ``window`` (a pair of slices, ``np.s_[:, :]`` for the whole grid), as
-    an array of the window's shape, equal to the whole-grid sums on every cell.
+    cells ``window`` (a pair of slices), as an array of the window's shape,
+    equal to the whole-grid sums on every cell.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
     (|dt + dr|), "quot" (|.| / r), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2"
@@ -417,24 +427,23 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     Where the walk meets a grid edge, the one-sided stencil there reads two
     cells inward (three for ``_d2`` and the 1/r extrapolation), so the walk
     reaches depth + 3 cells beyond the window's opposite edge.  A walk is at
-    least the four cells those stencils read.
+    least the four cells those stencils read.  ``_walk`` is this rule.
+
+    The walk stops at the field's light cone (``_cut``): if the rows it reads
+    vanish from column m on, every sum of depth d is an exact +0.0 from column
+    m + d on, so those columns are filled with +0.0, not walked, unless m + d
+    lies within two columns of the walk's end, whose one-sided stencil reads
+    three cells inward.  The cut reads the field, not the scheme; a Picard
+    iterate vanishes past r = t + 2, about half of the grid.
     """
     grid = f.grid
     _require_size(grid)
-    d = _depth(keys)
-    spans = []  # per axis: the window [lo, hi) and the walk [a, b)
-    for s, size in zip(window, grid.shape()):
-        lo, hi = _span(s, size)
-        a = lo - d
-        b = max(hi + d, a + 4)  # _d2 and _over_r read four cells
-        if a <= 0:
-            b += 3
-        if b >= size:
-            a -= 3
-        spans.append((lo, hi, max(a, 0), min(b, size)))
-    (lo, hi, a, b), (clo, chi, ca, cb) = spans
-    if hi == lo or chi == clo:
+    spans = _walk(keys, window, grid.shape())
+    (lo, hi, a, b), (clo, chi, _, _) = spans
+    cut = _cut(f, keys, spans)
+    if hi == lo or cut <= clo:  # an empty window, or one past the cut
         return {key: np.zeros((hi - lo, chi - clo)) for key in keys}
+    ca, cb = _walk(keys, (window[0], slice(clo, cut)), grid.shape())[1][2:]
     values = f.values[a:b, ca:cb]
     sums = {key: np.zeros(values.shape) for key in keys}
     r, ht, hr = grid.r[ca:cb], grid.dt, grid.dr
@@ -444,7 +453,19 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
         for (n, prefix), total in sums.items():
             if length <= n:
                 total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
-    return {key: total[lo - a:hi - a, clo - ca:chi - ca] for key, total in sums.items()}
+    pad = ((0, 0), (0, chi - cut))  # the zeros past the cut
+    return {key: np.pad(sums.pop(key)[lo - a:hi - a, clo - ca:cut - ca], pad)
+            for key in list(sums)}
+
+
+def _cut(f: SpaceTimeField, keys, spans) -> int:
+    """The light-cone cut of ``_word_sums``: the column from which its sums of
+    ``keys`` on the window of ``spans`` (``_walk``) are an exact +0.0, the
+    window's end if there is none."""
+    (_, _, a, b), (_, chi, ca, cb) = spans
+    nonzero = np.flatnonzero(f.values[a:b, ca:cb].any(axis=0))
+    cut = ca + (nonzero[-1] + 1 if len(nonzero) else 0) + _depth(keys)
+    return min(cut, chi) if cut + 2 < cb else chi
 
 
 def _span(s: slice, size: int) -> tuple[int, int]:

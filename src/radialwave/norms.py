@@ -14,26 +14,20 @@ norms on one region.  A region reduction reads an array holding a window of
 the grid (a pair of slices, the whole grid by default), in which
 ``_window_pos`` finds a region's points.
 
-The M and A functionals stream each field in blocks of time rows
-(``_blocks``).  A block's Z-word sums come from one ``grid._word_sums`` pass
-on its rows and reduce straight into the per-row sums of every slot, the
-per-annulus row sums of ``le_norm`` (``_le_rows``) and the R/U/core region
-sups (``_region_sups``: one gather of every region's points in the block,
-their maxima per interval, then per region; a max over the blocks).  The
-row sums of all blocks are concatenated and reduced once in t, so every
-value equals the whole-grid one bit for bit, and no array of the grid's size
-is built.  ``le_norm`` runs the same code on one block.
-``m_and_a_functionals`` reads both functionals of one pair off a single pass.
+The M and A functionals and ``le1_norm`` stream each field in blocks of
+time rows (``_blocks``): one ``grid._word_sums`` pass per block, reduced
+straight into the per-row sums of every slot, the per-annulus row sums of
+``le_norm`` (``_le_rows``) and the region sups, then once in t, so every value
+equals the whole-grid one bit for bit and no array of the grid's size is
+built.  ``m_and_a_functionals`` reads both functionals off one pass.  The
+sums stop at the light cone but come at the full width, +0.0 past the cut:
+``np.add.reduceat`` blocks its pairwise sum by the row's length, so a row
+sum without its trailing zeros could differ in the last bit.
 
-The pass walks only the light cone.  Compactly supported data stay in
-r <= t + 2 under the characteristic scheme, with exact zeros past the front,
-so a block's sums are asked only for the columns up to the field's last
-nonzero column (over the rows they read) plus the stencils' depth
-(``_cone_cols``); past that every sum is an exact +0.0.  The sums are padded
-with zeros back to the full width, because ``np.add.reduceat`` blocks its
-pairwise sum by the row's length: a row sum without its trailing zeros
-could differ in the last bit.  The bound reads the field, not the scheme,
-so it is exact on RK4 histories too.
+``_region_sups`` is the one region-sup reducer: the max of |values| over
+each of a list of regions' points in a window, from one gather (maxima per
+interval, then per region).  The functionals take it per block over every
+R/U/core region, a Klainerman-Sobolev check per window over its plain region.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DT, DR, SpaceTimeField, _depth, _span, _trapz_weights, _word_sums
+from .grid import DT, DR, SpaceTimeField, _span, _trapz_weights, _word_sums
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _flat, _intervals, bracket,
     dyadic_scales,
@@ -188,11 +182,17 @@ def le1_pointwise(dt_f: np.ndarray, dr_f: np.ndarray, f_over_r: np.ndarray) -> n
     return np.sqrt(np.square(dt_f) + np.square(dr_f) + np.square(f_over_r))
 
 
+def _le1_rows(sums: dict, n: int, grid, window) -> list:
+    """``_le_rows`` of the (du, u/r) magnitude of the (n, dt), (n, dr), (n, quot) sums."""
+    return _le_rows(le1_pointwise(sums[n, DT], sums[n, DR], sums[n, "quot"]), grid, window)
+
+
 def le1_norm(f: SpaceTimeField) -> float:
-    """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums."""
+    """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
+    streamed in blocks of rows as the u_le1 slot of the functionals."""
     keys = ((0, DT), (0, DR), (0, "quot"))
-    sums = _word_sums(f, keys, _GRID)
-    return le_norm(SpaceTimeField(f.grid, le1_pointwise(*(sums[key] for key in keys))))
+    windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(f.grid.nt)]
+    return _le_reduce([_le1_rows(_word_sums(f, keys, w), 0, f.grid, w) for w in windows], f.grid)
 
 
 # ----------------------------------------------------------------------
@@ -216,15 +216,9 @@ def _region_rows(grid) -> list:
             for s in dyadic_scales(tau // 2)]
 
 
-def _region_sup(values: np.ndarray, region: DyadicRegion, grid, window=_GRID) -> float:
-    """max |values| over a sharp region's points in the cells ``window`` that
-    ``values`` hold; 0.0 where there are none."""
-    pos = _window_pos(_intervals(region, grid), grid, window)
-    return float(np.max(np.abs(values.take(pos)), initial=0.0))
-
-
-# the M/A functionals walk the grid, and the Klainerman-Sobolev checks of
-# ``estimates`` walk a U strip, in blocks of this many rows or more
+# the M/A functionals and ``le1_norm`` walk the grid, the Picard driver builds
+# its sources, and the Klainerman-Sobolev checks of ``estimates`` walk a U
+# strip, in blocks of this many rows or more
 _BLOCK_ROWS = 64
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
@@ -238,41 +232,29 @@ def _blocks(nt: int) -> list:
     return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
 
 
-def _cone_cols(f: SpaceTimeField, lo: int, hi: int, d: int) -> int:
-    """n such that every word sum of depth ``d`` on the rows [lo, hi) is exactly
-    zero from column n on: the last nonzero column of the rows the sums read
-    (the block widened by d + 3 rows, see ``_word_sums``), plus 1 + d.  The
-    one-sided stencils at r_max read up to three columns inward, so a bound
-    within two columns of the edge is the whole width."""
-    nonzero = np.flatnonzero(f.values[max(lo - d - 3, 0):hi + d + 3].any(axis=0))
-    n = (nonzero[-1] + 1 if len(nonzero) else 0) + d
-    return f.grid.nr if n + 2 >= f.grid.nr else n
-
-
 def _region_intervals(regions: list, grid) -> tuple:
     """(rows, j_lo, j_hi, index): the per-row intervals of every region of
-    ``regions`` (rows of ``_region_rows``) in ascending row order, ``index``
-    naming each interval's region."""
-    parts = [_intervals(region, grid) for *_, region in regions] or [(np.zeros(0, int),) * 3]
+    ``regions`` in ascending row order, ``index`` naming each interval's
+    region."""
+    parts = [_intervals(region, grid) for region in regions] or [(np.zeros(0, int),) * 3]
     index = np.repeat(np.arange(len(parts)), [len(rows) for rows, *_ in parts])
     order = np.argsort(np.concatenate([rows for rows, *_ in parts]), kind="stable")
     return tuple(np.concatenate(x)[order] for x in zip(*parts)) + (index[order],)
 
 
-def _region_sups(values: np.ndarray, intervals: tuple, n: int, lo: int) -> np.ndarray:
-    """max |values| over the points of each of ``n`` regions in the full rows
-    that ``values`` hold from grid row ``lo`` on, 0.0 where there are none, as
-    ``_region_sup`` of each; ``intervals`` are the regions' ``_region_intervals``.
-    One gather reads every region's points; their maxima are taken per
-    interval, then per region."""
+def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> np.ndarray:
+    """max |values| over the points of each of ``n`` regions in the cells
+    ``window`` that ``values`` hold, 0.0 where there are none; ``intervals``
+    are the regions' ``_region_intervals``, which must lie in the window's
+    columns on its rows.  One gather reads every region's points; their
+    maxima are taken per interval, then per region."""
     rows, j_lo, j_hi, index = intervals
-    a, b = np.searchsorted(rows, (lo, lo + len(values)))
+    a, b = np.searchsorted(rows, _span(window[0], grid.nt))
     out = np.zeros(n)
     if b > a:
-        pos = _flat(rows[a:b] - lo, j_lo[a:b], j_hi[a:b], values.shape[1])
         size = j_hi[a:b] - j_lo[a:b]  # no interval is empty
-        np.maximum.at(out, index[a:b],
-                      np.maximum.reduceat(np.abs(values.take(pos)), np.cumsum(size) - size))
+        sup = np.abs(values.take(_window_pos(intervals[:3], grid, window)))
+        np.maximum.at(out, index[a:b], np.maximum.reduceat(sup, np.cumsum(size) - size))
     return out
 
 
@@ -282,22 +264,16 @@ def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict,
     them: per slot of ``specs`` (name -> (term, outer, weight)) the
     ``_row_sums`` of its term, or for outer "LE" the ``_le_rows`` of the
     (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each of
-    ``n_regions`` regions (their ``_region_intervals``).  The sums stop at
-    ``_cone_cols`` and are padded with zeros back to the full width, so the
-    row sums keep their trailing zeros (module docstring)."""
+    ``n_regions`` regions (their ``_region_intervals``)."""
     grid = f.grid
     window = (slice(lo, hi), slice(None))
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    n = _cone_cols(f, lo, hi, _depth(keys))
-    sums = {}
-    for key, narrow in _word_sums(f, keys, (slice(lo, hi), slice(0, n))).items():
-        sums[key] = np.zeros((hi - lo, grid.nr))
-        sums[key][:, :n] = narrow
+    sums = _word_sums(f, keys, window)
     terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
-    rows = {name: _le_rows(le1_pointwise(sums[N, DT], sums[N, DR], sums[N, "quot"]), grid, window)
-            if outer == "LE" else _row_sums(terms[term], grid, weight)[1]
+    rows = {name: _le1_rows(sums, N, grid, window) if outer == "LE"
+            else _row_sums(terms[term], grid, weight)[1]
             for name, (term, outer, weight) in specs.items()}
-    return rows, _region_sups(sums[N // 2, "d"], intervals, n_regions, lo)
+    return rows, _region_sups(sums[N // 2, "d"], intervals, n_regions, grid, window)
 
 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
@@ -318,7 +294,7 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     if any(_FUNCTIONALS[kind][0] for kind in kinds):
         v_specs["v_d_weighted_linfl2"] = ("d", "Linf", WeightSpec(power_r=-delta / 2))
     regions = _region_rows(grid)
-    intervals = _region_intervals(regions, grid)
+    intervals = _region_intervals([region for *_, region in regions], grid)
     norms, sups = {}, []
     for f, specs in ((u, u_specs), (v, v_specs)):
         rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, intervals, len(regions))

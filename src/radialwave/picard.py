@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridSpec, SpaceTimeField, _d1, _over_r
-from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
+from .norms import _blocks, _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
     nonlinearity, solve, solve_linear_forced, zero_profile,
@@ -112,12 +112,12 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
 def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
     ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
-    64 time rows at a time."""
+    in the functionals' blocks of time rows (``norms._blocks``)."""
     def bilinear(x, y, which):
         return nonlinearity(x[0], x[1], y[2], y[3], which)
 
     out = np.empty((2, *hist.grid.shape()))
-    for rows in (slice(n, n + 64) for n in range(0, hist.grid.nt, 64)):
+    for rows in (slice(lo, hi) for lo, hi in _blocks(hist.grid.nt)):
         a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
         for g, w in zip(out[:, rows], ("u-eq", "v-eq")):
             g[:] = bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w)
@@ -206,13 +206,17 @@ def _load_state(config, tag):
     rec_path, prefix = _state_paths(config, tag)
     if not os.path.exists(rec_path):
         return [], None, None
-    with open(rec_path) as fh:
-        blob = json.load(fh)
-    records = [IterationRecord.from_json(d) for d in blob["records"]]
-    k = blob.get("k")
+    try:
+        with open(rec_path) as fh:
+            blob = json.load(fh)
+        records = [IterationRecord.from_json(d) for d in blob["records"]]
+        k, last = blob.get("k"), records[-1].k
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{rec_path}: malformed records ({type(exc).__name__}: {exc}); "
+                         "remove it to start afresh") from None
     hist_dir = f"{prefix}{k}"
-    if records[-1].k != k or not os.path.isdir(hist_dir):
-        raise ValueError(f"{rec_path}: records up to k = {records[-1].k} do not match a "
+    if last != k or not os.path.isdir(hist_dir):
+        raise ValueError(f"{rec_path}: records up to k = {last} do not match a "
                          f"saved history of iterate k = {k}; remove it to start afresh")
     delta_dir = os.path.join(hist_dir, "delta")
     if not os.path.isdir(delta_dir):
@@ -220,9 +224,9 @@ def _load_state(config, tag):
                          "separately solved iterates); remove it to start afresh")
     try:
         return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"the saved state cannot be loaded ({exc}); remove {rec_path} "
-                         f"and {hist_dir} to start afresh") from None
+    except (ValueError, OSError, KeyError, TypeError) as exc:  # a manifest missing a key
+        raise ValueError(f"the saved state cannot be loaded ({type(exc).__name__}: {exc}); "
+                         f"remove {rec_path} and {hist_dir} to start afresh") from None
 
 
 def check_boundedness(records: list[IterationRecord], eps: float) -> dict:

@@ -98,14 +98,6 @@ class DyadicRegion:
     def enlarged(self, level: int = 1) -> "DyadicRegion":
         return DyadicRegion(self.tau, self.kind, self.scale, level)
 
-    def descriptor(self) -> dict:
-        return {
-            "tau": self.tau,
-            "kind": self.kind,
-            "scale": self.scale,
-            "enlargement": self.enlargement,
-        }
-
 
 @dataclass
 class RegionMask:

@@ -195,6 +195,30 @@ class TestPicardCommand:
         assert (hist_dir / "W_u.bin").exists()
 
 
+    @pytest.mark.parametrize("damage", ["no records", "record without a_total",
+                                        "manifest without a key"])
+    def test_malformed_state_is_refused(self, tmp_path, capsys, damage):
+        # a state that cannot be read is refused with exit 1 and the records
+        # file to remove, not a traceback
+        args = ["--out", str(tmp_path), "picard", "--dr", "0.125", "--t-max", "8", "--kmax"]
+        assert run(args + ["1"]) == 0
+        records = next(tmp_path.glob("picard_*_records.json"))
+        blob = json.loads(records.read_text())
+        if damage == "no records":
+            blob["records"] = []
+        elif damage == "record without a_total":
+            del blob["records"][-1]["a_total"]
+        else:
+            manifest = next(tmp_path.glob("picard_*_k1")) / "manifest.json"
+            meta = json.loads(manifest.read_text())
+            del meta["mode"]
+            manifest.write_text(json.dumps(meta))
+        records.write_text(json.dumps(blob))
+        assert run(args + ["2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(records) in err
+        assert "to start afresh" in err and "Traceback" not in err
+
 class TestEstimatesCommand:
     def test_klainerman_sobolev_rows(self, tmp_path):
         rc = run(["--out", str(tmp_path), "estimates", "--dr", "0.0625", "--t-max", "8"])

@@ -10,7 +10,7 @@ from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec, region_l2l2, spatial_l2
 from radialwave.regions import DyadicRegion, _intervals
 from region_oracles import realize_mask, region_supsup
-from radialwave.grid import _depth, _word_sums
+from radialwave.grid import _word_sums
 from stencil_oracles import _diff2, word_sums_ref
 
 
@@ -295,7 +295,7 @@ class TestKSWordPass:
 
         # the windows are blocks of tilde's rows, each the bounding box of its
         # rows' intervals
-        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), _depth(_KS_KEYS))
+        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), _KS_KEYS, g.shape())
         if not inside.any():
             assert windows == [(slice(0, 0), slice(0, 0))]
         else:
@@ -342,7 +342,7 @@ class TestKSWordPass:
         g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
         u = rw.SpaceTimeField(g, g.t[:, None] * registry.cone_hugger(g).values, "even")
         assert len(estimates._ks_windows(_intervals(DyadicRegion(8, "U", scale).enlarged(1), g),
-                                         _depth(_KS_KEYS))) > 1
+                                         _KS_KEYS, g.shape())) > 1
         ref_ks, ref_d2 = _reference_reports(u, 8, "U", scale, word_sums_ref(u, _KS_KEYS))
         assert estimates.check_spacetime_ks(u, 8, "U", scale).lhs == ref_ks.lhs
         assert estimates.check_second_derivative_ks(u, 8, "U", scale).lhs == ref_d2.lhs
@@ -386,7 +386,7 @@ class TestKSWordPass:
             tilde = _intervals(DyadicRegion(8, kind, scale).enlarged(1), g)
             for check, keys in ((estimates.check_spacetime_ks, _KS_KEYS[:2]),
                                 (estimates.check_second_derivative_ks, _KS_KEYS[2:])):
-                windows = estimates._ks_windows(tilde, _depth(keys))
+                windows = estimates._ks_windows(tilde, keys, g.shape())
                 walk = self.walked(monkeypatch, lambda: check(u, 8, kind, scale))
                 box = self.box_walk(monkeypatch, u, keys, tilde)
                 if kind == "R":
@@ -420,6 +420,51 @@ class TestKSWordPass:
             assert np.array_equal(got.values, want.values)
             assert got.parity == want.parity
 
+
+
+class TestLightConeCut:
+    """``le1_norm`` and the Klainerman-Sobolev checks with the word sums cut at
+    the field's light cone (``grid._cut``) against the full-width walk."""
+
+    @staticmethod
+    def run(monkeypatch, fn, cut):
+        """(repr of fn(), cells of every ``_z_walk`` it runs), the word sums cut
+        at the light cone or walking their windows' full width."""
+        cells, real = [], grid_module._z_walk
+
+        def counting(values, *args):
+            cells.append(values.size)
+            return real(values, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "_z_walk", counting)
+            if not cut:
+                m.setattr(grid_module, "_cut", lambda f, keys, spans: spans[1][1])
+            return repr(fn()), sum(cells)
+
+    def test_equal_to_the_full_width_walk(self, monkeypatch):
+        # compactly supported fields: the light cone, a support that leaves the
+        # R2 and U windows empty, and one that ends inside every U window
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
+        t, r = g.meshes()
+        walked = {}
+        for family, kind, scale in registry.KS_COMBOS:
+            for support in (r <= t + 2, r <= 1.5, r <= t - 3):
+                u = rw.SpaceTimeField(g, registry.build(family, g).values * support, "even")
+                checks = {
+                    "le1": lambda: estimates.le1_norm(u),
+                    "ks": lambda: estimates.check_spacetime_ks(u, 8, kind, scale),
+                    "d2ks": lambda: estimates.check_second_derivative_ks(u, 8, kind, scale),
+                }
+                for name, fn in checks.items():
+                    (cut, cut_cells), (full, full_cells) = (self.run(monkeypatch, fn, c)
+                                                            for c in (True, False))
+                    assert cut == full, (family, kind, scale, name)
+                    cells = walked.setdefault(name, [0, 0])
+                    cells[0] += cut_cells
+                    cells[1] += full_cells
+        # the cut walks fewer cells in every kind of pass
+        assert all(cut < full for cut, full in walked.values()), walked
 
 def test_box_scalar_checks_grid_size():
     g = rw.GridSpec(dr=0.25, cfl=1.0, r_max=4.5, t_max=0.5)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import radialwave as rw
-from radialwave import norms, regions
+from radialwave import estimates, norms, regions, registry
+from radialwave import grid as grid_module
 from radialwave.grid import _depth, _word_sums
 from radialwave.norms import WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2
 from radialwave.regions import _flat, _intervals, dyadic_scales, enumerate_regions
@@ -365,10 +366,29 @@ class TestTimeBlocks:
         assert len(norms._blocks(g.nt)) == 8
         assert peak < 4 * u.values.nbytes
 
+    def test_le1_norm_peak_allocation(self):
+        # the whole-grid sums and the field built from them peaked at about
+        # 6.2 arrays of the grid's size; a block of rows holds its own rows'
+        g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
+        u = registry.traveling_sym(g)
+        tracemalloc.start()
+        try:
+            norms.le1_norm(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms._blocks(g.nt)) == 9
+        assert peak < 2 * u.values.nbytes
+
+
+def _no_cut(f, keys, spans):
+    """``grid._cut`` switched off: every word sum walks its window's full width."""
+    return spans[1][1]
+
 
 class TestLightCone:
-    """The M/A pass on the columns below ``_cone_cols`` against the full-width
-    walk, byte for byte."""
+    """The M/A pass with the word sums cut at the light cone (``grid._cut``)
+    against the full-width walk, byte for byte."""
 
     GRID = rw.GridSpec(dr=0.25, cfl=1.0, r_max=44.5, t_max=40.5)  # 163 rows, 2 blocks
 
@@ -392,7 +412,7 @@ class TestLightCone:
 
     def full_width(self, monkeypatch, u, v, N=3):
         with monkeypatch.context() as m:
-            m.setattr(norms, "_cone_cols", lambda f, lo, hi, d: f.grid.nr)
+            m.setattr(grid_module, "_cut", _no_cut)
             return self.both(u, v, N)
 
     @pytest.mark.parametrize("support", [
@@ -436,19 +456,37 @@ class TestLightCone:
     def test_one_column_short_changes_a_slot(self, monkeypatch):
         u, v = self.pair(self.GRID, lambda t, r: r <= t + 2)
         exact = self.both(u, v)
-        cone = norms._cone_cols
-        monkeypatch.setattr(norms, "_cone_cols", lambda f, lo, hi, d: cone(f, lo, hi, d) - 1)
+        cut = grid_module._cut
+        monkeypatch.setattr(grid_module, "_cut", lambda f, keys, spans: cut(f, keys, spans) - 1)
         assert [b.slots for b in self.both(u, v)] != [b.slots for b in exact]
 
-    def test_region_sups_equal_region_sup(self):
+    def test_region_sups_equal_the_dense_oracle(self):
+        # every R/U/core region of the functionals at once, on blocks of rows
         g = self.GRID
         values = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape())
-        rows = norms._region_rows(g)
-        intervals = norms._region_intervals(rows, g)
+        regions = [region for *_, region in norms._region_rows(g)]
+        intervals = norms._region_intervals(regions, g)
+        masks = [realize_mask(region, g).weights for region in regions]
         read = []
         for lo, hi in [(0, 81), (81, 163), (0, 1), (40, 41), (162, 163), (0, 163), (40, 40)]:
             window = np.s_[lo:hi, :]
-            ref = [norms._region_sup(values[window], region, g, window) for *_, region in rows]
-            assert norms._region_sups(values[window], intervals, len(rows), lo).tolist() == ref
-            read += ref
+            got = norms._region_sups(values[window], intervals, len(regions), g, window)
+            want = [region_supsup(values[window], mask[window]) if hi > lo else 0.0
+                    for mask in masks]
+            assert got.tolist() == want
+            read += want
         assert 0.0 in read and max(read) > 0.9  # a region with no point in a block reads 0.0
+
+    @pytest.mark.parametrize("kind, scale", [("R", 1), ("R", 2), ("U", 1), ("U", 2)])
+    def test_region_sups_on_ks_windows(self, kind, scale):
+        # one plain region on the windows of a Klainerman-Sobolev check, which
+        # are boxes of its enlarged region's rows, not full rows
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape())
+        region = rw.DyadicRegion(8, kind, scale)
+        plain, mask = norms._region_intervals([region], g), realize_mask(region, g).weights
+        keys = ((0, None), (2, None), (2, "dr"))
+        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), keys, g.shape())
+        sups = [norms._region_sups(values[w], plain, 1, g, w)[0] for w in windows]
+        assert sups == [region_supsup(values[w], mask[w]) for w in windows]
+        assert max(sups) == region_supsup(values, mask)

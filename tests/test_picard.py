@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import norms, picard
+from radialwave import grid as grid_module, picard
 from radialwave.picard import IterationRecord, PicardConfig
 
 
@@ -218,7 +218,7 @@ class TestIteration:
                 != small_config(grid=g, data=poly).descriptor())
 
     def test_light_cone_walk_keeps_every_record(self, monkeypatch):
-        # the benchmark's grid: the M/A pass cut at the field's light cone
+        # the benchmark's grid: the word sums cut at the field's light cone
         # against the same pass forced to the full width, in float.hex
         def hexed(records):
             return [(r.k, *(x if x is None else x.hex()
@@ -229,9 +229,24 @@ class TestIteration:
         g = rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=68.0, t_max=64.0)
         config = dict(grid=g, eps=0.0075, kmax=3)
         cut = hexed(picard.run_iteration(PicardConfig(**config)))
-        monkeypatch.setattr(norms, "_cone_cols", lambda f, lo, hi, d: f.grid.nr)
+        monkeypatch.setattr(grid_module, "_cut", lambda f, keys, spans: spans[1][1])
         assert cut == hexed(picard.run_iteration(PicardConfig(**config)))
         assert len(cut) == 3
+
+    def test_sources_equal_one_whole_grid_block(self, monkeypatch):
+        # each source row is computed from its own row alone, so the blocks of
+        # rows give the sources of a single block bit for bit
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
+        zero = rw.SpaceTimeField.zeros(g)
+        data = rw.calibrate(PicardConfig(grid=g, eps=0.02).data, g, 2, 0.02)
+        hist = rw.solve_linear_forced(data, zero, zero)
+        diff = rw.solve_linear_forced(rw.InitialData(amplitude=0.0),
+                                      *picard._source_difference(hist, hist))
+        blocked = picard._source_difference(hist, diff)
+        assert len(picard._blocks(g.nt)) == 4
+        monkeypatch.setattr(picard, "_blocks", lambda nt: [(0, nt)])
+        for a, b in zip(blocked, picard._source_difference(hist, diff)):
+            assert np.array_equal(a.values, b.values) and a.values.any()
 
     def test_record_json_roundtrip(self):
         rec = IterationRecord(2, 1.5, 0.25, 0.1, {"a": 1.0}, {"b": 2.0}, 0.5)

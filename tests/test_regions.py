@@ -46,12 +46,6 @@ class TestDyadicRegion:
         with pytest.raises(ValueError):
             DyadicRegion(8, "R", 3)
 
-    def test_descriptor_roundtrip(self):
-        reg = DyadicRegion(16, "U", 2)
-        d = reg.descriptor()
-        assert d == {"tau": 16, "kind": "U", "scale": 2, "enlargement": 0}
-        assert DyadicRegion(**d) == reg
-
     def test_enumerate_order(self):
         regs = enumerate_regions(16, grid(t_max=32.0))
         kinds = [(r.kind, r.scale) for r in regs]
