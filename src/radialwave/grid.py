@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -193,7 +194,7 @@ class SpaceTimeField:
                              {"odd": 1, "even": 2, None: 0}[self.parity])
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(self.values.astype("<f8").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))  # a copy on big-endian only
 
     @classmethod
     def from_binary(cls, path) -> "SpaceTimeField":
@@ -206,20 +207,19 @@ class SpaceTimeField:
             if len(raw) < size or raw[:8] != cls._MAGIC:
                 raise ValueError(f"{path}: not a field file")
             _, dr, cfl, r_max, t_max, par = struct.unpack(cls._HEADER, raw)
-            payload = fh.read()
-        try:
-            grid = GridSpec(dr, cfl, r_max, t_max)
-        except ValueError as exc:
-            raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
-        nt, nr = grid.shape()
-        want = 8 * nt * nr
-        if len(payload) != want:
-            raise ValueError(f"{path}: payload holds {len(payload)} bytes, the header's "
-                             f"{nt} x {nr} grid needs {want}")
-        if par not in (0, 1, 2):
-            raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
-        data = np.frombuffer(payload, dtype="<f8").reshape(nt, nr)
-        return cls(grid, data.copy(), (None, "odd", "even")[par])
+            try:
+                grid = GridSpec(dr, cfl, r_max, t_max)
+            except ValueError as exc:
+                raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
+            nt, nr = grid.shape()
+            want, got = 8 * nt * nr, os.fstat(fh.fileno()).st_size - size
+            if got != want:
+                raise ValueError(f"{path}: payload holds {got} bytes, the header's "
+                                 f"{nt} x {nr} grid needs {want}")
+            if par not in (0, 1, 2):
+                raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
+            data = np.fromfile(fh, dtype="<f8", count=nt * nr).reshape(nt, nr)
+        return cls(grid, data, (None, "odd", "even")[par])
 
 
 def _require_size(grid: GridSpec):

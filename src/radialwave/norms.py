@@ -7,12 +7,12 @@ each time row's points with ``np.add.reduceat`` (a row's value does not depend
 on the other rows), then ``_t_norm`` takes the root of their trapezoid (L2)
 or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the
 region of full rows, summed at the row starts of the flat array with no
-gather.  A region L2 norm sums only its region's points: ``le_norm`` and the
-estimate checks pass the points of a region's per-row intervals,
-``region_l2l2`` the nonzero points of a sharp mask, so both give bit-equal
-norms on one region.  A region reduction reads an array holding a window of
-the grid (a pair of slices, the whole grid by default), in which
-``_window_pos`` finds a region's points.
+gather, and so is each annulus of ``le_norm`` on its run of columns.  A
+region L2 norm sums only its region's points: the estimate checks pass the
+points of a region's per-row intervals, ``region_l2l2`` the nonzero points of
+a sharp mask, so both give bit-equal norms on one region.  A region reduction
+reads an array holding a window of the grid (a pair of slices, the whole grid
+by default), in which ``_window_pos`` finds a region's points.
 
 The M and A functionals and ``le1_norm`` stream each field in blocks of
 time rows (``_blocks``): one ``grid._word_sums`` pass per block, reduced
@@ -156,16 +156,22 @@ def _window_pos(intervals, grid, window) -> np.ndarray:
 
 def le_norm(f: SpaceTimeField) -> float:
     """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
-    return _le_reduce([_le_rows(f.values, f.grid)], f.grid)
+    return _le_reduce([_le_rows(f.values, f.grid, _annuli(f.grid))], f.grid)
 
 
-def _le_rows(values: np.ndarray, grid, window=_GRID) -> list:
-    """Per dyadic annulus A_R, R >= 1 in turn: the (rows, sums) of ``_row_sums``
-    on the annulus's points, of ``values`` holding the cells ``window``."""
-    return [_row_sums(values, grid, WeightSpec(),
-                      _window_pos(_intervals(DyadicRegion(None, ANNULUS, R), grid), grid, window),
-                      window)
-            for R in dyadic_scales(bracket(grid.r_max))]
+def _annuli(grid) -> list:
+    """The columns of each dyadic annulus A_R, R >= 1, in turn, one slice: an
+    annulus holds the same run of columns on every row (``_intervals``)."""
+    runs = (_intervals(DyadicRegion(None, ANNULUS, R), grid)
+            for R in dyadic_scales(bracket(grid.r_max)))
+    return [slice(j_lo[0], j_hi[0]) if len(j_lo) else slice(0, 0) for _, j_lo, j_hi in runs]
+
+
+def _le_rows(values: np.ndarray, grid, annuli: list, window=_GRID) -> list:
+    """Per dyadic annulus A_R in turn: the (rows, sums) of ``_row_sums`` on its
+    columns (``annuli``, from ``_annuli``) of ``values`` holding the full rows ``window``."""
+    return [_row_sums(values[:, cols], grid, WeightSpec(), window=(window[0], cols))
+            if cols.stop > cols.start else (np.zeros(0, int), np.zeros(0)) for cols in annuli]
 
 
 def _le_reduce(blocks: list, grid) -> float:
@@ -177,22 +183,19 @@ def _le_reduce(blocks: list, grid) -> float:
     return best
 
 
-def le1_pointwise(dt_f: np.ndarray, dr_f: np.ndarray, f_over_r: np.ndarray) -> np.ndarray:
-    """Pointwise magnitude of (du, u/r) fed to the LE norm."""
-    return np.sqrt(np.square(dt_f) + np.square(dr_f) + np.square(f_over_r))
-
-
-def _le1_rows(sums: dict, n: int, grid, window) -> list:
+def _le1_rows(sums: dict, n: int, grid, annuli: list, window) -> list:
     """``_le_rows`` of the (du, u/r) magnitude of the (n, dt), (n, dr), (n, quot) sums."""
-    return _le_rows(le1_pointwise(sums[n, DT], sums[n, DR], sums[n, "quot"]), grid, window)
+    dt, dr, quot = (sums[n, key] for key in (DT, DR, "quot"))
+    return _le_rows(np.sqrt(np.square(dt) + np.square(dr) + np.square(quot)), grid, annuli, window)
 
 
 def le1_norm(f: SpaceTimeField) -> float:
     """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
     streamed in blocks of rows as the u_le1 slot of the functionals."""
-    keys = ((0, DT), (0, DR), (0, "quot"))
-    windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(f.grid.nt)]
-    return _le_reduce([_le1_rows(_word_sums(f, keys, w), 0, f.grid, w) for w in windows], f.grid)
+    keys, annuli = ((0, DT), (0, DR), (0, "quot")), _annuli(f.grid)
+    return _le_reduce([_le1_rows(_word_sums(f, keys, w), 0, f.grid, annuli, w)
+                       for w in ((slice(lo, hi), slice(None)) for lo, hi in _blocks(f.grid.nt))],
+                      f.grid)
 
 
 # ----------------------------------------------------------------------
@@ -258,19 +261,19 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
     return out
 
 
-def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict,
+def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict, annuli: list,
                 intervals: tuple, n_regions: int) -> tuple[dict, np.ndarray]:
     """One field's part of the grid rows [lo, hi), from a ``_word_sums`` pass on
     them: per slot of ``specs`` (name -> (term, outer, weight)) the
-    ``_row_sums`` of its term, or for outer "LE" the ``_le_rows`` of the
-    (du, u/r) magnitude, and the sup of the (N // 2, "d") sum on each of
-    ``n_regions`` regions (their ``_region_intervals``)."""
+    ``_row_sums`` of its term, or for outer "LE" the ``_le1_rows`` on
+    ``annuli``, and the sup of the (N // 2, "d") sum on each of ``n_regions``
+    regions (their ``_region_intervals``)."""
     grid = f.grid
     window = (slice(lo, hi), slice(None))
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
     sums = _word_sums(f, keys, window)
     terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
-    rows = {name: _le1_rows(sums, N, grid, window) if outer == "LE"
+    rows = {name: _le1_rows(sums, N, grid, annuli, window) if outer == "LE"
             else _row_sums(terms[term], grid, weight)[1]
             for name, (term, outer, weight) in specs.items()}
     return rows, _region_sups(sums[N // 2, "d"], intervals, n_regions, grid, window)
@@ -295,9 +298,9 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
         v_specs["v_d_weighted_linfl2"] = ("d", "Linf", WeightSpec(power_r=-delta / 2))
     regions = _region_rows(grid)
     intervals = _region_intervals([region for *_, region in regions], grid)
-    norms, sups = {}, []
+    norms, sups, annuli = {}, [], _annuli(grid)
     for f, specs in ((u, u_specs), (v, v_specs)):
-        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, intervals, len(regions))
+        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, annuli, intervals, len(regions))
                                  for lo, hi in _blocks(grid.nt)))
         for name, (_, outer, _) in specs.items():
             parts = [block[name] for block in rows]

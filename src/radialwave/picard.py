@@ -7,7 +7,12 @@ with the bilinear form B of each equation (``null_form`` for u, dt u dt v
 for v) as B(delta_{k-1}, a) + B(a, delta_{k-1}) - B(delta_{k-1}, delta_{k-1}),
 a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
 A of delta_k, so A_k is no difference of two separately rounded solves.  The
-iterates live on the given grid at dt = dr (``PicardConfig.grid``).
+iterates live on the given grid at dt = dr (``PicardConfig.grid``).  One pair
+of histories is resident, four grid arrays each: u_{k-1} and delta_{k-1} (one
+object at k = 2, as delta_1 = u_1).  G_k (two arrays) is built from both, then
+delta_{k-1} is dropped before the solve makes delta_k, and G_k when it
+returns; delta_k is added into u_{k-1}'s arrays in place, so they hold u_k.
+The first solve's zero source lives for that call only.
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
@@ -124,13 +129,6 @@ def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     return [SpaceTimeField(hist.grid, g) for g in out]
 
 
-def _plus(hist: SolutionHistory, diff: SolutionHistory) -> SolutionHistory:
-    """The history of u_{k-1} + delta_k, field by field."""
-    pairs = [(getattr(hist, n), getattr(diff, n)) for n in ("W_u", "dtW_u", "W_v", "dtW_v")]
-    return SolutionHistory(*(SpaceTimeField(f.grid, f.values + g.values, "odd")
-                             for f, g in pairs), diff.mode)
-
-
 def run_iteration(config: PicardConfig) -> list[IterationRecord]:
     """Run the iteration on the differences (module docstring); A_1 is A of u_1.
     Records (and histories, with ``outdir``) are persisted per step and picked
@@ -151,19 +149,18 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
     for k in range(len(records) + 1, config.kmax + 1):
         t0 = time.perf_counter()
         if k == 1:
-            zero = SpaceTimeField.zeros(config.grid)
-            hist = diff = solve_linear_forced(data, zero, zero)
+            hist = diff = solve_linear_forced(data, *[SpaceTimeField.zeros(config.grid)] * 2)
             m, a = m_and_a_functionals(hist.u(), hist.v(), *params)
         else:
-            diff = solve_linear_forced(InitialData(amplitude=0.0),
-                                       *_source_difference(hist, diff))
-            hist = _plus(hist, diff)
+            source, diff = _source_difference(hist, diff), None
+            diff = solve_linear_forced(InitialData(amplitude=0.0), *source)
+            del source
+            for name in ("W_u", "dtW_u", "W_v", "dtW_v"):  # u_{k-1} becomes u_k
+                getattr(hist, name).values += getattr(diff, name).values
             m = m_functional(hist.u(), hist.v(), *params)
             a = a_functional(diff.u(), diff.v(), *params)
-        ratio = None
-        if records:
-            prev_a = records[-1].a_total
-            ratio = a.total / prev_a if prev_a > 0 else float("inf")
+        prev_a = records[-1].a_total if records else None
+        ratio = None if prev_a is None else (a.total / prev_a if prev_a > 0 else float("inf"))
         rec = IterationRecord(k, m.total, a.total, ratio, dict(m.slots),
                               dict(a.slots), time.perf_counter() - t0)
         records.append(rec)

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ class TestField:
         assert back.parity == "even"
         assert back.grid == g
         assert back.values.tobytes() == f.values.tobytes()
+
+    def test_binary_io_copies_no_whole_array(self, tmp_path):
+        # to_binary writes the values as they lie (no "<f8" copy, no bytes);
+        # from_binary reads the payload into the field's one array (no bytes
+        # object beside it, no copy of it)
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
+        f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t) * np.cos(r), "even")
+        path = tmp_path / "f.bin"
+        peaks = []
+        for step in (lambda: f.to_binary(path), lambda: rw.SpaceTimeField.from_binary(path)):
+            tracemalloc.start()
+            try:
+                back = step()
+                peaks.append(tracemalloc.get_traced_memory()[1] / f.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert back.values.tobytes() == f.values.tobytes()
+        assert peaks[0] < 0.5 and peaks[1] < 1.5, peaks
 
     @pytest.mark.parametrize("change", [-8, -1, 8])
     def test_binary_payload_must_match_header(self, tmp_path, change):

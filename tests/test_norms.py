@@ -234,6 +234,22 @@ class TestFunctionalFastPaths:
             best = max(best, R ** -0.5 * rw.region_l2l2(u, WeightSpec(), mask))
         assert le_norm(u) == best
 
+    @pytest.mark.parametrize("dr", [1 / 8, 4.0])  # at dr 4, A_2 holds no grid point
+    def test_le_rows_equal_the_gathered_annulus_intervals(self, dr):
+        # each annulus summed on its run of columns against the gather of its
+        # per-row intervals, on the whole grid and on a block of rows
+        g = grid(dr=dr, t_max=64.0, r_max=100.0)
+        f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t - r) * np.exp(-r / 16))
+        for window in (np.s_[:, :], np.s_[5:13, :]):
+            values = f.values[window]
+            got = norms._le_rows(values, g, norms._annuli(g), window)
+            for R, (rows, sums) in zip(dyadic_scales(np.sqrt(1 + g.r_max ** 2)), got, strict=True):
+                pos = norms._window_pos(_intervals(rw.DyadicRegion(None, "annulus", R), g), g,
+                                        window)
+                want = norms._row_sums(values, g, WeightSpec(), pos, window)
+                assert np.array_equal(rows, want[0]) and np.array_equal(sums, want[1])
+        assert [a.stop - a.start for a in norms._annuli(g)].count(0) == (dr == 4.0)
+
     def test_le1_norm_is_the_u_le1_slot(self):
         # both read the (0, dt), (0, dr) and (0, quot) sums; the functional in
         # two blocks of rows
