@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -203,7 +204,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _require(flag: str, value: float, ok: bool, what: str) -> None:
+    """Refuse a parameter before the first field is built; a NaN fails every
+    comparison, so it is refused too."""
+    if not ok:
+        raise ValueError(f"{flag} must {what}, got {value}")
+
+
+def _check_p_delta(args) -> None:
+    _require("--p", args.p, 0 < args.p < 2, "lie in (0, 2)")
+    _require("--delta", args.delta, 0 < args.delta < math.inf, "be finite and positive")
+
+
 def _cmd_identities(args) -> int:
+    _check_p_delta(args)
+    _require("--ghost-U", args.ghost_U, 1 <= args.ghost_U < math.inf, "be finite and at least 1")
+    _require("--tol", args.tol, 0 < args.tol < math.inf, "be finite and positive")
     grid = _grid(args)
     outdir = _outdir(args)
     rows, ok = [], True
@@ -229,6 +245,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_estimates(args) -> int:
+    _check_p_delta(args)
     grid = _grid(args)
     outdir = _outdir(args)
 

@@ -5,14 +5,21 @@ second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
-Every L2 slot is one of the ``norms`` reductions: a whole-grid mixed norm
-(``mixed_norm``), a region L2L2 norm (``norms._interval_l2``), or a data norm
-at t = 0 (``norms._data_l2``), which reduces only row 0.
+The four ratio checks (``check_hardy``, ``check_le``, ``check_mr``,
+``check_newle``) stream like the M/A functionals: ``norms._stream`` walks a
+field once per block of rows with ``grid._word_sums``, asking only for the
+sums its slots read, reduces each block into per-row sums (whole rows, row 0,
+a region's points, ``norms._le1_rows``) and then each slot once in t, so every
+norm equals the whole-grid one bit for bit.  The one array of the grid's size
+a check builds is the conjugate field r u, whose pass gives the (dt + dr +
+1/r) u of Hardy's good slot and of the ghost slot.  ``check_le``'s forcing,
+an integral, is reduced in the norms' order too (row sums, then t), so it may
+differ from a t-first quadrature in the last bit.
 
 Regions are read as per-row intervals, and no check builds a dense mask:
 every region sup and region L2 norm (the dyadic forcing stacks, the strips of
 the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
-(``norms._region_sups``, ``norms._interval_l2``).  A Klainerman-Sobolev check
+(``norms._region_sups``, ``norms._window_pos``).  A Klainerman-Sobolev check
 takes its sup over the plain region's points and reads its Z-word sums only
 on the enlarged region ``tilde``.  It walks tilde in the blocks of time rows
 of the M/A functionals (``norms._blocks``), one ``grid._word_sums`` pass on
@@ -36,11 +43,10 @@ import numpy as np
 from .grid import (
     _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
     _require_size, _trapz_weights, _walk, _wave2, _word_sums, box_conjugate, derivative,
-    quotient_by_r,
 )
 from .norms import (
-    FOUR_PI, WeightSpec, _blocks, _data_l2, _interval_l2, _region_intervals, _region_sups,
-    _row_sums, _t_norm, _window_pos, le1_norm, mixed_norm,
+    FOUR_PI, WeightSpec, _blocks, _region_intervals, _region_sups, _row_sums, _stream,
+    _t_norm, _window_pos,
 )
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
@@ -147,7 +153,7 @@ def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
     The r = 0 line term enters with a negative sign and the delta-weighted
     bulk flux is nonnegative; angular terms vanish on radial data.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     grid = w.grid
     _, r = grid.meshes()
@@ -167,11 +173,6 @@ def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
     return IdentityReport("identity_minus", lhs, sum(terms.values()), terms)
 
 
-def good_of_conjugate_over_r(w: SpaceTimeField) -> SpaceTimeField:
-    """r^{-1}(dt+dr)(r w) = (dt + dr + 1/r) w."""
-    return quotient_by_r(derivative(_conjugate(w), GOOD))
-
-
 def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
     """Radial d'Alembertian via the conjugate identity, any parity."""
     grid = w.grid
@@ -180,90 +181,85 @@ def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
 
 
+_BOX, _GOOD_R = (0, "box"), (0, "good/r")  # Box u, and (dt + dr + 1/r) u on r u
+
+
 def check_hardy(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
     """Space-time Hardy variant: interior weighted mass controlled by the data
     and the good derivative of the conjugate variable."""
     if not (0 < p < 2):
         raise ValueError(f"p must lie in (0, 2), got {p}")
     a = (p - 1) / 2
-    lhs_slots = {
-        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
-        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
-    }
-    good = good_of_conjugate_over_r(u)
-    rhs_slots = {
-        "data": _data_l2(u, WeightSpec(a, 0.5)),
-        "good_l2l2": mixed_norm(good, "L2", WeightSpec(a, 0.0)),
-    }
+    word = (0, None)
+    n = _stream(u, (word,), {"invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
+                             "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
+                             "data": (word, WeightSpec(a, 0.5), "data")})
+    good = _stream(_conjugate(u), (_GOOD_R,), {"l2l2": (_GOOD_R, WeightSpec(a, 0.0), "L2")})
+    lhs_slots = {"invr_l2l2": n["invr_l2l2"], "invhalf_linfl2": n["invhalf_linfl2"]}
+    rhs_slots = {"data": n["data"], "good_l2l2": good["l2l2"]}
     return EstimateReport("hardy", sum(lhs_slots.values()), sum(rhs_slots.values()),
                           family_id, lhs_slots, rhs_slots)
 
 
-def _du_magnitude(u: SpaceTimeField) -> SpaceTimeField:
-    dt_u = derivative(u, DT).values
-    dr_u = derivative(u, DR).values
-    return SpaceTimeField(u.grid, np.sqrt(np.square(dt_u) + np.square(dr_u)))
+def _du(sums: dict) -> np.ndarray:
+    """|du| = (|dt u|^2 + |dr u|^2)^{1/2} from a block's (0, dt) and (0, dr) sums."""
+    return np.sqrt(np.square(sums[0, DT]) + np.square(sums[0, DR]))
 
 
 def check_le(u: SpaceTimeField, family_id: str = "") -> EstimateReport:
     """Integrated local energy estimate, squared form."""
-    grid = u.grid
-    du = _du_magnitude(u)
-    lhs_slots = {
-        "le1_sq": le1_norm(u) ** 2,
-        "du_linfl2_sq": mixed_norm(du, "Linf") ** 2,
-    }
-    box = box_scalar(u).values
-    uq = quotient_by_r(u).values
-    _, r = grid.meshes()
-    forcing = FOUR_PI * _quad2d(grid, np.abs(box) * (du.values + np.abs(uq)) * np.square(r))
-    rhs_slots = {
-        "data_sq": _data_l2(du, WeightSpec()) ** 2,
-        "forcing": forcing,
-    }
+    n = _stream(u, ((0, DT), (0, DR), (0, "quot"), _BOX), {
+        "le1": (None, None, "LE"),
+        "du_linfl2": (_du, WeightSpec(), "Linf"),
+        "data": (_du, WeightSpec(), "data"),
+        "forcing": (lambda s: s[_BOX] * (_du(s) + s[0, "quot"]), None, "dx dt"),
+    })
+    lhs_slots = {"le1_sq": n["le1"] ** 2, "du_linfl2_sq": n["du_linfl2"] ** 2}
+    rhs_slots = {"data_sq": n["data"] ** 2, "forcing": n["forcing"]}
     return EstimateReport("le", sum(lhs_slots.values()), sum(rhs_slots.values()),
                           family_id, lhs_slots, rhs_slots)
 
 
-def _dyadic_forcing_sums(box: SpaceTimeField, p: float) -> tuple[float, float, dict]:
-    """The two dyadic forcing stacks: the ell^2-in-(tau, R) sum with the core
-    attached to the R row, and the U-row sum over tau >= 4U."""
-    grid = box.grid
+def _forcing_pieces(grid: GridSpec, p: float) -> dict:
+    """The pieces of the two dyadic forcing stacks as ``_stream`` slots of
+    |Box u|, by detail name: per slab tau its R pieces, then its core (the R
+    row); then per U the U piece of every slab tau >= 4U."""
     w_r, w_u = WeightSpec((p + 1) / 2), WeightSpec(p / 2)
-    detail = {}
-    sq_r = 0.0
     tau_values = dyadic_scales(grid.t_max / 2, start=4)
+    pieces = {}
     for tau in tau_values:
         for s in dyadic_scales(tau // 4):
-            val = _interval_l2(box.values, grid, w_r, DyadicRegion(tau, R_KIND, s))
-            detail[f"R tau={tau} R={s}"] = val
-            sq_r += val * val
-        val = _interval_l2(box.values, grid, w_r, DyadicRegion(tau, CORE))
-        detail[f"R tau={tau} core"] = val
-        sq_r += val * val
-    f_r = float(np.sqrt(sq_r))
-
-    f_u = 0.0
+            pieces[f"R tau={tau} R={s}"] = (_BOX, w_r, DyadicRegion(tau, R_KIND, s))
+        pieces[f"R tau={tau} core"] = (_BOX, w_r, DyadicRegion(tau, CORE))
     max_u = max(tau_values) // 4 if tau_values else 0
     for U in dyadic_scales(max_u) if max_u >= 1 else []:
-        sq = 0.0
         for tau in tau_values:
             if tau >= 4 * U:
-                val = _interval_l2(box.values, grid, w_u, DyadicRegion(tau, U_KIND, U))
-                detail[f"U tau={tau} U={U}"] = val
-                sq += U * val * val
-        f_u += float(np.sqrt(sq))
-    return f_r, f_u, detail
+                pieces[f"U tau={tau} U={U}"] = (_BOX, w_u, DyadicRegion(tau, U_KIND, U))
+    return pieces
+
+
+def _forcing_sums(pieces: dict, norms: dict) -> tuple[float, float]:
+    """(forcing_R, forcing_U) from the ``norms`` of the ``_forcing_pieces``: the
+    ell^2 sum of the R row, and the sum over U of the ell^2-in-tau sums of
+    U^{1/2} times the U pieces."""
+    sq_r, sq_u = 0.0, {}
+    for name, (*_, region) in pieces.items():
+        val = norms[name]
+        if region.kind == U_KIND:
+            sq_u[region.scale] = sq_u.get(region.scale, 0.0) + region.scale * val * val
+        else:
+            sq_r += val * val
+    return float(np.sqrt(sq_r)), sum((float(np.sqrt(sq)) for sq in sq_u.values()), 0.0)
 
 
 def _sup_U_slot(u: SpaceTimeField, p: float) -> float:
-    """sup_U U^{-1/2} || <r>^{p/2} r^{-1}(dt+dr)(r u) ||_{L2L2(X_U)}."""
-    good = good_of_conjugate_over_r(u)
-    best = 0.0
-    for U in dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max))):
-        strip = DyadicRegion(None, STRIP, U)
-        best = max(best, U ** -0.5 * _interval_l2(good.values, u.grid, WeightSpec(p / 2), strip))
-    return best
+    """sup_U U^{-1/2} || <r>^{p/2} r^{-1}(dt+dr)(r u) ||_{L2L2(X_U)}, from one
+    pass on the conjugate field r u."""
+    scales = dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max)))
+    n = _stream(_conjugate(u), (_GOOD_R,),
+                {U: (_GOOD_R, WeightSpec(p / 2), DyadicRegion(None, STRIP, U)) for U in scales})
+    return max([0.0] + [U ** -0.5 * n[U] for U in scales])
 
 
 def check_mr(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
@@ -271,29 +267,38 @@ def check_mr(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport
     vanish identically and are recorded as zeros)."""
     if not (0 < p < 2):
         raise ValueError(f"p must lie in (0, 2), got {p}")
-    good_u = derivative(u, GOOD)
     a = (p - 1) / 2
+    word, good = (0, None), (0, GOOD)
+    pieces = _forcing_pieces(u.grid, p)
+    n = _stream(u, (word, good, _BOX), {
+        "good_linfl2": (good, WeightSpec(p), "Linf"),
+        "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
+        "good_l2l2": (good, WeightSpec(a), "L2"),
+        "invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
+        "data_invhalf": (word, WeightSpec(a, 0.5), "data"),
+        "data_good": (good, WeightSpec(p / 2), "data"),
+        **pieces,
+    })
     lhs_slots = {
-        "good_linfl2": mixed_norm(good_u, "Linf", WeightSpec(p)),
+        "good_linfl2": n["good_linfl2"],
         "ang_linfl2": 0.0,
-        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
-        "good_l2l2": mixed_norm(good_u, "L2", WeightSpec(a)),
+        "invhalf_linfl2": n["invhalf_linfl2"],
+        "good_l2l2": n["good_l2l2"],
         "ang_l2l2": 0.0,
-        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
+        "invr_l2l2": n["invr_l2l2"],
         "ghost_supU": _sup_U_slot(u, p),
     }
-    box = box_scalar(u)
-    f_r, f_u, detail = _dyadic_forcing_sums(box, p)
+    f_r, f_u = _forcing_sums(pieces, n)
     rhs_slots = {
-        "data_invhalf": _data_l2(u, WeightSpec(a, 0.5)),
-        "data_good": _data_l2(good_u, WeightSpec(p / 2)),
+        "data_invhalf": n["data_invhalf"],
+        "data_good": n["data_good"],
         "data_ang": 0.0,
         "forcing_R": f_r,
         "forcing_U": f_u,
     }
     rep = EstimateReport("mr", sum(lhs_slots.values()), sum(rhs_slots.values()),
                          family_id, lhs_slots, rhs_slots)
-    rep.rhs_slots.update({f"detail {k}": v for k, v in detail.items()})
+    rep.rhs_slots.update({f"detail {name}": n[name] for name in pieces})
     return rep
 
 
@@ -303,30 +308,42 @@ def check_newle(u: SpaceTimeField, p: float, delta: float,
     faster-decaying weight on (dt-dr)u, faster-decaying weight on the forcing."""
     if not (0 < p < 2):
         raise ValueError(f"p must lie in (0, 2), got {p}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    good_u = derivative(u, GOOD)
-    bad_u = derivative(u, BAD)
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     a = (p - 1) / 2
+    word, good, bad = (0, None), (0, GOOD), (0, BAD)
+    pieces = _forcing_pieces(u.grid, p)
+    n = _stream(u, (word, good, bad, _BOX), {
+        "bad_linfl2": (bad, WeightSpec(-delta / 2), "Linf"),
+        "good_linfl2": (good, WeightSpec(p / 2), "Linf"),
+        "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
+        "bad_l2l2": (bad, WeightSpec(-(1 + delta) / 2), "L2"),
+        "good_l2l2": (good, WeightSpec(a), "L2"),
+        "invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
+        "data_bad": (bad, WeightSpec(-delta / 2), "data"),
+        "data_good": (good, WeightSpec(p / 2), "data"),
+        "data_invr": (word, WeightSpec(p / 2, 1.0), "data"),
+        "forcing_weighted": (_BOX, WeightSpec((1 - delta) / 2), "L2"),
+        **pieces,
+    })
     lhs_slots = {
-        "bad_linfl2": mixed_norm(bad_u, "Linf", WeightSpec(-delta / 2)),
-        "good_linfl2": mixed_norm(good_u, "Linf", WeightSpec(p / 2)),
+        "bad_linfl2": n["bad_linfl2"],
+        "good_linfl2": n["good_linfl2"],
         "ang_linfl2": 0.0,
-        "invhalf_linfl2": mixed_norm(u, "Linf", WeightSpec(a, 0.5)),
-        "bad_l2l2": mixed_norm(bad_u, "L2", WeightSpec(-(1 + delta) / 2)),
-        "good_l2l2": mixed_norm(good_u, "L2", WeightSpec(a)),
+        "invhalf_linfl2": n["invhalf_linfl2"],
+        "bad_l2l2": n["bad_l2l2"],
+        "good_l2l2": n["good_l2l2"],
         "ang_l2l2": 0.0,
-        "invr_l2l2": mixed_norm(u, "L2", WeightSpec(a, 1.0)),
+        "invr_l2l2": n["invr_l2l2"],
         "ghost_supU": _sup_U_slot(u, p),
     }
-    box = box_scalar(u)
-    f_r, f_u, _ = _dyadic_forcing_sums(box, p)
+    f_r, f_u = _forcing_sums(pieces, n)
     rhs_slots = {
-        "data_bad": _data_l2(bad_u, WeightSpec(-delta / 2)),
-        "data_good": _data_l2(good_u, WeightSpec(p / 2)),
+        "data_bad": n["data_bad"],
+        "data_good": n["data_good"],
         "data_ang": 0.0,
-        "data_invr": _data_l2(u, WeightSpec(p / 2, 1.0)),
-        "forcing_weighted": mixed_norm(box, "L2", WeightSpec((1 - delta) / 2)),
+        "data_invr": n["data_invr"],
+        "forcing_weighted": n["forcing_weighted"],
         "forcing_R": f_r,
         "forcing_U": f_u,
     }

@@ -25,9 +25,9 @@ rows meet are the edge columns, which are set afterwards.
 
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
 of the grid, in the window's shape and equal to the whole-grid sums on every
-cell, for every caller (the M/A functionals, ``le1_norm``, the
-Klainerman-Sobolev checks).  It widens its walk by the halo its keys need
-(``_walk``) and stops it at the field's light cone (``_cut``).
+cell, for every caller (the M/A functionals, ``le1_norm``, the ratio and
+Klainerman-Sobolev checks of ``estimates``).  It widens its walk by the halo
+its keys need (``_walk``) and stops it at the field's light cone (``_cut``).
 """
 
 from __future__ import annotations
@@ -175,7 +175,9 @@ class SpaceTimeField:
     @classmethod
     def from_function(cls, grid: GridSpec, fn: Callable, parity: str | None = None) -> "SpaceTimeField":
         t, r = grid.meshes()
-        vals = np.broadcast_to(fn(t, r), grid.shape()).astype(np.float64).copy()
+        # one copy: writable, C-ordered and owning its data
+        vals = np.array(np.broadcast_to(fn(t, r), grid.shape()), dtype=np.float64,
+                        order="C")
         return cls(grid, vals, parity)
 
     @classmethod
@@ -415,10 +417,12 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     equal to the whole-grid sums on every cell.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
-    (|dt + dr|), "quot" (|.| / r), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2"
-    (dt^2 - dr^2), "bad2" ((dt - dr)^2) or "good2" ((dt + dr)^2).  One
-    ``_z_walk`` runs on the window widened by a halo and adds each term, in
-    ``z_words`` order, into the sums; an empty window walks nothing.
+    (|dt + dr|), "quot" (|.| / r), "bad" (|dt - dr|), "good/r"
+    (|r^{-1}(dt + dr)|, on a conjugate field r u the (dt + dr + 1/r) u of
+    ``estimates``), "box" (r^{-1}(dt^2 - dr^2) r), "dtdr2" (dt^2 - dr^2),
+    "bad2" ((dt - dr)^2) or "good2" ((dt + dr)^2).  One ``_z_walk`` runs on
+    the window widened by a halo and adds each term, in ``z_words`` order,
+    into the sums; an empty window walks nothing.
 
     Every stencil reads one cell on each side, so at an edge of the walk that
     is not a grid edge it spoils the edge cell (a one-sided stencil, a parity
@@ -453,9 +457,11 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
         for (n, prefix), total in sums.items():
             if length <= n:
                 total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
-    pad = ((0, 0), (0, chi - cut))  # the zeros past the cut
-    return {key: np.pad(sums.pop(key)[lo - a:hi - a, clo - ca:cut - ca], pad)
-            for key in list(sums)}
+    out = {}
+    for key in list(sums):  # each in the window's shape, +0.0 past the cut
+        out[key] = np.zeros((hi - lo, chi - clo))
+        out[key][:, :cut - clo] = sums.pop(key)[lo - a:hi - a, clo - ca:cut - ca]
+    return out
 
 
 def _cut(f: SpaceTimeField, keys, spans) -> int:
@@ -487,6 +493,10 @@ def _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp) -> np.ndarray:
         return np.abs(np.add(gt, gr, out=tmp), out=tmp)
     if prefix == "quot":
         return np.abs(_over_r(g, r, tmp), out=tmp)
+    if prefix == BAD:
+        return np.abs(np.subtract(gt, gr, out=tmp), out=tmp)
+    if prefix == "good/r":
+        return np.abs(_over_r(np.add(gt, gr, out=tmp), r, tmp), out=tmp)
     if prefix == "box":  # column 0 off the axis is an edge cell (see _word_sums)
         return np.abs(_box_values(g, par, r, ht, hr))
     if prefix == "dtdr2":

@@ -14,12 +14,15 @@ a sharp mask, so both give bit-equal norms on one region.  A region reduction
 reads an array holding a window of the grid (a pair of slices, the whole grid
 by default), in which ``_window_pos`` finds a region's points.
 
-The M and A functionals and ``le1_norm`` stream each field in blocks of
-time rows (``_blocks``): one ``grid._word_sums`` pass per block, reduced
-straight into the per-row sums of every slot, the per-annulus row sums of
-``le_norm`` (``_le_rows``) and the region sups, then once in t, so every value
-equals the whole-grid one bit for bit and no array of the grid's size is
-built.  ``m_and_a_functionals`` reads both functionals off one pass.  The
+The M and A functionals, ``le1_norm`` and the ratio checks of ``estimates``
+stream each field in blocks of time rows (``_blocks``): one
+``grid._word_sums`` pass per block, reduced straight into the per-row sums of
+every slot, the per-annulus row sums of ``le_norm`` (``_le_rows``) and the
+region sups, then once in t, so every value equals the whole-grid one bit for
+bit and no array of the grid's size is built.  ``_stream`` is that pass for
+named slots (mixed, data, region and le1 norms, and one integral),
+``_functionals`` for the M/A functionals and their region sups;
+``m_and_a_functionals`` reads both functionals off one pass.  The
 sums stop at the light cone but come at the full width, +0.0 past the cut:
 ``np.add.reduceat`` blocks its pairwise sum by the row's length, so a row
 sum without its trailing zeros could differ in the last bit.
@@ -32,6 +35,7 @@ R/U/core region, a Klainerman-Sobolev check per window over its plain region.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -79,9 +83,7 @@ def _row_sums(values: np.ndarray, grid, weight: WeightSpec, pos: np.ndarray | No
     positions ``pos`` in ``values``, or all of ``values`` (full rows) when
     ``pos`` is None.  The inverse-r power is folded into the measure, and
     2 - 2b is in {0, 1, 2}, so r = 0 is regular (0^0 = 1)."""
-    w = (FOUR_PI * np.power(bracket(grid.r), 2 * weight.power_r)
-         * np.power(grid.r, 2.0 - 2.0 * weight.power_inv_r)
-         * _trapz_weights(grid.nr, grid.dr))[window[1]]
+    w = _measure(grid, weight)[window[1]]
     lo = _span(window[0], grid.nt)[0]
     if pos is None:
         sq = np.square(values)
@@ -92,6 +94,17 @@ def _row_sums(values: np.ndarray, grid, weight: WeightSpec, pos: np.ndarray | No
     sq *= w.take(cols)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return rows.take(starts) + lo, np.add.reduceat(sq, starts)
+
+
+@functools.lru_cache(maxsize=64)
+def _measure(grid, weight: WeightSpec) -> np.ndarray:
+    """4 pi <r_j>^{2a} r_j^{2-2b} w_j on every column of ``grid``; memoised
+    per grid and weight, read-only, as the blocks of one norm share it."""
+    r = grid.r
+    w = (FOUR_PI * np.power(bracket(r), 2 * weight.power_r)
+         * np.power(r, 2.0 - 2.0 * weight.power_inv_r) * _trapz_weights(grid.nr, grid.dr))
+    w.flags.writeable = False
+    return w
 
 
 def _t_norm(rows: np.ndarray, sums: np.ndarray, grid, outer: str) -> float:
@@ -113,11 +126,6 @@ def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarr
     return np.sqrt(_row_sums(f.values, f.grid, weight)[1])
 
 
-def _data_l2(f: SpaceTimeField, weight: WeightSpec) -> float:
-    """Row 0 of ``spatial_l2`` (the data norm), reducing only that row."""
-    return float(np.sqrt(_row_sums(f.values[:1], f.grid, weight)[1][0]))
-
-
 def mixed_norm(f: SpaceTimeField, outer: str, weight: WeightSpec = WeightSpec()) -> float:
     """||w f||_{L^outer_t L^2_x} over the whole grid, ``outer`` "L2" or "Linf"."""
     if outer not in ("L2", "Linf"):
@@ -131,13 +139,6 @@ def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> floa
     if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("region_l2l2 takes a sharp mask: every value 0 or 1")
     return _norm(f.values, f.grid, "L2", weight, np.flatnonzero(mask))
-
-
-def _interval_l2(values: np.ndarray, grid, weight: WeightSpec, region: DyadicRegion,
-                 window=_GRID) -> float:
-    """L2L2 norm on a sharp region of ``values`` holding the cells ``window``."""
-    return _norm(values, grid, "L2", weight, _window_pos(_intervals(region, grid), grid, window),
-                 window)
 
 
 def _window_pos(intervals, grid, window) -> np.ndarray:
@@ -192,10 +193,57 @@ def _le1_rows(sums: dict, n: int, grid, annuli: list, window) -> list:
 def le1_norm(f: SpaceTimeField) -> float:
     """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
     streamed in blocks of rows as the u_le1 slot of the functionals."""
-    keys, annuli = ((0, DT), (0, DR), (0, "quot")), _annuli(f.grid)
-    return _le_reduce([_le1_rows(_word_sums(f, keys, w), 0, f.grid, annuli, w)
-                       for w in ((slice(lo, hi), slice(None)) for lo, hi in _blocks(f.grid.nt))],
-                      f.grid)
+    return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (None, None, "LE")})["le1"]
+
+
+def _stream(f: SpaceTimeField, keys: tuple, slots: dict) -> dict:
+    """The value of every slot of ``slots`` (name -> (term, weight, where)) on
+    ``f``, from one ``grid._word_sums`` pass of ``keys`` per block of rows
+    (``_blocks``): each block reduces straight into per-row sums, then
+    each slot once in t, so every value equals the whole-grid one bit for bit
+    and no array of the grid's size is built.
+
+    ``term`` is a key of ``keys`` or a function of a block's sums.  ``where``
+    is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
+    (its row 0), a region (its L2L2 norm on the region's points), "LE"
+    (``le1_norm``, from the (0, dt), (0, dr) and (0, quot) sums) or
+    "dx dt" (the integral over 4 pi r^2 dr dt: row sums, then the trapezoid
+    in t)."""
+    grid = f.grid
+    points = {name: _intervals(where, grid) for name, (*_, where) in slots.items()
+              if isinstance(where, DyadicRegion)}
+    annuli, measure = _annuli(grid), _measure(grid, WeightSpec())
+    parts = {name: [] for name in slots}
+    for lo, hi in _blocks(grid.nt):
+        window = (slice(lo, hi), slice(None))
+        sums = _word_sums(f, keys, window)
+        for name, (term, weight, where) in slots.items():
+            if where == "data" and lo > 0:
+                continue
+            values = term(sums) if callable(term) else sums.get(term)
+            if where == "LE":
+                parts[name].append(_le1_rows(sums, 0, grid, annuli, window))
+            elif where == "dx dt":
+                parts[name].append((np.arange(lo, hi), np.sum(values * measure, axis=1)))
+            elif where == "data":
+                parts[name].append(_row_sums(values[:1], grid, weight))
+            else:
+                pos = _window_pos(points[name], grid, window) if name in points else None
+                parts[name].append(_row_sums(values, grid, weight, pos, window))
+        sums = values = None  # freed before the next block's pass
+    out = {}
+    for name, (_, _, where) in slots.items():
+        if where == "LE":
+            out[name] = _le_reduce(parts[name], grid)
+            continue
+        rows, sums = (np.concatenate(x) for x in zip(*parts[name]))
+        if where == "data":
+            out[name] = float(np.sqrt(sums[0]))
+        elif where == "dx dt":
+            out[name] = float(sums @ _trapz_weights(grid.nt, grid.dt))
+        else:
+            out[name] = _t_norm(rows, sums, grid, "Linf" if where == "Linf" else "L2")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +267,9 @@ def _region_rows(grid) -> list:
             for s in dyadic_scales(tau // 2)]
 
 
-# the M/A functionals and ``le1_norm`` walk the grid, the Picard driver builds
-# its sources, and the Klainerman-Sobolev checks of ``estimates`` walk a U
-# strip, in blocks of this many rows or more
+# the M/A functionals, ``le1_norm`` and the ratio checks of ``estimates`` walk
+# the grid, the Picard driver builds its sources, and the Klainerman-Sobolev
+# checks walk a U strip, in blocks of this many rows or more
 _BLOCK_ROWS = 64
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)

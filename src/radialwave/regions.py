@@ -50,16 +50,16 @@ def is_dyadic(x) -> bool:
 
 def sigma_U(z, U: float):
     """Ghost-weight profile z / (U + |z|); odd, strictly increasing, |.| < 1."""
-    if U < 1:
-        raise ValueError("U must be >= 1")
+    if not U >= 1:  # refuses NaN too
+        raise ValueError(f"U must be >= 1, got {U}")
     z = np.asarray(z, dtype=float)
     return z / (U + np.abs(z))
 
 
 def sigma_U_prime(z, U: float):
     """d/dz of sigma_U: U / (U + |z|)^2 > 0."""
-    if U < 1:
-        raise ValueError("U must be >= 1")
+    if not U >= 1:  # refuses NaN too
+        raise ValueError(f"U must be >= 1, got {U}")
     z = np.asarray(z, dtype=float)
     return U / np.square(U + np.abs(z))
 

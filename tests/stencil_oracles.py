@@ -79,7 +79,8 @@ def layouts(draw):
     return base[0::2], out[1::2]
 
 
-WORD_PREFIXES = (None, "dt", "dr", "d", "good", "quot", "box", "dtdr2", "bad2", "good2")
+WORD_PREFIXES = (None, "dt", "dr", "d", "good", "quot", "bad", "good/r", "box", "dtdr2", "bad2",
+                 "good2")
 
 
 def _prefix_term(g: SpaceTimeField, prefix) -> np.ndarray:
@@ -87,8 +88,10 @@ def _prefix_term(g: SpaceTimeField, prefix) -> np.ndarray:
     grid = g.grid
     if prefix is None:
         return np.abs(g.values)
-    if prefix in ("dt", "dr", "good"):
+    if prefix in ("dt", "dr", "good", "bad"):
         return np.abs(derivative(g, prefix).values)
+    if prefix == "good/r":
+        return np.abs(quotient_by_r(derivative(g, "good")).values)
     if prefix == "d":
         return np.abs(derivative(g, "dt").values) + np.abs(derivative(g, "dr").values)
     if prefix == "quot":

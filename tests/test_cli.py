@@ -307,6 +307,24 @@ class TestBadInput:
         rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "8", *flags])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("estimates", "--delta", "nan"), ("identities", "--delta", "nan"),
+        ("identities", "--ghost-U", "nan"), ("identities", "--tol", "nan"),
+        ("estimates", "--delta", "inf"), ("estimates", "--delta", "0"),
+        ("estimates", "--p", "nan"), ("identities", "--p", "nan"),
+        ("identities", "--ghost-U", "inf"), ("identities", "--ghost-U", "0.5"),
+        ("identities", "--tol", "inf"), ("identities", "--tol", "0")])
+    def test_ratio_parameters_fail_before_the_first_field(self, tmp_path, capsys, monkeypatch,
+                                                          command, flag, value):
+        # a NaN delta, ghost-U or tol used to run every check and exit 2
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built with invalid parameters")
+
+        monkeypatch.setattr(registry, "ANALYTIC_FAMILIES", {"no_field": no_field})
+        rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "8", flag, value])
+        assert rc == 1
+        assert f"{flag} must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
     def test_non_finite_grid_value(self, tmp_path, capsys, flag):
         command = "identities" if flag == "--cfl" else "solve"  # solve takes no --cfl

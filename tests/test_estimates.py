@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 
@@ -7,8 +8,9 @@ import pytest
 import radialwave as rw
 from radialwave import estimates, registry
 from radialwave import grid as grid_module
-from radialwave.norms import WeightSpec, region_l2l2, spatial_l2
+from radialwave.norms import WeightSpec, le1_norm, region_l2l2, spatial_l2
 from radialwave.regions import DyadicRegion, _intervals
+import estimate_oracles
 from region_oracles import realize_mask, region_supsup
 from radialwave.grid import _word_sums
 from stencil_oracles import _diff2, word_sums_ref
@@ -130,7 +132,8 @@ class TestRatioChecks:
             return float(spatial_l2(f, weight)[0])
 
         assert estimates.check_hardy(u, p).rhs_slots["data"] == row0(u, WeightSpec(a, 0.5))
-        du = estimates._du_magnitude(u)
+        du = rw.SpaceTimeField(g, np.sqrt(np.square(rw.derivative(u, rw.DT).values)
+                                          + np.square(rw.derivative(u, rw.DR).values)))
         assert estimates.check_le(u).rhs_slots["data_sq"] == row0(du, WeightSpec()) ** 2
         mr = estimates.check_mr(u, p).rhs_slots
         assert mr["data_invhalf"] == row0(u, WeightSpec(a, 0.5))
@@ -139,6 +142,71 @@ class TestRatioChecks:
         assert newle["data_bad"] == row0(bad_u, WeightSpec(-delta / 2))
         assert newle["data_good"] == row0(good_u, WeightSpec(p / 2))
         assert newle["data_invr"] == row0(u, WeightSpec(p / 2, 1.0))
+
+
+def _ratio_checks(module, p=0.75, delta=0.2):
+    """The four ratio checks of ``module`` (``estimates`` or the oracle) by name."""
+    return {"hardy": lambda u: module.check_hardy(u, p), "le": module.check_le,
+            "mr": lambda u: module.check_mr(u, p),
+            "newle": lambda u: module.check_newle(u, p, delta)}
+
+
+class TestStreamedRatioChecks:
+    """The four ratio checks stream blocks of rows through ``grid._word_sums``;
+    the whole-grid copies in ``estimate_oracles`` are their oracle."""
+
+    @pytest.mark.parametrize("dr", [1 / 16, 1 / 32])
+    @pytest.mark.parametrize("family", list(registry.ANALYTIC_FAMILIES) + ["no parity"])
+    def test_every_slot_equals_the_whole_grid_oracle(self, dr, family):
+        g = rw.GridSpec(dr=dr, cfl=1.0, r_max=22.0, t_max=18.0)
+        if family == "no parity":  # the one-sided stencil at r = 0
+            cases = [rw.SpaceTimeField(g, registry.expanding_bump(g).values, None)]
+        else:
+            base = registry.build(family, g).values
+            cases = [rw.SpaceTimeField(g, factor * base, "even") for factor in (0.1, 1.0, 3.7)]
+        streamed, oracle = _ratio_checks(estimates), _ratio_checks(estimate_oracles)
+        for u in cases:
+            for name in streamed:
+                got, want = streamed[name](u), oracle[name](u)
+                assert list(got.lhs_slots) == list(want.lhs_slots), name
+                assert list(got.rhs_slots) == list(want.rhs_slots), name
+                slots = {**got.lhs_slots, **got.rhs_slots}
+                for key, value in {**want.lhs_slots, **want.rhs_slots}.items():
+                    if (name, key) == ("le", "forcing"):  # row sums first, then t
+                        assert abs(slots[key] - value) <= 1e-15 * abs(value)
+                    else:
+                        assert repr(slots[key]) == repr(value), (name, key)
+                if name != "le":
+                    assert (repr(got.lhs), repr(got.rhs)) == (repr(want.lhs), repr(want.rhs))
+
+    @pytest.mark.parametrize("name", ["hardy", "le", "mr", "newle"])
+    def test_peak_allocation(self, name):
+        # the whole-grid checks peaked at 4.0 (hardy), 5.0 (le, mr) and 6.0
+        # (newle) arrays of the grid's size; streamed, at 1.35 (le) and 1.6,
+        # the conjugate field r u being the one whole-grid array, and at
+        # 1.7-1.9 with a block's sums kept alive through the next block's pass
+        g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
+        u = registry.build("traveling_sym", g)
+        check = _ratio_checks(estimates)[name]
+        tracemalloc.start()
+        try:
+            check(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * u.values.nbytes
+
+    def test_non_finite_delta_and_U_are_refused(self):
+        u = registry.standing_bump(grid(dr=1 / 8))
+        with pytest.raises(ValueError, match="delta"):
+            estimates.check_newle(u, 0.75, float("nan"))
+        with pytest.raises(ValueError, match="delta"):
+            estimates.check_identity_minus(u, float("nan"))
+        with pytest.raises(ValueError, match="U must be >= 1"):
+            estimates.check_identity_plus(u, 0.75, float("nan"))
+        for fn in (rw.sigma_U, rw.sigma_U_prime):
+            with pytest.raises(ValueError, match="U must be >= 1"):
+                fn(0.0, float("nan"))
 
 
 class TestPointwiseChecks:
@@ -423,8 +491,9 @@ class TestKSWordPass:
 
 
 class TestLightConeCut:
-    """``le1_norm`` and the Klainerman-Sobolev checks with the word sums cut at
-    the field's light cone (``grid._cut``) against the full-width walk."""
+    """``le1_norm``, the ratio checks and the Klainerman-Sobolev checks with
+    the word sums cut at the field's light cone (``grid._cut``) against the
+    full-width walk."""
 
     @staticmethod
     def run(monkeypatch, fn, cut):
@@ -452,9 +521,11 @@ class TestLightConeCut:
             for support in (r <= t + 2, r <= 1.5, r <= t - 3):
                 u = rw.SpaceTimeField(g, registry.build(family, g).values * support, "even")
                 checks = {
-                    "le1": lambda: estimates.le1_norm(u),
+                    "le1": lambda: le1_norm(u),
                     "ks": lambda: estimates.check_spacetime_ks(u, 8, kind, scale),
                     "d2ks": lambda: estimates.check_second_derivative_ks(u, 8, kind, scale),
+                    **{name: functools.partial(check, u)
+                       for name, check in _ratio_checks(estimates).items()},
                 }
                 for name, fn in checks.items():
                     (cut, cut_cells), (full, full_cells) = (self.run(monkeypatch, fn, c)

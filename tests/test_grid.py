@@ -54,6 +54,25 @@ class TestGridSpec:
 
 
 class TestField:
+    @pytest.mark.parametrize("fn", [lambda t, r: np.cos(t) * r,  # an array of the grid's size
+                                    lambda t, r: np.exp(-r),      # one row, broadcast
+                                    lambda t, r: 2.5])            # a scalar, broadcast
+    def test_from_function_copies_once(self, fn):
+        # fn's result plus one array; the parent's astype and copy of a
+        # broadcast result made two
+        g = small_grid(dr=1 / 32, r_max=64.0, t_max=16.0)
+        t, r = g.meshes()
+        result_bytes = np.asarray(fn(t, r)).nbytes
+        tracemalloc.start()
+        try:
+            f = rw.SpaceTimeField.from_function(g, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < result_bytes + 1.1 * f.values.nbytes
+        assert f.values.flags.writeable and f.values.flags.owndata and f.values.flags.c_contiguous
+        assert np.array_equal(f.values, np.broadcast_to(fn(t, r), g.shape()))
+
     def test_odd_field_must_vanish_on_axis(self):
         g = small_grid()
         vals = np.ones(g.shape())

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
 import region_oracles as oracle
-from radialwave import norms, regions
+from estimate_oracles import interval_l2
+from radialwave import regions
 from radialwave.regions import (
     DyadicRegion, bracket, dyadic_scales, enumerate_regions, realize_mask, sigma_U,
     sigma_U_prime, slab_mask,
@@ -163,7 +164,7 @@ def test_intervals_render_the_dense_masks(g):
             want = oracle.realize_mask(reg, g).weights
             assert np.array_equal(realize_mask(reg, g).weights, want), reg
             # the dense mask and the intervals reduce the same points
-            l2 = norms._interval_l2(f.values, g, weight, reg)
+            l2 = interval_l2(f.values, g, weight, reg)
             assert rw.region_l2l2(f, weight, want) == l2, reg
     for kind in ("R", "U", "annulus", "strip"):
         assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
