@@ -9,9 +9,10 @@ d'Alembertian becomes the 1-D wave operator:
 ``solve`` steps the semilinear or the homogeneous system with classical RK4
 on the first-order system (W, dt W); r = 0 is handled by odd reflection; the
 outer boundary is never reached by the support cone.  Its Courant number is a
-constant of the method, 1/2: STEPS_PER_ROW = 2 steps of dt = dr/2 per history
-row.  The history lies on the given grid at dt = dr, whatever cfl the grid was
-given with (``SolveConfig``); the diagnostics are taken at every step.
+constant of the method, 1 (RK4 reaches 2 sqrt(2) on the imaginary axis; the
+centred second difference needs 2): one step of dt = dr per history row, the
+state and the diagnostics on every row of the given grid at dt = dr, whatever
+cfl the grid was given with (``SolveConfig``).
 ``solve_linear_forced``, the fixed-point driver's linear solve with a source F
 sampled on a grid with dt = dr, takes the characteristic (leapfrog, Courant
 number 1) step
@@ -64,7 +65,6 @@ from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
-STEPS_PER_ROW = 2  # RK4 steps of dt = dr / 2 per history row (module docstring)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -167,7 +167,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in ("semilinear", "homogeneous"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        self.grid = replace(self.grid, cfl=1.0)  # the history's dt = dr, whatever cfl was given
+        self.grid = replace(self.grid, cfl=1.0)  # RK4's dt = dr, whatever cfl was given
 
 
 @dataclass
@@ -236,11 +236,10 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
-    """Evolve the system and record the conjugate state every STEPS_PER_ROW steps."""
+    """Evolve the system one RK4 step of dt = dr per history row, recording each row."""
     grid = config.grid
     r, dr, nr = grid.r, grid.dr, grid.nr
-    dt = dr / STEPS_PER_ROW
-    nsteps = STEPS_PER_ROW * (grid.nt - 1)
+    dt = grid.dt  # = dr, so the diagnostics' t is grid.t bit for bit
     semilinear = config.mode == "semilinear"
     rr = np.repeat(r, 2)  # the radius of each entry of an interleaved run
 
@@ -254,10 +253,8 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         frames = np.zeros((4, grid.nt, nr))
         by_field = frames.reshape(2, 2, grid.nt, nr)  # (field, W | dt W, row, column)
         by_field[:, :, 0] = state[:, :nr].transpose(2, 0, 1)
-    diag_t = np.zeros(nsteps + 1)
-    diag_energy = np.zeros((2, nsteps + 1))
-    diag_sup = np.zeros((2, nsteps + 1))
-    diag_support = np.zeros(nsteps + 1)
+    diag_t, diag_support = np.zeros((2, grid.nt))
+    diag_energy, diag_sup = np.zeros((2, 2, grid.nt))
 
     scale = max(np.max(np.abs(state)), 1e-300)
     cap = _BLOW_CAP * scale
@@ -335,7 +332,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     record_diag(0, 0.0, nr, cols)
 
     top = nr  # the stage's columns from top on are zero
-    for n in range(nsteps):
+    for n in range(grid.nt - 1):
         J = min(nr, last + 1 + GUARD)
         if J < top:
             stage[:, J:top] = 0.0
@@ -367,12 +364,12 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
             raise BlowUpSuspected(tn)
         last = _last_true(cols != 0)
         record_diag(n + 1, tn, J, cols)
-        if config.store_history and (n + 1) % STEPS_PER_ROW == 0:
-            by_field[:, :, (n + 1) // STEPS_PER_ROW] = state[:, :nr].transpose(2, 0, 1)
-        # the centered stencil sheds a dispersive precursor ahead of the
-        # true front; at the 1e-6 level its width grows like ~0.3 units per
-        # doubling of t (measured), so the finite-speed check allows a
-        # logarithmic-in-t margin on top of a 32-cell base
+        if config.store_history:
+            by_field[:, :, n + 1] = state[:, :nr].transpose(2, 0, 1)
+        # the centered stencil sheds a dispersive precursor ahead of the true
+        # front; at the 1e-6 level and dt = dr its width grows 0.1-0.5 units per
+        # doubling of t, to 1.8 (dr 1/32) and 2.3 (dr 1/16) by t = 256 (measured),
+        # so the finite-speed check allows a log-in-t margin over a 32-cell base
         margin = 0.5 * np.log2(2.0 + tn) + 32 * dr
         if diag_support[n + 1] > tn + data.support_radius + margin:
             raise RuntimeError(

@@ -64,6 +64,15 @@ class TestHomogeneousSolve:
         # RK4 is not symplectic; a slow O(dt^4)-per-step drift accumulates
         assert np.max(np.abs(e - e[0])) <= 5e-3 * e[0]
 
+    def test_energy_conserved_long_horizon(self):
+        # RK4 at dt = dr damps grid-scale modes: the drift at T = 64 is about
+        # -1.1e-3 here, and larger on coarser grids (README)
+        g = grid(dr=1 / 32, t_max=64.0)
+        hist = rw.solve(standard_data(), SolveConfig(grid=g, mode="homogeneous",
+                                                     store_history=False))
+        e = hist.diagnostics["energy_u"]
+        assert abs(e[-1] - e[0]) <= 2e-3 * e[0]
+
     def test_finite_speed_diagnostic(self):
         g = grid(dr=1 / 16, t_max=8.0)
         hist = rw.solve(standard_data(), SolveConfig(grid=g, mode="homogeneous"))
@@ -88,6 +97,15 @@ class TestSemilinear:
         diff = np.max(np.abs(non.W_u.values - lin.W_u.values))
         # the first correction is quadratic in the data size
         assert diff <= 10 * 0.01 * scale
+
+    def test_finite_speed_margin_on_the_cli_grid(self):
+        # solve's default CLI grid: the precursor stays at least 1 unit inside
+        # the margin that solve's finite-speed check allows (1.53 measured)
+        g = grid(dr=1 / 32, t_max=16.0)
+        data = rw.calibrate(standard_data(), g, N=2, eps=0.01)
+        d = rw.solve(data, SolveConfig(grid=g, store_history=False)).diagnostics
+        margin = 0.5 * np.log2(2.0 + d["t"]) + 32 * g.dr
+        assert np.all(d["support_radius"] <= d["t"] + 2 + margin - 1)
 
     def test_blow_up_detected(self):
         # large data: the semilinear solution stops being finite near t = 0.97
@@ -114,9 +132,9 @@ class TestSemilinear:
             assert 0 < np.max(np.abs(field.values)) < 1e3 * size
 
     def test_cfl_refused(self):
-        # RK4 refuses no cfl (it steps at dr / 2 whatever the grid's); the cfl
-        # still refused is a source off dt = dr, and a semilinear history's
-        # fields, on the grid at cfl 1, never are that
+        # RK4 refuses no cfl (it steps at dt = dr whatever the grid's); the
+        # cfl still refused is a source off dt = dr, and a semilinear
+        # history's fields, on the grid at cfl 1, never are that
         g = grid(t_max=2.0, cfl=0.5)
         hist = rw.solve(standard_data(amplitude=0.01), SolveConfig(grid=g))
         assert hist.grid.cfl == 1.0
@@ -186,12 +204,14 @@ class TestConfig:
             SolveConfig(grid=g, mode="linear_forced")
 
     def test_default_stride_gives_unit_history_ratio(self):
-        # STEPS_PER_ROW RK4 steps of dt = dr / 2 per history row of dt = dr
+        # one RK4 step of dt = dr per history row of dt = dr
         g = grid(cfl=0.5)
         hg = SolveConfig(grid=g).grid
-        assert rw.solver.STEPS_PER_ROW == 2
         assert hg.dt == hg.dr
-        assert g.nt - 1 == rw.solver.STEPS_PER_ROW * (hg.nt - 1)
+        hist = rw.solve(standard_data(), SolveConfig(grid=g, store_history=False))
+        t = hist.diagnostics["t"]
+        assert len(t) - 1 == hg.nt - 1 == (g.nt - 1) // 2
+        assert np.all(np.diff(t) == hg.dr)
 
     def test_bad_stride_rejected(self):
         # 33 steps at cfl 0.5 are 16.5 history rows: t_max is not a whole
@@ -202,8 +222,8 @@ class TestConfig:
             SolveConfig(grid=g)
 
     def test_history_on_the_given_grid_whatever_the_cfl(self):
-        # RK4 steps at dt = dr / 2 whatever cfl the grid is given with: the
-        # history lies on the grid at dt = dr, the diagnostics on the steps
+        # RK4 steps at dt = dr whatever cfl the grid is given with: the
+        # history and the diagnostics lie on the rows of the grid at dt = dr
         g = grid(t_max=2.0, cfl=1.0)
         data = rw.calibrate(standard_data(), g, N=2, eps=0.02)
         runs = [rw.solve(data, SolveConfig(grid=dataclasses.replace(g, cfl=cfl)))
@@ -216,8 +236,8 @@ class TestConfig:
             assert hist.diagnostics.keys() == runs[0].diagnostics.keys()
             for key, vals in hist.diagnostics.items():
                 assert vals.tobytes() == runs[0].diagnostics[key].tobytes(), key
-        assert runs[0].diagnostics["t"][1] == g.dr / 2
-        assert len(runs[0].diagnostics["t"]) == 2 * (g.nt - 1) + 1
+        assert runs[0].diagnostics["t"].tobytes() == g.t.tobytes()
+        assert len(runs[0].diagnostics["t"]) == g.nt
 
     def test_history_roundtrip(self, tmp_path):
         g = grid(t_max=2.0)
@@ -290,7 +310,8 @@ class TestConfig:
         hist = rw.solve(standard_data(), SolveConfig(grid=g, mode="homogeneous",
                                                      store_history=False))
         assert np.all(hist.W_u.values == 0)
-        assert len(hist.diagnostics["t"]) == g.nt
+        assert hist.diagnostics["t"].tobytes() == hist.grid.t.tobytes()
+        assert len(hist.diagnostics["t"]) == hist.grid.nt
 
 
 class TestDeterminism:
@@ -349,8 +370,8 @@ def _reference_solve(data, config):
     columns, with fresh arrays throughout (test oracle only)."""
     grid = config.grid
     r, dr = grid.r, grid.dr
-    dt = dr / 2  # two steps per history row
-    nsteps = 2 * (grid.nt - 1)
+    dt = dr  # one step per history row
+    nsteps = grid.nt - 1
     semilinear = config.mode == "semilinear"
     amp = data.amplitude
     state = np.stack([r * amp * np.asarray(fn(r), dtype=float)
@@ -402,13 +423,12 @@ def _reference_solve(data, config):
         k4 = rhs(state + dt * k3)
         state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         record(n + 1, (n + 1) * dt, state)
-        if (n + 1) % 2 == 0:
-            frames[:, (n + 1) // 2] = state
+        frames[:, n + 1] = state
     return frames, diags
 
 
 WINDOW_GRIDS = {
-    "reaches r_max": grid(dr=1 / 16, t_max=6.0),  # every column from step ~60 of 192
+    "reaches r_max": grid(dr=1 / 16, t_max=6.0),  # every column from step 64 of 96
     "zero data": grid(dr=1 / 16, t_max=6.0),
     "t_max odd in dr": grid(dr=1 / 16, t_max=49 / 16),  # 49 history rows past row 0
     "never reaches r_max": rw.GridSpec(dr=1 / 16, cfl=0.5, r_max=16.0, t_max=3.0),
@@ -431,13 +451,14 @@ def test_window_equals_full_width_loop(mode, case):
     last = [np.flatnonzero(np.any(frames[:, n] != 0, axis=0))[-1]
             for n in range(frames.shape[1])] if np.any(frames) else []
     if case == "reaches r_max":
-        # the window starts narrow and the last column is reached before t_max
+        # the window starts narrow and the last column is reached before t_max:
+        # the exact zeros recede 2 columns per step, so by row 64 of 96
         assert last[0] + 1 + rw.solver.GUARD < g.nr
-        assert last[frames.shape[1] // 2] == g.nr - 1
+        assert last[3 * (frames.shape[1] - 1) // 4] == g.nr - 1
     if case == "zero data":
         assert not np.any(frames)
     if case == "t_max odd in dr":
         assert hist.grid.nt == frames.shape[1] == 50
-        assert len(diags["t"]) == 99
+        assert len(diags["t"]) == 50
     if case == "never reaches r_max":
         assert max(last) + 1 + rw.solver.GUARD < g.nr
