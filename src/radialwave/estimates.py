@@ -5,32 +5,30 @@ second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
 family of test fields.  No claim about optimal constants is ever made.
 
-The four ratio checks (``check_hardy``, ``check_le``, ``check_mr``,
-``check_newle``) stream like the M/A functionals: ``norms._stream`` walks a
-field once per block of rows with ``grid._word_sums``, asking only for the
-sums its slots read, reduces each block into per-row sums (whole rows, row 0,
-a region's points, ``norms._le1_rows``) and then each slot once in t, so every
-norm equals the whole-grid one bit for bit.  The one array of the grid's size
-a check builds is the conjugate field r u, whose pass gives the (dt + dr +
-1/r) u of Hardy's good slot and of the ghost slot.  ``check_le``'s forcing,
-an integral, is reduced in the norms' order too (row sums, then t), so it may
-differ from a t-first quadrature in the last bit.
+Every estimate check but the identities reduces through ``norms._stream``,
+the one streaming reducer of the M/A functionals: one ``grid._word_sums``
+pass per window of the grid, asking only for the sums its slots read, each
+window reduced into per-row sums (whole rows, row 0, a region's points, the
+annuli of the local energy norm) and region sups, then each slot once in t,
+so every norm equals the whole-grid one bit for bit.  The four ratio checks
+(``check_hardy``, ``check_le``, ``check_mr``, ``check_newle``) walk the
+functionals' blocks of full time rows.  The one array of the grid's size a
+ratio check builds is the conjugate field r u, whose pass gives the (dt + dr
++ 1/r) u of Hardy's good slot and of the ghost slot.  ``check_le``'s
+forcing, an integral, is reduced in the norms' order too (row sums, then t),
+so it may differ from a t-first quadrature in the last bit.
 
 Regions are read as per-row intervals, and no check builds a dense mask:
 every region sup and region L2 norm (the dyadic forcing stacks, the strips of
-the ghost slot, the Klainerman-Sobolev masses) reads only its region's points
-(``norms._region_sups``, ``norms._window_pos``).  A Klainerman-Sobolev check
-takes its sup over the plain region's points and reads its Z-word sums only
-on the enlarged region ``tilde``.  It walks tilde in the blocks of time rows
-of the M/A functionals (``norms._blocks``), one ``grid._word_sums`` pass on
-the bounding box of each block's intervals, where the region reductions read
-the sums in place (``_ks_pass``).  A U strip runs along the light cone, so
-its blocks' boxes hold a fraction of the cells of its one bounding box; an R
-piece is a rectangle and keeps that one box.  ``_ks_windows`` counts the
-cells each choice walks with the span rule of ``_word_sums`` itself
-(``grid._walk``), which also owns the light-cone cut.  The row sums of all
-blocks are reduced once in t, so every mass and sup equals that of a single
-pass bit for bit.
+the ghost slot, the Klainerman-Sobolev masses) reads only its region's
+points.  A Klainerman-Sobolev check is one ``_stream`` call (``_ks_pass``): a
+sup slot over the plain region and a mass slot per word sum on the enlarged
+region tilde, on the windows of ``_ks_windows``, the bounding box of each
+block of tilde's rows (``norms._blocks``).  A U strip runs along the light
+cone, so its blocks' boxes hold a fraction of the cells of its one bounding
+box; an R piece is a rectangle and keeps that one box.  ``_ks_windows``
+counts the cells each choice walks with the span rule of ``_word_sums``
+itself (``grid._walk``), which also owns the light-cone cut.
 """
 
 from __future__ import annotations
@@ -42,12 +40,9 @@ import numpy as np
 
 from .grid import (
     _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
-    _require_size, _trapz_weights, _walk, _wave2, _word_sums, box_conjugate, derivative,
+    _require_size, _trapz_weights, _walk, _wave2, box_conjugate, derivative,
 )
-from .norms import (
-    FOUR_PI, WeightSpec, _blocks, _region_intervals, _region_sups, _row_sums, _stream,
-    _t_norm, _window_pos,
-)
+from .norms import FOUR_PI, WeightSpec, _blocks, _stream
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
     sigma_U, sigma_U_prime,
@@ -209,7 +204,7 @@ def _du(sums: dict) -> np.ndarray:
 def check_le(u: SpaceTimeField, family_id: str = "") -> EstimateReport:
     """Integrated local energy estimate, squared form."""
     n = _stream(u, ((0, DT), (0, DR), (0, "quot"), _BOX), {
-        "le1": (None, None, "LE"),
+        "le1": (0, None, "LE"),
         "du_linfl2": (_du, WeightSpec(), "Linf"),
         "data": (_du, WeightSpec(), "data"),
         "forcing": (lambda s: s[_BOX] * (_du(s) + s[0, "quot"]), None, "dx dt"),
@@ -421,26 +416,15 @@ def _ks_windows(tilde, keys, shape) -> list[tuple[slice, slice]]:
 
 
 def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
-    """(sup, masses) of a Klainerman-Sobolev check, from one ``_word_sums`` pass
-    per window of ``_ks_windows``: the max of the word sum ``sup_key`` over
-    the plain region, and the L2L2 mass on the enlarged region of each word
-    sum of ``keys``.  Each window's row sums on tilde's points are
-    concatenated and reduced once in t, so every value equals that of a
-    single whole-grid pass bit for bit."""
-    grid = w.grid
-    tilde, plain = _intervals(region.enlarged(1), grid), _region_intervals([region], grid)
-    sup, parts = 0.0, {key: [] for key in keys}
-    walk = (sup_key,) + keys
-    for window in _ks_windows(tilde, walk, grid.shape()):
-        sums = _word_sums(w, walk, window)
-        # plain lies in tilde, so its points in the window are in the sums
-        sup = max(sup, float(_region_sups(sums[sup_key], plain, 1, grid, window)[0]))
-        pos = _window_pos(tilde, grid, window)
-        for key in keys:
-            parts[key].append(_row_sums(sums[key], grid, WeightSpec(), pos, window))
-    masses = {key: _t_norm(*(np.concatenate(x) for x in zip(*parts[key])), grid, "L2")
-              for key in keys}
-    return sup, masses
+    """(sup, masses) of a Klainerman-Sobolev check, from one ``norms._stream``
+    pass on the windows of ``_ks_windows``: the max of the word sum
+    ``sup_key`` over the plain region, which lies in the enlarged one, and
+    the L2L2 mass on the enlarged region of each word sum of ``keys``."""
+    tilde, walk = region.enlarged(1), (sup_key,) + keys
+    windows = _ks_windows(_intervals(tilde, w.grid), walk, w.grid.shape())
+    masses = _stream(w, walk, {"sup": (sup_key, None, [region]),
+                               **{key: (key, WeightSpec(), tilde) for key in keys}}, windows)
+    return masses.pop("sup")[0], masses
 
 
 def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int,

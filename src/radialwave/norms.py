@@ -14,23 +14,26 @@ a sharp mask, so both give bit-equal norms on one region.  A region reduction
 reads an array holding a window of the grid (a pair of slices, the whole grid
 by default), in which ``_window_pos`` finds a region's points.
 
-The M and A functionals, ``le1_norm`` and the ratio checks of ``estimates``
-stream each field in blocks of time rows (``_blocks``): one
-``grid._word_sums`` pass per block, reduced straight into the per-row sums of
-every slot, the per-annulus row sums of ``le_norm`` (``_le_rows``) and the
-region sups, then once in t, so every value equals the whole-grid one bit for
-bit and no array of the grid's size is built.  ``_stream`` is that pass for
-named slots (mixed, data, region and le1 norms, and one integral),
-``_functionals`` for the M/A functionals and their region sups;
-``m_and_a_functionals`` reads both functionals off one pass.  The
+Every streamed value goes through one reducer, ``_stream``: one
+``grid._word_sums`` pass per window of the grid, asking only for the sums its
+slots read, reduced straight into the per-row sums of every slot (whole rows,
+row 0, a region's points, the per-annulus row sums of ``le_norm`` from
+``_le_rows``) and into region sups, then each slot once in t, so every value
+equals the whole-grid one bit for bit and no array of the grid's size is
+built.  The windows are the blocks of full time rows of ``_blocks`` for the
+M/A functionals (``_functionals``, one ``_stream`` call per field;
+``m_and_a_functionals`` reads both functionals off one pass), ``le1_norm`` and
+the ratio checks of ``estimates``; a Klainerman-Sobolev check passes the
+boxes of its enlarged region that it walks (``estimates._ks_windows``).  The
 sums stop at the light cone but come at the full width, +0.0 past the cut:
 ``np.add.reduceat`` blocks its pairwise sum by the row's length, so a row
 sum without its trailing zeros could differ in the last bit.
 
 ``_region_sups`` is the one region-sup reducer: the max of |values| over
 each of a list of regions' points in a window, from one gather (maxima per
-interval, then per region).  The functionals take it per block over every
-R/U/core region, a Klainerman-Sobolev check per window over its plain region.
+interval, then per region).  ``_stream`` takes it for a slot whose region is
+a list: every R/U/core region per block in the functionals, the plain
+region per window in a Klainerman-Sobolev check.
 """
 
 from __future__ import annotations
@@ -184,45 +187,51 @@ def _le_reduce(blocks: list, grid) -> float:
     return best
 
 
-def _le1_rows(sums: dict, n: int, grid, annuli: list, window) -> list:
-    """``_le_rows`` of the (du, u/r) magnitude of the (n, dt), (n, dr), (n, quot) sums."""
-    dt, dr, quot = (sums[n, key] for key in (DT, DR, "quot"))
-    return _le_rows(np.sqrt(np.square(dt) + np.square(dr) + np.square(quot)), grid, annuli, window)
-
-
 def le1_norm(f: SpaceTimeField) -> float:
     """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
     streamed in blocks of rows as the u_le1 slot of the functionals."""
-    return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (None, None, "LE")})["le1"]
+    return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
 
 
-def _stream(f: SpaceTimeField, keys: tuple, slots: dict) -> dict:
+def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None) -> dict:
     """The value of every slot of ``slots`` (name -> (term, weight, where)) on
-    ``f``, from one ``grid._word_sums`` pass of ``keys`` per block of rows
-    (``_blocks``): each block reduces straight into per-row sums, then
-    each slot once in t, so every value equals the whole-grid one bit for bit
-    and no array of the grid's size is built.
+    ``f``, from one ``grid._word_sums`` pass of ``keys`` per window of
+    ``windows`` (pairs of slices; by default the full rows of each block of
+    ``_blocks``): each window reduces straight into per-row sums and region
+    sups, then each slot once in t, so every value equals the whole-grid one
+    bit for bit and no array of the grid's size is built.
 
-    ``term`` is a key of ``keys`` or a function of a block's sums.  ``where``
+    ``term`` is a key of ``keys`` or a function of a window's sums.  ``where``
     is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
-    (its row 0), a region (its L2L2 norm on the region's points), "LE"
-    (``le1_norm``, from the (0, dt), (0, dr) and (0, quot) sums) or
-    "dx dt" (the integral over 4 pi r^2 dr dt: row sums, then the trapezoid
-    in t)."""
+    (its row 0), a region (its L2L2 norm on the region's points), a list of
+    regions (the max of |term| over each region's points, as a list, from
+    ``_region_sups``), "LE" (``le1_norm`` of the (n, dt), (n, dr) and
+    (n, quot) sums, ``term`` naming n) or "dx dt" (the integral over
+    4 pi r^2 dr dt: row sums, then the trapezoid in t).  The windows take
+    disjoint runs of rows in ascending order, and must hold every point of
+    the slots' regions on their rows; only region slots read a window that
+    is not full rows."""
     grid = f.grid
-    points = {name: _intervals(where, grid) for name, (*_, where) in slots.items()
-              if isinstance(where, DyadicRegion)}
+    if windows is None:
+        windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(grid.nt)]
+    points = {name: _region_intervals(where, grid) if isinstance(where, list)
+              else _intervals(where, grid)
+              for name, (*_, where) in slots.items() if not isinstance(where, str)}
     annuli, measure = _annuli(grid), _measure(grid, WeightSpec())
     parts = {name: [] for name in slots}
-    for lo, hi in _blocks(grid.nt):
-        window = (slice(lo, hi), slice(None))
+    for window in windows:
+        lo, hi = _span(window[0], grid.nt)
         sums = _word_sums(f, keys, window)
         for name, (term, weight, where) in slots.items():
             if where == "data" and lo > 0:
                 continue
-            values = term(sums) if callable(term) else sums.get(term)
-            if where == "LE":
-                parts[name].append(_le1_rows(sums, 0, grid, annuli, window))
+            if where == "LE":  # |(du, u/r)| of the (n, dt), (n, dr) and (n, quot) sums
+                values = np.sqrt(sum(np.square(sums[term, key]) for key in (DT, DR, "quot")))
+                parts[name].append(_le_rows(values, grid, annuli, window))
+                continue
+            values = term(sums) if callable(term) else sums[term]
+            if isinstance(where, list):
+                parts[name].append(_region_sups(values, points[name], len(where), grid, window))
             elif where == "dx dt":
                 parts[name].append((np.arange(lo, hi), np.sum(values * measure, axis=1)))
             elif where == "data":
@@ -230,19 +239,21 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict) -> dict:
             else:
                 pos = _window_pos(points[name], grid, window) if name in points else None
                 parts[name].append(_row_sums(values, grid, weight, pos, window))
-        sums = values = None  # freed before the next block's pass
+        sums = values = None  # freed before the next window's pass
     out = {}
     for name, (_, _, where) in slots.items():
         if where == "LE":
             out[name] = _le_reduce(parts[name], grid)
-            continue
-        rows, sums = (np.concatenate(x) for x in zip(*parts[name]))
-        if where == "data":
-            out[name] = float(np.sqrt(sums[0]))
-        elif where == "dx dt":
-            out[name] = float(sums @ _trapz_weights(grid.nt, grid.dt))
+        elif isinstance(where, list):
+            out[name] = np.max(parts[name], axis=0).tolist()
         else:
-            out[name] = _t_norm(rows, sums, grid, "Linf" if where == "Linf" else "L2")
+            rows, sums = (np.concatenate(x) for x in zip(*parts[name]))
+            if where == "data":
+                out[name] = float(np.sqrt(sums[0]))
+            elif where == "dx dt":
+                out[name] = float(sums @ _trapz_weights(grid.nt, grid.dt))
+            else:
+                out[name] = _t_norm(rows, sums, grid, "Linf" if where == "Linf" else "L2")
     return out
 
 
@@ -309,57 +320,39 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
     return out
 
 
-def _block_rows(f: SpaceTimeField, N: int, lo: int, hi: int, specs: dict, annuli: list,
-                intervals: tuple, n_regions: int) -> tuple[dict, np.ndarray]:
-    """One field's part of the grid rows [lo, hi), from a ``_word_sums`` pass on
-    them: per slot of ``specs`` (name -> (term, outer, weight)) the
-    ``_row_sums`` of its term, or for outer "LE" the ``_le1_rows`` on
-    ``annuli``, and the sup of the (N // 2, "d") sum on each of ``n_regions``
-    regions (their ``_region_intervals``)."""
-    grid = f.grid
-    window = (slice(lo, hi), slice(None))
-    keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    sums = _word_sums(f, keys, window)
-    terms = {"good": sums[N, "good"], "quot": sums[N, "quot"], "d": sums[N, DT] + sums[N, DR]}
-    rows = {name: _le1_rows(sums, N, grid, annuli, window) if outer == "LE"
-            else _row_sums(terms[term], grid, weight)[1]
-            for name, (term, outer, weight) in specs.items()}
-    return rows, _region_sups(sums[N // 2, "d"], intervals, n_regions, grid, window)
-
-
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
                  N: int) -> list[NormBreakdown]:
     """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
-    from one pass over the blocks of rows of each field: a block reduces
-    straight into per-row sums and region sups, then each norm reduces once in
-    t.  No array of the grid's size is built."""
+    from one ``_stream`` pass over the blocks of rows of each field: a block
+    reduces straight into per-row sums and region sups, then each norm
+    reduces once in t.  No array of the grid's size is built."""
     _check_params(p, delta, N)
     grid = u.grid
     if grid != v.grid:
         raise ValueError("u and v must share a grid")
     w_half = WeightSpec(power_r=(p - 1) / 2)
-    u_specs = {"u_good_l2l2": ("good", "L2", w_half), "u_invr_l2l2": ("quot", "L2", w_half),
-               "u_le1": (None, "LE", None), "u_d_linfl2": ("d", "Linf", WeightSpec())}
-    v_specs = {"v_good_l2l2": ("good", "L2", w_half), "v_invr_l2l2": ("quot", "L2", w_half),
-               "v_d_weighted_l2l2": ("d", "L2", WeightSpec(power_r=-(1 + delta) / 2))}
-    if any(_FUNCTIONALS[kind][0] for kind in kinds):
-        v_specs["v_d_weighted_linfl2"] = ("d", "Linf", WeightSpec(power_r=-delta / 2))
     regions = _region_rows(grid)
-    intervals = _region_intervals([region for *_, region in regions], grid)
-    norms, sups, annuli = {}, [], _annuli(grid)
-    for f, specs in ((u, u_specs), (v, v_specs)):
-        rows, block_sups = zip(*(_block_rows(f, N, lo, hi, specs, annuli, intervals, len(regions))
-                                 for lo, hi in _blocks(grid.nt)))
-        for name, (_, outer, _) in specs.items():
-            parts = [block[name] for block in rows]
-            norms[name] = (_le_reduce(parts, grid) if outer == "LE" else
-                           _t_norm(np.arange(grid.nt), np.concatenate(parts), grid, outer))
-        sups.append(np.max(block_sups, axis=0).tolist())
+    sups = ((N // 2, "d"), None, [region for *_, region in regions])
+
+    def d(sums):  # dt then dr, summed here: the "d" prefix adds word by word
+        return sums[N, DT] + sums[N, DR]
+
+    u_slots = {"u_good_l2l2": ((N, "good"), w_half, "L2"),
+               "u_invr_l2l2": ((N, "quot"), w_half, "L2"),
+               "u_le1": (N, None, "LE"), "u_d_linfl2": (d, WeightSpec(), "Linf"), "u_sups": sups}
+    v_slots = {"v_good_l2l2": ((N, "good"), w_half, "L2"),
+               "v_invr_l2l2": ((N, "quot"), w_half, "L2"),
+               "v_d_weighted_l2l2": (d, WeightSpec(power_r=-(1 + delta) / 2), "L2"),
+               "v_sups": sups}
+    if any(_FUNCTIONALS[kind][0] for kind in kinds):
+        v_slots["v_d_weighted_linfl2"] = (d, WeightSpec(power_r=-delta / 2), "Linf")
+    keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
+    norms = {**_stream(u, keys, u_slots), **_stream(v, keys, v_slots)}
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
     sq_v = {"tau": 0.0, "alt": 0.0, U_KIND: 0.0}
-    for (row, tau, s, _), lu, lv in zip(regions, *sups):
+    for (row, tau, s, _), lu, lv in zip(regions, norms["u_sups"], norms["v_sups"]):
         per_region[f"{row} tau={tau} s={s} u"] = lu
         per_region[f"{row} tau={tau} s={s} v"] = lv
         if row == R_KIND:
@@ -394,6 +387,12 @@ def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
     The ell^2 region row for v is reported in both printed weight variants
     ("v_R_l2" with tau^{1/2} R^{1-delta/2} enters the total; the
     R^{(3-delta)/2} alternative is recorded as "v_R_l2_alt").
+
+    The norms are truncated at t_max, and near it the Z-word sums read the
+    grid's one-sided time stencils (up to three chained, which the S words
+    multiply by up to t_max), so the last history rows dominate the total:
+    of the calibrated bump's M_1 = 27.62 at dr 1/32, T 64 (the acceptance
+    Picard run) about 0.61 is the solution and the rest is that edge.
     """
     return _functionals(("M",), u, v, p, delta, N)[0]
 
@@ -402,7 +401,8 @@ def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
                  delta: float, N: int) -> NormBreakdown:
     """Contraction functional: the boundedness slots applied to iterate
     differences, minus the sup-in-t slot for the v derivative, with the
-    R^{(3-delta)/2} weight on the v region row."""
+    R^{(3-delta)/2} weight on the v region row.  Like ``m_functional`` it
+    reads the grid's one-sided time stencils near t_max, which dominate it."""
     return _functionals(("A",), u_diff, v_diff, p, delta, N)[0]
 
 

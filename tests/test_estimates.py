@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import estimates, registry
+from radialwave import estimates, norms, registry
 from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec, le1_norm, region_l2l2, spatial_l2
 from radialwave.regions import DyadicRegion, _intervals
@@ -403,6 +403,28 @@ class TestKSWordPass:
             assert rep.lhs_slots == want.lhs_slots
             assert rep.rhs_slots == want.rhs_slots
             assert rep.flagged == want.flagged
+
+    @pytest.mark.parametrize("dr, extent, family, kind, scale, tau", [
+        case for case in _ks_cases() if case.id in
+        ("cone_hugger-U1-dr16", "cone_hugger-U2-dr16", "expanding_bump-R2-dr16", "empty-window")])
+    def test_stream_on_ks_windows_equals_the_row_blocks(self, dr, extent, family, kind,
+                                                        scale, tau):
+        # norms._stream on a check's boxes against its default full-row blocks:
+        # a region L2 slot on tilde and a list-of-regions sup slot on plain
+        g = rw.GridSpec(dr=dr, cfl=1.0, **extent)
+        u = registry.build(family, g)
+        region = DyadicRegion(tau, kind, scale)
+        keys = ((0, None), (2, None), (2, "dr"))
+        slots = {"mass": ((2, "dr"), WeightSpec(), region.enlarged(1)),
+                 "sup": ((0, None), None, [region])}
+        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), keys, g.shape())
+        boxes = norms._stream(u, keys, slots, windows)
+        assert repr(boxes) == repr(norms._stream(u, keys, slots))
+        if windows == [(slice(0, 0), slice(0, 0))]:
+            assert boxes == {"mass": 0.0, "sup": [0.0]}
+        else:  # a U strip's boxes are blocks of its rows, not full rows
+            assert len(windows) > (kind == "U") and windows[0][1] != slice(0, g.nr)
+            assert boxes["mass"] > 0.0 and boxes["sup"][0] > 0.0
 
     @pytest.mark.parametrize("scale", [1, 2])
     def test_sup_reads_every_block(self, scale):

@@ -390,3 +390,15 @@ class TestDecayFit:
         assert set(diags) >= {"t", "sup_u", "sup_v", "support_radius"}
         fit = picard.fit_decay(diags)
         assert fit["exponent_u"] < -0.5
+
+    def test_decay_run_energy_drift_at_the_benchmark_size(self):
+        # the `decay` command's grid at dr 1/16, T 256: RK4 at dt = dr damps
+        # grid-scale modes, and E_u and E_v both lose 3.09e-2 of their
+        # initial value (3.0948e-2 and 3.0954e-2); at dt = dr/2 the sum
+        # E_u + E_v gained 1.4e-4, so the bound says when a step change
+        # makes the drift worse
+        g = rw.GridSpec(dr=1 / 16, cfl=0.5, r_max=260.0, t_max=256.0)
+        diags = picard.decay_run(g, 0.01)
+        for key in ("energy_u", "energy_v"):
+            energy = diags[key]
+            assert abs(energy[-1] / energy[0] - 1) <= 4e-2, key
