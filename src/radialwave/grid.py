@@ -191,37 +191,55 @@ class SpaceTimeField:
     _HEADER = "<8sddddb"
 
     def to_binary(self, path) -> None:
-        g = self.grid
-        header = struct.pack(self._HEADER, self._MAGIC, g.dr, g.cfl, g.r_max, g.t_max,
-                             {"odd": 1, "even": 2, None: 0}[self.parity])
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))  # a copy on big-endian only
+        _write_field(path, self.grid, self.parity, [self.values])
 
     @classmethod
     def from_binary(cls, path) -> "SpaceTimeField":
-        with open(path, "rb") as fh:
-            size = struct.calcsize(cls._HEADER)
-            raw = fh.read(size)
-            if raw[:8] == b"RWFLD001":
-                raise ValueError(f"{path}: a field file of the old format RWFLD001, whose "
-                                 "header does not hold its grid; remove it to start afresh")
-            if len(raw) < size or raw[:8] != cls._MAGIC:
-                raise ValueError(f"{path}: not a field file")
-            _, dr, cfl, r_max, t_max, par = struct.unpack(cls._HEADER, raw)
-            try:
-                grid = GridSpec(dr, cfl, r_max, t_max)
-            except ValueError as exc:
-                raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
-            nt, nr = grid.shape()
-            want, got = 8 * nt * nr, os.fstat(fh.fileno()).st_size - size
-            if got != want:
-                raise ValueError(f"{path}: payload holds {got} bytes, the header's "
-                                 f"{nt} x {nr} grid needs {want}")
-            if par not in (0, 1, 2):
-                raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
+        return cls(*_read_field(path))
+
+
+def _write_field(path, grid: GridSpec, parity: str | None, blocks) -> None:
+    """A field file: the header, then the consecutive ``blocks`` of rows of its
+    values, each written as it lies (a copy on big-endian only)."""
+    header = struct.pack(SpaceTimeField._HEADER, SpaceTimeField._MAGIC, grid.dr, grid.cfl,
+                         grid.r_max, grid.t_max, {"odd": 1, "even": 2, None: 0}[parity])
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+
+
+def _read_field(path, rows=None) -> tuple:
+    """(grid, values, parity) of a field file, ``values`` holding every row or
+    only the rows ``rows`` (a list of indices), read with nothing else."""
+    with open(path, "rb") as fh:
+        size = struct.calcsize(SpaceTimeField._HEADER)
+        raw = fh.read(size)
+        if raw[:8] == b"RWFLD001":
+            raise ValueError(f"{path}: a field file of the old format RWFLD001, whose "
+                             "header does not hold its grid; remove it to start afresh")
+        if len(raw) < size or raw[:8] != SpaceTimeField._MAGIC:
+            raise ValueError(f"{path}: not a field file")
+        _, dr, cfl, r_max, t_max, par = struct.unpack(SpaceTimeField._HEADER, raw)
+        try:
+            grid = GridSpec(dr, cfl, r_max, t_max)
+        except ValueError as exc:
+            raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
+        nt, nr = grid.shape()
+        want, got = 8 * nt * nr, os.fstat(fh.fileno()).st_size - size
+        if got != want:
+            raise ValueError(f"{path}: payload holds {got} bytes, the header's "
+                             f"{nt} x {nr} grid needs {want}")
+        if par not in (0, 1, 2):
+            raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
+        if rows is None:
             data = np.fromfile(fh, dtype="<f8", count=nt * nr).reshape(nt, nr)
-        return cls(grid, data, (None, "odd", "even")[par])
+        else:
+            data = np.empty((len(rows), nr))
+            for row, n in zip(data, rows):
+                fh.seek(size + 8 * nr * n)
+                row[:] = np.fromfile(fh, dtype="<f8", count=nr)
+    return grid, data, (None, "odd", "even")[par]
 
 
 def _require_size(grid: GridSpec):
@@ -355,15 +373,17 @@ def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float
 
 
 def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray,
-            ht: float, hr: float, n_max: int):
+            ht: float, hr: float, n_max: int, last=(DT, DR)):
     """Yield (length, g, parity of g, dt g, dr g) for every Z word of length
     <= n_max applied to (t, r) samples, in ``z_words`` order.
 
     ``t`` holds the times of the rows as an (n, 1) column and ``r`` the radii
     of the columns.  A child word is built from its parent's pair: dt.w =
     dt(w), dr.w = dr(w), S.w = t dt(w) + r dr(w), the operations of
-    ``derivative``.  Only the last layer's pairs stay alive.  The words are
-    raw arrays, so no odd word's axis is checked here.
+    ``derivative``.  The words of length n_max have no child, so of their
+    pair only the derivatives named in ``last`` are taken, the others are
+    None.  Only the last layer's pairs stay alive.  The words are raw arrays,
+    so no odd word's axis is checked here.
     """
     words = z_words(n_max)
     parents: dict = {}
@@ -380,11 +400,17 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
                     g, par = pr, _FLIP[par]
                 else:
                     g = t * pt + r * pr
-            gt, gr = _d1(g.T, ht).T, _d1(g, hr, par)
+            gt = _d1(g.T, ht).T if length < n_max or DT in last else None
+            gr = _d1(g, hr, par) if length < n_max or DR in last else None
             if length < n_max:
                 children[word] = (par, gt, gr)
             yield length, g, par, gt, gr
         parents = children
+
+
+# the derivatives of a word that each prefix of ``_word_sums`` reads; every
+# other prefix reads both
+_READS = {None: (), "quot": (), "box": (), "dtdr2": (), DT: (DT,), DR: (DR,)}
 
 
 def _depth(keys) -> int:
@@ -411,10 +437,14 @@ def _walk(keys, window: tuple[slice, slice], shape) -> list[tuple[int, int, int,
     return spans
 
 
-def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
+def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
+               over_r: bool = False) -> dict:
     """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f| on the
     cells ``window`` (a pair of slices), as an array of the window's shape,
-    equal to the whole-grid sums on every cell.
+    equal to the whole-grid sums on every cell.  With ``over_r`` the sums are
+    those of the scalar field ``quotient_by_r(f)`` of a conjugate field f: each
+    walk divides its own cells by r (``_over_r`` when the walk starts at the
+    axis), bit for bit the whole-grid quotient, which is never built.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
     (|dt + dr|), "quot" (|.| / r), "bad" (|dt - dr|), "good/r"
@@ -437,8 +467,12 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     vanish from column m on, every sum of depth d is an exact +0.0 from column
     m + d on, so those columns are filled with +0.0, not walked, unless m + d
     lies within two columns of the walk's end, whose one-sided stencil reads
-    three cells inward.  The cut reads the field, not the scheme; a Picard
-    iterate vanishes past r = t + 2, about half of the grid.
+    three cells inward.  The cut reads the field, not the scheme (with
+    ``over_r``, f itself: the quotient vanishes from every column from which
+    f does); a Picard iterate vanishes past r = t + 2, about half of the grid.
+
+    A word of the last length n_max has no child, so its dt and dr are taken
+    only if a key of that length reads them (``_READS``).
     """
     grid = f.grid
     _require_size(grid)
@@ -448,12 +482,17 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     if hi == lo or cut <= clo:  # an empty window, or one past the cut
         return {key: np.zeros((hi - lo, chi - clo)) for key in keys}
     ca, cb = _walk(keys, (window[0], slice(clo, cut)), grid.shape())[1][2:]
-    values = f.values[a:b, ca:cb]
-    sums = {key: np.zeros(values.shape) for key in keys}
+    values, parity = f.values[a:b, ca:cb], f.parity
     r, ht, hr = grid.r[ca:cb], grid.dt, grid.dr
+    if over_r:  # u = W / r, with the parity of quotient_by_r
+        values = _over_r(values, r) if ca == 0 else values / r
+        parity = "even" if parity == "odd" else None
+    sums = {key: np.zeros(values.shape) for key in keys}
     tmp = np.empty_like(values)  # the pointwise terms' scratch
-    for length, g, par, gt, gr in _z_walk(values, f.parity, grid.t[a:b, None], r, ht, hr,
-                                          max(n for n, _ in keys)):
+    n_max = max(n for n, _ in keys)
+    last = {d for n, prefix in keys if n == n_max for d in _READS.get(prefix, (DT, DR))}
+    for length, g, par, gt, gr in _z_walk(values, parity, grid.t[a:b, None], r, ht, hr,
+                                          n_max, last):
         for (n, prefix), total in sums.items():
             if length <= n:
                 total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)

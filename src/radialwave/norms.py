@@ -193,13 +193,16 @@ def le1_norm(f: SpaceTimeField) -> float:
     return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
 
 
-def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None) -> dict:
+def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None,
+            over_r: bool = False) -> dict:
     """The value of every slot of ``slots`` (name -> (term, weight, where)) on
     ``f``, from one ``grid._word_sums`` pass of ``keys`` per window of
     ``windows`` (pairs of slices; by default the full rows of each block of
     ``_blocks``): each window reduces straight into per-row sums and region
     sups, then each slot once in t, so every value equals the whole-grid one
-    bit for bit and no array of the grid's size is built.
+    bit for bit and no array of the grid's size is built.  With ``over_r`` the
+    slots are those of u = W / r of a conjugate field ``f`` = W, divided per
+    walk by ``_word_sums``.
 
     ``term`` is a key of ``keys`` or a function of a window's sums.  ``where``
     is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
@@ -221,7 +224,7 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     parts = {name: [] for name in slots}
     for window in windows:
         lo, hi = _span(window[0], grid.nt)
-        sums = _word_sums(f, keys, window)
+        sums = _word_sums(f, keys, window, over_r)
         for name, (term, weight, where) in slots.items():
             if where == "data" and lo > 0:
                 continue
@@ -321,11 +324,13 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
 
 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                 N: int) -> list[NormBreakdown]:
+                 N: int, over_r: bool = False) -> list[NormBreakdown]:
     """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
     from one ``_stream`` pass over the blocks of rows of each field: a block
     reduces straight into per-row sums and region sups, then each norm
-    reduces once in t.  No array of the grid's size is built."""
+    reduces once in t.  No array of the grid's size is built, not even the
+    pair itself with ``over_r``, where u and v are the conjugate fields W_u
+    and W_v of the pair, each divided by r per block."""
     _check_params(p, delta, N)
     grid = u.grid
     if grid != v.grid:
@@ -347,7 +352,8 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     if any(_FUNCTIONALS[kind][0] for kind in kinds):
         v_slots["v_d_weighted_linfl2"] = (d, WeightSpec(power_r=-delta / 2), "Linf")
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    norms = {**_stream(u, keys, u_slots), **_stream(v, keys, v_slots)}
+    norms = {**_stream(u, keys, u_slots, over_r=over_r),
+             **_stream(v, keys, v_slots, over_r=over_r)}
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
@@ -381,8 +387,10 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                 N: int) -> NormBreakdown:
-    """All summands of the boundedness functional for one iterate pair (u, v).
+                 N: int, *, over_r: bool = False) -> NormBreakdown:
+    """All summands of the boundedness functional for one iterate pair (u, v),
+    or, with ``over_r``, for the pair W_u / r, W_v / r of the conjugate fields
+    passed as u and v, each divided per block (the Picard driver's histories).
 
     The ell^2 region row for v is reported in both printed weight variants
     ("v_R_l2" with tau^{1/2} R^{1-delta/2} enters the total; the
@@ -394,21 +402,22 @@ def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
     of the calibrated bump's M_1 = 27.62 at dr 1/32, T 64 (the acceptance
     Picard run) about 0.61 is the solution and the rest is that edge.
     """
-    return _functionals(("M",), u, v, p, delta, N)[0]
+    return _functionals(("M",), u, v, p, delta, N, over_r)[0]
 
 
 def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
-                 delta: float, N: int) -> NormBreakdown:
+                 delta: float, N: int, *, over_r: bool = False) -> NormBreakdown:
     """Contraction functional: the boundedness slots applied to iterate
     differences, minus the sup-in-t slot for the v derivative, with the
     R^{(3-delta)/2} weight on the v region row.  Like ``m_functional`` it
-    reads the grid's one-sided time stencils near t_max, which dominate it."""
-    return _functionals(("A",), u_diff, v_diff, p, delta, N)[0]
+    reads the grid's one-sided time stencils near t_max, which dominate it,
+    and takes conjugate fields with ``over_r``."""
+    return _functionals(("A",), u_diff, v_diff, p, delta, N, over_r)[0]
 
 
 def m_and_a_functionals(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                        N: int) -> tuple[NormBreakdown, NormBreakdown]:
+                        N: int, *, over_r: bool = False) -> tuple[NormBreakdown, NormBreakdown]:
     """``m_functional(u, v, ...)`` and ``a_functional(u, v, ...)`` from one pass:
     A's slots are M's without the sup-in-t v slot, its v R row is M's
     "v_R_l2_alt".  The Picard driver's first iterate is its own difference."""
-    return tuple(_functionals(("M", "A"), u, v, p, delta, N))
+    return tuple(_functionals(("M", "A"), u, v, p, delta, N, over_r))

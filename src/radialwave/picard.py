@@ -8,20 +8,26 @@ for v) as B(delta_{k-1}, a) + B(a, delta_{k-1}) - B(delta_{k-1}, delta_{k-1}),
 a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
 A of delta_k, so A_k is no difference of two separately rounded solves.  The
 iterates live on the given grid at dt = dr (``PicardConfig.grid``).  One pair
-of histories is resident, four grid arrays each: u_{k-1} and delta_{k-1} (one
-object at k = 2, as delta_1 = u_1).  G_k (two arrays) is built from both, then
-delta_{k-1} is dropped before the solve makes delta_k, and G_k when it
-returns; delta_k is added into u_{k-1}'s arrays in place, so they hold u_k.
-The first solve's zero source lives for that call only.
+of histories is resident: u_{k-1}, four grid arrays (W and dt W of u and v),
+and delta_{k-1}, two (its W; a characteristic solve holds dt W as its first
+and last rows, the others being the centred difference of W), one object at
+k = 2, as delta_1 = u_1.  G_k (two arrays) is built from both in blocks of
+rows, then delta_{k-1} is dropped before the solve makes delta_k, and G_k
+when it returns; delta_k is added into u_{k-1}'s arrays in place, so they
+hold u_k, whose dt W, a running sum, is kept whole.  The first solve's zero
+source lives for that call only.  M and A read u = W / r per block of rows
+(``over_r``), so no quotient is built whole.
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
 (naming k) replace the old ones in one rename, and only then are older
 histories removed: an interrupt leaves the old (records, histories) pair or
-the new one.  Records that name another k, a k with no saved delta, or
-histories that do not load are refused.  The tag keys everything but
-``kmax``, so a rerun with a larger kmax solves only the new iterates and one
-with a smaller kmax returns the first kmax records.
+the new one.  The dt W files of delta_k hold every row, written a block at a
+time, and only their first and last rows are read back.  Records that name
+another k, a k with no saved delta, or histories that do not load are
+refused.  The tag keys everything but ``kmax``, so a rerun with a larger kmax
+solves only the new iterates and one with a smaller kmax returns the first
+kmax records.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridSpec, SpaceTimeField, _d1, _over_r
-from .norms import _blocks, _check_params, a_functional, m_and_a_functionals, m_functional
+from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
-    InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash,
+    InitialData, SolveConfig, SolutionHistory, _row_blocks, bump, calibrate, config_hash,
     nonlinearity, solve, solve_linear_forced, zero_profile,
 )
 
@@ -107,9 +113,10 @@ class IterationRecord:
 
 def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
     """(dtu, dru, dtv, drv) scalar frames on ``rows`` of the history: dt from the
-    stored conjugate momenta, dr by the stencil, each row from its own row."""
+    conjugate momenta (``SolutionHistory.dt_rows``), dr by the stencil, each row
+    from its own row."""
     r, dr = hist.grid.r, hist.grid.dr
-    dtu, dtv = (_over_r(f.values[rows], r) for f in (hist.dtW_u, hist.dtW_v))
+    dtu, dtv = (_over_r(x, r) for x in hist.dt_rows(rows))
     dru, drv = (_d1(_over_r(f.values[rows], r), dr, "even") for f in (hist.W_u, hist.W_v))
     return dtu, dru, dtv, drv
 
@@ -117,16 +124,32 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
 def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
     ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
-    in the functionals' blocks of time rows (``norms._blocks``)."""
+    in the blocks of ``solver._row_blocks``: a row's source reads that row
+    alone, and small blocks keep their temporaries small beside the grid
+    arrays."""
     def bilinear(x, y, which):
         return nonlinearity(x[0], x[1], y[2], y[3], which)
 
     out = np.empty((2, *hist.grid.shape()))
-    for rows in (slice(lo, hi) for lo, hi in _blocks(hist.grid.nt)):
+    for rows in _row_blocks(hist.grid.nt):
         a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
         for g, w in zip(out[:, rows], ("u-eq", "v-eq")):
             g[:] = bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w)
     return [SpaceTimeField(hist.grid, g) for g in out]
+
+
+def _add_into(hist: SolutionHistory, diff: SolutionHistory) -> None:
+    """hist += diff in place, dt W a block of rows at a time.  A sum of solves is
+    no centred difference, so hist's dt W is made whole first, from its W as
+    the solve left it."""
+    grid = hist.grid
+    hist.dtW_u, hist.dtW_v = (SpaceTimeField(grid, f.values, "odd")
+                              for f in (hist.dtW_u, hist.dtW_v))
+    hist.W_u.values += diff.W_u.values
+    hist.W_v.values += diff.W_v.values
+    for rows in _row_blocks(grid.nt):
+        for total, d in zip(hist.dt_rows(rows), diff.dt_rows(rows)):
+            total += d
 
 
 def run_iteration(config: PicardConfig) -> list[IterationRecord]:
@@ -150,15 +173,14 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
         t0 = time.perf_counter()
         if k == 1:
             hist = diff = solve_linear_forced(data, *[SpaceTimeField.zeros(config.grid)] * 2)
-            m, a = m_and_a_functionals(hist.u(), hist.v(), *params)
+            m, a = m_and_a_functionals(hist.W_u, hist.W_v, *params, over_r=True)
         else:
             source, diff = _source_difference(hist, diff), None
             diff = solve_linear_forced(InitialData(amplitude=0.0), *source)
             del source
-            for name in ("W_u", "dtW_u", "W_v", "dtW_v"):  # u_{k-1} becomes u_k
-                getattr(hist, name).values += getattr(diff, name).values
-            m = m_functional(hist.u(), hist.v(), *params)
-            a = a_functional(diff.u(), diff.v(), *params)
+            _add_into(hist, diff)  # u_{k-1} becomes u_k
+            m = m_functional(hist.W_u, hist.W_v, *params, over_r=True)
+            a = a_functional(diff.W_u, diff.W_v, *params, over_r=True)
         prev_a = records[-1].a_total if records else None
         ratio = None if prev_a is None else (a.total / prev_a if prev_a > 0 else float("inf"))
         rec = IterationRecord(k, m.total, a.total, ratio, dict(m.slots),
@@ -220,7 +242,8 @@ def _load_state(config, tag):
         raise ValueError(f"{hist_dir} holds no difference delta_{k} (a state of the "
                          "separately solved iterates); remove it to start afresh")
     try:
-        return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
+        return (records, SolutionHistory.load(hist_dir),
+                SolutionHistory.load(delta_dir, dt_edges=True))
     except (ValueError, OSError, KeyError, TypeError) as exc:  # a manifest missing a key
         raise ValueError(f"the saved state cannot be loaded ({type(exc).__name__}: {exc}); "
                          f"remove {rec_path} and {hist_dir} to start afresh") from None

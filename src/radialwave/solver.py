@@ -59,8 +59,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import (_FLIP, GridSpec, SpaceTimeField, _centred_d1, _centred_d2, _d1, _d1_first,
-                   _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _trapz_weights,
-                   null_form)
+                   _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _read_field, _span,
+                   _trapz_weights, _write_field, null_form)
 from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
@@ -170,14 +170,69 @@ class SolveConfig:
         self.grid = replace(self.grid, cfl=1.0)  # RK4's dt = dr, whatever cfl was given
 
 
+class _CentredDt:
+    """dt W of a characteristic solve, held as its first and last rows: row 0
+    is the data velocity, the last row differences W one step past t_max, and
+    rows 1..nt-2 are (W[n+1] - W[n-1]) / (2h), the solve's own operations in
+    its order, so each row equals the one the solve would store, bit for bit.
+    ``W`` must not change while it is read."""
+
+    parity = "odd"
+
+    def __init__(self, W: SpaceTimeField, edges: np.ndarray):
+        self.W, self.edges = W, edges  # edges: the (first, last) rows
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.W.grid
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole array, built anew."""
+        return self.rows(slice(None))
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` (a unit-step slice), built anew."""
+        nt = self.grid.nt
+        lo, hi = _span(rows, nt)
+        out = np.empty((hi - lo, self.grid.nr))
+        a, b = max(lo, 1), min(hi, nt - 1)
+        if b > a:
+            inner = np.subtract(self.W.values[a + 1:b + 1], self.W.values[a - 1:b - 1],
+                                out=out[a - lo:b - lo])
+            inner /= 2 * self.grid.dt
+        if hi == nt:
+            out[-1] = self.edges[1]
+        if lo == 0 < hi:  # row 0 is also the last one when nt = 1
+            out[0] = self.edges[0]
+        return out
+
+    def to_binary(self, path) -> None:
+        """The file of the whole array, written one block of rows at a time."""
+        _write_field(path, self.grid, self.parity, map(self.rows, _row_blocks(self.grid.nt)))
+
+
+_DT_ROWS = 16  # rows per block where dt W is built from W
+
+
+def _row_blocks(nt: int) -> list[slice]:
+    """Consecutive blocks of ``_DT_ROWS`` rows (the last one shorter) covering [0, nt)."""
+    return [slice(lo, lo + _DT_ROWS) for lo in range(0, nt, _DT_ROWS)]
+
+
 @dataclass
 class SolutionHistory:
-    """Space-time record of the conjugate state plus per-step diagnostics."""
+    """Space-time record of the conjugate state plus per-step diagnostics.
+
+    dt W is whole (``solve``'s RK4 state) or, from ``solve_linear_forced``,
+    a ``_CentredDt``, built from W per block of rows (``dt_rows``) or whole
+    where its ``values`` are read.
+    """
 
     W_u: SpaceTimeField
-    dtW_u: SpaceTimeField
+    dtW_u: SpaceTimeField | _CentredDt
     W_v: SpaceTimeField
-    dtW_v: SpaceTimeField
+    dtW_v: SpaceTimeField | _CentredDt
     mode: str  # the solve that made it: a solve mode or "linear_forced"
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -193,6 +248,12 @@ class SolutionHistory:
         from .grid import conjugate_to_scalar
         return conjugate_to_scalar(self.W_v)
 
+    def dt_rows(self, rows: slice) -> list[np.ndarray]:
+        """[dt W_u, dt W_v] on ``rows`` (a unit-step slice): views of whole
+        arrays, new arrays where dt W is held as edge rows."""
+        return [f.rows(rows) if isinstance(f, _CentredDt) else f.values[rows]
+                for f in (self.dtW_u, self.dtW_v)]
+
     def save(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
@@ -206,17 +267,21 @@ class SolutionHistory:
             json.dump(manifest, fh, sort_keys=True)
 
     @classmethod
-    def load(cls, outdir: str) -> "SolutionHistory":
+    def load(cls, outdir: str, dt_edges: bool = False) -> "SolutionHistory":
+        """The history saved in ``outdir``; with ``dt_edges``, a characteristic
+        solve's, whose dt W files are read at their first and last rows only."""
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
         grid = GridSpec(**manifest["grid"])
         fields = []
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             path = os.path.join(outdir, f"{name}.bin")
-            f = SpaceTimeField.from_binary(path)
-            if f.grid != grid:
-                raise ValueError(f"{path}: the header's grid {f.grid} is not the manifest's")
-            fields.append(f)
+            edges = dt_edges and name.startswith("dt")
+            f_grid, values, parity = _read_field(path, [0, grid.nt - 1] if edges else None)
+            if f_grid != grid:
+                raise ValueError(f"{path}: the header's grid {f_grid} is not the manifest's")
+            fields.append(_CentredDt(fields[-1], values) if edges
+                          else SpaceTimeField(grid, values, parity))
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
         return cls(*fields, manifest["mode"], diags)
 
@@ -406,8 +471,10 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     The characteristic step of the module docstring, on the grid of the
     sources, which must have dt = dr.  The first step is d'Alembert on the data
     (Simpson's rule for the velocity integral) plus dt^2/2 of the source.  The
-    solve steps one row past t_max, so dt W is the centred difference at every
-    stored row; row 0 holds the data velocity.
+    history holds W whole and dt W as its first and last rows (``_CentredDt``):
+    row 0 is the data velocity, and the solve steps one row past t_max, so
+    every other row is the centred difference of W, the last one reading the
+    row past t_max, which is then dropped.
     """
     grid = forcing_u.grid
     if forcing_v.grid != grid:
@@ -415,28 +482,38 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     if abs(grid.cfl - 1.0) > 1e-12:
         raise CflError(f"the linear solve needs dt = dr, got dt = {grid.cfl:.6g} dr")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
-    frames = np.empty((4, nt, nr))
-    W, P = frames[0::2], frames[1::2]  # (W_u, W_v) and (dt W_u, dt W_v)
-    for row, fn in zip(frames[:, 0], (data.u0, data.u1, data.v0, data.v1)):
+    # one array per field: a (2, nt, nr) block of the benchmark's Picard grid
+    # is over the 4 MiB from which numpy advises huge pages, which held 3 MB
+    # more RSS when it came from the heap (measured)
+    W = [np.empty((nt, nr)) for _ in range(2)]
+    steps = np.empty((3, 2, nr))  # W of both fields at n - 1, n, n + 1, in turn
+    edges = np.zeros((2, 2, nr))  # (field, first | last row, column) of dt W
+    P0 = edges[:, 0]
+    for row, fn in zip((steps[0, 0], P0[0], steps[0, 1], P0[1]),
+                       (data.u0, data.u1, data.v0, data.v1)):
         row[:] = r * data.amplitude * np.asarray(fn(r), dtype=float)
     h2r = h * h * r
-    src, past = np.empty((2, 2, nr))  # the source term; W one row past t_max
+    src = np.empty((2, nr))  # the source term
     for n in range(nt):
-        new = W[:, n + 1] if n + 1 < nt else past
-        _neighbour_sum(W[:, n], new)
+        prev, cur, new = steps[(n - 1) % 3], steps[n % 3], steps[(n + 1) % 3]
+        W[0][n], W[1][n] = cur
+        _neighbour_sum(cur, new)
         np.multiply(forcing_u.values[n], h2r, out=src[0])
         np.multiply(forcing_v.values[n], h2r, out=src[1])
         new += src
         if n == 0:  # half of each, plus Simpson's rule for the velocity integral
             new *= 0.5
-            new += (_neighbour_sum(P[:, 0], src) + 4 * P[:, 0]) * (h / 6)
+            new += (_neighbour_sum(P0, src) + 4 * P0) * (h / 6)
         else:
-            new -= W[:, n - 1]
-            np.subtract(new, W[:, n - 1], out=P[:, n])
-            P[:, n] /= 2 * h
+            new -= prev
         if not np.isfinite(new).all():
             raise BlowUpSuspected((n + 1) * h)
-    return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames), "linear_forced")
+        if n == nt - 1 > 0:  # new is W one row past t_max
+            np.subtract(new, prev, out=edges[:, 1])
+            edges[:, 1] /= 2 * h
+    fields = [SpaceTimeField(grid, w, "odd") for w in W]
+    return SolutionHistory(fields[0], _CentredDt(fields[0], edges[0]), fields[1],
+                           _CentredDt(fields[1], edges[1]), "linear_forced")
 
 
 def _neighbour_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -503,6 +503,44 @@ class TestWordSums:
         assert all(total.shape == f.values[window].shape and not total.any()
                    for total in sums.values())
 
+    @pytest.mark.parametrize("keys", [((0, None),), ((2, None), (2, DR)),
+                                      ((0, None), (2, None), (2, DR)), ((1, "quot"), (0, DT)),
+                                      ((1, DT), (1, "box")), ((2, "good"), (1, None))],
+                             ids=["hardy", "ks", "ks-all", "quot", "dt-box", "good"])
+    def test_unread_derivatives_are_not_taken(self, monkeypatch, keys):
+        # a word of the last length takes only the derivatives a key of that
+        # length reads (none for hardy's (0, None), dr alone for the KS checks'
+        # (2, None), (2, dr)); the sums equal the oracle in repr
+        f = _random_field(13, "odd")
+        n_max = max(n for n, _ in keys)
+        reads = {d for n, p in keys if n == n_max for d in grid._READS.get(p, (DT, DR))}
+        calls, d1 = [], grid._d1
+        monkeypatch.setattr(grid, "_d1", lambda *a, **k: calls.append(1) or d1(*a, **k))
+        ref = word_sums_ref(f, keys)
+        for window in (np.s_[:, :], np.s_[6:14, 3:20]):
+            calls.clear()
+            sums = _word_sums(f, keys, window)
+            for key in keys:
+                assert repr(sums[key].tolist()) == repr(ref[key][window].tolist()), key
+            words = z_words(n_max)  # "box" differences with _d2, not _d1
+            inner = sum(len(w) < n_max for w in words)
+            assert len(calls) == 2 * inner + len(reads) * (len(words) - inner)
+
+    @pytest.mark.parametrize("window", [np.s_[:, :], np.s_[0:9, :], np.s_[9:20, :],
+                                        np.s_[4:15, 6:30], np.s_[20:25, 30:41]],
+                             ids=["grid", "first rows", "rows", "interior", "corner"])
+    def test_over_r_equals_the_whole_grid_quotient(self, window):
+        # the sums of W / r from each walk's own quotient equal those of the
+        # whole-grid quotient_by_r(W) in bytes, with or without the axis
+        g = small_grid(dr=0.25, cfl=0.5, r_max=10.0, t_max=6.0)
+        W = rw.SpaceTimeField.from_function(
+            g, lambda t, r: r * np.exp(-np.square(r - t - 1)) * np.cos(3 * t + r), "odd")
+        u = rw.quotient_by_r(W)
+        got = _word_sums(W, _ALL_KEYS, window, over_r=True)
+        want = _word_sums(u, _ALL_KEYS, window)
+        for key in _ALL_KEYS:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
     def test_unknown_prefix_rejected(self):
         with pytest.raises(ValueError, match="unknown word-sum prefix"):
             _word_sums(_random_field(3, None), ((1, "dtt"),), np.s_[:, :])

@@ -340,6 +340,28 @@ class TestTimeBlocks:
         monkeypatch.setattr("radialwave.grid._depth", lambda keys: _depth(keys) - 1)
         assert m_functional(u, v, 0.75, 0.2, 3).slots != exact.slots
 
+    @pytest.mark.parametrize("solve", ["characteristic", "rk4"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_conjugate_pass_equals_the_quotients(self, solve, N):
+        # the Picard driver's pass on W_u, W_v, divided by r per block, equals
+        # the functionals of the whole-grid quotients u(), v() in repr; an RK4
+        # history's precursor reaches r_max, so its walks are full width
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=28.0, t_max=24.0)
+        data = rw.calibrate(rw.InitialData(), g, 2, 0.02)
+        if solve == "rk4":
+            h = rw.solve(data, rw.SolveConfig(grid=g))
+        else:
+            z = rw.SpaceTimeField.zeros(g)
+            h = rw.solve_linear_forced(data, z, z)
+        assert len(norms._blocks(g.nt)) == 3
+        got = [*norms.m_and_a_functionals(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
+               m_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
+               rw.a_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True)]
+        want = [*norms.m_and_a_functionals(h.u(), h.v(), 0.75, 0.2, N)] * 2
+        for b, fresh in zip(got, want):
+            assert repr((b.total, b.slots, b.per_region)) == repr(
+                (fresh.total, fresh.slots, fresh.per_region))
+
     def test_shared_pass_equals_fresh_functionals(self):
         u, v = TestFunctionals.fields(dr=1 / 8)
         shared = norms.m_and_a_functionals(u, v, 0.75, 0.2, 2)

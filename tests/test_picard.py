@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import grid as grid_module, picard
+from radialwave import grid as grid_module, norms, picard
 from radialwave.picard import IterationRecord, PicardConfig
 
 
@@ -151,6 +151,26 @@ class TestIteration:
                 err = np.max(np.abs(g - (f_new - f_old)))
                 assert err <= 1e-13 * np.max(np.abs(f_new))
 
+    def test_in_place_sum_equals_the_sum_of_the_solves(self, tmp_path, monkeypatch):
+        # u_2's four saved arrays are u_1 + delta_2 of the two solves in
+        # bytes: dt W of u_1 is made whole from its W before W moves
+        solves, solve = [], picard.solve_linear_forced
+
+        def recording(*args):  # a copy, as the driver sums into u_1's arrays
+            hist = solve(*args)
+            solves.append(copy.deepcopy(hist))
+            return hist
+
+        monkeypatch.setattr(picard, "solve_linear_forced", recording)
+        cfg = small_config(kmax=2, outdir=str(tmp_path))
+        picard.run_iteration(cfg)
+        u1, d2 = solves
+        saved = Path(picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[1] + "2")
+        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+            total = getattr(u1, name).values + getattr(d2, name).values
+            assert rw.SpaceTimeField.from_binary(saved / f"{name}.bin").values.tobytes() \
+                == total.tobytes(), name
+
     def test_kmax_is_not_part_of_the_resume_key(self, tmp_path, monkeypatch):
         # kmax 2, then kmax 3 and kmax 2 again in one directory: the second run
         # solves only iterate 3, the third none, and both match a fresh run
@@ -242,7 +262,8 @@ class TestIteration:
 
     def test_sources_equal_one_whole_grid_block(self, monkeypatch):
         # each source row is computed from its own row alone, so the blocks of
-        # rows give the sources of a single block bit for bit
+        # rows (the last one a single row here) give the sources of a single
+        # block bit for bit, dt W of delta built per block or not
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
         zero = rw.SpaceTimeField.zeros(g)
         data = rw.calibrate(PicardConfig(grid=g, eps=0.02).data, g, 2, 0.02)
@@ -250,28 +271,78 @@ class TestIteration:
         diff = rw.solve_linear_forced(rw.InitialData(amplitude=0.0),
                                       *picard._source_difference(hist, hist))
         blocked = picard._source_difference(hist, diff)
-        assert len(picard._blocks(g.nt)) == 4
-        monkeypatch.setattr(picard, "_blocks", lambda nt: [(0, nt)])
+        blocks = picard._row_blocks(g.nt)
+        assert len(blocks) == 17 and blocks[-1] == slice(256, 272) and g.nt == 257
+        monkeypatch.setattr(picard, "_row_blocks", lambda nt: [slice(0, nt)])
         for a, b in zip(blocked, picard._source_difference(hist, diff)):
             assert np.array_equal(a.values, b.values) and a.values.any()
 
     def test_driver_peak_allocation(self):
-        # one iterate pair is resident: u_(k-1) summed in place, delta_(k-1)
-        # dropped once G_k is built, G_k once delta_k is solved, and no zero
-        # source kept past k = 1.  Eight blocks of rows keep each block's
-        # temporaries small beside the grid arrays.  The traced peak is 12.8
-        # grid arrays here; it is 13.8 with the zero source kept, 14.2 with
-        # delta_(k-1) kept through the solve, 14.8 with G_k kept through the
-        # functionals, and 15.2 with all three and u_k a fresh sum
+        # one iterate pair is resident: u_(k-1) summed in place (four arrays),
+        # delta_(k-1) as its W (two arrays and dt W's edge rows), dropped once
+        # G_k is built, G_k once delta_k is solved, and no zero source kept
+        # past k = 1.  The functionals divide W by r per block of rows, eight
+        # blocks here, and the sources take 16 rows at a time.  The traced
+        # peak is 8.9 grid arrays here; it is 10.8 with delta_k's dt W whole,
+        # 10.7 with the functionals on whole-grid quotients W / r, and 10.2
+        # with the sources in 64-row blocks (12.6 with all three)
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=132.0, t_max=128.0)
-        assert len(picard._blocks(g.nt)) == 8
+        assert len(norms._blocks(g.nt)) == 8
         tracemalloc.start()
         try:
             assert len(picard.run_iteration(PicardConfig(grid=g, eps=0.0075, kmax=3))) == 3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13.4 * g.nt * g.nr * 8
+        assert peak < 9.5 * g.nt * g.nr * 8
+
+    def test_loading_delta_reads_w_and_two_dt_rows(self, tmp_path, monkeypatch):
+        # delta_k's directory loads as its two W arrays plus the first and
+        # last rows of each dt W file, u_k's as its four arrays; the dt W
+        # rows built from the loaded W equal the saved files in bytes
+        g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=68.0, t_max=64.0)
+        cfg = PicardConfig(grid=g, eps=0.0075, kmax=2, outdir=str(tmp_path))
+        picard.run_iteration(cfg)
+        tag = rw.config_hash(cfg.descriptor())
+        peaks, load = {}, rw.SolutionHistory.load
+
+        def traced(path, **kwargs):
+            tracemalloc.start()
+            try:
+                hist = load(path, **kwargs)
+                peaks[os.path.basename(path)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return hist
+
+        monkeypatch.setattr(rw.SolutionHistory, "load", staticmethod(traced))
+        records, hist, diff = picard._load_state(cfg, tag)
+        size = g.nt * g.nr * 8
+        assert peaks["delta"] <= 2.2 * size
+        assert 4 * size <= peaks[f"picard_{tag}_k2"] <= 4.2 * size
+        assert [r.k for r in records] == [1, 2]
+        saved = Path(picard._state_paths(cfg, tag)[1] + "2")
+        for h, path in ((hist, saved), (diff, saved / "delta")):
+            for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+                blob = rw.SpaceTimeField.from_binary(path / f"{name}.bin").values.tobytes()
+                assert getattr(h, name).values.tobytes() == blob, (path, name)
+
+    def test_resumed_run_equals_a_fresh_one_saved_state_included(self, tmp_path):
+        # resumed from delta_2 loaded at its dt W edge rows, iterate 3's
+        # records and every saved file equal a fresh run's, byte for byte
+        fresh, resumed = str(tmp_path / "fresh"), str(tmp_path / "resumed")
+        records = picard.run_iteration(small_config(outdir=fresh))
+        picard.run_iteration(small_config(kmax=2, outdir=resumed))
+        again = picard.run_iteration(small_config(outdir=resumed))
+        assert [_values(r) for r in again] == [_values(r) for r in records]
+        tag = rw.config_hash(small_config().descriptor())
+        for sub in ("", "delta"):
+            a, b = (Path(out) / f"picard_{tag}_k3" / sub for out in (fresh, resumed))
+            names = sorted(p.name for p in a.iterdir() if p.is_file())
+            assert names == sorted(p.name for p in b.iterdir() if p.is_file())
+            assert len(names) == 5
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (sub, name)
 
     def test_record_json_roundtrip(self):
         rec = IterationRecord(2, 1.5, 0.25, 0.1, {"a": 1.0}, {"b": 2.0}, 0.5)
@@ -303,8 +374,9 @@ def _fake_a(monkeypatch, fake):
     """Replace every A breakdown of ``run_iteration`` by ``fake()``: at k = 1
     A comes from the pass shared with M, from k = 2 on from ``a_functional``."""
     shared = picard.m_and_a_functionals
-    monkeypatch.setattr(picard, "m_and_a_functionals", lambda *a: (shared(*a)[0], fake()))
-    monkeypatch.setattr(picard, "a_functional", lambda *a: fake())
+    monkeypatch.setattr(picard, "m_and_a_functionals",
+                        lambda *a, **k: (shared(*a, **k)[0], fake()))
+    monkeypatch.setattr(picard, "a_functional", lambda *a, **k: fake())
 
 
 class TestNonContraction:

@@ -7,6 +7,7 @@ import radialwave as rw
 from radialwave.solver import (
     InitialData, SolveConfig, dalembert_history, poly_bump, smallness_sum,
 )
+from solver_oracles import linear_forced_ref
 
 
 def grid(dr=1 / 16, t_max=4.0, cfl=0.5):
@@ -144,7 +145,47 @@ class TestSemilinear:
             rw.solve_linear_forced(standard_data(), off, off)
 
 
+LINEAR_FORCED_CASES = {
+    # (grid, data, forcing scale): zero data driven by a source; a velocity,
+    # which row 0 of dt W holds; and t_max an odd number of rows, 49 past row 0
+    "forced zero data": (grid(dr=1 / 16, t_max=4.0, cfl=1.0), InitialData(amplitude=0.0), 1.0),
+    "velocity data": (grid(dr=1 / 16, t_max=4.0, cfl=1.0),
+                      InitialData(rw.zero_profile, poly_bump, rw.bump, poly_bump), 0.5),
+    "t_max odd in rows": (grid(dr=1 / 16, t_max=49 / 16, cfl=1.0),
+                          InitialData(poly_bump, poly_bump, rw.zero_profile, rw.bump), 0.25),
+}
+
+
 class TestLinearForced:
+    @pytest.mark.parametrize("case", list(LINEAR_FORCED_CASES))
+    def test_equals_the_four_array_oracle(self, case, tmp_path):
+        # W and dt W equal the solve that stored all four arrays, in bytes:
+        # whole, per block of rows (the first and last rows included), as
+        # saved, and as loaded back at dt W's edge rows
+        g, data, scale = LINEAR_FORCED_CASES[case]
+        fu, fv = (rw.SpaceTimeField.from_function(
+            g, lambda t, r, c=c: scale * np.exp(-np.square(r - c) - np.square(t - 1)))
+            for c in (1.0, 1.5))
+        hist = rw.solve_linear_forced(data, fu, fv)
+        ref = linear_forced_ref(data, fu, fv)
+        assert ref[1].any() and ref[3].any()
+        hist.save(tmp_path / "run")
+        back = rw.SolutionHistory.load(tmp_path / "run", dt_edges=True)
+        nt = g.nt
+        assert (case == "t_max odd in rows") == (nt == 50)
+        blocks = [slice(lo, lo + rw.solver._DT_ROWS) for lo in range(0, nt, rw.solver._DT_ROWS)]
+        blocks += [slice(0, 1), slice(1, 2), slice(nt - 2, nt - 1), slice(nt - 1, nt),
+                   slice(1, nt - 1), slice(0, nt), slice(3, 3)]
+        for h in (hist, back):
+            for i, name in enumerate(("W_u", "dtW_u", "W_v", "dtW_v")):
+                assert getattr(h, name).values.tobytes() == ref[i].tobytes(), name
+                saved = rw.SpaceTimeField.from_binary(tmp_path / "run" / f"{name}.bin")
+                assert saved.values.tobytes() == ref[i].tobytes(), name
+            for rows in blocks:
+                got = h.dt_rows(rows)
+                assert [x.tobytes() for x in got] == [ref[1][rows].tobytes(),
+                                                     ref[3][rows].tobytes()], rows
+
     @pytest.mark.parametrize("dr", [1 / 8, 1 / 16])
     def test_free_wave_equals_dalembert(self, dr):
         # the characteristic step is exact for the free wave: rounding only
