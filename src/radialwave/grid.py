@@ -209,9 +209,11 @@ def _write_field(path, grid: GridSpec, parity: str | None, blocks) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def _read_field(path, rows=None) -> tuple:
+def _read_field(path, grid=None, rows=None) -> tuple:
     """(grid, values, parity) of a field file, ``values`` holding every row or
-    only the rows ``rows`` (a list of indices), read with nothing else."""
+    only the rows ``rows`` (a list of indices), read with nothing else.  With
+    ``grid`` (a history manifest's), a header naming any other grid is refused
+    before a row is read."""
     with open(path, "rb") as fh:
         size = struct.calcsize(SpaceTimeField._HEADER)
         raw = fh.read(size)
@@ -222,10 +224,12 @@ def _read_field(path, rows=None) -> tuple:
             raise ValueError(f"{path}: not a field file")
         _, dr, cfl, r_max, t_max, par = struct.unpack(SpaceTimeField._HEADER, raw)
         try:
-            grid = GridSpec(dr, cfl, r_max, t_max)
+            header = GridSpec(dr, cfl, r_max, t_max)
         except ValueError as exc:
             raise ValueError(f"{path}: the header's grid is invalid: {exc}") from None
-        nt, nr = grid.shape()
+        if grid is not None and header != grid:
+            raise ValueError(f"{path}: the header's grid {header} is not the manifest's")
+        nt, nr = header.shape()
         want, got = 8 * nt * nr, os.fstat(fh.fileno()).st_size - size
         if got != want:
             raise ValueError(f"{path}: payload holds {got} bytes, the header's "
@@ -239,7 +243,7 @@ def _read_field(path, rows=None) -> tuple:
             for row, n in zip(data, rows):
                 fh.seek(size + 8 * nr * n)
                 row[:] = np.fromfile(fh, dtype="<f8", count=nr)
-    return grid, data, (None, "odd", "even")[par]
+    return header, data, (None, "odd", "even")[par]
 
 
 def _require_size(grid: GridSpec):

@@ -282,18 +282,19 @@ def _region_rows(grid) -> list:
 
 
 # the M/A functionals, ``le1_norm`` and the ratio checks of ``estimates`` walk
-# the grid, the Picard driver builds its sources, and the Klainerman-Sobolev
-# checks walk a U strip, in blocks of this many rows or more
+# the grid, and the Klainerman-Sobolev checks walk a U strip, in blocks of this
+# many rows or more; the Picard sources, and the files of a dt W built from W,
+# take blocks of 16 rows or more, whose temporaries are small beside the grid
 _BLOCK_ROWS = 64
 
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
 _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
 
 
-def _blocks(nt: int) -> list:
-    """(lo, hi) of max(1, nt // _BLOCK_ROWS) consecutive blocks of rows that
-    cover [0, nt), their sizes within one of each other: none is short."""
-    n = max(1, nt // _BLOCK_ROWS)
+def _blocks(nt: int, rows: int = _BLOCK_ROWS) -> list:
+    """(lo, hi) of max(1, nt // rows) consecutive blocks of rows that cover
+    [0, nt), their sizes within one of each other: none is short."""
+    n = max(1, nt // rows)
     return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
 
 

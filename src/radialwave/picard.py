@@ -7,27 +7,30 @@ with the bilinear form B of each equation (``null_form`` for u, dt u dt v
 for v) as B(delta_{k-1}, a) + B(a, delta_{k-1}) - B(delta_{k-1}, delta_{k-1}),
 a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
 A of delta_k, so A_k is no difference of two separately rounded solves.  The
-iterates live on the given grid at dt = dr (``PicardConfig.grid``).  One pair
-of histories is resident: u_{k-1}, four grid arrays (W and dt W of u and v),
-and delta_{k-1}, two (its W; a characteristic solve holds dt W as its first
-and last rows, the others being the centred difference of W), one object at
-k = 2, as delta_1 = u_1.  G_k (two arrays) is built from both in blocks of
+iterates live on the given grid at dt = dr (``PicardConfig.grid``).
+
+u_k and delta_k are each held as W of u and v (two grid arrays) plus the
+first and last rows of dt W (``solver._CentredDt``), whose other rows are
+(W[n+1] - W[n-1]) / 2h of that W, the solve's own rows for delta_k.  u_k =
+u_{k-1} + delta_k sums W and the edge rows in place, so its other rows are
+that difference of the summed W (the sum of the solves' rows in exact
+arithmetic only).  One pair is resident, u_{k-1} and delta_{k-1}, one object
+at k = 2, as delta_1 = u_1.  G_k (two arrays) is built from both in blocks of
 rows, then delta_{k-1} is dropped before the solve makes delta_k, and G_k
-when it returns; delta_k is added into u_{k-1}'s arrays in place, so they
-hold u_k, whose dt W, a running sum, is kept whole.  The first solve's zero
-source lives for that call only.  M and A read u = W / r per block of rows
-(``over_r``), so no quotient is built whole.
+when it returns.  The first solve's zero source lives for that call only.  M
+and A read u = W / r per block of rows (``over_r``), so no quotient is built
+whole.
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
-(naming k) replace the old ones in one rename, and only then are older
-histories removed: an interrupt leaves the old (records, histories) pair or
-the new one.  The dt W files of delta_k hold every row, written a block at a
-time, and only their first and last rows are read back.  Records that name
-another k, a k with no saved delta, or histories that do not load are
-refused.  The tag keys everything but ``kmax``, so a rerun with a larger kmax
-solves only the new iterates and one with a smaller kmax returns the first
-kmax records.
+(naming k, and the form ``_FORM`` of the histories) replace the old ones in
+one rename, and only then are older histories removed: an interrupt leaves
+the old (records, histories) pair or the new one.  The dt W files hold every
+row, written a block at a time, and only their first and last rows are read
+back.  Records of another form, records that name another k, a k with no
+saved delta, or histories that do not load are refused.  The tag keys
+everything but ``kmax``, so a rerun with a larger kmax solves only the new
+iterates and one with a smaller kmax returns the first kmax records.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridSpec, SpaceTimeField, _d1, _over_r
-from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
+from .norms import _blocks, _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
-    InitialData, SolveConfig, SolutionHistory, _row_blocks, bump, calibrate, config_hash,
-    nonlinearity, solve, solve_linear_forced, zero_profile,
+    InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash, nonlinearity,
+    solve, solve_linear_forced, zero_profile,
 )
+
+_FORM = "W and dt W edge rows"  # of the saved histories, named in the records file
 
 
 class NonContraction(RuntimeError):
@@ -112,11 +117,11 @@ class IterationRecord:
 
 
 def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
-    """(dtu, dru, dtv, drv) scalar frames on ``rows`` of the history: dt from the
-    conjugate momenta (``SolutionHistory.dt_rows``), dr by the stencil, each row
-    from its own row."""
+    """(dtu, dru, dtv, drv) scalar frames on ``rows`` (a unit-step slice) of the
+    history: dt from the conjugate momenta (``_CentredDt.rows``), dr by the
+    stencil, each row from its own row."""
     r, dr = hist.grid.r, hist.grid.dr
-    dtu, dtv = (_over_r(x, r) for x in hist.dt_rows(rows))
+    dtu, dtv = (_over_r(f.rows(rows), r) for f in (hist.dtW_u, hist.dtW_v))
     dru, drv = (_d1(_over_r(f.values[rows], r), dr, "even") for f in (hist.W_u, hist.W_v))
     return dtu, dru, dtv, drv
 
@@ -124,14 +129,15 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
 def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
     ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
-    in the blocks of ``solver._row_blocks``: a row's source reads that row
-    alone, and small blocks keep their temporaries small beside the grid
-    arrays."""
+    in blocks of 16 rows or more (``norms._blocks``): a row's source reads
+    that row alone, and small blocks keep their temporaries small beside the
+    grid arrays."""
     def bilinear(x, y, which):
         return nonlinearity(x[0], x[1], y[2], y[3], which)
 
     out = np.empty((2, *hist.grid.shape()))
-    for rows in _row_blocks(hist.grid.nt):
+    for lo, hi in _blocks(hist.grid.nt, 16):
+        rows = slice(lo, hi)
         a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
         for g, w in zip(out[:, rows], ("u-eq", "v-eq")):
             g[:] = bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w)
@@ -139,17 +145,12 @@ def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
 
 
 def _add_into(hist: SolutionHistory, diff: SolutionHistory) -> None:
-    """hist += diff in place, dt W a block of rows at a time.  A sum of solves is
-    no centred difference, so hist's dt W is made whole first, from its W as
-    the solve left it."""
-    grid = hist.grid
-    hist.dtW_u, hist.dtW_v = (SpaceTimeField(grid, f.values, "odd")
-                              for f in (hist.dtW_u, hist.dtW_v))
+    """hist += diff in place: W to W and dt W's edge rows to its edge rows, so
+    hist's other dt W rows are the centred difference of the summed W."""
     hist.W_u.values += diff.W_u.values
     hist.W_v.values += diff.W_v.values
-    for rows in _row_blocks(grid.nt):
-        for total, d in zip(hist.dt_rows(rows), diff.dt_rows(rows)):
-            total += d
+    hist.dtW_u.edges += diff.dtW_u.edges
+    hist.dtW_v.edges += diff.dtW_v.edges
 
 
 def run_iteration(config: PicardConfig) -> list[IterationRecord]:
@@ -212,7 +213,7 @@ def _save_state(config, tag, records, hist, diff):
     hist.save(hist_dir)
     diff.save(os.path.join(hist_dir, "delta"))
     with open(rec_path + ".tmp", "w") as fh:
-        json.dump({"config": config.descriptor(), "k": records[-1].k,
+        json.dump({"config": config.descriptor(), "form": _FORM, "k": records[-1].k,
                    "records": [r.to_json() for r in records]}, fh, sort_keys=True)
     os.replace(rec_path + ".tmp", rec_path)
     for name in os.listdir(config.outdir):  # older histories, once superseded
@@ -233,6 +234,9 @@ def _load_state(config, tag):
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"{rec_path}: malformed records ({type(exc).__name__}: {exc}); "
                          "remove it to start afresh") from None
+    if blob.get("form") != _FORM:
+        raise ValueError(f"{rec_path}: histories not of the form {_FORM!r} (u_k's dt W "
+                         "a running sum); remove it to start afresh")
     hist_dir = f"{prefix}{k}"
     if last != k or not os.path.isdir(hist_dir):
         raise ValueError(f"{rec_path}: records up to k = {last} do not match a "
@@ -242,8 +246,7 @@ def _load_state(config, tag):
         raise ValueError(f"{hist_dir} holds no difference delta_{k} (a state of the "
                          "separately solved iterates); remove it to start afresh")
     try:
-        return (records, SolutionHistory.load(hist_dir),
-                SolutionHistory.load(delta_dir, dt_edges=True))
+        return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
     except (ValueError, OSError, KeyError, TypeError) as exc:  # a manifest missing a key
         raise ValueError(f"the saved state cannot be loaded ({type(exc).__name__}: {exc}); "
                          f"remove {rec_path} and {hist_dir} to start afresh") from None

@@ -61,7 +61,7 @@ import numpy as np
 from .grid import (_FLIP, GridSpec, SpaceTimeField, _centred_d1, _centred_d2, _d1, _d1_first,
                    _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _read_field, _span,
                    _trapz_weights, _write_field, null_form)
-from .norms import FOUR_PI
+from .norms import FOUR_PI, _blocks
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
@@ -175,7 +175,9 @@ class _CentredDt:
     is the data velocity, the last row differences W one step past t_max, and
     rows 1..nt-2 are (W[n+1] - W[n-1]) / (2h), the solve's own operations in
     its order, so each row equals the one the solve would store, bit for bit.
-    ``W`` must not change while it is read."""
+    A sum of such solves (a Picard iterate) sums W and the edge rows, its
+    other rows being the same difference of the summed W.  ``W`` must not
+    change while it is read."""
 
     parity = "odd"
 
@@ -208,25 +210,19 @@ class _CentredDt:
         return out
 
     def to_binary(self, path) -> None:
-        """The file of the whole array, written one block of rows at a time."""
-        _write_field(path, self.grid, self.parity, map(self.rows, _row_blocks(self.grid.nt)))
-
-
-_DT_ROWS = 16  # rows per block where dt W is built from W
-
-
-def _row_blocks(nt: int) -> list[slice]:
-    """Consecutive blocks of ``_DT_ROWS`` rows (the last one shorter) covering [0, nt)."""
-    return [slice(lo, lo + _DT_ROWS) for lo in range(0, nt, _DT_ROWS)]
+        """The file of the whole array, written one block of 16 rows or more at a time."""
+        _write_field(path, self.grid, self.parity,
+                     (self.rows(slice(lo, hi)) for lo, hi in _blocks(self.grid.nt, 16)))
 
 
 @dataclass
 class SolutionHistory:
     """Space-time record of the conjugate state plus per-step diagnostics.
 
-    dt W is whole (``solve``'s RK4 state) or, from ``solve_linear_forced``,
-    a ``_CentredDt``, built from W per block of rows (``dt_rows``) or whole
-    where its ``values`` are read.
+    dt W is whole (``solve``'s RK4 state) or, from ``solve_linear_forced`` and
+    the Picard iterates summed from its solves, a ``_CentredDt``: its first and
+    last rows, the others built from W per block of rows (``_CentredDt.rows``)
+    or whole where its ``values`` are read.
     """
 
     W_u: SpaceTimeField
@@ -248,12 +244,6 @@ class SolutionHistory:
         from .grid import conjugate_to_scalar
         return conjugate_to_scalar(self.W_v)
 
-    def dt_rows(self, rows: slice) -> list[np.ndarray]:
-        """[dt W_u, dt W_v] on ``rows`` (a unit-step slice): views of whole
-        arrays, new arrays where dt W is held as edge rows."""
-        return [f.rows(rows) if isinstance(f, _CentredDt) else f.values[rows]
-                for f in (self.dtW_u, self.dtW_v)]
-
     def save(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
@@ -267,23 +257,22 @@ class SolutionHistory:
             json.dump(manifest, fh, sort_keys=True)
 
     @classmethod
-    def load(cls, outdir: str, dt_edges: bool = False) -> "SolutionHistory":
-        """The history saved in ``outdir``; with ``dt_edges``, a characteristic
-        solve's, whose dt W files are read at their first and last rows only."""
+    def load(cls, outdir: str) -> "SolutionHistory":
+        """The history saved in ``outdir``.  A characteristic one (``"linear_forced"``
+        in its manifest) reads its dt W files at their first and last rows only,
+        the other rows being the centred difference of W; an RK4 one loads whole."""
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        grid = GridSpec(**manifest["grid"])
+        grid, mode = GridSpec(**manifest["grid"]), manifest["mode"]
         fields = []
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             path = os.path.join(outdir, f"{name}.bin")
-            edges = dt_edges and name.startswith("dt")
-            f_grid, values, parity = _read_field(path, [0, grid.nt - 1] if edges else None)
-            if f_grid != grid:
-                raise ValueError(f"{path}: the header's grid {f_grid} is not the manifest's")
+            edges = mode == "linear_forced" and name.startswith("dt")
+            _, values, parity = _read_field(path, grid, [0, grid.nt - 1] if edges else None)
             fields.append(_CentredDt(fields[-1], values) if edges
                           else SpaceTimeField(grid, values, parity))
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
-        return cls(*fields, manifest["mode"], diags)
+        return cls(*fields, mode, diags)
 
 
 def nonlinearity(dtu, dru, dtv, drv, which: str):

@@ -6,11 +6,33 @@ four arrays (W_u, dt W_u, W_v, dt W_v): each step writes dt W of row n as
 and row 0 holds the data velocity.  ``solve_linear_forced`` keeps W and the
 first and last dt W rows, and every row it builds must reproduce these bit
 for bit.
+
+``add_into_ref`` is the Picard driver's earlier sum u_k = u_{k-1} + delta_k,
+which kept u_k's dt W whole as a running sum of the solves' dt W.  The
+driver now sums W and dt W's edge rows and differences the summed W for the
+other rows: equal in exact arithmetic, rounded otherwise.
 """
 
 import numpy as np
 
+from radialwave.grid import SpaceTimeField
 from radialwave.solver import BlowUpSuspected, InitialData, _neighbour_sum
+
+
+class WholeDt(SpaceTimeField):
+    """A dt W held whole, read by rows the way ``solver._CentredDt`` is."""
+
+    def rows(self, rows: slice) -> np.ndarray:
+        return self.values[rows]
+
+
+def add_into_ref(hist, diff) -> None:
+    """hist += diff in place, dt W whole: hist's dt W (built whole from its W
+    before W moves, or already whole) plus diff's, row by row."""
+    hist.dtW_u, hist.dtW_v = (WholeDt(hist.grid, h.values + d.values, "odd")
+                              for h, d in ((hist.dtW_u, diff.dtW_u), (hist.dtW_v, diff.dtW_v)))
+    hist.W_u.values += diff.W_u.values
+    hist.W_v.values += diff.W_v.values
 
 
 def linear_forced_ref(data: InitialData, forcing_u, forcing_v) -> np.ndarray:

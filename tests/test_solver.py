@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import radialwave as rw
+from radialwave import grid as grid_module, norms
 from radialwave.solver import (
     InitialData, SolveConfig, dalembert_history, poly_bump, smallness_sum,
 )
@@ -161,7 +163,7 @@ class TestLinearForced:
     def test_equals_the_four_array_oracle(self, case, tmp_path):
         # W and dt W equal the solve that stored all four arrays, in bytes:
         # whole, per block of rows (the first and last rows included), as
-        # saved, and as loaded back at dt W's edge rows
+        # saved, and as loaded back, which reads dt W's edge rows only
         g, data, scale = LINEAR_FORCED_CASES[case]
         fu, fv = (rw.SpaceTimeField.from_function(
             g, lambda t, r, c=c: scale * np.exp(-np.square(r - c) - np.square(t - 1)))
@@ -170,10 +172,11 @@ class TestLinearForced:
         ref = linear_forced_ref(data, fu, fv)
         assert ref[1].any() and ref[3].any()
         hist.save(tmp_path / "run")
-        back = rw.SolutionHistory.load(tmp_path / "run", dt_edges=True)
+        back = rw.SolutionHistory.load(tmp_path / "run")
+        assert back.dtW_u.edges.shape == back.dtW_v.edges.shape == (2, g.nr)
         nt = g.nt
         assert (case == "t_max odd in rows") == (nt == 50)
-        blocks = [slice(lo, lo + rw.solver._DT_ROWS) for lo in range(0, nt, rw.solver._DT_ROWS)]
+        blocks = [slice(lo, hi) for lo, hi in norms._blocks(nt, 16)]
         blocks += [slice(0, 1), slice(1, 2), slice(nt - 2, nt - 1), slice(nt - 1, nt),
                    slice(1, nt - 1), slice(0, nt), slice(3, 3)]
         for h in (hist, back):
@@ -182,7 +185,7 @@ class TestLinearForced:
                 saved = rw.SpaceTimeField.from_binary(tmp_path / "run" / f"{name}.bin")
                 assert saved.values.tobytes() == ref[i].tobytes(), name
             for rows in blocks:
-                got = h.dt_rows(rows)
+                got = (h.dtW_u.rows(rows), h.dtW_v.rows(rows))
                 assert [x.tobytes() for x in got] == [ref[1][rows].tobytes(),
                                                      ref[3][rows].tobytes()], rows
 
@@ -325,17 +328,29 @@ class TestConfig:
                                           getattr(hist, name).values)
 
     @pytest.mark.parametrize("other", [dict(dr=0.25, cfl=0.5, r_max=24.0),
-                                       dict(cfl=0.5, t_max=2.0), dict(t_max=2.0)],
-                             ids=["dr", "dt", "shape"])
-    def test_load_refuses_a_field_off_the_manifest_grid(self, tmp_path, other):
+                                       dict(cfl=0.5, t_max=2.0), dict(t_max=2.0),
+                                       dict(t_max=8.0)],
+                             ids=["dr", "dt", "shape", "longer"])
+    def test_load_refuses_a_field_off_the_manifest_grid(self, tmp_path, monkeypatch, other):
         # each other grid differs from the manifest's in dr, dt or shape alone
+        # (fewer rows, or more); a characteristic history reads its dt W files
+        # at rows 0 and nt - 1 of the manifest's grid, so the file is refused
+        # by its path from its header, before a row is read
         g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=4.0)
         z = rw.SpaceTimeField.zeros(g)
         rw.solve_linear_forced(standard_data(), z, z).save(tmp_path / "run")
-        off = rw.SpaceTimeField.zeros(dataclasses.replace(g, **other), "odd")
-        off.to_binary(tmp_path / "run" / "dtW_v.bin")
-        with pytest.raises(ValueError, match="dtW_v.bin: the header's grid"):
+        path = tmp_path / "run" / "dtW_v.bin"
+        rw.SpaceTimeField.zeros(dataclasses.replace(g, **other), "odd").to_binary(path)
+        message = re.escape(f"{path}: the header's grid ") + ".* is not the manifest's"
+        with pytest.raises(ValueError, match=message):
             rw.SolutionHistory.load(tmp_path / "run")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a row was read")
+
+        monkeypatch.setattr(grid_module.np, "fromfile", no_read)
+        with pytest.raises(ValueError, match=message):
+            grid_module._read_field(path, g, [0, g.nt - 1])
 
     def test_loaded_linear_forced_config_cannot_rerun(self, tmp_path):
         # a history names its solve; no forcing is saved, and solve refuses the name
