@@ -24,25 +24,23 @@ the ghost slot, the Klainerman-Sobolev masses) reads only its region's
 points.  A Klainerman-Sobolev check is one ``_stream`` call (``_ks_pass``): a
 sup slot over the plain region and a mass slot per word sum on the enlarged
 region tilde, on the windows of ``_ks_windows``, the bounding box of each
-block of tilde's rows (``norms._blocks``).  A U strip runs along the light
+block of tilde's rows (``grid._blocks``).  A U strip runs along the light
 cone, so its blocks' boxes hold a fraction of the cells of its one bounding
-box; an R piece is a rectangle and keeps that one box.  ``_ks_windows``
-counts the cells each choice walks with the span rule of ``_word_sums``
-itself (``grid._walk``), which also owns the light-cone cut.
+box; an R piece is a rectangle, whose blocks walk its box plus the halo
+rows where they meet, a block's temporaries in place of the whole box's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import (
-    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _box_values, _d1,
-    _require_size, _trapz_weights, _walk, _wave2, box_conjugate, derivative,
+    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _blocks, _box_values, _d1,
+    _require_size, _trapz_weights, _wave2, box_conjugate, derivative,
 )
-from .norms import FOUR_PI, WeightSpec, _blocks, _stream
+from .norms import FOUR_PI, WeightSpec, _stream
 from .regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
     sigma_U, sigma_U_prime,
@@ -389,30 +387,18 @@ def _check_ks_kind(region_kind: str) -> None:
         raise ValueError("region_kind must be R or U")
 
 
-def _ks_windows(tilde, keys, shape) -> list[tuple[slice, slice]]:
+def _ks_windows(tilde) -> list[tuple[slice, slice]]:
     """The windows a Klainerman-Sobolev check walks to read the per-row
-    intervals ``tilde`` on a grid of ``shape``: the bounding box of each block
-    of their rows (``norms._blocks``), or their one bounding box when the walk
-    of the sums of ``keys`` on it (``grid._walk``) holds no more cells than
-    the walks on the blocks' boxes.  So a rectangle keeps one box and a band
-    along the light cone gets blocks.  One empty window if ``tilde`` is
-    empty."""
+    intervals ``tilde``: the bounding box of each block of their rows
+    (``grid._blocks``).  One empty window if ``tilde`` is empty."""
     rows, j_lo, j_hi = tilde
     if rows.size == 0:
         return [(slice(0, 0), slice(0, 0))]
-
-    def box(a, b):  # the bounding box of the intervals a:b
-        return (slice(int(rows[a]), int(rows[b - 1]) + 1),
-                slice(int(j_lo[a:b].min()), int(j_hi[a:b].max())))
-
-    def cells(windows):
-        return sum(math.prod(b - a for *_, a, b in _walk(keys, w, shape)) for w in windows)
-
     first = int(rows[0])
     cuts = (np.searchsorted(rows, (first + lo, first + hi))
             for lo, hi in _blocks(int(rows[-1]) + 1 - first))
-    blocks, whole = [box(a, b) for a, b in cuts if b > a], [box(0, rows.size)]
-    return blocks if cells(blocks) < cells(whole) else whole
+    return [(slice(int(rows[a]), int(rows[b - 1]) + 1),
+             slice(int(j_lo[a:b].min()), int(j_hi[a:b].max()))) for a, b in cuts if b > a]
 
 
 def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
@@ -421,9 +407,9 @@ def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
     ``sup_key`` over the plain region, which lies in the enlarged one, and
     the L2L2 mass on the enlarged region of each word sum of ``keys``."""
     tilde, walk = region.enlarged(1), (sup_key,) + keys
-    windows = _ks_windows(_intervals(tilde, w.grid), walk, w.grid.shape())
     masses = _stream(w, walk, {"sup": (sup_key, None, [region]),
-                               **{key: (key, WeightSpec(), tilde) for key in keys}}, windows)
+                               **{key: (key, WeightSpec(), tilde) for key in keys}},
+                     _ks_windows(_intervals(tilde, w.grid)))
     return masses.pop("sup")[0], masses
 
 

@@ -28,6 +28,9 @@ of the grid, in the window's shape and equal to the whole-grid sums on every
 cell, for every caller (the M/A functionals, ``le1_norm``, the ratio and
 Klainerman-Sobolev checks of ``estimates``).  It widens its walk by the halo
 its keys need (``_walk``) and stops it at the field's light cone (``_cut``).
+``_blocks`` is the one row-block helper: fields are sampled
+(``SpaceTimeField.from_function``), streamed through the norms and the
+estimate checks, and turned into Picard sources and files in its blocks.
 """
 
 from __future__ import annotations
@@ -174,10 +177,14 @@ class SpaceTimeField:
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn: Callable, parity: str | None = None) -> "SpaceTimeField":
+        """The field of values fn(t, r), filled one block of rows at a time
+        (``_blocks(nt, 16)``): fn is called per block, on its times as a column
+        and the radii as a row, and must be pointwise in (t, r); its result
+        (the block's shape, a row or a scalar) is broadcast into the block."""
         t, r = grid.meshes()
-        # one copy: writable, C-ordered and owning its data
-        vals = np.array(np.broadcast_to(fn(t, r), grid.shape()), dtype=np.float64,
-                        order="C")
+        vals = np.empty(grid.shape())
+        for lo, hi in _blocks(grid.nt, 16):
+            vals[lo:hi] = fn(t[lo:hi], r)
         return cls(grid, vals, parity)
 
     @classmethod
@@ -257,6 +264,21 @@ def _trapz_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2
     return w
+
+
+# the M/A functionals, ``le1_norm`` and the ratio checks of ``estimates`` walk
+# the grid, and the Klainerman-Sobolev checks walk their enlarged regions, in
+# blocks of this many rows or more; ``SpaceTimeField.from_function``, the Picard
+# sources and the files of a dt W built from W take blocks of 16 rows or more,
+# whose temporaries are small beside the grid
+_BLOCK_ROWS = 64
+
+
+def _blocks(nt: int, rows: int = _BLOCK_ROWS) -> list:
+    """(lo, hi) of max(1, nt // rows) consecutive blocks of rows that cover
+    [0, nt), their sizes within one of each other: none is short."""
+    n = max(1, nt // rows)
+    return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
 
 
 def _col(k: int, s: int) -> tuple:

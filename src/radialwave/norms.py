@@ -20,8 +20,8 @@ slots read, reduced straight into the per-row sums of every slot (whole rows,
 row 0, a region's points, the per-annulus row sums of ``le_norm`` from
 ``_le_rows``) and into region sups, then each slot once in t, so every value
 equals the whole-grid one bit for bit and no array of the grid's size is
-built.  The windows are the blocks of full time rows of ``_blocks`` for the
-M/A functionals (``_functionals``, one ``_stream`` call per field;
+built.  The windows are the blocks of full time rows of ``grid._blocks`` for
+the M/A functionals (``_functionals``, one ``_stream`` call per field;
 ``m_and_a_functionals`` reads both functionals off one pass), ``le1_norm`` and
 the ratio checks of ``estimates``; a Klainerman-Sobolev check passes the
 boxes of its enlarged region that it walks (``estimates._ks_windows``).  The
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import DT, DR, SpaceTimeField, _span, _trapz_weights, _word_sums
+from .grid import DT, DR, SpaceTimeField, _blocks, _span, _trapz_weights, _word_sums
 from .regions import (
     ANNULUS, CORE, R_KIND, U_KIND, DyadicRegion, _flat, _intervals, bracket,
     dyadic_scales,
@@ -213,7 +213,8 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     4 pi r^2 dr dt: row sums, then the trapezoid in t).  The windows take
     disjoint runs of rows in ascending order, and must hold every point of
     the slots' regions on their rows; only region slots read a window that
-    is not full rows."""
+    is not full rows.  Consecutive slots on one region (one memoised
+    ``_intervals``) share its positions in each window."""
     grid = f.grid
     if windows is None:
         windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(grid.nt)]
@@ -221,7 +222,7 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
               else _intervals(where, grid)
               for name, (*_, where) in slots.items() if not isinstance(where, str)}
     annuli, measure = _annuli(grid), _measure(grid, WeightSpec())
-    parts = {name: [] for name in slots}
+    parts, seen = {name: [] for name in slots}, (None, None)  # seen: (intervals, positions)
     for window in windows:
         lo, hi = _span(window[0], grid.nt)
         sums = _word_sums(f, keys, window, over_r)
@@ -240,9 +241,12 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
             elif where == "data":
                 parts[name].append(_row_sums(values[:1], grid, weight))
             else:
-                pos = _window_pos(points[name], grid, window) if name in points else None
+                if name in points and seen[0] is not points[name]:
+                    seen = points[name], _window_pos(points[name], grid, window)
+                pos = seen[1] if name in points else None  # shared by slots on one region
                 parts[name].append(_row_sums(values, grid, weight, pos, window))
-        sums = values = None  # freed before the next window's pass
+        sums = values = pos = None  # freed before the next window's pass
+        seen = (None, None)
     out = {}
     for name, (_, _, where) in slots.items():
         if where == "LE":
@@ -281,21 +285,8 @@ def _region_rows(grid) -> list:
             for s in dyadic_scales(tau // 2)]
 
 
-# the M/A functionals, ``le1_norm`` and the ratio checks of ``estimates`` walk
-# the grid, and the Klainerman-Sobolev checks walk a U strip, in blocks of this
-# many rows or more; the Picard sources, and the files of a dt W built from W,
-# take blocks of 16 rows or more, whose temporaries are small beside the grid
-_BLOCK_ROWS = 64
-
 # functional -> (keeps the sup-in-t v slot, weight of the v R row)
 _FUNCTIONALS = {"M": (True, "tau"), "A": (False, "alt")}
-
-
-def _blocks(nt: int, rows: int = _BLOCK_ROWS) -> list:
-    """(lo, hi) of max(1, nt // rows) consecutive blocks of rows that cover
-    [0, nt), their sizes within one of each other: none is short."""
-    n = max(1, nt // rows)
-    return [(nt * i // n, nt * (i + 1) // n) for i in range(n)]
 
 
 def _region_intervals(regions: list, grid) -> tuple:

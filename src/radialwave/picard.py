@@ -45,8 +45,8 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, _d1, _over_r
-from .norms import _blocks, _check_params, a_functional, m_and_a_functionals, m_functional
+from .grid import GridSpec, SpaceTimeField, _blocks, _d1, _over_r
+from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash, nonlinearity,
     solve, solve_linear_forced, zero_profile,
@@ -129,7 +129,7 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
 def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
     ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
-    in blocks of 16 rows or more (``norms._blocks``): a row's source reads
+    in blocks of 16 rows or more (``grid._blocks``): a row's source reads
     that row alone, and small blocks keep their temporaries small beside the
     grid arrays."""
     def bilinear(x, y, which):

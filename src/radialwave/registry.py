@@ -1,7 +1,8 @@
 """Shared family of test fields used by the estimate checks.
 
-Every builder returns an even-in-r scalar field sampled on the requested grid,
-so the axis stencils in the derivative layer are exact.  The traveling
+Every family is an even-in-r scalar field: a function pointwise in (t, r),
+sampled per block of rows (``SpaceTimeField.from_function``) on the requested
+grid, so the axis stencils in the derivative layer are exact.  The traveling
 families symmetrize a pulse with its reflection through r = 0; the reflected
 copy is analytically tiny on r >= 0 but keeps the even parity honest.
 """

@@ -58,10 +58,10 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (_FLIP, GridSpec, SpaceTimeField, _centred_d1, _centred_d2, _d1, _d1_first,
-                   _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _read_field, _span,
-                   _trapz_weights, _write_field, null_form)
-from .norms import FOUR_PI, _blocks
+from .grid import (_FLIP, GridSpec, SpaceTimeField, _blocks, _centred_d1, _centred_d2, _d1,
+                   _d1_first, _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _read_field,
+                   _span, _trapz_weights, _write_field, null_form)
+from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)

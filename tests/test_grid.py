@@ -58,20 +58,45 @@ class TestField:
                                     lambda t, r: np.exp(-r),      # one row, broadcast
                                     lambda t, r: 2.5])            # a scalar, broadcast
     def test_from_function_copies_once(self, fn):
-        # fn's result plus one array; the parent's astype and copy of a
-        # broadcast result made two
+        # one array plus a block's result: fn is called per block of rows; a
+        # whole-grid call held fn's result of the grid's size beside the array
         g = small_grid(dr=1 / 32, r_max=64.0, t_max=16.0)
         t, r = g.meshes()
-        result_bytes = np.asarray(fn(t, r)).nbytes
         tracemalloc.start()
         try:
             f = rw.SpaceTimeField.from_function(g, fn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < result_bytes + 1.1 * f.values.nbytes
+        assert peak < 1.1 * f.values.nbytes
         assert f.values.flags.writeable and f.values.flags.owndata and f.values.flags.c_contiguous
         assert np.array_equal(f.values, np.broadcast_to(fn(t, r), g.shape()))
+
+    @pytest.mark.parametrize("fn", [
+        lambda t, r: np.exp(-np.square(r - t - 3) / 2.25) * np.cos(t),  # the block's shape
+        lambda t, r: np.exp(-r),                                         # a (1, nr) row
+        lambda t, r: 2.5])                                               # a scalar
+    @pytest.mark.parametrize("t_max", [1.0, 6.0, 8.0], ids=["nt9", "nt49", "nt65"])
+    def test_from_function_samples_in_row_blocks(self, fn, t_max):
+        # nt < 16, and nt no multiple of 16 (49 rows: three blocks of 16-17;
+        # 65 rows: four of 16-17): one call per block of _blocks(nt, 16), on
+        # its times as a column, equal in bytes to one whole-grid call
+        g = small_grid(t_max=t_max, r_max=t_max + 4)
+        t, r = g.meshes()
+        calls = []
+
+        def recording(tb, rb):
+            calls.append((tb.copy(), rb))
+            return fn(tb, rb)
+
+        f = rw.SpaceTimeField.from_function(g, recording)
+        blocks = grid._blocks(g.nt, 16)
+        assert len(calls) == len(blocks) == {9: 1, 49: 3, 65: 4}[g.nt]
+        for (tb, rb), (lo, hi) in zip(calls, blocks):
+            assert tb.shape == (hi - lo, 1) and np.array_equal(tb[:, 0], g.t[lo:hi])
+            assert np.array_equal(rb, r)
+        whole = np.array(np.broadcast_to(fn(t, r), g.shape()), dtype=np.float64)
+        assert f.values.tobytes() == whole.tobytes()
 
     def test_odd_field_must_vanish_on_axis(self):
         g = small_grid()

@@ -310,18 +310,18 @@ class TestTimeBlocks:
 
     @pytest.mark.parametrize("nt", [1, 5, 63, 64, 127, 128, 129, 513, 1000])
     def test_blocks_cover_the_rows_with_none_short(self, nt):
-        blocks = norms._blocks(nt)
+        blocks = grid_module._blocks(nt)
         assert blocks[0][0] == 0 and blocks[-1][1] == nt
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         sizes = [hi - lo for lo, hi in blocks]
         assert max(sizes) - min(sizes) <= 1
-        assert len(blocks) == 1 or min(sizes) >= norms._BLOCK_ROWS
+        assert len(blocks) == 1 or min(sizes) >= grid_module._BLOCK_ROWS
 
     # nt mod _BLOCK_ROWS = 0, 1 and neither, two blocks each
     @pytest.mark.parametrize("extra", [0, 1, 35])
     @pytest.mark.parametrize("N", [2, 3])
     def test_blocks_equal_one_block(self, monkeypatch, extra, N):
-        u, v = self.fields(2 * norms._BLOCK_ROWS + extra)
+        u, v = self.fields(2 * grid_module._BLOCK_ROWS + extra)
         assert len(norms._blocks(u.grid.nt)) == 2
         functionals = (m_functional, rw.a_functional)
         blocked = [f(u, v, 0.75, 0.2, N) for f in functionals]
@@ -335,7 +335,7 @@ class TestTimeBlocks:
         # at N = 3 a sum chains four stencils in t (Z^3, then good, dt or dr);
         # a depth helper one cell short walks three halo rows around the middle
         # block, the only one whose walk meets no grid edge
-        u, v = self.fields(3 * norms._BLOCK_ROWS + 1)
+        u, v = self.fields(3 * grid_module._BLOCK_ROWS + 1)
         exact = m_functional(u, v, 0.75, 0.2, 3)
         monkeypatch.setattr("radialwave.grid._depth", lambda keys: _depth(keys) - 1)
         assert m_functional(u, v, 0.75, 0.2, 3).slots != exact.slots
@@ -523,8 +523,7 @@ class TestLightCone:
         values = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape())
         region = rw.DyadicRegion(8, kind, scale)
         plain, mask = norms._region_intervals([region], g), realize_mask(region, g).weights
-        keys = ((0, None), (2, None), (2, "dr"))
-        windows = estimates._ks_windows(_intervals(region.enlarged(1), g), keys, g.shape())
+        windows = estimates._ks_windows(_intervals(region.enlarged(1), g))
         sups = [norms._region_sups(values[w], plain, 1, g, w)[0] for w in windows]
         assert sups == [region_supsup(values[w], mask[w]) for w in windows]
         assert max(sups) == region_supsup(values, mask)

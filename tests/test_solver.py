@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import grid as grid_module, norms
+from radialwave import grid as grid_module
 from radialwave.solver import (
     InitialData, SolveConfig, dalembert_history, poly_bump, smallness_sum,
 )
@@ -176,7 +176,7 @@ class TestLinearForced:
         assert back.dtW_u.edges.shape == back.dtW_v.edges.shape == (2, g.nr)
         nt = g.nt
         assert (case == "t_max odd in rows") == (nt == 50)
-        blocks = [slice(lo, hi) for lo, hi in norms._blocks(nt, 16)]
+        blocks = [slice(lo, hi) for lo, hi in grid_module._blocks(nt, 16)]
         blocks += [slice(0, 1), slice(1, 2), slice(nt - 2, nt - 1), slice(nt - 1, nt),
                    slice(1, nt - 1), slice(0, nt), slice(3, 3)]
         for h in (hist, back):
