@@ -74,16 +74,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
         argparse.ArgumentParser, exit_on_error=False))
 
-    def add_grid(p, t_max=16.0, dr=1 / 32, cfl=True):
+    def add_grid(p, t_max=16.0, dr=1 / 32, cfl=0.5):  # cfl None: no --cfl
         p.add_argument("--dr", type=float, default=dr)
-        if cfl:
-            p.add_argument("--cfl", type=float, default=0.5)
+        if cfl is not None:
+            p.add_argument("--cfl", type=float, default=cfl)
         p.add_argument("--t-max", type=float, default=t_max)
         p.add_argument("--r-max", type=float, default=None,
                        help="default: t_max + 4")
 
     p = sub.add_parser("solve", help="evolve the coupled system and store the history")
-    add_grid(p, cfl=False)
+    add_grid(p, cfl=None)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--mode", default="semilinear",
                    choices=["semilinear", "homogeneous"])
@@ -91,7 +91,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="record diagnostics only")
 
     p = sub.add_parser("identities", help="multiplier identity residuals")
-    add_grid(p, t_max=8.0, dr=1 / 64)
+    add_grid(p, t_max=8.0, dr=1 / 64, cfl=1.0)  # traveling_sym's identity_plus: 1.23e-3 at 0.5
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--ghost-U", type=float, default=1.0)
@@ -103,7 +103,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--delta", type=float, default=0.2)
 
     p = sub.add_parser("picard", help="fixed-point iteration with functional bookkeeping")
-    add_grid(p, t_max=64.0, cfl=False)
+    add_grid(p, t_max=64.0, cfl=None)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)
@@ -111,11 +111,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--kmax", type=int, default=6)
 
     p = sub.add_parser("decay", help="long evolution and pointwise decay fit")
-    add_grid(p, t_max=256.0, cfl=False)
+    add_grid(p, t_max=256.0, cfl=None)
     p.add_argument("--eps", type=float, default=0.01)
 
     p = sub.add_parser("sweep", help="amplitude sweep of the first two functionals")
-    add_grid(p, t_max=32.0, cfl=False)
+    add_grid(p, t_max=32.0, cfl=None)
     p.add_argument("--eps-list", default="0.02,0.01,0.005,0.0025")
     p.add_argument("--p", type=float, default=0.75)
     p.add_argument("--delta", type=float, default=0.2)

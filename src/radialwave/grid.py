@@ -191,6 +191,15 @@ class SpaceTimeField:
     def zeros(cls, grid: GridSpec, parity: str | None = None) -> "SpaceTimeField":
         return cls(grid, np.zeros(grid.shape()), parity)
 
+    def rect(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        """The cells [rows, cols], a view (``solver._LightCone`` builds them)."""
+        return self.values[rows, cols]
+
+    @property
+    def reach(self) -> int:
+        """nr: row n is held to column n + nr, every column (``solver._LightCone``)."""
+        return self.grid.nr
+
     # ------------------------------------------------------------------
     # serialization: flat binary (header + row-major doubles)
     # ------------------------------------------------------------------
@@ -503,16 +512,18 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     grid = f.grid
     _require_size(grid)
     spans = _walk(keys, window, grid.shape())
-    (lo, hi, a, b), (clo, chi, _, _) = spans
-    cut = _cut(f, keys, spans)
+    (lo, hi, a, b), (clo, chi, ca0, cb0) = spans
+    cells = f.rect(slice(a, b), slice(ca0, cb0))  # read once, for ``_cut`` too
+    cut = _cut(cells, keys, spans)
     if hi == lo or cut <= clo:  # an empty window, or one past the cut
         return {key: np.zeros((hi - lo, chi - clo)) for key in keys}
     ca, cb = _walk(keys, (window[0], slice(clo, cut)), grid.shape())[1][2:]
-    values, parity = f.values[a:b, ca:cb], f.parity
+    values, parity = cells[:, ca - ca0:cb - ca0], f.parity  # a walk inside the first
     r, ht, hr = grid.r[ca:cb], grid.dt, grid.dr
     if over_r:  # u = W / r, with the parity of quotient_by_r
         values = _over_r(values, r) if ca == 0 else values / r
         parity = "even" if parity == "odd" else None
+    cells = None  # freed unless values views it
     sums = {key: np.zeros(values.shape) for key in keys}
     tmp = np.empty_like(values)  # the pointwise terms' scratch
     n_max = max(n for n, _ in keys)
@@ -529,12 +540,12 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     return out
 
 
-def _cut(f: SpaceTimeField, keys, spans) -> int:
+def _cut(cells: np.ndarray, keys, spans) -> int:
     """The light-cone cut of ``_word_sums``: the column from which its sums of
     ``keys`` on the window of ``spans`` (``_walk``) are an exact +0.0, the
-    window's end if there is none."""
-    (_, _, a, b), (_, chi, ca, cb) = spans
-    nonzero = np.flatnonzero(f.values[a:b, ca:cb].any(axis=0))
+    window's end if there is none; ``cells`` are the field's on the walk."""
+    _, chi, ca, cb = spans[1]
+    nonzero = np.flatnonzero(cells.any(axis=0))
     cut = ca + (nonzero[-1] + 1 if len(nonzero) else 0) + _depth(keys)
     return min(cut, chi) if cut + 2 < cb else chi
 

@@ -318,11 +318,11 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
                  N: int, over_r: bool = False) -> list[NormBreakdown]:
     """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
-    from one ``_stream`` pass over the blocks of rows of each field: a block
-    reduces straight into per-row sums and region sups, then each norm
-    reduces once in t.  No array of the grid's size is built, not even the
-    pair itself with ``over_r``, where u and v are the conjugate fields W_u
-    and W_v of the pair, each divided by r per block."""
+    from one ``_stream`` pass over the blocks of rows of each field (of u alone
+    if v equals it, ``_equal``): a block reduces straight into per-row sums
+    and region sups, then each norm reduces once in t.  No array of the grid's
+    size is built, not even the pair itself with ``over_r``, where u and v are
+    the conjugate fields W_u and W_v of the pair, each divided by r per block."""
     _check_params(p, delta, N)
     grid = u.grid
     if grid != v.grid:
@@ -344,8 +344,11 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     if any(_FUNCTIONALS[kind][0] for kind in kinds):
         v_slots["v_d_weighted_linfl2"] = (d, WeightSpec(power_r=-delta / 2), "Linf")
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
-    norms = {**_stream(u, keys, u_slots, over_r=over_r),
-             **_stream(v, keys, v_slots, over_r=over_r)}
+    if _equal(u, v):  # one walk reduces both slot sets (the free wave of equal data)
+        norms = _stream(u, keys, {**u_slots, **v_slots}, over_r=over_r)
+    else:
+        norms = {**_stream(u, keys, u_slots, over_r=over_r),
+                 **_stream(v, keys, v_slots, over_r=over_r)}
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
@@ -376,6 +379,13 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
             slots["v_R_l2_alt"] = float(np.sqrt(sq_v["alt"]))
         out.append(NormBreakdown(total=total, slots=slots, per_region=dict(per_region)))
     return out
+
+
+def _equal(u: SpaceTimeField, v: SpaceTimeField) -> bool:
+    """Whether u and v have one parity and equal values, read per block of rows."""
+    return u.parity == v.parity and all(
+        np.array_equal(u.rect(slice(lo, hi)), v.rect(slice(lo, hi)))
+        for lo, hi in _blocks(u.grid.nt))
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,

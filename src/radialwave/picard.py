@@ -9,17 +9,19 @@ a standing for u_{k-1}.  Then u_k = u_{k-1} + delta_k; M is taken of u_k and
 A of delta_k, so A_k is no difference of two separately rounded solves.  The
 iterates live on the given grid at dt = dr (``PicardConfig.grid``).
 
-u_k and delta_k are each held as W of u and v (two grid arrays) plus the
-first and last rows of dt W (``solver._CentredDt``), whose other rows are
-(W[n+1] - W[n-1]) / 2h of that W, the solve's own rows for delta_k.  u_k =
-u_{k-1} + delta_k sums W and the edge rows in place, so its other rows are
-that difference of the summed W (the sum of the solves' rows in exact
-arithmetic only).  One pair is resident, u_{k-1} and delta_{k-1}, one object
-at k = 2, as delta_1 = u_1.  G_k (two arrays) is built from both in blocks of
-rows, then delta_{k-1} is dropped before the solve makes delta_k, and G_k
-when it returns.  The first solve's zero source lives for that call only.  M
-and A read u = W / r per block of rows (``over_r``), so no quotient is built
-whole.
+u_k and delta_k are each held as W of u and v, in its light cone
+(``solver._LightCone``: row n up to column n + S, S the columns with r <= 2,
+0.52 of the grid at the benchmark's dr 1/8, T 64), plus the first and last
+rows of dt W (``solver._CentredDt``), whose other rows are (W[n+1] -
+W[n-1]) / 2h of that W.  u_k = u_{k-1} + delta_k sums W per block and the
+edge rows in place (so its other rows equal the sum of the solves' rows in
+exact arithmetic only).  One pair is resident, u_{k-1} and delta_{k-1}
+(about two grid arrays; one object at k = 2, as delta_1 = u_1).  G_k (about
+one, in the same cone) is built from both per block of rows, then
+delta_{k-1} is dropped before the solve makes delta_k, and G_k when it
+returns.  The first solve's zero source lives for that call only.  M and A
+read u = W / r per block of rows (``over_r``); their window temporaries,
+about 2.7 grid arrays, are the run's peak.
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
@@ -45,11 +47,11 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import GridSpec, SpaceTimeField, _blocks, _d1, _over_r
+from .grid import GridSpec, _d1, _over_r
 from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
-    InitialData, SolveConfig, SolutionHistory, bump, calibrate, config_hash, nonlinearity,
-    solve, solve_linear_forced, zero_profile,
+    InitialData, SolveConfig, SolutionHistory, _cone_reach, _LightCone, bump, calibrate,
+    config_hash, nonlinearity, solve, solve_linear_forced, zero_profile,
 )
 
 _FORM = "W and dt W edge rows"  # of the saved histories, named in the records file
@@ -122,33 +124,36 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
     stencil, each row from its own row."""
     r, dr = hist.grid.r, hist.grid.dr
     dtu, dtv = (_over_r(f.rows(rows), r) for f in (hist.dtW_u, hist.dtW_v))
-    dru, drv = (_d1(_over_r(f.values[rows], r), dr, "even") for f in (hist.W_u, hist.W_v))
+    dru, drv = (_d1(_over_r(f.rect(rows), r), dr, "even") for f in (hist.W_u, hist.W_v))
     return dtu, dru, dtv, drv
 
 
 def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
     """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
-    ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), taken
-    in blocks of 16 rows or more (``grid._blocks``): a row's source reads
-    that row alone, and small blocks keep their temporaries small beside the
-    grid arrays."""
+    ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), held
+    in the light cone of their W (``solver._LightCone``) and taken per block
+    of it (16 rows or more): a row's source reads that row alone, and small
+    blocks keep their temporaries small beside the grid arrays."""
     def bilinear(x, y, which):
         return nonlinearity(x[0], x[1], y[2], y[3], which)
 
-    out = np.empty((2, *hist.grid.shape()))
-    for lo, hi in _blocks(hist.grid.nt, 16):
+    reach = max(f.reach for h in (hist, diff) for f in (h.W_u, h.W_v))
+    out = [_LightCone(hist.grid, None, reach, np.empty) for _ in range(2)]
+    for (lo, hi, gu), (_, _, gv) in zip(out[0].blocks, out[1].blocks):
         rows = slice(lo, hi)
         a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
-        for g, w in zip(out[:, rows], ("u-eq", "v-eq")):
-            g[:] = bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w)
-    return [SpaceTimeField(hist.grid, g) for g in out]
+        for g, w in zip((gu, gv), ("u-eq", "v-eq")):
+            g[:] = (bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w))[:, :g.shape[1]]
+    return out
 
 
 def _add_into(hist: SolutionHistory, diff: SolutionHistory) -> None:
-    """hist += diff in place: W to W and dt W's edge rows to its edge rows, so
-    hist's other dt W rows are the centred difference of the summed W."""
-    hist.W_u.values += diff.W_u.values
-    hist.W_v.values += diff.W_v.values
+    """hist += diff in place: W to W a block at a time (both held in one light
+    cone) and dt W's edge rows to its edge rows, so hist's other dt W rows are
+    the centred difference of the summed W."""
+    for a, b in ((hist.W_u, diff.W_u), (hist.W_v, diff.W_v)):
+        for (_, _, x), (_, _, y) in zip(a.blocks, b.blocks):
+            x += y
     hist.dtW_u.edges += diff.dtW_u.edges
     hist.dtW_v.edges += diff.dtW_v.edges
 
@@ -173,7 +178,7 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
     for k in range(len(records) + 1, config.kmax + 1):
         t0 = time.perf_counter()
         if k == 1:
-            hist = diff = solve_linear_forced(data, *[SpaceTimeField.zeros(config.grid)] * 2)
+            hist = diff = solve_linear_forced(data, *[_LightCone(config.grid)] * 2)
             m, a = m_and_a_functionals(hist.W_u, hist.W_v, *params, over_r=True)
         else:
             source, diff = _source_difference(hist, diff), None
@@ -246,7 +251,10 @@ def _load_state(config, tag):
         raise ValueError(f"{hist_dir} holds no difference delta_{k} (a state of the "
                          "separately solved iterates); remove it to start afresh")
     try:
-        return records, SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
+        hist, diff = SolutionHistory.load(hist_dir), SolutionHistory.load(delta_dir)
+        if any(f.reach != _cone_reach(config.grid) for h in (hist, diff) for f in (h.W_u, h.W_v)):
+            raise ValueError(f"{hist_dir}: a W file nonzero past the light cone r = t + 2")
+        return records, hist, diff
     except (ValueError, OSError, KeyError, TypeError) as exc:  # a manifest missing a key
         raise ValueError(f"the saved state cannot be loaded ({type(exc).__name__}: {exc}); "
                          f"remove {rec_path} and {hist_dir} to start afresh") from None

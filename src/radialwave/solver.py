@@ -23,6 +23,12 @@ with the odd ghost W_{-1} = -W_1 and W = 0 past r_max: exact for the free
 wave, second order in the source, and with no precursor ahead of the front.
 A d'Alembert closed form serves as the homogeneous oracle.
 
+Data vanish past r = 2, so W row n of the characteristic solve vanishes past
+column n + S - 1 and its source past n + S, S the columns with r <= 2
+(``_cone_reach``): W, its Picard sums and sources are held in that light cone
+(``_LightCone``, about half of the grid) beside ``_CentredDt``, which holds
+dt W by its edge rows.
+
 The RK4 state is one array laid out as (W | dt W, column, field): W_u and
 W_v interleave along r, so the window of W, and that of dt W, are each one
 contiguous run of 2J numbers, a radial stencil is the centred core of
@@ -170,14 +176,63 @@ class SolveConfig:
         self.grid = replace(self.grid, cfl=1.0)  # RK4's dt = dr, whatever cfl was given
 
 
+def _cone_reach(grid: GridSpec) -> int:
+    """S of the module docstring: the number of columns with r <= 2."""
+    return int(np.count_nonzero(grid.r <= 2.0 + 1e-12))
+
+
+class _LightCone:
+    """A field whose row n vanishes past column n + ``reach`` (S, or nr: every
+    column), held as the (lo, hi, array) ``blocks`` of ``_blocks(nt, 16)``,
+    each as wide as the cone column of its last row, clipped at nr.
+    ``rect`` and ``values`` build the dense cells, zero past the cone."""
+
+    def __init__(self, grid: GridSpec, parity: str | None = None, reach: int | None = None,
+                 fill=np.zeros):
+        self.grid, self.parity = grid, parity
+        self.reach = _cone_reach(grid) if reach is None else reach
+        spans = [(lo, hi, min(grid.nr, hi + self.reach)) for lo, hi in _blocks(grid.nt, 16)]
+        ends = np.cumsum([(hi - lo) * w for lo, hi, w in spans])
+        flat = fill(int(ends[-1]))  # one buffer: the heap keeps no holes between blocks
+        self.blocks = [(lo, hi, flat[end - (hi - lo) * w:end].reshape(hi - lo, w))
+                       for (lo, hi, w), end in zip(spans, ends)]
+
+    @classmethod
+    def of(cls, grid: GridSpec, values: np.ndarray, parity: str | None) -> "_LightCone":
+        """``values`` held in the cone of reach S, or at every column if a row is past it."""
+        reach = _cone_reach(grid)
+        inside = not any(values[n, n + reach + 1:].any() for n in range(grid.nt))
+        cone = cls(grid, parity, reach if inside else grid.nr, np.empty)
+        for lo, hi, block in cone.blocks:
+            block[:] = values[lo:hi, :block.shape[1]]
+        return cone
+
+    values = property(lambda self: self.rect(slice(None)), doc="The whole array, built anew.")
+
+    def rect(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        """The cells [rows, cols] (unit-step slices), zero past the cone, built anew."""
+        (a, b), (ca, cb) = _span(rows, self.grid.nt), _span(cols, self.grid.nr)
+        out = np.zeros((b - a, cb - ca))
+        for lo, hi, block in self.blocks:
+            if lo < b and a < hi:
+                part = block[max(a, lo) - lo:min(b, hi) - lo, ca:cb]
+                out[max(a, lo) - a:min(b, hi) - a, :part.shape[1]] = part
+        return out
+
+    def to_binary(self, path) -> None:
+        """The file of the whole array, written one block at a time."""
+        _write_field(path, self.grid, self.parity,
+                     (self.rect(slice(lo, hi)) for lo, hi, _ in self.blocks))
+
+
 class _CentredDt:
     """dt W of a characteristic solve, held as its first and last rows: row 0
     is the data velocity, the last row differences W one step past t_max, and
     rows 1..nt-2 are (W[n+1] - W[n-1]) / (2h), the solve's own operations in
     its order, so each row equals the one the solve would store, bit for bit.
     A sum of such solves (a Picard iterate) sums W and the edge rows, its
-    other rows being the same difference of the summed W.  ``W`` must not
-    change while it is read."""
+    other rows being the same difference of the summed W.  ``W`` (a
+    ``_LightCone``, read by ``rect``) must not change while it is read."""
 
     parity = "odd"
 
@@ -200,8 +255,8 @@ class _CentredDt:
         out = np.empty((hi - lo, self.grid.nr))
         a, b = max(lo, 1), min(hi, nt - 1)
         if b > a:
-            inner = np.subtract(self.W.values[a + 1:b + 1], self.W.values[a - 1:b - 1],
-                                out=out[a - lo:b - lo])
+            w = self.W.rect(slice(a - 1, b + 1))
+            inner = np.subtract(w[2:], w[:-2], out=out[a - lo:b - lo])
             inner /= 2 * self.grid.dt
         if hi == nt:
             out[-1] = self.edges[1]
@@ -219,10 +274,10 @@ class _CentredDt:
 class SolutionHistory:
     """Space-time record of the conjugate state plus per-step diagnostics.
 
-    dt W is whole (``solve``'s RK4 state) or, from ``solve_linear_forced`` and
-    the Picard iterates summed from its solves, a ``_CentredDt``: its first and
-    last rows, the others built from W per block of rows (``_CentredDt.rows``)
-    or whole where its ``values`` are read.
+    W and dt W are whole (``solve``'s RK4 state) or, from ``solve_linear_forced``
+    and the Picard iterates summed from its solves, W is a ``_LightCone`` and
+    dt W a ``_CentredDt``: its first and last rows, the others built from W
+    per block of rows (``_CentredDt.rows``) or whole where ``values`` is read.
     """
 
     W_u: SpaceTimeField
@@ -259,8 +314,9 @@ class SolutionHistory:
     @classmethod
     def load(cls, outdir: str) -> "SolutionHistory":
         """The history saved in ``outdir``.  A characteristic one (``"linear_forced"``
-        in its manifest) reads its dt W files at their first and last rows only,
-        the other rows being the centred difference of W; an RK4 one loads whole."""
+        in its manifest) holds W in its light cone (``_LightCone.of``) and reads
+        its dt W files at their first and last rows only, the other rows being
+        the centred difference of W; an RK4 one loads whole."""
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
         grid, mode = GridSpec(**manifest["grid"]), manifest["mode"]
@@ -270,6 +326,7 @@ class SolutionHistory:
             edges = mode == "linear_forced" and name.startswith("dt")
             _, values, parity = _read_field(path, grid, [0, grid.nt - 1] if edges else None)
             fields.append(_CentredDt(fields[-1], values) if edges
+                          else _LightCone.of(grid, values, parity) if mode == "linear_forced"
                           else SpaceTimeField(grid, values, parity))
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
         return cls(*fields, mode, diags)
@@ -460,10 +517,12 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     The characteristic step of the module docstring, on the grid of the
     sources, which must have dt = dr.  The first step is d'Alembert on the data
     (Simpson's rule for the velocity integral) plus dt^2/2 of the source.  The
-    history holds W whole and dt W as its first and last rows (``_CentredDt``):
-    row 0 is the data velocity, and the solve steps one row past t_max, so
-    every other row is the centred difference of W, the last one reading the
-    row past t_max, which is then dropped.
+    history holds W in its light cone (``_LightCone``; at every column unless
+    both sources are held so; data nonzero past their ``support_radius`` are
+    refused) and dt W as its first and last rows (``_CentredDt``): row 0 is
+    the data velocity, and the solve steps one row past t_max, so every other
+    row is the centred difference of W, the last one reading the row past
+    t_max, which is then dropped.
     """
     grid = forcing_u.grid
     if forcing_v.grid != grid:
@@ -471,38 +530,39 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     if abs(grid.cfl - 1.0) > 1e-12:
         raise CflError(f"the linear solve needs dt = dr, got dt = {grid.cfl:.6g} dr")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
-    # one array per field: a (2, nt, nr) block of the benchmark's Picard grid
-    # is over the 4 MiB from which numpy advises huge pages, which held 3 MB
-    # more RSS when it came from the heap (measured)
-    W = [np.empty((nt, nr)) for _ in range(2)]
+    reach = max(_cone_reach(grid), forcing_u.reach, forcing_v.reach)
+    W = [_LightCone(grid, "odd", reach, np.empty) for _ in range(2)]
     steps = np.empty((3, 2, nr))  # W of both fields at n - 1, n, n + 1, in turn
     edges = np.zeros((2, 2, nr))  # (field, first | last row, column) of dt W
     P0 = edges[:, 0]
     for row, fn in zip((steps[0, 0], P0[0], steps[0, 1], P0[1]),
                        (data.u0, data.u1, data.v0, data.v1)):
         row[:] = r * data.amplitude * np.asarray(fn(r), dtype=float)
+    if any(np.any(row[r > data.support_radius]) for row in (*steps[0], *P0)):
+        raise ValueError(f"the data are nonzero past their support radius {data.support_radius:g}")
     h2r = h * h * r
     src = np.empty((2, nr))  # the source term
-    for n in range(nt):
-        prev, cur, new = steps[(n - 1) % 3], steps[n % 3], steps[(n + 1) % 3]
-        W[0][n], W[1][n] = cur
-        _neighbour_sum(cur, new)
-        np.multiply(forcing_u.values[n], h2r, out=src[0])
-        np.multiply(forcing_v.values[n], h2r, out=src[1])
-        new += src
-        if n == 0:  # half of each, plus Simpson's rule for the velocity integral
-            new *= 0.5
-            new += (_neighbour_sum(P0, src) + 4 * P0) * (h / 6)
-        else:
-            new -= prev
-        if not np.isfinite(new).all():
-            raise BlowUpSuspected((n + 1) * h)
-        if n == nt - 1 > 0:  # new is W one row past t_max
-            np.subtract(new, prev, out=edges[:, 1])
-            edges[:, 1] /= 2 * h
-    fields = [SpaceTimeField(grid, w, "odd") for w in W]
-    return SolutionHistory(fields[0], _CentredDt(fields[0], edges[0]), fields[1],
-                           _CentredDt(fields[1], edges[1]), "linear_forced")
+    for (lo, hi, wu), (_, _, wv) in zip(W[0].blocks, W[1].blocks):
+        fu, fv = forcing_u.rect(slice(lo, hi)), forcing_v.rect(slice(lo, hi))
+        for n in range(lo, hi):
+            prev, cur, new = steps[(n - 1) % 3], steps[n % 3], steps[(n + 1) % 3]
+            wu[n - lo], wv[n - lo] = cur[:, :wu.shape[1]]  # zero past the cone
+            _neighbour_sum(cur, new)
+            np.multiply(fu[n - lo], h2r, out=src[0])
+            np.multiply(fv[n - lo], h2r, out=src[1])
+            new += src
+            if n == 0:  # half of each, plus Simpson's rule for the velocity integral
+                new *= 0.5
+                new += (_neighbour_sum(P0, src) + 4 * P0) * (h / 6)
+            else:
+                new -= prev
+            if not np.isfinite(new).all():
+                raise BlowUpSuspected((n + 1) * h)
+            if n == nt - 1 > 0:  # new is W one row past t_max
+                np.subtract(new, prev, out=edges[:, 1])
+                edges[:, 1] /= 2 * h
+    return SolutionHistory(W[0], _CentredDt(W[0], edges[0]), W[1],
+                           _CentredDt(W[1], edges[1]), "linear_forced")
 
 
 def _neighbour_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -27,12 +27,12 @@ class WholeDt(SpaceTimeField):
 
 
 def add_into_ref(hist, diff) -> None:
-    """hist += diff in place, dt W whole: hist's dt W (built whole from its W
-    before W moves, or already whole) plus diff's, row by row."""
+    """hist += diff, dt W whole: hist's dt W (built whole from its W, or
+    already whole) plus diff's, row by row, and W whole."""
     hist.dtW_u, hist.dtW_v = (WholeDt(hist.grid, h.values + d.values, "odd")
                               for h, d in ((hist.dtW_u, diff.dtW_u), (hist.dtW_v, diff.dtW_v)))
-    hist.W_u.values += diff.W_u.values
-    hist.W_v.values += diff.W_v.values
+    hist.W_u, hist.W_v = (SpaceTimeField(hist.grid, h.values + d.values, "odd")
+                          for h, d in ((hist.W_u, diff.W_u), (hist.W_v, diff.W_v)))
 
 
 def linear_forced_ref(data: InitialData, forcing_u, forcing_v) -> np.ndarray:

@@ -46,6 +46,15 @@ class TestIdentities:
         assert "identity_plus" in body and "identity_minus" in body
         assert "FAIL" not in body
 
+    def test_passes_at_its_own_defaults(self, tmp_path, capsys):
+        # the README's `radialwave --out runs identities`, no grid flag: the
+        # fields are sampled at cfl 1, where traveling_sym's identity_plus
+        # row reads 8.9e-5 (1.23e-3 at cfl 0.5, over --tol 1e-3)
+        assert run(["--out", str(tmp_path), "identities"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        report, = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+        assert json.loads((tmp_path / report).read_text())["grid"]["cfl"] == 1.0
+
     def test_fails_with_tight_tolerance(self, tmp_path):
         rc = run(["--out", str(tmp_path), "identities", "--cfl", "1.0",
                   "--dr", "0.0625", "--tol", "1e-9"])

@@ -371,6 +371,31 @@ class TestTimeBlocks:
             assert list(b.slots.items()) == list(fresh.slots.items())
             assert b.per_region == fresh.per_region
 
+    @pytest.mark.parametrize("v0, calls", [(rw.bump, 8), (rw.poly_bump, 16)])
+    def test_equal_fields_are_walked_once(self, monkeypatch, v0, calls):
+        # the Picard driver's k = 1 pass on the benchmark grid (eight blocks):
+        # with data (bump, 0, bump, 0) u_1's W_u and W_v are equal, so one
+        # walk of W_u reduces both slot sets, 8 ``_word_sums`` calls for 16;
+        # its records equal the two-walk path's in repr.  With (bump, 0,
+        # poly_bump, 0) both fields are walked
+        from radialwave.picard import PicardConfig, run_iteration
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=68.0, t_max=64.0)
+        data = rw.InitialData(rw.bump, rw.zero_profile, v0, rw.zero_profile)
+        seen, word_sums = [], norms._word_sums
+        monkeypatch.setattr(norms, "_word_sums", lambda *a: seen.append(a[0]) or word_sums(*a))
+
+        def record(**patch):
+            seen.clear()
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(norms, name, value)
+                rec, = run_iteration(PicardConfig(grid=g, eps=0.0075, kmax=1, data=data))
+            return len(seen), repr((rec.m_total, rec.a_total, rec.m_slots, rec.a_slots))
+
+        once, twice = record(), record(_equal=lambda u, v: False)
+        assert (once[0], twice[0]) == (calls, 16)
+        assert once[1] == twice[1]
+
     def test_peak_allocation_is_a_few_grid_arrays(self):
         # 513 rows, 8 blocks; the whole-grid pass peaked at about 23 arrays of
         # the grid's size, a block's pass holds about 20 of its own rows'

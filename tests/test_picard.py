@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import cli, grid as grid_module, norms, picard
+from radialwave import cli, grid as grid_module, norms, picard, solver
 from radialwave.picard import IterationRecord, PicardConfig
 from solver_oracles import add_into_ref
 
@@ -311,20 +311,54 @@ class TestIteration:
 
     def test_sources_equal_one_whole_grid_block(self, monkeypatch):
         # each source row is computed from its own row alone, so the blocks of
-        # 16 rows or more (16 of 16 and 17 rows here) give the sources of a
-        # single block bit for bit, dt W built per block or not
+        # 16 rows or more (16 of 16 and 17 rows here) of the sources' light
+        # cone give the sources of a single block bit for bit, dt W built per
+        # block or not
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
-        zero = rw.SpaceTimeField.zeros(g)
+        zero = solver._LightCone(g)
         data = rw.calibrate(PicardConfig(grid=g, eps=0.02).data, g, 2, 0.02)
         hist = rw.solve_linear_forced(data, zero, zero)
         diff = rw.solve_linear_forced(rw.InitialData(amplitude=0.0),
                                       *picard._source_difference(hist, hist))
         blocked = picard._source_difference(hist, diff)
-        blocks = picard._blocks(g.nt, 16)
-        assert len(blocks) == 16 and blocks[-1] == (240, 257) and g.nt == 257
-        monkeypatch.setattr(picard, "_blocks", lambda nt, rows: [(0, nt)])
+        assert [(lo, hi) for lo, hi, _ in blocked[0].blocks] == grid_module._blocks(g.nt, 16)
+        assert len(blocked[0].blocks) == 16 and blocked[0].blocks[-1][:2] == (240, 257)
+        monkeypatch.setattr(solver, "_blocks", lambda nt, rows: [(0, nt)])
         for a, b in zip(blocked, picard._source_difference(hist, diff)):
+            assert len(b.blocks) == 1
             assert np.array_equal(a.values, b.values) and a.values.any()
+
+    def test_picard_limit_is_the_semilinear_solution(self, tmp_path):
+        # the Picard driver's nonlinear response u_6 - u_1 (characteristic
+        # solves, sources from ``_derivative_frames``) against RK4's semilinear
+        # minus homogeneous ``solve`` (its own inlined null form), on the
+        # points of the dr 1/8 lattice: the gap, max |difference| over max
+        # |RK4 response|, read 0.205 and 0.0868 at dr 1/16, 0.0512 and
+        # 0.0222 at dr 1/32 (second order); a dr u taken as (dr W) / r reads
+        # 1.68 and 1.86 in u
+        poly = rw.InitialData(rw.poly_bump, rw.zero_profile, rw.poly_bump, rw.zero_profile)
+        gaps = []
+        for dr in (1 / 16, 1 / 32):
+            g = rw.GridSpec(dr=dr, cfl=1.0, r_max=20.0, t_max=16.0)
+            cfg = PicardConfig(grid=g, eps=0.5, kmax=6, data=poly, outdir=str(tmp_path / str(dr)))
+            assert len(picard.run_iteration(cfg)) == 6
+            last = rw.SolutionHistory.load(
+                picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[1] + "6")
+            data = rw.calibrate(poly, g, cfg.N, cfg.eps)
+            zero = rw.SpaceTimeField.zeros(g)
+            first = rw.solve_linear_forced(data, zero, zero)
+            semi, free = (rw.solve(data, rw.SolveConfig(grid=g, mode=mode))
+                          for mode in ("semilinear", "homogeneous"))
+            s = round(0.125 / dr)
+            gap = []
+            for f in ("W_u", "W_v"):
+                driver = (getattr(last, f).values - getattr(first, f).values)[::s, ::s]
+                rk4 = (getattr(semi, f).values - getattr(free, f).values)[::s, ::s]
+                gap.append(np.max(np.abs(driver - rk4)) / np.max(np.abs(rk4)))
+            gaps.append(gap)
+        (u16, v16), (u32, v32) = gaps
+        assert u32 <= 0.1 and v32 <= 0.1, gaps
+        assert u16 >= 3 * u32 and v16 >= 3 * v32, gaps
 
     def test_driver_peak_allocation(self):
         # one iterate pair is resident: u_(k-1), summed in place, and
@@ -332,9 +366,11 @@ class TestIteration:
         # delta_(k-1) is dropped once G_k is built, G_k once delta_k is
         # solved, and no zero source is kept past k = 1.  The functionals
         # divide W by r per block of rows, eight blocks here, and the sources
-        # take 16 rows or more at a time.  The traced peak is 6.9 grid arrays
-        # here; it is 8.9 with u_k's dt W summed whole and 8.3 with the
-        # sources in 64-row blocks
+        # take 16 rows or more at a time.  Every W and source is held in its
+        # light cone, about half of the grid here.  The traced peak is 5.0
+        # grid arrays here, in the functionals; it was 6.9 with the arrays
+        # held at full width, 8.9 with u_k's dt W summed whole and 8.3 with
+        # the sources in 64-row blocks
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=132.0, t_max=128.0)
         assert len(norms._blocks(g.nt)) == 8
         tracemalloc.start()
@@ -343,7 +379,7 @@ class TestIteration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.5 * g.nt * g.nr * 8
+        assert peak < 5.5 * g.nt * g.nr * 8
 
     def test_loading_delta_reads_w_and_two_dt_rows(self, tmp_path, monkeypatch):
         # delta_k's directory and u_k's each load as two W arrays plus the
@@ -392,6 +428,90 @@ class TestIteration:
             assert len(names) == 5
             for name in names:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), (sub, name)
+
+    @pytest.mark.parametrize("case", ["bump", "nonzero at r = R"])
+    def test_light_cone_holds_every_array_exactly(self, case, monkeypatch):
+        # every source G_k, every W of delta_k and every W of u_k, as held in
+        # the light cone (row n to column n + S), equals the full-width array
+        # (every cone widened to nr) in bytes.  Data nonzero at r = R = 2
+        # reach column S - 1, so a source reaches column n + S: one column
+        # less would drop it
+        if case == "bump":
+            g, data = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=16.0), None
+        else:
+            g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=14.0, t_max=8.0)
+            edge = lambda r: np.where(r <= 2, 1 - r * r / 8, 0.0)  # 0.5 at r = 2
+            data = rw.InitialData(edge, rw.zero_profile, edge, edge)
+        config = PicardConfig(grid=g, eps=0.0075, kmax=4,
+                              **({} if data is None else {"data": data}))
+        S = solver._cone_reach(g)
+
+        def held(cone_reach):
+            arrays, solve, add_into = [], picard.solve_linear_forced, picard._add_into
+
+            def recording(data, fu, fv):
+                hist = solve(data, fu, fv)
+                arrays.append([f.values for f in (fu, fv, hist.W_u, hist.W_v)])
+                return hist
+
+            def summing(hist, diff):
+                add_into(hist, diff)
+                arrays.append([hist.W_u.values, hist.W_v.values])
+                assert all(isinstance(f, solver._LightCone) and f.reach == cone_reach
+                           for f in (hist.W_u, hist.W_v, diff.W_u, diff.W_v))
+
+            with monkeypatch.context() as m:
+                m.setattr(picard, "solve_linear_forced", recording)
+                m.setattr(picard, "_add_into", summing)
+                if cone_reach != S:
+                    m.setattr(solver, "_cone_reach", lambda grid: cone_reach)
+                assert len(picard.run_iteration(config)) == 4
+            return arrays
+
+        cone, whole = held(S), held(g.nr)
+        assert len(cone) == 7  # four solves and three sums
+        assert [[a.tobytes() for a in x] for x in cone] == [[a.tobytes() for a in x] for x in whole]
+        cols = np.arange(g.nr)
+        G4 = cone[-2][:2]
+        for n, row in enumerate(G4[1]):
+            assert not row[cols > n + S].any()
+        reached = [row[n + S] != 0 for n, row in enumerate(G4[1]) if n + S < g.nr]
+        assert any(reached) == (case == "nonzero at r = R")
+        u = solver._LightCone(g)
+        assert sum(block.size for *_, block in u.blocks) < 0.7 * g.nt * g.nr
+
+    def test_data_past_their_support_radius_are_refused(self, tmp_path, monkeypatch, capsys):
+        # W would leave its light cone: the library raises, the CLI exits 1
+        wide = lambda r: np.exp(-np.asarray(r, dtype=float))
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=12.0, t_max=8.0)
+        zero = solver._LightCone(g)
+        with pytest.raises(ValueError, match="nonzero past their support radius 2"):
+            rw.solve_linear_forced(rw.InitialData(rw.bump, rw.zero_profile, wide), zero, zero)
+        narrow = rw.InitialData(rw.bump, rw.zero_profile, rw.bump, rw.zero_profile,
+                                support_radius=1.5)
+        with pytest.raises(ValueError, match="support radius 1.5"):
+            picard.run_iteration(small_config(grid=g, data=narrow))
+        monkeypatch.setattr(picard, "bump", wide)
+        assert cli.main(["--out", str(tmp_path), "picard", "--dr", "0.125", "--t-max", "8",
+                         "--kmax", "1"]) == 1
+        assert "nonzero past their support radius" in capsys.readouterr().err
+
+    def test_saved_w_past_the_light_cone_is_refused(self, tmp_path):
+        # a saved W nonzero past column n + S of a row n loads at every
+        # column, and a resumed run refuses it as a state to start afresh
+        cfg = small_config(kmax=2, outdir=str(tmp_path))
+        picard.run_iteration(cfg)
+        saved = Path(picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[1] + "2")
+        path = saved / "delta" / "W_v.bin"
+        field = rw.SpaceTimeField.from_binary(path)
+        S = solver._cone_reach(cfg.grid)
+        field.values[10, 10 + S + 1] = 1e-30
+        field.to_binary(path)
+        back = rw.SolutionHistory.load(saved / "delta")
+        assert back.W_v.reach == cfg.grid.nr and back.W_u.reach == S
+        assert back.W_v.values.tobytes() == field.values.tobytes()
+        with pytest.raises(ValueError, match="past the light cone.*start afresh"):
+            picard.run_iteration(small_config(kmax=3, outdir=str(tmp_path)))
 
     def test_record_json_roundtrip(self):
         rec = IterationRecord(2, 1.5, 0.25, 0.1, {"a": 1.0}, {"b": 2.0}, 0.5)
