@@ -275,9 +275,10 @@ def _trapz_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-# the M/A functionals, ``le1_norm`` and the ratio checks of ``estimates`` walk
-# the grid, and the Klainerman-Sobolev checks walk their enlarged regions, in
-# blocks of this many rows or more; ``SpaceTimeField.from_function``, the Picard
+# ``le1_norm`` and the ratio checks of ``estimates`` walk the grid, and the
+# Klainerman-Sobolev checks walk their enlarged regions, in blocks of this many
+# rows or more; the M/A functionals walk blocks of 32 rows or more
+# (``norms._FUNCTIONAL_ROWS``); ``SpaceTimeField.from_function``, the Picard
 # sources and the files of a dt W built from W take blocks of 16 rows or more,
 # whose temporaries are small beside the grid
 _BLOCK_ROWS = 64
@@ -408,17 +409,20 @@ def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float
 
 
 def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray,
-            ht: float, hr: float, n_max: int, last=(DT, DR)):
+            ht: float, hr: float, n_max: int, last=(DT, DR), scratch=None):
     """Yield (length, g, parity of g, dt g, dr g) for every Z word of length
     <= n_max applied to (t, r) samples, in ``z_words`` order.
 
     ``t`` holds the times of the rows as an (n, 1) column and ``r`` the radii
     of the columns.  A child word is built from its parent's pair: dt.w =
     dt(w), dr.w = dr(w), S.w = t dt(w) + r dr(w), the operations of
-    ``derivative``.  The words of length n_max have no child, so of their
-    pair only the derivatives named in ``last`` are taken, the others are
-    None.  Only the last layer's pairs stay alive.  The words are raw arrays,
-    so no odd word's axis is checked here.
+    ``derivative``; r dr(w) is written into ``scratch`` when one is given (an
+    array of the samples' shape that the caller does not read until the next
+    word).  The words of length n_max have no child, so of their pair only
+    the derivatives named in ``last`` are taken, the others are None.  Only
+    the pairs of the last layer stay alive, each until its last child (the S
+    word) is built, and the samples until layer 0 is walked.  The words are
+    raw arrays, so no odd word's axis is checked here.
     """
     words = z_words(n_max)
     parents: dict = {}
@@ -428,19 +432,24 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
             if not word:
                 g, par = values, parity
             else:
-                par, pt, pr = parents[word[1:]]
+                # an S word is its parent's last child: the parent's pair goes with it
+                pick = parents.pop if word[0] == SCALING else parents.get
+                par, pt, pr = pick(word[1:])
                 if word[0] == DT:
                     g = pt
                 elif word[0] == DR:
                     g, par = pr, _FLIP[par]
                 else:
-                    g = t * pt + r * pr
+                    g = t * pt
+                    g += np.multiply(r, pr, out=scratch)
+                pt = pr = None
             gt = _d1(g.T, ht).T if length < n_max or DT in last else None
             gr = _d1(g, hr, par) if length < n_max or DR in last else None
             if length < n_max:
                 children[word] = (par, gt, gr)
             yield length, g, par, gt, gr
-        parents = children
+            g = gt = gr = None  # a last-layer pair is freed before the next is built
+        parents, values = children, None  # the samples are read by layer 0 alone
 
 
 # the derivatives of a word that each prefix of ``_word_sums`` reads; every
@@ -525,14 +534,16 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
         parity = "even" if parity == "odd" else None
     cells = None  # freed unless values views it
     sums = {key: np.zeros(values.shape) for key in keys}
-    tmp = np.empty_like(values)  # the pointwise terms' scratch
+    tmp = np.empty_like(values)  # the pointwise terms' and the S words' scratch
     n_max = max(n for n, _ in keys)
     last = {d for n, prefix in keys if n == n_max for d in _READS.get(prefix, (DT, DR))}
-    for length, g, par, gt, gr in _z_walk(values, parity, grid.t[a:b, None], r, ht, hr,
-                                          n_max, last):
+    walk = _z_walk(values, parity, grid.t[a:b, None], r, ht, hr, n_max, last, tmp)
+    values = None  # read by layer 0 alone, after which the walk frees it
+    for length, g, par, gt, gr in walk:
         for (n, prefix), total in sums.items():
             if length <= n:
                 total += _word_term(prefix, g, par, gt, gr, r, ht, hr, tmp)
+        g = gt = gr = None  # as in the walk: a last-layer pair goes before the next is built
     out = {}
     for key in list(sums):  # each in the window's shape, +0.0 past the cut
         out[key] = np.zeros((hi - lo, chi - clo))

@@ -20,11 +20,13 @@ slots read, reduced straight into the per-row sums of every slot (whole rows,
 row 0, a region's points, the per-annulus row sums of ``le_norm`` from
 ``_le_rows``) and into region sups, then each slot once in t, so every value
 equals the whole-grid one bit for bit and no array of the grid's size is
-built.  The windows are the blocks of full time rows of ``grid._blocks`` for
-the M/A functionals (``_functionals``, one ``_stream`` call per field;
-``m_and_a_functionals`` reads both functionals off one pass), ``le1_norm`` and
-the ratio checks of ``estimates``; a Klainerman-Sobolev check passes the
-boxes of its enlarged region that it walks (``estimates._ks_windows``).  The
+built.  The windows are the blocks of full time rows of ``grid._blocks``: of
+32 rows for the M/A functionals (``_functionals``, one ``_stream`` call per
+field; ``m_and_a_functionals`` reads both functionals off one pass), whose
+window temporaries sit beside the Picard iterates, and of 64 for
+``le1_norm`` and the ratio checks of ``estimates``, whose narrower walks are
+bound by numpy's cost per call; a Klainerman-Sobolev check passes the boxes
+of its enlarged region that it walks (``estimates._ks_windows``).  The
 sums stop at the light cone but come at the full width, +0.0 past the cut:
 ``np.add.reduceat`` blocks its pairwise sum by the row's length, so a row
 sum without its trailing zeros could differ in the last bit.
@@ -51,6 +53,8 @@ from .regions import (
 
 FOUR_PI = 4.0 * np.pi
 _GRID = np.s_[:, :]  # the window of the whole grid
+# the M/A pass walks windows of this many rows or more (``_functionals``)
+_FUNCTIONAL_ROWS = 32
 
 
 class NormSpecError(ValueError):
@@ -198,11 +202,13 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     """The value of every slot of ``slots`` (name -> (term, weight, where)) on
     ``f``, from one ``grid._word_sums`` pass of ``keys`` per window of
     ``windows`` (pairs of slices; by default the full rows of each block of
-    ``_blocks``): each window reduces straight into per-row sums and region
-    sups, then each slot once in t, so every value equals the whole-grid one
-    bit for bit and no array of the grid's size is built.  With ``over_r`` the
-    slots are those of u = W / r of a conjugate field ``f`` = W, divided per
-    walk by ``_word_sums``.
+    ``_blocks``, 64 rows or more, as ``le1_norm`` and the ratio checks take
+    them, whose walks are bound by numpy's cost per call; ``_functionals``
+    passes windows of 32 rows): each window reduces straight into per-row
+    sums and region sups, then each slot once in t, so every value equals
+    the whole-grid one bit for bit and no array of the grid's size is
+    built.  With ``over_r`` the slots are those of u = W / r of a conjugate
+    field ``f`` = W, divided per walk by ``_word_sums``.
 
     ``term`` is a key of ``keys`` or a function of a window's sums.  ``where``
     is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
@@ -318,11 +324,17 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
                  N: int, over_r: bool = False) -> list[NormBreakdown]:
     """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
-    from one ``_stream`` pass over the blocks of rows of each field (of u alone
-    if v equals it, ``_equal``): a block reduces straight into per-row sums
-    and region sups, then each norm reduces once in t.  No array of the grid's
-    size is built, not even the pair itself with ``over_r``, where u and v are
-    the conjugate fields W_u and W_v of the pair, each divided by r per block."""
+    from one ``_stream`` pass over the windows of full rows of each field (of
+    u alone if v equals it, ``_equal``), ``_blocks`` of 32 rows or more: a
+    window reduces straight into per-row sums and region sups, then each norm
+    reduces once in t.  No array of the grid's size is built, not even the
+    pair itself with ``over_r``, where u and v are the conjugate fields W_u
+    and W_v of the pair, each divided by r per window.  A walk holds about 16
+    arrays of its own size beside the Picard iterates, so the windows are
+    half the ratio checks' 64 rows; a Picard iterate's walk still spans the
+    light cone's hundreds of columns, so numpy's cost per call stays small,
+    and the halo (the sums' depth, 3 rows on each side at N = 2) adds 19% to
+    a window's rows, against 9% at 64 rows."""
     _check_params(p, delta, N)
     grid = u.grid
     if grid != v.grid:
@@ -344,11 +356,12 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     if any(_FUNCTIONALS[kind][0] for kind in kinds):
         v_slots["v_d_weighted_linfl2"] = (d, WeightSpec(power_r=-delta / 2), "Linf")
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
+    windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(grid.nt, _FUNCTIONAL_ROWS)]
     if _equal(u, v):  # one walk reduces both slot sets (the free wave of equal data)
-        norms = _stream(u, keys, {**u_slots, **v_slots}, over_r=over_r)
+        norms = _stream(u, keys, {**u_slots, **v_slots}, windows, over_r)
     else:
-        norms = {**_stream(u, keys, u_slots, over_r=over_r),
-                 **_stream(v, keys, v_slots, over_r=over_r)}
+        norms = {**_stream(u, keys, u_slots, windows, over_r),
+                 **_stream(v, keys, v_slots, windows, over_r)}
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}

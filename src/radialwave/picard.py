@@ -16,12 +16,14 @@ rows of dt W (``solver._CentredDt``), whose other rows are (W[n+1] -
 W[n-1]) / 2h of that W.  u_k = u_{k-1} + delta_k sums W per block and the
 edge rows in place (so its other rows equal the sum of the solves' rows in
 exact arithmetic only).  One pair is resident, u_{k-1} and delta_{k-1}
-(about two grid arrays; one object at k = 2, as delta_1 = u_1).  G_k (about
-one, in the same cone) is built from both per block of rows, then
-delta_{k-1} is dropped before the solve makes delta_k, and G_k when it
-returns.  The first solve's zero source lives for that call only.  M and A
-read u = W / r per block of rows (``over_r``); their window temporaries,
-about 2.7 grid arrays, are the run's peak.
+(about two grid arrays; one object at k = 2, as delta_1 = u_1).  G_k is
+never held whole: the solve of delta_k reads it one block of 16 rows or
+more at a time (``_sources``), each built from both just before the steps
+that read it, and delta_{k-1} goes when the solve returns.  The solve holds
+the pair, delta_k (about one more) and one block's temporaries, about 0.4
+grid arrays, which is the run's peak.  The first solve's zero source lives
+for that call only.  M and A read u = W / r per window of 32 rows
+(``over_r``); their window temporaries take about 1.3 grid arrays.
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
@@ -47,7 +49,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import GridSpec, _d1, _over_r
+from .grid import GridSpec, _d1, _over_r, _span
 from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, _cone_reach, _LightCone, bump, calibrate,
@@ -128,23 +130,46 @@ def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
     return dtu, dru, dtv, drv
 
 
-def _source_difference(hist: SolutionHistory, diff: SolutionHistory):
-    """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
-    ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), held
-    in the light cone of their W (``solver._LightCone``) and taken per block
-    of it (16 rows or more): a row's source reads that row alone, and small
-    blocks keep their temporaries small beside the grid arrays."""
+def _source_rows(hist: SolutionHistory, diff: SolutionHistory, rows: slice) -> list:
+    """G = B(d, a) + B(a, d) - B(d, d) of both equations on ``rows`` (a unit-step
+    slice), a and d the frames of ``hist`` and ``diff`` (B(x, y): u's
+    derivatives from x, v's from y): a row's source reads that row alone."""
     def bilinear(x, y, which):
         return nonlinearity(x[0], x[1], y[2], y[3], which)
 
-    reach = max(f.reach for h in (hist, diff) for f in (h.W_u, h.W_v))
-    out = [_LightCone(hist.grid, None, reach, np.empty) for _ in range(2)]
-    for (lo, hi, gu), (_, _, gv) in zip(out[0].blocks, out[1].blocks):
-        rows = slice(lo, hi)
-        a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
-        for g, w in zip((gu, gv), ("u-eq", "v-eq")):
-            g[:] = (bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w))[:, :g.shape[1]]
-    return out
+    a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
+    return [bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w) for w in ("u-eq", "v-eq")]
+
+
+class _Source:
+    """One equation's G_k of ``hist`` and ``diff`` (``which``: 0 for u, 1 for v)
+    as a forcing of ``solve_linear_forced``, never held whole: its cells are
+    built when read (``rect``; the solve reads one block of its W's light cone
+    at a time), both equations' rows at once, so the other equation's read of
+    those rows takes them from ``built``, which the pair shares.  Its row n
+    vanishes past column n + ``reach``, the widest cone of the W it reads."""
+
+    def __init__(self, hist: SolutionHistory, diff: SolutionHistory, which: int, built: dict):
+        self.hist, self.diff, self.which, self.built = hist, diff, which, built
+        self.grid = hist.grid
+        self.reach = max(f.reach for h in (hist, diff) for f in (h.W_u, h.W_v))
+
+    values = property(lambda self: self.rect(slice(None)), doc="The whole array, built anew.")
+
+    def rect(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` (a unit-step slice)."""
+        span = _span(rows, self.grid.nt)
+        if span not in self.built:  # the first read of these rows builds both equations'
+            self.built.clear()
+            self.built[span] = _source_rows(self.hist, self.diff, rows)
+        return self.built[span][self.which]
+
+
+def _sources(hist: SolutionHistory, diff: SolutionHistory) -> list:
+    """G_k of u_{k-1} = ``hist`` and delta_{k-1} = ``diff``: the two forcings
+    (``_Source``) of the solve of delta_k."""
+    built: dict = {}
+    return [_Source(hist, diff, which, built) for which in (0, 1)]
 
 
 def _add_into(hist: SolutionHistory, diff: SolutionHistory) -> None:
@@ -181,9 +206,8 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
             hist = diff = solve_linear_forced(data, *[_LightCone(config.grid)] * 2)
             m, a = m_and_a_functionals(hist.W_u, hist.W_v, *params, over_r=True)
         else:
-            source, diff = _source_difference(hist, diff), None
-            diff = solve_linear_forced(InitialData(amplitude=0.0), *source)
-            del source
+            # delta_{k-1} goes with the sources when the solve returns
+            diff = solve_linear_forced(InitialData(amplitude=0.0), *_sources(hist, diff))
             _add_into(hist, diff)  # u_{k-1} becomes u_k
             m = m_functional(hist.W_u, hist.W_v, *params, over_r=True)
             a = a_functional(diff.W_u, diff.W_v, *params, over_r=True)

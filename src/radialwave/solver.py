@@ -25,9 +25,10 @@ A d'Alembert closed form serves as the homogeneous oracle.
 
 Data vanish past r = 2, so W row n of the characteristic solve vanishes past
 column n + S - 1 and its source past n + S, S the columns with r <= 2
-(``_cone_reach``): W, its Picard sums and sources are held in that light cone
+(``_cone_reach``): W and its Picard sums are held in that light cone
 (``_LightCone``, about half of the grid) beside ``_CentredDt``, which holds
-dt W by its edge rows.
+dt W by its edge rows, and the solve reads its sources one block of the
+cone's rows at a time.
 
 The RK4 state is one array laid out as (W | dt W, column, field): W_u and
 W_v interleave along r, so the window of W, and that of dt W, are each one
@@ -347,7 +348,9 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
-    """Evolve the system one RK4 step of dt = dr per history row, recording each row."""
+    """Evolve the system one RK4 step of dt = dr per history row, recording each
+    row (or, without ``store_history``, the diagnostics alone, the four fields
+    one read-only zero); data nonzero past their ``support_radius`` are refused."""
     grid = config.grid
     r, dr, nr = grid.r, grid.dr, grid.nr
     dt = grid.dt  # = dr, so the diagnostics' t is grid.t bit for bit
@@ -359,6 +362,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     amp = data.amplitude
     for (i, f), fn in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (data.u0, data.u1, data.v0, data.v1)):
         state[i, :nr, f] = r * amp * np.asarray(fn(r), dtype=float)
+    _check_support(data, r, state[:, :nr].transpose(0, 2, 1))
 
     if config.store_history:
         frames = np.zeros((4, grid.nt, nr))
@@ -491,11 +495,19 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         "t": diag_t, "energy_u": diag_energy[0], "energy_v": diag_energy[1],
         "sup_u": diag_sup[0], "sup_v": diag_sup[1], "support_radius": diag_support,
     }
-    if not config.store_history:
-        z = SpaceTimeField.zeros(grid, "odd")
+    if not config.store_history:  # one read-only zero of stride 0: no page of the grid
+        z = SpaceTimeField(grid, np.broadcast_to(0.0, grid.shape()), "odd")
         return SolutionHistory(z, z, z, z, config.mode, diagnostics)
     return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames),
                            config.mode, diagnostics)
+
+
+def _check_support(data: InitialData, r: np.ndarray, *rows: np.ndarray) -> None:
+    """Refuse data whose sampled ``rows`` (on the radii ``r``, the last axis) are
+    nonzero past their support radius, which the finite-speed check and the
+    light cone of the characteristic solve rely on."""
+    if any(np.any(row[..., r > data.support_radius]) for row in rows):
+        raise ValueError(f"the data are nonzero past their support radius {data.support_radius:g}")
 
 
 def _last_true(flags: np.ndarray) -> int:
@@ -517,9 +529,12 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     The characteristic step of the module docstring, on the grid of the
     sources, which must have dt = dr.  The first step is d'Alembert on the data
     (Simpson's rule for the velocity integral) plus dt^2/2 of the source.  The
-    history holds W in its light cone (``_LightCone``; at every column unless
-    both sources are held so; data nonzero past their ``support_radius`` are
-    refused) and dt W as its first and last rows (``_CentredDt``): row 0 is
+    sources are read one block of the cone's rows at a time (``rect``), just
+    before the steps that read them, so a source built when read (the Picard
+    driver's) is never held whole.  The history holds W in its light cone
+    (``_LightCone``; at every column unless both sources vanish past it, their
+    ``reach``; data nonzero past their ``support_radius`` are refused) and
+    dt W as its first and last rows (``_CentredDt``): row 0 is
     the data velocity, and the solve steps one row past t_max, so every other
     row is the centred difference of W, the last one reading the row past
     t_max, which is then dropped.
@@ -538,8 +553,7 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     for row, fn in zip((steps[0, 0], P0[0], steps[0, 1], P0[1]),
                        (data.u0, data.u1, data.v0, data.v1)):
         row[:] = r * data.amplitude * np.asarray(fn(r), dtype=float)
-    if any(np.any(row[r > data.support_radius]) for row in (*steps[0], *P0)):
-        raise ValueError(f"the data are nonzero past their support radius {data.support_radius:g}")
+    _check_support(data, r, steps[0], P0)
     h2r = h * h * r
     src = np.empty((2, nr))  # the source term
     for (lo, hi, wu), (_, _, wv) in zip(W[0].blocks, W[1].blocks):
@@ -561,6 +575,7 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
             if n == nt - 1 > 0:  # new is W one row past t_max
                 np.subtract(new, prev, out=edges[:, 1])
                 edges[:, 1] /= 2 * h
+        fu = fv = None  # freed before the next block's source rows are read
     return SolutionHistory(W[0], _CentredDt(W[0], edges[0]), W[1],
                            _CentredDt(W[1], edges[1]), "linear_forced")
 

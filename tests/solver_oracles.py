@@ -7,6 +7,11 @@ and row 0 holds the data velocity.  ``solve_linear_forced`` keeps W and the
 first and last dt W rows, and every row it builds must reproduce these bit
 for bit.
 
+``source_difference_ref`` is the Picard driver's earlier source step, which
+built G_k whole (in the light cone of its W) before the solve of delta_k;
+the driver now builds each block of G_k's rows when the solve reads it,
+and every row must reproduce this bit for bit.
+
 ``add_into_ref`` is the Picard driver's earlier sum u_k = u_{k-1} + delta_k,
 which kept u_k's dt W whole as a running sum of the solves' dt W.  The
 driver now sums W and dt W's edge rows and differences the summed W for the
@@ -16,7 +21,9 @@ other rows: equal in exact arithmetic, rounded otherwise.
 import numpy as np
 
 from radialwave.grid import SpaceTimeField
-from radialwave.solver import BlowUpSuspected, InitialData, _neighbour_sum
+from radialwave.picard import _derivative_frames
+from radialwave.solver import (BlowUpSuspected, InitialData, _LightCone, _neighbour_sum,
+                               nonlinearity)
 
 
 class WholeDt(SpaceTimeField):
@@ -24,6 +31,24 @@ class WholeDt(SpaceTimeField):
 
     def rows(self, rows: slice) -> np.ndarray:
         return self.values[rows]
+
+
+def source_difference_ref(hist, diff) -> list:
+    """G = B(d, a) + B(a, d) - B(d, d) of both equations, a and d the frames of
+    ``hist`` and ``diff`` (B(x, y): u's derivatives from x, v's from y), held
+    in the light cone of their W (``solver._LightCone``) and taken per block
+    of it (16 rows or more)."""
+    def bilinear(x, y, which):
+        return nonlinearity(x[0], x[1], y[2], y[3], which)
+
+    reach = max(f.reach for h in (hist, diff) for f in (h.W_u, h.W_v))
+    out = [_LightCone(hist.grid, None, reach, np.empty) for _ in range(2)]
+    for (lo, hi, gu), (_, _, gv) in zip(out[0].blocks, out[1].blocks):
+        rows = slice(lo, hi)
+        a, d = _derivative_frames(hist, rows), _derivative_frames(diff, rows)
+        for g, w in zip((gu, gv), ("u-eq", "v-eq")):
+            g[:] = (bilinear(d, a, w) + bilinear(a, d, w) - bilinear(d, d, w))[:, :g.shape[1]]
+    return out
 
 
 def add_into_ref(hist, diff) -> None:

@@ -251,10 +251,11 @@ class TestFunctionalFastPaths:
         assert [a.stop - a.start for a in norms._annuli(g)].count(0) == (dr == 4.0)
 
     def test_le1_norm_is_the_u_le1_slot(self):
-        # both read the (0, dt), (0, dr) and (0, quot) sums; the functional in
-        # two blocks of rows
+        # both read the (0, dt), (0, dr) and (0, quot) sums; le1_norm in two
+        # blocks of rows, the functional in four windows
         u, v = TestFunctionals.fields(dr=1 / 8)
         assert len(norms._blocks(u.grid.nt)) == 2
+        assert len(norms._blocks(u.grid.nt, norms._FUNCTIONAL_ROWS)) == 4
         assert norms.le1_norm(u) == m_functional(u, v, 0.75, 0.2, 0).slots["u_le1"]
 
     @pytest.mark.parametrize("functional", [m_functional, rw.a_functional])
@@ -317,15 +318,15 @@ class TestTimeBlocks:
         assert max(sizes) - min(sizes) <= 1
         assert len(blocks) == 1 or min(sizes) >= grid_module._BLOCK_ROWS
 
-    # nt mod _BLOCK_ROWS = 0, 1 and neither, two blocks each
+    # nt mod _FUNCTIONAL_ROWS = 0, 1 and neither, four windows or five
     @pytest.mark.parametrize("extra", [0, 1, 35])
     @pytest.mark.parametrize("N", [2, 3])
     def test_blocks_equal_one_block(self, monkeypatch, extra, N):
-        u, v = self.fields(2 * grid_module._BLOCK_ROWS + extra)
-        assert len(norms._blocks(u.grid.nt)) == 2
+        u, v = self.fields(4 * norms._FUNCTIONAL_ROWS + extra)
+        assert len(norms._blocks(u.grid.nt, norms._FUNCTIONAL_ROWS)) == 4 + extra // 32
         functionals = (m_functional, rw.a_functional)
         blocked = [f(u, v, 0.75, 0.2, N) for f in functionals]
-        monkeypatch.setattr(norms, "_blocks", lambda nt: [(0, nt)])
+        monkeypatch.setattr(norms, "_blocks", lambda nt, rows=None: [(0, nt)])
         for b, whole in zip(blocked, (f(u, v, 0.75, 0.2, N) for f in functionals)):
             assert b.total == whole.total
             assert b.slots == whole.slots
@@ -334,7 +335,7 @@ class TestTimeBlocks:
     def test_halo_of_three_rows_is_not_exact(self, monkeypatch):
         # at N = 3 a sum chains four stencils in t (Z^3, then good, dt or dr);
         # a depth helper one cell short walks three halo rows around the middle
-        # block, the only one whose walk meets no grid edge
+        # windows, whose walks meet no grid edge
         u, v = self.fields(3 * grid_module._BLOCK_ROWS + 1)
         exact = m_functional(u, v, 0.75, 0.2, 3)
         monkeypatch.setattr("radialwave.grid._depth", lambda keys: _depth(keys) - 1)
@@ -353,7 +354,7 @@ class TestTimeBlocks:
         else:
             z = rw.SpaceTimeField.zeros(g)
             h = rw.solve_linear_forced(data, z, z)
-        assert len(norms._blocks(g.nt)) == 3
+        assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 6
         got = [*norms.m_and_a_functionals(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
                m_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
                rw.a_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True)]
@@ -371,13 +372,13 @@ class TestTimeBlocks:
             assert list(b.slots.items()) == list(fresh.slots.items())
             assert b.per_region == fresh.per_region
 
-    @pytest.mark.parametrize("v0, calls", [(rw.bump, 8), (rw.poly_bump, 16)])
+    @pytest.mark.parametrize("v0, calls", [(rw.bump, 16), (rw.poly_bump, 32)])
     def test_equal_fields_are_walked_once(self, monkeypatch, v0, calls):
-        # the Picard driver's k = 1 pass on the benchmark grid (eight blocks):
-        # with data (bump, 0, bump, 0) u_1's W_u and W_v are equal, so one
-        # walk of W_u reduces both slot sets, 8 ``_word_sums`` calls for 16;
-        # its records equal the two-walk path's in repr.  With (bump, 0,
-        # poly_bump, 0) both fields are walked
+        # the Picard driver's k = 1 pass on the benchmark grid (16 windows of
+        # 32 rows): with data (bump, 0, bump, 0) u_1's W_u and W_v are equal,
+        # so one walk of W_u reduces both slot sets, 16 ``_word_sums`` calls
+        # for 32; its records equal the two-walk path's in repr.  With (bump,
+        # 0, poly_bump, 0) both fields are walked
         from radialwave.picard import PicardConfig, run_iteration
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=68.0, t_max=64.0)
         data = rw.InitialData(rw.bump, rw.zero_profile, v0, rw.zero_profile)
@@ -393,12 +394,12 @@ class TestTimeBlocks:
             return len(seen), repr((rec.m_total, rec.a_total, rec.m_slots, rec.a_slots))
 
         once, twice = record(), record(_equal=lambda u, v: False)
-        assert (once[0], twice[0]) == (calls, 16)
+        assert (once[0], twice[0]) == (calls, 32)
         assert once[1] == twice[1]
 
     def test_peak_allocation_is_a_few_grid_arrays(self):
-        # 513 rows, 8 blocks; the whole-grid pass peaked at about 23 arrays of
-        # the grid's size, a block's pass holds about 20 of its own rows'
+        # 513 rows, 16 windows; the whole-grid pass peaked at about 23 arrays
+        # of the grid's size, a window's pass holds about 20 of its own rows'
         g = rw.GridSpec(dr=1.0, cfl=1.0, r_max=516.0, t_max=512.0)
         rng = np.random.default_rng(0)
         u = rw.SpaceTimeField(g, rng.uniform(-1.0, 1.0, g.shape()), "even")
@@ -409,7 +410,7 @@ class TestTimeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(norms._blocks(g.nt)) == 8
+        assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         assert peak < 4 * u.values.nbytes
 
     def test_peak_allocation_with_a_light_cone_field(self):
@@ -426,7 +427,7 @@ class TestTimeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(norms._blocks(g.nt)) == 8
+        assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         assert peak < 4 * u.values.nbytes
 
     def test_le1_norm_peak_allocation(self):
@@ -453,7 +454,7 @@ class TestLightCone:
     """The M/A pass with the word sums cut at the light cone (``grid._cut``)
     against the full-width walk, byte for byte."""
 
-    GRID = rw.GridSpec(dr=0.25, cfl=1.0, r_max=44.5, t_max=40.5)  # 163 rows, 2 blocks
+    GRID = rw.GridSpec(dr=0.25, cfl=1.0, r_max=44.5, t_max=40.5)  # 163 rows, 5 windows
 
     @staticmethod
     def pair(g, support):
@@ -489,7 +490,7 @@ class TestLightCone:
     @pytest.mark.parametrize("N", [2, 3])
     def test_equals_the_full_width_walk(self, monkeypatch, support, N):
         u, v = self.pair(self.GRID, support)
-        assert len(norms._blocks(self.GRID.nt)) == 2
+        assert len(norms._blocks(self.GRID.nt, norms._FUNCTIONAL_ROWS)) == 5
         assert self.equal(self.both(u, v, N), self.full_width(monkeypatch, u, v, N))
 
     @pytest.mark.parametrize("gap", range(9))
@@ -502,9 +503,10 @@ class TestLightCone:
 
     @pytest.mark.parametrize("row", [60, 76, 80, 84, 87, 88, 100])
     def test_one_cell_near_a_block_edge(self, monkeypatch, row):
-        # the blocks are rows [0, 81) and [81, 163); a cell up to d = 4 rows
-        # outside a block enters its sums
-        assert norms._blocks(self.GRID.nt) == [(0, 81), (81, 163)]
+        # the windows meet at rows 32, 65, 97 and 130; a cell up to d = 4
+        # rows outside a window enters its sums
+        assert norms._blocks(self.GRID.nt, norms._FUNCTIONAL_ROWS) == [
+            (0, 32), (32, 65), (65, 97), (97, 130), (130, 163)]
         u, v = self.pair(self.GRID, lambda t, r: (t == row * 0.25) & (r == 20.0))
         assert self.equal(self.both(u, v), self.full_width(monkeypatch, u, v))
 

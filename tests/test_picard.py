@@ -12,7 +12,7 @@ import pytest
 import radialwave as rw
 from radialwave import cli, grid as grid_module, norms, picard, solver
 from radialwave.picard import IterationRecord, PicardConfig
-from solver_oracles import add_into_ref
+from solver_oracles import add_into_ref, source_difference_ref
 
 
 class _Interrupt(Exception):
@@ -271,8 +271,8 @@ class TestIteration:
         out = str(tmp_path)
         picard.run_iteration(PicardConfig(**cfg, kmax=1, outdir=out))
         grids = []
-        source = picard._source_difference
-        monkeypatch.setattr(picard, "_source_difference",
+        source = picard._sources
+        monkeypatch.setattr(picard, "_sources",
                             lambda h, d: grids.append((h.grid, d.grid)) or source(h, d))
         resumed = picard.run_iteration(PicardConfig(**cfg, kmax=2, outdir=out))
         assert [_values(r) for r in resumed] == fresh
@@ -309,24 +309,54 @@ class TestIteration:
         assert cut == hexed(picard.run_iteration(PicardConfig(**config)))
         assert len(cut) == 3
 
+    def test_functional_windows_keep_every_record(self, monkeypatch):
+        # M of u_3 and A of delta_3 on the benchmark grid, walked in windows
+        # of 32 rows (the functionals'), of 64 rows and in one window of the
+        # whole grid: every total, slot and region value equal in float.hex
+        config = PicardConfig(grid=rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=68.0, t_max=64.0),
+                              eps=0.0075, kmax=3)
+        pair, add_into = [], picard._add_into
+
+        def keep(hist, diff):
+            add_into(hist, diff)
+            pair[:] = hist, diff
+
+        monkeypatch.setattr(picard, "_add_into", keep)
+        records = picard.run_iteration(config)
+        (u, d), nt = pair, config.grid.nt
+
+        def hexed(rows):
+            with monkeypatch.context() as m:
+                m.setattr(norms, "_FUNCTIONAL_ROWS", rows)
+                out = [norms.m_functional(u.W_u, u.W_v, 0.75, 0.2, 2, over_r=True),
+                       rw.a_functional(d.W_u, d.W_v, 0.75, 0.2, 2, over_r=True)]
+            return [(b.total.hex(), *({k: x.hex() for k, x in getattr(b, name).items()}
+                                      for name in ("slots", "per_region"))) for b in out]
+
+        assert [len(norms._blocks(nt, rows)) for rows in (32, 64, nt)] == [16, 8, 1]
+        windows = hexed(32)
+        assert windows == hexed(64) == hexed(nt)
+        assert [x[0] for x in windows] == [records[-1].m_total.hex(), records[-1].a_total.hex()]
+
     def test_sources_equal_one_whole_grid_block(self, monkeypatch):
         # each source row is computed from its own row alone, so the blocks of
-        # 16 rows or more (16 of 16 and 17 rows here) of the sources' light
-        # cone give the sources of a single block bit for bit, dt W built per
-        # block or not
+        # 16 rows or more (16 of 16 and 17 rows here) in which the solve reads
+        # the sources, each built once for both equations, give the sources
+        # of a single whole-grid block bit for bit
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
         zero = solver._LightCone(g)
         data = rw.calibrate(PicardConfig(grid=g, eps=0.02).data, g, 2, 0.02)
         hist = rw.solve_linear_forced(data, zero, zero)
-        diff = rw.solve_linear_forced(rw.InitialData(amplitude=0.0),
-                                      *picard._source_difference(hist, hist))
-        blocked = picard._source_difference(hist, diff)
-        assert [(lo, hi) for lo, hi, _ in blocked[0].blocks] == grid_module._blocks(g.nt, 16)
-        assert len(blocked[0].blocks) == 16 and blocked[0].blocks[-1][:2] == (240, 257)
-        monkeypatch.setattr(solver, "_blocks", lambda nt, rows: [(0, nt)])
-        for a, b in zip(blocked, picard._source_difference(hist, diff)):
-            assert len(b.blocks) == 1
-            assert np.array_equal(a.values, b.values) and a.values.any()
+        diff = rw.solve_linear_forced(rw.InitialData(amplitude=0.0), *picard._sources(hist, hist))
+        built, source_rows = [], picard._source_rows
+        monkeypatch.setattr(picard, "_source_rows",
+                            lambda h, d, rows: built.append((rows, source_rows(h, d, rows)))
+                            or built[-1][1])
+        rw.solve_linear_forced(rw.InitialData(amplitude=0.0), *picard._sources(hist, diff))
+        assert [(rows.start, rows.stop) for rows, _ in built] == grid_module._blocks(g.nt, 16)
+        assert len(built) == 16 and built[-1][0] == slice(240, 257)
+        for blocked, whole in zip(zip(*(G for _, G in built)), source_rows(hist, diff, slice(None))):
+            assert np.concatenate(blocked).tobytes() == whole.tobytes() and whole.any()
 
     def test_picard_limit_is_the_semilinear_solution(self, tmp_path):
         # the Picard driver's nonlinear response u_6 - u_1 (characteristic
@@ -362,24 +392,25 @@ class TestIteration:
 
     def test_driver_peak_allocation(self):
         # one iterate pair is resident: u_(k-1), summed in place, and
-        # delta_(k-1), each as its W (two arrays) and dt W's edge rows;
-        # delta_(k-1) is dropped once G_k is built, G_k once delta_k is
-        # solved, and no zero source is kept past k = 1.  The functionals
-        # divide W by r per block of rows, eight blocks here, and the sources
-        # take 16 rows or more at a time.  Every W and source is held in its
-        # light cone, about half of the grid here.  The traced peak is 5.0
-        # grid arrays here, in the functionals; it was 6.9 with the arrays
-        # held at full width, 8.9 with u_k's dt W summed whole and 8.3 with
-        # the sources in 64-row blocks
+        # delta_(k-1), each as its W (two arrays) and dt W's edge rows; the
+        # solve of delta_k builds G_k per block of 16 rows or more as it reads
+        # them, and delta_(k-1) goes when it returns; no zero source is kept
+        # past k = 1.  The functionals divide W by r per window of 32 rows,
+        # 16 windows here.  Every W is held in its light cone, about half of
+        # the grid here.  The traced peak is 3.7 grid arrays here, in the
+        # solves (3.7), ahead of M and A (3.5 each); it was 5.0 in the
+        # functionals with 64-row windows and G_k built whole (3.9), 6.9
+        # with the arrays held at full width, 8.9 with u_k's dt W summed
+        # whole and 8.3 with the sources in 64-row blocks
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=132.0, t_max=128.0)
-        assert len(norms._blocks(g.nt)) == 8
+        assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         tracemalloc.start()
         try:
             assert len(picard.run_iteration(PicardConfig(grid=g, eps=0.0075, kmax=3))) == 3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * g.nt * g.nr * 8
+        assert peak < 4.2 * g.nt * g.nr * 8
 
     def test_loading_delta_reads_w_and_two_dt_rows(self, tmp_path, monkeypatch):
         # delta_k's directory and u_k's each load as two W arrays plus the
@@ -431,11 +462,13 @@ class TestIteration:
 
     @pytest.mark.parametrize("case", ["bump", "nonzero at r = R"])
     def test_light_cone_holds_every_array_exactly(self, case, monkeypatch):
-        # every source G_k, every W of delta_k and every W of u_k, as held in
-        # the light cone (row n to column n + S), equals the full-width array
-        # (every cone widened to nr) in bytes.  Data nonzero at r = R = 2
-        # reach column S - 1, so a source reaches column n + S: one column
-        # less would drop it
+        # every W of delta_k and every W of u_k, as held in the light cone
+        # (row n to column n + S), and every source G_k, k <= 4, as the solve
+        # reads its blocks of rows, equals the full-width array (every cone
+        # widened to nr) in bytes; the rows read equal those of G_k built
+        # whole before the solve (``source_difference_ref``) in bytes.  Data
+        # nonzero at r = R = 2 reach column S - 1, so a source reaches column
+        # n + S: one column less would drop it
         if case == "bump":
             g, data = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=16.0), None
         else:
@@ -446,12 +479,27 @@ class TestIteration:
                               **({} if data is None else {"data": data}))
         S = solver._cone_reach(g)
 
+        class Reading:
+            """A source of the solve, recording the rows the solve reads."""
+
+            def __init__(self, f):
+                self.f, self.grid, self.reach, self.read = f, f.grid, f.reach, []
+
+            def rect(self, rows):
+                self.read.append(self.f.rect(rows))
+                return self.read[-1]
+
         def held(cone_reach):
             arrays, solve, add_into = [], picard.solve_linear_forced, picard._add_into
 
             def recording(data, fu, fv):
-                hist = solve(data, fu, fv)
-                arrays.append([f.values for f in (fu, fv, hist.W_u, hist.W_v)])
+                whole = (source_difference_ref(fu.hist, fu.diff)
+                         if isinstance(fu, picard._Source) else (fu, fv))
+                read = [Reading(fu), Reading(fv)]
+                hist = solve(data, *read)
+                G = [np.concatenate(f.read) for f in read]
+                assert [x.tobytes() for x in G] == [x.values.tobytes() for x in whole]
+                arrays.append([*G, hist.W_u.values, hist.W_v.values])
                 return hist
 
             def summing(hist, diff):

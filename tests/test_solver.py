@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ class TestHomogeneousSolve:
         hist = rw.solve(data, SolveConfig(grid=g, mode="semilinear"))
         assert np.all(hist.W_u.values == 0.0)
         assert np.all(hist.W_v.values == 0.0)
+
+
+    def test_data_past_their_support_radius_are_refused(self):
+        # bump data reach r = 2, past a support radius of 1: RK4 refuses them
+        # at t = 0, as the characteristic solve does; bump vanishes at r = 2,
+        # so the default data run
+        g = grid(dr=1 / 16)
+        narrow = InitialData(rw.bump, rw.zero_profile, rw.bump, rw.zero_profile,
+                             support_radius=1.0)
+        for mode in ("semilinear", "homogeneous"):
+            with pytest.raises(ValueError, match="nonzero past their support radius 1"):
+                rw.solve(narrow, SolveConfig(grid=g, mode=mode))
+        assert rw.solve(standard_data(), SolveConfig(grid=g)).W_u.values.any()
 
 
 class TestSemilinear:
@@ -368,6 +382,24 @@ class TestConfig:
         assert np.all(hist.W_u.values == 0)
         assert hist.diagnostics["t"].tobytes() == hist.grid.t.tobytes()
         assert len(hist.diagnostics["t"]) == hist.grid.nt
+
+    def test_diagnostics_only_mode_holds_no_grid_array(self):
+        # the four fields of a run without history are one read-only zero of
+        # stride 0: decay_run's traced peak is its O(nr) workspace, 0.075 grid
+        # arrays here (1.08 with a zero array of the grid's size)
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=100.0, t_max=96.0)
+        tracemalloc.start()
+        try:
+            diags = rw.decay_run(g, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(diags["t"]) == g.nt
+        assert peak < 0.1 * g.nt * g.nr * 8
+        hist = rw.solve(standard_data(), SolveConfig(grid=grid(), store_history=False))
+        assert hist.W_u.values.shape == hist.grid.shape() and not hist.dtW_v.values.any()
+        with pytest.raises(ValueError, match="read-only"):
+            hist.W_u.values[1, 1] = 1.0
 
 
 class TestDeterminism:
