@@ -449,10 +449,10 @@ def scaling_identity_residual(w: SpaceTimeField) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def box_decomposition_residual(w: SpaceTimeField, r_min: float = 1.0) -> float:
+def box_decomposition_residual(w: SpaceTimeField) -> float:
     """Residual of (dt^2 - dr^2)w = Box w + (2/r) dr w away from the axis.
 
-    Measured on interior points only: the centered product rule
+    Measured on interior points with r >= 1 only: the centered product rule
     D^2(r w) = r D^2 w + 2 D w is exact there, while the one-sided boundary
     stencils satisfy it only to truncation order.
     """
@@ -461,7 +461,7 @@ def box_decomposition_residual(w: SpaceTimeField, r_min: float = 1.0) -> float:
     d2 = _wave2(w.values, w.parity, grid.dt, grid.dr)
     box = box_scalar(w).values
     dr_w = derivative(w, DR).values
-    keep = (r >= r_min) & (r <= grid.r_max - grid.dr) & \
+    keep = (r >= 1.0) & (r <= grid.r_max - grid.dr) & \
         (t >= grid.dt) & (t <= grid.t_max - grid.dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = 2 * dr_w / np.where(keep, r, 1.0)
@@ -510,9 +510,3 @@ def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,
     rep.rhs_slots["good2_ratio"] = float(m_good2 / good2_rhs) if good2_rhs > 0 else 0.0
     return rep
 
-
-def observed_order(coarse: float, fine: float) -> float:
-    """log2 ratio of residuals under dr -> dr/2."""
-    if fine <= 0:
-        return float("inf")
-    return float(np.log2(coarse / fine))

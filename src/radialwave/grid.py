@@ -25,9 +25,9 @@ rows meet are the edge columns, which are set afterwards.
 
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
 of the grid, in the window's shape and equal to the whole-grid sums on every
-cell, for every caller (the M/A functionals, ``le1_norm``, the ratio and
-Klainerman-Sobolev checks of ``estimates``).  It widens its walk by the halo
-its keys need (``_walk``) and stops it at the field's light cone (``_cut``).
+cell, for every caller (the M/A functionals, the ratio and Klainerman-Sobolev
+checks of ``estimates``).  It widens its walk by the halo its keys need
+(``_walk``) and stops it at the field's light cone (``_cut``).
 ``_blocks`` is the one row-block helper: fields are sampled
 (``SpaceTimeField.from_function``), streamed through the norms and the
 estimate checks, and turned into Picard sources and files in its blocks.
@@ -40,7 +40,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -207,22 +207,25 @@ class SpaceTimeField:
     _HEADER = "<8sddddb"
 
     def to_binary(self, path) -> None:
-        _write_field(path, self.grid, self.parity, [self.values])
+        _write_field(path, self)
 
     @classmethod
     def from_binary(cls, path) -> "SpaceTimeField":
         return cls(*_read_field(path))
 
 
-def _write_field(path, grid: GridSpec, parity: str | None, blocks) -> None:
-    """A field file: the header, then the consecutive ``blocks`` of rows of its
-    values, each written as it lies (a copy on big-endian only)."""
+def _write_field(path, f) -> None:
+    """The file of a field of any form (``SpaceTimeField``, ``solver._LightCone``,
+    ``solver._CentredDt``): the header, then its rows ``f.rect`` of each block
+    of ``_blocks(nt, 16)`` in turn, each written as it lies (a copy on
+    big-endian only, or where ``rect`` builds the block)."""
+    grid = f.grid
     header = struct.pack(SpaceTimeField._HEADER, SpaceTimeField._MAGIC, grid.dr, grid.cfl,
-                         grid.r_max, grid.t_max, {"odd": 1, "even": 2, None: 0}[parity])
+                         grid.r_max, grid.t_max, {"odd": 1, "even": 2, None: 0}[f.parity])
     with open(path, "wb") as fh:
         fh.write(header)
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        for lo, hi in _blocks(grid.nt, 16):
+            fh.write(np.ascontiguousarray(f.rect(slice(lo, hi)), dtype="<f8"))
 
 
 def _read_field(path, grid=None, rows=None) -> tuple:
@@ -275,12 +278,12 @@ def _trapz_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-# ``le1_norm`` and the ratio checks of ``estimates`` walk the grid, and the
-# Klainerman-Sobolev checks walk their enlarged regions, in blocks of this many
-# rows or more; the M/A functionals walk blocks of 32 rows or more
-# (``norms._FUNCTIONAL_ROWS``); ``SpaceTimeField.from_function``, the Picard
-# sources and the files of a dt W built from W take blocks of 16 rows or more,
-# whose temporaries are small beside the grid
+# The ratio checks of ``estimates`` walk the grid, and the Klainerman-Sobolev
+# checks walk their enlarged regions, in blocks of this many rows or more; the
+# M/A functionals walk blocks of 32 rows or more (``norms._FUNCTIONAL_ROWS``);
+# ``SpaceTimeField.from_function``, the Picard sources and every field file
+# (``_write_field``) take blocks of 16 rows or more, whose temporaries are
+# small beside the grid
 _BLOCK_ROWS = 64
 
 
@@ -635,30 +638,6 @@ def z_words(max_len: int) -> list[tuple[str, ...]]:
     return words
 
 
-def apply_word(f: SpaceTimeField, word: Sequence[str]) -> SpaceTimeField:
-    """Apply a composition of derivative directions, innermost (rightmost) first."""
-    out = f
-    for tag in reversed(word):
-        out = derivative(out, tag)
-    return out
-
-
-def apply_z_multi(f: SpaceTimeField, max_len: int) -> list[tuple[tuple[str, ...], SpaceTimeField]]:
-    """All Z^mu f for |mu| <= max_len over the radial vector fields {dt, dr, S}.
-
-    Deterministic ordering (length, then lexicographic with dt < dr < S) so
-    downstream reports are byte-for-byte reproducible.  Computed incrementally:
-    each word of length L extends a stored word of length L-1.
-    """
-    if max_len > MAX_WORD_LEN:
-        raise ValueError(f"N = {max_len} exceeds the supported maximum {MAX_WORD_LEN}")
-    results: dict[tuple[str, ...], SpaceTimeField] = {(): f}
-    for word in z_words(max_len)[1:]:
-        base = results[word[1:]]
-        results[word] = derivative(base, word[0])
-    return [(w, results[w]) for w in z_words(max_len)]
-
-
 def box_conjugate(W: SpaceTimeField) -> SpaceTimeField:
     """(dt^2 - dr^2) of a conjugate field W = r*u.
 
@@ -696,6 +675,3 @@ def null_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray
     """
     return (dtu + dru) * dtv - dru * (dtv + drv)
 
-
-def raw_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray) -> np.ndarray:
-    return dtu * dtv - dru * drv

@@ -7,29 +7,28 @@ each time row's points with ``np.add.reduceat`` (a row's value does not depend
 on the other rows), then ``_t_norm`` takes the root of their trapezoid (L2)
 or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the
 region of full rows, summed at the row starts of the flat array with no
-gather, and so is each annulus of ``le_norm`` on its run of columns.  A
-region L2 norm sums only its region's points: the estimate checks pass the
-points of a region's per-row intervals, ``region_l2l2`` the nonzero points of
-a sharp mask, so both give bit-equal norms on one region.  A region reduction
-reads an array holding a window of the grid (a pair of slices, the whole grid
-by default), in which ``_window_pos`` finds a region's points.
+gather, and so is each dyadic annulus of the local energy norm on its run of
+columns.  A region L2 norm sums only the points of the region's per-row
+intervals.  A region reduction reads an array holding a window of the grid (a
+pair of slices, the whole grid by default), in which ``_window_pos`` finds a
+region's points.
 
 Every streamed value goes through one reducer, ``_stream``: one
 ``grid._word_sums`` pass per window of the grid, asking only for the sums its
 slots read, reduced straight into the per-row sums of every slot (whole rows,
-row 0, a region's points, the per-annulus row sums of ``le_norm`` from
-``_le_rows``) and into region sups, then each slot once in t, so every value
-equals the whole-grid one bit for bit and no array of the grid's size is
-built.  The windows are the blocks of full time rows of ``grid._blocks``: of
-32 rows for the M/A functionals (``_functionals``, one ``_stream`` call per
-field; ``m_and_a_functionals`` reads both functionals off one pass), whose
-window temporaries sit beside the Picard iterates, and of 64 for
-``le1_norm`` and the ratio checks of ``estimates``, whose narrower walks are
-bound by numpy's cost per call; a Klainerman-Sobolev check passes the boxes
-of its enlarged region that it walks (``estimates._ks_windows``).  The
-sums stop at the light cone but come at the full width, +0.0 past the cut:
-``np.add.reduceat`` blocks its pairwise sum by the row's length, so a row
-sum without its trailing zeros could differ in the last bit.
+row 0, a region's points, the per-annulus row sums of the local energy norm
+from ``_le_rows``) and into region sups, then each slot once in t, so every
+value equals the whole-grid one bit for bit and no array of the grid's size
+is built.  The windows are the blocks of full time rows of ``grid._blocks``:
+of 32 rows for the M/A functionals (``_functionals``, one ``_stream`` call
+per field; ``m_and_a_functionals`` reads both functionals off one pass),
+whose window temporaries sit beside the Picard iterates, and of 64 for the
+ratio checks of ``estimates``, whose narrower walks are bound by numpy's cost
+per call; a Klainerman-Sobolev check passes the boxes of its enlarged region
+that it walks (``estimates._ks_windows``).  The sums stop at the light cone
+but come at the full width, +0.0 past the cut: ``np.add.reduceat`` blocks
+its pairwise sum by the row's length, so a row sum without its trailing
+zeros could differ in the last bit.
 
 ``_region_sups`` is the one region-sup reducer: the max of |values| over
 each of a list of regions' points in a window, from one gather (maxima per
@@ -128,24 +127,11 @@ def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
     return _t_norm(*_row_sums(values, grid, weight, pos, window), grid, outer)
 
 
-def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
-    """||w f(t, .)||_{L^2(dx)} for every time level, each row reduced on its own."""
-    return np.sqrt(_row_sums(f.values, f.grid, weight)[1])
-
-
 def mixed_norm(f: SpaceTimeField, outer: str, weight: WeightSpec = WeightSpec()) -> float:
     """||w f||_{L^outer_t L^2_x} over the whole grid, ``outer`` "L2" or "Linf"."""
     if outer not in ("L2", "Linf"):
         raise NormSpecError(f"outer must be 'L2' or 'Linf'; got {outer!r}")
     return _norm(f.values, f.grid, outer, weight)
-
-
-def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> float:
-    """L2L2 norm of ``f`` on a sharp 0/1 mask that broadcasts to the grid."""
-    mask = np.broadcast_to(mask, f.grid.shape())
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("region_l2l2 takes a sharp mask: every value 0 or 1")
-    return _norm(f.values, f.grid, "L2", weight, np.flatnonzero(mask))
 
 
 def _window_pos(intervals, grid, window) -> np.ndarray:
@@ -161,11 +147,6 @@ def _window_pos(intervals, grid, window) -> np.ndarray:
 # ----------------------------------------------------------------------
 # local energy norms
 # ----------------------------------------------------------------------
-
-def le_norm(f: SpaceTimeField) -> float:
-    """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
-    return _le_reduce([_le_rows(f.values, f.grid, _annuli(f.grid))], f.grid)
-
 
 def _annuli(grid) -> list:
     """The columns of each dyadic annulus A_R, R >= 1, in turn, one slice: an
@@ -183,7 +164,8 @@ def _le_rows(values: np.ndarray, grid, annuli: list, window=_GRID) -> list:
 
 
 def _le_reduce(blocks: list, grid) -> float:
-    """``le_norm`` from the ``_le_rows`` of consecutive blocks of rows."""
+    """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}, from the ``_le_rows``
+    of f on consecutive blocks of rows."""
     best = 0.0
     for R, parts in zip(dyadic_scales(bracket(grid.r_max)), zip(*blocks)):
         rows, sums = (np.concatenate(x) for x in zip(*parts))
@@ -191,19 +173,13 @@ def _le_reduce(blocks: list, grid) -> float:
     return best
 
 
-def le1_norm(f: SpaceTimeField) -> float:
-    """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
-    streamed in blocks of rows as the u_le1 slot of the functionals."""
-    return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
-
-
 def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None,
             over_r: bool = False) -> dict:
     """The value of every slot of ``slots`` (name -> (term, weight, where)) on
     ``f``, from one ``grid._word_sums`` pass of ``keys`` per window of
     ``windows`` (pairs of slices; by default the full rows of each block of
-    ``_blocks``, 64 rows or more, as ``le1_norm`` and the ratio checks take
-    them, whose walks are bound by numpy's cost per call; ``_functionals``
+    ``_blocks``, 64 rows or more, as the ratio checks take them, whose walks
+    are bound by numpy's cost per call; ``_functionals``
     passes windows of 32 rows): each window reduces straight into per-row
     sums and region sups, then each slot once in t, so every value equals
     the whole-grid one bit for bit and no array of the grid's size is
@@ -214,8 +190,8 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
     (its row 0), a region (its L2L2 norm on the region's points), a list of
     regions (the max of |term| over each region's points, as a list, from
-    ``_region_sups``), "LE" (``le1_norm`` of the (n, dt), (n, dr) and
-    (n, quot) sums, ``term`` naming n) or "dx dt" (the integral over
+    ``_region_sups``), "LE" (the local energy norm ||(du, u/r)||_LE of the
+    (n, dt), (n, dr) and (n, quot) sums, ``term`` naming n) or "dx dt" (the integral over
     4 pi r^2 dr dt: row sums, then the trapezoid in t).  The windows take
     disjoint runs of rows in ascending order, and must hold every point of
     the slots' regions on their rows; only region slots read a window that

@@ -122,10 +122,10 @@ class IterationRecord:
 
 def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
     """(dtu, dru, dtv, drv) scalar frames on ``rows`` (a unit-step slice) of the
-    history: dt from the conjugate momenta (``_CentredDt.rows``), dr by the
-    stencil, each row from its own row."""
+    history, each frame's rows read by ``rect``: dt from the conjugate momenta,
+    dr by the stencil, each row from its own row."""
     r, dr = hist.grid.r, hist.grid.dr
-    dtu, dtv = (_over_r(f.rows(rows), r) for f in (hist.dtW_u, hist.dtW_v))
+    dtu, dtv = (_over_r(f.rect(rows), r) for f in (hist.dtW_u, hist.dtW_v))
     dru, drv = (_d1(_over_r(f.rect(rows), r), dr, "even") for f in (hist.W_u, hist.W_v))
     return dtu, dru, dtv, drv
 
@@ -301,17 +301,16 @@ def check_boundedness(records: list[IterationRecord], eps: float) -> dict:
     }
 
 
-def fit_decay(diagnostics: dict, t_min: float | None = None,
-              t_max: float | None = None) -> dict:
-    """Log-log slopes of sup_x |u| and sup_x |v| against 1 + t on [T/8, T].
+def fit_decay(diagnostics: dict) -> dict:
+    """Log-log slopes of sup_x |u| and sup_x |v| against 1 + t on [T/8, T], T
+    the last time of the diagnostics.
 
     Returns the fitted exponents plus the worst multiplicative departure of
     (1 + t) * sup|u| from its own median over the window.
     """
     t = np.asarray(diagnostics["t"], dtype=float)
-    horizon = float(t[-1])
-    lo = horizon / 8 if t_min is None else t_min
-    hi = horizon if t_max is None else t_max
+    hi = float(t[-1])
+    lo = hi / 8
     sel = (t >= lo) & (t <= hi) & (t > 0)
     if np.count_nonzero(sel) < 8:
         raise ValueError(f"window [{lo}, {hi}] holds too few samples for a fit")
@@ -329,10 +328,9 @@ def fit_decay(diagnostics: dict, t_min: float | None = None,
     return out
 
 
-def decay_run(grid: GridSpec, eps: float, N: int = 2,
-              data: InitialData | None = None) -> dict:
-    """Long semilinear evolution recording diagnostics only (no history)."""
-    data = data or InitialData(bump, zero_profile, bump, zero_profile)
-    data = calibrate(data, grid, N, eps)
+def decay_run(grid: GridSpec, eps: float) -> dict:
+    """Long semilinear evolution of the bump data (u, v) = (bump, 0), (bump, 0),
+    calibrated to eps at order N = 2, recording diagnostics only (no history)."""
+    data = calibrate(InitialData(bump, zero_profile, bump, zero_profile), grid, 2, eps)
     hist = solve(data, SolveConfig(grid=grid, mode="semilinear", store_history=False))
     return hist.diagnostics

@@ -5,8 +5,8 @@ The geometry layer: dyadic time slabs C_tau split into annulus-indexed pieces
 overlap, with their 7/8..17/8 enlargements, and the ghost-weight profile
 sigma_U(z) = z / (U + |z|).  A sharp region is defined once, by the runs
 [j_lo, j_hi) of each time row on which its inequalities hold (``_intervals``);
-every region sup and region L2 norm reads their points.  ``realize_mask``
-renders them as a dense mask; nothing in the package calls it.
+every region sup and region L2 norm reads their points, and no dense mask
+is built.
 
 The Japanese bracket convention is <q> = sqrt(1 + q^2) throughout.
 """
@@ -99,49 +99,12 @@ class DyadicRegion:
         return DyadicRegion(self.tau, self.kind, self.scale, level)
 
 
-@dataclass
-class RegionMask:
-    """The sharp {0, 1} indicator of a region on a grid; sharp masks keep
-    region accounting exactly additive."""
-
-    region: DyadicRegion
-    grid: GridSpec
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != self.grid.shape():
-            raise ValueError("mask shape does not match grid")
-
-
-def enumerate_regions(tau: int, grid: GridSpec) -> list[DyadicRegion]:
-    """All plain regions of the slab C_tau: R-kind, U-kind (dyadic scales up to
-    tau/4) plus the core, in deterministic order."""
-    if not is_dyadic(tau):
-        raise ValueError(f"tau must be a power of two, got {tau}")
-    if tau < 4:
-        raise ValueError(f"tau = {tau} below the dyadic regime (tau >= 4)")
-    if tau > grid.t_max / 2 + 1e-12:
-        raise ValueError(f"slab [{tau}, {2 * tau}] extends beyond t_max = {grid.t_max}")
-    scales = dyadic_scales(tau // 4)
-    out = [DyadicRegion(tau, R_KIND, s) for s in scales]
-    out += [DyadicRegion(tau, U_KIND, s) for s in scales]
-    out.append(DyadicRegion(tau, CORE))
-    return out
-
-
 def _scaled(lo: float, hi: float, level: int) -> tuple[float, float]:
     # plain [s, 2s] widens to [7s/8, 17s/8]: the upper endpoint moves by
     # 17/16 so it lands at (17/8) * scale, not (17/8) * (2 * scale)
     for _ in range(level):
         lo, hi = _ENLARGE_LO * lo, (_ENLARGE_HI / 2.0) * hi
     return lo, hi
-
-
-def realize_mask(region: DyadicRegion, grid: GridSpec) -> RegionMask:
-    """The sharp indicator of a region, rendered from its per-row intervals."""
-    w = np.zeros(grid.shape())
-    np.put(w, _flat(*_intervals(region, grid), grid.nr), 1.0)
-    return RegionMask(region, grid, w)
 
 
 @functools.lru_cache(maxsize=64)
@@ -242,12 +205,6 @@ def _edge(test, t, r, a, b):
         same = test(t, r[np.minimum(mid, last)]) == holds
         lo = np.where(live & same, mid + 1, lo)
         hi = np.where(live & ~same, mid, hi)
-
-
-def slab_mask(tau: float, grid: GridSpec) -> np.ndarray:
-    """Sharp indicator of the slab C_tau = {tau <= t <= 2tau, r <= t + 2}."""
-    t, r = grid.meshes()
-    return ((t >= tau - 1e-12) & (t <= 2 * tau + 1e-12) & (r <= t + 2 + 1e-12)).astype(float)
 
 
 def dyadic_scales(limit: float, start: int = 1) -> list[int]:

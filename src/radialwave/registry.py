@@ -18,33 +18,33 @@ def _gauss(s, width):
     return np.exp(-np.square(s / width))
 
 
-def traveling_sym(grid: GridSpec, width: float = 1.5, offset: float = 3.0) -> SpaceTimeField:
-    """Outgoing pulse riding at r = t + offset, symmetrized in r."""
+def traveling_sym(grid: GridSpec) -> SpaceTimeField:
+    """Outgoing pulse of width 3/2 riding at r = t + 3, symmetrized in r."""
     def f(t, r):
-        return _gauss(r - t - offset, width) + _gauss(-r - t - offset, width)
+        return _gauss(r - t - 3.0, 1.5) + _gauss(-r - t - 3.0, 1.5)
     return SpaceTimeField.from_function(grid, f, parity="even")
 
 
-def standing_bump(grid: GridSpec, omega: float = 1.0, width: float = 2.0) -> SpaceTimeField:
-    """Oscillating bump pinned near the axis."""
+def standing_bump(grid: GridSpec) -> SpaceTimeField:
+    """Bump of width 2 pinned near the axis, oscillating as cos t."""
     def f(t, r):
-        return np.cos(omega * t) * _gauss(r, width)
+        return np.cos(t) * _gauss(r, 2.0)
     return SpaceTimeField.from_function(grid, f, parity="even")
 
 
-def expanding_bump(grid: GridSpec, width: float = 2.0) -> SpaceTimeField:
-    """Slowly decaying bump whose support center tracks t/2; exercises the
-    interior dyadic pieces without hugging the cone."""
+def expanding_bump(grid: GridSpec) -> SpaceTimeField:
+    """Slowly decaying bump of width 2 whose support center tracks t/2;
+    exercises the interior dyadic pieces without hugging the cone."""
     def f(t, r):
-        return (1.0 + t) ** -0.75 * (_gauss(r - t / 2, width) + _gauss(-r - t / 2, width))
+        return (1.0 + t) ** -0.75 * (_gauss(r - t / 2, 2.0) + _gauss(-r - t / 2, 2.0))
     return SpaceTimeField.from_function(grid, f, parity="even")
 
 
-def cone_hugger(grid: GridSpec, width: float = 1.0) -> SpaceTimeField:
-    """Pulse riding just inside the cone at t - r = 3/2; puts O(1) mass in the
-    near-cone dyadic pieces that the outgoing families miss."""
+def cone_hugger(grid: GridSpec) -> SpaceTimeField:
+    """Pulse of width 1 riding just inside the cone at t - r = 3/2; puts O(1)
+    mass in the near-cone dyadic pieces that the outgoing families miss."""
     def f(t, r):
-        return _gauss(r - t + 1.5, width) + _gauss(-r - t + 1.5, width)
+        return _gauss(r - t + 1.5, 1.0) + _gauss(-r - t + 1.5, 1.0)
     return SpaceTimeField.from_function(grid, f, parity="even")
 
 
@@ -66,10 +66,10 @@ KS_COMBOS = [
 ]
 
 
-def build(family_id: str, grid: GridSpec, **kwargs) -> SpaceTimeField:
+def build(family_id: str, grid: GridSpec) -> SpaceTimeField:
     try:
         maker = ANALYTIC_FAMILIES[family_id]
     except KeyError:
         raise KeyError(
             f"unknown family {family_id!r}; known: {sorted(ANALYTIC_FAMILIES)}") from None
-    return maker(grid, **kwargs)
+    return maker(grid)

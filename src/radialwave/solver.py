@@ -21,7 +21,6 @@ number 1) step
 
 with the odd ghost W_{-1} = -W_1 and W = 0 past r_max: exact for the free
 wave, second order in the source, and with no precursor ahead of the front.
-A d'Alembert closed form serves as the homogeneous oracle.
 
 Data vanish past r = 2, so W row n of the characteristic solve vanishes past
 column n + S - 1 and its source past n + S, S the columns with r <= 2
@@ -125,8 +124,8 @@ class InitialData:
     support_radius: float = 2.0
 
     def __post_init__(self):
-        if self.support_radius > 2.0 + 1e-12:
-            raise ValueError("data must be supported in r <= 2")
+        if not 0.0 <= self.support_radius <= 2.0 + 1e-12:  # refuses NaN too
+            raise ValueError(f"support_radius must lie in [0, 2], got {self.support_radius}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.amplitude < 0:
@@ -220,11 +219,6 @@ class _LightCone:
                 out[max(a, lo) - a:min(b, hi) - a, :part.shape[1]] = part
         return out
 
-    def to_binary(self, path) -> None:
-        """The file of the whole array, written one block at a time."""
-        _write_field(path, self.grid, self.parity,
-                     (self.rect(slice(lo, hi)) for lo, hi, _ in self.blocks))
-
 
 class _CentredDt:
     """dt W of a characteristic solve, held as its first and last rows: row 0
@@ -244,12 +238,9 @@ class _CentredDt:
     def grid(self) -> GridSpec:
         return self.W.grid
 
-    @property
-    def values(self) -> np.ndarray:
-        """The whole array, built anew."""
-        return self.rows(slice(None))
+    values = property(lambda self: self.rect(slice(None)), doc="The whole array, built anew.")
 
-    def rows(self, rows: slice) -> np.ndarray:
+    def rect(self, rows: slice) -> np.ndarray:
         """The rows ``rows`` (a unit-step slice), built anew."""
         nt = self.grid.nt
         lo, hi = _span(rows, nt)
@@ -265,11 +256,6 @@ class _CentredDt:
             out[0] = self.edges[0]
         return out
 
-    def to_binary(self, path) -> None:
-        """The file of the whole array, written one block of 16 rows or more at a time."""
-        _write_field(path, self.grid, self.parity,
-                     (self.rows(slice(lo, hi)) for lo, hi in _blocks(self.grid.nt, 16)))
-
 
 @dataclass
 class SolutionHistory:
@@ -278,7 +264,7 @@ class SolutionHistory:
     W and dt W are whole (``solve``'s RK4 state) or, from ``solve_linear_forced``
     and the Picard iterates summed from its solves, W is a ``_LightCone`` and
     dt W a ``_CentredDt``: its first and last rows, the others built from W
-    per block of rows (``_CentredDt.rows``) or whole where ``values`` is read.
+    per block of rows (``_CentredDt.rect``) or whole where ``values`` is read.
     """
 
     W_u: SpaceTimeField
@@ -303,7 +289,7 @@ class SolutionHistory:
     def save(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
-            getattr(self, name).to_binary(os.path.join(outdir, f"{name}.bin"))
+            _write_field(os.path.join(outdir, f"{name}.bin"), getattr(self, name))
         manifest = {
             "grid": asdict(self.grid),
             "mode": self.mode,
@@ -586,45 +572,6 @@ def _neighbour_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     out[..., -1] = w[..., -2]
     return out
-
-
-# ----------------------------------------------------------------------
-# d'Alembert oracle for the free radial wave equation
-# ----------------------------------------------------------------------
-
-def odd_extension(profile: Callable, amplitude: float = 1.0) -> Callable:
-    """phi(s) = s * amplitude * profile(|s|): odd extension of r * u0(r)."""
-    def phi(s):
-        s = np.asarray(s, dtype=float)
-        return s * amplitude * np.asarray(profile(np.abs(s)), dtype=float)
-    return phi
-
-
-def exact_dalembert(profile: Callable, t: float, r: np.ndarray,
-                    amplitude: float = 1.0) -> np.ndarray:
-    """Conjugate solution W(t, r) = (phi(r+t) + phi(r-t)) / 2 for data (u0, 0)."""
-    phi = odd_extension(profile, amplitude)
-    return 0.5 * (phi(r + t) + phi(r - t))
-
-
-def exact_dalembert_dt(profile: Callable, t: float, r: np.ndarray,
-                       amplitude: float = 1.0, h: float = 1e-6) -> np.ndarray:
-    """dt W for the closed form, via a fine central difference of phi."""
-    phi = odd_extension(profile, amplitude)
-    return 0.5 * ((phi(r + t + h) - phi(r + t - h)) - (phi(r - t + h) - phi(r - t - h))) / (2 * h)
-
-
-def dalembert_history(data: InitialData, grid: GridSpec) -> SolutionHistory:
-    """Closed-form homogeneous history for data (u0, 0), (v0, 0); oracle only."""
-    tvals = grid.t
-    Wu = np.stack([exact_dalembert(data.u0, t, grid.r, data.amplitude) for t in tvals])
-    Wv = np.stack([exact_dalembert(data.v0, t, grid.r, data.amplitude) for t in tvals])
-    Pu = np.stack([exact_dalembert_dt(data.u0, t, grid.r, data.amplitude) for t in tvals])
-    Pv = np.stack([exact_dalembert_dt(data.v0, t, grid.r, data.amplitude) for t in tvals])
-    return SolutionHistory(
-        SpaceTimeField(grid, Wu, "odd"), SpaceTimeField(grid, Pu, "odd"),
-        SpaceTimeField(grid, Wv, "odd"), SpaceTimeField(grid, Pv, "odd"), "homogeneous",
-    )
 
 
 def config_hash(obj) -> str:

@@ -8,6 +8,11 @@ slot in ``repr``, except ``check_le``'s forcing, which the copy integrates as
 ``wt @ integrand @ wr`` and the streamed check as row sums, then the trapezoid
 in t (1e-15 relative).  ``interval_l2`` and ``data_l2`` are the region and
 t = 0 norms the copies use.
+
+``spatial_l2`` (every row's L2 norm), ``region_l2l2`` (the L2L2 norm on a
+sharp dense mask), ``le_norm`` (the local energy norm of a whole-grid field)
+and ``le1_norm`` (||(du, u/r)||_LE, streamed) reduce through the norms' own
+row sums; ``observed_order`` is the refinement order of two residuals.
 """
 
 import numpy as np
@@ -16,11 +21,43 @@ from radialwave.estimates import EstimateReport, _conjugate, box_scalar
 from radialwave.grid import BAD, DR, DT, GOOD, SpaceTimeField, _trapz_weights, derivative, \
     quotient_by_r
 from radialwave.norms import (
-    FOUR_PI, WeightSpec, _norm, _row_sums, _window_pos, le1_norm, mixed_norm,
+    FOUR_PI, WeightSpec, _annuli, _le_reduce, _le_rows, _norm, _row_sums, _stream,
+    _window_pos, mixed_norm,
 )
 from radialwave.regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
 )
+
+
+def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
+    """||w f(t, .)||_{L^2(dx)} for every time level, each row reduced on its own."""
+    return np.sqrt(_row_sums(f.values, f.grid, weight)[1])
+
+
+def region_l2l2(f: SpaceTimeField, weight: WeightSpec, mask: np.ndarray) -> float:
+    """L2L2 norm of ``f`` on a sharp 0/1 mask that broadcasts to the grid."""
+    mask = np.broadcast_to(mask, f.grid.shape())
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("region_l2l2 takes a sharp mask: every value 0 or 1")
+    return _norm(f.values, f.grid, "L2", weight, np.flatnonzero(mask))
+
+
+def le_norm(f: SpaceTimeField) -> float:
+    """sup over dyadic R >= 1 of R^{-1/2} ||f||_{L2L2(A_R)}."""
+    return _le_reduce([_le_rows(f.values, f.grid, _annuli(f.grid))], f.grid)
+
+
+def le1_norm(f: SpaceTimeField) -> float:
+    """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
+    streamed in blocks of rows as the u_le1 slot of the functionals."""
+    return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
+
+
+def observed_order(coarse: float, fine: float) -> float:
+    """log2 ratio of residuals under dr -> dr/2."""
+    if fine <= 0:
+        return float("inf")
+    return float(np.log2(coarse / fine))
 
 
 def interval_l2(values, grid, weight, region) -> float:

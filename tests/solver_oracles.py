@@ -16,21 +16,56 @@ and every row must reproduce this bit for bit.
 which kept u_k's dt W whole as a running sum of the solves' dt W.  The
 driver now sums W and dt W's edge rows and differences the summed W for the
 other rows: equal in exact arithmetic, rounded otherwise.
+
+``dalembert_history`` is the closed-form homogeneous history of data
+(u0, 0), (v0, 0): W = (phi(r + t) + phi(r - t)) / 2 with phi the odd
+extension of r u0 (``exact_dalembert``), and dt W by a fine central
+difference of phi (``exact_dalembert_dt``).
 """
+
+from typing import Callable
 
 import numpy as np
 
-from radialwave.grid import SpaceTimeField
+from radialwave.grid import GridSpec, SpaceTimeField
 from radialwave.picard import _derivative_frames
-from radialwave.solver import (BlowUpSuspected, InitialData, _LightCone, _neighbour_sum,
-                               nonlinearity)
+from radialwave.solver import (BlowUpSuspected, InitialData, SolutionHistory, _LightCone,
+                               _neighbour_sum, nonlinearity)
 
 
-class WholeDt(SpaceTimeField):
-    """A dt W held whole, read by rows the way ``solver._CentredDt`` is."""
+def odd_extension(profile: Callable, amplitude: float = 1.0) -> Callable:
+    """phi(s) = s * amplitude * profile(|s|): odd extension of r * u0(r)."""
+    def phi(s):
+        s = np.asarray(s, dtype=float)
+        return s * amplitude * np.asarray(profile(np.abs(s)), dtype=float)
+    return phi
 
-    def rows(self, rows: slice) -> np.ndarray:
-        return self.values[rows]
+
+def exact_dalembert(profile: Callable, t: float, r: np.ndarray,
+                    amplitude: float = 1.0) -> np.ndarray:
+    """Conjugate solution W(t, r) = (phi(r+t) + phi(r-t)) / 2 for data (u0, 0)."""
+    phi = odd_extension(profile, amplitude)
+    return 0.5 * (phi(r + t) + phi(r - t))
+
+
+def exact_dalembert_dt(profile: Callable, t: float, r: np.ndarray,
+                       amplitude: float = 1.0, h: float = 1e-6) -> np.ndarray:
+    """dt W for the closed form, via a fine central difference of phi."""
+    phi = odd_extension(profile, amplitude)
+    return 0.5 * ((phi(r + t + h) - phi(r + t - h)) - (phi(r - t + h) - phi(r - t - h))) / (2 * h)
+
+
+def dalembert_history(data: InitialData, grid: GridSpec) -> SolutionHistory:
+    """Closed-form homogeneous history for data (u0, 0), (v0, 0)."""
+    tvals = grid.t
+    Wu = np.stack([exact_dalembert(data.u0, t, grid.r, data.amplitude) for t in tvals])
+    Wv = np.stack([exact_dalembert(data.v0, t, grid.r, data.amplitude) for t in tvals])
+    Pu = np.stack([exact_dalembert_dt(data.u0, t, grid.r, data.amplitude) for t in tvals])
+    Pv = np.stack([exact_dalembert_dt(data.v0, t, grid.r, data.amplitude) for t in tvals])
+    return SolutionHistory(
+        SpaceTimeField(grid, Wu, "odd"), SpaceTimeField(grid, Pu, "odd"),
+        SpaceTimeField(grid, Wv, "odd"), SpaceTimeField(grid, Pv, "odd"), "homogeneous",
+    )
 
 
 def source_difference_ref(hist, diff) -> list:
@@ -54,7 +89,7 @@ def source_difference_ref(hist, diff) -> list:
 def add_into_ref(hist, diff) -> None:
     """hist += diff, dt W whole: hist's dt W (built whole from its W, or
     already whole) plus diff's, row by row, and W whole."""
-    hist.dtW_u, hist.dtW_v = (WholeDt(hist.grid, h.values + d.values, "odd")
+    hist.dtW_u, hist.dtW_v = (SpaceTimeField(hist.grid, h.values + d.values, "odd")
                               for h, d in ((hist.dtW_u, diff.dtW_u), (hist.dtW_v, diff.dtW_v)))
     hist.W_u, hist.W_v = (SpaceTimeField(hist.grid, h.values + d.values, "odd")
                           for h, d in ((hist.W_u, diff.W_u), (hist.W_v, diff.W_v)))

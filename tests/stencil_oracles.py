@@ -5,15 +5,48 @@ the last-axis layer replaced: ``_diff_t`` differentiates along axis 0,
 ``_diff_r`` along axis 1 with the parity ghost at r = 0, ``_diff2`` is the
 second derivative along either axis, and ``_quot`` the quotient by r.  The
 layer must reproduce them bit for bit on every array layout it serves
-(``layouts``).  ``word_sums_ref`` is the
-word-by-word oracle of ``grid._word_sums``.
+(``layouts``).  ``word_sums_ref`` is the word-by-word oracle of
+``grid._word_sums``, built on ``apply_z_multi`` (every Z word of a field on
+the full grid, one ``derivative`` at a time) and ``apply_word``.
+``raw_form`` is the null form's product combination dt u dt v - dr u dr v,
+ungrouped.
 """
+
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radialwave.grid import SpaceTimeField, apply_word, apply_z_multi, derivative, quotient_by_r
+from radialwave.grid import MAX_WORD_LEN, SpaceTimeField, derivative, quotient_by_r, z_words
+
+
+def apply_word(f: SpaceTimeField, word: Sequence[str]) -> SpaceTimeField:
+    """Apply a composition of derivative directions, innermost (rightmost) first."""
+    out = f
+    for tag in reversed(word):
+        out = derivative(out, tag)
+    return out
+
+
+def apply_z_multi(f: SpaceTimeField, max_len: int) -> list[tuple[tuple[str, ...], SpaceTimeField]]:
+    """All Z^mu f for |mu| <= max_len over the radial vector fields {dt, dr, S}.
+
+    Deterministic ordering (length, then lexicographic with dt < dr < S) so
+    downstream reports are byte-for-byte reproducible.  Computed incrementally:
+    each word of length L extends a stored word of length L-1.
+    """
+    if max_len > MAX_WORD_LEN:
+        raise ValueError(f"N = {max_len} exceeds the supported maximum {MAX_WORD_LEN}")
+    results: dict[tuple[str, ...], SpaceTimeField] = {(): f}
+    for word in z_words(max_len)[1:]:
+        base = results[word[1:]]
+        results[word] = derivative(base, word[0])
+    return [(w, results[w]) for w in z_words(max_len)]
+
+
+def raw_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray) -> np.ndarray:
+    return dtu * dtv - dru * drv
 
 
 def _diff_t(values: np.ndarray, dt: float) -> np.ndarray:

@@ -12,6 +12,10 @@ import pytest
 import radialwave as rw
 from radialwave import estimates, picard, registry, regions
 from radialwave.solver import InitialData, SolveConfig, poly_bump
+from estimate_oracles import observed_order, region_l2l2
+from region_oracles import enumerate_regions, realize_mask, slab_mask
+from solver_oracles import exact_dalembert
+from stencil_oracles import raw_form
 
 
 def _report(name, ok, detail=""):
@@ -29,10 +33,10 @@ def test_criterion_1_free_wave_oracle():
         data = InitialData(poly_bump, rw.zero_profile, poly_bump, rw.zero_profile)
         hist = rw.solve(data, SolveConfig(grid=g, mode="homogeneous"))
         hg = hist.grid
-        exact = np.stack([rw.exact_dalembert(poly_bump, t, hg.r) for t in hg.t])
+        exact = np.stack([exact_dalembert(poly_bump, t, hg.r) for t in hg.t])
         errs.append(float(np.max(np.abs(hist.W_u.values - exact))
                           / np.max(np.abs(exact))))
-    order = estimates.observed_order(errs[0], errs[1])
+    order = observed_order(errs[0], errs[1])
     elapsed = time.perf_counter() - t0
     ok = errs[1] <= 1e-3 and order >= 1.9 and elapsed <= 10.0
     _report("criterion 1 (free-wave oracle)", ok,
@@ -56,7 +60,7 @@ def test_criterion_2_multiplier_identities():
                 rep = check(registry.build(family, g))
                 res.append(rep.relative_residual)
             worst_res = max(worst_res, res[1])
-            worst_order = min(worst_order, estimates.observed_order(res[0], res[1]))
+            worst_order = min(worst_order, observed_order(res[0], res[1]))
             for term in ("p_flux", "ghost", "delta_flux"):
                 if term in rep.rhs_terms:
                     assert rep.rhs_terms[term] >= -1e-12
@@ -72,7 +76,7 @@ def test_criterion_3_algebraic_structure():
     the scaling commutator identity refines at order >= 1.8."""
     rng = np.random.default_rng(11)
     a, b, c, d = rng.standard_normal((4, 8, 8))
-    null_gap = float(np.max(np.abs(rw.null_form(a, b, c, d) - rw.raw_form(a, b, c, d))))
+    null_gap = float(np.max(np.abs(rw.null_form(a, b, c, d) - raw_form(a, b, c, d))))
 
     g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=12.0, t_max=8.0)
     split_res = estimates.scaling_identity_residual(registry.standing_bump(g))
@@ -89,7 +93,7 @@ def test_criterion_3_algebraic_structure():
         keep = (r >= 0.5) & (r <= gg.r_max - 0.5) & (t >= 0.5) & (t <= gg.t_max - 0.5)
         errs.append(float(np.max(np.abs(np.where(keep, lhs - rhs, 0)))
                           / np.max(np.abs(np.where(keep, rhs, 0)))))
-    comm_order = estimates.observed_order(errs[0], errs[1])
+    comm_order = observed_order(errs[0], errs[1])
     ok = null_gap <= 1e-12 and split_res <= 1e-12 and comm_order >= 1.8
     _report("criterion 3 (algebraic structure)", ok,
             f"null_gap={null_gap:.1e} split_res={split_res:.1e} "
@@ -206,16 +210,16 @@ def test_criterion_8_geometry_and_reproducibility():
     cover_exact = True
     for tau in (4, 8, 16, 32, 64):
         union = np.zeros(g.shape())
-        for reg in regions.enumerate_regions(tau, g):
-            union = np.maximum(union, regions.realize_mask(reg, g).weights)
-        cover_exact &= bool(np.array_equal(union, regions.slab_mask(tau, g)))
+        for reg in enumerate_regions(tau, g):
+            union = np.maximum(union, realize_mask(reg, g).weights)
+        cover_exact &= bool(np.array_equal(union, slab_mask(tau, g)))
 
     gs = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=20.0, t_max=16.0)
     f = registry.standing_bump(gs)
-    m = regions.realize_mask(regions.DyadicRegion(4, "R", 1), gs).weights
-    full = rw.region_l2l2(f, rw.WeightSpec(), np.ones(gs.shape()))
-    parts = (rw.region_l2l2(f, rw.WeightSpec(), m) ** 2
-             + rw.region_l2l2(f, rw.WeightSpec(), 1.0 - m) ** 2)
+    m = realize_mask(regions.DyadicRegion(4, "R", 1), gs).weights
+    full = region_l2l2(f, rw.WeightSpec(), np.ones(gs.shape()))
+    parts = (region_l2l2(f, rw.WeightSpec(), m) ** 2
+             + region_l2l2(f, rw.WeightSpec(), 1.0 - m) ** 2)
     additivity_gap = abs(full ** 2 - parts) / full ** 2
 
     gsolve = rw.GridSpec(dr=1 / 16, cfl=0.5, r_max=12.0, t_max=8.0)

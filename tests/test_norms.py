@@ -9,9 +9,10 @@ import radialwave as rw
 from radialwave import estimates, norms, regions, registry
 from radialwave import grid as grid_module
 from radialwave.grid import _depth, _word_sums
-from radialwave.norms import WeightSpec, le_norm, m_functional, mixed_norm, spatial_l2
-from radialwave.regions import _flat, _intervals, dyadic_scales, enumerate_regions
-from region_oracles import realize_mask, region_supsup
+from radialwave.norms import WeightSpec, m_functional, mixed_norm
+from radialwave.regions import _flat, _intervals, dyadic_scales
+from estimate_oracles import le1_norm, le_norm, region_l2l2, spatial_l2
+from region_oracles import enumerate_regions, inequality_mask, region_supsup
 from stencil_oracles import word_sums_ref
 
 
@@ -85,7 +86,7 @@ class TestMixedNorms:
         g = grid(dr=dr, cfl=cfl, t_max=t_max, r_max=t_max + margin)
         f = rw.SpaceTimeField(g, np.random.default_rng(seed).normal(size=g.shape()))
         w = WeightSpec(a, b)
-        assert mixed_norm(f, "L2", w) == rw.region_l2l2(f, w, np.ones(g.shape()))
+        assert mixed_norm(f, "L2", w) == region_l2l2(f, w, np.ones(g.shape()))
         # sqrt is monotone and correctly rounded, so the sup of the row norms
         # is the root of the largest row sum
         assert mixed_norm(f, "Linf", w) == np.max(spatial_l2(f, w))
@@ -108,7 +109,7 @@ class TestLocalEnergy:
         for R in (1, 2, 4, 8):
             br = np.sqrt(1 + g.r ** 2)
             mask = np.broadcast_to((br >= R) & (br <= 2 * R), g.shape()).astype(float)
-            best = max(best, R ** -0.5 * rw.region_l2l2(f, WeightSpec(), mask))
+            best = max(best, R ** -0.5 * region_l2l2(f, WeightSpec(), mask))
         np.testing.assert_allclose(got, best, rtol=1e-12)
 
     @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
@@ -119,7 +120,7 @@ class TestLocalEnergy:
         mask[1:4, 2:9] = 1.0
         mask[2, 5] = value
         with pytest.raises(ValueError, match="sharp"):
-            rw.region_l2l2(f, WeightSpec(), mask)
+            region_l2l2(f, WeightSpec(), mask)
 
     def test_annulus_rows_are_built_once_per_grid(self, monkeypatch):
         g = grid(t_max=2.5)
@@ -224,14 +225,14 @@ class TestFunctionalFastPaths:
             rebuilt = np.zeros(g.nt * g.nr)
             rebuilt[pos] = 1.0
             np.testing.assert_array_equal(rebuilt.reshape(g.shape()),
-                                          realize_mask(region, g).weights)
+                                          inequality_mask(region, g).weights)
 
     def test_le_norm_equals_dense_annulus_masks(self):
         u, _ = TestFunctionals.fields(dr=1 / 8)
         best = 0.0
         for R in dyadic_scales(np.sqrt(1 + u.grid.r_max ** 2)):
-            mask = realize_mask(rw.DyadicRegion(None, "annulus", R), u.grid).weights
-            best = max(best, R ** -0.5 * rw.region_l2l2(u, WeightSpec(), mask))
+            mask = inequality_mask(rw.DyadicRegion(None, "annulus", R), u.grid).weights
+            best = max(best, R ** -0.5 * region_l2l2(u, WeightSpec(), mask))
         assert le_norm(u) == best
 
     @pytest.mark.parametrize("dr", [1 / 8, 4.0])  # at dr 4, A_2 holds no grid point
@@ -256,7 +257,7 @@ class TestFunctionalFastPaths:
         u, v = TestFunctionals.fields(dr=1 / 8)
         assert len(norms._blocks(u.grid.nt)) == 2
         assert len(norms._blocks(u.grid.nt, norms._FUNCTIONAL_ROWS)) == 4
-        assert norms.le1_norm(u) == m_functional(u, v, 0.75, 0.2, 0).slots["u_le1"]
+        assert le1_norm(u) == m_functional(u, v, 0.75, 0.2, 0).slots["u_le1"]
 
     @pytest.mark.parametrize("functional", [m_functional, rw.a_functional])
     def test_slots_equal_dense_mask_recomputation(self, functional):
@@ -272,7 +273,7 @@ class TestFunctionalFastPaths:
                     if reg.kind not in (kind, "core"):
                         continue
                     s = tau // 2 if reg.kind == "core" else reg.scale
-                    mask = realize_mask(reg, u.grid).weights
+                    mask = inequality_mask(reg, u.grid).weights
                     lu, lv = region_supsup(du, mask), region_supsup(dv, mask)
                     assert b.per_region[f"{kind} tau={tau} s={s} u"] == lu
                     assert b.per_region[f"{kind} tau={tau} s={s} v"] == lv
@@ -437,7 +438,7 @@ class TestTimeBlocks:
         u = registry.traveling_sym(g)
         tracemalloc.start()
         try:
-            norms.le1_norm(u)
+            le1_norm(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -531,7 +532,7 @@ class TestLightCone:
         values = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape())
         regions = [region for *_, region in norms._region_rows(g)]
         intervals = norms._region_intervals(regions, g)
-        masks = [realize_mask(region, g).weights for region in regions]
+        masks = [inequality_mask(region, g).weights for region in regions]
         read = []
         for lo, hi in [(0, 81), (81, 163), (0, 1), (40, 41), (162, 163), (0, 163), (40, 40)]:
             window = np.s_[lo:hi, :]
@@ -549,7 +550,7 @@ class TestLightCone:
         g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
         values = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape())
         region = rw.DyadicRegion(8, kind, scale)
-        plain, mask = norms._region_intervals([region], g), realize_mask(region, g).weights
+        plain, mask = norms._region_intervals([region], g), inequality_mask(region, g).weights
         windows = estimates._ks_windows(_intervals(region.enlarged(1), g))
         sups = [norms._region_sups(values[w], plain, 1, g, w)[0] for w in windows]
         assert sups == [region_supsup(values[w], mask[w]) for w in windows]

@@ -12,7 +12,7 @@ import pytest
 import radialwave as rw
 from radialwave import cli, grid as grid_module, norms, picard, solver
 from radialwave.picard import IterationRecord, PicardConfig
-from solver_oracles import add_into_ref, source_difference_ref
+from solver_oracles import add_into_ref, dalembert_history, source_difference_ref
 
 
 class _Interrupt(Exception):
@@ -45,7 +45,7 @@ class TestIteration:
         cfg = small_config(kmax=1)
         records = picard.run_iteration(cfg)
         data = rw.calibrate(cfg.data, cfg.grid, cfg.N, cfg.eps)
-        lin = rw.dalembert_history(data, cfg.grid)
+        lin = dalembert_history(data, cfg.grid)
         m = rw.m_functional(lin.u(), lin.v(), cfg.p, cfg.delta, cfg.N)
         np.testing.assert_allclose(records[0].m_total, m.total, rtol=1e-12)
 

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import radialwave as rw
 import region_oracles as oracle
-from estimate_oracles import interval_l2
+from estimate_oracles import interval_l2, region_l2l2
 from radialwave import regions
-from radialwave.regions import (
-    DyadicRegion, bracket, dyadic_scales, enumerate_regions, realize_mask, sigma_U,
-    sigma_U_prime, slab_mask,
-)
+from radialwave.regions import DyadicRegion, bracket, dyadic_scales, sigma_U, sigma_U_prime
+from region_oracles import enumerate_regions, realize_mask, slab_mask
 
 
 def grid(dr=0.125, t_max=16.0):
@@ -93,9 +91,9 @@ class TestMasks:
         g = grid(dr=0.25)
         m = realize_mask(DyadicRegion(4, "R", 1), g).weights
         f = rw.SpaceTimeField.from_function(g, lambda t, r: np.cos(t) * np.exp(-r))
-        full = rw.region_l2l2(f, rw.WeightSpec(), np.ones(g.shape()))
-        a = rw.region_l2l2(f, rw.WeightSpec(), m)
-        b = rw.region_l2l2(f, rw.WeightSpec(), 1.0 - m)
+        full = region_l2l2(f, rw.WeightSpec(), np.ones(g.shape()))
+        a = region_l2l2(f, rw.WeightSpec(), m)
+        b = region_l2l2(f, rw.WeightSpec(), 1.0 - m)
         assert abs(full ** 2 - a ** 2 - b ** 2) <= 1e-10 * full ** 2
 
     def test_cone_intersection(self):
@@ -161,11 +159,11 @@ def test_intervals_render_the_dense_masks(g):
             seen.add((reg.kind, reg.scale, lev))
             rows, lo, hi = regions._intervals(reg, g)
             _assert_maximal_runs(g, rows, lo, hi)
-            want = oracle.realize_mask(reg, g).weights
+            want = oracle.inequality_mask(reg, g).weights
             assert np.array_equal(realize_mask(reg, g).weights, want), reg
             # the dense mask and the intervals reduce the same points
             l2 = interval_l2(f.values, g, weight, reg)
-            assert rw.region_l2l2(f, weight, want) == l2, reg
+            assert region_l2l2(f, weight, want) == l2, reg
     for kind in ("R", "U", "annulus", "strip"):
         assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
     assert {("core", None, lev) for lev in (0, 1, 2)} <= seen
@@ -180,7 +178,7 @@ def test_row_intervals_reproduce_sharp_masks(dr, cfl, t_max):
     for tau in dyadic_scales(t_max / 2, start=4):
         for reg in enumerate_regions(tau, g):
             seen.add((reg.kind, reg.scale))
-            w = oracle.realize_mask(reg, g).weights
+            w = oracle.inequality_mask(reg, g).weights
             rows, lo, hi = regions._intervals(reg, g)
             assert np.all(lo < hi)
             rebuilt = np.zeros(g.shape())

@@ -7,10 +7,9 @@ import pytest
 
 import radialwave as rw
 from radialwave import grid as grid_module
-from radialwave.solver import (
-    InitialData, SolveConfig, dalembert_history, poly_bump, smallness_sum,
-)
-from solver_oracles import linear_forced_ref
+from radialwave.solver import InitialData, SolveConfig, poly_bump, smallness_sum
+from estimate_oracles import observed_order
+from solver_oracles import dalembert_history, linear_forced_ref
 
 
 def grid(dr=1 / 16, t_max=4.0, cfl=0.5):
@@ -27,6 +26,14 @@ class TestInitialData:
         with pytest.raises(ValueError):
             InitialData(rw.bump, rw.zero_profile, rw.bump, rw.zero_profile,
                         support_radius=3.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), -0.5, float("inf"), 2.5])
+    def test_support_radius_outside_zero_to_two_is_refused(self, radius):
+        # a NaN radius would turn off every support check (r > nan is never true)
+        with pytest.raises(ValueError, match=r"support_radius must lie in \[0, 2\]"):
+            InitialData(support_radius=radius)
+        for edge in (0.0, 2.0):
+            assert InitialData(support_radius=edge).support_radius == edge
 
     def test_calibration_hits_eps_exactly(self):
         g = grid()
@@ -199,7 +206,7 @@ class TestLinearForced:
                 saved = rw.SpaceTimeField.from_binary(tmp_path / "run" / f"{name}.bin")
                 assert saved.values.tobytes() == ref[i].tobytes(), name
             for rows in blocks:
-                got = (h.dtW_u.rows(rows), h.dtW_v.rows(rows))
+                got = (h.dtW_u.rect(rows), h.dtW_v.rect(rows))
                 assert [x.tobytes() for x in got] == [ref[1][rows].tobytes(),
                                                      ref[3][rows].tobytes()], rows
 
@@ -233,8 +240,8 @@ class TestLinearForced:
             hists.append(rw.solve_linear_forced(data, f, f))
         for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
             a, b, c = (getattr(h, name).values for h in hists)
-            order = rw.observed_order(np.max(np.abs(a - b[::2, ::2])),
-                                      np.max(np.abs(b - c[::2, ::2])))
+            order = observed_order(np.max(np.abs(a - b[::2, ::2])),
+                                   np.max(np.abs(b - c[::2, ::2])))
             assert order >= 1.9, (name, order)
 
     def test_sources_on_another_grid_refused(self):
