@@ -21,13 +21,17 @@ arithmetic does.  They take a shift s, the number of consecutive entries of
 one column: 1 on the last axis, 2 on the solver's runs, where two fields
 interleave.  ``_d1`` and ``_d2`` run the core on the flat buffer when the
 operands are C-contiguous, one call over every row; the cells it spoils where
-rows meet are the edge columns, which are set afterwards.
+rows meet are the edge columns, which are set afterwards.  A division by a
+power-of-two step multiplies by its exact reciprocal (``_divide``), the same
+bits at about half the cost; ``_divide_r`` divides C-contiguous rows whole.
 
 ``_word_sums`` is the one pass over Z words: the |P Z^mu f| sums on a window
 of the grid, in the window's shape and equal to the whole-grid sums on every
 cell, for every caller (the M/A functionals, the ratio and Klainerman-Sobolev
 checks of ``estimates``).  It widens its walk by the halo its keys need
-(``_walk``) and stops it at the field's light cone (``_cut``).
+(``_walk``) and stops it at the field's light cone (``_cut``).  Its
+derivatives take one-sided stencils and parity ghosts at grid edges only, and
++0.0 at its other edges, which the halo drops.
 ``_blocks`` is the one row-block helper: fields are sampled
 (``SpaceTimeField.from_function``), streamed through the norms and the
 estimate checks, and turned into Picard sources and files in its blocks.
@@ -300,11 +304,21 @@ def _col(k: int, s: int) -> tuple:
     return (..., slice(k * s, (k + 1) * s or None))
 
 
+def _divide(x: np.ndarray, d: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x / d into ``out`` (x itself when None).  A power of two d with a finite
+    1/d multiplies by it: the product is then the correctly rounded quotient,
+    the same bits (subnormals included) at about half a division's cost."""
+    out = x if out is None else out
+    if math.frexp(d)[0] == 0.5 and math.isfinite(1.0 / d):
+        return np.multiply(x, 1.0 / d, out=out)
+    return np.divide(x, d, out=out)
+
+
 def _centred_d1(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
     """(f[i + s] - f[i - s]) / (2h) into out[..., s:-s]; the first and last s
     entries of ``out`` are left alone."""
     inner = np.subtract(values[..., 2 * s:], values[..., :-2 * s], out=out[..., s:-s])
-    inner /= 2 * h
+    _divide(inner, 2 * h)
 
 
 def _centred_d2(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
@@ -313,41 +327,40 @@ def _centred_d2(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> No
     np.multiply(values[..., s:-s], 2, out=inner)
     np.subtract(values[..., 2 * s:], inner, out=inner)
     inner += values[..., :-2 * s]
-    inner /= h * h
+    _divide(inner, h * h)
 
 
 def _d1_first(values: np.ndarray, h: float, parity: str | None, out: np.ndarray,
               s: int = 1) -> None:
     c0, c1 = _col(0, s), _col(1, s)
     if parity == "odd":
-        np.divide(values[c1], h, out=out[c0])  # ghost: f(-h) = -f(h)
+        _divide(values[c1], h, out[c0])  # ghost: f(-h) = -f(h)
     elif parity == "even":
         out[c0] = 0.0
     else:
-        out[c0] = (-3 * values[c0] + 4 * values[c1] - values[_col(2, s)]) / (2 * h)
+        out[c0] = _divide(-3 * values[c0] + 4 * values[c1] - values[_col(2, s)], 2 * h)
 
 
 def _d1_last(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
     c1, c2, c3 = (_col(-k, s) for k in range(1, 4))
-    out[c1] = (3 * values[c1] - 4 * values[c2] + values[c3]) / (2 * h)
+    out[c1] = _divide(3 * values[c1] - 4 * values[c2] + values[c3], 2 * h)
 
 
 def _d2_first(values: np.ndarray, h: float, parity: str | None, out: np.ndarray,
               s: int = 1) -> None:
     c0 = _col(0, s)
     if parity == "odd":  # ghost f(-h) = -f(h); vanishes with f(0) = 0
-        o = np.multiply(values[c0], -2, out=out[c0])
-        o /= h * h
+        _divide(np.multiply(values[c0], -2, out=out[c0]), h * h)
     elif parity == "even":
-        out[c0] = 2 * (values[_col(1, s)] - values[c0]) / (h * h)
+        out[c0] = _divide(2 * (values[_col(1, s)] - values[c0]), h * h)
     else:
         c1, c2, c3 = (_col(k, s) for k in range(1, 4))
-        out[c0] = (2 * values[c0] - 5 * values[c1] + 4 * values[c2] - values[c3]) / (h * h)
+        out[c0] = _divide(2 * values[c0] - 5 * values[c1] + 4 * values[c2] - values[c3], h * h)
 
 
 def _d2_last(values: np.ndarray, h: float, out: np.ndarray, s: int = 1) -> None:
     c1, c2, c3, c4 = (_col(-k, s) for k in range(1, 5))
-    out[c1] = (2 * values[c1] - 5 * values[c2] + 4 * values[c3] - values[c4]) / (h * h)
+    out[c1] = _divide(2 * values[c1] - 5 * values[c2] + 4 * values[c3] - values[c4], h * h)
 
 
 def _runs(values: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,13 +374,20 @@ def _runs(values: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _d1(values: np.ndarray, h: float, parity: str | None = None,
-        out: np.ndarray | None = None) -> np.ndarray:
-    """First derivative along the last axis, into ``out`` (new if None)."""
+        out: np.ndarray | None = None, ends=(True, True)) -> np.ndarray:
+    """First derivative along the last axis, into ``out`` (new if None); an
+    end that ``ends`` marks False is no grid edge, and its column is +0.0."""
     out = np.empty_like(values) if out is None else out
     v, o = _runs(values, out)
     _centred_d1(v, h, o)
-    _d1_first(values, h, parity, out)
-    _d1_last(values, h, out)
+    if ends[0]:
+        _d1_first(values, h, parity, out)
+    else:
+        out[..., 0] = 0.0
+    if ends[1]:
+        _d1_last(values, h, out)
+    else:
+        out[..., -1] = 0.0
     return out
 
 
@@ -383,19 +403,27 @@ def _d2(values: np.ndarray, h: float, parity: str | None = None,
 
 
 def _divide_r(values: np.ndarray, r: np.ndarray, out: np.ndarray, s: int = 1) -> None:
-    """values / r from column 1 on; ``r`` holds the radius of each entry."""
-    np.divide(values[..., s:], r[s:], out=out[..., s:])
+    """values / r from column 1 on, ``r`` holding the radius of each entry; the
+    first column (s entries) of ``out`` is unspecified.  C-contiguous rows are
+    divided whole (numpy buffers a sliced stack, at about 1.6 times the cost)."""
+    if values.ndim > 1 and values.flags.c_contiguous and out.flags.c_contiguous:
+        r = r.copy()
+        r[:s] = 1.0
+        np.divide(values, r, out=out)
+    else:
+        np.divide(values[..., s:], r[s:], out=out[..., s:])
 
 
 def _over_r(values: np.ndarray, r: np.ndarray, out: np.ndarray | None = None,
             s: int = 1) -> np.ndarray:
     """values / r along the last axis, ``r`` holding the radius of each entry;
-    the first column takes the 3-point extrapolation from the next three, so
-    it is finite on the axis."""
+    the first column takes the 3-point extrapolation (3 q1 - 3 q2) + q3 from
+    the next three, so it is finite on the axis."""
     out = np.empty_like(values) if out is None else out
     _divide_r(values, r, out, s)
-    c0, c1, c2, c3 = (_col(k, s) for k in range(4))
-    out[c0] = 3 * out[c1] - 3 * out[c2] + out[c3]
+    q = np.multiply(out[..., s:3 * s], 3)  # 3 q1, 3 q2
+    np.subtract(q[..., :s], q[..., s:], out=out[..., :s])
+    out[..., :s] += out[..., 3 * s:4 * s]
     return out
 
 
@@ -412,7 +440,8 @@ def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float
 
 
 def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray,
-            ht: float, hr: float, n_max: int, last=(DT, DR), scratch=None):
+            ht: float, hr: float, n_max: int, last=(DT, DR), scratch=None,
+            edges=((True, True), (True, True))):
     """Yield (length, g, parity of g, dt g, dr g) for every Z word of length
     <= n_max applied to (t, r) samples, in ``z_words`` order.
 
@@ -422,10 +451,11 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
     ``derivative``; r dr(w) is written into ``scratch`` when one is given (an
     array of the samples' shape that the caller does not read until the next
     word).  The words of length n_max have no child, so of their pair only
-    the derivatives named in ``last`` are taken, the others are None.  Only
-    the pairs of the last layer stay alive, each until its last child (the S
-    word) is built, and the samples until layer 0 is walked.  The words are
-    raw arrays, so no odd word's axis is checked here.
+    the derivatives named in ``last`` are taken, the others are None.  Per
+    axis (t, r), ``edges`` are ``_d1``'s ``ends``: which edges are grid
+    edges.  Only the pairs of the last layer stay alive, each until its last
+    child (the S word) is built, and the samples until layer 0 is walked.
+    The words are raw arrays, so no odd word's axis is checked here.
     """
     words = z_words(n_max)
     parents: dict = {}
@@ -446,8 +476,8 @@ def _z_walk(values: np.ndarray, parity: str | None, t: np.ndarray, r: np.ndarray
                     g = t * pt
                     g += np.multiply(r, pr, out=scratch)
                 pt = pr = None
-            gt = _d1(g.T, ht).T if length < n_max or DT in last else None
-            gr = _d1(g, hr, par) if length < n_max or DR in last else None
+            gt = _d1(g.T, ht, ends=edges[0]).T if length < n_max or DT in last else None
+            gr = _d1(g, hr, par, ends=edges[1]) if length < n_max or DR in last else None
             if length < n_max:
                 children[word] = (par, gt, gr)
             yield length, g, par, gt, gr
@@ -502,9 +532,12 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     into the sums; an empty window walks nothing.
 
     Every stencil reads one cell on each side, so at an edge of the walk that
-    is not a grid edge it spoils the edge cell (a one-sided stencil, a parity
-    ghost or the 1/r extrapolation), and each further stencil moves the error
-    one cell inward: at most ``_depth`` cells along either axis, the halo.
+    is not a grid edge it spoils the edge cell, and each further stencil
+    moves the error one cell inward: at most ``_depth`` cells along either
+    axis, the halo.  There the walk's derivatives take +0.0 (``_z_walk``'s
+    ``edges``: of rows [a, b) and columns [ca, cb), only a == 0, b == nt,
+    ca == 0 and cb == nr are grid edges), a term's own stencils their
+    one-sided ones (1/r, "box", "dtdr2", "bad2", "good2").
     Where the walk meets a grid edge, the one-sided stencil there reads two
     cells inward (three for ``_d2`` and the 1/r extrapolation), so the walk
     reaches depth + 3 cells beyond the window's opposite edge.  A walk is at
@@ -540,7 +573,8 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     tmp = np.empty_like(values)  # the pointwise terms' and the S words' scratch
     n_max = max(n for n, _ in keys)
     last = {d for n, prefix in keys if n == n_max for d in _READS.get(prefix, (DT, DR))}
-    walk = _z_walk(values, parity, grid.t[a:b, None], r, ht, hr, n_max, last, tmp)
+    edges = (a == 0, b == grid.nt), (ca == 0, cb == grid.nr)
+    walk = _z_walk(values, parity, grid.t[a:b, None], r, ht, hr, n_max, last, tmp, edges)
     values = None  # read by layer 0 alone, after which the walk frees it
     for length, g, par, gt, gr in walk:
         for (n, prefix), total in sums.items():

@@ -65,8 +65,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import (_FLIP, GridSpec, SpaceTimeField, _blocks, _centred_d1, _centred_d2, _d1,
-                   _d1_first, _d1_last, _d2_first, _d2_last, _divide_r, _over_r, _read_field,
-                   _span, _trapz_weights, _write_field, null_form)
+                   _d1_first, _d1_last, _d2_first, _d2_last, _divide, _divide_r, _over_r,
+                   _read_field, _span, _trapz_weights, _write_field, null_form)
 from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
@@ -249,7 +249,7 @@ class _CentredDt:
         if b > a:
             w = self.W.rect(slice(a - 1, b + 1))
             inner = np.subtract(w[2:], w[:-2], out=out[a - lo:b - lo])
-            inner /= 2 * self.grid.dt
+            _divide(inner, 2 * self.grid.dt)
         if hi == nt:
             out[-1] = self.edges[1]
         if lo == 0 < hi:  # row 0 is also the last one when nt = 1
@@ -560,7 +560,7 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
                 raise BlowUpSuspected((n + 1) * h)
             if n == nt - 1 > 0:  # new is W one row past t_max
                 np.subtract(new, prev, out=edges[:, 1])
-                edges[:, 1] /= 2 * h
+                _divide(edges[:, 1], 2 * h)
         fu = fv = None  # freed before the next block's source rows are read
     return SolutionHistory(W[0], _CentredDt(W[0], edges[0]), W[1],
                            _CentredDt(W[1], edges[1]), "linear_forced")

@@ -396,6 +396,94 @@ class TestStencilLayouts:
         assert out.reshape(n, 2).T.tobytes() == _quot(base.T, r[0::2]).tobytes()
 
 
+def _extreme(rng, shape) -> np.ndarray:
+    """Finite numbers from 1e-310 (subnormal) to 1e300: each row on one scale,
+    so neighbours differ on it, with +0.0 and -0.0 among them."""
+    scales = 10.0 ** np.array([-310, -308, -300, -150, 0, 150, 300])
+    v = rng.uniform(-1.0, 1.0, shape) * scales[np.arange(shape[0]) % len(scales), None]
+    v[rng.random(shape) < 0.1] = -0.0
+    v[rng.random(shape) < 0.05] = 0.0
+    return v
+
+
+class TestDyadicSteps:
+    """A power-of-two step multiplies by its reciprocal (``grid._divide``), and
+    a C-contiguous stack is divided by r whole; each equals the division it
+    replaces in bytes, subnormal quotients and signed zeros included."""
+
+    STEPS = [1 / 8, 2.0 ** -10, 1.0, 2.0 ** 10, 0.3, 0.1]  # 2^10: subnormal quotients
+
+    @pytest.mark.parametrize("d", [2.0 ** -1074, 2.0 ** -1022, 2.0 ** 1023, 0.25, 0.3, 3.0])
+    def test_divide_equals_the_quotient(self, d):
+        # 2^-1074 has no finite reciprocal, so it divides; 2^1023's is subnormal
+        x = _extreme(np.random.default_rng(1), (7, 40))
+        with np.errstate(over="ignore"):  # 1e300 / 2^-1022 and the like overflow both ways
+            want = (x / d).tobytes()
+            assert grid._divide(x.copy(), d).tobytes() == want
+            out = np.full_like(x, np.nan)
+            assert grid._divide(x, d, out) is out and out.tobytes() == want
+
+    @pytest.mark.parametrize("h", STEPS)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_centred_stencils_equal_the_division(self, h, s):
+        v = _extreme(np.random.default_rng(2), (7, 40))
+        for core, inner in ((grid._centred_d1, (v[:, 2 * s:] - v[:, :-2 * s]) / (2 * h)),
+                            (grid._centred_d2,
+                             (v[:, 2 * s:] - 2 * v[:, s:-s] + v[:, :-2 * s]) / (h * h))):
+            want = np.full_like(v, np.nan)
+            want[:, s:-s] = inner
+            for values in (v, v.reshape(-1)):  # rows, and one flat run as ``_d1`` takes it
+                out = np.full_like(values, np.nan)
+                core(values, h, out, s)
+                if values.ndim == 1:  # the flat run spoils the cells where rows meet
+                    out = out.reshape(v.shape)
+                    out[:, :s] = out[:, -s:] = np.nan
+                assert out.tobytes() == want.tobytes(), core.__name__
+
+    @pytest.mark.parametrize("h", STEPS)
+    @pytest.mark.parametrize("parity", ["odd", "even", None])
+    def test_stencils_with_edges_equal_the_division(self, h, parity):
+        v = _extreme(np.random.default_rng(3), (7, 40))
+        assert _d1(v, h, parity).tobytes() == _diff_r(v, h, parity).tobytes()
+        assert _d2(v, h, parity).tobytes() == _diff2(v, h, axis=1, parity=parity).tobytes()
+        x = np.ascontiguousarray(v.T)  # in t, as the walk takes it: each column on one scale
+        assert _d1(x.T, h).T.tobytes() == _diff_t(x, h).tobytes()
+
+    @pytest.mark.parametrize("dr", [1 / 8, 0.1])
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, 7), slice(0, 1), slice(8, 9)])
+    def test_centred_dt_rows_equal_the_division(self, dr, rows):
+        from radialwave.solver import _CentredDt
+
+        g = rw.GridSpec(dr=dr, cfl=1.0, r_max=60 * dr, t_max=8 * dr)
+        rng = np.random.default_rng(4)
+        W = rw.SpaceTimeField(g, _extreme(rng, g.shape()))
+        edges = _extreme(rng, (2, g.nr))
+        want = np.concatenate([edges[:1], (W.values[2:] - W.values[:-2]) / (2 * g.dt), edges[1:]])
+        assert _CentredDt(W, edges).rect(rows).tobytes() == want[rows].tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("j0", [0, 5])
+    @pytest.mark.parametrize("h", [1 / 8, 0.1])
+    def test_whole_rows_equal_the_sliced_division(self, s, j0, h):
+        # the C-contiguous stack divides whole rows; the strided one, the same
+        # numbers, the columns from s on: the first column (s entries) is
+        # unspecified, and _over_r's extrapolation sets it the same way
+        v = _extreme(np.random.default_rng(5), (7, 40))
+        r = np.repeat((j0 + np.arange(40 // s)) * h, s)
+        wide = np.full((7, 44), np.nan)
+        wide[:, 2:-2] = v
+        strided = wide[:, 2:-2]
+        out = np.full_like(v, np.nan)
+        grid._divide_r(v, r, out, s)
+        assert out[:, s:].tobytes() == (v[:, s:] / r[s:]).tobytes()
+        out = np.full((7, 44), np.nan)[:, 2:-2]
+        grid._divide_r(strided, r, out, s)
+        assert np.ascontiguousarray(out[:, s:]).tobytes() == (v[:, s:] / r[s:]).tobytes()
+        assert _over_r(v, r, s=s).tobytes() == _over_r(strided, r, s=s).tobytes()
+        if s == 1:
+            assert _over_r(v, r).tobytes() == _quot(v, r).tobytes()
+
+
 def _walk(f, N):
     g = f.grid
     return list(_z_walk(f.values, f.parity, g.t[:, None], g.r, g.dt, g.dr, N))
@@ -562,6 +650,66 @@ class TestWordSums:
         u = rw.quotient_by_r(W)
         got = _word_sums(W, _ALL_KEYS, window, over_r=True)
         want = _word_sums(u, _ALL_KEYS, window)
+        for key in _ALL_KEYS:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    @pytest.mark.parametrize("parity", ["even", "odd", None])
+    def test_equal_to_the_oracle_on_a_non_dyadic_grid(self, parity):
+        # dr = dt = 0.1 divides, where the other grids' steps multiply
+        g = rw.GridSpec(dr=0.1, cfl=1.0, r_max=6.0, t_max=2.0)
+        values = np.random.default_rng(17).uniform(-1.0, 1.0, g.shape())
+        if parity == "odd":
+            values[:, 0] = 0.0
+        values[np.arange(g.nr) >= 40 + np.arange(g.nt)[:, None]] = 0.0  # a light cone
+        f = rw.SpaceTimeField(g, values, parity)
+        ref = word_sums_ref(f, _ALL_KEYS)
+        for window in (np.s_[:, :], np.s_[0:8, 0:20], np.s_[7:14, 10:30], np.s_[14:21, 45:61]):
+            sums = _word_sums(f, _ALL_KEYS, window)
+            for key in _ALL_KEYS:
+                assert sums[key].tobytes() == ref[key][window].tobytes(), (window, key)
+
+    # the prefixes whose terms take no stencil of their own
+    WALK_KEYS = tuple((n, p) for n in range(MAX_WORD_LEN + 1)
+                      for p in (None, DT, DR, "d", "good", "quot", "bad", "good/r"))
+
+    def test_no_one_sided_stencil_at_a_walk_edge(self, monkeypatch):
+        # a walk edge that is no grid edge takes +0.0, which the halo drops:
+        # an interior window's walk takes no one-sided stencil or parity
+        # ghost, and one on the axis takes only the ghost at its first column
+        f = _random_field(7, "odd")
+        calls = []
+        for name in ("_d1_first", "_d1_last"):
+            monkeypatch.setattr(grid, name, lambda *a, _name=name, _fn=getattr(grid, name):
+                                calls.append((_name, a[1])) or _fn(*a))
+        ref = word_sums_ref(f, self.WALK_KEYS)
+        for window, want in (((slice(8, 40), slice(8, 30)), set()),
+                             ((slice(8, 40), slice(0, 30)), {("_d1_first", f.grid.dr)})):
+            calls.clear()
+            sums = _word_sums(f, self.WALK_KEYS, window)
+            assert set(calls) == want, window
+            for key in self.WALK_KEYS:
+                assert sums[key].tobytes() == ref[key][window].tobytes(), (window, key)
+
+    @pytest.mark.parametrize("edges", list(EDGES))
+    def test_walk_edge_cells_are_not_read(self, monkeypatch, edges):
+        # any finite values in the edge cells of a walk edge that is no grid
+        # edge leave every reported sum as it was
+        f = _random_field(23, None)
+        at = self.EDGES[edges]
+        window = tuple(slice(0 if at_lo else 9, size if at_hi else size - 9)
+                       for size, at_lo, at_hi in ((f.grid.nt, *at[:2]), (f.grid.nr, *at[2:])))
+        want = _word_sums(f, _ALL_KEYS, window)
+        rng, d1 = np.random.default_rng(29), grid._d1
+
+        def noisy(values, h, parity=None, out=None, ends=(True, True)):
+            out = d1(values, h, parity, out, ends)
+            for k, end in zip((0, -1), ends):
+                if not end:
+                    out[..., k] = rng.uniform(-1e3, 1e3, out[..., k].shape)
+            return out
+
+        monkeypatch.setattr(grid, "_d1", noisy)
+        got = _word_sums(f, _ALL_KEYS, window)
         for key in _ALL_KEYS:
             assert got[key].tobytes() == want[key].tobytes(), key
 
