@@ -171,7 +171,7 @@ def _write_report(outdir: str, name: str, payload: dict) -> str:
     return path
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:  # rows: any iterable of rows
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -193,8 +193,7 @@ def _cmd_solve(args) -> int:
     else:
         os.makedirs(run_dir, exist_ok=True)
     d = hist.diagnostics
-    _write_csv(os.path.join(run_dir, "diagnostics.csv"),
-               list(d), [list(map(float, row)) for row in zip(*d.values())])
+    _write_csv(os.path.join(run_dir, "diagnostics.csv"), list(d), zip(*d.values()))
     _write_report(run_dir, "report", {
         "config_hash": tag, "grid": asdict(grid), "eps": args.eps,
         "mode": args.mode, "final_sup_u": float(d["sup_u"][-1]),
@@ -315,8 +314,7 @@ def _cmd_decay(args) -> int:
     diags = picard.decay_run(grid, args.eps)
     fit = picard.fit_decay(diags)
     tag = config_hash({"cmd": "decay", "eps": args.eps, **asdict(grid)})
-    _write_csv(os.path.join(outdir, f"decay_{tag}.csv"),
-               list(diags), [list(map(float, row)) for row in zip(*diags.values())])
+    _write_csv(os.path.join(outdir, f"decay_{tag}.csv"), list(diags), zip(*diags.values()))
     _write_report(outdir, f"decay_{tag}", {
         "config_hash": tag, "grid": asdict(grid), "eps": args.eps, "fit": fit,
     })

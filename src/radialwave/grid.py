@@ -219,10 +219,10 @@ class SpaceTimeField:
 
 
 def _write_field(path, f) -> None:
-    """The file of a field of any form (``SpaceTimeField``, ``solver._LightCone``,
-    ``solver._CentredDt``): the header, then its rows ``f.rect`` of each block
-    of ``_blocks(nt, 16)`` in turn, each written as it lies (a copy on
-    big-endian only, or where ``rect`` builds the block)."""
+    """The file of a field (``SpaceTimeField`` or ``solver._LightCone``): the
+    header, then its rows ``f.rect`` of each block of ``_blocks(nt, 16)`` in
+    turn, each written as it lies (a copy on big-endian only, or where
+    ``rect`` builds the block)."""
     grid = f.grid
     header = struct.pack(SpaceTimeField._HEADER, SpaceTimeField._MAGIC, grid.dr, grid.cfl,
                          grid.r_max, grid.t_max, {"odd": 1, "even": 2, None: 0}[f.parity])
@@ -232,11 +232,10 @@ def _write_field(path, f) -> None:
             fh.write(np.ascontiguousarray(f.rect(slice(lo, hi)), dtype="<f8"))
 
 
-def _read_field(path, grid=None, rows=None) -> tuple:
-    """(grid, values, parity) of a field file, ``values`` holding every row or
-    only the rows ``rows`` (a list of indices), read with nothing else.  With
-    ``grid`` (a history manifest's), a header naming any other grid is refused
-    before a row is read."""
+def _read_field(path, grid=None) -> tuple:
+    """(grid, values, parity) of a field file.  With ``grid`` (a history
+    manifest's), a header naming any other grid is refused before a row is
+    read."""
     with open(path, "rb") as fh:
         size = struct.calcsize(SpaceTimeField._HEADER)
         raw = fh.read(size)
@@ -259,13 +258,7 @@ def _read_field(path, grid=None, rows=None) -> tuple:
                              f"{nt} x {nr} grid needs {want}")
         if par not in (0, 1, 2):
             raise ValueError(f"{path}: the header's parity byte {par} is none of 0, 1, 2")
-        if rows is None:
-            data = np.fromfile(fh, dtype="<f8", count=nt * nr).reshape(nt, nr)
-        else:
-            data = np.empty((len(rows), nr))
-            for row, n in zip(data, rows):
-                fh.seek(size + 8 * nr * n)
-                row[:] = np.fromfile(fh, dtype="<f8", count=nr)
+        data = np.fromfile(fh, dtype="<f8", count=nt * nr).reshape(nt, nr)
     return header, data, (None, "odd", "even")[par]
 
 

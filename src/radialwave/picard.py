@@ -19,22 +19,24 @@ exact arithmetic only).  One pair is resident, u_{k-1} and delta_{k-1}
 (about two grid arrays; one object at k = 2, as delta_1 = u_1).  G_k is
 never held whole: the solve of delta_k reads it one block of 16 rows or
 more at a time (``_sources``), each built from both just before the steps
-that read it, and delta_{k-1} goes when the solve returns.  The solve holds
-the pair, delta_k (about one more) and one block's temporaries, about 0.4
-grid arrays, which is the run's peak.  The first solve's zero source lives
-for that call only.  M and A read u = W / r per window of 32 rows
-(``over_r``); their window temporaries take about 1.3 grid arrays.
+that read it.  From k = 3 on delta_k's rows take delta_{k-1}'s cones, which
+only the sources read, so the solve holds the pair and one block's
+temporaries (2.7 grid arrays traced at dr 1/8).  The first solve's zero
+source lives for that call only.  M and A read u = W / r per window of 32
+rows (``over_r``); their window temporaries take about 1.3 grid arrays
+beside the pair, which is the run's peak (3.4).
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
 (naming k, and the form ``_FORM`` of the histories) replace the old ones in
 one rename, and only then are older histories removed: an interrupt leaves
-the old (records, histories) pair or the new one.  The dt W files hold every
-row, written a block at a time, and only their first and last rows are read
-back.  Records of another form, records that name another k, a k with no
-saved delta, or histories that do not load are refused.  The tag keys
-everything but ``kmax``, so a rerun with a larger kmax solves only the new
-iterates and one with a smaller kmax returns the first kmax records.
+the old (records, histories) pair or the new one.  Each history is saved as
+its two W files and one small file of dt W's first and last rows
+(``SolutionHistory.save``).  Records of another form, records that name
+another k, a k with no saved delta, or histories that do not load are
+refused.  The tag keys everything but ``kmax``, so a rerun with a larger
+kmax solves only the new iterates and one with a smaller kmax returns the
+first kmax records.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .solver import (
     config_hash, nonlinearity, solve, solve_linear_forced, zero_profile,
 )
 
-_FORM = "W and dt W edge rows"  # of the saved histories, named in the records file
+_FORM = "W and one dt W edges file"  # of the saved histories, named in the records file
 
 
 class NonContraction(RuntimeError):
@@ -206,8 +208,10 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
             hist = diff = solve_linear_forced(data, *[_LightCone(config.grid)] * 2)
             m, a = m_and_a_functionals(hist.W_u, hist.W_v, *params, over_r=True)
         else:
-            # delta_{k-1} goes with the sources when the solve returns
-            diff = solve_linear_forced(InitialData(amplitude=0.0), *_sources(hist, diff))
+            # delta_k's rows take delta_{k-1}'s cones, which only the sources read
+            into = None if diff is hist else (diff.W_u, diff.W_v)
+            diff = solve_linear_forced(InitialData(amplitude=0.0), *_sources(hist, diff),
+                                       into=into)
             _add_into(hist, diff)  # u_{k-1} becomes u_k
             m = m_functional(hist.W_u, hist.W_v, *params, over_r=True)
             a = a_functional(diff.W_u, diff.W_v, *params, over_r=True)
@@ -264,8 +268,8 @@ def _load_state(config, tag):
         raise ValueError(f"{rec_path}: malformed records ({type(exc).__name__}: {exc}); "
                          "remove it to start afresh") from None
     if blob.get("form") != _FORM:
-        raise ValueError(f"{rec_path}: histories not of the form {_FORM!r} (u_k's dt W "
-                         "a running sum); remove it to start afresh")
+        raise ValueError(f"{rec_path}: histories not of the form {_FORM!r}; "
+                         "remove it to start afresh")
     hist_dir = f"{prefix}{k}"
     if last != k or not os.path.isdir(hist_dir):
         raise ValueError(f"{rec_path}: records up to k = {last} do not match a "

@@ -71,6 +71,7 @@ from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
+_EDGES = "dtW_edges.npy"  # a characteristic history's dt W edge rows (``SolutionHistory.save``)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -287,9 +288,16 @@ class SolutionHistory:
         return conjugate_to_scalar(self.W_v)
 
     def save(self, outdir: str) -> None:
+        """The four field files of W and dt W, or, for a characteristic history
+        (``"linear_forced"``), W's two and ``_EDGES``, dt W's (field, first |
+        last row, column), its other rows being the centred difference of W."""
         os.makedirs(outdir, exist_ok=True)
-        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
+        edges = self.mode == "linear_forced"
+        for name in ("W_u", "W_v") if edges else ("W_u", "dtW_u", "W_v", "dtW_v"):
             _write_field(os.path.join(outdir, f"{name}.bin"), getattr(self, name))
+        if edges:
+            ends = [f.rect(n) for f in (self.dtW_u, self.dtW_v) for n in (slice(1), slice(-1, None))]
+            np.save(os.path.join(outdir, _EDGES), np.reshape(ends, (2, 2, -1)).astype("<f8"))
         manifest = {
             "grid": asdict(self.grid),
             "mode": self.mode,
@@ -300,23 +308,26 @@ class SolutionHistory:
 
     @classmethod
     def load(cls, outdir: str) -> "SolutionHistory":
-        """The history saved in ``outdir``.  A characteristic one (``"linear_forced"``
-        in its manifest) holds W in its light cone (``_LightCone.of``) and reads
-        its dt W files at their first and last rows only, the other rows being
-        the centred difference of W; an RK4 one loads whole."""
+        """The history saved in ``outdir``.  A characteristic one holds W in its
+        light cone (``_LightCone.of``) and dt W as ``_CentredDt`` of the edge
+        rows in ``_EDGES``; an RK4 one loads its four files whole."""
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
         grid, mode = GridSpec(**manifest["grid"]), manifest["mode"]
-        fields = []
-        for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
-            path = os.path.join(outdir, f"{name}.bin")
-            edges = mode == "linear_forced" and name.startswith("dt")
-            _, values, parity = _read_field(path, grid, [0, grid.nt - 1] if edges else None)
-            fields.append(_CentredDt(fields[-1], values) if edges
-                          else _LightCone.of(grid, values, parity) if mode == "linear_forced"
-                          else SpaceTimeField(grid, values, parity))
+        edges = mode == "linear_forced"
+        kind = _LightCone.of if edges else SpaceTimeField  # of (grid, values, parity)
+        fields = {name: kind(grid, *_read_field(os.path.join(outdir, f"{name}.bin"), grid)[1:])
+                  for name in (("W_u", "W_v") if edges else ("W_u", "dtW_u", "W_v", "dtW_v"))}
+        if edges:
+            path = os.path.join(outdir, _EDGES)
+            rows = np.load(path)
+            if rows.shape != (2, 2, grid.nr) or rows.dtype != "<f8":
+                raise ValueError(f"{path}: {rows.dtype} rows of shape {rows.shape}, "
+                                 f"not the manifest's (2, 2, {grid.nr}) doubles")
+            for f, ends in zip("uv", rows):
+                fields[f"dtW_{f}"] = _CentredDt(fields[f"W_{f}"], ends)
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
-        return cls(*fields, mode, diags)
+        return cls(**fields, mode=mode, diagnostics=diags)
 
 
 def nonlinearity(dtu, dru, dtv, drv, which: str):
@@ -509,7 +520,7 @@ def _support_radius(cols: np.ndarray, r: np.ndarray, tol: float) -> float:
 
 
 def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
-                        forcing_v: SpaceTimeField) -> SolutionHistory:
+                        forcing_v: SpaceTimeField, into=None) -> SolutionHistory:
     """Linear wave solves with prescribed sources (the fixed-point step).
 
     The characteristic step of the module docstring, on the grid of the
@@ -524,6 +535,11 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     the data velocity, and the solve steps one row past t_max, so every other
     row is the centred difference of W, the last one reading the row past
     t_max, which is then dropped.
+
+    ``into``, two W cones of the solve's reach read by the sources alone (the
+    Picard driver's delta_{k-1}), take W's rows in place of two new cones: each
+    block solved is kept aside and copied over its block of ``into`` once the
+    next block's sources, which read one row before it, are built.
     """
     grid = forcing_u.grid
     if forcing_v.grid != grid:
@@ -532,7 +548,8 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
         raise CflError(f"the linear solve needs dt = dr, got dt = {grid.cfl:.6g} dr")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
     reach = max(_cone_reach(grid), forcing_u.reach, forcing_v.reach)
-    W = [_LightCone(grid, "odd", reach, np.empty) for _ in range(2)]
+    fits = into and all(w.grid == grid and w.reach == reach for w in into)
+    W = into if fits else [_LightCone(grid, "odd", reach, np.empty) for _ in range(2)]
     steps = np.empty((3, 2, nr))  # W of both fields at n - 1, n, n + 1, in turn
     edges = np.zeros((2, 2, nr))  # (field, first | last row, column) of dt W
     P0 = edges[:, 0]
@@ -542,11 +559,16 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     _check_support(data, r, steps[0], P0)
     h2r = h * h * r
     src = np.empty((2, nr))  # the source term
+    aside = np.empty((2, max(hi - lo for lo, hi, _ in W[0].blocks), nr))  # a block's W rows
+    last = []  # (block of W, its rows aside) of the last block solved
     for (lo, hi, wu), (_, _, wv) in zip(W[0].blocks, W[1].blocks):
         fu, fv = forcing_u.rect(slice(lo, hi)), forcing_v.rect(slice(lo, hi))
+        for block, rows in last:
+            block[:] = rows
+        last = [(w, a[:hi - lo, :w.shape[1]]) for w, a in zip((wu, wv), aside)]
         for n in range(lo, hi):
             prev, cur, new = steps[(n - 1) % 3], steps[n % 3], steps[(n + 1) % 3]
-            wu[n - lo], wv[n - lo] = cur[:, :wu.shape[1]]  # zero past the cone
+            aside[:, n - lo, :wu.shape[1]] = cur[:, :wu.shape[1]]  # zero past the cone
             _neighbour_sum(cur, new)
             np.multiply(fu[n - lo], h2r, out=src[0])
             np.multiply(fv[n - lo], h2r, out=src[1])
@@ -562,6 +584,8 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
                 np.subtract(new, prev, out=edges[:, 1])
                 _divide(edges[:, 1], 2 * h)
         fu = fv = None  # freed before the next block's source rows are read
+    for block, rows in last:
+        block[:] = rows
     return SolutionHistory(W[0], _CentredDt(W[0], edges[0]), W[1],
                            _CentredDt(W[1], edges[1]), "linear_forced")
 

@@ -12,7 +12,8 @@ import pytest
 import radialwave as rw
 from radialwave import cli, grid as grid_module, norms, picard, solver
 from radialwave.picard import IterationRecord, PicardConfig
-from solver_oracles import add_into_ref, dalembert_history, source_difference_ref
+from solver_oracles import (add_into_ref, dalembert_history, linear_forced_ref,
+                            source_difference_ref)
 
 
 class _Interrupt(Exception):
@@ -127,13 +128,15 @@ class TestIteration:
         # iterate, up to rounding: within 1e-13 of max|F(u_(k-1))|.  The driver
         # adds delta_k into u_(k-1)'s arrays in place, so each solve is
         # recorded as a copy and u_2 = u_1 + delta_2 is summed here, dt W as
-        # the sum of the two solves' (``add_into_ref``)
+        # the sum of the two solves' (``add_into_ref``); the sources are taken
+        # before the solve, which writes delta_k over delta_(k-1)
         calls = []
         solve = picard.solve_linear_forced
 
-        def recording(data, fu, fv):
-            hist = solve(data, fu, fv)
-            calls.append((fu.values, fv.values, copy.deepcopy(hist)))
+        def recording(data, fu, fv, **kw):
+            G = fu.values, fv.values
+            hist = solve(data, fu, fv, **kw)
+            calls.append((*G, copy.deepcopy(hist)))
             return hist
 
         monkeypatch.setattr(picard, "solve_linear_forced", recording)
@@ -153,13 +156,14 @@ class TestIteration:
                 assert err <= 1e-13 * np.max(np.abs(f_new))
 
     def test_in_place_sum_equals_the_sum_of_the_solves(self, tmp_path, monkeypatch):
-        # u_2 as saved: its W and the first and last rows of its dt W are
-        # u_1 + delta_2 of the two solves in bytes, and its other dt W rows
-        # are (W[n+1] - W[n-1]) / 2h of the summed W, in bytes
+        # u_2 as saved: its W and the first and last rows of its dt W (the
+        # edges file) are u_1 + delta_2 of the two solves in bytes, and its
+        # other dt W rows, as loaded, are (W[n+1] - W[n-1]) / 2h of the
+        # summed W, in bytes
         solves, solve = [], picard.solve_linear_forced
 
-        def recording(*args):  # a copy, as the driver sums into u_1's arrays
-            hist = solve(*args)
+        def recording(*args, **kw):  # a copy, as the driver sums into u_1's arrays
+            hist = solve(*args, **kw)
             solves.append(copy.deepcopy(hist))
             return hist
 
@@ -168,13 +172,14 @@ class TestIteration:
         picard.run_iteration(cfg)
         u1, d2 = solves
         saved = Path(picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[1] + "2")
-        for f in ("u", "v"):
+        back = rw.SolutionHistory.load(saved)
+        for i, f in enumerate(("u", "v")):
             W = getattr(u1, f"W_{f}").values + getattr(d2, f"W_{f}").values
             edges = sum(getattr(h, f"dtW_{f}").values[[0, -1]] for h in (u1, d2))
-            dt = rw.SpaceTimeField.from_binary(saved / f"dtW_{f}.bin").values
+            dt = getattr(back, f"dtW_{f}").values
             assert rw.SpaceTimeField.from_binary(saved / f"W_{f}.bin").values.tobytes() \
                 == W.tobytes(), f
-            assert dt[[0, -1]].tobytes() == edges.tobytes(), f
+            assert np.load(saved / "dtW_edges.npy")[i].tobytes() == edges.tobytes(), f
             assert dt[1:-1].tobytes() == ((W[2:] - W[:-2]) / (2 * cfg.grid.dt)).tobytes(), f
 
     def test_records_equal_the_summed_dt_w_oracle(self, monkeypatch):
@@ -219,6 +224,31 @@ class TestIteration:
         assert [r.k for r in picard.run_iteration(cfg)] == [1, 2, 3, 4]
         assert sorted(os.listdir(out)) == [rec_path.name.replace("records.json", "k4"),
                                            rec_path.name]
+
+    def test_state_of_the_whole_dt_w_files_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the earlier form saved every row of the four dt W files, under
+        # another form name: its records are refused, and so are its
+        # histories under this form's name, which hold no edges file; the
+        # library raises ValueError and the CLI exits 1
+        out = str(tmp_path)
+        cfg = small_config(kmax=2, outdir=out)
+        picard.run_iteration(cfg)
+        rec_path, prefix = picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))
+        for path in (Path(prefix + "2"), Path(prefix + "2") / "delta"):
+            hist = rw.SolutionHistory.load(path)
+            for f in ("u", "v"):
+                grid_module._write_field(path / f"dtW_{f}.bin", getattr(hist, f"dtW_{f}"))
+            (path / "dtW_edges.npy").unlink()
+        blob = json.loads(Path(rec_path).read_text())
+        for form, message in (("W and dt W edge rows", "not of the form"),
+                              (picard._FORM, "cannot be loaded")):
+            blob["form"] = form
+            Path(rec_path).write_text(json.dumps(blob))
+            with pytest.raises(ValueError, match=f"{message}.*start afresh"):
+                picard.run_iteration(small_config(outdir=out))
+        assert cli.main(["--out", out, "picard", "--dr", "0.0625", "--t-max", "16",
+                         "--r-max", "20", "--eps", "0.02", "--kmax", "3"]) == 1
+        assert "start afresh" in capsys.readouterr().err
 
     def test_kmax_is_not_part_of_the_resume_key(self, tmp_path, monkeypatch):
         # kmax 2, then kmax 3 and kmax 2 again in one directory: the second run
@@ -394,14 +424,12 @@ class TestIteration:
         # one iterate pair is resident: u_(k-1), summed in place, and
         # delta_(k-1), each as its W (two arrays) and dt W's edge rows; the
         # solve of delta_k builds G_k per block of 16 rows or more as it reads
-        # them, and delta_(k-1) goes when it returns; no zero source is kept
-        # past k = 1.  The functionals divide W by r per window of 32 rows,
-        # 16 windows here.  Every W is held in its light cone, about half of
-        # the grid here.  The traced peak is 3.7 grid arrays here, in the
-        # solves (3.7), ahead of M and A (3.5 each); it was 5.0 in the
-        # functionals with 64-row windows and G_k built whole (3.9), 6.9
-        # with the arrays held at full width, 8.9 with u_k's dt W summed
-        # whole and 8.3 with the sources in 64-row blocks
+        # them and writes delta_k over delta_(k-1) from k = 3 on; no zero
+        # source is kept past k = 1.  The functionals divide W by r per
+        # window of 32 rows, 16 windows here.  Every W is held in its light
+        # cone, about half of the grid here.  The traced peak is 3.5 grid
+        # arrays here, in M and A (3.5 each), ahead of the solves (2.7); a
+        # solve holding delta_k beside delta_(k-1) would peak at 3.7
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=132.0, t_max=128.0)
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         tracemalloc.start()
@@ -410,12 +438,60 @@ class TestIteration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.2 * g.nt * g.nr * 8
+        assert peak < 3.6 * g.nt * g.nr * 8
+
+    def test_solves_from_k3_write_over_the_last_difference(self, monkeypatch):
+        # from k = 3 on the solve of delta_k takes delta_(k-1)'s cones, so its
+        # traced peak holds u_(k-1), one difference and a block's
+        # temporaries: 2.7 grid arrays here, 3.7 with delta_k beside
+        # delta_(k-1).  At k = 2, delta_1 is u_1, which the sources read
+        g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=68.0, t_max=64.0)
+        peaks, solve = [], picard.solve_linear_forced
+
+        def traced(data, fu, fv, into=None):
+            assert (into is not None) == (len(peaks) >= 2)
+            tracemalloc.reset_peak()
+            hist = solve(data, fu, fv, into=into)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (g.nt * g.nr * 8))
+            assert into is None or (hist.W_u is into[0] and hist.W_v is into[1])
+            return hist
+
+        monkeypatch.setattr(picard, "solve_linear_forced", traced)
+        tracemalloc.start()
+        try:
+            assert len(picard.run_iteration(PicardConfig(grid=g, eps=0.01, kmax=4))) == 4
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4 and max(peaks[2:]) < 3.0, peaks
+
+    def test_differences_written_over_their_predecessors_equal_the_oracle(self, monkeypatch):
+        # delta_2..delta_4's W and dt W edge rows equal the four-array solve
+        # (``linear_forced_ref``) of G_k built whole (``source_difference_ref``)
+        # before each solve, in bytes, whether or not delta_k's rows take
+        # delta_(k-1)'s cones
+        solve, seen = picard.solve_linear_forced, []
+
+        def checked(data, fu, fv, **kw):
+            if not isinstance(fu, picard._Source):
+                return solve(data, fu, fv, **kw)
+            ref = linear_forced_ref(data, *source_difference_ref(fu.hist, fu.diff))
+            hist = solve(data, fu, fv, **kw)
+            for i, f in enumerate(("u", "v")):
+                assert getattr(hist, f"W_{f}").values.tobytes() == ref[2 * i].tobytes()
+                edges = ref[2 * i + 1][[0, -1]]
+                assert getattr(hist, f"dtW_{f}").edges.tobytes() == edges.tobytes()
+            seen.append(kw.get("into") is not None)
+            return hist
+
+        monkeypatch.setattr(picard, "solve_linear_forced", checked)
+        assert len(picard.run_iteration(small_config(kmax=4))) == 4
+        assert seen == [False, True, True]
 
     def test_loading_delta_reads_w_and_two_dt_rows(self, tmp_path, monkeypatch):
         # delta_k's directory and u_k's each load as two W arrays plus the
-        # first and last rows of each dt W file; the dt W rows built from the
-        # loaded W equal the saved files in bytes
+        # first and last rows of each dt W (the edges file); the loaded W
+        # equal the saved files in bytes, dt W's edge rows the edges file's,
+        # and its other rows the centred difference of the saved W
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=68.0, t_max=64.0)
         cfg = PicardConfig(grid=g, eps=0.0075, kmax=2, outdir=str(tmp_path))
         picard.run_iteration(cfg)
@@ -439,9 +515,13 @@ class TestIteration:
         assert [r.k for r in records] == [1, 2]
         saved = Path(picard._state_paths(cfg, tag)[1] + "2")
         for h, path in ((hist, saved), (diff, saved / "delta")):
-            for name in ("W_u", "dtW_u", "W_v", "dtW_v"):
-                blob = rw.SpaceTimeField.from_binary(path / f"{name}.bin").values.tobytes()
-                assert getattr(h, name).values.tobytes() == blob, (path, name)
+            edges = np.load(path / "dtW_edges.npy")
+            for i, f in enumerate(("u", "v")):
+                W = rw.SpaceTimeField.from_binary(path / f"W_{f}.bin").values
+                dt = getattr(h, f"dtW_{f}").values
+                assert getattr(h, f"W_{f}").values.tobytes() == W.tobytes(), (path, f)
+                assert dt[[0, -1]].tobytes() == edges[i].tobytes(), (path, f)
+                assert dt[1:-1].tobytes() == ((W[2:] - W[:-2]) / (2 * g.dt)).tobytes(), (path, f)
 
     def test_resumed_run_equals_a_fresh_one_saved_state_included(self, tmp_path):
         # resumed from delta_2 loaded at its dt W edge rows, iterate 3's
@@ -456,7 +536,7 @@ class TestIteration:
             a, b = (Path(out) / f"picard_{tag}_k3" / sub for out in (fresh, resumed))
             names = sorted(p.name for p in a.iterdir() if p.is_file())
             assert names == sorted(p.name for p in b.iterdir() if p.is_file())
-            assert len(names) == 5
+            assert len(names) == 4  # W_u, W_v, the dt W edges and the manifest
             for name in names:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), (sub, name)
 
@@ -492,11 +572,11 @@ class TestIteration:
         def held(cone_reach):
             arrays, solve, add_into = [], picard.solve_linear_forced, picard._add_into
 
-            def recording(data, fu, fv):
+            def recording(data, fu, fv, **kw):
                 whole = (source_difference_ref(fu.hist, fu.diff)
                          if isinstance(fu, picard._Source) else (fu, fv))
                 read = [Reading(fu), Reading(fv)]
-                hist = solve(data, *read)
+                hist = solve(data, *read, **kw)
                 G = [np.concatenate(f.read) for f in read]
                 assert [x.tobytes() for x in G] == [x.values.tobytes() for x in whole]
                 arrays.append([*G, hist.W_u.values, hist.W_v.values])

@@ -184,7 +184,7 @@ class TestLinearForced:
     def test_equals_the_four_array_oracle(self, case, tmp_path):
         # W and dt W equal the solve that stored all four arrays, in bytes:
         # whole, per block of rows (the first and last rows included), as
-        # saved, and as loaded back, which reads dt W's edge rows only
+        # saved (W's files and dt W's edges file), and as loaded back
         g, data, scale = LINEAR_FORCED_CASES[case]
         fu, fv = (rw.SpaceTimeField.from_function(
             g, lambda t, r, c=c: scale * np.exp(-np.square(r - c) - np.square(t - 1)))
@@ -200,9 +200,12 @@ class TestLinearForced:
         blocks = [slice(lo, hi) for lo, hi in grid_module._blocks(nt, 16)]
         blocks += [slice(0, 1), slice(1, 2), slice(nt - 2, nt - 1), slice(nt - 1, nt),
                    slice(1, nt - 1), slice(0, nt), slice(3, 3)]
+        edges = np.load(tmp_path / "run" / "dtW_edges.npy")
+        assert [x.tobytes() for x in edges] == [ref[i][[0, -1]].tobytes() for i in (1, 3)]
         for h in (hist, back):
             for i, name in enumerate(("W_u", "dtW_u", "W_v", "dtW_v")):
                 assert getattr(h, name).values.tobytes() == ref[i].tobytes(), name
+            for i, name in ((0, "W_u"), (2, "W_v")):
                 saved = rw.SpaceTimeField.from_binary(tmp_path / "run" / f"{name}.bin")
                 assert saved.values.tobytes() == ref[i].tobytes(), name
             for rows in blocks:
@@ -354,13 +357,12 @@ class TestConfig:
                              ids=["dr", "dt", "shape", "longer"])
     def test_load_refuses_a_field_off_the_manifest_grid(self, tmp_path, monkeypatch, other):
         # each other grid differs from the manifest's in dr, dt or shape alone
-        # (fewer rows, or more); a characteristic history reads its dt W files
-        # at rows 0 and nt - 1 of the manifest's grid, so the file is refused
-        # by its path from its header, before a row is read
+        # (fewer rows, or more); the file is refused by its path from its
+        # header, before a row is read
         g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=4.0)
         z = rw.SpaceTimeField.zeros(g)
         rw.solve_linear_forced(standard_data(), z, z).save(tmp_path / "run")
-        path = tmp_path / "run" / "dtW_v.bin"
+        path = tmp_path / "run" / "W_v.bin"
         rw.SpaceTimeField.zeros(dataclasses.replace(g, **other), "odd").to_binary(path)
         message = re.escape(f"{path}: the header's grid ") + ".* is not the manifest's"
         with pytest.raises(ValueError, match=message):
@@ -371,7 +373,19 @@ class TestConfig:
 
         monkeypatch.setattr(grid_module.np, "fromfile", no_read)
         with pytest.raises(ValueError, match=message):
-            grid_module._read_field(path, g, [0, g.nt - 1])
+            grid_module._read_field(path, g)
+
+    def test_load_refuses_edges_off_the_manifest_grid(self, tmp_path):
+        # the dt W edges file holds the (field, first | last row, column)
+        # doubles of the manifest's grid; another shape or type is refused
+        g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=4.0)
+        z = rw.SpaceTimeField.zeros(g)
+        rw.solve_linear_forced(standard_data(), z, z).save(tmp_path / "run")
+        path = tmp_path / "run" / "dtW_edges.npy"
+        for bad in (np.zeros((2, 2, g.nr - 1)), np.zeros((2, 2, g.nr), dtype=np.float32)):
+            np.save(path, bad)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                rw.SolutionHistory.load(tmp_path / "run")
 
     def test_loaded_linear_forced_config_cannot_rerun(self, tmp_path):
         # a history names its solve; no forcing is saved, and solve refuses the name
