@@ -34,22 +34,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
-
-
 def _read_config_file(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -166,7 +150,7 @@ def _outdir(args) -> str:
 def _write_report(outdir: str, name: str, payload: dict) -> str:
     path = os.path.join(outdir, f"{name}.json")
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, default=lambda x: x.item())
         fh.write("\n")
     return path
 

@@ -10,9 +10,9 @@ d'Alembertian becomes the 1-D wave operator:
 on the first-order system (W, dt W); r = 0 is handled by odd reflection; the
 outer boundary is never reached by the support cone.  Its Courant number is a
 constant of the method, 1 (RK4 reaches 2 sqrt(2) on the imaginary axis; the
-centred second difference needs 2): one step of dt = dr per history row, the
-state and the diagnostics on every row of the given grid at dt = dr, whatever
-cfl the grid was given with (``SolveConfig``).
+centred second difference needs 2): one step of dt = dr per history row, W
+and the diagnostics on every row of the given grid at dt = dr, whatever cfl
+the grid was given with (``SolveConfig``).
 ``solve_linear_forced``, the fixed-point driver's linear solve with a source F
 sampled on a grid with dt = dr, takes the characteristic (leapfrog, Courant
 number 1) step
@@ -22,12 +22,14 @@ number 1) step
 with the odd ghost W_{-1} = -W_1 and W = 0 past r_max: exact for the free
 wave, second order in the source, and with no precursor ahead of the front.
 
+Every history holds W on every row and dt W by its first and last rows
+(``_CentredDt``): the solve's own dt W there, and the centred difference of W
+on the rows between, which for RK4 is within O(dr^2) of its state's dt W.
 Data vanish past r = 2, so W row n of the characteristic solve vanishes past
 column n + S - 1 and its source past n + S, S the columns with r <= 2
 (``_cone_reach``): W and its Picard sums are held in that light cone
-(``_LightCone``, about half of the grid) beside ``_CentredDt``, which holds
-dt W by its edge rows, and the solve reads its sources one block of the
-cone's rows at a time.
+(``_LightCone``, about half of the grid), and the solve reads its sources
+one block of the cone's rows at a time.
 
 The RK4 state is one array laid out as (W | dt W, column, field): W_u and
 W_v interleave along r, so the window of W, and that of dt W, are each one
@@ -71,7 +73,7 @@ from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
 GUARD = 8  # zero columns stepped past the last nonzero one (module docstring)
-_EDGES = "dtW_edges.npy"  # a characteristic history's dt W edge rows (``SolutionHistory.save``)
+_EDGES = "dtW_edges.npy"  # a history's dt W edge rows (``SolutionHistory.save``)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -222,13 +224,14 @@ class _LightCone:
 
 
 class _CentredDt:
-    """dt W of a characteristic solve, held as its first and last rows: row 0
-    is the data velocity, the last row differences W one step past t_max, and
-    rows 1..nt-2 are (W[n+1] - W[n-1]) / (2h), the solve's own operations in
-    its order, so each row equals the one the solve would store, bit for bit.
-    A sum of such solves (a Picard iterate) sums W and the edge rows, its
-    other rows being the same difference of the summed W.  ``W`` (a
-    ``_LightCone``, read by ``rect``) must not change while it is read."""
+    """dt W of a solve, held as its first and last rows: row 0 is the data
+    velocity, the last row the solve's own dt W at t_max (RK4's state, or the
+    characteristic difference of W one row past t_max), and rows 1..nt-2 are
+    (W[n+1] - W[n-1]) / (2h): the characteristic solve's own rows, bit for
+    bit, and within O(dr^2) of RK4's state.  A sum of such solves (a Picard
+    iterate) sums W and the edge rows, its other rows being the same
+    difference of the summed W.  ``W`` (read by ``rect``) must not change
+    while it is read."""
 
     parity = "odd"
 
@@ -262,16 +265,16 @@ class _CentredDt:
 class SolutionHistory:
     """Space-time record of the conjugate state plus per-step diagnostics.
 
-    W and dt W are whole (``solve``'s RK4 state) or, from ``solve_linear_forced``
-    and the Picard iterates summed from its solves, W is a ``_LightCone`` and
-    dt W a ``_CentredDt``: its first and last rows, the others built from W
-    per block of rows (``_CentredDt.rect``) or whole where ``values`` is read.
+    W is whole (``solve``) or held in its light cone (``_LightCone``: the
+    characteristic solves, their Picard sums and every loaded history), and
+    dt W is W's ``_CentredDt``: its first and last rows, the others built
+    from W per block of rows (``rect``) or whole where ``values`` is read.
     """
 
     W_u: SpaceTimeField
-    dtW_u: SpaceTimeField | _CentredDt
+    dtW_u: _CentredDt
     W_v: SpaceTimeField
-    dtW_v: SpaceTimeField | _CentredDt
+    dtW_v: _CentredDt
     mode: str  # the solve that made it: a solve mode or "linear_forced"
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -288,16 +291,13 @@ class SolutionHistory:
         return conjugate_to_scalar(self.W_v)
 
     def save(self, outdir: str) -> None:
-        """The four field files of W and dt W, or, for a characteristic history
-        (``"linear_forced"``), W's two and ``_EDGES``, dt W's (field, first |
-        last row, column), its other rows being the centred difference of W."""
+        """W's two field files and ``_EDGES``, dt W's (field, first | last row,
+        column), its other rows being the centred difference of W."""
         os.makedirs(outdir, exist_ok=True)
-        edges = self.mode == "linear_forced"
-        for name in ("W_u", "W_v") if edges else ("W_u", "dtW_u", "W_v", "dtW_v"):
+        for name in ("W_u", "W_v"):
             _write_field(os.path.join(outdir, f"{name}.bin"), getattr(self, name))
-        if edges:
-            ends = [f.rect(n) for f in (self.dtW_u, self.dtW_v) for n in (slice(1), slice(-1, None))]
-            np.save(os.path.join(outdir, _EDGES), np.reshape(ends, (2, 2, -1)).astype("<f8"))
+        ends = [f.rect(n) for f in (self.dtW_u, self.dtW_v) for n in (slice(1), slice(-1, None))]
+        np.save(os.path.join(outdir, _EDGES), np.reshape(ends, (2, 2, -1)).astype("<f8"))
         manifest = {
             "grid": asdict(self.grid),
             "mode": self.mode,
@@ -308,26 +308,22 @@ class SolutionHistory:
 
     @classmethod
     def load(cls, outdir: str) -> "SolutionHistory":
-        """The history saved in ``outdir``.  A characteristic one holds W in its
-        light cone (``_LightCone.of``) and dt W as ``_CentredDt`` of the edge
-        rows in ``_EDGES``; an RK4 one loads its four files whole."""
+        """The history saved in ``outdir``: W in its light cone
+        (``_LightCone.of``) and dt W as ``_CentredDt`` of the rows in ``_EDGES``."""
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        grid, mode = GridSpec(**manifest["grid"]), manifest["mode"]
-        edges = mode == "linear_forced"
-        kind = _LightCone.of if edges else SpaceTimeField  # of (grid, values, parity)
-        fields = {name: kind(grid, *_read_field(os.path.join(outdir, f"{name}.bin"), grid)[1:])
-                  for name in (("W_u", "W_v") if edges else ("W_u", "dtW_u", "W_v", "dtW_v"))}
-        if edges:
-            path = os.path.join(outdir, _EDGES)
-            rows = np.load(path)
-            if rows.shape != (2, 2, grid.nr) or rows.dtype != "<f8":
-                raise ValueError(f"{path}: {rows.dtype} rows of shape {rows.shape}, "
-                                 f"not the manifest's (2, 2, {grid.nr}) doubles")
-            for f, ends in zip("uv", rows):
-                fields[f"dtW_{f}"] = _CentredDt(fields[f"W_{f}"], ends)
+        grid = GridSpec(**manifest["grid"])
+        path = os.path.join(outdir, _EDGES)
+        rows = np.load(path)
+        if rows.shape != (2, 2, grid.nr) or rows.dtype != "<f8":
+            raise ValueError(f"{path}: {rows.dtype} rows of shape {rows.shape}, "
+                             f"not the manifest's (2, 2, {grid.nr}) doubles")
+        fields = {}
+        for f, ends in zip("uv", rows):
+            W = _LightCone.of(grid, *_read_field(os.path.join(outdir, f"W_{f}.bin"), grid)[1:])
+            fields[f"W_{f}"], fields[f"dtW_{f}"] = W, _CentredDt(W, ends)
         diags = {k: np.asarray(v) for k, v in manifest["diagnostics"].items()}
-        return cls(**fields, mode=mode, diagnostics=diags)
+        return cls(**fields, mode=manifest["mode"], diagnostics=diags)
 
 
 def nonlinearity(dtu, dru, dtv, drv, which: str):
@@ -345,9 +341,10 @@ def nonlinearity(dtu, dru, dtv, drv, which: str):
 
 
 def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
-    """Evolve the system one RK4 step of dt = dr per history row, recording each
-    row (or, without ``store_history``, the diagnostics alone, the four fields
-    one read-only zero); data nonzero past their ``support_radius`` are refused."""
+    """Evolve the system one RK4 step of dt = dr per history row, recording W
+    on each row and the state's dt W on the first and last (``_CentredDt``),
+    or, without ``store_history``, the diagnostics alone (W and the edge rows
+    read-only zeros); data nonzero past their ``support_radius`` are refused."""
     grid = config.grid
     r, dr, nr = grid.r, grid.dr, grid.nr
     dt = grid.dt  # = dr, so the diagnostics' t is grid.t bit for bit
@@ -362,9 +359,9 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
     _check_support(data, r, state[:, :nr].transpose(0, 2, 1))
 
     if config.store_history:
-        frames = np.zeros((4, grid.nt, nr))
-        by_field = frames.reshape(2, 2, grid.nt, nr)  # (field, W | dt W, row, column)
-        by_field[:, :, 0] = state[:, :nr].transpose(2, 0, 1)
+        W = np.zeros((2, grid.nt, nr))  # (field, row, column)
+        edges = np.zeros((2, 2, nr))  # (field, first | last row, column) of dt W
+        W[:, 0], edges[:, 0] = state[:, :nr].transpose(0, 2, 1)
     diag_t, diag_support = np.zeros((2, grid.nt))
     diag_energy, diag_sup = np.zeros((2, 2, grid.nt))
 
@@ -477,7 +474,7 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         last = _last_true(cols != 0)
         record_diag(n + 1, tn, J, cols)
         if config.store_history:
-            by_field[:, :, n + 1] = state[:, :nr].transpose(2, 0, 1)
+            W[:, n + 1] = state[0, :nr].T
         # the centered stencil sheds a dispersive precursor ahead of the true
         # front; at the 1e-6 level and dt = dr its width grows 0.1-0.5 units per
         # doubling of t, to 1.8 (dr 1/32) and 2.3 (dr 1/16) by t = 256 (measured),
@@ -492,10 +489,13 @@ def solve(data: InitialData, config: SolveConfig) -> SolutionHistory:
         "t": diag_t, "energy_u": diag_energy[0], "energy_v": diag_energy[1],
         "sup_u": diag_sup[0], "sup_v": diag_sup[1], "support_radius": diag_support,
     }
-    if not config.store_history:  # one read-only zero of stride 0: no page of the grid
-        z = SpaceTimeField(grid, np.broadcast_to(0.0, grid.shape()), "odd")
-        return SolutionHistory(z, z, z, z, config.mode, diagnostics)
-    return SolutionHistory(*(SpaceTimeField(grid, f, "odd") for f in frames),
+    if config.store_history:
+        edges[:, 1] = state[1, :nr].T
+    else:  # read-only zeros of stride 0: no page of the grid
+        W = np.broadcast_to(0.0, (2, *grid.shape()))
+        edges = np.broadcast_to(0.0, (2, 2, nr))
+    Wu, Wv = (SpaceTimeField(grid, w, "odd") for w in W)
+    return SolutionHistory(Wu, _CentredDt(Wu, edges[0]), Wv, _CentredDt(Wv, edges[1]),
                            config.mode, diagnostics)
 
 

@@ -25,6 +25,19 @@ class TestSolve:
         assert report["config_hash"] in runs[0]
         assert np.isfinite(report["final_sup_u"])
 
+    def test_history_holds_the_files_of_a_picard_iterate(self, tmp_path):
+        # one history form: the RK4 solve's directory and a Picard iterate's
+        # hold W's two files, dt W's edges file and the manifest
+        run(["--out", str(tmp_path / "solve"), "solve", "--dr", "0.125", "--t-max", "4"])
+        run(["--out", str(tmp_path / "picard"), "picard", "--dr", "0.125", "--t-max", "4",
+             "--kmax", "1"])
+        solve_dir = next((tmp_path / "solve").glob("solve_*"))
+        picard_dir = next((tmp_path / "picard").glob("picard_*_k1"))
+        history = {"W_u.bin", "W_v.bin", "dtW_edges.npy", "manifest.json"}
+        assert set(os.listdir(solve_dir)) == history | {"diagnostics.csv", "report.json"}
+        assert set(os.listdir(picard_dir)) == history | {"delta"}
+        assert set(os.listdir(picard_dir / "delta")) == history
+
     def test_diagnostics_csv_full_precision(self, tmp_path):
         run(["--out", str(tmp_path), "solve", "--dr", "0.125", "--t-max", "4",
              "--eps", "0.02", "--no-history"])

@@ -317,6 +317,31 @@ class TestConfig:
         np.testing.assert_allclose(back.diagnostics["energy_u"],
                                    hist.diagnostics["energy_u"])
 
+    def test_solve_history_holds_w_and_the_edge_rows(self):
+        # two grid arrays of W and O(nr) edge rows: 2.12 grid arrays traced at
+        # dr 1/32, T 16 (4.11 with dt W stored on every row)
+        g = grid(dr=1 / 32, t_max=16.0, cfl=1.0)
+        data = rw.calibrate(standard_data(), g, N=2, eps=0.01)
+        tracemalloc.start()
+        try:
+            hist = rw.solve(data, SolveConfig(grid=g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.dtW_u.edges.shape == (2, g.nr)
+        assert peak <= 2.5 * g.nt * g.nr * 8, peak / (g.nt * g.nr * 8)
+
+    def test_load_refuses_the_four_file_form(self, tmp_path):
+        # a history saved with dt W's two whole field files and no edges file
+        # is refused by the name of the edges file it lacks
+        hist = rw.solve(standard_data(), SolveConfig(grid=grid(t_max=2.0)))
+        hist.save(tmp_path / "run")
+        for f in "uv":
+            grid_module._write_field(tmp_path / "run" / f"dtW_{f}.bin", getattr(hist, f"dtW_{f}"))
+        (tmp_path / "run" / "dtW_edges.npy").unlink()
+        with pytest.raises(OSError, match="dtW_edges.npy"):
+            rw.SolutionHistory.load(tmp_path / "run")
+
     @pytest.mark.parametrize("mode", ["homogeneous", "semilinear", "linear_forced"])
     def test_history_roundtrip_keeps_mode(self, tmp_path, mode):
         if mode == "linear_forced":
@@ -405,9 +430,9 @@ class TestConfig:
         assert len(hist.diagnostics["t"]) == hist.grid.nt
 
     def test_diagnostics_only_mode_holds_no_grid_array(self):
-        # the four fields of a run without history are one read-only zero of
-        # stride 0: decay_run's traced peak is its O(nr) workspace, 0.075 grid
-        # arrays here (1.08 with a zero array of the grid's size)
+        # W and dt W's edge rows of a run without history are read-only zeros
+        # of stride 0: decay_run's traced peak is its O(nr) workspace, 0.075
+        # grid arrays here (1.08 with a zero array of the grid's size)
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=100.0, t_max=96.0)
         tracemalloc.start()
         try:
@@ -421,6 +446,12 @@ class TestConfig:
         assert hist.W_u.values.shape == hist.grid.shape() and not hist.dtW_v.values.any()
         with pytest.raises(ValueError, match="read-only"):
             hist.W_u.values[1, 1] = 1.0
+        # and dt W's edge rows are a read-only zero of stride 0 too
+        for f in (hist.dtW_u, hist.dtW_v):
+            assert f.edges.shape == (2, hist.grid.nr) and f.edges.strides == (0, 0)
+            assert not f.edges.any()
+            with pytest.raises(ValueError, match="read-only"):
+                f.edges[1, 1] = 1.0
 
 
 class TestDeterminism:
@@ -552,8 +583,14 @@ def test_window_equals_full_width_loop(mode, case):
     cfg = SolveConfig(grid=g, mode=mode)
     hist = rw.solve(data, cfg)
     frames, diags = _reference_solve(data, cfg)
-    for i, name in enumerate(("W_u", "dtW_u", "W_v", "dtW_v")):
-        assert np.array_equal(getattr(hist, name).values, frames[i]), name
+    # W on every row and dt W's edge rows are the loop's; dt W's other rows
+    # are the centred difference of W (dr 1/16: a power of two, so the
+    # history's multiplication by 1 / 2dr is this division, bit for bit)
+    for f, W, P in zip("uv", frames[0::2], frames[1::2]):
+        assert getattr(hist, f"W_{f}").values.tobytes() == W.tobytes(), f
+        dt = getattr(hist, f"dtW_{f}").values
+        assert dt[[0, -1]].tobytes() == P[[0, -1]].tobytes(), f
+        assert dt[1:-1].tobytes() == ((W[2:] - W[:-2]) / (2 * hist.grid.dt)).tobytes(), f
     assert set(hist.diagnostics) == set(diags)
     for name, ref in diags.items():
         assert hist.diagnostics[name].tobytes() == ref.tobytes(), name
@@ -571,3 +608,24 @@ def test_window_equals_full_width_loop(mode, case):
         assert len(diags["t"]) == 50
     if case == "never reaches r_max":
         assert max(last) + 1 + rw.solver.GUARD < g.nr
+
+
+def test_history_dt_w_converges_to_the_loop_state():
+    # dt W's rows between the edges are the centred difference of W, within
+    # O(dr^2) of RK4's own dt W: the sup gap to the loop's P, over the sup of
+    # P, at dr 1/16, 1/32 and 1/64 (8.8e-3, 2.2e-3, 5.6e-4) gives an observed
+    # order >= 1.9 for poly_bump data (bump's is 1.57 at dr 1/16, not yet
+    # asymptotic: its derivatives are steep near r = 2)
+    gaps = []
+    for dr in (1 / 16, 1 / 32, 1 / 64):
+        g = grid(dr=dr, t_max=4.0, cfl=1.0)
+        cfg = SolveConfig(grid=g)
+        data = rw.calibrate(InitialData(poly_bump, rw.zero_profile, poly_bump, rw.zero_profile),
+                            g, N=2, eps=0.02)
+        hist = rw.solve(data, cfg)
+        frames, _ = _reference_solve(data, cfg)
+        P = frames[1::2]
+        dt = np.stack([hist.dtW_u.values, hist.dtW_v.values])
+        gaps.append(np.max(np.abs(dt - P)) / np.max(np.abs(P)))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert observed_order(coarse, fine) >= 1.9, gaps
