@@ -38,7 +38,7 @@ import numpy as np
 
 from .grid import (
     _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _blocks, _box_values, _d1,
-    _require_size, _trapz_weights, _wave2, box_conjugate, derivative,
+    _require_size, _trapz_weights, box_conjugate, derivative,
 )
 from .norms import FOUR_PI, WeightSpec, _stream
 from .regions import (
@@ -447,28 +447,6 @@ def scaling_identity_residual(w: SpaceTimeField) -> float:
     rhs = (t + r) * derivative(w, GOOD).values + (t - r) * derivative(w, BAD).values
     scale = max(float(np.max(np.abs(lhs))), _TINY)
     return float(np.max(np.abs(lhs - rhs))) / scale
-
-
-def box_decomposition_residual(w: SpaceTimeField) -> float:
-    """Residual of (dt^2 - dr^2)w = Box w + (2/r) dr w away from the axis.
-
-    Measured on interior points with r >= 1 only: the centered product rule
-    D^2(r w) = r D^2 w + 2 D w is exact there, while the one-sided boundary
-    stencils satisfy it only to truncation order.
-    """
-    grid = w.grid
-    t, r = grid.meshes()
-    d2 = _wave2(w.values, w.parity, grid.dt, grid.dr)
-    box = box_scalar(w).values
-    dr_w = derivative(w, DR).values
-    keep = (r >= 1.0) & (r <= grid.r_max - grid.dr) & \
-        (t >= grid.dt) & (t <= grid.t_max - grid.dt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = 2 * dr_w / np.where(keep, r, 1.0)
-        res = np.where(keep, d2 - box - grad, 0.0)
-        mag = np.abs(d2) + np.abs(box) + np.abs(grad)
-    scale = max(float(np.max(np.where(keep, mag, 0.0))), _TINY)
-    return float(np.max(np.abs(res))) / scale
 
 
 def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,

@@ -11,7 +11,8 @@ are second-order: centered in the interior and one-sided at the last column.
 At the first column a radial stencil takes the ghost value f(-h) = -f(h) of an
 odd field or f(-h) = f(h) of an even one, and the one-sided stencil when no
 parity is given (always in t).  ``_over_r`` recovers its first column by
-3-point extrapolation from the next three.
+3-point extrapolation from the next three.  ``_OverR`` is f / r read per
+block, divided as read: a history's u = W / r is read through it.
 
 Each stencil is a centred core and its edge columns, written once here:
 ``_centred_d1``, ``_centred_d2`` and ``_divide_r`` fill the interior, and
@@ -507,14 +508,13 @@ def _walk(keys, window: tuple[slice, slice], shape) -> list[tuple[int, int, int,
     return spans
 
 
-def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
-               over_r: bool = False) -> dict:
+def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice]) -> dict:
     """For each key (n, P), the sum over Z words |mu| <= n of |P Z^mu f| on the
     cells ``window`` (a pair of slices), as an array of the window's shape,
-    equal to the whole-grid sums on every cell.  With ``over_r`` the sums are
-    those of the scalar field ``quotient_by_r(f)`` of a conjugate field f: each
-    walk divides its own cells by r (``_over_r`` when the walk starts at the
-    axis), bit for bit the whole-grid quotient, which is never built.
+    equal to the whole-grid sums on every cell.  f is any field form with
+    ``grid``, ``parity`` and ``rect``: u = W / r of a conjugate field W is
+    its ``_OverR``, whose walk divides its own cells by r, bit for bit the
+    whole-grid quotient, which is never built.
 
     P is None (the word itself), "dt", "dr", "d" (|dt| + |dr|), "good"
     (|dt + dr|), "quot" (|.| / r), "bad" (|dt - dr|), "good/r"
@@ -540,9 +540,8 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     vanish from column m on, every sum of depth d is an exact +0.0 from column
     m + d on, so those columns are filled with +0.0, not walked, unless m + d
     lies within two columns of the walk's end, whose one-sided stencil reads
-    three cells inward.  The cut reads the field, not the scheme (with
-    ``over_r``, f itself: the quotient vanishes from every column from which
-    f does); a Picard iterate vanishes past r = t + 2, about half of the grid.
+    three cells inward.  The cut reads the field, not the scheme; a Picard
+    iterate vanishes past r = t + 2, about half of the grid.
 
     A word of the last length n_max has no child, so its dt and dr are taken
     only if a key of that length reads them (``_READS``).
@@ -556,18 +555,15 @@ def _word_sums(f: SpaceTimeField, keys, window: tuple[slice, slice],
     if hi == lo or cut <= clo:  # an empty window, or one past the cut
         return {key: np.zeros((hi - lo, chi - clo)) for key in keys}
     ca, cb = _walk(keys, (window[0], slice(clo, cut)), grid.shape())[1][2:]
-    values, parity = cells[:, ca - ca0:cb - ca0], f.parity  # a walk inside the first
+    values = cells[:, ca - ca0:cb - ca0]  # a walk inside the first
     r, ht, hr = grid.r[ca:cb], grid.dt, grid.dr
-    if over_r:  # u = W / r, with the parity of quotient_by_r
-        values = _over_r(values, r) if ca == 0 else values / r
-        parity = "even" if parity == "odd" else None
-    cells = None  # freed unless values views it
+    cells = None  # values views it, and the walk frees both after layer 0
     sums = {key: np.zeros(values.shape) for key in keys}
     tmp = np.empty_like(values)  # the pointwise terms' and the S words' scratch
     n_max = max(n for n, _ in keys)
     last = {d for n, prefix in keys if n == n_max for d in _READS.get(prefix, (DT, DR))}
     edges = (a == 0, b == grid.nt), (ca == 0, cb == grid.nr)
-    walk = _z_walk(values, parity, grid.t[a:b, None], r, ht, hr, n_max, last, tmp, edges)
+    walk = _z_walk(values, f.parity, grid.t[a:b, None], r, ht, hr, n_max, last, tmp, edges)
     values = None  # read by layer 0 alone, after which the walk frees it
     for length, g, par, gt, gr in walk:
         for (n, prefix), total in sums.items():
@@ -677,13 +673,30 @@ def box_conjugate(W: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(W.grid, _wave2(W.values, "odd", W.grid.dt, W.grid.dr), "odd")
 
 
+class _OverR:
+    """f / r of a field f, read per block: ``rect`` divides the cells it reads
+    (``_over_r`` from the axis, so four columns or more there, plain division
+    past it), bit for bit the whole-grid quotient; ``values`` is all of it."""
+
+    def __init__(self, f):
+        self.f, self.grid = f, f.grid
+        # an even numerator generally leaves a 1/r singularity at the axis, so the
+        # extrapolated surrogate there cannot honestly be tagged odd
+        self.parity = "even" if f.parity == "odd" else None
+
+    reach = property(lambda self: self.f.reach, doc="f's: f / r vanishes where f does.")
+    values = property(lambda self: self.rect(slice(None)), doc="The whole array, built anew.")
+
+    def rect(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        """The cells [rows, cols] (unit-step slices) of f / r, built anew."""
+        cells, r = self.f.rect(rows, cols), self.grid.r[cols]
+        return _over_r(cells, r) if _span(cols, self.grid.nr)[0] == 0 else cells / r
+
+
 def quotient_by_r(f: SpaceTimeField) -> SpaceTimeField:
     """f / r with the axis value recovered by 3-point extrapolation from j = 1, 2, 3."""
-    vals = _over_r(f.values, f.grid.r)
-    # an even numerator generally leaves a 1/r singularity at the axis, so the
-    # extrapolated surrogate there cannot honestly be tagged odd
-    par = "even" if f.parity == "odd" else None
-    return SpaceTimeField(f.grid, vals, par)
+    u = _OverR(f)
+    return SpaceTimeField(f.grid, u.values, u.parity)
 
 
 def conjugate_to_scalar(W: SpaceTimeField) -> SpaceTimeField:

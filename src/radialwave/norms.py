@@ -28,7 +28,8 @@ per call; a Klainerman-Sobolev check passes the boxes of its enlarged region
 that it walks (``estimates._ks_windows``).  The sums stop at the light cone
 but come at the full width, +0.0 past the cut: ``np.add.reduceat`` blocks
 its pairwise sum by the row's length, so a row sum without its trailing
-zeros could differ in the last bit.
+zeros could differ in the last bit.  A history's ``u()``, ``v()`` stream as
+any field does, each window divided by r as read (``grid._OverR``).
 
 ``_region_sups`` is the one region-sup reducer: the max of |values| over
 each of a list of regions' points in a window, from one gather (maxima per
@@ -173,8 +174,7 @@ def _le_reduce(blocks: list, grid) -> float:
     return best
 
 
-def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None,
-            over_r: bool = False) -> dict:
+def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = None) -> dict:
     """The value of every slot of ``slots`` (name -> (term, weight, where)) on
     ``f``, from one ``grid._word_sums`` pass of ``keys`` per window of
     ``windows`` (pairs of slices; by default the full rows of each block of
@@ -183,8 +183,7 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     passes windows of 32 rows): each window reduces straight into per-row
     sums and region sups, then each slot once in t, so every value equals
     the whole-grid one bit for bit and no array of the grid's size is
-    built.  With ``over_r`` the slots are those of u = W / r of a conjugate
-    field ``f`` = W, divided per walk by ``_word_sums``.
+    built.
 
     ``term`` is a key of ``keys`` or a function of a window's sums.  ``where``
     is "L2" or "Linf" (the mixed norm with ``weight`` over whole rows), "data"
@@ -207,7 +206,7 @@ def _stream(f: SpaceTimeField, keys: tuple, slots: dict, windows: list | None = 
     parts, seen = {name: [] for name in slots}, (None, None)  # seen: (intervals, positions)
     for window in windows:
         lo, hi = _span(window[0], grid.nt)
-        sums = _word_sums(f, keys, window, over_r)
+        sums = _word_sums(f, keys, window)
         for name, (term, weight, where) in slots.items():
             if where == "data" and lo > 0:
                 continue
@@ -298,14 +297,14 @@ def _region_sups(values: np.ndarray, intervals: tuple, n: int, grid, window) -> 
 
 
 def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                 N: int, over_r: bool = False) -> list[NormBreakdown]:
+                 N: int) -> list[NormBreakdown]:
     """The breakdowns of the functionals ``kinds`` ("M", "A") of one pair (u, v),
     from one ``_stream`` pass over the windows of full rows of each field (of
     u alone if v equals it, ``_equal``), ``_blocks`` of 32 rows or more: a
     window reduces straight into per-row sums and region sups, then each norm
     reduces once in t.  No array of the grid's size is built, not even the
-    pair itself with ``over_r``, where u and v are the conjugate fields W_u
-    and W_v of the pair, each divided by r per window.  A walk holds about 16
+    pair itself where u and v are a history's ``u()``, ``v()``, whose windows
+    are divided by r as read (``grid._OverR``).  A walk holds about 16
     arrays of its own size beside the Picard iterates, so the windows are
     half the ratio checks' 64 rows; a Picard iterate's walk still spans the
     light cone's hundreds of columns, so numpy's cost per call stays small,
@@ -334,10 +333,10 @@ def _functionals(kinds, u: SpaceTimeField, v: SpaceTimeField, p: float, delta: f
     keys = ((N, "good"), (N, DT), (N, DR), (N // 2, "d"), (N, "quot"))
     windows = [(slice(lo, hi), slice(None)) for lo, hi in _blocks(grid.nt, _FUNCTIONAL_ROWS)]
     if _equal(u, v):  # one walk reduces both slot sets (the free wave of equal data)
-        norms = _stream(u, keys, {**u_slots, **v_slots}, windows, over_r)
+        norms = _stream(u, keys, {**u_slots, **v_slots}, windows)
     else:
-        norms = {**_stream(u, keys, u_slots, windows, over_r),
-                 **_stream(v, keys, v_slots, windows, over_r)}
+        norms = {**_stream(u, keys, u_slots, windows),
+                 **_stream(v, keys, v_slots, windows)}
 
     per_region: dict[str, float] = {}
     sup_u = {R_KIND: 0.0, U_KIND: 0.0}
@@ -378,10 +377,10 @@ def _equal(u: SpaceTimeField, v: SpaceTimeField) -> bool:
 
 
 def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                 N: int, *, over_r: bool = False) -> NormBreakdown:
-    """All summands of the boundedness functional for one iterate pair (u, v),
-    or, with ``over_r``, for the pair W_u / r, W_v / r of the conjugate fields
-    passed as u and v, each divided per block (the Picard driver's histories).
+                 N: int) -> NormBreakdown:
+    """All summands of the boundedness functional for one iterate pair (u, v):
+    whole fields, or a history's ``u()``, ``v()``, which are divided by r per
+    block (the Picard driver's).
 
     The ell^2 region row for v is reported in both printed weight variants
     ("v_R_l2" with tau^{1/2} R^{1-delta/2} enters the total; the
@@ -393,22 +392,21 @@ def m_functional(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
     of the calibrated bump's M_1 = 27.62 at dr 1/32, T 64 (the acceptance
     Picard run) about 0.61 is the solution and the rest is that edge.
     """
-    return _functionals(("M",), u, v, p, delta, N, over_r)[0]
+    return _functionals(("M",), u, v, p, delta, N)[0]
 
 
 def a_functional(u_diff: SpaceTimeField, v_diff: SpaceTimeField, p: float,
-                 delta: float, N: int, *, over_r: bool = False) -> NormBreakdown:
+                 delta: float, N: int) -> NormBreakdown:
     """Contraction functional: the boundedness slots applied to iterate
     differences, minus the sup-in-t slot for the v derivative, with the
     R^{(3-delta)/2} weight on the v region row.  Like ``m_functional`` it
-    reads the grid's one-sided time stencils near t_max, which dominate it,
-    and takes conjugate fields with ``over_r``."""
-    return _functionals(("A",), u_diff, v_diff, p, delta, N, over_r)[0]
+    reads the grid's one-sided time stencils near t_max, which dominate it."""
+    return _functionals(("A",), u_diff, v_diff, p, delta, N)[0]
 
 
 def m_and_a_functionals(u: SpaceTimeField, v: SpaceTimeField, p: float, delta: float,
-                        N: int, *, over_r: bool = False) -> tuple[NormBreakdown, NormBreakdown]:
+                        N: int) -> tuple[NormBreakdown, NormBreakdown]:
     """``m_functional(u, v, ...)`` and ``a_functional(u, v, ...)`` from one pass:
     A's slots are M's without the sup-in-t v slot, its v R row is M's
     "v_R_l2_alt".  The Picard driver's first iterate is its own difference."""
-    return tuple(_functionals(("M", "A"), u, v, p, delta, N, over_r))
+    return tuple(_functionals(("M", "A"), u, v, p, delta, N))

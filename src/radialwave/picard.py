@@ -22,9 +22,9 @@ more at a time (``_sources``), each built from both just before the steps
 that read it.  From k = 3 on delta_k's rows take delta_{k-1}'s cones, which
 only the sources read, so the solve holds the pair and one block's
 temporaries (2.7 grid arrays traced at dr 1/8).  The first solve's zero
-source lives for that call only.  M and A read u = W / r per window of 32
-rows (``over_r``); their window temporaries take about 1.3 grid arrays
-beside the pair, which is the run's peak (3.4).
+source lives for that call only.  M and A, like the sources, read u = W / r
+per window of 32 rows through ``grid._OverR``; their window temporaries take
+about 1.3 grid arrays beside the pair, which is the run's peak (3.4).
 
 With an output directory, the histories of u_k and delta_k go to
 ``picard_<tag>_k<k>`` and its ``delta`` subdirectory, then the records
@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import GridSpec, _d1, _over_r, _span
+from .grid import GridSpec, _d1, _OverR, _span
 from .norms import _check_params, a_functional, m_and_a_functionals, m_functional
 from .solver import (
     InitialData, SolveConfig, SolutionHistory, _cone_reach, _LightCone, bump, calibrate,
@@ -124,11 +124,10 @@ class IterationRecord:
 
 def _derivative_frames(hist: SolutionHistory, rows=slice(None)):
     """(dtu, dru, dtv, drv) scalar frames on ``rows`` (a unit-step slice) of the
-    history, each frame's rows read by ``rect``: dt from the conjugate momenta,
-    dr by the stencil, each row from its own row."""
-    r, dr = hist.grid.r, hist.grid.dr
-    dtu, dtv = (_over_r(f.rect(rows), r) for f in (hist.dtW_u, hist.dtW_v))
-    dru, drv = (_d1(_over_r(f.rect(rows), r), dr, "even") for f in (hist.W_u, hist.W_v))
+    history, read through ``_OverR``: dt from the conjugate momenta, dr by the
+    stencil, each row from its own row."""
+    dtu, dtv = (_OverR(f).rect(rows) for f in (hist.dtW_u, hist.dtW_v))
+    dru, drv = (_d1(f.rect(rows), hist.grid.dr, f.parity) for f in (hist.u(), hist.v()))
     return dtu, dru, dtv, drv
 
 
@@ -206,15 +205,15 @@ def run_iteration(config: PicardConfig) -> list[IterationRecord]:
         t0 = time.perf_counter()
         if k == 1:
             hist = diff = solve_linear_forced(data, *[_LightCone(config.grid)] * 2)
-            m, a = m_and_a_functionals(hist.W_u, hist.W_v, *params, over_r=True)
+            m, a = m_and_a_functionals(hist.u(), hist.v(), *params)
         else:
             # delta_k's rows take delta_{k-1}'s cones, which only the sources read
             into = None if diff is hist else (diff.W_u, diff.W_v)
             diff = solve_linear_forced(InitialData(amplitude=0.0), *_sources(hist, diff),
                                        into=into)
             _add_into(hist, diff)  # u_{k-1} becomes u_k
-            m = m_functional(hist.W_u, hist.W_v, *params, over_r=True)
-            a = a_functional(diff.W_u, diff.W_v, *params, over_r=True)
+            m = m_functional(hist.u(), hist.v(), *params)
+            a = a_functional(diff.u(), diff.v(), *params)
         prev_a = records[-1].a_total if records else None
         ratio = None if prev_a is None else (a.total / prev_a if prev_a > 0 else float("inf"))
         rec = IterationRecord(k, m.total, a.total, ratio, dict(m.slots),

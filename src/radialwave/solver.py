@@ -68,7 +68,7 @@ import numpy as np
 
 from .grid import (_FLIP, GridSpec, SpaceTimeField, _blocks, _centred_d1, _centred_d2, _d1,
                    _d1_first, _d1_last, _d2_first, _d2_last, _divide, _divide_r, _over_r,
-                   _read_field, _span, _trapz_weights, _write_field, null_form)
+                   _OverR, _read_field, _span, _trapz_weights, _write_field, null_form)
 from .norms import FOUR_PI
 
 _BLOW_CAP = 1e8
@@ -244,20 +244,20 @@ class _CentredDt:
 
     values = property(lambda self: self.rect(slice(None)), doc="The whole array, built anew.")
 
-    def rect(self, rows: slice) -> np.ndarray:
-        """The rows ``rows`` (a unit-step slice), built anew."""
+    def rect(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        """The cells [rows, cols] (unit-step slices), built anew."""
         nt = self.grid.nt
-        lo, hi = _span(rows, nt)
-        out = np.empty((hi - lo, self.grid.nr))
+        (lo, hi), (ca, cb) = _span(rows, nt), _span(cols, self.grid.nr)
+        out = np.empty((hi - lo, cb - ca))
         a, b = max(lo, 1), min(hi, nt - 1)
         if b > a:
-            w = self.W.rect(slice(a - 1, b + 1))
+            w = self.W.rect(slice(a - 1, b + 1), cols)
             inner = np.subtract(w[2:], w[:-2], out=out[a - lo:b - lo])
             _divide(inner, 2 * self.grid.dt)
         if hi == nt:
-            out[-1] = self.edges[1]
+            out[-1] = self.edges[1, ca:cb]
         if lo == 0 < hi:  # row 0 is also the last one when nt = 1
-            out[0] = self.edges[0]
+            out[0] = self.edges[0, ca:cb]
         return out
 
 
@@ -282,17 +282,20 @@ class SolutionHistory:
     def grid(self) -> GridSpec:
         return self.W_u.grid
 
-    def u(self) -> SpaceTimeField:
-        from .grid import conjugate_to_scalar
-        return conjugate_to_scalar(self.W_u)
+    def u(self) -> _OverR:
+        """u = W_u / r, each block divided as read (``grid._OverR``), never whole."""
+        return _OverR(self.W_u)
 
-    def v(self) -> SpaceTimeField:
-        from .grid import conjugate_to_scalar
-        return conjugate_to_scalar(self.W_v)
+    def v(self) -> _OverR:
+        """v = W_v / r, read as ``u`` is."""
+        return _OverR(self.W_v)
 
     def save(self, outdir: str) -> None:
         """W's two field files and ``_EDGES``, dt W's (field, first | last row,
-        column), its other rows being the centred difference of W."""
+        column), its other rows being the centred difference of W; refused for
+        diagnostics alone (``solve`` without ``store_history``: W of stride 0)."""
+        if isinstance(self.W_u, SpaceTimeField) and self.W_u.values.strides == (0, 0):
+            raise ValueError("a history solved without store_history holds diagnostics only")
         os.makedirs(outdir, exist_ok=True)
         for name in ("W_u", "W_v"):
             _write_field(os.path.join(outdir, f"{name}.bin"), getattr(self, name))
@@ -536,10 +539,11 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
     row is the centred difference of W, the last one reading the row past
     t_max, which is then dropped.
 
-    ``into``, two W cones of the solve's reach read by the sources alone (the
-    Picard driver's delta_{k-1}), take W's rows in place of two new cones: each
-    block solved is kept aside and copied over its block of ``into`` once the
-    next block's sources, which read one row before it, are built.
+    ``into``, two W cones of the solve's grid and reach (others are refused)
+    read by the sources alone (the Picard driver's delta_{k-1}), take W's rows
+    in place of two new cones: each block solved is kept aside and copied over
+    its block of ``into`` once the next block's sources, which read one row
+    before it, are built.
     """
     grid = forcing_u.grid
     if forcing_v.grid != grid:
@@ -548,8 +552,9 @@ def solve_linear_forced(data: InitialData, forcing_u: SpaceTimeField,
         raise CflError(f"the linear solve needs dt = dr, got dt = {grid.cfl:.6g} dr")
     r, h, nt, nr = grid.r, grid.dt, grid.nt, grid.nr
     reach = max(_cone_reach(grid), forcing_u.reach, forcing_v.reach)
-    fits = into and all(w.grid == grid and w.reach == reach for w in into)
-    W = into if fits else [_LightCone(grid, "odd", reach, np.empty) for _ in range(2)]
+    if into and any(w.grid != grid or w.reach != reach for w in into):
+        raise ValueError(f"into must be two cones of the solve's grid and reach {reach}")
+    W = into or [_LightCone(grid, "odd", reach, np.empty) for _ in range(2)]
     steps = np.empty((3, 2, nr))  # W of both fields at n - 1, n, n + 1, in turn
     edges = np.zeros((2, 2, nr))  # (field, first | last row, column) of dt W
     P0 = edges[:, 0]

@@ -13,13 +13,16 @@ t = 0 norms the copies use.
 sharp dense mask), ``le_norm`` (the local energy norm of a whole-grid field)
 and ``le1_norm`` (||(du, u/r)||_LE, streamed) reduce through the norms' own
 row sums; ``observed_order`` is the refinement order of two residuals.
+
+``box_decomposition_residual`` checks the product rule behind ``box_scalar``
+on whole-grid derivatives.
 """
 
 import numpy as np
 
 from radialwave.estimates import EstimateReport, _conjugate, box_scalar
-from radialwave.grid import BAD, DR, DT, GOOD, SpaceTimeField, _trapz_weights, derivative, \
-    quotient_by_r
+from radialwave.grid import BAD, DR, DT, GOOD, SpaceTimeField, _trapz_weights, _wave2, \
+    derivative, quotient_by_r
 from radialwave.norms import (
     FOUR_PI, WeightSpec, _annuli, _le_reduce, _le_rows, _norm, _row_sums, _stream,
     _window_pos, mixed_norm,
@@ -51,6 +54,28 @@ def le1_norm(f: SpaceTimeField) -> float:
     """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
     streamed in blocks of rows as the u_le1 slot of the functionals."""
     return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
+
+
+def box_decomposition_residual(w: SpaceTimeField) -> float:
+    """Residual of (dt^2 - dr^2)w = Box w + (2/r) dr w away from the axis.
+
+    Measured on interior points with r >= 1 only: the centered product rule
+    D^2(r w) = r D^2 w + 2 D w is exact there, while the one-sided boundary
+    stencils satisfy it only to truncation order.
+    """
+    grid = w.grid
+    t, r = grid.meshes()
+    d2 = _wave2(w.values, w.parity, grid.dt, grid.dr)
+    box = box_scalar(w).values
+    dr_w = derivative(w, DR).values
+    keep = (r >= 1.0) & (r <= grid.r_max - grid.dr) & \
+        (t >= grid.dt) & (t <= grid.t_max - grid.dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = 2 * dr_w / np.where(keep, r, 1.0)
+        res = np.where(keep, d2 - box - grad, 0.0)
+        mag = np.abs(d2) + np.abs(box) + np.abs(grad)
+    scale = max(float(np.max(np.where(keep, mag, 0.0))), 1e-300)
+    return float(np.max(np.abs(res))) / scale
 
 
 def observed_order(coarse: float, fine: float) -> float:

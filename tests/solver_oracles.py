@@ -88,10 +88,12 @@ def source_difference_ref(hist, diff) -> list:
 
 def add_into_ref(hist, diff) -> None:
     """hist += diff, dt W whole: hist's dt W (built whole from its W, or
-    already whole) plus diff's, row by row, and W whole."""
+    already whole) plus diff's, row by row, and W summed whole, then held in
+    its light cone like diff's (``_LightCone.of``), whose cones the next
+    difference solve then takes (``solve_linear_forced``'s ``into``)."""
     hist.dtW_u, hist.dtW_v = (SpaceTimeField(hist.grid, h.values + d.values, "odd")
                               for h, d in ((hist.dtW_u, diff.dtW_u), (hist.dtW_v, diff.dtW_v)))
-    hist.W_u, hist.W_v = (SpaceTimeField(hist.grid, h.values + d.values, "odd")
+    hist.W_u, hist.W_v = (_LightCone.of(hist.grid, h.values + d.values, "odd")
                           for h, d in ((hist.W_u, diff.W_u), (hist.W_v, diff.W_v)))
 
 

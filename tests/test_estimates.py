@@ -12,7 +12,8 @@ from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec
 from radialwave.regions import DyadicRegion, _intervals
 import estimate_oracles
-from estimate_oracles import le1_norm, observed_order, region_l2l2, spatial_l2
+from estimate_oracles import (box_decomposition_residual, le1_norm, observed_order,
+                              region_l2l2, spatial_l2)
 from region_oracles import inequality_mask, region_supsup
 from radialwave.grid import _word_sums
 from stencil_oracles import _diff2, word_sums_ref
@@ -69,7 +70,7 @@ class TestAlgebraicIdentities:
         assert estimates.scaling_identity_residual(u) <= 1e-12
 
     def test_box_decomposition_converges(self):
-        res = [estimates.box_decomposition_residual(registry.standing_bump(grid(dr=dr)))
+        res = [box_decomposition_residual(registry.standing_bump(grid(dr=dr)))
                for dr in (1 / 16, 1 / 32)]
         assert res[1] <= 1e-10  # centered product rule is exact in the interior
 

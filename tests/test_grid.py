@@ -459,7 +459,12 @@ class TestDyadicSteps:
         W = rw.SpaceTimeField(g, _extreme(rng, g.shape()))
         edges = _extreme(rng, (2, g.nr))
         want = np.concatenate([edges[:1], (W.values[2:] - W.values[:-2]) / (2 * g.dt), edges[1:]])
-        assert _CentredDt(W, edges).rect(rows).tobytes() == want[rows].tobytes()
+        dtW = _CentredDt(W, edges)
+        assert dtW.rect(rows).tobytes() == want[rows].tobytes()
+        # a block of columns is those columns of the rows, in bytes
+        for cols in (slice(None), slice(0, 4), slice(7, 30), slice(55, None), slice(9, 9)):
+            block = np.ascontiguousarray(dtW.rect(rows)[:, cols])
+            assert dtW.rect(rows, cols).tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("j0", [0, 5])
@@ -639,16 +644,23 @@ class TestWordSums:
             assert len(calls) == 2 * inner + len(reads) * (len(words) - inner)
 
     @pytest.mark.parametrize("window", [np.s_[:, :], np.s_[0:9, :], np.s_[9:20, :],
-                                        np.s_[4:15, 6:30], np.s_[20:25, 30:41]],
-                             ids=["grid", "first rows", "rows", "interior", "corner"])
+                                        np.s_[4:15, 7:20], np.s_[4:15, 6:30],
+                                        np.s_[20:25, 30:41]],
+                             ids=["grid", "first rows", "rows", "near the axis", "interior",
+                                  "corner"])
     def test_over_r_equals_the_whole_grid_quotient(self, window):
-        # the sums of W / r from each walk's own quotient equal those of the
-        # whole-grid quotient_by_r(W) in bytes, with or without the axis
+        # the sums of the view W / r, whose walks divide their own cells (from
+        # the axis, or from a column past it), equal those of the whole-grid
+        # quotient_by_r(W) in bytes; that quotient and the view's cells of the
+        # window are the oracle's
         g = small_grid(dr=0.25, cfl=0.5, r_max=10.0, t_max=6.0)
         W = rw.SpaceTimeField.from_function(
             g, lambda t, r: r * np.exp(-np.square(r - t - 1)) * np.cos(3 * t + r), "odd")
-        u = rw.quotient_by_r(W)
-        got = _word_sums(W, _ALL_KEYS, window, over_r=True)
+        u, view = rw.quotient_by_r(W), grid._OverR(W)
+        assert u.values.tobytes() == _quot(W.values, g.r).tobytes()
+        assert view.rect(*window).tobytes() == np.ascontiguousarray(u.values[window]).tobytes()
+        assert (view.grid, view.parity, view.reach) == (g, u.parity, g.nr)
+        got = _word_sums(view, _ALL_KEYS, window)
         want = _word_sums(u, _ALL_KEYS, window)
         for key in _ALL_KEYS:
             assert got[key].tobytes() == want[key].tobytes(), key

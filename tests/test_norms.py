@@ -345,9 +345,10 @@ class TestTimeBlocks:
     @pytest.mark.parametrize("solve", ["characteristic", "rk4"])
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_conjugate_pass_equals_the_quotients(self, solve, N):
-        # the Picard driver's pass on W_u, W_v, divided by r per block, equals
-        # the functionals of the whole-grid quotients u(), v() in repr; an RK4
-        # history's precursor reaches r_max, so its walks are full width
+        # the Picard driver's pass on the views u(), v(), which divide W_u, W_v
+        # by r per block, equals the functionals of the whole-grid quotients
+        # conjugate_to_scalar(W) in repr; an RK4 history's precursor reaches
+        # r_max, so its walks are full width
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=28.0, t_max=24.0)
         data = rw.calibrate(rw.InitialData(), g, 2, 0.02)
         if solve == "rk4":
@@ -356,10 +357,11 @@ class TestTimeBlocks:
             z = rw.SpaceTimeField.zeros(g)
             h = rw.solve_linear_forced(data, z, z)
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 6
-        got = [*norms.m_and_a_functionals(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
-               m_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True),
-               rw.a_functional(h.W_u, h.W_v, 0.75, 0.2, N, over_r=True)]
-        want = [*norms.m_and_a_functionals(h.u(), h.v(), 0.75, 0.2, N)] * 2
+        got = [*norms.m_and_a_functionals(h.u(), h.v(), 0.75, 0.2, N),
+               m_functional(h.u(), h.v(), 0.75, 0.2, N),
+               rw.a_functional(h.u(), h.v(), 0.75, 0.2, N)]
+        u, v = (rw.conjugate_to_scalar(W) for W in (h.W_u, h.W_v))
+        want = [*norms.m_and_a_functionals(u, v, 0.75, 0.2, N)] * 2
         for b, fresh in zip(got, want):
             assert repr((b.total, b.slots, b.per_region)) == repr(
                 (fresh.total, fresh.slots, fresh.per_region))
@@ -430,6 +432,25 @@ class TestTimeBlocks:
             tracemalloc.stop()
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         assert peak < 4 * u.values.nbytes
+
+    def test_peak_allocation_of_a_history_pair(self):
+        # u(), v() of an RK4 history are views that divide W by r per window:
+        # M holds no quotient of the grid's size (3.26 grid arrays with the two
+        # whole quotients, 1.26 without; at T 8 its 129 rows are about four
+        # windows, whose temporaries then dominate: 4.45 and 2.44)
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=36.0, t_max=32.0)
+        h = rw.solve(rw.calibrate(rw.InitialData(), g, 2, 0.02), rw.SolveConfig(grid=g))
+        tracemalloc.start()
+        try:
+            u, v = h.u(), h.v()
+            views = tracemalloc.get_traced_memory()[1]
+            m_functional(u, v, 0.75, 0.2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = g.nt * g.nr * 8
+        assert views < 0.01 * size
+        assert peak < 2.2 * size
 
     def test_le1_norm_peak_allocation(self):
         # the whole-grid sums and the field built from them peaked at about

@@ -342,7 +342,9 @@ class TestIteration:
     def test_functional_windows_keep_every_record(self, monkeypatch):
         # M of u_3 and A of delta_3 on the benchmark grid, walked in windows
         # of 32 rows (the functionals'), of 64 rows and in one window of the
-        # whole grid: every total, slot and region value equal in float.hex
+        # whole grid, each through the views u(), v() of the histories, and
+        # of the whole-grid quotients conjugate_to_scalar(W): every total, slot
+        # and region value equal in float.hex
         config = PicardConfig(grid=rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=68.0, t_max=64.0),
                               eps=0.0075, kmax=3)
         pair, add_into = [], picard._add_into
@@ -355,17 +357,19 @@ class TestIteration:
         records = picard.run_iteration(config)
         (u, d), nt = pair, config.grid.nt
 
-        def hexed(rows):
+        def hexed(rows, pairs=((u.u(), u.v()), (d.u(), d.v()))):
             with monkeypatch.context() as m:
                 m.setattr(norms, "_FUNCTIONAL_ROWS", rows)
-                out = [norms.m_functional(u.W_u, u.W_v, 0.75, 0.2, 2, over_r=True),
-                       rw.a_functional(d.W_u, d.W_v, 0.75, 0.2, 2, over_r=True)]
+                out = [norms.m_functional(*pairs[0], 0.75, 0.2, 2),
+                       rw.a_functional(*pairs[1], 0.75, 0.2, 2)]
             return [(b.total.hex(), *({k: x.hex() for k, x in getattr(b, name).items()}
                                       for name in ("slots", "per_region"))) for b in out]
 
         assert [len(norms._blocks(nt, rows)) for rows in (32, 64, nt)] == [16, 8, 1]
         windows = hexed(32)
         assert windows == hexed(64) == hexed(nt)
+        whole = [tuple(rw.conjugate_to_scalar(W) for W in (h.W_u, h.W_v)) for h in (u, d)]
+        assert windows == hexed(32, whole)
         assert [x[0] for x in windows] == [records[-1].m_total.hex(), records[-1].a_total.hex()]
 
     def test_sources_equal_one_whole_grid_block(self, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import grid as grid_module
+from radialwave import grid as grid_module, solver
 from radialwave.solver import InitialData, SolveConfig, poly_bump, smallness_sum
 from estimate_oracles import observed_order
 from solver_oracles import dalembert_history, linear_forced_ref
@@ -257,6 +257,20 @@ class TestLinearForced:
             with pytest.raises(ValueError, match="two grids"):
                 rw.solve_linear_forced(standard_data(), *forcing)
 
+    def test_into_of_another_grid_or_reach_refused(self):
+        # the solve writes W over ``into`` only when it holds the solve's cones;
+        # two of another grid, or of reach nr, are refused, not replaced
+        g = rw.GridSpec(dr=0.125, cfl=1.0, r_max=12.0, t_max=8.0)
+        other = rw.GridSpec(dr=0.125, cfl=1.0, r_max=14.0, t_max=8.0)
+        z = solver._LightCone(g)
+        fits = [solver._LightCone(g, "odd") for _ in range(2)]
+        hist = rw.solve_linear_forced(standard_data(), z, z, into=fits)
+        assert hist.W_u is fits[0] and hist.W_v is fits[1]
+        for bad in (solver._LightCone(other, "odd"), solver._LightCone(g, "odd", g.nr)):
+            for into in ((bad, fits[1]), (fits[0], bad)):
+                with pytest.raises(ValueError, match="into must be two cones"):
+                    rw.solve_linear_forced(standard_data(), z, z, into=into)
+
     def test_needs_dt_equal_to_dr(self):
         g = rw.GridSpec(dr=1 / 8, cfl=0.8, r_max=12.0, t_max=8.0)
         z = rw.SpaceTimeField.zeros(g)
@@ -428,6 +442,14 @@ class TestConfig:
         assert np.all(hist.W_u.values == 0)
         assert hist.diagnostics["t"].tobytes() == hist.grid.t.tobytes()
         assert len(hist.diagnostics["t"]) == hist.grid.nt
+
+    def test_diagnostics_only_history_is_not_saved(self, tmp_path):
+        # its W and edge rows are read-only zeros, not the solution: saved, they
+        # would load back as a valid semilinear history with the real diagnostics
+        hist = rw.solve(standard_data(), SolveConfig(grid=grid(t_max=2.0), store_history=False))
+        with pytest.raises(ValueError, match="diagnostics only"):
+            hist.save(tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_diagnostics_only_mode_holds_no_grid_array(self):
         # W and dt W's edge rows of a run without history are read-only zeros
