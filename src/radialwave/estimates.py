@@ -3,7 +3,10 @@
 Exact identities are checked to discretization order (residuals shrinking at
 second order under refinement); inequalities are checked as LHS/RHS ratios
 that must be finite, scale-invariant, and stable under refinement over a fixed
-family of test fields.  No claim about optimal constants is ever made.
+family of test fields.  No claim about optimal constants is ever made.  Both
+multiplier identities are one evaluator, ``_multiplier_identity``, of m XW with
+W = r u: ``check_identity_plus`` gives it X = dt + dr with the r^p and ghost
+weights, ``check_identity_minus`` X = dt - dr with the weight (1+r)^{-delta}.
 
 Every estimate check but the identities reduces through ``norms._stream``,
 the one streaming reducer of the M/A functionals: one ``grid._word_sums``
@@ -83,25 +86,30 @@ class EstimateReport:
         return self.lhs / self.rhs
 
 
-def _quad2d(grid: GridSpec, integrand: np.ndarray) -> float:
-    wt = _trapz_weights(grid.nt, grid.dt)
-    wr = _trapz_weights(grid.nr, grid.dr)
-    return float(wt @ integrand @ wr)
-
-
-def _quad_r(grid: GridSpec, integrand: np.ndarray) -> float:
-    wr = _trapz_weights(grid.nr, grid.dr)
-    return float(integrand @ wr)
-
-
-def _quad_t(grid: GridSpec, integrand: np.ndarray) -> float:
-    wt = _trapz_weights(grid.nt, grid.dt)
-    return float(integrand @ wt)
-
-
 def _conjugate(w: SpaceTimeField) -> SpaceTimeField:
     r = w.grid.r[None, :]
     return SpaceTimeField(w.grid, r * w.values, "odd")
+
+
+def _multiplier_identity(name: str, w: SpaceTimeField, sign: int, m, axis,
+                         bulk: dict) -> IdentityReport:
+    """4 pi int int m (dt^2 - dr^2)W XW, X = dt + sign dr, against the t-boundary
+    flux of m (XW)^2 / 2, its outer flux (sign -sign), the r = 0 line of w^2 / 2
+    weighted by ``axis`` in t (sign +sign), each ``bulk`` term {name: (c, b)},
+    c 4 pi int int b() (XW)^2 with b() built only when taken, and angular zeros."""
+    wt, wr = _trapz_weights(w.grid.nt, w.grid.dt), _trapz_weights(w.grid.nr, w.grid.dr)
+    W = _conjugate(w)
+    XW = derivative(W, GOOD if sign > 0 else BAD).values
+    lhs = FOUR_PI * float(wt @ (m * box_conjugate(W).values * XW) @ wr)
+    del W  # W is read no more, nor XW, which becomes (XW)^2 in place
+    x2 = np.square(XW, out=XW)
+    mx2 = m * x2
+    terms = {"boundary_t": 0.5 * FOUR_PI * (float(mx2[-1] @ wr) - float(mx2[0] @ wr)),
+             "boundary_outer": -sign * 0.5 * FOUR_PI * float(mx2[:, -1] @ wt),
+             "axis_line": sign * 0.5 * FOUR_PI * float((axis * np.square(w.values[:, 0])) @ wt),
+             **{key: c * FOUR_PI * float(wt @ (b() * x2) @ wr) for key, (c, b) in bulk.items()},
+             "angular_flux": 0.0, "angular_bulk": 0.0}
+    return IdentityReport(name, lhs, sum(terms.values()), terms)
 
 
 def check_identity_plus(w: SpaceTimeField, p: float, U: float) -> IdentityReport:
@@ -114,30 +122,12 @@ def check_identity_plus(w: SpaceTimeField, p: float, U: float) -> IdentityReport
     """
     if not (0 < p < 2):
         raise ValueError(f"p must lie in (0, 2), got {p}")
-    grid = w.grid
-    t, r = grid.meshes()
-    W = _conjugate(w)
-    G = derivative(W, GOOD).values
-    box2 = box_conjugate(W).values
+    t, r = w.grid.meshes()
     z = t - r
-    decay = np.exp(-sigma_U(z, U))
-    wp = np.power(1.0 + r, p)
-
-    lhs = FOUR_PI * _quad2d(grid, wp * decay * box2 * G)
-
-    g2 = np.square(G)
-    boundary = 0.5 * FOUR_PI * (_quad_r(grid, (wp * decay * g2)[-1])
-                                - _quad_r(grid, (wp * decay * g2)[0]))
-    outer = -0.5 * FOUR_PI * _quad_t(grid, (wp * decay * g2)[:, -1])
-    axis = 0.5 * FOUR_PI * _quad_t(
-        grid, np.exp(-sigma_U(grid.t, U)) * np.square(w.values[:, 0]))
-    p_flux = (p / 2) * FOUR_PI * _quad2d(grid, np.power(1.0 + r, p - 1) * decay * g2)
-    ghost = FOUR_PI * _quad2d(grid, wp * sigma_U_prime(z, U) * decay * g2)
-    terms = {
-        "boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
-        "p_flux": p_flux, "ghost": ghost, "angular_flux": 0.0, "angular_bulk": 0.0,
-    }
-    return IdentityReport("identity_plus", lhs, sum(terms.values()), terms)
+    wp, decay = np.power(1.0 + r, p), np.exp(-sigma_U(z, U))
+    return _multiplier_identity("identity_plus", w, 1, wp * decay, np.exp(-sigma_U(w.grid.t, U)),
+                                {"p_flux": (p / 2, lambda: np.power(1.0 + r, p - 1) * decay),
+                                 "ghost": (1, lambda: wp * sigma_U_prime(z, U) * decay)})
 
 
 def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
@@ -148,22 +138,9 @@ def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    grid = w.grid
-    _, r = grid.meshes()
-    W = _conjugate(w)
-    H = derivative(W, BAD).values
-    box2 = box_conjugate(W).values
-    wd = np.power(1.0 + r, -delta)
-
-    lhs = FOUR_PI * _quad2d(grid, wd * box2 * H)
-    h2 = np.square(H)
-    boundary = 0.5 * FOUR_PI * (_quad_r(grid, (wd * h2)[-1]) - _quad_r(grid, (wd * h2)[0]))
-    outer = 0.5 * FOUR_PI * _quad_t(grid, (wd * h2)[:, -1])
-    axis = -0.5 * FOUR_PI * _quad_t(grid, np.square(w.values[:, 0]))
-    d_flux = (delta / 2) * FOUR_PI * _quad2d(grid, np.power(1.0 + r, -1 - delta) * h2)
-    terms = {"boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
-             "delta_flux": d_flux, "angular_bulk": 0.0}
-    return IdentityReport("identity_minus", lhs, sum(terms.values()), terms)
+    r = w.grid.r[None, :]
+    return _multiplier_identity("identity_minus", w, -1, np.power(1.0 + r, -delta), 1.0,
+                                {"delta_flux": (delta / 2, lambda: np.power(1.0 + r, -1 - delta))})
 
 
 def box_scalar(w: SpaceTimeField) -> SpaceTimeField:

@@ -164,6 +164,8 @@ def calibrate(data: InitialData, grid: GridSpec, N: int, eps: float) -> InitialD
         return InitialData(data.u0, data.u1, data.v0, data.v1, 0.0, data.support_radius)
     unit = InitialData(data.u0, data.u1, data.v0, data.v1, 1.0, data.support_radius)
     s = smallness_sum(unit, grid, N)
+    if s == 0:
+        raise ValueError(f"the data-size sum is {s}, so no amplitude gives eps = {eps}")
     return InitialData(data.u0, data.u1, data.v0, data.v1, eps / s, data.support_radius)
 
 

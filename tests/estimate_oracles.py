@@ -16,19 +16,26 @@ row sums; ``observed_order`` is the refinement order of two residuals.
 
 ``box_decomposition_residual`` checks the product rule behind ``box_scalar``
 on whole-grid derivatives.
+
+``check_identity_plus`` and ``check_identity_minus`` are copies of the two
+identity checks that ``estimates._multiplier_identity`` replaced, with their
+quadratures ``_quad2d``, ``_quad_r`` and ``_quad_t``: every report of the one
+evaluator must equal theirs in ``float.hex``, except that the minus report
+adds ``angular_flux``, an exact zero.
 """
 
 import numpy as np
 
-from radialwave.estimates import EstimateReport, _conjugate, box_scalar
-from radialwave.grid import BAD, DR, DT, GOOD, SpaceTimeField, _trapz_weights, _wave2, \
-    derivative, quotient_by_r
+from radialwave.estimates import EstimateReport, IdentityReport, _conjugate, box_scalar
+from radialwave.grid import BAD, DR, DT, GOOD, GridSpec, SpaceTimeField, _trapz_weights, \
+    _wave2, box_conjugate, derivative, quotient_by_r
 from radialwave.norms import (
     FOUR_PI, WeightSpec, _annuli, _le_reduce, _le_rows, _norm, _row_sums, _stream,
     _window_pos, mixed_norm,
 )
 from radialwave.regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
+    sigma_U, sigma_U_prime,
 )
 
 
@@ -76,6 +83,84 @@ def box_decomposition_residual(w: SpaceTimeField) -> float:
         mag = np.abs(d2) + np.abs(box) + np.abs(grad)
     scale = max(float(np.max(np.where(keep, mag, 0.0))), 1e-300)
     return float(np.max(np.abs(res))) / scale
+
+
+def _quad2d(grid: GridSpec, integrand: np.ndarray) -> float:
+    wt = _trapz_weights(grid.nt, grid.dt)
+    wr = _trapz_weights(grid.nr, grid.dr)
+    return float(wt @ integrand @ wr)
+
+
+def _quad_r(grid: GridSpec, integrand: np.ndarray) -> float:
+    wr = _trapz_weights(grid.nr, grid.dr)
+    return float(integrand @ wr)
+
+
+def _quad_t(grid: GridSpec, integrand: np.ndarray) -> float:
+    wt = _trapz_weights(grid.nt, grid.dt)
+    return float(integrand @ wt)
+
+
+def check_identity_plus(w: SpaceTimeField, p: float, U: float) -> IdentityReport:
+    """Space-time multiplier identity for (1+r)^p e^{-sigma_U(t-r)} (dt+dr+1/r).
+
+    LHS pairs the wave operator with the outgoing weighted multiplier; the RHS
+    collects the t-boundary flux, the r = 0 line term, the p-weighted bulk
+    flux, and the ghost bulk term.  Angular contributions vanish identically
+    on radial data and are reported as exact zeros.
+    """
+    if not (0 < p < 2):
+        raise ValueError(f"p must lie in (0, 2), got {p}")
+    grid = w.grid
+    t, r = grid.meshes()
+    W = _conjugate(w)
+    G = derivative(W, GOOD).values
+    box2 = box_conjugate(W).values
+    z = t - r
+    decay = np.exp(-sigma_U(z, U))
+    wp = np.power(1.0 + r, p)
+
+    lhs = FOUR_PI * _quad2d(grid, wp * decay * box2 * G)
+
+    g2 = np.square(G)
+    boundary = 0.5 * FOUR_PI * (_quad_r(grid, (wp * decay * g2)[-1])
+                                - _quad_r(grid, (wp * decay * g2)[0]))
+    outer = -0.5 * FOUR_PI * _quad_t(grid, (wp * decay * g2)[:, -1])
+    axis = 0.5 * FOUR_PI * _quad_t(
+        grid, np.exp(-sigma_U(grid.t, U)) * np.square(w.values[:, 0]))
+    p_flux = (p / 2) * FOUR_PI * _quad2d(grid, np.power(1.0 + r, p - 1) * decay * g2)
+    ghost = FOUR_PI * _quad2d(grid, wp * sigma_U_prime(z, U) * decay * g2)
+    terms = {
+        "boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
+        "p_flux": p_flux, "ghost": ghost, "angular_flux": 0.0, "angular_bulk": 0.0,
+    }
+    return IdentityReport("identity_plus", lhs, sum(terms.values()), terms)
+
+
+def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
+    """Multiplier identity for the incoming branch (1+r)^{-delta} (dt-dr-1/r).
+
+    The r = 0 line term enters with a negative sign and the delta-weighted
+    bulk flux is nonnegative; angular terms vanish on radial data.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    grid = w.grid
+    _, r = grid.meshes()
+    W = _conjugate(w)
+    H = derivative(W, BAD).values
+    box2 = box_conjugate(W).values
+    wd = np.power(1.0 + r, -delta)
+
+    lhs = FOUR_PI * _quad2d(grid, wd * box2 * H)
+    h2 = np.square(H)
+    boundary = 0.5 * FOUR_PI * (_quad_r(grid, (wd * h2)[-1]) - _quad_r(grid, (wd * h2)[0]))
+    outer = 0.5 * FOUR_PI * _quad_t(grid, (wd * h2)[:, -1])
+    axis = -0.5 * FOUR_PI * _quad_t(grid, np.square(w.values[:, 0]))
+    d_flux = (delta / 2) * FOUR_PI * _quad2d(grid, np.power(1.0 + r, -1 - delta) * h2)
+    terms = {"boundary_t": boundary, "boundary_outer": outer, "axis_line": axis,
+             "delta_flux": d_flux, "angular_bulk": 0.0}
+    return IdentityReport("identity_minus", lhs, sum(terms.values()), terms)
 
 
 def observed_order(coarse: float, fine: float) -> float:

@@ -347,6 +347,16 @@ class TestBadInput:
         assert rc == 1
         assert f"{flag} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "decay"])
+    def test_zero_data_at_positive_eps(self, tmp_path, capsys, monkeypatch, command):
+        # data whose data-size sum is 0 cannot be calibrated to eps > 0; this
+        # raised ZeroDivisionError through main
+        monkeypatch.setattr(cli, "bump", cli.zero_profile)
+        monkeypatch.setattr(picard, "bump", picard.zero_profile)
+        rc = run(["--out", str(tmp_path), command, "--dr", "0.125", "--t-max", "8"])
+        assert rc == 1
+        assert "data-size sum is 0.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
     def test_non_finite_grid_value(self, tmp_path, capsys, flag):
         command = "identities" if flag == "--cfl" else "solve"  # solve takes no --cfl

@@ -56,6 +56,44 @@ class TestIdentities:
         assert rep.rhs_terms["delta_flux"] >= 0
         assert rep.rhs_terms["axis_line"] <= 0
 
+    @pytest.mark.parametrize("dr", [1 / 16, 1 / 32])
+    @pytest.mark.parametrize("family", sorted(registry.ANALYTIC_FAMILIES))
+    def test_reports_equal_the_two_checks_they_replace(self, family, dr):
+        w = registry.build(family, grid(dr=dr))
+        cases = [(estimates.check_identity_plus, estimate_oracles.check_identity_plus, args)
+                 for args in ((0.75, 1.0), (1.5, 2.0))]
+        cases += [(estimates.check_identity_minus, estimate_oracles.check_identity_minus, (d,))
+                  for d in (0.2, 0.5)]
+        for check, oracle, args in cases:
+            got, want = check(w, *args), oracle(w, *args)
+            assert got.name == want.name
+            for key in ("lhs", "rhs", "relative_residual"):
+                assert getattr(got, key).hex() == getattr(want, key).hex(), (check, args, key)
+            for key, value in want.rhs_terms.items():
+                assert got.rhs_terms[key].hex() == value.hex(), (check, args, key)
+            extra = {k: v for k, v in got.rhs_terms.items() if k not in want.rhs_terms}
+            if want.name == "identity_minus":
+                assert extra == {"angular_flux": 0.0}
+            else:
+                assert extra == {} and list(got.rhs_terms) == list(want.rhs_terms)
+
+    @pytest.mark.parametrize("which, bound", [("plus", 8.05), ("minus", 5.05)])
+    def test_peak_allocation(self, which, bound):
+        # at the identities command's default grid, where the two checks the one
+        # evaluator replaced peaked at 8.03 (plus) and 5.03 (minus) arrays of the
+        # grid's size; a bulk weight built before the call would stay resident
+        # through it, where one built when its term is taken does not
+        w = registry.traveling_sym(grid(dr=1 / 64))
+        check = {"plus": lambda: estimates.check_identity_plus(w, 0.75, 1.0),
+                 "minus": lambda: estimates.check_identity_minus(w, 0.2)}[which]
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * w.values.nbytes
+
     def test_parameter_range(self):
         w = registry.standing_bump(grid(dr=1 / 8))
         with pytest.raises(ValueError):

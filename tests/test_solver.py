@@ -45,6 +45,13 @@ class TestInitialData:
         with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
             rw.calibrate(standard_data(), grid(), N=2, eps=eps)
 
+    def test_calibration_refuses_zero_data_at_positive_eps(self):
+        # the data-size sum of all-zero profiles is 0, which eps > 0 was divided by
+        zero = InitialData(rw.zero_profile, rw.zero_profile, rw.zero_profile, rw.zero_profile)
+        with pytest.raises(ValueError, match=r"data-size sum is 0\.0.*eps = 0\.01"):
+            rw.calibrate(zero, grid(), N=2, eps=0.01)
+        assert rw.calibrate(zero, grid(), N=2, eps=0.0).amplitude == 0.0
+
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
     def test_amplitude_must_be_finite(self, amplitude):
         with pytest.raises(ValueError, match="amplitude must be finite"):
