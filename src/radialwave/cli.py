@@ -237,11 +237,10 @@ def _cmd_estimates(args) -> int:
                 "pass" if np.isfinite(rep.ratio) else "FAIL"]
 
     fields = {fam: maker(grid) for fam, maker in registry.ANALYTIC_FAMILIES.items()}
+    # the four ratio checks of a family from one pass of u and one of r u
     rows = [entry(fam, rep.name, rep) for fam, u in fields.items()
-            for rep in (estimates.check_hardy(u, args.p, fam),
-                        estimates.check_le(u, fam),
-                        estimates.check_mr(u, args.p, fam),
-                        estimates.check_newle(u, args.p, args.delta, fam))]
+            for rep in estimates._ratio_reports(u, args.p, args.delta,
+                                                ("hardy", "le", "mr", "newle"), fam)]
     # the Klainerman-Sobolev checks on the slab tau = 8; one that misses the
     # grid reads 0 over 0, ratio 0.0
     for fam, kind, s in registry.KS_COMBOS:
@@ -359,11 +358,9 @@ def main(argv=None) -> int:
         if exc.code:  # its 2 would read as a failed check
             return 1
         raise  # --help
-    except BlowUpSuspected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BlowUpSuspected, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError is a grid too large to hold; a bare one has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

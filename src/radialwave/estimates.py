@@ -14,12 +14,16 @@ pass per window of the grid, asking only for the sums its slots read, each
 window reduced into per-row sums (whole rows, row 0, a region's points, the
 annuli of the local energy norm) and region sups, then each slot once in t,
 so every norm equals the whole-grid one bit for bit.  The four ratio checks
-(``check_hardy``, ``check_le``, ``check_mr``, ``check_newle``) walk the
-functionals' blocks of full time rows.  The one array of the grid's size a
-ratio check builds is the conjugate field r u, whose pass gives the (dt + dr
-+ 1/r) u of Hardy's good slot and of the ghost slot.  ``check_le``'s
-forcing, an integral, is reduced in the norms' order too (row sums, then t),
-so it may differ from a t-first quadrature in the last bit.
+(``check_hardy``, ``check_le``, ``check_mr``, ``check_newle``) are one
+evaluator, ``_ratio_reports``: one ``_stream`` of u, on blocks of full time
+rows, over the union of the asked checks' word sums and slots, each distinct
+slot (term, weight, where) reduced once, then, for Hardy's good slot and the
+ghost slot, one of the conjugate field r u, whose pass gives their (dt + dr +
+1/r) u.  r u, built after the u pass, is the one array of the grid's size it
+builds.  A public check asks for itself alone; the ``estimates`` command asks
+for a family's four checks at once, two passes in place of seven.
+``check_le``'s forcing, an integral, is reduced in the norms' order too (row
+sums, then t), so it may differ from a t-first quadrature in the last bit.
 
 Regions are read as per-row intervals, and no check builds a dense mask:
 every region sup and region L2 norm (the dyadic forcing stacks, the strips of
@@ -152,23 +156,10 @@ def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
 
 
 _BOX, _GOOD_R = (0, "box"), (0, "good/r")  # Box u, and (dt + dr + 1/r) u on r u
-
-
-def check_hardy(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
-    """Space-time Hardy variant: interior weighted mass controlled by the data
-    and the good derivative of the conjugate variable."""
-    if not (0 < p < 2):
-        raise ValueError(f"p must lie in (0, 2), got {p}")
-    a = (p - 1) / 2
-    word = (0, None)
-    n = _stream(u, (word,), {"invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
-                             "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
-                             "data": (word, WeightSpec(a, 0.5), "data")})
-    good = _stream(_conjugate(u), (_GOOD_R,), {"l2l2": (_GOOD_R, WeightSpec(a, 0.0), "L2")})
-    lhs_slots = {"invr_l2l2": n["invr_l2l2"], "invhalf_linfl2": n["invhalf_linfl2"]}
-    rhs_slots = {"data": n["data"], "good_l2l2": good["l2l2"]}
-    return EstimateReport("hardy", sum(lhs_slots.values()), sum(rhs_slots.values()),
-                          family_id, lhs_slots, rhs_slots)
+_WORD, _GOOD, _BAD = (0, None), (0, GOOD), (0, BAD)
+# the word sums of u each ratio check reads
+_RATIO_KEYS = {"hardy": (_WORD,), "le": ((0, DT), (0, DR), (0, "quot"), _BOX),
+               "mr": (_WORD, _GOOD, _BOX), "newle": (_WORD, _GOOD, _BAD, _BOX)}
 
 
 def _du(sums: dict) -> np.ndarray:
@@ -176,18 +167,9 @@ def _du(sums: dict) -> np.ndarray:
     return np.sqrt(np.square(sums[0, DT]) + np.square(sums[0, DR]))
 
 
-def check_le(u: SpaceTimeField, family_id: str = "") -> EstimateReport:
-    """Integrated local energy estimate, squared form."""
-    n = _stream(u, ((0, DT), (0, DR), (0, "quot"), _BOX), {
-        "le1": (0, None, "LE"),
-        "du_linfl2": (_du, WeightSpec(), "Linf"),
-        "data": (_du, WeightSpec(), "data"),
-        "forcing": (lambda s: s[_BOX] * (_du(s) + s[0, "quot"]), None, "dx dt"),
-    })
-    lhs_slots = {"le1_sq": n["le1"] ** 2, "du_linfl2_sq": n["du_linfl2"] ** 2}
-    rhs_slots = {"data_sq": n["data"] ** 2, "forcing": n["forcing"]}
-    return EstimateReport("le", sum(lhs_slots.values()), sum(rhs_slots.values()),
-                          family_id, lhs_slots, rhs_slots)
+def _le_forcing(sums: dict) -> np.ndarray:
+    """|Box u| (|du| + |u| / r), the integrand of the local energy forcing."""
+    return sums[_BOX] * (_du(sums) + sums[0, "quot"])
 
 
 def _forcing_pieces(grid: GridSpec, p: float) -> dict:
@@ -210,12 +192,12 @@ def _forcing_pieces(grid: GridSpec, p: float) -> dict:
 
 
 def _forcing_sums(pieces: dict, norms: dict) -> tuple[float, float]:
-    """(forcing_R, forcing_U) from the ``norms`` of the ``_forcing_pieces``: the
-    ell^2 sum of the R row, and the sum over U of the ell^2-in-tau sums of
-    U^{1/2} times the U pieces."""
+    """(forcing_R, forcing_U) from the ``norms`` of the ``_forcing_pieces``'
+    slots: the ell^2 sum of the R row, and the sum over U of the ell^2-in-tau
+    sums of U^{1/2} times the U pieces."""
     sq_r, sq_u = 0.0, {}
-    for name, (*_, region) in pieces.items():
-        val = norms[name]
+    for slot in pieces.values():
+        val, region = norms[slot], slot[2]
         if region.kind == U_KIND:
             sq_u[region.scale] = sq_u.get(region.scale, 0.0) + region.scale * val * val
         else:
@@ -223,102 +205,103 @@ def _forcing_sums(pieces: dict, norms: dict) -> tuple[float, float]:
     return float(np.sqrt(sq_r)), sum((float(np.sqrt(sq)) for sq in sq_u.values()), 0.0)
 
 
-def _sup_U_slot(u: SpaceTimeField, p: float) -> float:
-    """sup_U U^{-1/2} || <r>^{p/2} r^{-1}(dt+dr)(r u) ||_{L2L2(X_U)}, from one
-    pass on the conjugate field r u."""
-    scales = dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max)))
-    n = _stream(_conjugate(u), (_GOOD_R,),
-                {U: (_GOOD_R, WeightSpec(p / 2), DyadicRegion(None, STRIP, U)) for U in scales})
-    return max([0.0] + [U ** -0.5 * n[U] for U in scales])
+def _ratio_reports(u: SpaceTimeField, p, delta, names, family_id: str = "") -> list:
+    """The ``EstimateReport``s of the ratio checks ``names`` ("hardy", "le",
+    "mr", "newle"), in order, from one ``_stream`` of u over the union of
+    their word sums and slots and, if a check reads Hardy's good slot or the
+    ghost strips, one of the conjugate field r u, built after the u pass.
+
+    A slot is named by its (term, weight, where), so one that two checks
+    declare is reduced once.  A report's entry is a slot, a zero (the angular
+    slots, which vanish on radial data) or the name of a value derived from
+    slots: "ghost", sup_U U^{-1/2} || <r>^{p/2} r^{-1}(dt+dr)(r u) ||_{L2L2(X_U)}
+    over the strips X_U, and the forcing stacks of ``_forcing_sums``.  An
+    entry whose name ends in "_sq" reports its square.  Only the checks that
+    read p check it, so the local energy check takes p None."""
+    reads_p, ghost = {"hardy", "mr", "newle"} & set(names), {"mr", "newle"} & set(names)
+    if reads_p and not (0 < p < 2):
+        raise ValueError(f"p must lie in (0, 2), got {p}")
+    if "newle" in names and not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    du = (_du, WeightSpec())
+    layouts = {"le": ({"le1_sq": (0, None, "LE"), "du_linfl2_sq": (*du, "Linf")},
+                      {"data_sq": (*du, "data"), "forcing": (_le_forcing, None, "dx dt")})}
+    pieces, strips = {}, {}
+    if reads_p:
+        a = (p - 1) / 2
+        inv_half, inv_r = (_WORD, WeightSpec(a, 0.5), "Linf"), (_WORD, WeightSpec(a, 1.0), "L2")
+        good_l2, data_half = (_GOOD, WeightSpec(a), "L2"), (_WORD, WeightSpec(a, 0.5), "data")
+        data_good = (_GOOD, WeightSpec(p / 2), "data")
+        layouts["hardy"] = ({"invr_l2l2": inv_r, "invhalf_linfl2": inv_half},
+                            {"data": data_half, "good_l2l2": (_GOOD_R, WeightSpec(a), "L2")})
+        layouts["mr"] = ({"good_linfl2": (_GOOD, WeightSpec(p), "Linf"), "ang_linfl2": 0.0,
+                          "invhalf_linfl2": inv_half, "good_l2l2": good_l2, "ang_l2l2": 0.0,
+                          "invr_l2l2": inv_r, "ghost_supU": "ghost"},
+                         {"data_invhalf": data_half, "data_good": data_good, "data_ang": 0.0,
+                          "forcing_R": "forcing_R", "forcing_U": "forcing_U"})
+    if "newle" in names:
+        layouts["newle"] = ({"bad_linfl2": (_BAD, WeightSpec(-delta / 2), "Linf"),
+                             "good_linfl2": (_GOOD, WeightSpec(p / 2), "Linf"),
+                             "ang_linfl2": 0.0, "invhalf_linfl2": inv_half,
+                             "bad_l2l2": (_BAD, WeightSpec(-(1 + delta) / 2), "L2"),
+                             "good_l2l2": good_l2, "ang_l2l2": 0.0, "invr_l2l2": inv_r,
+                             "ghost_supU": "ghost"},
+                            {"data_bad": (_BAD, WeightSpec(-delta / 2), "data"),
+                             "data_good": data_good, "data_ang": 0.0,
+                             "data_invr": (_WORD, WeightSpec(p / 2, 1.0), "data"),
+                             "forcing_weighted": (_BOX, WeightSpec((1 - delta) / 2), "L2"),
+                             "forcing_R": "forcing_R", "forcing_U": "forcing_U"})
+    if ghost:
+        pieces = _forcing_pieces(u.grid, p)
+        strips = {U: (_GOOD_R, WeightSpec(p / 2), DyadicRegion(None, STRIP, U))
+                  for U in dyadic_scales(bracket(max(u.grid.t_max, u.grid.r_max)))}
+    slots = [e for name in names for side in layouts[name] for e in side.values()
+             if isinstance(e, tuple)] + [*pieces.values(), *strips.values()]
+    on_u = {s: s for s in slots if s[0] != _GOOD_R}  # each distinct slot once, in order
+    on_ru = {s: s for s in slots if s[0] == _GOOD_R}
+    n = _stream(u, tuple(dict.fromkeys(k for name in names for k in _RATIO_KEYS[name])), on_u)
+    if on_ru:
+        n.update(_stream(_conjugate(u), (_GOOD_R,), on_ru))
+    if ghost:
+        n["forcing_R"], n["forcing_U"] = _forcing_sums(pieces, n)
+        n["ghost"] = max([0.0] + [U ** -0.5 * n[s] for U, s in strips.items()])
+
+    def value(key, entry):
+        v = entry if isinstance(entry, float) else n[entry]
+        return v ** 2 if key.endswith("_sq") else v
+
+    reports = []
+    for name in names:
+        lhs, rhs = ({key: value(key, e) for key, e in side.items()} for side in layouts[name])
+        reports.append(EstimateReport(name, sum(lhs.values()), sum(rhs.values()),
+                                      family_id, lhs, rhs))
+        if name == "mr":  # the forcing stacks' pieces, outside the rhs sum
+            rhs.update({f"detail {d}": n[s] for d, s in pieces.items()})
+    return reports
+
+
+def check_hardy(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
+    """Space-time Hardy variant: interior weighted mass controlled by the data
+    and the good derivative of the conjugate variable."""
+    return _ratio_reports(u, p, None, ("hardy",), family_id)[0]
+
+
+def check_le(u: SpaceTimeField, family_id: str = "") -> EstimateReport:
+    """Integrated local energy estimate, squared form."""
+    return _ratio_reports(u, None, None, ("le",), family_id)[0]
 
 
 def check_mr(u: SpaceTimeField, p: float, family_id: str = "") -> EstimateReport:
     """The combined r^p / ghost-weight estimate (radial form; angular slots
     vanish identically and are recorded as zeros)."""
-    if not (0 < p < 2):
-        raise ValueError(f"p must lie in (0, 2), got {p}")
-    a = (p - 1) / 2
-    word, good = (0, None), (0, GOOD)
-    pieces = _forcing_pieces(u.grid, p)
-    n = _stream(u, (word, good, _BOX), {
-        "good_linfl2": (good, WeightSpec(p), "Linf"),
-        "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
-        "good_l2l2": (good, WeightSpec(a), "L2"),
-        "invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
-        "data_invhalf": (word, WeightSpec(a, 0.5), "data"),
-        "data_good": (good, WeightSpec(p / 2), "data"),
-        **pieces,
-    })
-    lhs_slots = {
-        "good_linfl2": n["good_linfl2"],
-        "ang_linfl2": 0.0,
-        "invhalf_linfl2": n["invhalf_linfl2"],
-        "good_l2l2": n["good_l2l2"],
-        "ang_l2l2": 0.0,
-        "invr_l2l2": n["invr_l2l2"],
-        "ghost_supU": _sup_U_slot(u, p),
-    }
-    f_r, f_u = _forcing_sums(pieces, n)
-    rhs_slots = {
-        "data_invhalf": n["data_invhalf"],
-        "data_good": n["data_good"],
-        "data_ang": 0.0,
-        "forcing_R": f_r,
-        "forcing_U": f_u,
-    }
-    rep = EstimateReport("mr", sum(lhs_slots.values()), sum(rhs_slots.values()),
-                         family_id, lhs_slots, rhs_slots)
-    rep.rhs_slots.update({f"detail {name}": n[name] for name in pieces})
-    return rep
+    return _ratio_reports(u, p, None, ("mr",), family_id)[0]
 
 
 def check_newle(u: SpaceTimeField, p: float, delta: float,
                 family_id: str = "") -> EstimateReport:
     """Refined local energy estimate with the modified incoming multiplier:
     faster-decaying weight on (dt-dr)u, faster-decaying weight on the forcing."""
-    if not (0 < p < 2):
-        raise ValueError(f"p must lie in (0, 2), got {p}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    a = (p - 1) / 2
-    word, good, bad = (0, None), (0, GOOD), (0, BAD)
-    pieces = _forcing_pieces(u.grid, p)
-    n = _stream(u, (word, good, bad, _BOX), {
-        "bad_linfl2": (bad, WeightSpec(-delta / 2), "Linf"),
-        "good_linfl2": (good, WeightSpec(p / 2), "Linf"),
-        "invhalf_linfl2": (word, WeightSpec(a, 0.5), "Linf"),
-        "bad_l2l2": (bad, WeightSpec(-(1 + delta) / 2), "L2"),
-        "good_l2l2": (good, WeightSpec(a), "L2"),
-        "invr_l2l2": (word, WeightSpec(a, 1.0), "L2"),
-        "data_bad": (bad, WeightSpec(-delta / 2), "data"),
-        "data_good": (good, WeightSpec(p / 2), "data"),
-        "data_invr": (word, WeightSpec(p / 2, 1.0), "data"),
-        "forcing_weighted": (_BOX, WeightSpec((1 - delta) / 2), "L2"),
-        **pieces,
-    })
-    lhs_slots = {
-        "bad_linfl2": n["bad_linfl2"],
-        "good_linfl2": n["good_linfl2"],
-        "ang_linfl2": 0.0,
-        "invhalf_linfl2": n["invhalf_linfl2"],
-        "bad_l2l2": n["bad_l2l2"],
-        "good_l2l2": n["good_l2l2"],
-        "ang_l2l2": 0.0,
-        "invr_l2l2": n["invr_l2l2"],
-        "ghost_supU": _sup_U_slot(u, p),
-    }
-    f_r, f_u = _forcing_sums(pieces, n)
-    rhs_slots = {
-        "data_bad": n["data_bad"],
-        "data_good": n["data_good"],
-        "data_ang": 0.0,
-        "data_invr": n["data_invr"],
-        "forcing_weighted": n["forcing_weighted"],
-        "forcing_R": f_r,
-        "forcing_U": f_u,
-    }
-    return EstimateReport("newle", sum(lhs_slots.values()), sum(rhs_slots.values()),
-                          family_id, lhs_slots, rhs_slots)
+    return _ratio_reports(u, p, delta, ("newle",), family_id)[0]
 
 
 # ----------------------------------------------------------------------

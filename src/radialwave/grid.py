@@ -422,8 +422,10 @@ def _over_r(values: np.ndarray, r: np.ndarray, out: np.ndarray | None = None,
 
 
 def _wave2(values: np.ndarray, parity: str | None, ht: float, hr: float) -> np.ndarray:
-    """(dt^2 - dr^2) of (t, r) samples, parity-extended at a first column r = 0."""
-    return _d2(values.T, ht).T - _d2(values, hr, parity)
+    """(dt^2 - dr^2) of (t, r) samples, parity-extended at a first column r = 0,
+    written over dr^2: two temporaries of the samples' shape, not three."""
+    out = _d2(values, hr, parity)
+    return np.subtract(_d2(values.T, ht).T, out, out=out)
 
 
 def _box_values(values: np.ndarray, parity: str | None, r: np.ndarray, ht: float,

@@ -357,6 +357,19 @@ class TestBadInput:
         assert rc == 1
         assert "data-size sum is 0.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 37.3 GiB", "Unable to allocate 37.3 GiB"), ("", "out of memory")])
+    def test_memory_error(self, tmp_path, capsys, monkeypatch, message, shown):
+        # picard --dr 1e-9 raised numpy's _ArrayMemoryError through main; the
+        # command is replaced, so no large grid is ever asked for
+        def out_of_memory(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._COMMANDS, "picard", out_of_memory)
+        rc = run(["--out", str(tmp_path), "picard", "--dr", "1e-9", "--t-max", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+
     @pytest.mark.parametrize("flag", ["--dr", "--cfl", "--t-max", "--r-max"])
     def test_non_finite_grid_value(self, tmp_path, capsys, flag):
         command = "identities" if flag == "--cfl" else "solve"  # solve takes no --cfl

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import radialwave as rw
-from radialwave import estimates, norms, registry
+from radialwave import cli, estimates, norms, registry
 from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec
 from radialwave.regions import DyadicRegion, _intervals
@@ -185,6 +185,9 @@ class TestRatioChecks:
         assert newle["data_invr"] == row0(u, WeightSpec(p / 2, 1.0))
 
 
+_RATIO_NAMES = ("hardy", "le", "mr", "newle")
+
+
 def _ratio_checks(module, p=0.75, delta=0.2):
     """The four ratio checks of ``module`` (``estimates`` or the oracle) by name."""
     return {"hardy": lambda u: module.check_hardy(u, p), "le": module.check_le,
@@ -220,15 +223,53 @@ class TestStreamedRatioChecks:
                 if name != "le":
                     assert (repr(got.lhs), repr(got.rhs)) == (repr(want.lhs), repr(want.rhs))
 
-    @pytest.mark.parametrize("name", ["hardy", "le", "mr", "newle"])
+    @pytest.mark.parametrize("family", list(registry.ANALYTIC_FAMILIES) + ["no parity"])
+    def test_combined_call_equals_the_single_calls(self, family):
+        # one pass of u over the union of the four checks' slots, one of r u
+        g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
+        u = (rw.SpaceTimeField(g, registry.expanding_bump(g).values, None)
+             if family == "no parity" else registry.build(family, g))
+        combined = estimates._ratio_reports(u, 0.75, 0.2, _RATIO_NAMES, family)
+        singles = [check(u) for check in _ratio_checks(estimates).values()]
+        for got, want in zip(combined, singles, strict=True):
+            assert got.name == want.name
+            for side in ("lhs_slots", "rhs_slots"):
+                assert list(getattr(got, side)) == list(getattr(want, side)), got.name
+                assert ([float(v).hex() for v in getattr(got, side).values()]
+                        == [float(v).hex() for v in getattr(want, side).values()]), got.name
+            assert (got.lhs.hex(), got.rhs.hex()) == (want.lhs.hex(), want.rhs.hex())
+            assert got.family_id == family
+
+    def test_passes(self, tmp_path, monkeypatch):
+        # a single check makes the passes it made on its own (the u pass, and
+        # the r u pass of Hardy's good slot or the ghost strips); the
+        # estimates command reads each family's four checks off two passes,
+        # and each Klainerman-Sobolev check makes one
+        calls = []
+        stream = estimates._stream
+        monkeypatch.setattr(estimates, "_stream", lambda *a, **k: calls.append(1) or stream(*a, **k))
+        u = registry.build("traveling_sym", grid(dr=1 / 8))
+        for name, check in _ratio_checks(estimates).items():
+            calls.clear()
+            check(u)
+            assert len(calls) == {"hardy": 2, "le": 1, "mr": 2, "newle": 2}[name]
+        calls.clear()
+        assert cli.main(["--out", str(tmp_path), "estimates", "--dr", "0.125",
+                         "--t-max", "8"]) == 0
+        assert len(calls) == 2 * len(registry.ANALYTIC_FAMILIES) + 2 * len(registry.KS_COMBOS)
+        assert len(registry.ANALYTIC_FAMILIES) == 4
+
+    @pytest.mark.parametrize("name", ["hardy", "le", "mr", "newle", "combined"])
     def test_peak_allocation(self, name):
         # the whole-grid checks peaked at 4.0 (hardy), 5.0 (le, mr) and 6.0
         # (newle) arrays of the grid's size; streamed, at 1.35 (le) and 1.6,
         # the conjugate field r u being the one whole-grid array, and at
-        # 1.7-1.9 with a block's sums kept alive through the next block's pass
+        # 1.7-1.9 with a block's sums kept alive through the next block's pass;
+        # the combined call builds r u after the u pass has freed its windows
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
         u = registry.build("traveling_sym", g)
-        check = _ratio_checks(estimates)[name]
+        check = _ratio_checks(estimates).get(
+            name, lambda u: estimates._ratio_reports(u, 0.75, 0.2, _RATIO_NAMES))
         tracemalloc.start()
         try:
             check(u)
