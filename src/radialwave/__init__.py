@@ -12,12 +12,11 @@ tests' oracle modules.
 
 from .grid import (
     BAD, DR, DT, GOOD, SCALING, GridSpec, GridTooSmallError, ParityError,
-    SpaceTimeField, box_conjugate, conjugate_to_scalar, derivative, null_form,
-    quotient_by_r, z_words,
+    SpaceTimeField, box_conjugate, derivative, null_form, z_words,
 )
 from .regions import DyadicRegion, bracket, dyadic_scales, sigma_U, sigma_U_prime
 from .norms import (
-    NormBreakdown, NormSpecError, WeightSpec, a_functional, m_functional, mixed_norm,
+    NormBreakdown, NormSpecError, WeightSpec, a_functional, m_functional,
 )
 from .solver import (
     BlowUpSuspected, CflError, InitialData, SolveConfig, SolutionHistory,
@@ -25,10 +24,9 @@ from .solver import (
     solve_linear_forced, zero_profile,
 )
 from .estimates import (
-    EstimateReport, IdentityReport, box_scalar, check_hardy,
-    check_identity_minus, check_identity_plus, check_le, check_mr,
-    check_newle, check_second_derivative_ks, check_spacetime_ks,
-    check_weighted_sobolev, scaling_identity_residual,
+    EstimateReport, IdentityReport, check_hardy, check_identity_minus,
+    check_identity_plus, check_le, check_mr, check_newle,
+    check_second_derivative_ks, check_spacetime_ks,
 )
 from .picard import (
     IterationRecord, NonContraction, PicardConfig, check_boundedness,

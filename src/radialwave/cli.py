@@ -215,11 +215,11 @@ def _cmd_identities(args) -> int:
             rows.append([fam, rep.name, rep.lhs, rep.rhs,
                          rep.relative_residual, "pass" if passed else "FAIL"])
     tag = config_hash({"cmd": "identities", "p": args.p, "delta": args.delta,
-                       "tol": args.tol, **asdict(grid)})
+                       "ghost_U": args.ghost_U, "tol": args.tol, **asdict(grid)})
     _write_csv(os.path.join(outdir, f"identities_{tag}.csv"),
                ["family", "identity", "lhs", "rhs", "relative_residual", "status"], rows)
     _write_report(outdir, f"identities_{tag}", {
-        "config_hash": tag, "grid": asdict(grid), "tol": args.tol,
+        "config_hash": tag, "grid": asdict(grid), "ghost_U": args.ghost_U, "tol": args.tol,
         "rows": rows, "all_passed": ok,
     })
     for row in rows:
@@ -320,7 +320,8 @@ def _cmd_sweep(args) -> int:
         m1 = records[0].m_total
         m2 = records[1].m_total if len(records) > 1 else float("nan")
         rows.append([eps, m1, m2, m2 - m1])
-    tag = config_hash({"cmd": "sweep", "eps_list": eps_list, **asdict(grid)})
+    tag = config_hash({"cmd": "sweep", "eps_list": eps_list, "p": args.p, "delta": args.delta,
+                       "N": args.N, **asdict(grid)})
     _write_csv(os.path.join(outdir, f"sweep_{tag}.csv"),
                ["eps", "m1", "m2", "m2_minus_m1"], rows)
     # linearity of M1 and quadratic behavior of the first correction

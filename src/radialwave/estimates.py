@@ -35,6 +35,10 @@ block of tilde's rows (``grid._blocks``).  A U strip runs along the light
 cone, so its blocks' boxes hold a fraction of the cells of its one bounding
 box; an R piece is a rectangle, whose blocks walk its box plus the halo
 rows where they meet, a block's temporaries in place of the whole box's.
+
+The checks are those the ``identities`` and ``estimates`` commands run;
+criterion 3's whole-grid diagnostics and the radial weighted Sobolev check
+are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    _FLIP, BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _blocks, _box_values, _d1,
-    _require_size, _trapz_weights, box_conjugate, derivative,
+    BAD, DR, DT, GOOD, GridSpec, SpaceTimeField, _blocks, _trapz_weights, box_conjugate,
+    derivative,
 )
 from .norms import FOUR_PI, WeightSpec, _stream
 from .regions import (
@@ -145,14 +149,6 @@ def check_identity_minus(w: SpaceTimeField, delta: float) -> IdentityReport:
     r = w.grid.r[None, :]
     return _multiplier_identity("identity_minus", w, -1, np.power(1.0 + r, -delta), 1.0,
                                 {"delta_flux": (delta / 2, lambda: np.power(1.0 + r, -1 - delta))})
-
-
-def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
-    """Radial d'Alembertian via the conjugate identity, any parity."""
-    grid = w.grid
-    _require_size(grid)
-    vals = _box_values(w.values, w.parity, grid.r, grid.dt, grid.dr)
-    return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
 
 
 _BOX, _GOOD_R = (0, "box"), (0, "good/r")  # Box u, and (dt + dr + 1/r) u on r u
@@ -304,44 +300,6 @@ def check_newle(u: SpaceTimeField, p: float, delta: float,
     return _ratio_reports(u, p, delta, ("newle",), family_id)[0]
 
 
-# ----------------------------------------------------------------------
-# Sobolev-type estimates
-# ----------------------------------------------------------------------
-
-def _radial_words(values: np.ndarray, r: np.ndarray, dr: float, order: int) -> list[np.ndarray]:
-    """All compositions of {dr, r*dr} up to the given length on a radial frame
-    (even parity assumed for the base frame)."""
-    layers = [[(values, "even")]]
-    for _ in range(order):
-        nxt = []
-        for vals, par in layers[-1]:
-            dv = _d1(vals, dr, par)
-            nxt.append((dv, _FLIP[par]))    # dr
-            nxt.append((r * dv, par))       # scaling r*dr
-        layers.append(nxt)
-    return [vals for layer in layers for vals, _ in layer]
-
-
-def check_weighted_sobolev(h: np.ndarray, r: np.ndarray, R: int,
-                           family_id: str = "") -> EstimateReport:
-    """Pointwise bound on a dyadic annulus by R^{-1}-weighted derivative mass
-    on its enlargement (radial vector-field set)."""
-    dr = float(r[1] - r[0])
-    br = bracket(r)
-    plain = (br >= R) & (br <= 2 * R)
-    tilde = (br >= 7 / 8 * R) & (br <= 17 / 8 * R)
-    if not np.any(plain):
-        raise ValueError(f"annulus R={R} does not meet the grid")
-    lhs = float(np.max(np.abs(h)[plain]))
-    agg = np.zeros_like(h)
-    for vals in _radial_words(h, r, dr, 2):
-        agg += np.abs(vals)
-    w = _trapz_weights(r.size, dr)
-    mass = float(np.sqrt(FOUR_PI * np.sum(np.square(agg) * np.square(r) * w * tilde)))
-    return EstimateReport("weighted_sobolev", lhs, mass / R, family_id,
-                          {"sup": lhs}, {"mass": mass, "scale": float(R)})
-
-
 def _check_ks_kind(region_kind: str) -> None:
     if region_kind not in (R_KIND, U_KIND):
         raise ValueError("region_kind must be R or U")
@@ -366,7 +324,7 @@ def _ks_pass(w: SpaceTimeField, region: DyadicRegion, sup_key, keys) -> tuple:
     pass on the windows of ``_ks_windows``: the max of the word sum
     ``sup_key`` over the plain region, which lies in the enlarged one, and
     the L2L2 mass on the enlarged region of each word sum of ``keys``."""
-    tilde, walk = region.enlarged(1), (sup_key,) + keys
+    tilde, walk = region.enlarged(), (sup_key,) + keys
     masses = _stream(w, walk, {"sup": (sup_key, None, [region]),
                                **{key: (key, WeightSpec(), tilde) for key in keys}},
                      _ks_windows(_intervals(tilde, w.grid)))
@@ -397,16 +355,6 @@ def check_spacetime_ks(w: SpaceTimeField, tau: int, region_kind: str, scale: int
     if product_form is not None:
         rep.rhs_slots["product_form"] = float(product_form)
     return rep
-
-
-def scaling_identity_residual(w: SpaceTimeField) -> float:
-    """Max residual of 2 S w = (t+r)(dt+dr)w + (t-r)(dt-dr)w on the grid;
-    exact (to rounding) since both sides reduce to the same stencils."""
-    t, r = w.grid.meshes()
-    lhs = 2 * derivative(w, SCALING).values
-    rhs = (t + r) * derivative(w, GOOD).values + (t - r) * derivative(w, BAD).values
-    scale = max(float(np.max(np.abs(lhs))), _TINY)
-    return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 def check_second_derivative_ks(w: SpaceTimeField, tau: int, region_kind: str,

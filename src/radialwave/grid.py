@@ -36,6 +36,12 @@ derivatives take one-sided stencils and parity ghosts at grid edges only, and
 ``_blocks`` is the one row-block helper: fields are sampled
 (``SpaceTimeField.from_function``), streamed through the norms and the
 estimate checks, and turned into Picard sources and files in its blocks.
+
+The public functions are the ones the commands run: ``derivative`` and
+``box_conjugate`` (the identity checks), ``null_form`` (the solves' source)
+and ``z_words`` (the order of every Z-word walk).  A field file is written
+and read by ``_write_field`` and ``_read_field``, which a history's save and
+load call.
 """
 
 from __future__ import annotations
@@ -205,18 +211,10 @@ class SpaceTimeField:
         """nr: row n is held to column n + nr, every column (``solver._LightCone``)."""
         return self.grid.nr
 
-    # ------------------------------------------------------------------
-    # serialization: flat binary (header + row-major doubles)
-    # ------------------------------------------------------------------
+    # the field file of ``_write_field`` and ``_read_field``: header, then
+    # row-major doubles
     _MAGIC = b"RWFLD002"  # the header holds the grid's four values
     _HEADER = "<8sddddb"
-
-    def to_binary(self, path) -> None:
-        _write_field(path, self)
-
-    @classmethod
-    def from_binary(cls, path) -> "SpaceTimeField":
-        return cls(*_read_field(path))
 
 
 def _write_field(path, f) -> None:
@@ -667,7 +665,7 @@ def box_conjugate(W: SpaceTimeField) -> SpaceTimeField:
     """(dt^2 - dr^2) of a conjugate field W = r*u.
 
     For radial u, Box u = r^{-1} (dt^2 - dr^2)(r u); the caller divides by r
-    (via quotient_by_r) where the scalar d'Alembertian is needed.
+    (``_OverR``) where the scalar d'Alembertian is needed.
     """
     if W.parity != "odd":
         raise ParityError("box_conjugate expects the odd conjugate field W = r*u")
@@ -693,19 +691,6 @@ class _OverR:
         """The cells [rows, cols] (unit-step slices) of f / r, built anew."""
         cells, r = self.f.rect(rows, cols), self.grid.r[cols]
         return _over_r(cells, r) if _span(cols, self.grid.nr)[0] == 0 else cells / r
-
-
-def quotient_by_r(f: SpaceTimeField) -> SpaceTimeField:
-    """f / r with the axis value recovered by 3-point extrapolation from j = 1, 2, 3."""
-    u = _OverR(f)
-    return SpaceTimeField(f.grid, u.values, u.parity)
-
-
-def conjugate_to_scalar(W: SpaceTimeField) -> SpaceTimeField:
-    """u = W / r for an odd conjugate field (L'Hopital value on the axis)."""
-    if W.parity != "odd":
-        raise ParityError("conjugate fields must be odd")
-    return quotient_by_r(W)
 
 
 def null_form(dtu: np.ndarray, dru: np.ndarray, dtv: np.ndarray, drv: np.ndarray) -> np.ndarray:

@@ -5,13 +5,12 @@ global-in-time norms are truncated to the grid horizon [0, t_max].  Every
 norm is one reduction: ``_row_sums`` sums 4 pi <r>^{2a} r^{2-2b} w_r f^2 over
 each time row's points with ``np.add.reduceat`` (a row's value does not depend
 on the other rows), then ``_t_norm`` takes the root of their trapezoid (L2)
-or of their max (Linf) in t; ``_norm`` is both steps.  The whole grid is the
-region of full rows, summed at the row starts of the flat array with no
-gather, and so is each dyadic annulus of the local energy norm on its run of
-columns.  A region L2 norm sums only the points of the region's per-row
-intervals.  A region reduction reads an array holding a window of the grid (a
-pair of slices, the whole grid by default), in which ``_window_pos`` finds a
-region's points.
+or of their max (Linf) in t.  The whole grid is the region of full rows,
+summed at the row starts of the flat array with no gather, and so is each
+dyadic annulus of the local energy norm on its run of columns.  A region L2
+norm sums only the points of the region's per-row intervals.  A region
+reduction reads an array holding a window of the grid (a pair of slices, the
+whole grid by default), in which ``_window_pos`` finds a region's points.
 
 Every streamed value goes through one reducer, ``_stream``: one
 ``grid._word_sums`` pass per window of the grid, asking only for the sums its
@@ -120,19 +119,6 @@ def _t_norm(rows: np.ndarray, sums: np.ndarray, grid, outer: str) -> float:
     if outer == "Linf":
         return float(np.sqrt(np.max(sums)))
     return float(np.sqrt(sums @ _trapz_weights(grid.nt, grid.dt).take(rows)))
-
-
-def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
-          pos: np.ndarray | None = None, window=_GRID) -> float:
-    """``_t_norm`` of ``_row_sums``."""
-    return _t_norm(*_row_sums(values, grid, weight, pos, window), grid, outer)
-
-
-def mixed_norm(f: SpaceTimeField, outer: str, weight: WeightSpec = WeightSpec()) -> float:
-    """||w f||_{L^outer_t L^2_x} over the whole grid, ``outer`` "L2" or "Linf"."""
-    if outer not in ("L2", "Linf"):
-        raise NormSpecError(f"outer must be 'L2' or 'Linf'; got {outer!r}")
-    return _norm(f.values, f.grid, outer, weight)
 
 
 def _window_pos(intervals, grid, window) -> np.ndarray:

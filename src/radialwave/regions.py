@@ -2,7 +2,8 @@
 
 The geometry layer: dyadic time slabs C_tau split into annulus-indexed pieces
 (away from the cone), cone-distance-indexed pieces (near it), and the core
-overlap, with their 7/8..17/8 enlargements, and the ghost-weight profile
+overlap, each plain or enlarged once to its 7/8..17/8 "tilde" (the region a
+Klainerman-Sobolev mass is taken on), and the ghost-weight profile
 sigma_U(z) = z / (U + |z|).  A sharp region is defined once, by the runs
 [j_lo, j_hi) of each time row on which its inequalities hold (``_intervals``);
 every region sup and region L2 norm reads their points, and no dense mask
@@ -69,7 +70,8 @@ class DyadicRegion:
     """Symbolic dyadic region.
 
     ``scale`` is R for R_KIND/ANNULUS, U for U_KIND/STRIP, and None for CORE.
-    ``enlargement``: 0 = plain, 1 = tilde, 2 = double tilde.
+    ``enlargement``: 0 = plain, 1 = tilde, the region widened by 7/8 below
+    and 17/16 above (``_scaled``).
     """
 
     tau: int | None
@@ -92,19 +94,18 @@ class DyadicRegion:
                 )
         if self.kind in (ANNULUS, STRIP) and (self.scale is None or not is_dyadic(self.scale)):
             raise ValueError("annulus/strip regions need a dyadic scale")
-        if self.enlargement not in (0, 1, 2):
-            raise ValueError("enlargement must be 0, 1, or 2")
+        if self.enlargement not in (0, 1):
+            raise ValueError("enlargement must be 0 or 1")
 
-    def enlarged(self, level: int = 1) -> "DyadicRegion":
-        return DyadicRegion(self.tau, self.kind, self.scale, level)
+    def enlarged(self) -> "DyadicRegion":
+        """The tilde region: this one at enlargement 1."""
+        return DyadicRegion(self.tau, self.kind, self.scale, 1)
 
 
 def _scaled(lo: float, hi: float, level: int) -> tuple[float, float]:
-    # plain [s, 2s] widens to [7s/8, 17s/8]: the upper endpoint moves by
-    # 17/16 so it lands at (17/8) * scale, not (17/8) * (2 * scale)
-    for _ in range(level):
-        lo, hi = _ENLARGE_LO * lo, (_ENLARGE_HI / 2.0) * hi
-    return lo, hi
+    # plain [s, 2s] widens to [7s/8, 17s/8] at level 1: the upper endpoint
+    # moves by 17/16 so it lands at (17/8) * scale, not (17/8) * (2 * scale)
+    return (_ENLARGE_LO * lo, (_ENLARGE_HI / 2.0) * hi) if level else (lo, hi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,8 +139,8 @@ def _conditions(region: DyadicRegion, grid: GridSpec):
     """The time rows a region meets and its pointwise tests (t, r) -> bool.
 
     Slab pieces keep the rows with tau <= t <= 2tau and always lie in the
-    propagation cone C = {r <= t + 2}.  Enlargement scales each two-sided
-    constraint by 7/8 (lower) and 17/8-style factors (upper), once per level.
+    propagation cone C = {r <= t + 2}.  The tilde region scales each
+    constraint by 7/8 (lower) and 17/16 (upper, so 2s lands at 17s/8).
     """
     tau, kind, scale, lev = region.tau, region.kind, region.scale, region.enlargement
     if kind in (ANNULUS, STRIP):

@@ -9,13 +9,16 @@ slot in ``repr``, except ``check_le``'s forcing, which the copy integrates as
 in t (1e-15 relative).  ``interval_l2`` and ``data_l2`` are the region and
 t = 0 norms the copies use.
 
-``spatial_l2`` (every row's L2 norm), ``region_l2l2`` (the L2L2 norm on a
-sharp dense mask), ``le_norm`` (the local energy norm of a whole-grid field)
-and ``le1_norm`` (||(du, u/r)||_LE, streamed) reduce through the norms' own
-row sums; ``observed_order`` is the refinement order of two residuals.
+``mixed_norm`` (whole grid), ``spatial_l2`` (every row's L2 norm),
+``region_l2l2`` (on a sharp dense mask), ``le_norm`` (the local energy norm
+of a whole-grid field) and ``le1_norm`` (||(du, u/r)||_LE, streamed) reduce
+through the norms' own row sums; ``observed_order`` is the refinement order
+of two residuals.
 
-``box_decomposition_residual`` checks the product rule behind ``box_scalar``
-on whole-grid derivatives.
+``box_scalar`` (Box u of any parity), ``scaling_identity_residual`` and
+``box_decomposition_residual`` (the product rule behind ``box_scalar``) are
+criterion 3's whole-grid diagnostics.  ``check_weighted_sobolev`` is the
+radial weighted Sobolev check of one time slice, on dense masks of <r>.
 
 ``check_identity_plus`` and ``check_identity_minus`` are copies of the two
 identity checks that ``estimates._multiplier_identity`` replaced, with their
@@ -26,17 +29,31 @@ adds ``angular_flux``, an exact zero.
 
 import numpy as np
 
-from radialwave.estimates import EstimateReport, IdentityReport, _conjugate, box_scalar
-from radialwave.grid import BAD, DR, DT, GOOD, GridSpec, SpaceTimeField, _trapz_weights, \
-    _wave2, box_conjugate, derivative, quotient_by_r
+from radialwave.estimates import _TINY, EstimateReport, IdentityReport, _conjugate
+from radialwave.grid import BAD, DR, DT, GOOD, SCALING, GridSpec, SpaceTimeField, _FLIP, \
+    _box_values, _d1, _require_size, _trapz_weights, _wave2, box_conjugate, derivative
 from radialwave.norms import (
-    FOUR_PI, WeightSpec, _annuli, _le_reduce, _le_rows, _norm, _row_sums, _stream,
-    _window_pos, mixed_norm,
+    _GRID, FOUR_PI, NormSpecError, WeightSpec, _annuli, _le_reduce, _le_rows, _row_sums,
+    _stream, _t_norm, _window_pos,
 )
 from radialwave.regions import (
     CORE, R_KIND, STRIP, U_KIND, DyadicRegion, _intervals, bracket, dyadic_scales,
     sigma_U, sigma_U_prime,
 )
+from stencil_oracles import quotient_by_r
+
+
+def _norm(values: np.ndarray, grid, outer: str, weight: WeightSpec,
+          pos: np.ndarray | None = None, window=_GRID) -> float:
+    """``_t_norm`` of ``_row_sums``."""
+    return _t_norm(*_row_sums(values, grid, weight, pos, window), grid, outer)
+
+
+def mixed_norm(f: SpaceTimeField, outer: str, weight: WeightSpec = WeightSpec()) -> float:
+    """||w f||_{L^outer_t L^2_x} over the whole grid, ``outer`` "L2" or "Linf"."""
+    if outer not in ("L2", "Linf"):
+        raise NormSpecError(f"outer must be 'L2' or 'Linf'; got {outer!r}")
+    return _norm(f.values, f.grid, outer, weight)
 
 
 def spatial_l2(f: SpaceTimeField, weight: WeightSpec = WeightSpec()) -> np.ndarray:
@@ -61,6 +78,58 @@ def le1_norm(f: SpaceTimeField) -> float:
     """||(du, u/r)||_LE, from the (0, dt), (0, dr) and (0, quot) word sums,
     streamed in blocks of rows as the u_le1 slot of the functionals."""
     return _stream(f, ((0, DT), (0, DR), (0, "quot")), {"le1": (0, None, "LE")})["le1"]
+
+
+def box_scalar(w: SpaceTimeField) -> SpaceTimeField:
+    """Radial d'Alembertian via the conjugate identity, any parity."""
+    grid = w.grid
+    _require_size(grid)
+    vals = _box_values(w.values, w.parity, grid.r, grid.dt, grid.dr)
+    return SpaceTimeField(grid, vals, "even" if w.parity == "even" else None)
+
+
+def scaling_identity_residual(w: SpaceTimeField) -> float:
+    """Max residual of 2 S w = (t+r)(dt+dr)w + (t-r)(dt-dr)w on the grid;
+    exact (to rounding) since both sides reduce to the same stencils."""
+    t, r = w.grid.meshes()
+    lhs = 2 * derivative(w, SCALING).values
+    rhs = (t + r) * derivative(w, GOOD).values + (t - r) * derivative(w, BAD).values
+    scale = max(float(np.max(np.abs(lhs))), _TINY)
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def _radial_words(values: np.ndarray, r: np.ndarray, dr: float, order: int) -> list[np.ndarray]:
+    """All compositions of {dr, r*dr} up to the given length on a radial frame
+    (even parity assumed for the base frame)."""
+    layers = [[(values, "even")]]
+    for _ in range(order):
+        nxt = []
+        for vals, par in layers[-1]:
+            dv = _d1(vals, dr, par)
+            nxt.append((dv, _FLIP[par]))    # dr
+            nxt.append((r * dv, par))       # scaling r*dr
+        layers.append(nxt)
+    return [vals for layer in layers for vals, _ in layer]
+
+
+def check_weighted_sobolev(h: np.ndarray, r: np.ndarray, R: int,
+                           family_id: str = "") -> EstimateReport:
+    """Pointwise bound on a dyadic annulus by R^{-1}-weighted derivative mass
+    on its enlargement (radial vector-field set)."""
+    dr = float(r[1] - r[0])
+    br = bracket(r)
+    plain = (br >= R) & (br <= 2 * R)
+    tilde = (br >= 7 / 8 * R) & (br <= 17 / 8 * R)
+    if not np.any(plain):
+        raise ValueError(f"annulus R={R} does not meet the grid")
+    lhs = float(np.max(np.abs(h)[plain]))
+    agg = np.zeros_like(h)
+    for vals in _radial_words(h, r, dr, 2):
+        agg += np.abs(vals)
+    w = _trapz_weights(r.size, dr)
+    mass = float(np.sqrt(FOUR_PI * np.sum(np.square(agg) * np.square(r) * w * tilde)))
+    return EstimateReport("weighted_sobolev", lhs, mass / R, family_id,
+                          {"sup": lhs}, {"mass": mass, "scale": float(R)})
 
 
 def box_decomposition_residual(w: SpaceTimeField) -> float:

@@ -9,7 +9,8 @@ layer must reproduce them bit for bit on every array layout it serves
 ``grid._word_sums``, built on ``apply_z_multi`` (every Z word of a field on
 the full grid, one ``derivative`` at a time) and ``apply_word``.
 ``raw_form`` is the null form's product combination dt u dt v - dr u dr v,
-ungrouped.
+ungrouped.  ``quotient_by_r`` is the whole-grid quotient f / r, the view
+``grid._OverR`` read whole.
 """
 
 from typing import Sequence
@@ -18,7 +19,13 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radialwave.grid import MAX_WORD_LEN, SpaceTimeField, derivative, quotient_by_r, z_words
+from radialwave.grid import MAX_WORD_LEN, SpaceTimeField, _OverR, derivative, z_words
+
+
+def quotient_by_r(f: SpaceTimeField) -> SpaceTimeField:
+    """f / r with the axis value recovered by 3-point extrapolation from j = 1, 2, 3."""
+    u = _OverR(f)
+    return SpaceTimeField(f.grid, u.values, u.parity)
 
 
 def apply_word(f: SpaceTimeField, word: Sequence[str]) -> SpaceTimeField:

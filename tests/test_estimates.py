@@ -1,7 +1,6 @@
 import functools
 import importlib
 import pkgutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +11,12 @@ from radialwave import grid as grid_module
 from radialwave.norms import WeightSpec
 from radialwave.regions import DyadicRegion, _intervals
 import estimate_oracles
-from estimate_oracles import (box_decomposition_residual, le1_norm, observed_order,
+from estimate_oracles import (box_decomposition_residual, box_scalar, check_weighted_sobolev,
+                              le1_norm, observed_order, scaling_identity_residual,
                               region_l2l2, spatial_l2)
 from region_oracles import inequality_mask, region_supsup
 from radialwave.grid import _word_sums
-from stencil_oracles import _diff2, word_sums_ref
+from stencil_oracles import _diff2, quotient_by_r, word_sums_ref
 
 
 def grid(dr=1 / 32, t_max=8.0, r_max=12.0):
@@ -78,7 +78,7 @@ class TestIdentities:
                 assert extra == {} and list(got.rhs_terms) == list(want.rhs_terms)
 
     @pytest.mark.parametrize("which, bound", [("plus", 8.05), ("minus", 5.05)])
-    def test_peak_allocation(self, which, bound):
+    def test_peak_allocation(self, traced_peak, which, bound):
         # at the identities command's default grid, where the two checks the one
         # evaluator replaced peaked at 8.03 (plus) and 5.03 (minus) arrays of the
         # grid's size; a bulk weight built before the call would stay resident
@@ -86,12 +86,7 @@ class TestIdentities:
         w = registry.traveling_sym(grid(dr=1 / 64))
         check = {"plus": lambda: estimates.check_identity_plus(w, 0.75, 1.0),
                  "minus": lambda: estimates.check_identity_minus(w, 0.2)}[which]
-        tracemalloc.start()
-        try:
-            check()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(check)
         assert peak <= bound * w.values.nbytes
 
     def test_parameter_range(self):
@@ -105,7 +100,7 @@ class TestIdentities:
 class TestAlgebraicIdentities:
     def test_scaling_identity_exact(self):
         u = registry.standing_bump(grid(dr=1 / 16))
-        assert estimates.scaling_identity_residual(u) <= 1e-12
+        assert scaling_identity_residual(u) <= 1e-12
 
     def test_box_decomposition_converges(self):
         res = [box_decomposition_residual(registry.standing_bump(grid(dr=dr)))
@@ -118,8 +113,8 @@ class TestAlgebraicIdentities:
         for dr in (1 / 16, 1 / 32):
             g = grid(dr=dr)
             u = registry.standing_bump(g)
-            box = estimates.box_scalar(u)
-            lhs = estimates.box_scalar(rw.derivative(u, "S")).values \
+            box = box_scalar(u)
+            lhs = box_scalar(rw.derivative(u, "S")).values \
                 - rw.derivative(box, "S").values
             rhs = 2 * box.values
             t, r = g.meshes()
@@ -260,7 +255,7 @@ class TestStreamedRatioChecks:
         assert len(registry.ANALYTIC_FAMILIES) == 4
 
     @pytest.mark.parametrize("name", ["hardy", "le", "mr", "newle", "combined"])
-    def test_peak_allocation(self, name):
+    def test_peak_allocation(self, traced_peak, name):
         # the whole-grid checks peaked at 4.0 (hardy), 5.0 (le, mr) and 6.0
         # (newle) arrays of the grid's size; streamed, at 1.35 (le) and 1.6,
         # the conjugate field r u being the one whole-grid array, and at
@@ -270,12 +265,7 @@ class TestStreamedRatioChecks:
         u = registry.build("traveling_sym", g)
         check = _ratio_checks(estimates).get(
             name, lambda u: estimates._ratio_reports(u, 0.75, 0.2, _RATIO_NAMES))
-        tracemalloc.start()
-        try:
-            check(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: check(u))
         assert peak < 1.75 * u.values.nbytes
 
     def test_non_finite_delta_and_U_are_refused(self):
@@ -376,7 +366,7 @@ def _reference_reports(w, tau, kind, scale, ref):
     grid = w.grid
     region = DyadicRegion(tau, kind, scale)
     plain = inequality_mask(region, grid).weights
-    tilde = inequality_mask(region.enlarged(1), grid).weights
+    tilde = inequality_mask(region.enlarged(), grid).weights
 
     def mass(key):
         return region_l2l2(rw.SpaceTimeField(grid, ref[key]), WeightSpec(), tilde)
@@ -438,13 +428,13 @@ class TestKSWordPass:
         u = registry.build(family, g)
         region = DyadicRegion(tau, kind, scale)
         plain = inequality_mask(region, g).weights > 0
-        tilde = inequality_mask(region.enlarged(1), g).weights
+        tilde = inequality_mask(region.enlarged(), g).weights
         inside = tilde > 0
         assert not np.any(plain & ~inside)  # the d2 lhs reads du on plain only
 
         # the windows are blocks of tilde's rows, each the bounding box of its
         # rows' intervals
-        windows = estimates._ks_windows(_intervals(region.enlarged(1), g))
+        windows = estimates._ks_windows(_intervals(region.enlarged(), g))
         if not inside.any():
             assert windows == [(slice(0, 0), slice(0, 0))]
         else:
@@ -501,9 +491,9 @@ class TestKSWordPass:
         u = registry.build(family, g)
         region = DyadicRegion(tau, kind, scale)
         keys = ((0, None), (2, None), (2, "dr"))
-        slots = {"mass": ((2, "dr"), WeightSpec(), region.enlarged(1)),
+        slots = {"mass": ((2, "dr"), WeightSpec(), region.enlarged()),
                  "sup": ((0, None), None, [region])}
-        windows = estimates._ks_windows(_intervals(region.enlarged(1), g))
+        windows = estimates._ks_windows(_intervals(region.enlarged(), g))
         boxes = norms._stream(u, keys, slots, windows)
         assert repr(boxes) == repr(norms._stream(u, keys, slots))
         if windows == [(slice(0, 0), slice(0, 0))]:
@@ -517,7 +507,7 @@ class TestKSWordPass:
         # the field grows with t, so the plain strip's sup lies in the last block
         g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=22.0, t_max=18.0)
         u = rw.SpaceTimeField(g, g.t[:, None] * registry.cone_hugger(g).values, "even")
-        assert len(estimates._ks_windows(_intervals(DyadicRegion(8, "U", scale).enlarged(1),
+        assert len(estimates._ks_windows(_intervals(DyadicRegion(8, "U", scale).enlarged(),
                                                     g))) > 1
         ref_ks, ref_d2 = _reference_reports(u, 8, "U", scale, word_sums_ref(u, _KS_KEYS))
         assert estimates.check_spacetime_ks(u, 8, "U", scale).lhs == ref_ks.lhs
@@ -554,7 +544,7 @@ class TestKSWordPass:
         # box plus the halo rows where they meet (1.036-1.097 of it measured)
         g = rw.GridSpec(dr=dr, cfl=1.0, **extent)
         u = registry.build(family, g)
-        tilde = _intervals(DyadicRegion(tau, kind, scale).enlarged(1), g)
+        tilde = _intervals(DyadicRegion(tau, kind, scale).enlarged(), g)
         bound = 1.12 if kind == "R" else 0.5 if (dr, tau) == (1 / 32, 8) else 1.0
         for check, keys in ((estimates.check_spacetime_ks, _KS_KEYS[:2]),
                             (estimates.check_second_derivative_ks, _KS_KEYS[2:] + ((0, "d"),))):
@@ -567,7 +557,7 @@ class TestKSWordPass:
         # a fresh tuple per slot they are found per slot, to an equal report
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
         u = registry.build("cone_hugger", g)
-        tilde = _intervals(DyadicRegion(8, "U", 1).enlarged(1), g)
+        tilde = _intervals(DyadicRegion(8, "U", 1).enlarged(), g)
         windows = estimates._ks_windows(tilde)
         calls, real = [], norms._window_pos
 
@@ -591,30 +581,20 @@ class TestKSWordPass:
         assert shared == (per_slot[0], len(windows))
         assert per_slot[1] == 5 * len(windows)
 
-    def test_u_strip_peak_allocation(self):
+    def test_u_strip_peak_allocation(self, traced_peak):
         # the bounding box of the U1 strip at dr 1/32 peaked at about 13
         # arrays of the grid's size, its row blocks at under 2
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
         u = registry.build("cone_hugger", g)
-        tracemalloc.start()
-        try:
-            estimates.check_second_derivative_ks(u, 8, "U", 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: estimates.check_second_derivative_ks(u, 8, "U", 1))
         assert peak < 3 * u.values.nbytes
 
-    def test_r_piece_peak_allocation(self):
+    def test_r_piece_peak_allocation(self, traced_peak):
         # the row blocks of the R2 piece at dr 1/32 peak at about 0.6 arrays
         # of the grid's size; its one bounding box peaked at 2.6
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
         u = registry.build("expanding_bump", g)
-        tracemalloc.start()
-        try:
-            estimates.check_second_derivative_ks(u, 8, "R", 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: estimates.check_second_derivative_ks(u, 8, "R", 2))
         assert peak < 0.8 * u.values.nbytes
 
     def test_box_scalar_equals_conjugate_form(self):
@@ -625,8 +605,8 @@ class TestKSWordPass:
             par = {"even": "odd", "odd": "even", None: None}[parity]
             W = g.r[None, :] * u.values
             raw = _diff2(W, g.dt, axis=0) - _diff2(W, g.dr, axis=1, parity=par)
-            want = rw.quotient_by_r(rw.SpaceTimeField(g, raw, par))
-            got = estimates.box_scalar(u)
+            want = quotient_by_r(rw.SpaceTimeField(g, raw, par))
+            got = box_scalar(u)
             assert np.array_equal(got.values, want.values)
             assert got.parity == want.parity
 
@@ -684,22 +664,22 @@ def test_box_scalar_checks_grid_size():
     assert g.shape() == (3, 19)
     u = rw.SpaceTimeField(g, np.ones(g.shape()), "even")
     with pytest.raises(rw.GridTooSmallError):
-        estimates.box_scalar(u)
+        box_scalar(u)
 
 
 class TestWeightedSobolev:
     def test_ratio_finite_and_scale_invariant(self):
         r = np.arange(0, 16 + 1e-9, 1 / 32)
         h = np.exp(-np.square((r - 4) / 1.5))
-        rep = estimates.check_weighted_sobolev(h, r, 4)
+        rep = check_weighted_sobolev(h, r, 4)
         assert np.isfinite(rep.ratio) and rep.lhs > 0
-        rep2 = estimates.check_weighted_sobolev(2.5 * h, r, 4)
+        rep2 = check_weighted_sobolev(2.5 * h, r, 4)
         np.testing.assert_allclose(rep2.ratio, rep.ratio, rtol=1e-12)
 
     def test_empty_annulus_rejected(self):
         r = np.arange(0, 2 + 1e-9, 1 / 16)
         with pytest.raises(ValueError):
-            estimates.check_weighted_sobolev(np.exp(-r), r, 16)
+            check_weighted_sobolev(np.exp(-r), r, 16)
 
 
 def test_registry_unknown_family():
@@ -724,14 +704,9 @@ class TestRegistrySampling:
         assert blocked.parity == whole.parity == "even"
 
     @pytest.mark.parametrize("family", sorted(registry.ANALYTIC_FAMILIES))
-    def test_build_peak_allocation(self, family):
+    def test_build_peak_allocation(self, traced_peak, family):
         # the field plus one block's temporaries; a whole-grid call of fn
         # peaked at 4.0 arrays of the grid's size
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
-        tracemalloc.start()
-        try:
-            u = registry.build(family, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * u.values.nbytes
+        peak = traced_peak(lambda: registry.build(family, g))
+        assert peak < 1.25 * g.nt * g.nr * 8

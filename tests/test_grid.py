@@ -12,8 +12,9 @@ from radialwave import grid
 from radialwave.grid import (
     DR, DT, MAX_WORD_LEN, _d1, _d2, _over_r, _word_sums, _z_walk, derivative, z_words,
 )
+from estimate_oracles import box_scalar
 from stencil_oracles import (WORD_PREFIXES, _diff2, _diff_r, _diff_t, _quot, apply_word,
-                             apply_z_multi, layouts, raw_form, word_sums_ref)
+                             apply_z_multi, layouts, quotient_by_r, raw_form, word_sums_ref)
 from test_solver import _ref_d2r_odd, _ref_quotient, _ref_radial_deriv
 
 
@@ -155,21 +156,22 @@ class TestField:
         g = small_grid()
         f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t) * np.cos(r), "even")
         path = tmp_path / "f.bin"
-        f.to_binary(path)
-        back = rw.SpaceTimeField.from_binary(path)
+        grid._write_field(path, f)
+        back = rw.SpaceTimeField(*grid._read_field(path))
         assert back.parity == "even"
         assert back.grid == g
         assert back.values.tobytes() == f.values.tobytes()
 
     def test_binary_io_copies_no_whole_array(self, tmp_path):
-        # to_binary writes the values as they lie (no "<f8" copy, no bytes);
-        # from_binary reads the payload into the field's one array (no bytes
+        # _write_field writes the values as they lie (no "<f8" copy, no bytes);
+        # _read_field reads the payload into the field's one array (no bytes
         # object beside it, no copy of it)
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=36.0, t_max=32.0)
         f = rw.SpaceTimeField.from_function(g, lambda t, r: np.sin(t) * np.cos(r), "even")
         path = tmp_path / "f.bin"
         peaks = []
-        for step in (lambda: f.to_binary(path), lambda: rw.SpaceTimeField.from_binary(path)):
+        for step in (lambda: grid._write_field(path, f),
+                     lambda: rw.SpaceTimeField(*grid._read_field(path))):
             tracemalloc.start()
             try:
                 back = step()
@@ -183,13 +185,13 @@ class TestField:
     def test_binary_payload_must_match_header(self, tmp_path, change):
         g = small_grid()
         path = tmp_path / "f.bin"
-        rw.SpaceTimeField.zeros(g).to_binary(path)
+        grid._write_field(path, rw.SpaceTimeField.zeros(g))
         blob = path.read_bytes()
         path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
         want = 8 * g.nt * g.nr
         got = want + change
         with pytest.raises(ValueError, match=f"{got} .*{want}") as exc:
-            rw.SpaceTimeField.from_binary(path)
+            rw.SpaceTimeField(*grid._read_field(path))
         assert str(path) in str(exc.value)
 
     def test_binary_refuses_the_old_format(self, tmp_path):
@@ -199,24 +201,24 @@ class TestField:
         header = struct.pack("<8sddqqb", b"RWFLD001", g.dr, g.dt, g.nr - 1, g.nt, 0)
         path.write_bytes(header + np.zeros(g.shape()).tobytes())
         with pytest.raises(ValueError, match="RWFLD001.*remove it to start afresh") as exc:
-            rw.SpaceTimeField.from_binary(path)
+            rw.SpaceTimeField(*grid._read_field(path))
         assert str(path) in str(exc.value)
 
     def test_binary_refuses_an_unknown_parity_byte(self, tmp_path):
         path = tmp_path / "f.bin"
-        rw.SpaceTimeField.zeros(small_grid(), "odd").to_binary(path)
+        grid._write_field(path, rw.SpaceTimeField.zeros(small_grid(), "odd"))
         blob = bytearray(path.read_bytes())
         blob[struct.calcsize("<8sdddd")] = 7  # the parity byte ends the header
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="parity byte 7") as exc:
-            rw.SpaceTimeField.from_binary(path)
+            rw.SpaceTimeField(*grid._read_field(path))
         assert str(path) in str(exc.value)
 
     def test_binary_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a field file at all")
         with pytest.raises(ValueError):
-            rw.SpaceTimeField.from_binary(path)
+            rw.SpaceTimeField(*grid._read_field(path))
 
 
 class TestDerivatives:
@@ -656,7 +658,7 @@ class TestWordSums:
         g = small_grid(dr=0.25, cfl=0.5, r_max=10.0, t_max=6.0)
         W = rw.SpaceTimeField.from_function(
             g, lambda t, r: r * np.exp(-np.square(r - t - 1)) * np.cos(3 * t + r), "odd")
-        u, view = rw.quotient_by_r(W), grid._OverR(W)
+        u, view = quotient_by_r(W), grid._OverR(W)
         assert u.values.tobytes() == _quot(W.values, g.r).tobytes()
         assert view.rect(*window).tobytes() == np.ascontiguousarray(u.values[window]).tobytes()
         assert (view.grid, view.parity, view.reach) == (g, u.parity, g.nr)
@@ -751,7 +753,7 @@ class TestConjugate:
         g = small_grid()
         u = rw.SpaceTimeField.from_function(g, lambda t, r: np.cos(r) + 0 * t, "even")
         W = rw.SpaceTimeField(g, g.r[None, :] * u.values, "odd")
-        back = rw.conjugate_to_scalar(W)
+        back = quotient_by_r(W)
         assert back.parity == "even"
         # exact off the axis; the axis value is a cubic extrapolation, O(dr^3)
         np.testing.assert_allclose(back.values[:, 1:], u.values[:, 1:], atol=1e-10)
@@ -762,7 +764,7 @@ class TestConjugate:
         # u = r^2: Box u = -u'' - (2/r) u' = -2 - 4 = -6 [DERIVED]
         g = small_grid()
         u = rw.SpaceTimeField.from_function(g, lambda t, r: r * r + 0 * t, "even")
-        box = rw.box_scalar(u)
+        box = box_scalar(u)
         np.testing.assert_allclose(box.values, -6.0, atol=1e-8)
 
 

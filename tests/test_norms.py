@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +7,11 @@ import radialwave as rw
 from radialwave import estimates, norms, regions, registry
 from radialwave import grid as grid_module
 from radialwave.grid import _depth, _word_sums
-from radialwave.norms import WeightSpec, m_functional, mixed_norm
+from radialwave.norms import WeightSpec, m_functional
 from radialwave.regions import _flat, _intervals, dyadic_scales
-from estimate_oracles import le1_norm, le_norm, region_l2l2, spatial_l2
+from estimate_oracles import le1_norm, le_norm, mixed_norm, region_l2l2, spatial_l2
 from region_oracles import enumerate_regions, inequality_mask, region_supsup
-from stencil_oracles import word_sums_ref
+from stencil_oracles import quotient_by_r, word_sums_ref
 
 
 def grid(dr=1 / 64, t_max=2.0, r_max=8.0, cfl=1.0):
@@ -347,7 +345,7 @@ class TestTimeBlocks:
     def test_conjugate_pass_equals_the_quotients(self, solve, N):
         # the Picard driver's pass on the views u(), v(), which divide W_u, W_v
         # by r per block, equals the functionals of the whole-grid quotients
-        # conjugate_to_scalar(W) in repr; an RK4 history's precursor reaches
+        # quotient_by_r(W) in repr; an RK4 history's precursor reaches
         # r_max, so its walks are full width
         g = rw.GridSpec(dr=1 / 8, cfl=1.0, r_max=28.0, t_max=24.0)
         data = rw.calibrate(rw.InitialData(), g, 2, 0.02)
@@ -360,7 +358,7 @@ class TestTimeBlocks:
         got = [*norms.m_and_a_functionals(h.u(), h.v(), 0.75, 0.2, N),
                m_functional(h.u(), h.v(), 0.75, 0.2, N),
                rw.a_functional(h.u(), h.v(), 0.75, 0.2, N)]
-        u, v = (rw.conjugate_to_scalar(W) for W in (h.W_u, h.W_v))
+        u, v = (quotient_by_r(W) for W in (h.W_u, h.W_v))
         want = [*norms.m_and_a_functionals(u, v, 0.75, 0.2, N)] * 2
         for b, fresh in zip(got, want):
             assert repr((b.total, b.slots, b.per_region)) == repr(
@@ -400,23 +398,18 @@ class TestTimeBlocks:
         assert (once[0], twice[0]) == (calls, 32)
         assert once[1] == twice[1]
 
-    def test_peak_allocation_is_a_few_grid_arrays(self):
+    def test_peak_allocation_is_a_few_grid_arrays(self, traced_peak):
         # 513 rows, 16 windows; the whole-grid pass peaked at about 23 arrays
         # of the grid's size, a window's pass holds about 20 of its own rows'
         g = rw.GridSpec(dr=1.0, cfl=1.0, r_max=516.0, t_max=512.0)
         rng = np.random.default_rng(0)
         u = rw.SpaceTimeField(g, rng.uniform(-1.0, 1.0, g.shape()), "even")
         v = rw.SpaceTimeField(g, rng.uniform(-1.0, 1.0, g.shape()))
-        tracemalloc.start()
-        try:
-            m_functional(u, v, 0.75, 0.2, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: m_functional(u, v, 0.75, 0.2, 2))
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         assert peak < 4 * u.values.nbytes
 
-    def test_peak_allocation_with_a_light_cone_field(self):
+    def test_peak_allocation_with_a_light_cone_field(self, traced_peak):
         # support r <= t + 2: the padded sums add no array of the grid's size
         g = rw.GridSpec(dr=1.0, cfl=1.0, r_max=516.0, t_max=512.0)
         t, r = g.meshes()
@@ -424,45 +417,29 @@ class TestTimeBlocks:
         u, v = rng.uniform(-1.0, 1.0, (2, *g.shape())) * (r <= t + 2)
         u[:, 0] = 0.0
         u, v = rw.SpaceTimeField(g, u, "odd"), rw.SpaceTimeField(g, v)
-        tracemalloc.start()
-        try:
-            m_functional(u, v, 0.75, 0.2, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: m_functional(u, v, 0.75, 0.2, 2))
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
         assert peak < 4 * u.values.nbytes
 
-    def test_peak_allocation_of_a_history_pair(self):
+    def test_peak_allocation_of_a_history_pair(self, traced_peak):
         # u(), v() of an RK4 history are views that divide W by r per window:
         # M holds no quotient of the grid's size (3.26 grid arrays with the two
         # whole quotients, 1.26 without; at T 8 its 129 rows are about four
         # windows, whose temporaries then dominate: 4.45 and 2.44)
         g = rw.GridSpec(dr=1 / 16, cfl=1.0, r_max=36.0, t_max=32.0)
         h = rw.solve(rw.calibrate(rw.InitialData(), g, 2, 0.02), rw.SolveConfig(grid=g))
-        tracemalloc.start()
-        try:
-            u, v = h.u(), h.v()
-            views = tracemalloc.get_traced_memory()[1]
-            m_functional(u, v, 0.75, 0.2, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        views = traced_peak(lambda: (h.u(), h.v()))
+        peak = traced_peak(lambda: m_functional(h.u(), h.v(), 0.75, 0.2, 2))
         size = g.nt * g.nr * 8
         assert views < 0.01 * size
         assert peak < 2.2 * size
 
-    def test_le1_norm_peak_allocation(self):
+    def test_le1_norm_peak_allocation(self, traced_peak):
         # the whole-grid sums and the field built from them peaked at about
         # 6.2 arrays of the grid's size; a block of rows holds its own rows'
         g = rw.GridSpec(dr=1 / 32, cfl=1.0, r_max=22.0, t_max=18.0)
         u = registry.traveling_sym(g)
-        tracemalloc.start()
-        try:
-            le1_norm(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: le1_norm(u))
         assert len(norms._blocks(g.nt)) == 9
         assert peak < 2 * u.values.nbytes
 
@@ -572,7 +549,7 @@ class TestLightCone:
         values = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape())
         region = rw.DyadicRegion(8, kind, scale)
         plain, mask = norms._region_intervals([region], g), inequality_mask(region, g).weights
-        windows = estimates._ks_windows(_intervals(region.enlarged(1), g))
+        windows = estimates._ks_windows(_intervals(region.enlarged(), g))
         sups = [norms._region_sups(values[w], plain, 1, g, w)[0] for w in windows]
         assert sups == [region_supsup(values[w], mask[w]) for w in windows]
         assert max(sups) == region_supsup(values, mask)

@@ -7,22 +7,19 @@ import radialwave as rw
 KEPT = {
     # grid
     "BAD", "DR", "DT", "GOOD", "SCALING", "GridSpec", "GridTooSmallError", "ParityError",
-    "SpaceTimeField", "box_conjugate", "conjugate_to_scalar", "derivative", "null_form",
-    "quotient_by_r", "z_words",
+    "SpaceTimeField", "box_conjugate", "derivative", "null_form", "z_words",
     # regions
     "DyadicRegion", "bracket", "dyadic_scales", "sigma_U", "sigma_U_prime",
     # norms
     "NormBreakdown", "NormSpecError", "WeightSpec", "a_functional", "m_functional",
-    "mixed_norm",
     # solver
     "BlowUpSuspected", "CflError", "InitialData", "SolveConfig", "SolutionHistory", "bump",
     "calibrate", "config_hash", "nonlinearity", "poly_bump", "smallness_sum", "solve",
     "solve_linear_forced", "zero_profile",
     # estimates
-    "EstimateReport", "IdentityReport", "box_scalar", "check_hardy", "check_identity_minus",
+    "EstimateReport", "IdentityReport", "check_hardy", "check_identity_minus",
     "check_identity_plus", "check_le", "check_mr", "check_newle",
-    "check_second_derivative_ks", "check_spacetime_ks", "check_weighted_sobolev",
-    "scaling_identity_residual",
+    "check_second_derivative_ks", "check_spacetime_ks",
     # picard
     "IterationRecord", "NonContraction", "PicardConfig", "check_boundedness", "decay_run",
     "fit_decay", "run_iteration",

@@ -14,6 +14,7 @@ from radialwave import cli, grid as grid_module, norms, picard, solver
 from radialwave.picard import IterationRecord, PicardConfig
 from solver_oracles import (add_into_ref, dalembert_history, linear_forced_ref,
                             source_difference_ref)
+from stencil_oracles import quotient_by_r
 
 
 class _Interrupt(Exception):
@@ -177,8 +178,7 @@ class TestIteration:
             W = getattr(u1, f"W_{f}").values + getattr(d2, f"W_{f}").values
             edges = sum(getattr(h, f"dtW_{f}").values[[0, -1]] for h in (u1, d2))
             dt = getattr(back, f"dtW_{f}").values
-            assert rw.SpaceTimeField.from_binary(saved / f"W_{f}.bin").values.tobytes() \
-                == W.tobytes(), f
+            assert grid_module._read_field(saved / f"W_{f}.bin")[1].tobytes() == W.tobytes(), f
             assert np.load(saved / "dtW_edges.npy")[i].tobytes() == edges.tobytes(), f
             assert dt[1:-1].tobytes() == ((W[2:] - W[:-2]) / (2 * cfg.grid.dt)).tobytes(), f
 
@@ -343,7 +343,7 @@ class TestIteration:
         # M of u_3 and A of delta_3 on the benchmark grid, walked in windows
         # of 32 rows (the functionals'), of 64 rows and in one window of the
         # whole grid, each through the views u(), v() of the histories, and
-        # of the whole-grid quotients conjugate_to_scalar(W): every total, slot
+        # of the whole-grid quotients quotient_by_r(W): every total, slot
         # and region value equal in float.hex
         config = PicardConfig(grid=rw.GridSpec(dr=1 / 8, cfl=0.5, r_max=68.0, t_max=64.0),
                               eps=0.0075, kmax=3)
@@ -368,7 +368,7 @@ class TestIteration:
         assert [len(norms._blocks(nt, rows)) for rows in (32, 64, nt)] == [16, 8, 1]
         windows = hexed(32)
         assert windows == hexed(64) == hexed(nt)
-        whole = [tuple(rw.conjugate_to_scalar(W) for W in (h.W_u, h.W_v)) for h in (u, d)]
+        whole = [tuple(quotient_by_r(W) for W in (h.W_u, h.W_v)) for h in (u, d)]
         assert windows == hexed(32, whole)
         assert [x[0] for x in windows] == [records[-1].m_total.hex(), records[-1].a_total.hex()]
 
@@ -424,7 +424,7 @@ class TestIteration:
         assert u32 <= 0.1 and v32 <= 0.1, gaps
         assert u16 >= 3 * u32 and v16 >= 3 * v32, gaps
 
-    def test_driver_peak_allocation(self):
+    def test_driver_peak_allocation(self, traced_peak):
         # one iterate pair is resident: u_(k-1), summed in place, and
         # delta_(k-1), each as its W (two arrays) and dt W's edge rows; the
         # solve of delta_k builds G_k per block of 16 rows or more as it reads
@@ -436,12 +436,10 @@ class TestIteration:
         # solve holding delta_k beside delta_(k-1) would peak at 3.7
         g = rw.GridSpec(dr=1 / 4, cfl=1.0, r_max=132.0, t_max=128.0)
         assert len(norms._blocks(g.nt, norms._FUNCTIONAL_ROWS)) == 16
-        tracemalloc.start()
-        try:
-            assert len(picard.run_iteration(PicardConfig(grid=g, eps=0.0075, kmax=3))) == 3
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records = []
+        peak = traced_peak(lambda: records.extend(
+            picard.run_iteration(PicardConfig(grid=g, eps=0.0075, kmax=3))))
+        assert len(records) == 3
         assert peak < 3.6 * g.nt * g.nr * 8
 
     def test_solves_from_k3_write_over_the_last_difference(self, monkeypatch):
@@ -521,7 +519,7 @@ class TestIteration:
         for h, path in ((hist, saved), (diff, saved / "delta")):
             edges = np.load(path / "dtW_edges.npy")
             for i, f in enumerate(("u", "v")):
-                W = rw.SpaceTimeField.from_binary(path / f"W_{f}.bin").values
+                W = grid_module._read_field(path / f"W_{f}.bin")[1]
                 dt = getattr(h, f"dtW_{f}").values
                 assert getattr(h, f"W_{f}").values.tobytes() == W.tobytes(), (path, f)
                 assert dt[[0, -1]].tobytes() == edges[i].tobytes(), (path, f)
@@ -635,10 +633,10 @@ class TestIteration:
         picard.run_iteration(cfg)
         saved = Path(picard._state_paths(cfg, rw.config_hash(cfg.descriptor()))[1] + "2")
         path = saved / "delta" / "W_v.bin"
-        field = rw.SpaceTimeField.from_binary(path)
+        field = rw.SpaceTimeField(*grid_module._read_field(path))
         S = solver._cone_reach(cfg.grid)
         field.values[10, 10 + S + 1] = 1e-30
-        field.to_binary(path)
+        grid_module._write_field(path, field)
         back = rw.SolutionHistory.load(saved / "delta")
         assert back.W_v.reach == cfg.grid.nr and back.W_u.reach == S
         assert back.W_v.values.tobytes() == field.values.tobytes()

@@ -45,6 +45,11 @@ class TestDyadicRegion:
         with pytest.raises(ValueError):
             DyadicRegion(8, "R", 3)
 
+    def test_enlargement_is_plain_or_tilde(self):
+        assert DyadicRegion(8, "U", 2).enlarged() == DyadicRegion(8, "U", 2, enlargement=1)
+        with pytest.raises(ValueError, match="enlargement must be 0 or 1"):
+            DyadicRegion(8, "U", 2, enlargement=2)
+
     def test_enumerate_order(self):
         regs = enumerate_regions(16, grid(t_max=32.0))
         kinds = [(r.kind, r.scale) for r in regs]
@@ -73,7 +78,7 @@ class TestMasks:
         g = grid(dr=0.25)
         for reg in enumerate_regions(4, g):
             plain = realize_mask(reg, g).weights
-            tilde = realize_mask(reg.enlarged(1), g).weights
+            tilde = realize_mask(reg.enlarged(), g).weights
             assert np.all(tilde >= plain)
 
     def test_tilde_endpoints(self):
@@ -154,9 +159,8 @@ def test_intervals_render_the_dense_masks(g):
     weight = rw.WeightSpec(0.3, 0.5)
     seen = set()
     for region in _every_region(g):
-        for lev in (0, 1, 2):
-            reg = region.enlarged(lev)
-            seen.add((reg.kind, reg.scale, lev))
+        for reg in (region, region.enlarged()):
+            seen.add((reg.kind, reg.scale, reg.enlargement))
             rows, lo, hi = regions._intervals(reg, g)
             _assert_maximal_runs(g, rows, lo, hi)
             want = oracle.inequality_mask(reg, g).weights
@@ -165,8 +169,8 @@ def test_intervals_render_the_dense_masks(g):
             l2 = interval_l2(f.values, g, weight, reg)
             assert region_l2l2(f, weight, want) == l2, reg
     for kind in ("R", "U", "annulus", "strip"):
-        assert {(kind, 1, lev) for lev in (0, 1, 2)} <= seen
-    assert {("core", None, lev) for lev in (0, 1, 2)} <= seen
+        assert {(kind, 1, lev) for lev in (0, 1)} <= seen
+    assert {("core", None, lev) for lev in (0, 1)} <= seen
 
 
 @settings(max_examples=12, deadline=None)
